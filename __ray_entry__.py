@@ -2,9 +2,12 @@
 
 ``entry()`` runs the flagship extraction pipeline on sf0.001.
 ``queries()`` exposes each implemented operator (SURVEY.md §2 +
-corpus-level training-data ops); ``oracle_sql()`` gives the DuckDB
-equivalent for the SQL-expressible ones (the driver compares row-count +
-schema + order-insensitive value hash at sf=0.01).
+corpus-level training-data ops): every module-level ``_q_<name>(sf_dir)``
+function is the query ``<name>``, so defining one registers it.
+``oracle_sql()`` gives the DuckDB equivalent for the SQL-expressible ones
+(the correctness gate compares row-count + schema + order-insensitive
+value hash at sf=0.01). Every Ray read of an sf table goes through
+``_read(sf_dir, table, columns)``.
 
 Ray is initialised by the driver BEFORE this module is imported: nothing
 here calls ``ray.init()`` / ``ray.shutdown()``.
@@ -30,12 +33,17 @@ _EN_STOP = (
 )
 
 
-def _docs(sf_dir: str):
+def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+    """``<sf_dir>/<table>.parquet`` as a Ray Dataset (optionally pruned)."""
     import ray.data
 
     return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text", "lang"]
+        os.path.join(sf_dir, f"{table}.parquet"), columns=columns
     )
+
+
+def _docs(sf_dir: str):
+    return _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
 
 def _pool_max(cap: int = 64) -> int:
@@ -193,7 +201,7 @@ def _q_char_entropy(sf_dir: str):
             .sort("doc_id"))
 
 
-def _q_bpe_tokens(sf_dir: str):
+def _q_bpe_token_stats(sf_dir: str):
     """GPT-2-style pre-tokenizer counts (LLM-budget estimator); the
     stdlib-re pattern uses lookahead RE2 lacks → rows-only check, unit
     tests pin the counts."""
@@ -202,7 +210,7 @@ def _q_bpe_tokens(sf_dir: str):
     return _docs(sf_dir).map_batches(bpe_token_stats, batch_format="pyarrow")
 
 
-def _q_quality(sf_dir: str):
+def _q_quality_stats(sf_dir: str):
     from smartreader_ray.functions import quality_stats
 
     return _docs(sf_dir).map_batches(quality_stats, batch_format="pyarrow")
@@ -220,7 +228,7 @@ def _q_language_id(sf_dir: str):
     return language_id(_docs(sf_dir))
 
 
-def _q_fingerprint(sf_dir: str):
+def _q_doc_fingerprint(sf_dir: str):
     import pyarrow as pa
     from smartreader_ray.functions import doc_fingerprint
 
@@ -260,7 +268,7 @@ def _q_fingerprint_dedup(sf_dir: str):
     return out.map_batches(project, batch_format="pyarrow")
 
 
-def _q_minhash(sf_dir: str):
+def _q_minhash_candidates(sf_dir: str):
     from smartreader_ray.functions import minhash_lsh_candidates
 
     return minhash_lsh_candidates(_docs(sf_dir))
@@ -279,14 +287,9 @@ def _q_ann_ivf(sf_dir: str):
     hash-gates the whole IVF machinery (k-means assign, per-cluster
     search, merge); recall at nprobe < n_clusters is pinned separately
     by unit tests (test_similarity.py)."""
-    import ray.data
-
     from smartreader_ray.functions import ann_ivf
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     table = ann_ivf(ds, _query_matrix(sf_dir), k=10, n_clusters=16,
                     nprobe=16)
     return table.select(["query_id", "vec_id", "rank"])
@@ -299,14 +302,9 @@ def _q_ann_ivf_bucketed(sf_dir: str):
     import os
     import shutil
 
-    import ray.data
-
     from smartreader_ray.functions import ann_ivf_bucketed, ivf_build_index
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     index_dir = os.path.join(
         "/tmp", "smartreader_ivf_" + os.path.basename(os.path.normpath(sf_dir))
     )
@@ -324,7 +322,6 @@ def _q_hard_negatives(sf_dir: str):
     (query_id, vec_id, rank) like ann_topk."""
     import numpy as np
     import pyarrow.parquet as pq
-    import ray.data
 
     from smartreader_ray.functions import hard_negatives
 
@@ -336,14 +333,12 @@ def _q_hard_negatives(sf_dir: str):
                       t.column("label").to_pylist()))[:20]
     qm = np.asarray([r[1] for r in rows], dtype=np.float64)
     ql = np.asarray([r[2] for r in rows], dtype=np.int64)
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding", "label"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
     out = hard_negatives(ds, qm, ql, k=3)
     return out.select(["query_id", "vec_id", "rank"])
 
 
-def _q_simhash(sf_dir: str):
+def _q_simhash_neardup(sf_dir: str):
     from smartreader_ray.functions import simhash_neardup
 
     return simhash_neardup(_docs(sf_dir))
@@ -362,42 +357,28 @@ def _query_matrix(sf_dir: str, n: int = 5):
     return np.asarray([r[1] for r in rows], dtype=np.float64)
 
 
-def _q_ann(sf_dir: str):
+def _q_ann_topk(sf_dir: str):
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.functions import ann_topk
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     table = ann_topk(ds, _query_matrix(sf_dir), k=10)
     return table.select(["query_id", "vec_id", "rank"])
 
 
 def _q_embed_neardup(sf_dir: str):
-    import ray.data
-
     from smartreader_ray.functions import embedding_neardup
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     pairs = embedding_neardup(ds, threshold=0.45)
     return pairs.select_columns(["vec_a", "vec_b"])
 
 
 def _q_embed_neardup_lsh(sf_dir: str):
-    import ray.data
-
     from smartreader_ray.functions import embedding_neardup
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     # LSH-bucketed scale path: candidates within identical 8-bit
     # hyperplane signatures (recall < 1 by design → rows-only check)
     return embedding_neardup(ds, threshold=0.45, use_lsh=True, hyperplanes=8)
@@ -406,12 +387,10 @@ def _q_embed_neardup_lsh(sf_dir: str):
 def _q_lineitem_pricing(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_linestatus", "l_quantity"],
+    ds = _read(
+        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -439,12 +418,10 @@ def _q_lineitem_pricing(sf_dir: str):
 def _q_top_orders(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
+    ds = _read(
+        sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     )
 
     def revenue(batch: pa.Table) -> pa.Table:
@@ -480,17 +457,12 @@ def _q_orders_by_segment(sf_dir: str, salt: int = 1):
     ``salt`` > 1 runs the hot-key-splitting variant against the SAME
     oracle (identical result proven by hash)."""
     import pyarrow as pa
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions import hash_join
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
-    )
-    customer = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_mktsegment"]
-    )
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = hash_join(
         orders, customer, "o_custkey", "c_custkey",
         ["o_totalprice"], ["c_mktsegment"], salt=salt,
@@ -523,19 +495,20 @@ def _q_orders_by_segment(sf_dir: str, salt: int = 1):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
+def _q_orders_by_segment_salted(sf_dir: str):
+    return _q_orders_by_segment(sf_dir, salt=4)
+
+
 def _q_orders_by_nation(sf_dir: str):
     """orders ⨝ customer ⨝ nation as two chained broadcast joins (small
     dimension tables ray.put once), then a partial-combined groupby."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
     from smartreader_ray.functions import broadcast_join
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
-    )
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     customer = pq.read_table(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
     )
@@ -577,12 +550,9 @@ def _q_orders_by_nation(sf_dir: str):
 
 
 def _q_events_by_type(sf_dir: str):
-    import ray.data
     from ray.data.aggregate import Count
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "user_id"]
-    )
+    ds = _read(sf_dir, "events", ["event_type", "user_id"])
     per_user = ds.groupby(["event_type", "user_id"]).aggregate(
         Count(alias_name="n_events_user")
     )
@@ -624,13 +594,9 @@ def _q_source_cap(sf_dir: str):
     """Domain balancing: keep the 10 lowest doc_ids per source. Columns
     pruned to (source, doc_id) BEFORE the groupby — the shuffle moves
     two thin int/str columns, never document text."""
-    import ray.data
-
     from smartreader_ray.functions import per_source_cap
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "source"])
     return per_source_cap(ds, cap=10)
 
 
@@ -854,7 +820,6 @@ def _q_lm_gate_chain(sf_dir: str):
     what's being proven, not the pieces."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
     from smartreader_ray.functions.lm import lm_score_by, train_bigram_lm_by
@@ -944,13 +909,9 @@ def _q_source_crossent(sf_dir: str):
     transitions under every source's bigram model — one distributed
     (source, w1, w2) count pass, driver-side vocab²-bounded math,
     every cell an exact int64 the oracle replays."""
-    import ray.data
-
     from smartreader_ray.functions import source_crossent
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "text"])
+    docs = _read(sf_dir, "documents", ["source", "text"])
     return source_crossent(docs)
 
 
@@ -962,11 +923,7 @@ def _q_zipf_fit(sf_dir: str):
     included (closed form on the ints, round 6), is hash-gated."""
     from smartreader_ray.functions import zipf_fit
 
-    import ray.data
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "text"])
+    docs = _read(sf_dir, "documents", ["source", "text"])
     return zipf_fit(docs)
 
 
@@ -1017,14 +974,10 @@ def _q_quality_gate(sf_dir: str):
     by value_quantiles.)"""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions import exact_quantile_by
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     med = {
         r["lang"]: r["value"]
         for r in exact_quantile_by(docs, "lang", "n_chars",
@@ -1055,14 +1008,9 @@ def _q_gopher_gate(sf_dir: str):
     verdict column is the first failing rule or "pass". Scale shape:
     embarrassingly parallel scan; only (doc_id, n_words, verdict) rows
     leave each block."""
-    import ray.data
-
     from smartreader_ray.functions.textstats import gopher_rules
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return docs.map_batches(gopher_rules, batch_format="pyarrow").sort("doc_id")
 
 
@@ -1074,14 +1022,9 @@ def _q_dsir_select(sf_dir: str):
     on the driver (256 rows), per-doc score an order-independent int64
     sum, partial top-k reduce. Two streaming passes; the histogram
     exchange is bucket-count-sized, never corpus-sized."""
-    import ray.data
-
     from smartreader_ray.functions.sampling import dsir_select
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     return dsir_select(docs, target_lang="en", n_buckets=256, k=100)
 
 
@@ -1128,7 +1071,6 @@ def _q_sitemap_gate(sf_dir: str):
     asymmetry breaks the hash (the warc_extract pattern)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.robots import (parse_robots_txt,
                                                   robots_gate)
@@ -1136,8 +1078,7 @@ def _q_sitemap_gate(sf_dir: str):
                                                  make_sitemap_index,
                                                  parse_sitemap)
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
+    docs = _read(sf_dir, "documents", ["doc_id"])
 
     def stamp(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1211,12 +1152,9 @@ def _q_bitext_mine(sf_dir: str):
     broadcast label-1 side, top-2 target neighbors + mutual-top-1 flag,
     one streaming matmul pass per direction, zero exchange. Floats
     dropped from the output (rank contract shared with ann_topk)."""
-    import ray.data
-
     from smartreader_ray.functions.similarity import bitext_mine
 
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"))
+    emb = _read(sf_dir, "embeddings")
     return bitext_mine(emb, src_label=0, tgt_label=1)
 
 
@@ -1234,13 +1172,9 @@ def _q_blocklist_rates(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    import ray.data
-
     blocklist = pa.array(["dup", "slow"], type=pa.string())
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     def partial(b: pa.Table) -> pa.Table:
         toks = pc.split_pattern(
@@ -1327,11 +1261,7 @@ def _q_source_entropy(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    import ray.data
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     def partial(b: pa.Table) -> pa.Table:
         import pandas as pd
@@ -1431,8 +1361,6 @@ def _q_hybrid_search(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    import ray.data
-
     from smartreader_ray.functions.ngrams import bm25_search
     from smartreader_ray.functions.similarity import ann_topk
 
@@ -1440,8 +1368,7 @@ def _q_hybrid_search(sf_dir: str):
     lex = bm25_search(docs, ["spark", "merge"], k=50).take_all()
     lex_rank = {r["doc_id"]: i + 1 for i, r in enumerate(lex)}
 
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"))
+    emb = _read(sf_dir, "embeddings")
     qvec = None
     for b in (emb.filter(expr="vec_id == 0")
               .iter_batches(batch_format="pyarrow")):
@@ -1483,8 +1410,6 @@ def _q_term_drift(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
-
-    import ray.data
 
     docs = _docs(sf_dir)
     half = docs.count() // 2
@@ -1684,11 +1609,7 @@ def _q_benford_audit(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    import ray.data
-
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_extendedprice"])
+    li = _read(sf_dir, "lineitem", ["l_extendedprice"])
 
     def partial(b: pa.Table) -> pa.Table:
         p = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
@@ -1741,13 +1662,9 @@ def _q_source_overlap(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Count, Sum
 
-    import ray.data
-
     from smartreader_ray.functions.dedup import _hash64, dedup_key_batch
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     sources = sorted(r["source"] for r in
                      docs.groupby("source").count()
                      .select_columns(["source"]).take_all())
@@ -1825,8 +1742,6 @@ def _q_vocab_coverage(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    import ray.data
-
     docs = _docs(sf_dir)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1882,12 +1797,9 @@ def _q_hrw_resharding(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Count, Sum
 
-    import ray.data
-
     from smartreader_ray.functions.sampling import rendezvous_shards
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
+    ds = _read(sf_dir, "documents", ["doc_id"])
     both = rendezvous_shards(
         rendezvous_shards(ds, 8, out_col="shard8"), 9, out_col="shard9")
 
@@ -1916,13 +1828,9 @@ def _q_balanced_interleave(sf_dir: str):
     within each language, then round-robin interleave across languages
     — two chained TeraSort global_rank passes, langs-sized broadcasts
     only. Oracle: partitioned + global ROW_NUMBER replay."""
-    import ray.data
-
     from smartreader_ray.functions.sampling import balanced_interleave
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang"])
+    docs = _read(sf_dir, "documents", ["doc_id", "lang"])
     return balanced_interleave(docs, seed="bi", num_parts=32)
 
 
@@ -1932,12 +1840,9 @@ def _q_epoch_shuffle(sf_dir: str):
     computed by the TeraSort-shape global_rank (samples + range counts
     on the driver, one range exchange). Oracle: ROW_NUMBER() OVER the
     identical composed key."""
-    import ray.data
-
     from smartreader_ray.functions.sampling import epoch_shuffle
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
+    docs = _read(sf_dir, "documents", ["doc_id"])
     return epoch_shuffle(docs, seed="ep1", num_parts=32)
 
 
@@ -1946,13 +1851,9 @@ def _q_ngram_novelty(sf_dir: str):
     ngram_novelty`): spans ship as md5-derived int64 keys (identical
     hash in the oracle), per-block (key, doc) pre-combine, doc-sized
     rollup, scan-side zero union for sub-window docs."""
-    import ray.data
-
     from smartreader_ray.functions.dedup import ngram_novelty
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return ngram_novelty(docs, window=8)
 
 
@@ -1967,16 +1868,12 @@ def _q_dsir_gopher_chain(sf_dir: str):
     the gate exchanges only bucket-histogram / k-sized rows."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Count, Sum
 
     from smartreader_ray.functions.sampling import dsir_select
     from smartreader_ray.functions.textstats import gopher_rules
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
     def gate(b: pa.Table) -> pa.Table:
         verdict = gopher_rules(b).column("verdict")
@@ -2058,18 +1955,12 @@ def _q_top_orders_by_segment(sf_dir: str):
     the small customer dim onto orders (zero shuffle), then two-level
     top-k (per-block partial → keyed reduce sees ≤ k×blocks rows per
     key). Deterministic o_orderkey tie-break → exact hash oracle."""
-    import ray.data
-
     from smartreader_ray.functions import broadcast_join, top_k_by
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
+    orders = _read(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]
     )
-    customer = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_mktsegment"],
-    )
+    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     enriched = broadcast_join(
         orders, customer, key="o_custkey", small_key="c_custkey",
         value_cols=["c_mktsegment"],
@@ -2097,7 +1988,6 @@ def _q_incremental_neardup(sf_dir: str):
     family → rows-only; admit/pollution semantics pinned in
     tests/test_state.py. Returns wave-2 survivors sorted by doc_id."""
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.state import NearDupIndex
 
@@ -2141,7 +2031,6 @@ def _q_incremental_dedup(sf_dir: str):
     exactly the second-half doc_ids survive, every replayed wave-1 copy
     drops), so it hash-gates against plain SQL."""
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.state import DedupIndex
 
@@ -2190,13 +2079,9 @@ def _q_weighted_mix(sf_dir: str):
     """Deterministic weighted corpus mixing (up/down-sample per source):
     src0 kept fully, src1 at 0.5, src2 at 0.25, the rest at 0.1 — a pure
     per-row md5 filter, no shuffle, reproducible across engines."""
-    import ray.data
-
     from smartreader_ray.functions import weighted_mix
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "source"])
     return weighted_mix(
         ds, {"src0": 1.0, "src1": 0.5, "src2": 0.25}, default_weight=0.1
     )
@@ -2270,8 +2155,6 @@ def _q_line_dedup(sf_dir: str):
     One thin (hash, count) exchange + a boilerplate-sized broadcast."""
     import pyarrow as pa
 
-    import ray.data
-
     from smartreader_ray.functions import line_dedup
 
     def plant(b: pa.Table) -> pa.Table:
@@ -2286,9 +2169,8 @@ def _q_line_dedup(sf_dir: str):
         return pa.table({"doc_id": b.column("doc_id"),
                          "text": pa.array(out, type=pa.string())})
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
+    ds = _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(plant, batch_format="pyarrow")
     return line_dedup(ds, min_count=2).sort("doc_id")
 
@@ -2305,7 +2187,6 @@ def _q_c4_clean_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions import line_dedup
@@ -2323,10 +2204,7 @@ def _q_c4_clean_chain(sf_dir: str):
         return pa.table({"doc_id": b.column("doc_id"),
                          "text": pa.array(out, type=pa.string())})
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     ld = line_dedup(docs.map_batches(plant, batch_format="pyarrow"),
                     min_count=2)
 
@@ -2366,13 +2244,10 @@ def _q_c4_line_gates(sf_dir: str):
     natural short-line casualty, 88 lines dropped / 184 docs flagged
     at sf0.01). Per-doc kernel, zero shuffle; windowless SQL replay."""
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.functions import c4_line_gates_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def plant(b: pa.Table) -> pa.Table:
         out = []
@@ -2402,13 +2277,10 @@ def _q_intra_dedup(sf_dir: str):
     row_number."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions import intra_line_dedup_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def plant(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -2455,9 +2327,7 @@ def _q_pretrain_mix_chain(sf_dir: str):
         return pa.table({"doc_id": b.column("doc_id"),
                          "text": pa.array(out, type=pa.string())})
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     ld = line_dedup(docs.map_batches(plant, batch_format="pyarrow"),
                     min_count=2)
 
@@ -2606,9 +2476,7 @@ def _q_quote_screen_chain(sf_dir: str):
 
     import ray.data
 
-    docs_src = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"])
+    docs_src = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     return (docs_src
             .map_batches(partial, batch_format="pyarrow")
             .groupby("source")
@@ -2657,14 +2525,10 @@ def _q_curated_corpus(sf_dir: str):
     COMPOSED pipeline gets exact hash equality."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.pipelines import build_curation_pipeline
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     def snip_batch(b: pa.Table) -> pa.Table:
         # the eval set is a FIXED side input: a bounded doc_id range, so
@@ -2692,14 +2556,10 @@ def _q_asof_purchase(sf_dir: str):
     engines stringify identically."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions import asof_join
 
-    ev = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def prep(event_type: str, id_name: str, us_name: str):
         def fn(b: pa.Table) -> pa.Table:
@@ -2736,13 +2596,9 @@ def _q_value_quantiles(sf_dir: str):
     """Per-event-type p50/p90/p99 of value via the mergeable equi-depth
     sketch — only centroid summaries cross the exchange. Approximate →
     rows-only; unit tests pin accuracy against np.quantile."""
-    import ray.data
-
     from smartreader_ray.functions import approx_quantile_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "value"]
-    )
+    ds = _read(sf_dir, "events", ["event_type", "value"])
     return approx_quantile_by(ds, "event_type", "value", qs=(0.5, 0.9, 0.99))
 
 
@@ -2751,13 +2607,9 @@ def _q_value_quantiles_exact(sf_dir: str):
     histogram (`exact_quantile_by`) — only (key, value, count) rows
     cross the exchange; quantile convention matches quantile_disc, so
     this is the oracle-gated companion to the approximate sketch."""
-    import ray.data
-
     from smartreader_ray.functions import exact_quantile_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["lang", "n_chars"]
-    )
+    ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     return exact_quantile_by(ds, "lang", "n_chars", qs=(0.25, 0.5, 0.9))
 
 
@@ -2765,13 +2617,9 @@ def _q_distinct_users_exact(sf_dir: str):
     """EXACT per-type distinct users: per-block distinct (key, value)
     partial → one set-union groupby. The oracle-gated companion to the
     HLL sketch (approx_distinct_users)."""
-    import ray.data
-
     from smartreader_ray.functions import exact_distinct_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "user_id"]
-    )
+    ds = _read(sf_dir, "events", ["event_type", "user_id"])
     return exact_distinct_by(ds, "event_type", "user_id", out_name="n_users")
 
 
@@ -2781,14 +2629,9 @@ def _q_events_next_hour(sf_dir: str):
     temporal join operator (alongside asof) Ray Data lacks natively.
     One user_id-keyed exchange; two vectorized searchsorted probes per
     group."""
-    import ray.data
-
     from smartreader_ray.functions import range_join
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "ts"],
-    )
+    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     hour_us = 3600 * 1_000_000
     return range_join(
         ds, ds, by="user_id", on="ts", left_cols=["event_id"],
@@ -2801,14 +2644,9 @@ def _q_sliding_windows(sf_dir: str):
     """Hopping 5-min windows sliding every 60 s per event_type: the
     k-fold replication happens inside map_batches and is collapsed by a
     per-batch Arrow partial combine before the (key, window) exchange."""
-    import ray.data
-
     from smartreader_ray.functions import sliding_window
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts", "value"],
-    )
+    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
     return sliding_window(ds, window_s=300.0, slide_s=60.0)
 
 
@@ -2817,14 +2655,9 @@ def _q_events_pivot(sf_dir: str):
     (declared pivot columns — the schema is fixed up front, no
     inference scan). Narrow (key, value, count) partials cross the
     exchange; the wide row is assembled per key group."""
-    import ray.data
-
     from smartreader_ray.functions import pivot_counts
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "event_type"])
     return pivot_counts(
         ds, "user_id", "event_type",
         ["click", "error", "purchase", "signup", "view"],
@@ -2957,13 +2790,9 @@ def _q_good_turing(sf_dir: str):
     estimators behind 'is this source exhausted?'. One (source, term)
     exchange collapsed to frequency-of-frequencies; exact int64
     sufficient statistics, each float ONE fixed-order expression."""
-    import ray.data
-
     from smartreader_ray.functions.ngrams import good_turing
 
-    return good_turing(ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["text", "source"]))
+    return good_turing(_read(sf_dir, "documents", ["text", "source"]))
 
 
 def _q_textrank_terms(sf_dir: str):
@@ -3063,10 +2892,7 @@ def _q_jsonl_roundtrip(sf_dir: str):
 
     import ray.data
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     out = os.path.join(tempfile.gettempdir(), "smartreader_jsonl_rt")
     shutil.rmtree(out, ignore_errors=True)
     ds.write_json(out)
@@ -3080,10 +2906,7 @@ def _q_csv_roundtrip(sf_dir: str):
 
     import ray.data
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     out = os.path.join(tempfile.gettempdir(), "smartreader_csv_rt")
     shutil.rmtree(out, ignore_errors=True)
     ds.write_csv(out)
@@ -3094,16 +2917,11 @@ def _q_zscore_tfidf_chain(sf_dir: str):
     """Composed end-to-end chain #3: per-lang z-score gate (|rounded z|
     window) → TF-IDF top term over the surviving corpus, checked
     against ONE SQL statement."""
-    import ray.data
-
     from smartreader_ray.pipelines.training_data import (
         build_zscore_tfidf_pipeline,
     )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang", "n_chars"])
     return build_zscore_tfidf_pipeline(ds)
 
 
@@ -3113,12 +2931,7 @@ def _q_temperature_mix(sf_dir: str):
     SQL oracle recomputes identical thresholds from the same counts."""
     from smartreader_ray.functions.sampling import temperature_mix
 
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "source"])
     return temperature_mix(ds, alpha=0.5, c=2.0)
 
 
@@ -3140,10 +2953,7 @@ def _q_unimax_mix(sf_dir: str):
     from smartreader_ray.functions.sampling import (unimax_allocation,
                                                     unimax_mix)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     counts = {r["lang"]: int(r["count()"])
               for r in ds.groupby("lang").count().iter_rows()}
     quota = unimax_allocation(counts, budget=400, max_epochs=1)
@@ -3174,10 +2984,9 @@ def _q_keys_union(sf_dir: str):
     supplier), one groupby giving per-key row and distinct-source
     counts — the UNION ALL + GROUP BY reconciliation pattern."""
     import pyarrow as pa
-    import ray.data
     from ray.data.aggregate import Count, Max, Min
 
-    def tagged(path, col, tag):
+    def tagged(table, col, tag):
         import pyarrow.compute as pc
 
         def fn(b: pa.Table) -> pa.Table:
@@ -3188,12 +2997,11 @@ def _q_keys_union(sf_dir: str):
                 }
             )
 
-        return ray.data.read_parquet(
-            os.path.join(sf_dir, path), columns=[col]
-        ).map_batches(fn, batch_format="pyarrow")
+        return _read(sf_dir, table, [col]).map_batches(
+            fn, batch_format="pyarrow")
 
-    both = tagged("customer.parquet", "c_custkey", 1).union(
-        tagged("supplier.parquet", "s_suppkey", 2)
+    both = tagged("customer", "c_custkey", 1).union(
+        tagged("supplier", "s_suppkey", 2)
     )
     agg = both.groupby("key").aggregate(Count(), Min("src"), Max("src"))
 
@@ -3221,18 +3029,13 @@ def _q_customer_orders_full(sf_dir: str):
     (customers below 1000 vs per-customer order counts from 500 up):
     nulls opposite each unmatched side, native int64 key over the
     exchange."""
-    import ray.data
-
     from smartreader_ray.functions.join import hash_join
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_mktsegment"],
+    cust = _read(
+        sf_dir, "customer", ["c_custkey", "c_mktsegment"]
     ).filter(expr="c_custkey < 1000")
     ords = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"]
-        )
+        _read(sf_dir, "orders", ["o_custkey"])
         .filter(expr="o_custkey >= 500")
         .groupby("o_custkey")
         .count()
@@ -3254,7 +3057,6 @@ def _q_length_token_corr(sf_dir: str):
     exchange, IEEE-order finalization the SQL oracle mirrors."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.standardize import corr_by
 
@@ -3274,9 +3076,8 @@ def _q_length_token_corr(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["lang", "n_chars", "text"],
+    ds = _read(
+        sf_dir, "documents", ["lang", "n_chars", "text"]
     ).map_batches(add_tokens, batch_format="pyarrow")
     return corr_by(ds, key_col="lang", x_col="n_chars", y_col="n_tokens")
 
@@ -3289,7 +3090,6 @@ def _q_length_trend(sf_dir: str):
     closed form."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.standardize import linreg_by
 
@@ -3309,9 +3109,8 @@ def _q_length_trend(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["lang", "n_chars", "text"],
+    ds = _read(
+        sf_dir, "documents", ["lang", "n_chars", "text"]
     ).map_batches(add_tokens, batch_format="pyarrow")
     return linreg_by(ds, key_col="lang", x_col="n_chars", y_col="n_tokens")
 
@@ -3321,14 +3120,9 @@ def _q_range_partition(sf_dir: str):
     length (exact histogram reduction, broadcast once) stamp each doc
     with its range shard — the skew-balanced layout step before a
     partitioned write."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import range_partition_by_quantiles
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return range_partition_by_quantiles(ds, "lang", "n_chars")
 
 
@@ -3342,7 +3136,6 @@ def _q_late_events(sf_dir: str):
     import hashlib
 
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.functions.windows import late_events
 
@@ -3356,9 +3149,8 @@ def _q_late_events(sf_dir: str):
             ),
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id"],
+    ds = _read(
+        sf_dir, "events", ["user_id", "ts", "event_id"]
     ).map_batches(add_arrival, batch_format="pyarrow")
     return late_events(ds, tolerance_s=3600.0, order_col="arrival",
                        id_col="event_id")
@@ -3384,16 +3176,9 @@ def _q_embed_kmeans(sf_dir: str):
     per-(cluster, block) partial sums (the driver only ever combines
     k×blocks small rows, never vectors). Iterative → no SQL oracle;
     unit tests pin exact equivalence to a single-process reference."""
-    import os
-
-    import ray.data
-
     from smartreader_ray.functions.similarity import kmeans_fit
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     assignments, _ = kmeans_fit(ds, k=8, iters=5)
     return assignments
 
@@ -3403,14 +3188,9 @@ def _q_quality_zscore(sf_dir: str):
     triples (n, Σx, Σx²) per key → broadcast → shuffle-free scoring.
     The moment arithmetic order matches the SQL oracle expression tree
     exactly, so the doubles are bit-equal."""
-    import ray.data
-
     from smartreader_ray.functions.standardize import zscore_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return zscore_by(ds, key_col="lang", value_col="n_chars")
 
 
@@ -3452,14 +3232,9 @@ def _q_orc_roundtrip(sf_dir: str):
     import shutil
     import tempfile
 
-    import ray.data
-
     from smartreader_ray.sources.orc import read_orc, write_orc
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     out = os.path.join(tempfile.gettempdir(), "smartreader_orc_rt")
     shutil.rmtree(out, ignore_errors=True)
     write_orc(ds, out)
@@ -3473,14 +3248,9 @@ def _q_ipc_roundtrip(sf_dir: str):
     import shutil
     import tempfile
 
-    import ray.data
-
     from smartreader_ray.sources.ipc import read_ipc, write_ipc
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     out = os.path.join(tempfile.gettempdir(), "smartreader_ipc_rt")
     shutil.rmtree(out, ignore_errors=True)
     write_ipc(ds, out)
@@ -3507,7 +3277,7 @@ def _q_docs_intersect(sf_dir: str):
                                 content_col="pfx")
 
 
-def _q_approx_distinct(sf_dir: str):
+def _q_approx_distinct_users(sf_dir: str):
     """HyperLogLog distinct-user counts per event_type: per-batch
     register partials (4 KB/key/block crosses the exchange, never
     values). Approximate (±1.6 % at b=12) yet HASH-EXACT: registers
@@ -3516,15 +3286,9 @@ def _q_approx_distinct(sf_dir: str):
     IEEE tree + floor(x+0.5) — the oracle replays the whole sketch in
     SQL. `distinct_users_exact` remains the exact companion; the unit
     test pins accuracy against exact counts."""
-    import os
-
-    import ray.data
-
     from smartreader_ray.functions import approx_distinct_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "user_id"]
-    )
+    ds = _read(sf_dir, "events", ["event_type", "user_id"])
     return approx_distinct_by(ds, "event_type", "user_id")
 
 
@@ -3532,31 +3296,17 @@ def _q_sessionize(sf_dir: str):
     """Gap-based sessionization (30-min inactivity) over the events
     stream — the engine's windowed-aggregate custom operator; one
     user_id-keyed shuffle, vectorized per-group kernel."""
-    import os
-
-    import ray.data
-
     from smartreader_ray.functions import sessionize
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "value", "event_id"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value", "event_id"])
     return sessionize(ds, gap_s=1800.0)
 
 
 def _q_window_agg(sf_dir: str):
     """Tumbling 1-hour windows per event_type (partial-combined)."""
-    import os
-
-    import ray.data
-
     from smartreader_ray.functions import tumbling_window
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["ts", "event_type", "value"],
-    )
+    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
     return tumbling_window(ds, window_s=3600.0)
 
 
@@ -3652,7 +3402,6 @@ def _q_media_pipeline(sf_dir: str):
     never reach the driver."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.stages.codecs import bmp_encode
     from smartreader_ray.stages.media import ImageResizeStage, ImageStatsFeatures
@@ -3680,8 +3429,8 @@ def _q_media_pipeline(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "n_chars"]
+    ds = _read(
+        sf_dir, "documents", ["doc_id", "n_chars"]
     ).map_batches(synth, batch_format="pyarrow")
     resized = ds.map_batches(
         ImageResizeStage, batch_format="pyarrow",
@@ -3714,7 +3463,6 @@ def _q_audio_spectral(sf_dir: str):
     argmax flips the hash — without the oracle computing any FFT."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.stages.codecs import wav_encode
     from smartreader_ray.stages.media import AudioSpectralFeatures
@@ -3741,8 +3489,8 @@ def _q_audio_spectral(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    ds = _read(
+        sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     feats = ds.map_batches(
         AudioSpectralFeatures, batch_format="pyarrow",
@@ -3770,7 +3518,6 @@ def _q_audio_ann(sf_dir: str):
     the similarity operators for real."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.functions import ann_topk
     from smartreader_ray.stages.codecs import wav_encode
@@ -3809,9 +3556,7 @@ def _q_audio_ann(sf_dir: str):
         )
 
     ds = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-        )
+        _read(sf_dir, "documents", ["doc_id"])
         .map_batches(synth, batch_format="pyarrow")
         .map_batches(AudioSpectralFeatures, batch_format="pyarrow",
                      concurrency=(1, _pool_max()), batch_size=32)
@@ -3922,7 +3667,6 @@ def _q_audio_features(sf_dir: str):
     per-sample ramp with a lateral generate_series — hash-exact."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.stages.codecs import wav_encode
     from smartreader_ray.stages.media import AudioFeatureStage
@@ -3945,8 +3689,8 @@ def _q_audio_features(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    ds = _read(
+        sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     feats = ds.map_batches(
         AudioFeatureStage, batch_format="pyarrow",
@@ -4039,20 +3783,14 @@ def _q_supplier_pagerank(sf_dir: str):
     bit-reproducible and SQL-replayable by unrolled CTEs."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.graph import consecutive_edges, pagerank
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_suppkey"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_suppkey"])
     edges = consecutive_edges(
         li, "l_orderkey", "l_linenumber", "l_suppkey", seq_stride=1000
     )
-    nodes = ray.data.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey"]
-    ).map_batches(
+    nodes = _read(sf_dir, "supplier", ["s_suppkey"]).map_batches(
         lambda b: pa.table({"v": pc.cast(b.column("s_suppkey"),
                                          pa.int64())}),
         batch_format="pyarrow",
@@ -4079,14 +3817,12 @@ def _q_norm_curation(sf_dir: str):
     deduplicates — never a broadcast assumption)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.curation import normalized_dedup
     from smartreader_ray.functions.join import hash_join
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang", "source", "n_chars"],
+    docs = _read(
+        sf_dir, "documents", ["doc_id", "text", "lang", "source", "n_chars"]
     )
     winners = normalized_dedup(docs).map_batches(
         lambda b: pa.table({"w": b.column("keep_doc_id")}),
@@ -4138,14 +3874,9 @@ def _q_winsorize(sf_dir: str):
     (`functions/curation.py: winsorize_stats`): histogram-sized quantile
     reduction → broadcast bounds → one shuffle-free clip pass; integer
     cents keep the clipped sum hash-exact."""
-    import ray.data
-
     from smartreader_ray.functions.curation import winsorize_stats
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "value"],
-    )
+    ds = _read(sf_dir, "events", ["event_type", "value"])
     return winsorize_stats(ds, "event_type", "value")
 
 
@@ -4153,14 +3884,9 @@ def _q_props_extract(sf_dir: str):
     """Semi-structured ETL: extract the integer `k` field from the JSON
     `props` column via RE2 (Arrow == DuckDB engine) and aggregate per
     event_type (`functions/reshape.py: json_field_agg`)."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import json_field_agg
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "props"],
-    )
+    ds = _read(sf_dir, "events", ["event_type", "props"])
     return json_field_agg(ds, json_col="props", key="k",
                           group_col="event_type")
 
@@ -4171,14 +3897,9 @@ def _q_running_totals(sf_dir: str):
     (`functions/windows.py: cumulative_by`). Integer cents via
     floor(v·100+0.5) (identical IEEE ops both sides) keep the running
     sum arithmetic-exact."""
-    import ray.data
-
     from smartreader_ray.functions.windows import cumulative_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "value"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
     return cumulative_by(ds)
 
 
@@ -4188,13 +3909,9 @@ def _q_bpe_pairs(sf_dir: str):
     (`functions/bpe.py: bpe_pair_counts`) — the hash-exact companion to
     the rows-only `bpe_merges` trainer. One corpus pass (word histogram
     pre-combined per block), pair work runs on vocab-sized data."""
-    import ray.data
-
     from smartreader_ray.functions.bpe import bpe_pair_counts
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    ds = _read(sf_dir, "documents", ["text"])
     return bpe_pair_counts(ds, top_k=20)
 
 
@@ -4205,13 +3922,9 @@ def _q_bpe_merges(sf_dir: str):
     sufficient statistic, differential-proven in tests/test_bpe.py).
     Greedy merges aren't SQL-replayable → rows-only; `bpe_pairs` is the
     hash-exact companion on the same reduction."""
-    import ray.data
-
     from smartreader_ray.functions.bpe import bpe_train
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    ds = _read(sf_dir, "documents", ["text"])
     return bpe_train(ds, num_merges=12)
 
 
@@ -4219,13 +3932,9 @@ def _q_value_histogram(sf_dir: str):
     """Fixed-width histogram of events.value over [0, 500) in 50 bins
     (`functions/reshape.py: fixed_width_histogram`): per-block bincount
     partials, nbins-bounded exchange, bit-identical float bin math."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import fixed_width_histogram
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["value"]
-    )
+    ds = _read(sf_dir, "events", ["value"])
     return fixed_width_histogram(ds, "value", lo=0.0, hi=500.0, nbins=50)
 
 
@@ -4234,14 +3943,9 @@ def _q_funnel(sf_dir: str):
     timestamp strictly after the step-(k-1) frontier
     (`functions/windows.py: funnel`) — one keyed reduction per step,
     frontier table on the dual broadcast/hash_join regime."""
-    import ray.data
-
     from smartreader_ray.functions.windows import funnel
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_type"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     return funnel(ds, steps=("view", "click", "purchase"))
 
 
@@ -4249,14 +3953,9 @@ def _q_norm_dedup(sf_dir: str):
     """CCNet-style normalization (lowercase / strip punctuation /
     collapse whitespace, Arrow RE2 = DuckDB RE2) then exact dedup on the
     normalized text (`functions/curation.py: normalized_dedup`)."""
-    import ray.data
-
     from smartreader_ray.functions.curation import normalized_dedup
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return normalized_dedup(ds)
 
 
@@ -4268,31 +3967,24 @@ def _q_pagerank_weighted_parts(sf_dir: str):
     state feeding a fact-table rollup without a shuffle join."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.graph import (consecutive_edges,
                                                  pagerank,
                                                  rank_weighted_rollup)
 
-    li_cols = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_suppkey"],
+    li_cols = _read(
+        sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_suppkey"]
     )
     edges = consecutive_edges(
         li_cols, "l_orderkey", "l_linenumber", "l_suppkey", seq_stride=1000
     )
-    nodes = ray.data.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey"]
-    ).map_batches(
+    nodes = _read(sf_dir, "supplier", ["s_suppkey"]).map_batches(
         lambda b: pa.table({"v": pc.cast(b.column("s_suppkey"),
                                          pa.int64())}),
         batch_format="pyarrow",
     )
     pr = pagerank(edges, nodes, node_col="v", iterations=5)
-    fact = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_suppkey", "l_partkey", "l_quantity"],
-    )
+    fact = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey", "l_quantity"])
     return rank_weighted_rollup(fact, pr, fact_key="l_suppkey",
                                 group_col="l_partkey",
                                 qty_col="l_quantity", top_k=20)
@@ -4304,13 +3996,9 @@ def _q_cooccurrence(sf_dir: str):
     integer sufficient statistics
     (`functions/ngrams.py: cooccurrence_window`). Pair exchange is
     distinct-pair-per-block; marginals ride the TF-IDF broadcast."""
-    import ray.data
-
     from smartreader_ray.functions.ngrams import cooccurrence_window
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    ds = _read(sf_dir, "documents", ["text"])
     return cooccurrence_window(ds, text_col="text", window=3,
                                top_k_pairs=50)
 
@@ -4362,7 +4050,6 @@ def _q_robots_gate(sf_dir: str):
     ROW_NUMBER."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.robots import (parse_robots_txt,
@@ -4388,8 +4075,8 @@ def _q_robots_gate(sf_dir: str):
             }
         )
 
-    urls = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    urls = _read(
+        sf_dir, "documents", ["doc_id"]
     ).map_batches(make_urls_pd, batch_format="pyarrow")
     gated = robots_gate(urls, rules_by_host)
 
@@ -4431,20 +4118,14 @@ def _q_supplier_hits(sf_dir: str):
     ``x // ceil(max/scale)`` keeps both sides in int64."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.graph import consecutive_edges, hits
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_suppkey"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_suppkey"])
     edges = consecutive_edges(
         li, "l_orderkey", "l_linenumber", "l_suppkey", seq_stride=1000
     )
-    nodes = ray.data.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey"]
-    ).map_batches(
+    nodes = _read(sf_dir, "supplier", ["s_suppkey"]).map_batches(
         lambda b: pa.table({"v": pc.cast(b.column("s_suppkey"),
                                          pa.int64())}),
         batch_format="pyarrow",
@@ -4544,12 +4225,9 @@ def _q_cms_counts(sf_dir: str):
     counter sums), so the oracle replays the ENTIRE sketch in SQL —
     including hash collisions — and the row is hash-exact; the
     accuracy bound (true ≤ est ≤ true + εN) is pinned in tests."""
-    import ray.data
-
     from smartreader_ray.functions.sketch import count_min_term_counts
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"])
+    ds = _read(sf_dir, "documents", ["text"])
     return count_min_term_counts(
         ds, ["join", "hash", "row", "batch", "scan", "column",
              "customer", "filter"])
@@ -4568,9 +4246,9 @@ def _q_scd2_history(sf_dir: str):
 
     from smartreader_ray.functions.join import scd2_apply
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"])
+    cust = _read(
+        sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"]
+    )
 
     def base(b: pa.Table) -> pa.Table:
         cents = pc.cast(pc.floor(pc.add(pc.multiply(
@@ -4621,12 +4299,9 @@ def _q_fd_histogram(sf_dir: str):
     width, then nbins-sized bincount partials count the bins. Every
     derived float is one fixed IEEE tree (libm pow == SQL power), so
     the data-dependent edges still hash-gate."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import fd_histogram
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["value"])
+    ds = _read(sf_dir, "events", ["value"])
     return fd_histogram(ds, "value")
 
 
@@ -4637,14 +4312,13 @@ def _q_debounce(sf_dir: str):
     vectorized lag inside the group."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.windows import debounce
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "ts", "value"])
+    ds = _read(
+        sf_dir, "events", ["event_id", "user_id", "event_type", "ts", "value"]
+    )
     kept = debounce(ds, window_s=60.0)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -4684,13 +4358,9 @@ def _q_posting_lists(sf_dir: str):
     within-block (term, doc) dedup is globally exact because a doc is
     one row, so only vocab × blocks partials (≤ 10 ids each) cross the
     wire."""
-    import ray.data
-
     from smartreader_ray.functions.ngrams import posting_lists
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return posting_lists(ds, cap=10)
 
 
@@ -4702,13 +4372,10 @@ def _q_rendezvous_shards(sf_dir: str):
     shard is added, all of them TO it) is proven in the unit tests."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.sampling import rendezvous_shards
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang"])
+    ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     tagged = rendezvous_shards(ds, 8)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -4743,15 +4410,12 @@ def _q_clean_rank_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.standardize import impute_median
     from smartreader_ray.functions.windows import percent_rank_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "event_type", "value"])
+    ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def synth_nulls(b: pa.Table) -> pa.Table:
         ids = b.column("event_id").to_numpy(zero_copy_only=False)
@@ -4806,14 +4470,11 @@ def _q_dataset_split(sf_dir: str):
     counts."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.sampling import split_assign
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"])
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     tagged = split_assign(
         ds, {"train": 0.8, "val": 0.1, "test": 0.1})
 
@@ -4849,12 +4510,10 @@ def _q_id_gaps(sf_dir: str):
     stitching; interior gap rows stay distributed."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.functions.reshape import id_gaps
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_id"])
+    ds = _read(sf_dir, "events", ["event_id"])
 
     def drop_some(b: pa.Table) -> pa.Table:
         ids = b.column("event_id").to_numpy(zero_copy_only=False)
@@ -4870,13 +4529,9 @@ def _q_percent_rank(sf_dir: str):
     window — per-block histogram partials, one histogram-sized keyed
     exchange, vectorized exclusive cumsum per key, broadcast merge-back
     — the row-sized data never shuffles."""
-    import ray.data
-
     from smartreader_ray.functions.windows import percent_rank_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "event_type", "value"])
+    ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
     return percent_rank_by(ds, "event_type", "value").sort("event_id")
 
 
@@ -4890,7 +4545,6 @@ def _q_pq_codes(sf_dir: str):
     import numpy as np
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray.data
 
     from smartreader_ray.functions.similarity import pq_encode
 
@@ -4900,7 +4554,7 @@ def _q_pq_codes(sf_dir: str):
     head = head.take(pc.sort_indices(head.column("vec_id")))
     cb = np.stack([np.asarray(v, dtype=np.float64)
                    for v in head.column("embedding").to_pylist()])
-    ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return pq_encode(ds, cb, n_subspaces=8, scale=1000).sort(
         ["vec_id", "m"])
 
@@ -4917,7 +4571,6 @@ def _q_pq_ann(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray.data
 
     from smartreader_ray.functions.similarity import pq_adc_topk
 
@@ -4933,7 +4586,7 @@ def _q_pq_ann(sf_dir: str):
     cb = rows(pc.less(t.column("vec_id"), 4))
     qs = rows(pc.is_in(t.column("vec_id"),
                        value_set=pa.array([10, 20], type=pa.int64())))
-    ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return pq_adc_topk(ds, cb, qs, n_subspaces=8, k=10, scale=1000)
 
 
@@ -4946,15 +4599,14 @@ def _q_impute_values(sf_dir: str):
     broadcast fill, the row-sized data never shuffles."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.standardize import impute_median
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_returnflag",
-                 "l_quantity"])
+    ds = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_linenumber", "l_returnflag", "l_quantity"],
+    )
 
     def synth_nulls(b: pa.Table) -> pa.Table:
         import numpy as np
@@ -5007,14 +4659,9 @@ def _q_bfs_hops(sf_dir: str):
     seed suppliers (every 50th key) to every supplier reachable in ≤3
     hops — crawl-frontier / contamination-blast-radius shape. Exact;
     the oracle is a depth-bounded recursive CTE."""
-    import ray.data
-
     from smartreader_ray.functions.graph import bfs_hops, consecutive_edges
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_suppkey"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_suppkey"])
     edges = consecutive_edges(
         li, "l_orderkey", "l_linenumber", "l_suppkey", seq_stride=1000
     )
@@ -5030,14 +4677,9 @@ def _q_mode_by(sf_dir: str):
     """Per-source modal language with deterministic tie-break
     (`functions/reshape.py: mode_by`): per-batch count partials → one
     (key, value, n) exchange → vectorized per-group argmax."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import mode_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "lang"],
-    )
+    ds = _read(sf_dir, "documents", ["source", "lang"])
     return mode_by(ds, "source", "lang")
 
 
@@ -5045,14 +4687,11 @@ def _q_rollup_sales(sf_dir: str):
     """Single-pass ROLLUP over (l_returnflag, l_linestatus)
     (`functions/reshape.py: rollup_agg`): all prefix grains in ONE
     shuffle; integer cents keep the rolled sums hash-exact."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import rollup_agg
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_linestatus",
-                 "l_quantity", "l_extendedprice"],
+    ds = _read(
+        sf_dir, "lineitem",
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
     )
     return rollup_agg(ds, ["l_returnflag", "l_linestatus"],
                       ["l_quantity", "l_extendedprice"])
@@ -5063,14 +4702,9 @@ def _q_retention(sf_dir: str):
     (`functions/windows.py: retention_cohorts`): distinct (user, day)
     dedup → per-user first-day offsets → (cohort, offset) count.
     Integer epoch-day arithmetic both sides."""
-    import ray.data
-
     from smartreader_ray.functions.windows import retention_cohorts
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts"])
     return retention_cohorts(ds)
 
 
@@ -5078,14 +4712,9 @@ def _q_daily_resample(sf_dir: str):
     """Daily counts per event type with explicit zero gap-fill over
     the global day span (`functions/windows.py: resample_daily`) —
     the densification step before trend/moving-average models."""
-    import ray.data
-
     from smartreader_ray.functions.windows import resample_daily
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts"],
-    )
+    ds = _read(sf_dir, "events", ["event_type", "ts"])
     return resample_daily(ds)
 
 
@@ -5098,14 +4727,10 @@ def _q_table_diff(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.setops import table_diff
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def mk_left(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
@@ -5130,14 +4755,9 @@ def _q_skyline_parts(sf_dir: str):
     """2-D Pareto front over parts, maximizing (p_retailprice, p_size)
     (`functions/topk.py: skyline`): per-block vectorized frontier →
     frontier-sized merge block → same kernel once more."""
-    import ray.data
-
     from smartreader_ray.functions.topk import skyline
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"),
-        columns=["p_partkey", "p_retailprice", "p_size"],
-    )
+    ds = _read(sf_dir, "part", ["p_partkey", "p_retailprice", "p_size"])
     return skyline(ds, "p_retailprice", "p_size").sort("p_partkey")
 
 
@@ -5146,12 +4766,9 @@ def _q_edit1_names(sf_dir: str):
     (`functions/fuzzy.py: edit1_pairs`, FastSS deletion blocking):
     candidates only within shared deletion-variant buckets, verified
     in place — never n² distance calls."""
-    import ray.data
-
     from smartreader_ray.functions.fuzzy import edit1_pairs
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"), columns=["s_name"])
+    ds = _read(sf_dir, "supplier", ["s_name"])
     return edit1_pairs(ds, "s_name")
 
 
@@ -5159,13 +4776,9 @@ def _q_phrase_search(sf_dir: str):
     """Positional phrase query 'hash join' per source
     (`functions/ngrams.py: phrase_count`): shuffle-free vectorized
     adjacency scan; only (source, n_docs, n_occ) partials exchange."""
-    import ray.data
-
     from smartreader_ray.functions.ngrams import phrase_count
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "text"])
+    ds = _read(sf_dir, "documents", ["source", "text"])
     return phrase_count(ds, "hash", "join")
 
 
@@ -5177,18 +4790,14 @@ def _q_bloom_semi_join(sf_dir: str):
     prefilter, then exact verify join — result is exact."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.join import semi_join
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice"])
-    hv = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_totalprice"],
-    ).map_batches(
+    li = _read(
+        sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_extendedprice"]
+    )
+    hv = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"]).map_batches(
         lambda b: b.filter(pc.greater(b.column("o_totalprice"), 450000.0)),
         batch_format="pyarrow",
     )
@@ -5235,18 +4844,14 @@ def _q_anti_join(sf_dir: str):
     enter the exact ``left_anti`` verify join."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.join import anti_join
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"])
-    ords = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_totalprice"],
-    ).map_batches(
+    cust = _read(
+        sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"]
+    )
+    ords = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         lambda b: b.filter(pc.greater(b.column("o_totalprice"), 300000.0)),
         batch_format="pyarrow",
     )
@@ -5294,14 +4899,10 @@ def _q_bloom_fpr(sf_dir: str):
     measured false-positive rate are both readable off the table. The
     oracle replays splitmix64 bit-for-bit in DuckDB (HUGEINT masked
     multiplies), so this is hash-exact, not rows-only."""
-    import ray.data
-
     from smartreader_ray.functions.join import bloom_confusion
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"])
-    part = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey"])
+    cust = _read(sf_dir, "customer", ["c_custkey"])
+    part = _read(sf_dir, "part", ["p_partkey"])
     return bloom_confusion(cust, part, "c_custkey", "p_partkey",
                            bloom_bits=4096, bloom_k=2).sort("p_partkey")
 
@@ -5313,13 +4914,9 @@ def _q_ewma_activity(sf_dir: str):
     the freshness signal crawl budgeting decays sources by, with no
     float accumulation order to disagree about. keys×days exchange
     only."""
-    import ray.data
-
     from smartreader_ray.functions.windows import ewma_decay
 
-    ev = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts"])
+    ev = _read(sf_dir, "events", ["event_type", "ts"])
     return ewma_decay(ev, key_col="event_type").sort("event_type")
 
 
@@ -5330,13 +4927,9 @@ def _q_semantic_decontam(sf_dir: str):
     with the smallest matching eval id — the paraphrase-leak guard the
     n-gram `decontaminate` op can't see. Eval side broadcast once;
     train side streams through one matmul per block, no shuffle."""
-    import ray.data
-
     from smartreader_ray.functions.similarity import cross_decontam
 
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding", "label"])
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
     return cross_decontam(emb, eval_label=0, tau=0.35).sort("vec_id")
 
 
@@ -5350,15 +4943,12 @@ def _q_decontam_clean_chain(sf_dir: str):
     remix."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.join import anti_join
     from smartreader_ray.functions.similarity import cross_decontam
 
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding", "label"])
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
     bad = cross_decontam(emb, eval_label=0, tau=0.35) \
         .select_columns(["vec_id"]) \
         .map_batches(lambda b: b.rename_columns(["bad_id"]),
@@ -5401,13 +4991,9 @@ def _q_k_anonymity(sf_dir: str):
     whose anonymity set is smaller than k=8 — the groups a privacy
     release must suppress or generalize. Distinct-combination-sized
     exchange only; the under-k filter never sees row-level data."""
-    import ray.data
-
     from smartreader_ray.functions.curation import k_anonymity
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_mktsegment", "c_nationkey"])
+    cust = _read(sf_dir, "customer", ["c_mktsegment", "c_nationkey"])
     return k_anonymity(cust, ["c_mktsegment", "c_nationkey"], k=8).sort(
         ["c_mktsegment", "c_nationkey"])
 
@@ -5421,13 +5007,12 @@ def _q_l_diversity(sf_dir: str):
     (distinct pairs, then combinations); rows never move."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.curation import l_diversity
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_mktsegment", "c_nationkey", "c_acctbal"])
+    cust = _read(
+        sf_dir, "customer", ["c_mktsegment", "c_nationkey", "c_acctbal"]
+    )
 
     def band(b: pa.Table) -> pa.Table:
         v = pc.cast(pc.floor(pc.divide(
@@ -5454,13 +5039,12 @@ def _q_t_closeness(sf_dir: str):
     l_diversity; the oracle replays the numerator and the gate."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.curation import t_closeness
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_mktsegment", "c_nationkey", "c_acctbal"])
+    cust = _read(
+        sf_dir, "customer", ["c_mktsegment", "c_nationkey", "c_acctbal"]
+    )
 
     def band(b: pa.Table) -> pa.Table:
         v = pc.cast(pc.floor(pc.divide(
@@ -5486,16 +5070,11 @@ def _q_join_explain(sf_dir: str):
     measured with one distinct-key-sized exchange, BEFORE paying for
     the join itself. One row, all int64."""
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.join import join_cardinality
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey"])
-    hv = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_totalprice"],
-    ).map_batches(
+    li = _read(sf_dir, "lineitem", ["l_orderkey"])
+    hv = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"]).map_batches(
         lambda b: b.filter(pc.greater(b.column("o_totalprice"),
                                       300000.0)).select(["o_orderkey"]),
         batch_format="pyarrow",
@@ -5509,14 +5088,9 @@ def _q_basket_pairs(sf_dir: str):
     the number of orders containing both (`functions/graph.py:
     basket_pairs`). Deterministic (count desc, pair asc) total order so
     boundary ties never vary with partitioning."""
-    import ray.data
-
     from smartreader_ray.functions.graph import basket_pairs
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_partkey"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     return basket_pairs(li, "l_orderkey", "l_partkey", top_n=25)
 
 
@@ -5529,15 +5103,10 @@ def _q_triangles(sf_dir: str):
     ~20× more nodes than suppliers it is SPARSE, the regime the
     algorithm's O(m^{3/2}) bound is for — the 1000-node supplier graph
     is a near-clique where ANY exact method degenerates to n³/6."""
-    import ray.data
-
     from smartreader_ray.functions.graph import (consecutive_edges,
                                                  triangle_count)
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_partkey"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_partkey"])
     edges = consecutive_edges(
         li, "l_orderkey", "l_linenumber", "l_partkey", seq_stride=1000
     )
@@ -5551,15 +5120,10 @@ def _q_kcore(sf_dir: str):
     edges at sf0.01 with 1277 nodes surviving. Edges live as ONE packed
     int64 per round; survivors broadcast as a sorted array; the oracle
     unrolls the same 3 rounds as semi-join CTEs."""
-    import ray.data
-
     from smartreader_ray.functions.graph import (consecutive_edges,
                                                  kcore_rounds)
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_partkey"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_partkey"])
     edges = consecutive_edges(
         li, "l_orderkey", "l_linenumber", "l_partkey", seq_stride=1000
     )
@@ -5579,16 +5143,12 @@ def _q_cdc_reprocess_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.join import semi_join
     from smartreader_ray.functions.setops import table_diff
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "text"],
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def mk_left(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
@@ -5650,14 +5210,9 @@ def _q_mad_outliers(sf_dir: str):
     Deviation (`functions/standardize.py: mad_outliers`): two exact
     histogram-quantile reductions with key-sized broadcasts between,
     strict |v − med| > 3·mad — bit-equal doubles both sides."""
-    import ray.data
-
     from smartreader_ray.functions.standardize import mad_outliers
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "value"],
-    )
+    ds = _read(sf_dir, "events", ["event_type", "value"])
     return mad_outliers(ds, "event_type", "value", k=3.0)
 
 
@@ -5666,14 +5221,9 @@ def _q_user_paths(sf_dir: str):
     (`functions/windows.py: user_day_paths`): one user-keyed exchange,
     C-level path assembly per group, path-sized count groupby,
     deterministic boundary."""
-    import ray.data
-
     from smartreader_ray.functions.windows import user_day_paths
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     return user_day_paths(ds, top_n=20)
 
 
@@ -5684,14 +5234,9 @@ def _q_event_pattern(sf_dir: str):
     event-symbol sequence — funnels with repetition that the plain
     step-funnel can't express. Symbols assigned vectorized per batch
     BEFORE the one per-user exchange (1-byte symbol on the wire)."""
-    import ray.data
-
     from smartreader_ray.functions.windows import match_pattern
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     return match_pattern(
         ds, r"vc+p",
         {"view": "v", "click": "c", "purchase": "p",
@@ -5699,17 +5244,14 @@ def _q_event_pattern(sf_dir: str):
     )
 
 
-def _q_profile(sf_dir: str):
+def _q_profile_lineitem(sf_dir: str):
     """Numeric table-health profile of lineitem's measure columns
     (`functions/reshape.py: profile_table`): per column one stats row
     (n, nulls, min, max, cents sum); exchange is columns × blocks."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import profile_table
 
     cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"), columns=cols)
+    ds = _read(sf_dir, "lineitem", cols)
     return profile_table(ds, cols)
 
 
@@ -5720,13 +5262,11 @@ def _q_sort_bounds(sf_dir: str):
     bounds; the RangePartitioner step, SQL-replayable."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.reshape import sort_bounds
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_extendedprice"],
+    ds = _read(
+        sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_extendedprice"]
     ).map_batches(
         lambda b: pa.table({
             "rid": pc.add(pc.multiply(pc.cast(b.column("l_orderkey"),
@@ -5745,13 +5285,10 @@ def _q_latest_version(sf_dir: str):
     (ts desc, id desc) (`functions/reshape.py: latest_by`) — the CDC
     'current state per entity' materialization; associative reduce, so
     only keys × blocks rows cross the exchange."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import latest_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts", "event_id", "value"],
+    ds = _read(
+        sf_dir, "events", ["user_id", "event_type", "ts", "event_id", "value"]
     )
     return latest_by(ds, ["user_id", "event_type"], "ts", "event_id",
                      ["value"])
@@ -5767,7 +5304,6 @@ def _q_shot_boundaries(sf_dir: str):
     (the `media_pipeline` gating pattern, extended to video)."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.stages.codecs import bmp_encode
     from smartreader_ray.stages.media import ShotBoundaryStage, fvid_encode
@@ -5796,8 +5332,8 @@ def _q_shot_boundaries(sf_dir: str):
             "payload": pa.array(payloads, type=pa.binary()),
         })
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    ds = _read(
+        sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     bounds = ds.map_batches(
         ShotBoundaryStage, batch_format="pyarrow",
@@ -5817,14 +5353,9 @@ def _q_interval_overlap(sf_dir: str):
     (`functions/windows.py: interval_window_overlap`): per-(user, day)
     activity intervals expanded to the 6-hour windows they overlap —
     a bucket-keyed count groupby replaces the non-equi join."""
-    import ray.data
-
     from smartreader_ray.functions.windows import interval_window_overlap
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts"])
     return interval_window_overlap(ds, window_s=21_600)
 
 
@@ -5837,15 +5368,11 @@ def _q_engagement_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.windows import sessionize
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "value", "event_id"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value", "event_id"])
     sess = sessionize(ds, gap_s=1800.0)
 
     BUCKETS = np.asarray(["1", "2-3", "4-7", "8+"])
@@ -5894,16 +5421,11 @@ def _q_pivot_roundtrip(sf_dir: str):
     `unpivot` back to long (`functions/reshape.py: unpivot`) — the
     output must equal the dense (user × declared-type) count grid,
     explicit zeros included. SQL replays the grid directly."""
-    import ray.data
-
     from smartreader_ray.functions import pivot_counts
     from smartreader_ray.functions.reshape import unpivot
 
     types = ["click", "error", "purchase", "signup", "view"]
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "event_type"])
     wide = pivot_counts(ds, "user_id", "event_type", types)
     return unpivot(
         wide, "user_id", [f"n_{t}" for t in types],
@@ -5911,20 +5433,15 @@ def _q_pivot_roundtrip(sf_dir: str):
     ).sort(["user_id", "variable"])
 
 
-def _q_markov(sf_dir: str):
+def _q_markov_events(sf_dir: str):
     """First-order Markov transition matrix over per-user event
     sequences (`functions/windows.py: markov_transitions`): one
     user-keyed exchange, per-group vectorized lag pairing, |types|^2
     count partials; p is the single n/tot IEEE division both engines
     evaluate identically."""
-    import ray.data
-
     from smartreader_ray.functions.windows import markov_transitions
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts", "event_id"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
     return markov_transitions(ds)
 
 
@@ -5933,13 +5450,10 @@ def _q_attribution(sf_dir: str):
     (`functions/windows.py: session_attribution`): sessions credited to
     their first event's type; conversions = sessions containing a
     'purchase'; exact integer-cent conversion value."""
-    import ray.data
-
     from smartreader_ray.functions.windows import session_attribution
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_type", "value", "event_id"],
+    ds = _read(
+        sf_dir, "events", ["user_id", "ts", "event_type", "value", "event_id"]
     )
     return session_attribution(ds)
 
@@ -5949,45 +5463,30 @@ def _q_rolling_anomaly(sf_dir: str):
     rolling_anomaly`): flag events whose cents exceed 2x the mean of
     the previous 4 same-user events — pure int64 compare
     (cents*k > factor*trail_sum), full windows only."""
-    import ray.data
-
     from smartreader_ray.functions.windows import rolling_anomaly
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "value", "event_id"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value", "event_id"])
     return rolling_anomaly(ds, k=4, factor=2).sort("event_id")
 
 
-def _q_ntile(sf_dir: str):
+def _q_ntile_values(sf_dir: str):
     """NTILE(8) equal-frequency buckets over event value cents with
     (cents, id) total order (`functions/reshape.py: ntile_summary`) —
     a true distributed global ranking (TeraSort sample → range exchange
     → offset ranks), rolled up per bucket."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import ntile_summary
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["value", "event_id"],
-    )
+    ds = _read(sf_dir, "events", ["value", "event_id"])
     return ntile_summary(ds, "value", "event_id", k=8)
 
 
-def _q_key_gini(sf_dir: str):
+def _q_key_skew_gini(sf_dir: str):
     """Key-skew diagnostics over lineitem's l_partkey (`functions/
     reshape.py: key_gini`): exact Gini over per-key counts via
     distributed ranking — int64 sufficient stats + one IEEE division."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import key_gini
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey"],
-    )
+    ds = _read(sf_dir, "lineitem", ["l_partkey"])
     return key_gini(ds, "l_partkey")
 
 
@@ -5999,7 +5498,6 @@ def _q_audio_autocorr(sf_dir: str):
     lateral generate_series."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.stages.codecs import wav_encode
     from smartreader_ray.stages.media import AudioAutocorrFeatures
@@ -6019,8 +5517,8 @@ def _q_audio_autocorr(sf_dir: str):
             "payload": pa.array(payloads, type=pa.binary()),
         })
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    ds = _read(
+        sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     feats = ds.map_batches(
         AudioAutocorrFeatures, batch_format="pyarrow",
@@ -6084,14 +5582,9 @@ def _q_caption_pairs(sf_dir: str):
     ties), over the shared deterministic span synthesis
     (`_synth_interleaved_spans`) so the oracle replays the pairing
     with IGNORE-NULLS windows."""
-    import ray.data
-
     from smartreader_ray.spanio import caption_pairs_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(caption_pairs_batch, batch_format="pyarrow")
@@ -6106,14 +5599,9 @@ def _q_interleave_audit(sf_dir: str):
     flatten + offsets pass, boundary-safe adjacent compare). Runs on
     the same deterministic span synthesis as `caption_pairs`; every
     output column is an exact int64."""
-    import ray.data
-
     from smartreader_ray.spanio import interleave_stats_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(interleave_stats_batch, batch_format="pyarrow"))
@@ -6128,14 +5616,9 @@ def _q_mm_pack(sf_dir: str):
     (seq = exclusive-cumsum // budget) so the assignment is closed-form
     and the oracle replays it with one window SUM; per-doc, zero
     shuffle — the whole operator is two map_batches."""
-    import ray.data
-
     from smartreader_ray.spanio import pack_spans_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(pack_spans_batch, batch_format="pyarrow")
@@ -6152,8 +5635,6 @@ def _q_pack_overflow_audit(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     from ray.data.aggregate import Max, Sum
-
-    import ray.data
 
     from smartreader_ray.spanio import pack_spans_batch
 
@@ -6176,10 +5657,7 @@ def _q_pack_overflow_audit(sf_dir: str):
                 type=pa.int64()),
         })
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     agg = (ds.map_batches(_synth_interleaved_spans(),
                           batch_format="pyarrow")
            .map_batches(pack_spans_batch, batch_format="pyarrow")
@@ -6207,8 +5685,6 @@ def _q_media_url_dedup(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     from ray.data.aggregate import Min, Sum
-
-    import ray.data
 
     def partial(b: pa.Table) -> pa.Table:
         spans = b.column("spans").combine_chunks()
@@ -6239,10 +5715,7 @@ def _q_media_url_dedup(sf_dir: str):
              .reset_index())
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     agg = (ds.map_batches(_synth_interleaved_spans(),
                           batch_format="pyarrow")
            .map_batches(partial, batch_format="pyarrow")
@@ -6278,8 +5751,6 @@ def _q_interleave_gate_chain(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    import ray.data
-
     from smartreader_ray.spanio import interleave_stats_batch
 
     synth = _synth_interleaved_spans()
@@ -6301,10 +5772,7 @@ def _q_interleave_gate_chain(sf_dir: str):
             .groupby("source", sort=False).sum().reset_index())
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     return (ds.map_batches(partial, batch_format="pyarrow")
             .groupby("source")
             .aggregate(Sum("n_docs", alias_name="n_docs"),
@@ -6328,8 +5796,6 @@ def _q_mm_minhash_dedup(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
-
     from smartreader_ray.functions import minhash_dedup
 
     def mm_text(b: pa.Table) -> pa.Table:
@@ -6346,10 +5812,7 @@ def _q_mm_minhash_dedup(sf_dir: str):
             "text": pc.binary_join(lists, " "),
         })
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     mm = (ds.map_batches(_synth_interleaved_spans(),
                          batch_format="pyarrow")
           .map_batches(mm_text, batch_format="pyarrow"))
@@ -6370,8 +5833,6 @@ def _q_caption_coverage(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    import ray.data
-
     from smartreader_ray.spanio import caption_pairs_batch
 
     synth = _synth_interleaved_spans()
@@ -6389,10 +5850,7 @@ def _q_caption_coverage(sf_dir: str):
              .reset_index())
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     return (ds.map_batches(partial, batch_format="pyarrow")
             .groupby(["source", "caption_src"])
             .aggregate(Sum("n_media", alias_name="n_media"),
@@ -6408,14 +5866,9 @@ def _q_span_normalize(sf_dir: str):
     (the engine's acceptance invariant). One flatten + binary_join
     kernel per block, zero shuffle; output is the flat normalized span
     table."""
-    import ray.data
-
     from smartreader_ray.spanio import normalize_spans_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(normalize_spans_batch, batch_format="pyarrow")
@@ -6428,14 +5881,9 @@ def _q_modality_runs(sf_dir: str):
     statistic MMC4-style interleaved filters gate on (complements
     `interleave_audit`'s alternation count). Vectorized reduceat
     rollups per block; one row per doc leaves each block."""
-    import ray.data
-
     from smartreader_ray.spanio import modality_runs_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(modality_runs_batch, batch_format="pyarrow")
@@ -6495,14 +5943,9 @@ def _q_span_diff(sf_dir: str):
     'length'). This is the per-row check the north star grades
     extraction on, run corpus-wide as a data operator: per-doc zipper
     compare, fully vectorized, zero shuffle."""
-    import ray.data
-
     from smartreader_ray.spanio import span_diff_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_span_variants(), batch_format="pyarrow")
             .map_batches(span_diff_batch, batch_format="pyarrow")
             .sort("doc_id"))
@@ -6527,8 +5970,6 @@ def _q_span_boilerplate(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
-
-    import ray.data
 
     from smartreader_ray.functions.join import hash_join
 
@@ -6567,10 +6008,7 @@ def _q_span_boilerplate(sf_dir: str):
                 [txt.take(pa.array(kidx, type=pa.int64())), foot]),
         })
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     # spans feeds TWO consumers (counts + the stamp-back join):
     # materialize once or the synth+flatten scan re-executes
     spans = ds.map_batches(text_spans,
@@ -6608,14 +6046,9 @@ def _q_media_context(sf_dir: str):
     training-pair builder over interleaved docs (wider than
     `caption_pairs`' single nearest caption). Candidate indices via
     repeat/arange, ONE binary_join per block; per-doc, zero shuffle."""
-    import ray.data
-
     from smartreader_ray.spanio import media_context_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(media_context_batch, batch_format="pyarrow")
@@ -6631,14 +6064,9 @@ def _q_span_truncate(sf_dir: str):
     Closed-form (one window SUM in the oracle); the clip is fully
     vectorized (token ListArray rebuild + ONE binary_join); zero
     shuffle."""
-    import ray.data
-
     from smartreader_ray.spanio import truncate_spans_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(truncate_spans_batch, batch_format="pyarrow")
@@ -6657,8 +6085,6 @@ def _q_clean_doc_chain(sf_dir: str):
     text codepoints), n_media."""
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    import ray.data
 
     from smartreader_ray.spanio import (modality_runs_batch,
                                         normalize_spans_batch)
@@ -6689,10 +6115,7 @@ def _q_clean_doc_chain(sf_dir: str):
         return out.rename_columns(
             ["doc_id", "n_spans", "n_text_chars", "n_media"])
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return ds.map_batches(fn, batch_format="pyarrow").sort("doc_id")
 
 
@@ -6707,8 +6130,6 @@ def _q_doc_render(sf_dir: str):
     final doc-sized sort."""
     import pyarrow as pa
 
-    import ray.data
-
     from smartreader_ray.spanio import (normalize_spans_batch,
                                         render_flat_spans)
 
@@ -6717,10 +6138,7 @@ def _q_doc_render(sf_dir: str):
     def fn(b: pa.Table) -> pa.Table:
         return render_flat_spans(normalize_spans_batch(synth(b)))
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return ds.map_batches(fn, batch_format="pyarrow").sort("doc_id")
 
 
@@ -6737,14 +6155,9 @@ def _q_source_affixes(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
-
     from smartreader_ray.functions.curation import source_affixes
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["source", "text"])
     return (source_affixes(
         ds.map_batches(_plant_affix_banner, batch_format="pyarrow"))
         .sort("source"))
@@ -6782,8 +6195,6 @@ def _q_affix_strip_chain(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
 
-    import ray.data
-
     aff = {r["source"]: (int(r["prefix_len"]), int(r["suffix_len"]))
            for r in _q_source_affixes(sf_dir).take_all()}
 
@@ -6805,10 +6216,7 @@ def _q_affix_strip_chain(sf_dir: str):
             "chars_out": pa.array(n - removed, type=pa.int64()),
         })
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["source", "text"])
     return (ds.map_batches(strip_stats, batch_format="pyarrow")
             .groupby("source")
             .aggregate(Count(alias_name="n_docs"),
@@ -6830,8 +6238,6 @@ def _q_sentence_stats(sf_dir: str):
     shuffle."""
     import pyarrow as pa
 
-    import ray.data
-
     from smartreader_ray.functions.textstats import sentence_stats
 
     def plant(b: pa.Table) -> pa.Table:
@@ -6846,10 +6252,7 @@ def _q_sentence_stats(sf_dir: str):
         return pa.table({"doc_id": b.column("doc_id"),
                          "text": pa.array(out, type=pa.string())})
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(plant, batch_format="pyarrow")
             .map_batches(sentence_stats, batch_format="pyarrow")
             .sort("doc_id"))
@@ -6867,7 +6270,6 @@ def _q_readability(sf_dir: str):
     segmentation; the one float column uses the identical IEEE
     expression shape both sides."""
     import pyarrow as pa
-    import ray.data
 
     from smartreader_ray.functions.textstats import readability_stats
 
@@ -6883,10 +6285,7 @@ def _q_readability(sf_dir: str):
         return pa.table({"doc_id": b.column("doc_id"),
                          "text": pa.array(out, type=pa.string())})
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(plant, batch_format="pyarrow")
             .map_batches(readability_stats, batch_format="pyarrow")
             .sort("doc_id"))
@@ -6936,15 +6335,13 @@ def _q_media_phash(sf_dir: str):
     never leave the actor stage."""
     from ray.data.aggregate import Count
 
-    import ray.data
-
     from smartreader_ray.functions.join import hash_join
     from smartreader_ray.stages.media import ImagePHashStage
 
     synth = _synth_class_bmps()
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    ds = _read(
+        sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     hashed = ds.map_batches(
         ImagePHashStage, batch_format="pyarrow",
@@ -6977,13 +6374,11 @@ def _q_phash_band_pairs(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Max
 
-    import ray.data
-
     from smartreader_ray.stages.media import ImagePHashStage
 
     synth = _synth_class_bmps()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
+    ds = _read(
+        sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     hashed = ds.map_batches(
         ImagePHashStage, batch_format="pyarrow",
@@ -7058,49 +6453,36 @@ def _q_markov_debounced_chain(sf_dir: str):
     the SQL replay does (debounce CTE, then lag over survivors)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions.windows import (debounce,
                                                    markov_transitions)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts", "event_id"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
     surviving = debounce(ds, window_s=60.0)
     mat = markov_transitions(surviving)
     return mat.filter(pc.greater_equal(mat.column("p"), 0.2))
 
 
-def _q_abc(sf_dir: str):
+def _q_abc_orders(sf_dir: str):
     """Pareto/ABC revenue classification over orders (`functions/
     reshape.py: abc_analysis`): rank by o_totalprice DESC via the
     distributed ranking primitive carrying an inclusive cents running
     total; classes cut at 70.0 % / 90.0 % by pure int64 compare."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import abc_analysis
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_totalprice", "o_orderkey"],
-    )
+    ds = _read(sf_dir, "orders", ["o_totalprice", "o_orderkey"])
     return abc_analysis(ds, "o_totalprice", "o_orderkey")
 
 
-def _q_pmi(sf_dir: str):
+def _q_pmi_pairs(sf_dir: str):
     """PMI over the top-50 windowed co-occurrence pairs (`functions/
     ngrams.py: pmi_scores`): integer sufficient stats from the
     distributed pass; the float PMI is ONE shared libm ln expression
     stamped on the 50-row result (math.log == DuckDB ln bit-exactly;
     numpy's SIMD log is NOT — verified)."""
-    import ray.data
-
     from smartreader_ray.functions.ngrams import pmi_scores
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    ds = _read(sf_dir, "documents", ["text"])
     return pmi_scores(ds, text_col="text", window=3, top_k_pairs=50)
 
 
@@ -7109,14 +6491,9 @@ def _q_interval_union(sf_dir: str):
     interval_union`): each event opens [ts, ts+5min); overlapping
     intervals merge via a sorted cumulative-max island scan; exact
     integer µs coverage."""
-    import ray.data
-
     from smartreader_ray.functions.windows import interval_union
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts"])
     return interval_union(ds, span_s=300.0).sort("user_id")
 
 
@@ -7124,14 +6501,9 @@ def _q_daily_streaks(sf_dir: str):
     """Longest consecutive-day activity streak per user (`functions/
     windows.py: daily_streaks`): per-block (user, day) dedup partials →
     user-keyed groupby → vectorized gaps-and-islands."""
-    import ray.data
-
     from smartreader_ray.functions.windows import daily_streaks
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts"])
     return daily_streaks(ds).sort("user_id")
 
 
@@ -7141,30 +6513,20 @@ def _q_balanced_shards(sf_dir: str):
     bin-packing into 16 near-equal-weight shards — shard =
     exclusive_prefix·k//total, pure int64 on the prefix-sum-carrying
     global rank."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import balanced_shards_plan
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     return balanced_shards_plan(ds, "doc_id", "n_chars", k=16)
 
 
-def _q_proximity(sf_dir: str):
+def _q_click_proximity(sf_dir: str):
     """Temporal proximity join (`functions/windows.py: proximity_join`):
     every purchase joined to the same user's clicks within ±10 min —
     before/after counts + nearest absolute µs via sorted searchsorted,
     O((L+R)·log R) per user where the SQL oracle runs the L×R join."""
-    import ray.data
-
     from smartreader_ray.functions.windows import proximity_join
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_type", "event_id"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
     return proximity_join(ds, "purchase", "click",
                           window_s=600.0).sort("event_id")
 
@@ -7174,14 +6536,9 @@ def _q_hourly_profile(sf_dir: str):
     (day-of-week, hour) counts + exact cent sums from per-block
     168-bucket partials; dow by pure epoch arithmetic so the oracle
     replays the identical integer formula."""
-    import ray.data
-
     from smartreader_ray.functions.windows import hourly_profile
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["ts", "value"],
-    )
+    ds = _read(sf_dir, "events", ["ts", "value"])
     return hourly_profile(ds)
 
 
@@ -7191,8 +6548,6 @@ def _q_zorder_layout(sf_dir: str):
     by the Z key (TeraSort exchange), cut into 16 equal-size shards,
     report per-shard zone maps — the lakehouse two-column clustering
     primitive, exact int64 end to end."""
-    import ray.data
-
     from smartreader_ray.functions.layout import zorder_layout
 
     def rid(b):
@@ -7201,9 +6556,9 @@ def _q_zorder_layout(sf_dir: str):
                + b.column("l_linenumber").to_numpy(zero_copy_only=False))
         return b.append_column("rid", pa.array(ids, type=pa.int64()))
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_suppkey", "l_orderkey", "l_linenumber"],
+    ds = _read(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_suppkey", "l_orderkey", "l_linenumber"],
     ).map_batches(rid, batch_format="pyarrow")
     return zorder_layout(ds, "l_partkey", "l_suppkey", "rid", k=16)
 
@@ -7215,17 +6570,13 @@ def _q_spatial_join(sf_dir: str):
     Chebyshev radius 32 + exact min squared euclidean distance + the
     nearest supplier (total-order tie-break). One cell-keyed exchange
     with a 9x-replicated small side, never a cross join."""
-    import ray.data
-
     from smartreader_ray.functions.spatial import (grid_join,
                                                    multiplicative_coords)
 
     cust = multiplicative_coords(
-        ray.data.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                              columns=["c_custkey"]), "c_custkey")
+        _read(sf_dir, "customer", ["c_custkey"]), "c_custkey")
     supp = multiplicative_coords(
-        ray.data.read_parquet(os.path.join(sf_dir, "supplier.parquet"),
-                              columns=["s_suppkey"]), "s_suppkey")
+        _read(sf_dir, "supplier", ["s_suppkey"]), "s_suppkey")
     return grid_join(cust, supp, d=32, left_id="c_custkey",
                      right_id="s_suppkey").sort("c_custkey")
 
@@ -7235,14 +6586,12 @@ def _q_table_fingerprint(sf_dir: str):
     table_fingerprint`): per-status (Σ md5-row-hash mod 2^61-1, XOR,
     count) over orders — the did-anything-change CDC audit whose
     exchange is one 3-int row per (block, status)."""
-    import ray.data
-
     from smartreader_ray.functions.setops import table_fingerprint
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderstatus",
-                 "o_orderpriority", "o_orderdate"],
+    ds = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_custkey", "o_orderstatus", "o_orderpriority",
+         "o_orderdate"],
     )
     return table_fingerprint(
         ds, "o_orderstatus",
@@ -7256,13 +6605,10 @@ def _q_cube_sales(sf_dir: str):
     cube_counts`): all four grouping sets from one pass of block-local
     Arrow pre-aggregation — the exchange carries 4·cells rows per
     block, exact integer cents."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import cube_counts
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
+    ds = _read(
+        sf_dir, "orders", ["o_orderstatus", "o_orderpriority", "o_totalprice"]
     )
     return cube_counts(ds, "o_orderstatus", "o_orderpriority",
                        "o_totalprice")
@@ -7272,14 +6618,9 @@ def _q_time_weighted_avg(sf_dir: str):
     """Zero-order-hold time-weighted average per user
     (`functions/windows.py: time_weighted_avg`): each event's value
     holds until the user's next event; exact integer cents·seconds."""
-    import ray.data
-
     from smartreader_ray.functions.windows import time_weighted_avg
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "value"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
     return time_weighted_avg(ds).sort("user_id")
 
 
@@ -7288,14 +6629,9 @@ def _q_cusum_alarms(sf_dir: str):
     cusum_changepoints`): Page's one-sided control chart over each
     user's ts-ordered values, integer cents, SQL-replayable via the
     prefix-sum-minus-running-min reflection identity."""
-    import ray.data
-
     from smartreader_ray.functions.windows import cusum_changepoints
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "value"],
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
     return cusum_changepoints(ds).sort("user_id")
 
 
@@ -7303,13 +6639,10 @@ def _q_weighted_median(sf_dir: str):
     """Per-flag weighted median of extended price, quantity-weighted
     (`functions/sketch.py: weighted_median_by`): histogram reduction,
     exchange is keys x distinct values x blocks."""
-    import ray.data
-
     from smartreader_ray.functions.sketch import weighted_median_by
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_extendedprice", "l_quantity"],
+    ds = _read(
+        sf_dir, "lineitem", ["l_returnflag", "l_extendedprice", "l_quantity"]
     )
     return weighted_median_by(ds, "l_returnflag", "l_extendedprice",
                               "l_quantity")
@@ -7320,14 +6653,9 @@ def _q_budget_alloc(sf_dir: str):
     units across order priorities proportional to revenue
     (`functions/reshape.py: largest_remainder_alloc`); int64-exact,
     total-order tie-break."""
-    import ray.data
-
     from smartreader_ray.functions.reshape import largest_remainder_alloc
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderpriority", "o_totalprice"],
-    )
+    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
     return largest_remainder_alloc(ds, "o_orderpriority", "o_totalprice",
                                    total_units=1_000_000)
 
@@ -7337,12 +6665,9 @@ def _q_soundex_names(sf_dir: str):
     (`functions/fuzzy.py: soundex_tokens`); encode runs once per
     distinct token, SQL replays the exact translate/collapse chain
     (RE2-safe — single-char run collapses, no backreferences)."""
-    import ray.data
-
     from smartreader_ray.functions.fuzzy import soundex_tokens
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"), columns=["p_name"])
+    ds = _read(sf_dir, "part", ["p_name"])
     return soundex_tokens(ds, "p_name")
 
 
@@ -7351,13 +6676,9 @@ def _q_entity_resolution(sf_dir: str):
     resolve_entities`): Soundex blocking -> exact Levenshtein<=2 verify
     -> connected components -> canonical (min-name) label joined back
     to every part. The full ER pipeline, hash-gated end to end."""
-    import ray.data
-
     from smartreader_ray.functions.fuzzy import resolve_entities
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"),
-        columns=["p_partkey", "p_name"])
+    ds = _read(sf_dir, "part", ["p_partkey", "p_name"])
     return resolve_entities(ds, "p_partkey", "p_name", max_dist=2)
 
 
@@ -7365,13 +6686,9 @@ def _q_boolean_search(sf_dir: str):
     """Boolean retrieval spark AND join AND NOT window over document
     token membership (`functions/ngrams.py: boolean_search`) —
     shuffle-free block-local predicate evaluation."""
-    import ray.data
-
     from smartreader_ray.functions.ngrams import boolean_search
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return boolean_search(ds, must=["spark", "join"],
                           must_not=["window"])
 
@@ -7384,14 +6701,13 @@ def _q_local_supplier_revenue(sf_dir: str):
     dimension LUTs — zero fact-side shuffle; exact int64 centi-cents."""
     import numpy as np
     import pyarrow.parquet as pq
-    import ray.data
 
     from smartreader_ray.functions.join import star_revenue_by_nation
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"])
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
+    )
     date_from = int(np.datetime64("1997-01-01", "us").astype(np.int64))
     return star_revenue_by_nation(
         li,
@@ -7411,13 +6727,9 @@ def _q_source_drift(sf_dir: str):
     src0 (`functions/audit.py: psi_drift`): exact integer bin counts
     off one (group, bin) exchange; per-bin float terms are one shared
     IEEE tree (libm log == DuckDB ln)."""
-    import ray.data
-
     from smartreader_ray.functions.audit import psi_drift
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "n_chars"])
+    ds = _read(sf_dir, "documents", ["source", "n_chars"])
     return psi_drift(ds, "source", "n_chars", baseline="src0")
 
 
@@ -7426,13 +6738,9 @@ def _q_ohlc_hourly(sf_dir: str):
     ohlc_bars`): open/close are order statistics computed as plain
     MIN/MAX over an int64 (offset_us, biased-cents) composite — no
     per-group sort, no map_groups, pure mergeable aggregates."""
-    import ray.data
-
     from smartreader_ray.functions.windows import ohlc_bars
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts", "value"])
+    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
     return ohlc_bars(ds, width_s=3600)
 
 
@@ -7441,17 +6749,13 @@ def _q_schema_union(sf_dir: str):
     two projection epochs of orders (the older lacks o_orderpriority)
     concatenated by NAME with typed-null fill — shuffle-free
     streaming alignment."""
-    import ray.data
-
     from smartreader_ray.functions.setops import union_by_name
 
-    old = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_totalprice"],
+    old = _read(
+        sf_dir, "orders", ["o_orderkey", "o_totalprice"]
     ).filter(expr="o_orderkey < 7500")
-    new = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
+    new = _read(
+        sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"]
     ).filter(expr="o_orderkey >= 7500")
     return union_by_name([old, new]).sort("o_orderkey")
 
@@ -7462,12 +6766,9 @@ def _q_kcenter_coreset(sf_dir: str):
     farthest-point traversal, integer-quantized exact distances,
     total-order argmax — the data-pruning pick whose greedy trajectory
     is partitioning-independent and SQL-replayable as k chained CTEs."""
-    import ray.data
-
     from smartreader_ray.functions.similarity import kcenter_select
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"))
+    ds = _read(sf_dir, "embeddings")
     return kcenter_select(ds, k=8)
 
 
@@ -7478,12 +6779,9 @@ def _q_semantic_dedup(sf_dir: str):
     edges → components → canonical keep id. Cross-cluster pairs are
     never examined — the locality that makes semantic dedup tractable
     at corpus scale."""
-    import ray.data
-
     from smartreader_ray.functions.similarity import semantic_dedup
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"))
+    ds = _read(sf_dir, "embeddings")
     return semantic_dedup(ds, k_clusters=8, tau=0.45)
 
 
@@ -7493,13 +6791,9 @@ def _q_span_corruption(sf_dir: str):
     runs collapsed to numbered sentinels in the input, sentinel-prefixed
     runs as the target — byte-identical to the gaps-and-islands SQL
     replay, partitioning-independent by construction."""
-    import ray.data
-
     from smartreader_ray.functions.curation import span_corruption
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return span_corruption(ds, mask_rate=0.15)
 
 
@@ -7508,14 +6802,10 @@ def _q_quantile_normalize(sf_dir: str):
     onto src0's (`functions/standardize.py: quantile_normalize_by`):
     integer cross-multiplied rank comparison — no floats anywhere in
     the mapping, output is a baseline data value."""
-    import ray.data
-
     from smartreader_ray.functions.standardize import (
         quantile_normalize_by)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "n_chars"])
+    ds = _read(sf_dir, "documents", ["source", "n_chars"])
     return quantile_normalize_by(ds, "source", "n_chars",
                                  baseline="src0")
 
@@ -7526,14 +6816,9 @@ def _q_priority_sample(sf_dir: str):
     priorities q = (n_chars·2^40) // (md5_40(doc_id)+1), top-100 by the
     total order (q DESC, doc_id) — per-block pre-cut, survivors-only
     sort."""
-    import ray.data
-
     from smartreader_ray.functions.sampling import priority_sample
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "n_chars"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     return priority_sample(ds, "n_chars", "doc_id", k=100)
 
 
@@ -7543,19 +6828,15 @@ def _q_dq_report(sf_dir: str):
     key-uniqueness (one groupby) and referential integrity against the
     broadcast customer keyset — the pre-promotion gate, a rule-count-
     sized report."""
-    import ray.data
-
     from smartreader_ray.functions.audit import (ForeignKey, GreaterThan,
                                                  InSet, NotNull, Unique,
                                                  dq_report)
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderstatus",
-                 "o_totalprice"],
+    orders = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice"],
     )
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"])
+    cust = _read(sf_dir, "customer", ["c_custkey"])
     rules = [
         NotNull("o_custkey", name="not_null_custkey"),
         GreaterThan("o_totalprice", 0.0, name="positive_totalprice"),
@@ -7583,8 +6864,7 @@ def _q_dq_fingerprint_chain(sf_dir: str):
 
     from smartreader_ray.functions.setops import table_fingerprint
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"])
+    cust = _read(sf_dir, "customer", ["c_custkey"])
     keys = np.unique(np.concatenate(
         [b["c_custkey"] for b in cust.iter_batches(batch_format="numpy")]
         or [np.array([], dtype=np.int64)]).astype(np.int64))
@@ -7607,10 +6887,10 @@ def _q_dq_fingerprint_chain(sf_dir: str):
         mask = pc.and_(pc.and_(price_ok, status_ok), pa.array(fk_ok))
         return b.filter(mask)
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderstatus",
-                 "o_orderpriority", "o_orderdate", "o_totalprice"],
+    orders = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_custkey", "o_orderstatus", "o_orderpriority",
+         "o_orderdate", "o_totalprice"],
     ).map_batches(gate, batch_format="pyarrow")
     return table_fingerprint(
         orders, "o_orderstatus",
@@ -7626,13 +6906,9 @@ def _q_simpson_diversity(sf_dir: str):
     output so the hash is engine-independent; token semantics match
     source_entropy (single-space split of trimmed text, empties kept).
     """
-    import ray.data
-
     from smartreader_ray.functions.ngrams import simpson_concentration
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["text", "source"])
+    docs = _read(sf_dir, "documents", ["text", "source"])
     return simpson_concentration(docs)
 
 
@@ -7643,13 +6919,11 @@ def _q_lru_hits(sf_dir: str):
     oracle recomputes via the Mattson stack-distance identity (hit ⇔
     < capacity distinct keys strictly between consecutive accesses).
     """
-    import ray.data
-
     from smartreader_ray.functions.windows import lru_audit
 
-    events = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = _read(
+        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
+    )
     return lru_audit(events, capacity=2)
 
 
@@ -7668,14 +6942,10 @@ def _q_diversity_mix_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    import ray.data
-
     from smartreader_ray.functions.ngrams import simpson_concentration
     from smartreader_ray.functions.reshape import largest_remainder_alloc
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["text", "source"])
+    docs = _read(sf_dir, "documents", ["text", "source"])
     conc = simpson_concentration(docs)
 
     def weigh(b: pa.Table) -> pa.Table:
@@ -7713,13 +6983,9 @@ def _q_priority_dedup(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data
-
     from smartreader_ray.functions.dedup import priority_dedup
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     def with_priority(b: pa.Table) -> pa.Table:
         pri = pc.cast(pc.utf8_slice_codeunits(
@@ -7738,13 +7004,11 @@ def _q_mrc_curve(sf_dir: str):
     at C ⇔ stack distance < C). The oracle recomputes each event's
     stack distance by the same Mattson identity as lru_hits, then reads
     all four capacities off the distance histogram."""
-    import ray.data
-
     from smartreader_ray.functions.windows import mrc_curve
 
-    events = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"])
+    events = _read(
+        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
+    )
     return mrc_curve(events, max_capacity=4)
 
 
@@ -7755,13 +7019,9 @@ def _q_source_cosine(sf_dir: str):
     shared IEEE tree (int→double casts, product, sqrt, divide — all
     correctly rounded identically in both engines). One vocab-sized
     exchange then a single Cᵀ·C matmul block."""
-    import ray.data
-
     from smartreader_ray.functions.ngrams import source_cosine
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["text", "source"])
+    docs = _read(sf_dir, "documents", ["text", "source"])
     return source_cosine(docs)
 
 
@@ -7772,13 +7032,9 @@ def _q_template_score(sf_dir: str):
     from near-dedup. Windows ship as md5-derived int64 keys (identical
     hash in the oracle); corpus counts stamp back through the
     vectorized run-length `hash_join`; n_windows rides scan-side."""
-    import ray.data
-
     from smartreader_ray.functions.dedup import template_score
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return template_score(docs, window=4)
 
 
@@ -7790,15 +7046,11 @@ def _q_span_dedup(sf_dir: str):
     or alts DO, which a text-level hash cannot see). Only
     (span_fp, doc_id) crosses the exchange; Min/Count pre-combine per
     block — the fingerprint_dedup scale shape on the span payload."""
-    import ray.data
     from ray.data.aggregate import Count, Min
 
     from smartreader_ray.spanio import span_fingerprint_batch
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
             .map_batches(span_fingerprint_batch, batch_format="pyarrow")
@@ -7825,15 +7077,12 @@ def _q_dedup_cascade_chain(sf_dir: str):
 
     import pandas as pd
     import pyarrow as pa
-    import ray.data
     from ray.data.aggregate import Count, Min, Sum
 
     from smartreader_ray.functions import minhash_dedup
     from smartreader_ray.functions.join import hash_join
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     def fp(b: pa.Table) -> pa.Table:
         md5 = hashlib.md5
@@ -7906,7 +7155,6 @@ def _q_lid_confusion(sf_dir: str):
     partials."""
     import pandas as pd
     import pyarrow as pa
-    import ray.data
     from ray.data.aggregate import Sum
 
     class Conf:
@@ -7923,9 +7171,7 @@ def _q_lid_confusion(sf_dir: str):
                  .sum().reset_index())
             return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     return (ds.map_batches(Conf, batch_format="pyarrow",
                            concurrency=(1, 8))
             .groupby(["lang", "pred_lang"])
@@ -7945,15 +7191,12 @@ def _q_leakage_safe_split(sf_dir: str):
     stamp each doc's group id back; the split itself is shuffle-free.
     Returns per-doc (doc_id, group_id, split)."""
     import pyarrow as pa
-    import ray.data
     from ray.data.aggregate import Min
 
     from smartreader_ray.functions.join import hash_join
     from smartreader_ray.functions.sampling import split_assign
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def fp(b: pa.Table) -> pa.Table:
         import hashlib
@@ -7981,13 +7224,9 @@ def _q_embedding_audit(sf_dir: str):
     similarity math (wrong dim, non-finite elements, all-zero — no
     direction, cosine undefined). Integer-exact; group-sized partials
     only."""
-    import ray.data
-
     from smartreader_ray.functions.audit import embedding_audit
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["label", "embedding"])
+    ds = _read(sf_dir, "embeddings", ["label", "embedding"])
     return embedding_audit(ds, dim=64)
 
 
@@ -8006,8 +7245,6 @@ def _q_span_pack_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    import ray.data
 
     from smartreader_ray.spanio import normalize_spans_batch
 
@@ -8070,9 +7307,7 @@ def _q_span_pack_chain(sf_dir: str):
                              type=pa.int64()),
         })
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(fn, batch_format="pyarrow")
             .sort(["doc_id", "seq_idx"]))
 
@@ -8086,13 +7321,9 @@ def _q_chi2_drift(sf_dir: str):
     one (half, category)-sized exchange."""
     import datetime
 
-    import ray.data
-
     from smartreader_ray.functions.audit import chi2_drift
 
-    ev = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts"])
+    ev = _read(sf_dir, "events", ["event_type", "ts"])
     return chi2_drift(ev, "event_type", "ts",
                       datetime.datetime(2024, 1, 16))
 
@@ -8103,13 +7334,9 @@ def _q_ks_drift(sf_dir: str):
     CDF deviation on the common denominator n_g·n_b, ONE IEEE division
     for the statistic — the unbinned companion of `source_drift`'s
     PSI."""
-    import ray.data
-
     from smartreader_ray.functions.audit import ks_drift
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "n_chars"])
+    ds = _read(sf_dir, "documents", ["source", "n_chars"])
     return ks_drift(ds, "source", "n_chars", baseline="src0")
 
 
@@ -8140,9 +7367,7 @@ def _q_near_dedup_best_chain(sf_dir: str):
     _SHIFT = 1 << 42
     PAIR_MAX = 5_000_000
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     pairs = (minhash_dedup(docs.select_columns(["doc_id", "text"]),
                            threshold=0.5)
@@ -8225,15 +7450,12 @@ def _q_lsh_recall_chain(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from smartreader_ray.functions import minhash_lsh_candidates
     from smartreader_ray.functions.dedup import _token_ngrams
 
     PROBE, PROBE_MAX = 200, 1000
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     probe = docs.map_batches(
         lambda b: b.filter(pc.less(b.column("doc_id"), PROBE)),
         batch_format="pyarrow")
@@ -8271,282 +7493,8 @@ def _q_lsh_recall_chain(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        "extract_meta": _q_extract_meta,
-        "extract_text": _q_extract_text,
-        "extract_fixtures": _q_extract_fixtures,
-        "fixture_span_parity": _q_fixture_span_parity,
-        "doc_stats": _q_doc_stats,
-        "corpus_metrics": _q_corpus_metrics,
-        "token_stats": _q_token_stats,
-        "bpe_token_stats": _q_bpe_tokens,
-        "quality_stats": _q_quality,
-        "exact_dedup": _q_exact_dedup,
-        "language_id": _q_language_id,
-        "doc_fingerprint": _q_fingerprint,
-        "fingerprint_dedup": _q_fingerprint_dedup,
-        "minhash_candidates": _q_minhash,
-        "minhash_dedup": _q_minhash_dedup,
-        "simhash_neardup": _q_simhash,
-        "ann_topk": _q_ann,
-        "ann_ivf": _q_ann_ivf,
-        "ann_ivf_bucketed": _q_ann_ivf_bucketed,
-        "embed_neardup": _q_embed_neardup,
-        "embed_neardup_lsh": _q_embed_neardup_lsh,
-        "lineitem_pricing": _q_lineitem_pricing,
-        "top_orders": _q_top_orders,
-        "events_by_type": _q_events_by_type,
-        "sessionize": _q_sessionize,
-        "approx_distinct_users": _q_approx_distinct,
-        "stratified_sample": _q_stratified_sample,
-        "training_sample": _q_training_sample,
-        "pii_redact": _q_pii_redact,
-        "source_cap": _q_source_cap,
-        "decontaminate": _q_decontaminate,
-        "repetition_stats": _q_repetition_stats,
-        "lm_perplexity": _q_lm_perplexity,
-        "lm_perplexity_by_lang": _q_lm_perplexity_by_lang,
-        "lm_gate_chain": _q_lm_gate_chain,
-        "ccnet_buckets": _q_ccnet_buckets,
-        "zipf_fit": _q_zipf_fit,
-        "hard_negatives": _q_hard_negatives,
-        "source_crossent": _q_source_crossent,
-        "ccnet_keep_chain": _q_ccnet_keep_chain,
-        "pack_sequences": _q_pack_sequences,
-        "asof_purchase": _q_asof_purchase,
-        "value_quantiles": _q_value_quantiles,
-        "value_quantiles_exact": _q_value_quantiles_exact,
-        "distinct_users_exact": _q_distinct_users_exact,
-        "events_next_hour": _q_events_next_hour,
-        "sliding_windows": _q_sliding_windows,
-        "events_pivot": _q_events_pivot,
-        "jaccard_pairs": _q_jaccard_pairs,
-        "term_doc_freq": _q_term_doc_freq,
-        "chi2_terms": _q_chi2_terms,
-        "chi2_lid_chain": _q_chi2_lid_chain,
-        "log_odds_terms": _q_log_odds_terms,
-        "textrank_terms": _q_textrank_terms,
-        "good_turing": _q_good_turing,
-        "term_burstiness": _q_term_burstiness,
-        "bigram_counts": _q_bigram_counts,
-        "tfidf_terms": _q_tfidf_terms,
-        "quality_zscore": _q_quality_zscore,
-        "embed_kmeans": _q_embed_kmeans,
-        "frequent_terms": _q_frequent_terms,
-        "late_events": _q_late_events,
-        "range_partition": _q_range_partition,
-        "length_token_corr": _q_length_token_corr,
-        "length_trend": _q_length_trend,
-        "customer_orders_full": _q_customer_orders_full,
-        "keys_union": _q_keys_union,
-        "zscore_tfidf_chain": _q_zscore_tfidf_chain,
-        "temperature_mix": _q_temperature_mix,
-        "unimax_mix": _q_unimax_mix,
-        "jsonl_roundtrip": _q_jsonl_roundtrip,
-        "csv_roundtrip": _q_csv_roundtrip,
-        "orc_roundtrip": _q_orc_roundtrip,
-        "ipc_roundtrip": _q_ipc_roundtrip,
-        "docs_except": _q_docs_except,
-        "docs_intersect": _q_docs_intersect,
-        "curated_corpus": _q_curated_corpus,
-        "dup_passages": _q_dup_passages,
-        "winnow_fps": _q_winnow_fps,
-        "winnow_dedup": _q_winnow_dedup,
-        "containment_pairs": _q_containment_pairs,
-        "quote_screen_chain": _q_quote_screen_chain,
-        "token_dropout": _q_token_dropout,
-        "freq_spectrum": _q_freq_spectrum,
-        "vocab_growth": _q_vocab_growth,
-        "substring_lcs": _q_substring_lcs,
-        "dup_passages_hashed": _q_dup_passages_hashed,
-        "line_dedup": _q_line_dedup,
-        "c4_clean_chain": _q_c4_clean_chain,
-        "pretrain_mix_chain": _q_pretrain_mix_chain,
-        "intra_dedup": _q_intra_dedup,
-        "c4_line_gates": _q_c4_line_gates,
-        "dup_clusters": _q_dup_clusters,
-        "dup_clusters_lp": _q_dup_clusters_lp,
-        "weighted_mix": _q_weighted_mix,
-        "incremental_dedup": _q_incremental_dedup,
-        "incremental_neardup": _q_incremental_neardup,
-        "chunk_documents": _q_chunk_documents,
-        "top_orders_by_segment": _q_top_orders_by_segment,
-        "warc_extract": _q_warc_extract,
-        "quality_gate": _q_quality_gate,
-        "gopher_gate": _q_gopher_gate,
-        "dsir_select": _q_dsir_select,
-        "dsir_gopher_chain": _q_dsir_gopher_chain,
-        "epoch_shuffle": _q_epoch_shuffle,
-        "balanced_interleave": _q_balanced_interleave,
-        "hrw_resharding": _q_hrw_resharding,
-        "vocab_coverage": _q_vocab_coverage,
-        "source_overlap": _q_source_overlap,
-        "benford_audit": _q_benford_audit,
-        "bm25_search": _q_bm25_search,
-        "search_eval": _q_search_eval,
-        "term_drift": _q_term_drift,
-        "hybrid_search": _q_hybrid_search,
-        "blocklist_rates": _q_blocklist_rates,
-        "source_risk_rank": _q_source_risk_rank,
-        "novelty_decay": _q_novelty_decay,
-        "source_entropy": _q_source_entropy,
-        "simpson_diversity": _q_simpson_diversity,
-        "lru_hits": _q_lru_hits,
-        "diversity_mix_chain": _q_diversity_mix_chain,
-        "priority_dedup": _q_priority_dedup,
-        "mrc_curve": _q_mrc_curve,
-        "source_cosine": _q_source_cosine,
-        "ngram_novelty": _q_ngram_novelty,
-        "bitext_mine": _q_bitext_mine,
-        "sitemap_gate": _q_sitemap_gate,
-        "crawl_budget_chain": _q_crawl_budget_chain,
-        "curriculum_chain": _q_curriculum_chain,
-        "padding_plan": _q_padding_plan,
-        "window_agg": _q_window_agg,
-        "orders_by_nation": _q_orders_by_nation,
-        "orders_by_segment": _q_orders_by_segment,
-        "orders_by_segment_salted": lambda sf: _q_orders_by_segment(sf, salt=4),
-        "media_meta": _q_media_meta,
-        "media_data_uri": _q_media_data_uri,
-        "media_pipeline": _q_media_pipeline,
-        "audio_features": _q_audio_features,
-        "featured_image": _q_featured_image,
-        "audio_spectral": _q_audio_spectral,
-        "audio_ann": _q_audio_ann,
-        "url_dedup": _q_url_dedup,
-        "pdf_extract": _q_pdf_extract,
-        "supplier_pagerank": _q_supplier_pagerank,
-        "bfs_hops": _q_bfs_hops,
-        "impute_values": _q_impute_values,
-        "pq_codes": _q_pq_codes,
-        "pq_ann": _q_pq_ann,
-        "percent_rank": _q_percent_rank,
-        "id_gaps": _q_id_gaps,
-        "dataset_split": _q_dataset_split,
-        "clean_rank_chain": _q_clean_rank_chain,
-        "rendezvous_shards": _q_rendezvous_shards,
-        "posting_lists": _q_posting_lists,
-        "debounce": _q_debounce,
-        "fd_histogram": _q_fd_histogram,
-        "scd2_history": _q_scd2_history,
-        "cms_counts": _q_cms_counts,
-        "cooccurrence": _q_cooccurrence,
-        "pagerank_weighted_parts": _q_pagerank_weighted_parts,
-        "norm_dedup": _q_norm_dedup,
-        "funnel": _q_funnel,
-        "value_histogram": _q_value_histogram,
-        "bpe_pairs": _q_bpe_pairs,
-        "bpe_merges": _q_bpe_merges,
-        "running_totals": _q_running_totals,
-        "props_extract": _q_props_extract,
-        "winsorize": _q_winsorize,
-        "norm_curation": _q_norm_curation,
-        "supplier_hits": _q_supplier_hits,
-        "robots_gate": _q_robots_gate,
-        "mode_by": _q_mode_by,
-        "rollup_sales": _q_rollup_sales,
-        "retention": _q_retention,
-        "daily_resample": _q_daily_resample,
-        "table_diff": _q_table_diff,
-        "skyline_parts": _q_skyline_parts,
-        "edit1_names": _q_edit1_names,
-        "phrase_search": _q_phrase_search,
-        "bloom_semi_join": _q_bloom_semi_join,
-        "anti_join": _q_anti_join,
-        "bloom_fpr": _q_bloom_fpr,
-        "join_explain": _q_join_explain,
-        "k_anonymity": _q_k_anonymity,
-        "l_diversity": _q_l_diversity,
-        "t_closeness": _q_t_closeness,
-        "semantic_decontam": _q_semantic_decontam,
-        "ewma_activity": _q_ewma_activity,
-        "decontam_clean_chain": _q_decontam_clean_chain,
-        "compress_ratio": _q_compress_ratio,
-        "char_entropy": _q_char_entropy,
-        "basket_pairs": _q_basket_pairs,
-        "triangles": _q_triangles,
-        "kcore": _q_kcore,
-        "cdc_reprocess_chain": _q_cdc_reprocess_chain,
-        "mad_outliers": _q_mad_outliers,
-        "user_paths": _q_user_paths,
-        "event_pattern": _q_event_pattern,
-        "profile_lineitem": _q_profile,
-        "sort_bounds": _q_sort_bounds,
-        "latest_version": _q_latest_version,
-        "shot_boundaries": _q_shot_boundaries,
-        "interval_overlap": _q_interval_overlap,
-        "engagement_chain": _q_engagement_chain,
-        "pivot_roundtrip": _q_pivot_roundtrip,
-        "markov_events": _q_markov,
-        "attribution": _q_attribution,
-        "rolling_anomaly": _q_rolling_anomaly,
-        "ntile_values": _q_ntile,
-        "key_skew_gini": _q_key_gini,
-        "audio_autocorr": _q_audio_autocorr,
-        "caption_pairs": _q_caption_pairs,
-        "interleave_audit": _q_interleave_audit,
-        "mm_pack": _q_mm_pack,
-        "media_url_dedup": _q_media_url_dedup,
-        "interleave_gate_chain": _q_interleave_gate_chain,
-        "mm_minhash_dedup": _q_mm_minhash_dedup,
-        "caption_coverage": _q_caption_coverage,
-        "pack_overflow_audit": _q_pack_overflow_audit,
-        "span_normalize": _q_span_normalize,
-        "modality_runs": _q_modality_runs,
-        "span_diff": _q_span_diff,
-        "span_boilerplate": _q_span_boilerplate,
-        "media_context": _q_media_context,
-        "span_truncate": _q_span_truncate,
-        "clean_doc_chain": _q_clean_doc_chain,
-        "doc_render": _q_doc_render,
-        "span_dedup": _q_span_dedup,
-        "template_score": _q_template_score,
-        "dedup_cascade_chain": _q_dedup_cascade_chain,
-        "lid_confusion": _q_lid_confusion,
-        "leakage_safe_split": _q_leakage_safe_split,
-        "lsh_recall_chain": _q_lsh_recall_chain,
-        "embedding_audit": _q_embedding_audit,
-        "span_pack_chain": _q_span_pack_chain,
-        "near_dedup_best_chain": _q_near_dedup_best_chain,
-        "ks_drift": _q_ks_drift,
-        "chi2_drift": _q_chi2_drift,
-        "source_affixes": _q_source_affixes,
-        "affix_strip_chain": _q_affix_strip_chain,
-        "sentence_stats": _q_sentence_stats,
-        "readability": _q_readability,
-        "media_phash": _q_media_phash,
-        "phash_band_pairs": _q_phash_band_pairs,
-        "markov_debounced_chain": _q_markov_debounced_chain,
-        "abc_orders": _q_abc,
-        "pmi_pairs": _q_pmi,
-        "interval_union": _q_interval_union,
-        "daily_streaks": _q_daily_streaks,
-        "balanced_shards": _q_balanced_shards,
-        "click_proximity": _q_proximity,
-        "zorder_layout": _q_zorder_layout,
-        "spatial_join": _q_spatial_join,
-        "table_fingerprint": _q_table_fingerprint,
-        "dq_report": _q_dq_report,
-        "dq_fingerprint_chain": _q_dq_fingerprint_chain,
-        "priority_sample": _q_priority_sample,
-        "local_supplier_revenue": _q_local_supplier_revenue,
-        "source_drift": _q_source_drift,
-        "ohlc_hourly": _q_ohlc_hourly,
-        "schema_union": _q_schema_union,
-        "kcenter_coreset": _q_kcenter_coreset,
-        "semantic_dedup": _q_semantic_dedup,
-        "span_corruption": _q_span_corruption,
-        "quantile_normalize": _q_quantile_normalize,
-        "cusum_alarms": _q_cusum_alarms,
-        "weighted_median": _q_weighted_median,
-        "budget_alloc": _q_budget_alloc,
-        "soundex_names": _q_soundex_names,
-        "entity_resolution": _q_entity_resolution,
-        "boolean_search": _q_boolean_search,
-        "time_weighted_avg": _q_time_weighted_avg,
-        "cube_sales": _q_cube_sales,
-        "hourly_profile": _q_hourly_profile,
-    }
+    """Every module-level ``_q_<name>`` function is the query ``<name>``."""
+    return {n[3:]: f for n, f in globals().items() if n.startswith("_q_")}
 
 
 # Shared CTE chain for the ccnet_buckets / ccnet_keep_chain oracles:

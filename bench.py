@@ -218,96 +218,7 @@ def run_main() -> dict:
     queries["extract_documents"] = round(t_doc, 3)
 
     q = entrymod.queries()
-    for name in (
-        "exact_dedup", "minhash_candidates", "minhash_dedup", "simhash_neardup",
-        "token_stats", "ann_topk", "ann_ivf", "embed_neardup",
-        "lineitem_pricing", "top_orders", "orders_by_nation",
-        "events_by_type", "language_id", "sessionize", "window_agg",
-        "pdf_extract", "ann_ivf_bucketed", "embed_neardup_lsh",
-        "quality_stats", "doc_fingerprint", "approx_distinct_users",
-        "fingerprint_dedup", "orders_by_segment", "training_sample",
-        "pii_redact", "source_cap", "decontaminate", "repetition_stats",
-        "pack_sequences", "asof_purchase", "value_quantiles",
-        "curated_corpus", "dup_passages", "weighted_mix",
-        "incremental_dedup", "incremental_neardup", "chunk_documents", "top_orders_by_segment",
-        "warc_extract", "quality_gate", "dup_passages_hashed",
-        "dup_clusters", "dup_clusters_lp", "value_quantiles_exact",
-        "distinct_users_exact", "events_next_hour", "sliding_windows",
-        "events_pivot", "jaccard_pairs", "term_doc_freq", "bigram_counts",
-        "tfidf_terms", "quality_zscore", "frequent_terms", "embed_kmeans",
-        "jsonl_roundtrip", "csv_roundtrip", "docs_except", "docs_intersect",
-        "late_events", "range_partition", "media_pipeline", "length_token_corr",
-        "customer_orders_full", "keys_union", "zscore_tfidf_chain", "temperature_mix",
-        "orders_by_segment_salted",
-        "substring_lcs", "lm_perplexity", "audio_features",
-        "featured_image", "lm_perplexity_by_lang", "lm_gate_chain",
-        "audio_spectral", "audio_ann", "url_dedup", "length_trend",
-        "supplier_pagerank", "cooccurrence", "pagerank_weighted_parts",
-        "norm_dedup", "funnel", "value_histogram", "bpe_pairs",
-        "running_totals", "props_extract", "winsorize", "norm_curation",
-        "supplier_hits", "robots_gate",
-        "mode_by", "rollup_sales", "retention", "daily_resample",
-        "table_diff", "skyline_parts", "edit1_names", "phrase_search",
-        "bloom_semi_join", "basket_pairs", "triangles",
-        "cdc_reprocess_chain", "mad_outliers", "user_paths",
-        "profile_lineitem", "sort_bounds", "latest_version",
-        "shot_boundaries", "interval_overlap", "engagement_chain",
-        "pivot_roundtrip", "gopher_gate", "dsir_select",
-        "dsir_gopher_chain", "epoch_shuffle", "ngram_novelty",
-        "bitext_mine", "sitemap_gate", "crawl_budget_chain",
-        "curriculum_chain", "padding_plan", "balanced_interleave",
-        "hrw_resharding", "vocab_coverage", "source_overlap",
-        "benford_audit", "bm25_search", "term_drift", "hybrid_search",
-        "blocklist_rates", "source_risk_rank",
-        "novelty_decay", "source_entropy",
-        "simpson_diversity", "lru_hits", "mrc_curve",
-        "priority_dedup", "diversity_mix_chain", "source_cosine",
-        "ccnet_buckets", "zipf_fit", "hard_negatives", "source_crossent",
-        "ccnet_keep_chain", "caption_pairs", "interleave_audit",
-        "mm_pack", "media_url_dedup", "interleave_gate_chain",
-        "mm_minhash_dedup", "caption_coverage", "pack_overflow_audit",
-        "span_normalize", "modality_runs", "span_diff",
-        "span_boilerplate", "media_context", "span_truncate",
-        "clean_doc_chain", "doc_render", "fixture_span_parity",
-        "span_dedup", "template_score", "dedup_cascade_chain",
-        "lid_confusion", "leakage_safe_split", "lsh_recall_chain",
-        "embedding_audit", "span_pack_chain", "near_dedup_best_chain",
-        "ks_drift",
-        # full-coverage block: every remaining queries() entry, so the
-        # per-round bench artifact carries ALL query timings
-        "abc_orders", "affix_strip_chain", "anti_join", "attribution",
-        "audio_autocorr", "balanced_shards", "bfs_hops", "bloom_fpr",
-        "boolean_search", "bpe_merges", "bpe_token_stats",
-        "budget_alloc", "clean_rank_chain", "click_proximity",
-        "cms_counts", "compress_ratio", "containment_pairs",
-        "corpus_metrics", "cube_sales", "cusum_alarms", "daily_streaks",
-        "dataset_split", "debounce", "decontam_clean_chain",
-        "doc_stats", "dq_fingerprint_chain", "dq_report",
-        "entity_resolution", "event_pattern", "ewma_activity",
-        "extract_fixtures", "extract_meta", "extract_text",
-        "fd_histogram", "freq_spectrum", "hourly_profile", "id_gaps",
-        "impute_values", "interval_union", "ipc_roundtrip",
-        "join_explain", "k_anonymity", "kcenter_coreset",
-        "key_skew_gini", "local_supplier_revenue",
-        "markov_debounced_chain", "markov_events", "media_data_uri",
-        "media_meta", "media_phash", "ntile_values", "ohlc_hourly",
-        "orc_roundtrip", "percent_rank", "phash_band_pairs",
-        "pmi_pairs", "posting_lists", "pq_ann", "pq_codes",
-        "priority_sample", "quantile_normalize", "quote_screen_chain",
-        "rendezvous_shards", "rolling_anomaly", "scd2_history",
-        "schema_union", "semantic_decontam", "semantic_dedup",
-        "sentence_stats", "readability", "soundex_names",
-        "source_affixes",
-        "source_drift", "span_corruption", "spatial_join",
-        "stratified_sample", "table_fingerprint", "time_weighted_avg",
-        "token_dropout", "vocab_growth", "weighted_median",
-        "winnow_dedup", "winnow_fps", "zorder_layout",
-    ):
-        queries[name] = round(bench_query(q[name], sf_dir), 3)
-
-    # auto-coverage: any queries() entry not named above (newly added
-    # operators) still gets benched, so the artifact never goes stale
-    for name in sorted(set(q) - set(queries)):
+    for name in sorted(q):
         queries[name] = round(bench_query(q[name], sf_dir), 3)
 
     sentinel_after = run_sentinel()

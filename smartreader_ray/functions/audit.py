@@ -412,8 +412,9 @@ def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
     is two IEEE divisions of EXACT int64 products, scaled to nano
     units and floored so the per-category values — and any sum a
     consumer takes over them — are order-independent integers (the
-    source_entropy nano trick). Loud guard: |aN − n1·m| must stay
-    below 2³¹ so its square fits int64.
+    source_entropy nano trick). Loud guards: |aN − n1·m| must stay
+    below 2³¹ so its square fits int64, and a ``split_ts`` that leaves
+    either half empty raises ``ValueError``.
 
     Scale shape: one (half, category)-sized counting exchange,
     pre-combined per block; the finalize sees only the k-row
@@ -444,32 +445,40 @@ def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
               .aggregate(Sum("a", alias_name="a"),
                          Sum("b", alias_name="b")))
 
-    def finalize(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        n1, n2 = int(a.sum()), int(b.sum())
-        n = n1 + n2
-        m = a + b
-        d1 = a * n - n1 * m
-        d2 = b * n - n2 * m
-        if len(m) and max(int(np.abs(d1).max()),
-                          int(np.abs(d2).max())) >= (1 << 31):
-            raise OverflowError(
-                "chi2_drift: |aN - n1*m| reaches 2^31; its square wraps "
-                "int64 — subsample or rescale counts first")
-        r1 = (d1 * d1).astype(np.float64) / (m * n1 * n).astype(
-            np.float64)
-        r2 = (d2 * d2).astype(np.float64) / (m * n2 * n).astype(
-            np.float64)
-        contrib = np.floor(1e9 * (r1 + r2)).astype(np.int64)
-        return pa.table({
-            "category": t.column("cat"),
-            "n_early": pa.array(a, type=pa.int64()),
-            "n_late": pa.array(b, type=pa.int64()),
-            "contrib_nano": pa.array(contrib, type=pa.int64()),
-        })
-
     # k rows by construction — one block
     return (counts.repartition(1)
-            .map_batches(finalize, batch_format="pyarrow")
+            .map_batches(_chi2_contrib, batch_format="pyarrow")
             .sort("category"))
+
+
+def _chi2_contrib(t: pa.Table) -> pa.Table:
+    """chi2_drift's finalize over the (cat, a, b) contingency table."""
+    a = t.column("a").to_numpy(zero_copy_only=False)
+    b = t.column("b").to_numpy(zero_copy_only=False)
+    n1, n2 = int(a.sum()), int(b.sum())
+    if len(a) and (n1 == 0 or n2 == 0):
+        raise ValueError(
+            "chi2_drift: split_ts leaves one side empty "
+            f"(n_early={n1}, n_late={n2}); the statistic is undefined")
+    n = n1 + n2
+    m = a + b
+    d1 = a * n - n1 * m
+    d2 = b * n - n2 * m
+    if len(m) and max(int(np.abs(d1).max()),
+                      int(np.abs(d2).max())) >= (1 << 31):
+        raise OverflowError(
+            "chi2_drift: |aN - n1*m| reaches 2^31; its square wraps "
+            "int64 — subsample or rescale counts first")
+    # m*n1*N passes 2^63 near 2M rows, so the denominators are exact
+    # Python ints rounded once to float64: the oracle's
+    # CAST(BIGINT AS DOUBLE) gives the same value wherever it fits.
+    mo = m.astype(object)
+    r1 = (d1 * d1).astype(np.float64) / (mo * n1 * n).astype(np.float64)
+    r2 = (d2 * d2).astype(np.float64) / (mo * n2 * n).astype(np.float64)
+    contrib = np.floor(1e9 * (r1 + r2)).astype(np.int64)
+    return pa.table({
+        "category": t.column("cat"),
+        "n_early": pa.array(a, type=pa.int64()),
+        "n_late": pa.array(b, type=pa.int64()),
+        "contrib_nano": pa.array(contrib, type=pa.int64()),
+    })

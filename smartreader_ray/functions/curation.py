@@ -725,6 +725,14 @@ def l_diversity(ds, quasi_cols: list[str], sensitive_col: str,
             .map_batches(under_l, batch_format="pyarrow"))
 
 
+def _tvd_num(c: np.ndarray, cb: np.ndarray, ng: int, n: int) -> int:
+    """t_closeness numerator Σ_b |c_gb·N − n_g·c_b| + n_g·(N − Σ c_b).
+    Each band term fits int64 under the 2⁶² guard; their sum may not,
+    so it is taken in Python ints."""
+    present = sum(map(abs, (c * n - ng * cb).tolist()))
+    return present + ng * (n - int(cb.sum()))
+
+
 def t_closeness(ds, quasi_cols: list[str], sensitive_col: str,
                 t_num: int = 9, t_den: int = 20):
     """The third leg of the privacy triad (Li, Li & Venkatasubramanian,
@@ -785,8 +793,7 @@ def t_closeness(ds, quasi_cols: list[str], sensitive_col: str,
         cb = np.fromiter(
             (bands[v] for v in group.column(sensitive_col).to_pylist()),
             dtype=np.int64, count=group.num_rows)
-        present = int(np.abs(c * n - ng * cb).sum())
-        tvd_num = present + ng * (n - int(cb.sum()))
+        tvd_num = _tvd_num(c, cb, ng, n)
         if t_den * tvd_num <= 2 * t_num * ng * n:
             return pa.table(
                 {q: group.column(q).slice(0, 0) for q in quasi_cols}

@@ -1408,8 +1408,9 @@ def log_odds_terms(ds, text_col: str = "text", label_col: str = "lang",
     and vocab size V (the α=½ uninformative prior). The float tree is
     fixed-order libm ln/sqrt on exact int64 counts — the SQL oracle
     replays it bit for bit. Output: the ``top_k`` most target-leaning
-    (z desc) and ``top_k`` most rest-leaning (z asc) terms, columns
-    ``(term, cf_target, cf_rest, z)``, ordered (z desc, term).
+    (z desc) and ``top_k`` most rest-leaning (z asc) terms, each term
+    once, columns ``(term, cf_target, cf_rest, z)``, ordered (z desc,
+    term).
 
     Scale shape: ONE vocab-sized exchange — per-block partials emit
     (term, cf_target, cf_rest) with the side split done map-side, the
@@ -1489,8 +1490,11 @@ def log_odds_terms(ds, text_col: str = "text", label_col: str = "lang",
                       descending=[order == "descending", False])
                 .limit(top_k))
 
-    return (ends("descending").union(ends("ascending"))
-            .sort(["z", "term"], descending=[True, False]))
+    # with V <= 2*top_k the two ends overlap and together cover the
+    # whole vocabulary: emit every term once instead of their union
+    out = (scored if v <= 2 * top_k
+           else ends("descending").union(ends("ascending")))
+    return out.sort(["z", "term"], descending=[True, False])
 
 
 def good_turing(ds, text_col: str = "text", source_col: str = "source"):

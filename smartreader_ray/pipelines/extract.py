@@ -15,12 +15,10 @@ shuffle (the extraction map is embarrassingly parallel; the only wide
 op anywhere is the optional metrics rollup, which pre-aggregates per
 block before the tiny final combine).
 
-``split_oversized=True`` selects the two-branch plan (SizeProbe → route
-docs over ``size_threshold`` to a ``batch_size=1`` pool → union). That
-gives oversized docs their own scheduling granularity but makes each
-branch re-execute the upstream read — at 100 TB that is a 2× input-IO
-tax, so it is opt-in, for inputs where ``doc_bytes`` is already a cheap
-column of a pre-probed metadata table.
+There is no size-routed second plan: a branch that sent oversized docs
+to their own pool would re-execute the upstream read (a 2× input-IO
+tax), and the in-actor flush already ships an oversized doc's output as
+its own sub-batch.
 """
 
 from __future__ import annotations
@@ -31,20 +29,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..extraction import ExtractorConfig
-from ..stages.extract import ExtractBatch, SizeProbe
+from ..stages.extract import ExtractBatch
 
-#: docs above this source size are routed to the batch_size=1 pool
+#: docs at or above this source size flush their output as their own sub-batch
 DEFAULT_SIZE_THRESHOLD = 1_000_000
-
-
-def _mask_batch(threshold: int, keep_small: bool):
-    def fn(batch: pa.Table) -> pa.Table:
-        mask = pc.less(batch.column("doc_bytes"), threshold)
-        if not keep_small:
-            mask = pc.invert(mask)
-        return batch.filter(mask).drop_columns(["doc_bytes"])
-
-    return fn
 
 
 def build_extraction_pipeline(
@@ -56,8 +44,6 @@ def build_extraction_pipeline(
     size_threshold: int = DEFAULT_SIZE_THRESHOLD,
     include_content: bool = True,
     time_budget_s: float = 0.0,
-    split_oversized: bool = False,
-    actor_num_cpus: float = 0.9,
 ):
     """spans Dataset → article-rows Dataset (lazy)."""
     if concurrency is None:
@@ -77,42 +63,23 @@ def build_extraction_pipeline(
         # cap at n-1: a pool that reserves every cluster CPU starves the
         # producer side and the pipeline stalls.
         concurrency = (1, max(2, n_cpus - 1))
-    # actor_num_cpus slightly < 1 keeps a little extra headroom for the
-    # producer side even when callers pass a full-size pool explicitly.
-    kwargs = dict(
-        batch_format="pyarrow", num_cpus=actor_num_cpus, concurrency=concurrency
+    # num_cpus slightly < 1 keeps a little extra headroom for the producer
+    # side even when callers pass a full-size pool explicitly. Single pass:
+    # the input is read once; skew is handled inside the generator UDF.
+    return ds.map_batches(
+        ExtractBatch,
+        fn_constructor_kwargs=dict(
+            config=config,
+            base_uri=base_uri,
+            include_content=include_content,
+            time_budget_s=time_budget_s,
+            size_threshold=size_threshold,
+        ),
+        batch_size=batch_size,
+        batch_format="pyarrow",
+        num_cpus=0.9,
+        concurrency=concurrency,
     )
-    ctor = dict(
-        config=config,
-        base_uri=base_uri,
-        include_content=include_content,
-        time_budget_s=time_budget_s,
-        size_threshold=size_threshold,
-    )
-
-    if not split_oversized:
-        # single pass: input read once; skew handled inside the generator UDF
-        return ds.map_batches(
-            ExtractBatch,
-            fn_constructor_kwargs=ctor,
-            batch_size=batch_size,
-            **kwargs,
-        )
-
-    probed = ds.map_batches(SizeProbe(), batch_format="pyarrow")
-    small = probed.map_batches(
-        _mask_batch(size_threshold, keep_small=True), batch_format="pyarrow"
-    )
-    big = probed.map_batches(
-        _mask_batch(size_threshold, keep_small=False), batch_format="pyarrow"
-    )
-    small_out = small.map_batches(
-        ExtractBatch, fn_constructor_kwargs=ctor, batch_size=batch_size, **kwargs
-    )
-    big_out = big.map_batches(
-        ExtractBatch, fn_constructor_kwargs=ctor, batch_size=1, **kwargs
-    )
-    return small_out.union(big_out)
 
 
 def _metrics_fold(batch: pa.Table) -> pa.Table:

@@ -19,6 +19,7 @@ import pyarrow as pa
 
 from ..spanio import html_to_spans
 
+#: the reference's golden test pages: the one place the fixture path is set
 FIXTURE_DIR = "/root/reference/src/SmartReaderTests/test-pages"
 
 

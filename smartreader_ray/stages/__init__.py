@@ -1,10 +1,9 @@
-"""Ray Data batch stages: the extractor actor, size probe, metrics fold,
+"""Ray Data batch stages: the extractor actor, metrics fold,
 PDF text extraction, media decode / data-URI inlining."""
 
 from .extract import (
     ARTICLE_SCHEMA,
     ExtractBatch,
-    SizeProbe,
     article_to_row,
     rows_to_table,
 )
@@ -13,7 +12,6 @@ from .pdf import PdfTextExtract, make_simple_pdf, pdf_to_text
 __all__ = [
     "ARTICLE_SCHEMA",
     "ExtractBatch",
-    "SizeProbe",
     "article_to_row",
     "rows_to_table",
     "PdfTextExtract",

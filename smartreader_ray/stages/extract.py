@@ -272,26 +272,3 @@ class ExtractBatch:
                 rows, pending = [], 0
         if rows:
             yield rows_to_table(rows)
-
-
-class SizeProbe:
-    """Cheap pre-pass tagging each document with its source byte size —
-    the skew-routing key (SURVEY §4.3: oversized docs go to a
-    ``batch_size=1`` actor path with a per-doc budget)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if "spans" in batch.column_names:
-            sizes = [
-                sum(len(s.get("text") or "") for s in (spans or []))
-                for spans in batch.column("spans").to_pylist()
-            ]
-        elif "html" in batch.column_names:
-            import pyarrow.compute as pc
-
-            return batch.append_column(
-                "doc_bytes",
-                pc.cast(pc.binary_length(batch.column("html")), pa.int64()),
-            )
-        else:
-            sizes = [0] * batch.num_rows
-        return batch.append_column("doc_bytes", pa.array(sizes, type=pa.int64()))

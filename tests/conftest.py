@@ -19,3 +19,13 @@ def ray_session():
         )
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def reference_fixtures():
+    """The reference test-pages directory; skips the test when absent."""
+    from smartreader_ray.sources import FIXTURE_DIR
+
+    if not os.path.isdir(FIXTURE_DIR):
+        pytest.skip(f"reference fixtures absent: {FIXTURE_DIR}")
+    return FIXTURE_DIR

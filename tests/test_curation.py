@@ -382,6 +382,25 @@ def test_t_closeness_flags_skewed_groups(ray_session):
     assert ("C", 1) in out and out[("C", 1)]["tvd_num"] == 150
 
 
+def test_t_closeness_numerator_does_not_wrap():
+    from smartreader_ray.functions.curation import _tvd_num
+
+    # 64 global bands of 2^28 - 1 rows: max(c_b) * N stays under the
+    # 2^62 guard, and a group holding 32 whole bands makes each band
+    # term ~2^61 -- their sum (~2^66) wraps int64
+    cb_all = [(1 << 28) - 1] * 64
+    n = sum(cb_all)
+    assert max(cb_all) * n < (1 << 62)
+    c = np.array(cb_all[:32], dtype=np.int64)
+    cb = np.array(cb_all[:32], dtype=np.int64)
+    ng = int(c.sum())
+    want = (sum(abs(ci * n - ng * bi) for ci, bi in zip(c.tolist(),
+                                                        cb.tolist()))
+            + ng * (n - sum(cb.tolist())))
+    assert want >= (1 << 63)
+    assert _tvd_num(c, cb, ng, n) == want
+
+
 def test_c4_line_gates(ray_session):
     import ray.data
 

@@ -229,7 +229,7 @@ def test_fast_tokenizer_differential_snippets():
             assert se == fe, f"event mismatch on {snip!r}"
 
 
-def test_fast_tokenizer_differential_fixtures():
+def test_fast_tokenizer_differential_fixtures(reference_fixtures):
     from smartreader_ray.sources import fixture_names, fixture_spans_table
     from smartreader_ray.spanio import assemble_html
 

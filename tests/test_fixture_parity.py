@@ -12,9 +12,11 @@ import os
 import pytest
 
 from smartreader_ray.extraction import parse_article, try_parse_date
+from smartreader_ray.sources import FIXTURE_DIR as PAGES
 from smartreader_ray.spanio import flatten_element, flatten_html, spans_equal
 
-PAGES = "/root/reference/src/SmartReaderTests/test-pages"
+if not os.path.isdir(PAGES):
+    pytest.skip(f"reference fixtures absent: {PAGES}", allow_module_level=True)
 
 FIXTURES = sorted(
     d for d in os.listdir(PAGES) if os.path.isdir(os.path.join(PAGES, d))

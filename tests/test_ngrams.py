@@ -421,6 +421,22 @@ def test_log_odds_terms_direction(ray_session):
     assert top["cf_target"] == 5 and top["cf_rest"] == 0
 
 
+def test_log_odds_terms_small_vocab_emits_each_term_once(ray_session):
+    import ray.data
+
+    from smartreader_ray.functions import log_odds_terms
+
+    # five terms, top_k=5: both rank ends span the whole vocabulary
+    docs = [{"doc_id": 0, "lang": "en", "text": "alpha beta gamma"},
+            {"doc_id": 1, "lang": "fr", "text": "gamma delta epsilon"}]
+    out = log_odds_terms(ray.data.from_items(docs), label_col="lang",
+                         target_label="en", top_k=5).take_all()
+    terms = [r["term"] for r in out]
+    assert sorted(terms) == ["alpha", "beta", "delta", "epsilon", "gamma"]
+    zs = [(r["z"], r["term"]) for r in out]
+    assert zs == sorted(zs, key=lambda x: (-x[0], x[1]))
+
+
 def test_good_turing_estimators(ray_session):
     import ray.data
 

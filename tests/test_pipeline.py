@@ -22,7 +22,7 @@ def _spans_table(docs: dict[str, str]) -> pa.Table:
     )
 
 
-def test_extraction_pipeline_on_fixtures(ray_session):
+def test_extraction_pipeline_on_fixtures(ray_session, reference_fixtures):
     import ray.data
 
     from smartreader_ray.pipelines import build_extraction_pipeline, corpus_metrics
@@ -65,8 +65,7 @@ def test_error_row_isolation(ray_session):
         assert isinstance(r["completed"], bool)
 
 
-@pytest.mark.parametrize("split_oversized", [False, True])
-def test_skew_routing_splits_paths(ray_session, split_oversized):
+def test_skew_routing_splits_paths(ray_session):
     import ray.data
 
     from smartreader_ray.pipelines import build_extraction_pipeline
@@ -81,7 +80,6 @@ def test_skew_routing_splits_paths(ray_session, split_oversized):
         ray.data.from_arrow(table),
         batch_size=4,
         size_threshold=100_000,
-        split_oversized=split_oversized,
     )
     rows = {r["doc_id"]: r for r in out.take_all()}
     assert set(rows) == {"small", "big"}

@@ -415,7 +415,7 @@ def test_render_flat_spans_sentinel():
     assert empty.num_rows == 0
 
 
-def test_fixture_span_parity_query(ray_session):
+def test_fixture_span_parity_query(ray_session, reference_fixtures):
     """North-rule acceptance check as a query: extraction output vs
     expected.html under span-sequence equality, all fixtures equal."""
     import __ray_entry__ as entrymod

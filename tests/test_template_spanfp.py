@@ -246,3 +246,43 @@ def test_chi2_drift_detects_mix_shift(ray_session):
     # appears-from-nowhere category
     assert out["shifted"]["contrib_nano"] > out["stable"]["contrib_nano"]
     assert out["shifted"]["contrib_nano"] > 0
+
+
+def test_chi2_drift_one_sided_split_raises(ray_session):
+    import datetime
+
+    import pytest
+    import ray.data
+
+    from smartreader_ray.functions.audit import chi2_drift
+
+    from smartreader_ray.functions.audit import _chi2_contrib, chi2_drift
+
+    rows = [{"event_type": "a", "ts": datetime.datetime(2024, 1, 20)}] * 3
+    # raised inside a Ray task, so it surfaces wrapped; match its message
+    with pytest.raises(Exception, match="one side empty"):
+        chi2_drift(ray.data.from_items(rows), "event_type", "ts",
+                   datetime.datetime(2024, 1, 1)).take_all()
+    late_only = pa.table({"cat": ["a"], "a": pa.array([0], pa.int64()),
+                          "b": pa.array([3], pa.int64())})
+    with pytest.raises(ValueError, match="one side empty"):
+        _chi2_contrib(late_only)
+
+
+def test_chi2_drift_denominator_past_int64():
+    from smartreader_ray.functions.audit import _chi2_contrib
+
+    # n1 = n2 = 2^22, N = 2^23, m = 2^22: m*n1*N = 2^67 wraps int64,
+    # while |aN - n1*m| = 100 * 2^23 stays under the 2^31 guard
+    half = 1 << 21
+    t = pa.table({
+        "cat": ["x", "y"],
+        "a": pa.array([half + 100, half - 100], type=pa.int64()),
+        "b": pa.array([half - 100, half + 100], type=pa.int64()),
+    })
+    out = _chi2_contrib(t).column("contrib_nano").to_pylist()
+    n1 = n2 = 1 << 22
+    n, m, d = n1 + n2, 1 << 22, 100 * (1 << 23)
+    want = int(1e9 * (d * d / float(m * n1 * n) + d * d / float(m * n2 * n)))
+    assert out == [want, want]
+    assert want > 0

@@ -16,9 +16,8 @@ from datetime import timezone
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from smartreader_ray.extraction import parse_article  # noqa: E402
+from smartreader_ray.sources import FIXTURE_DIR as PAGES  # noqa: E402
 from smartreader_ray.spanio import flatten_element, flatten_html, spans_equal  # noqa: E402
-
-PAGES = "/root/reference/src/SmartReaderTests/test-pages"
 
 
 def ttr_to_seconds(s: str | None) -> int:
