@@ -10227,7 +10227,8 @@ def oracle_sql() -> dict[str, str]:
         """,
         # log_odds_terms: side-split collection frequencies, totals off
         # the same count table, the identical ln/sqrt z expression,
-        # both rank ends via ordered-limit subqueries.
+        # both rank ends via ordered-limit subqueries; UNION emits a
+        # term once when the two ends overlap (vocab <= 2*top_k).
         "log_odds_terms": """
             WITH tok AS (
                 SELECT CASE WHEN lang = 'en' THEN 1 ELSE 0 END AS is_t,
@@ -10257,7 +10258,7 @@ def oracle_sql() -> dict[str, str]:
             SELECT * FROM (
                 (SELECT term, cf_target, cf_rest, z FROM sc
                  ORDER BY z DESC, term LIMIT 15)
-                UNION ALL
+                UNION
                 (SELECT term, cf_target, cf_rest, z FROM sc
                  ORDER BY z ASC, term LIMIT 15)
             ) ORDER BY z DESC, term

@@ -1,24 +1,39 @@
-"""Joins: broadcast (map-side) for small sides, hash-shuffle for big-big.
+"""Joins: broadcast (map-side) for small sides, one partitioned exchange
+for big-big, and one distinct-key set for [NOT] EXISTS.
 
 ``broadcast_join``: when one side fits in memory (dimension tables,
 lookup maps), broadcast it once with ``ray.put`` and enrich the big side
 inside ``map_batches`` — zero shuffle, the big side streams through
 exactly once. Always prefer this when it applies.
 
-``hash_join``: when NEITHER side fits on one worker, both sides are
-keyed, payloads packed into per-side struct columns, unioned, and a
-``groupby(key)`` brings matching rows together — one all-to-all of each
-side (the unavoidable cost of a distributed equi-join). Per-key output
-is the cross product; a guard fails loudly on a hot key instead of
-OOMing the group task.
+The **partitioned-exchange core** serves ``hash_join``, ``range_join``
+and ``asof_join``. Each side is pruned and packed into rows of
+``__key`` (the join key in ``_key_type``), ``__part``
+(``hash64(key) % num_partitions``, or the reserved ``NULL_PART`` for
+null-key rows a mode keeps), ``__side`` and payload; ``_exchange``
+unions the two sides and groups them by ``__part`` — ONE all-to-all —
+and each partition is one vectorized call over its ``_key_runs``.
 
-``asof_join``: temporal join (each left row matched to the latest right
-row at-or-before it, per key) — the operator Ray Data lacks natively.
-Same union + ``groupby(by)`` partitioning as ``hash_join``; within a
-key the match is one vectorized ``np.searchsorted`` over the sorted
-right timestamps. Partitioning assumption: one ``by`` key's rows fit in
-a group task (same contract as any keyed groupby; salt or pre-bucket a
-pathological key).
+- ``hash_join``: equi-join; per key the left×right cross product with
+  numpy run-length arithmetic; a guard fails loudly on a hot key
+  instead of OOMing the group task.
+- ``range_join``: band/interval join; per key two ``np.searchsorted``
+  probes over the sorted right ``on`` values.
+- ``asof_join``: temporal join (each left row matched to the latest
+  right row at-or-before it, per key) — the operator Ray Data lacks
+  natively; per key one ``np.searchsorted``.
+
+Partitioning assumption for all three: one key's rows fit in a group
+task (salt or pre-bucket a pathological key).
+
+The **key-set core** serves ``semi_join``, ``anti_join`` and
+``bloom_confusion``: the distinct non-null keys of one side
+(``_distinct_keys``), collected into one broadcast array
+(``_collect_keys``) or folded into a Bloom bitmap (``_bloom_build``,
+probed by ``_bloom_probe`` — the only two functions that know the bit
+layout). Both sides' keys are cast to ``_key_type`` first, so the
+broadcast and Bloom regimes agree on which keys match.
+``semi_join`` and ``anti_join`` are one algorithm (``_semi_anti``).
 """
 
 from __future__ import annotations
@@ -27,6 +42,12 @@ from typing import Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+# the reserved exchange partition of null-key rows that a mode keeps
+# unmatched (outer joins, count mode, as-of left rows)
+NULL_PART = -1
+# hash partitions per exchange (hash_join's default; range/asof fixed)
+NUM_PARTITIONS = 64
 
 
 def compacted(ds, target_rows_per_block: int = 65_536):
@@ -90,10 +111,103 @@ def broadcast_join(ds, small, key: str, value_cols: list[str],
     return ds.map_batches(Enrich, batch_format="pyarrow", concurrency=concurrency)
 
 
+def _col_type(schema, col: str) -> pa.DataType:
+    """The type of ``col`` in a pyarrow or Ray Dataset schema."""
+    return schema.types[list(schema.names).index(col)]
+
+
+def _types(schema, cols) -> list[tuple[str, pa.DataType]]:
+    return [(c, _col_type(schema, c)) for c in cols]
+
+
+def _key_type(lt, rt):
+    """The type both sides' keys are cast to before they are exchanged,
+    hashed or compared: the NATIVE type when the two sides agree (an
+    int64 key ships 8 bytes/row across the all-to-all where its decimal
+    string ships up to 20, and sorts in-register), else string. A side
+    whose type is ``None`` (an empty key set has no schema) takes the
+    other's."""
+    if lt is None or rt is None:
+        return rt if lt is None else lt
+    return lt if lt == rt else pa.string()
+
+
+def _empty_table(names, types) -> pa.Table:
+    return pa.Table.from_arrays(
+        [pa.nulls(0, type=t) for t in types], names=names
+    )
+
+
+def _partition(keys, num_partitions: int, nulls=None) -> pa.Array:
+    """``__part`` of each packed row: its key's hash partition, or
+    ``NULL_PART`` where the boolean array ``nulls`` is true."""
+    import numpy as np
+
+    parts = (_key_hash_u64(keys)
+             % np.uint64(num_partitions)).astype(np.int64)
+    if nulls is not None:
+        isnull = nulls.to_numpy(zero_copy_only=False)
+        if isnull.any():
+            parts = np.where(isnull, NULL_PART, parts)
+    return pa.array(parts)
+
+
+def _exchange(l_packed, r_packed, empty: pa.Table, emit_nulls, emit_runs):
+    """The one all-to-all of hash_join, range_join and asof_join: union
+    the two packed sides and group by ``__part``; each partition is ONE
+    call — ``emit_nulls(group)`` for the reserved ``NULL_PART``
+    partition, ``emit_runs(group)`` for a hash partition, ``empty`` for
+    an empty group. Null-key rows a mode keeps travel the same exchange
+    in their reserved partition: no second scan of either input."""
+
+    def emit_part(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0:
+            return empty
+        if group.column("__part")[0].as_py() == NULL_PART:
+            return emit_nulls(group)
+        return emit_runs(group)
+
+    return (
+        l_packed.union(r_packed)
+        .groupby("__part")
+        .map_groups(emit_part, batch_format="pyarrow")
+    )
+
+
+def _key_runs(group: pa.Table, then: tuple[str, ...] = ()):
+    """Sort one hash partition by ``(__key, __side, *then)`` and find
+    its key runs: each run is one key's left rows (side 0) followed by
+    its right rows. Returns ``(g, k, starts, ends, nl)``: the sorted
+    group, its key column, the run bounds and each run's left-row
+    count."""
+    import numpy as np
+
+    order = pc.sort_indices(
+        group,
+        sort_keys=[("__key", "ascending"), ("__side", "ascending")]
+        + [(c, "ascending") for c in then],
+    )
+    g = group.take(order)
+    n = g.num_rows
+    k = g.column("__key").combine_chunks()
+    sides = g.column("__side").to_numpy(zero_copy_only=False)
+    if n > 1:
+        neq = pc.not_equal(k.slice(1, n - 1), k.slice(0, n - 1))
+        change = np.flatnonzero(
+            pc.fill_null(neq, True).to_numpy(zero_copy_only=False)
+        ).astype(np.int64) + 1
+    else:
+        change = np.empty(0, dtype=np.int64)
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [n]))
+    cs = np.concatenate(([0], np.cumsum(sides == 0, dtype=np.int64)))
+    return g, k, starts, ends, cs[ends] - cs[starts]
+
+
 def hash_join(left, right, left_key: str, right_key: str,
               left_cols: list[str], right_cols: list[str],
               max_pairs_per_key: int = 10_000_000, how: str = "inner",
-              salt: int = 1, num_partitions: int = 64):
+              salt: int = 1, num_partitions: int = NUM_PARTITIONS):
     """Distributed equi-join of two big Datasets.
 
     Both sides are pruned to ``key + cols``, packed into one struct
@@ -135,19 +249,18 @@ def hash_join(left, right, left_key: str, right_key: str,
     # schema() on a lazy Dataset can trigger upstream execution — fetch
     # each side's schema exactly ONCE and derive everything from it
     lschema, rschema = left.schema(), right.schema()
-    # keep the NATIVE key type when both sides agree — an int64 key
-    # ships 8 bytes/row across the all-to-all where its decimal string
-    # ships up to 20; cast to string only to reconcile mismatched types
-    lk_type = dict(zip(lschema.names, lschema.types))[left_key]
-    rk_type = dict(zip(rschema.names, rschema.types))[right_key]
-    key_type = lk_type if lk_type == rk_type else pa.string()
+    key_type = _key_type(_col_type(lschema, left_key),
+                         _col_type(rschema, right_key))
+    l_fields = _types(lschema, left_cols)
+    r_fields = _types(rschema, right_cols)
+    left_type = pa.struct([pa.field(c, t) for c, t in l_fields])
+    right_type = pa.struct([pa.field(c, t) for c, t in r_fields])
 
     # SQL semantics: a NULL key matches NOTHING (not even another NULL).
-    # Modes that must KEEP unmatched null-key rows route them to one
-    # reserved partition inside the SAME pack pass (``__part = -1``)
-    # instead of re-reading the whole input in a second null-extraction
-    # leg — at 100 TB an outer join must not scan its inputs twice.
-    NULL_PART = -1
+    # Modes that must KEEP unmatched null-key rows route them to
+    # NULL_PART inside the SAME pack pass instead of re-reading the
+    # whole input in a second null-extraction leg — at 100 TB an outer
+    # join must not scan its inputs twice.
     need_left_nulls = how in ("left", "left_anti", "full_outer")
     need_right_nulls = how in ("right", "full_outer")
 
@@ -181,16 +294,12 @@ def hash_join(left, right, left_key: str, right_key: str,
                     pa.array(sv.astype("U"), type=pa.string()),
                     "\x1f",
                 )
-            parts = (_key_hash_u64(keys)
-                     % np.uint64(num_partitions)).astype(np.int64)
-            if keep_nulls:
-                isnull = pc.is_null(keys).to_numpy(zero_copy_only=False)
-                if isnull.any():
-                    parts = np.where(isnull, NULL_PART, parts)
             return pa.Table.from_pydict(
                 {
                     "__key": keys,
-                    "__part": pa.array(parts),
+                    "__part": _partition(
+                        keys, num_partitions,
+                        pc.is_null(keys) if keep_nulls else None),
                     "__side": pa.array([side] * n, type=pa.int8()),
                     "__left": payload if side == 0 else pa.nulls(
                         n, type=left_type
@@ -203,13 +312,6 @@ def hash_join(left, right, left_key: str, right_key: str,
 
         return fn
 
-    def _struct_type(schema, cols):
-        types = dict(zip(schema.names, schema.types))
-        return pa.struct([pa.field(c, types[c]) for c in cols])
-
-    left_type = _struct_type(lschema, left_cols)
-    right_type = _struct_type(rschema, right_cols)
-
     l_sel = [left_key] + [c for c in left_cols if c != left_key]
     r_sel = [right_key] + [c for c in right_cols if c != right_key]
     l_packed = left.select_columns(l_sel).map_batches(
@@ -220,65 +322,39 @@ def hash_join(left, right, left_key: str, right_key: str,
     )
 
     out_names = left_cols if how == "left_anti" else left_cols + right_cols
-    out_types = list(left_type) if how == "left_anti" else (
-        list(left_type) + list(right_type)
-    )
+    out_types = [t for _, t in l_fields] + (
+        [] if how == "left_anti" else [t for _, t in r_fields])
+    empty = _empty_table(out_names, out_types)
 
-    def _empty() -> pa.Table:
-        return pa.Table.from_arrays(
-            [pa.nulls(0, type=f.type) for f in out_types], names=out_names
-        )
+    def emit_nulls(group: pa.Table) -> pa.Table:
+        """The null-key partition: only sides whose unmatched rows this
+        mode keeps ever route here — emit them as unmatched (nulls
+        opposite), exactly like SQL outer joins."""
+        sides_np = group.column("__side").to_numpy(zero_copy_only=False)
+        chunks: list[pa.Table] = []
+        ln = group.column("__left").combine_chunks().filter(
+            pa.array(sides_np == 0))
+        if len(ln):
+            arrays = [ln.field(c) for c in left_cols]
+            if how != "left_anti":
+                arrays += [pa.nulls(len(ln), type=t) for _, t in r_fields]
+            chunks.append(pa.Table.from_arrays(arrays, names=out_names))
+        rn = group.column("__right").combine_chunks().filter(
+            pa.array(sides_np == 1))
+        if len(rn):
+            chunks.append(pa.Table.from_arrays(
+                [pa.nulls(len(rn), type=t) for _, t in l_fields]
+                + [rn.field(c) for c in right_cols],
+                names=out_names))
+        return pa.concat_tables(chunks) if chunks else empty
 
-    def emit_part(group: pa.Table) -> pa.Table:
-        """One call per hash partition: sort by key, find key runs, emit
-        every run's cross product (plus the mode's unmatched rows) with
-        pure numpy index arithmetic — zero per-key Python."""
+    def emit_runs(group: pa.Table) -> pa.Table:
+        """Emit every key run's cross product (plus the mode's unmatched
+        rows) with pure numpy index arithmetic — zero per-key Python."""
         import numpy as np
 
-        n = group.num_rows
-        if n == 0:
-            return _empty()
-        if group.column("__part")[0].as_py() == NULL_PART:
-            # the reserved null-key partition: only sides whose unmatched
-            # rows this mode keeps ever route here — emit them as
-            # unmatched (nulls opposite), exactly like SQL outer joins
-            sides_np = group.column("__side").to_numpy(zero_copy_only=False)
-            chunks: list[pa.Table] = []
-            ln = group.column("__left").combine_chunks().filter(
-                pa.array(sides_np == 0))
-            if len(ln):
-                arrays = [ln.field(c) for c in left_cols]
-                if how != "left_anti":
-                    arrays += [pa.nulls(len(ln), type=f.type)
-                               for f in right_type]
-                chunks.append(pa.Table.from_arrays(arrays, names=out_names))
-            rn = group.column("__right").combine_chunks().filter(
-                pa.array(sides_np == 1))
-            if len(rn):
-                chunks.append(pa.Table.from_arrays(
-                    [pa.nulls(len(rn), type=f.type) for f in left_type]
-                    + [rn.field(c) for c in right_cols],
-                    names=out_names))
-            return pa.concat_tables(chunks) if chunks else _empty()
-        order = pc.sort_indices(
-            group,
-            sort_keys=[("__key", "ascending"), ("__side", "ascending")],
-        )
-        g = group.take(order)
-        k = g.column("__key").combine_chunks()
-        sides = g.column("__side").to_numpy(zero_copy_only=False)
-        if n > 1:
-            neq = pc.not_equal(k.slice(1, n - 1), k.slice(0, n - 1))
-            change = np.flatnonzero(
-                pc.fill_null(neq, True).to_numpy(zero_copy_only=False)
-            ).astype(np.int64) + 1
-        else:
-            change = np.empty(0, dtype=np.int64)
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [n]))
+        g, k, starts, ends, nl = _key_runs(group)
         runs = ends - starts
-        cs = np.concatenate(([0], np.cumsum(sides == 0, dtype=np.int64)))
-        nl = cs[ends] - cs[starts]        # left rows lead each run
         nr = runs - nl
         l_struct = g.column("__left").combine_chunks()
         r_struct = g.column("__right").combine_chunks()
@@ -286,7 +362,7 @@ def hash_join(left, right, left_key: str, right_key: str,
         if how == "left_anti":
             rows = np.flatnonzero(np.repeat(nr == 0, runs))
             if not len(rows):
-                return _empty()
+                return empty
             ls = l_struct.take(pa.array(rows, type=pa.int64()))
             return pa.Table.from_arrays(
                 [ls.field(c) for c in left_cols], names=left_cols
@@ -324,7 +400,7 @@ def hash_join(left, right, left_key: str, right_key: str,
                 ls = l_struct.take(pa.array(rows, type=pa.int64()))
                 out_parts.append(pa.Table.from_arrays(
                     [ls.field(c) for c in left_cols]
-                    + [pa.nulls(len(rows), type=f.type) for f in right_type],
+                    + [pa.nulls(len(rows), type=t) for _, t in r_fields],
                     names=left_cols + right_cols,
                 ))
         if how in ("right", "full_outer"):
@@ -332,21 +408,64 @@ def hash_join(left, right, left_key: str, right_key: str,
             if len(rows):
                 rs = r_struct.take(pa.array(rows, type=pa.int64()))
                 out_parts.append(pa.Table.from_arrays(
-                    [pa.nulls(len(rows), type=f.type) for f in left_type]
+                    [pa.nulls(len(rows), type=t) for _, t in l_fields]
                     + [rs.field(c) for c in right_cols],
                     names=left_cols + right_cols,
                 ))
         if not out_parts:
-            return _empty()
+            return empty
         return pa.concat_tables(out_parts)
 
-    # one groupby, one pass: null-key rows travel the same exchange in
-    # their reserved partition — no second scan of either input
-    return (
-        l_packed.union(r_packed)
-        .groupby("__part")
-        .map_groups(emit_part, batch_format="pyarrow")
-    )
+    return _exchange(l_packed, r_packed, empty, emit_nulls, emit_runs)
+
+
+def _pack_by_on(left, right, by: str, on: str, left_cols: list[str],
+                right_cols: list[str], keep_left_nulls: bool):
+    """Both sides of range_join/asof_join, pruned and packed for
+    ``_exchange``: ``__key`` (``by`` in ``_key_type``), ``__part``,
+    ``__on``, ``__side``, the side's own payload columns, and the other
+    side's payload columns as typed nulls. Returns ``(l_packed,
+    r_packed, l_types, r_types)`` with each payload's ``(name, type)``.
+
+    SQL semantics: a null ``by``/``on`` can never produce a match. Such
+    rows are dropped, except on the left side of a left-outer operator
+    (``keep_left_nulls``), where they ride the same exchange in
+    ``NULL_PART`` instead of a second scan of the input."""
+    # fetch each side's schema exactly once (schema() on a lazy Dataset
+    # can trigger execution)
+    lschema, rschema = left.schema(), right.schema()
+    key_type = _key_type(_col_type(lschema, by), _col_type(rschema, by))
+    l_types = _types(lschema, left_cols)
+    r_types = _types(rschema, right_cols)
+
+    def pack(ds, side, mine, theirs, keep_nulls):
+        def fn(batch: pa.Table) -> pa.Table:
+            valid = pc.and_(pc.is_valid(batch.column(by)),
+                            pc.is_valid(batch.column(on)))
+            if not keep_nulls:
+                batch = batch.filter(valid)
+            n = batch.num_rows
+            keys = pc.cast(batch.column(by), key_type)
+            cols = {
+                "__key": keys,
+                "__part": _partition(
+                    keys, NUM_PARTITIONS,
+                    pc.invert(valid) if keep_nulls else None),
+                "__on": batch.column(on),
+                "__side": pa.array([side] * n, type=pa.int8()),
+            }
+            for c in mine:
+                cols[c] = batch.column(c)
+            for c, t in theirs:
+                cols[c] = pa.nulls(n, type=t)
+            return pa.Table.from_pydict(cols)
+
+        keep = [by, on] + [c for c in mine if c not in (by, on)]
+        return ds.select_columns(keep).map_batches(fn, batch_format="pyarrow")
+
+    return (pack(left, 0, left_cols, r_types, keep_left_nulls),
+            pack(right, 1, right_cols, l_types, False),
+            l_types, r_types)
 
 
 def range_join(left, right, by: str, on: str,
@@ -354,8 +473,7 @@ def range_join(left, right, by: str, on: str,
                lower, upper, include_lower: bool = True,
                include_upper: bool = True, mode: str = "pairs",
                count_name: str = "n_matches",
-               max_pairs_per_key: int = 10_000_000,
-               num_partitions: int = 64):
+               max_pairs_per_key: int = 10_000_000):
     """Distributed band/interval join: for every left row, the right rows
     (same ``by`` key) whose ``on`` lies within ``[left.on + lower,
     left.on + upper]`` (bounds in the column's native units — e.g.
@@ -383,69 +501,12 @@ def range_join(left, right, by: str, on: str,
     if overlap and mode == "pairs":
         raise ValueError(f"output column collision: {sorted(overlap)}")
 
-    # fetch each side's schema exactly once (schema() on a lazy Dataset
-    # can trigger execution)
-    lschema, rschema = left.schema(), right.schema()
-
-    def _types(schema, cols):
-        m = dict(zip(schema.names, schema.types))
-        return [(c, m[c]) for c in cols]
-
-    l_types = _types(lschema, left_cols)
-    r_types = _types(rschema, right_cols) if mode == "pairs" else []
-    r_keep = right_cols if mode == "pairs" else []
-
-    # keep the NATIVE key type when both sides agree — an int64 key
-    # ships 8 bytes/row and sorts in-register; string only reconciles
-    # mismatched types (same rule as hash_join)
-    lb = dict(zip(lschema.names, lschema.types))[by]
-    rb = dict(zip(rschema.names, rschema.types))[by]
-    key_type = lb if lb == rb else pa.string()
-
-    NULL_PART = -1
-
-    def pack(side):
-        mine = left_cols if side == 0 else r_keep
-        theirs = r_types if side == 0 else l_types
-        # SQL semantics: null by/on can never produce a match. count
-        # mode is left-outer, so LEFT null rows ride the same exchange
-        # in a reserved partition (count 0) instead of a second scan of
-        # the input; every other side/mode just drops them.
-        keep_nulls = side == 0 and mode == "count"
-
-        def fn(batch: pa.Table) -> pa.Table:
-            valid = pc.and_(pc.is_valid(batch.column(by)),
-                            pc.is_valid(batch.column(on)))
-            if not keep_nulls:
-                batch = batch.filter(valid)
-            n = batch.num_rows
-            keys = pc.cast(batch.column(by), key_type)
-            parts = (_key_hash_u64(keys)
-                     % np.uint64(num_partitions)).astype(np.int64)
-            if keep_nulls:
-                bad = pc.invert(valid).to_numpy(zero_copy_only=False)
-                if bad.any():
-                    parts = np.where(bad, NULL_PART, parts)
-            cols = {
-                "__key": keys,
-                "__part": pa.array(parts),
-                "__on": batch.column(on),
-                "__side": pa.array([side] * n, type=pa.int8()),
-            }
-            for c in mine:
-                cols[c] = batch.column(c)
-            for c, t in theirs:
-                cols[c] = pa.nulls(n, type=t)
-            return pa.Table.from_pydict(cols)
-
-        return fn
-
-    def prune(ds, cols):
-        keep = [by, on] + [c for c in cols if c not in (by, on)]
-        return ds.select_columns(keep)
-
-    l_packed = prune(left, left_cols).map_batches(pack(0), batch_format="pyarrow")
-    r_packed = prune(right, r_keep).map_batches(pack(1), batch_format="pyarrow")
+    # count mode is left-outer (null rows count 0) and carries no right
+    # payload
+    l_packed, r_packed, l_types, r_types = _pack_by_on(
+        left, right, by, on, left_cols,
+        right_cols if mode == "pairs" else [],
+        keep_left_nulls=mode == "count")
 
     def _on_i64(col) -> "np.ndarray":
         v = col.to_numpy(zero_copy_only=False)
@@ -459,58 +520,32 @@ def range_join(left, right, by: str, on: str,
             )
         return v.astype(np.int64)
 
-    def _empty(names, types):
-        return pa.Table.from_arrays(
-            [pa.nulls(0, type=t) for t in types], names=names
-        )
+    if mode == "count":
+        out_names = left_cols + [count_name]
+        out_types = [t for _, t in l_types] + [pa.int64()]
+    else:
+        out_names = left_cols + right_cols
+        out_types = [t for _, t in l_types] + [t for _, t in r_types]
+    empty = _empty_table(out_names, out_types)
 
-    count_names = left_cols + [count_name]
-    count_types = [t for _, t in l_types] + [pa.int64()]
-    pair_names = left_cols + right_cols
-    pair_types = [t for _, t in l_types] + [t for _, t in r_types]
+    def emit_nulls(group: pa.Table) -> pa.Table:
+        # count mode only: one row per null-by/on left row, zero matches
+        out = {c: group.column(c) for c in left_cols}
+        out[count_name] = pa.array(np.zeros(group.num_rows, dtype=np.int64))
+        return pa.Table.from_pydict(out)
 
-    def emit_part(group: pa.Table) -> pa.Table:
-        """One call per hash partition: sort by (key, side, on), then
-        per key run two searchsorted probes over the run's right slice;
-        pair/count indices accumulate into flat arrays and ONE take
-        builds the output — no per-key group-UDF dispatch."""
-        n = group.num_rows
-        if n == 0:
-            return _empty(*((count_names, count_types) if mode == "count"
-                            else (pair_names, pair_types)))
-        if group.column("__part")[0].as_py() == NULL_PART:
-            # reserved null-by/on partition (count mode only): one row
-            # per left row with zero matches
-            out = {c: group.column(c) for c in left_cols}
-            out[count_name] = pa.array(np.zeros(n, dtype=np.int64))
-            return pa.Table.from_pydict(out)
-        order = pc.sort_indices(
-            group,
-            sort_keys=[("__key", "ascending"), ("__side", "ascending"),
-                       ("__on", "ascending")],
-        )
-        g = group.take(order)
-        k = g.column("__key").combine_chunks()
-        sides = g.column("__side").to_numpy(zero_copy_only=False)
-        if n > 1:
-            neq = pc.not_equal(k.slice(1, n - 1), k.slice(0, n - 1))
-            change = np.flatnonzero(
-                pc.fill_null(neq, True).to_numpy(zero_copy_only=False)
-            ).astype(np.int64) + 1
-        else:
-            change = np.empty(0, dtype=np.int64)
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [n]))
-        runs = ends - starts
-        cs = np.concatenate(([0], np.cumsum(sides == 0, dtype=np.int64)))
-        nl = cs[ends] - cs[starts]        # left rows lead each run
-        nr = runs - nl
+    def emit_runs(group: pa.Table) -> pa.Table:
+        """Sort by (key, side, on), then per key run two searchsorted
+        probes over the run's right slice; pair/count indices accumulate
+        into flat arrays and ONE take builds the output — no per-key
+        group-UDF dispatch."""
+        g, k, starts, ends, nl = _key_runs(group, ("__on",))
         on_all = _on_i64(g.column("__on"))
 
         l_rows_acc: list = []
         cnt_acc: list = []
         ri_acc: list = []
-        for r in range(len(runs)):
+        for r in range(len(starts)):
             nlr = int(nl[r])
             if nlr == 0:
                 continue
@@ -550,8 +585,7 @@ def range_join(left, right, by: str, on: str,
                     - np.repeat(cc, counts) + np.repeat(lo, counts) + r_lo)
 
         if not l_rows_acc:
-            return _empty(*((count_names, count_types) if mode == "count"
-                            else (pair_names, pair_types)))
+            return empty
         l_rows = np.concatenate(l_rows_acc)
         counts_all = np.concatenate(cnt_acc) if cnt_acc else \
             np.zeros(len(l_rows), dtype=np.int64)
@@ -561,7 +595,7 @@ def range_join(left, right, by: str, on: str,
             out[count_name] = pa.array(counts_all.astype(np.int64))
             return pa.Table.from_pydict(out)
         if not ri_acc:
-            return _empty(pair_names, pair_types)
+            return empty
         li = np.repeat(l_rows, counts_all)
         ri = np.concatenate(ri_acc)
         lt2 = g.take(pa.array(li))
@@ -569,21 +603,14 @@ def range_join(left, right, by: str, on: str,
         arrays = [lt2.column(c).combine_chunks() for c in left_cols] + [
             rt2.column(c).combine_chunks() for c in right_cols
         ]
-        return pa.Table.from_arrays(arrays, names=pair_names)
+        return pa.Table.from_arrays(arrays, names=out_names)
 
-    # one pass: count mode's left-outer null rows travel the exchange in
-    # their reserved partition — no second scan of the left input
-    return (
-        l_packed.union(r_packed)
-        .groupby("__part")
-        .map_groups(emit_part, batch_format="pyarrow")
-    )
+    return _exchange(l_packed, r_packed, empty, emit_nulls, emit_runs)
 
 
 def asof_join(left, right, by: str, on: str,
               left_cols: list[str], right_cols: list[str],
-              direction: str = "backward", allow_equal: bool = True,
-              num_partitions: int = 64):
+              direction: str = "backward", allow_equal: bool = True):
     """Distributed as-of join: for every left row, the single right row
     with the greatest ``on`` ≤ left's ``on`` (direction="backward"; with
     "forward", the least ``on`` ≥ left's) sharing the same ``by`` key.
@@ -596,128 +623,42 @@ def asof_join(left, right, by: str, on: str,
     before the single all-to-all; within each key group the match is one
     ``np.searchsorted`` over the sorted right side — no per-row Python.
     """
+    import numpy as np
+
     if direction not in ("backward", "forward"):
         raise ValueError(f"unsupported direction={direction!r}")
     overlap = set(left_cols) & set(right_cols)
     if overlap:
         raise ValueError(f"output column collision: {sorted(overlap)}")
 
-    # fetch each side's schema exactly once (schema() on a lazy Dataset
-    # can trigger execution)
-    lschema, rschema = left.schema(), right.schema()
+    # left-outer: left null-by/on rows are kept with null right columns
+    l_packed, r_packed, l_types, r_types = _pack_by_on(
+        left, right, by, on, left_cols, right_cols, keep_left_nulls=True)
+    out_names = left_cols + right_cols
+    empty = _empty_table(out_names, [t for _, t in l_types + r_types])
 
-    def _types(schema, cols):
-        m = dict(zip(schema.names, schema.types))
-        return [(c, m[c]) for c in cols]
+    def emit_nulls(group: pa.Table) -> pa.Table:
+        # left rows only; their right columns are already null in the
+        # packed layout
+        return group.select(out_names)
 
-    l_types = _types(lschema, left_cols)
-    r_types = _types(rschema, right_cols)
-
-    # keep the NATIVE key type when both sides agree (same rule as
-    # hash_join/range_join); string only reconciles mismatched types
-    lb = dict(zip(lschema.names, lschema.types))[by]
-    rb = dict(zip(rschema.names, rschema.types))[by]
-    key_type = lb if lb == rb else pa.string()
-
-    NULL_PART = -1
-
-    def pack(side):
-        mine = left_cols if side == 0 else right_cols
-        theirs_types = r_types if side == 0 else l_types
-
-        def fn(batch: pa.Table) -> pa.Table:
-            # SQL semantics: null by/on can never produce a match. The
-            # join is left-outer, so LEFT null rows ride the exchange in
-            # a reserved partition (right columns stay null) instead of
-            # a second scan of the input; right null rows just drop.
-            import numpy as np
-
-            valid = pc.and_(pc.is_valid(batch.column(by)),
-                            pc.is_valid(batch.column(on)))
-            if side == 1:
-                batch = batch.filter(valid)
-            n = batch.num_rows
-            keys = pc.cast(batch.column(by), key_type)
-            parts = (_key_hash_u64(keys)
-                     % np.uint64(num_partitions)).astype(np.int64)
-            if side == 0:
-                bad = pc.invert(valid).to_numpy(zero_copy_only=False)
-                if bad.any():
-                    parts = np.where(bad, NULL_PART, parts)
-            cols = {
-                "__key": keys,
-                "__part": pa.array(parts),
-                "__on": batch.column(on),
-                "__side": pa.array([side] * n, type=pa.int8()),
-            }
-            for c in mine:
-                cols[c] = batch.column(c)
-            for c, t in theirs_types:
-                cols[c] = pa.nulls(n, type=t)
-            return pa.Table.from_pydict(cols)
-
-        return fn
-
-    def prune(ds, cols):
-        keep = [by, on] + [c for c in cols if c not in (by, on)]
-        return ds.select_columns(keep)
-
-    l_packed = prune(left, left_cols).map_batches(
-        pack(0), batch_format="pyarrow"
-    )
-    r_packed = prune(right, right_cols).map_batches(
-        pack(1), batch_format="pyarrow"
-    )
-
-    import numpy as np
-
-    def emit_part(group: pa.Table) -> pa.Table:
-        """One call per hash partition: sort by (key, side, on [, right
-        payload tie-breakers]) so each key run holds its left rows then
-        its on-sorted right rows; per run the match is one searchsorted
-        over numpy slices, with match indices accumulated into flat
-        arrays and ONE take per output column — no per-key group-UDF
-        dispatch. Tie rule (preserved from the per-key kernel): among
-        equal __on right rows, backward matches pick the LARGEST payload
-        tuple (searchsorted side="right" lands past the last tied row),
-        forward matches the smallest."""
-        n = group.num_rows
-        if n == 0:
-            return pa.Table.from_arrays(
-                [pa.nulls(0, type=t) for _, t in l_types + r_types],
-                names=left_cols + right_cols,
-            )
-        if group.column("__part")[0].as_py() == NULL_PART:
-            # reserved null-by/on partition: left rows only, and their
-            # right columns are already null in the packed layout
-            return group.select(left_cols + right_cols)
-        order = pc.sort_indices(
-            group,
-            sort_keys=[("__key", "ascending"), ("__side", "ascending"),
-                       ("__on", "ascending")]
-            + [(c, "ascending") for c in right_cols],
-        )
-        g = group.take(order)
-        k = g.column("__key").combine_chunks()
-        sides = g.column("__side").to_numpy(zero_copy_only=False)
-        if n > 1:
-            neq = pc.not_equal(k.slice(1, n - 1), k.slice(0, n - 1))
-            change = np.flatnonzero(
-                pc.fill_null(neq, True).to_numpy(zero_copy_only=False)
-            ).astype(np.int64) + 1
-        else:
-            change = np.empty(0, dtype=np.int64)
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [n]))
-        runs = ends - starts
-        cs = np.concatenate(([0], np.cumsum(sides == 0, dtype=np.int64)))
-        nl = cs[ends] - cs[starts]        # left rows lead each run
+    def emit_runs(group: pa.Table) -> pa.Table:
+        """Sort by (key, side, on, right payload tie-breakers) so each
+        key run holds its left rows then its on-sorted right rows; per
+        run the match is one searchsorted over numpy slices, with match
+        indices accumulated into flat arrays and ONE take per output
+        column — no per-key group-UDF dispatch. Tie rule (preserved from
+        the per-key kernel): among equal __on right rows, backward
+        matches pick the LARGEST payload tuple (searchsorted
+        side="right" lands past the last tied row), forward matches the
+        smallest."""
+        g, _, starts, ends, nl = _key_runs(group, ("__on", *right_cols))
         on_all = g.column("__on").to_numpy(zero_copy_only=False)
 
         l_rows_acc: list = []
         take_acc: list = []
         valid_acc: list = []
-        for r in range(len(runs)):
+        for r in range(len(starts)):
             nlr = int(nl[r])
             if nlr == 0:
                 continue
@@ -744,10 +685,7 @@ def asof_join(left, right, by: str, on: str,
             valid_acc.append(valid)
 
         if not l_rows_acc:
-            return pa.Table.from_arrays(
-                [pa.nulls(0, type=t) for _, t in l_types + r_types],
-                names=left_cols + right_cols,
-            )
+            return empty
         l_rows = pa.array(np.concatenate(l_rows_acc))
         tk = np.concatenate(take_acc)
         vd = np.concatenate(valid_acc)
@@ -757,13 +695,7 @@ def asof_join(left, right, by: str, on: str,
             out[c] = g.column(c).take(take_idx)
         return pa.Table.from_pydict(out)
 
-    # one pass: left-outer null rows travel the exchange in their
-    # reserved partition — no second scan of the left input
-    return (
-        l_packed.union(r_packed)
-        .groupby("__part")
-        .map_groups(emit_part, batch_format="pyarrow")
-    )
+    return _exchange(l_packed, r_packed, empty, emit_nulls, emit_runs)
 
 
 def _mix64(x):
@@ -791,8 +723,8 @@ def _key_hash_u64(arr: pa.ChunkedArray | pa.Array):
         # fill nulls BEFORE to_numpy: a null in an int64 column makes
         # to_numpy return float64 (NaN), and .view on float bits would
         # hash every value in the batch wrong. Null rows hash as 0 —
-        # callers either mask nulls out (anti_join) or tolerate the
-        # false positive (semi_join's exact verify drops it).
+        # callers mask them out (a null key matches nothing) or route
+        # them to NULL_PART.
         v = pc.fill_null(pc.cast(arr, pa.int64()), 0).to_numpy(
             zero_copy_only=False)
         return _mix64(v.astype(np.int64).view(np.uint64))
@@ -813,6 +745,137 @@ def _bloom_positions(h, bloom_bits: int, k: int):
         return [(h1 + np.uint64(i) * h2) & mask for i in range(k)]
 
 
+def _distinct_keys(ds, key: str):
+    """The distinct non-null values of ``ds[key]`` as a one-column
+    Dataset, and their type (``None`` when there are none: an empty
+    Dataset has no schema). SQL [NOT] EXISTS: a null key matches
+    nothing, so it is dropped from the set.
+
+    Materialized: the set is distinct-key-sized and lives in the OBJECT
+    STORE (spills, never driver heap); its consumers (count, Bloom
+    build, broadcast, verify join) would each re-execute the whole
+    derivation otherwise."""
+    keys = (
+        ds.select_columns([key])
+        .groupby(key)
+        .count()
+        .map_batches(lambda b: b.select([key]).filter(
+            pc.is_valid(b.column(key))), batch_format="pyarrow")
+    ).materialize()
+    schema = keys.schema()
+    return keys, None if schema is None else _col_type(schema, key)
+
+
+def _collect_keys(keys, key: str, key_type) -> pa.Array:
+    """A distinct-key Dataset as ONE array in ``key_type``, to broadcast."""
+    return pa.chunked_array(
+        [pc.cast(b.column(key), key_type)
+         for b in keys.iter_batches(batch_format="pyarrow")],
+        type=key_type,
+    ).combine_chunks()
+
+
+def _bloom_build(keys, key: str, key_type, bloom_bits: int, bloom_k: int):
+    """The Bloom bitmap (``bloom_bits // 8`` uint8 bytes; bit ``p`` is
+    bit ``p & 7`` of byte ``p >> 3``) of a distinct-key Dataset, keys
+    cast to ``key_type`` and hashed by ``_key_hash_u64``. Built from
+    per-block partial bitmaps OR-merged on the driver: constant
+    ``bloom_bits/8`` bytes per block regardless of key count
+    (tree-merge if block count ever makes the driver OR the
+    bottleneck)."""
+    import numpy as np
+
+    nbytes = bloom_bits // 8
+
+    def bloom_partial(b: pa.Table) -> pa.Table:
+        bits = np.zeros(nbytes, dtype=np.uint8)
+        h = _key_hash_u64(pc.cast(b.column(key), key_type))
+        for idx in _bloom_positions(h, bloom_bits, bloom_k):
+            np.bitwise_or.at(bits, (idx >> np.uint64(3)).astype(np.int64),
+                             np.uint8(1) << (idx & np.uint64(7)).astype(np.uint8))
+        return pa.table({"bits": pa.array([bits.tobytes()],
+                                          type=pa.binary())})
+
+    merged = np.zeros(nbytes, dtype=np.uint8)
+    for row in keys.map_batches(bloom_partial,
+                                batch_format="pyarrow").iter_rows():
+        merged |= np.frombuffer(row["bits"], dtype=np.uint8)
+    return merged
+
+
+def _bloom_probe(bits, keys, bloom_bits: int, bloom_k: int):
+    """Per key of ``keys`` (already in the build's ``key_type``): does
+    the ``_bloom_build`` bitmap ``bits`` claim membership? A numpy
+    bool array; no false negatives."""
+    import numpy as np
+
+    h = _key_hash_u64(keys)
+    hit = np.ones(len(h), dtype=bool)
+    for idx in _bloom_positions(h, bloom_bits, bloom_k):
+        byte = bits[(idx >> np.uint64(3)).astype(np.int64)]
+        hit &= (byte >> (idx & np.uint64(7)).astype(np.uint8)) & 1 > 0
+    return hit
+
+
+def _semi_anti(left, right, left_key: str, right_key: str,
+               broadcast_limit: int, bloom_bits: int, bloom_k: int,
+               anti: bool):
+    """The one algorithm behind :func:`semi_join` (``anti=False``) and
+    :func:`anti_join` (``anti=True``): left rows whose key is (or is
+    NOT) among the distinct non-null right keys, both sides' keys cast
+    to ``_key_type`` so the two regimes agree. A null left key matches
+    nothing: semi drops its row, anti keeps it."""
+    import ray
+    import ray.data
+
+    lschema = left.schema()
+    left_cols = lschema.names
+    rk, rtype = _distinct_keys(right, right_key)
+    key_type = _key_type(_col_type(lschema, left_key), rtype)
+
+    if rk.count() <= broadcast_limit:
+        ref = ray.put(_collect_keys(rk, right_key, key_type))
+
+        def filt(b: pa.Table) -> pa.Table:
+            member = pc.fill_null(pc.is_in(
+                pc.cast(b.column(left_key), key_type),
+                value_set=ray.get(ref)), False)
+            return b.filter(pc.invert(member) if anti else member)
+
+        return left.map_batches(filt, batch_format="pyarrow")
+
+    bloom_ref = ray.put(_bloom_build(rk, right_key, key_type,
+                                     bloom_bits, bloom_k))
+
+    def hits(b: pa.Table) -> pa.Array:
+        keys = pc.cast(b.column(left_key), key_type)
+        # a null key hashes to SOME bucket but matches nothing: never a
+        # hit (anti keeps its row with the proven misses)
+        hit = _bloom_probe(ray.get(bloom_ref), keys, bloom_bits, bloom_k)
+        return pa.array(hit & pc.is_valid(keys).to_numpy(
+            zero_copy_only=False))
+
+    # seed with an empty block of the KNOWN schema: if the bloom sends
+    # zero rows to the verify join, a bare map_batches dataset reports
+    # schema()=None and hash_join's introspection would crash
+    seed = ray.data.from_arrow(_empty_table(left_cols, lschema.types))
+    positives = seed.union(left.map_batches(
+        lambda b: b.filter(hits(b)), batch_format="pyarrow"))
+    rk2 = rk.map_batches(
+        lambda b: b.rename_columns(["__rk"]), batch_format="pyarrow")
+    verified = hash_join(
+        positives, rk2, left_key=left_key, right_key="__rk",
+        left_cols=left_cols, right_cols=["__rk"],
+        how="left_anti" if anti else "inner",
+    ).map_batches(lambda b: b.select(left_cols), batch_format="pyarrow")
+    if not anti:
+        return verified
+    # a bloom MISS proves non-membership: emitted without any exchange
+    misses = left.map_batches(
+        lambda b: b.filter(pc.invert(hits(b))), batch_format="pyarrow")
+    return misses.union(verified)
+
+
 def semi_join(left, right, left_key: str, right_key: str,
               broadcast_limit: int = 2_000_000,
               bloom_bits: int = 1 << 23, bloom_k: int = 4):
@@ -828,80 +891,16 @@ def semi_join(left, right, left_key: str, right_key: str,
       exchange.
     * beyond: a Bloom filter (``bloom_bits`` bits, ``bloom_k``
       double-hashed probes) is built from per-block partial bitmaps
-      OR-merged on the driver (constant ``bloom_bits/8`` bytes per
-      block regardless of key count; tree-merge if block count ever
-      makes the driver OR the bottleneck), broadcast once, and left
-      batches drop non-members locally — so only the ~1 % false
-      positives plus true members reach the exact verify
-      ``hash_join`` against the distinct keys. The result is EXACT;
-      the bloom only prunes exchange volume.
+      OR-merged on the driver, broadcast once, and left batches drop
+      non-members locally — so only the ~1 % false positives plus true
+      members reach the exact verify ``hash_join`` against the distinct
+      keys. The result is EXACT; the bloom only prunes exchange volume.
+
+    Keys of different types compare as strings (``hash_join``'s rule)
+    in both regimes.
     """
-    import numpy as np
-    import ray
-
-    rk = (
-        right.select_columns([right_key])
-        .groupby(right_key)
-        .count()
-        .map_batches(lambda b: b.select([right_key]).filter(
-            pc.is_valid(b.column(right_key))),  # SQL [NOT] EXISTS: a
-        # null right key matches nothing — drop it from the key set
-                     batch_format="pyarrow")
-    ).materialize()  # distinct-key-sized, in the OBJECT STORE (spills,
-    # never driver heap); consumed 2-3× below (count, bloom build,
-    # verify join) — without this each consumer re-executes the whole
-    # right-side derivation
-    n_keys = rk.count()
-    left_cols = left.schema().names
-
-    if n_keys <= broadcast_limit:
-        keys_arr = pa.concat_tables(
-            [pa.table({right_key: b[right_key]})
-             for b in rk.iter_batches(batch_format="pyarrow")]
-        ).column(right_key).combine_chunks()
-        ref = ray.put(keys_arr)
-
-        def filt(b: pa.Table) -> pa.Table:
-            keys = ray.get(ref)
-            return b.filter(pc.is_in(b.column(left_key), value_set=keys))
-
-        return left.map_batches(filt, batch_format="pyarrow")
-
-    nbytes = bloom_bits // 8
-
-    def bloom_partial(b: pa.Table) -> pa.Table:
-        bits = np.zeros(nbytes, dtype=np.uint8)
-        h = _key_hash_u64(b.column(right_key))
-        for idx in _bloom_positions(h, bloom_bits, bloom_k):
-            np.bitwise_or.at(bits, (idx >> np.uint64(3)).astype(np.int64),
-                             np.uint8(1) << (idx & np.uint64(7)).astype(np.uint8))
-        return pa.table({"bits": pa.array([bits.tobytes()],
-                                          type=pa.binary())})
-
-    merged = np.zeros(nbytes, dtype=np.uint8)
-    for row in rk.map_batches(bloom_partial,
-                              batch_format="pyarrow").iter_rows():
-        merged |= np.frombuffer(row["bits"], dtype=np.uint8)
-    bloom_ref = ray.put(merged)
-
-    def prefilter(b: pa.Table) -> pa.Table:
-        bits = ray.get(bloom_ref)
-        h = _key_hash_u64(b.column(left_key))
-        member = np.ones(len(h), dtype=bool)
-        for idx in _bloom_positions(h, bloom_bits, bloom_k):
-            byte = bits[(idx >> np.uint64(3)).astype(np.int64)]
-            member &= (byte >> (idx & np.uint64(7)).astype(np.uint8)) & 1 > 0
-        return b.filter(pa.array(member))
-
-    pref = left.map_batches(prefilter, batch_format="pyarrow")
-    rk2 = rk.map_batches(
-        lambda b: b.rename_columns(["__rk"]), batch_format="pyarrow")
-    out = hash_join(
-        pref, rk2, left_key=left_key, right_key="__rk",
-        left_cols=left_cols, right_cols=["__rk"], how="inner",
-    )
-    return out.map_batches(lambda b: b.select(left_cols),
-                           batch_format="pyarrow")
+    return _semi_anti(left, right, left_key, right_key, broadcast_limit,
+                      bloom_bits, bloom_k, anti=False)
 
 
 def anti_join(left, right, left_key: str, right_key: str,
@@ -927,92 +926,12 @@ def anti_join(left, right, left_key: str, right_key: str,
       go through the exact ``left_anti`` hash-join against the distinct
       keys. Output is the union of proven-absent rows and
       verified-absent positives — exact.
+
+    Keys of different types compare as strings (``hash_join``'s rule)
+    in both regimes.
     """
-    import numpy as np
-    import ray
-
-    rk = (
-        right.select_columns([right_key])
-        .groupby(right_key)
-        .count()
-        .map_batches(lambda b: b.select([right_key]).filter(
-            pc.is_valid(b.column(right_key))),  # SQL [NOT] EXISTS: a
-        # null right key matches nothing — drop it from the key set
-                     batch_format="pyarrow")
-    ).materialize()  # distinct-key-sized, object store (see semi_join)
-    n_keys = rk.count()
-    left_cols = left.schema().names
-
-    if n_keys <= broadcast_limit:
-        keys_arr = pa.concat_tables(
-            [pa.table({right_key: b[right_key]})
-             for b in rk.iter_batches(batch_format="pyarrow")]
-        ).column(right_key).combine_chunks()
-        ref = ray.put(keys_arr)
-
-        def filt(b: pa.Table) -> pa.Table:
-            keys = ray.get(ref)
-            col = b.column(left_key)
-            member = pc.fill_null(pc.is_in(col, value_set=keys), False)
-            return b.filter(pc.invert(member))
-
-        return left.map_batches(filt, batch_format="pyarrow")
-
-    nbytes = bloom_bits // 8
-
-    def bloom_partial(b: pa.Table) -> pa.Table:
-        bits = np.zeros(nbytes, dtype=np.uint8)
-        h = _key_hash_u64(b.column(right_key))
-        for idx in _bloom_positions(h, bloom_bits, bloom_k):
-            np.bitwise_or.at(bits, (idx >> np.uint64(3)).astype(np.int64),
-                             np.uint8(1) << (idx & np.uint64(7)).astype(np.uint8))
-        return pa.table({"bits": pa.array([bits.tobytes()],
-                                          type=pa.binary())})
-
-    merged = np.zeros(nbytes, dtype=np.uint8)
-    for row in rk.map_batches(bloom_partial,
-                              batch_format="pyarrow").iter_rows():
-        merged |= np.frombuffer(row["bits"], dtype=np.uint8)
-    bloom_ref = ray.put(merged)
-
-    def _membership(b: pa.Table) -> "np.ndarray":
-        bits = ray.get(bloom_ref)
-        h = _key_hash_u64(b.column(left_key))
-        member = np.ones(len(h), dtype=bool)
-        for idx in _bloom_positions(h, bloom_bits, bloom_k):
-            byte = bits[(idx >> np.uint64(3)).astype(np.int64)]
-            member &= (byte >> (idx & np.uint64(7)).astype(np.uint8)) & 1 > 0
-        # a null left key hashes to SOME bucket; force it down the
-        # keep-locally path (NOT EXISTS keeps null-key rows)
-        nulls = pc.is_null(b.column(left_key)).to_numpy(
-            zero_copy_only=False)
-        member &= ~nulls
-        return member
-
-    def keep_misses(b: pa.Table) -> pa.Table:
-        return b.filter(pa.array(~_membership(b)))
-
-    def keep_hits(b: pa.Table) -> pa.Table:
-        return b.filter(pa.array(_membership(b)))
-
-    proven_absent = left.map_batches(keep_misses, batch_format="pyarrow")
-    # seed with an empty block of the KNOWN schema: if the bloom sends
-    # zero rows to the verify join, a bare map_batches dataset reports
-    # schema()=None and hash_join's introspection would crash
-    schema = left.schema()
-    seed = ray.data.from_arrow(pa.Table.from_arrays(
-        [pa.nulls(0, type=t) for t in schema.types], names=schema.names))
-    positives = seed.union(
-        left.map_batches(keep_hits, batch_format="pyarrow"))
-    rk2 = rk.map_batches(
-        lambda b: b.rename_columns(["__rk"]), batch_format="pyarrow")
-    verified = hash_join(
-        positives, rk2, left_key=left_key, right_key="__rk",
-        left_cols=left_cols, right_cols=["__rk"], how="left_anti",
-    )
-    return proven_absent.union(
-        verified.map_batches(lambda b: b.select(left_cols),
-                             batch_format="pyarrow"))
+    return _semi_anti(left, right, left_key, right_key, broadcast_limit,
+                      bloom_bits, bloom_k, anti=True)
 
 
 def scd2_apply(history, snapshot, id_col: str, attr_cols: list[str],
@@ -1229,7 +1148,7 @@ def bloom_confusion(build, probe, build_key: str, probe_key: str,
                     member_limit: int = 2_000_000):
     """Bloom-filter quality evaluation: for every distinct PROBE key,
     report whether the production semi/anti-join Bloom (the SAME
-    `_key_hash_u64` + `_bloom_positions` path and bit layout those
+    ``_bloom_build``/``_bloom_probe`` path and bit layout those
     operators broadcast at scale) claims membership, alongside exact
     ground truth against the distinct BUILD keys. Output columns:
     ``(probe_key, is_member int32, bloom_hit int32)``.
@@ -1245,66 +1164,30 @@ def bloom_confusion(build, probe, build_key: str, probe_key: str,
     probe batches test membership locally. Ground truth broadcasts the
     distinct build keys once — unlike the joins themselves this is a
     QA operator over key sets you can afford to broadcast, enforced
-    loudly via ``member_limit``.
+    loudly via ``member_limit``. Keys of different types compare as
+    strings, as in the joins.
     """
     import numpy as np
     import ray
 
-    rk = (
-        build.select_columns([build_key])
-        .groupby(build_key)
-        .count()
-        .map_batches(lambda b: b.select([build_key]).filter(
-            pc.is_valid(b.column(build_key))), batch_format="pyarrow")
-    ).materialize()  # distinct-key-sized; consumed twice (bloom build
-    # + ground-truth broadcast)
+    rk, btype = _distinct_keys(build, build_key)
     n_keys = rk.count()
     if n_keys > member_limit:
         raise ValueError(
             f"bloom_confusion ground truth needs the {n_keys} distinct "
             f"build keys broadcast; raise member_limit (={member_limit}) "
             "only if one worker heap holds them")
-
-    nbytes = bloom_bits // 8
-
-    def bloom_partial(b: pa.Table) -> pa.Table:
-        bits = np.zeros(nbytes, dtype=np.uint8)
-        h = _key_hash_u64(b.column(build_key))
-        for idx in _bloom_positions(h, bloom_bits, bloom_k):
-            np.bitwise_or.at(bits, (idx >> np.uint64(3)).astype(np.int64),
-                             np.uint8(1) << (idx & np.uint64(7)).astype(np.uint8))
-        return pa.table({"bits": pa.array([bits.tobytes()],
-                                          type=pa.binary())})
-
-    merged = np.zeros(nbytes, dtype=np.uint8)
-    for row in rk.map_batches(bloom_partial,
-                              batch_format="pyarrow").iter_rows():
-        merged |= np.frombuffer(row["bits"], dtype=np.uint8)
-    bloom_ref = ray.put(merged)
-
-    keys_arr = pa.concat_tables(
-        [pa.table({build_key: b[build_key]})
-         for b in rk.iter_batches(batch_format="pyarrow")]
-    ).column(build_key).combine_chunks()
-    keys_ref = ray.put(keys_arr)
-
-    pk = (
-        probe.select_columns([probe_key])
-        .groupby(probe_key)
-        .count()
-        .map_batches(lambda b: b.select([probe_key]).filter(
-            pc.is_valid(b.column(probe_key))), batch_format="pyarrow")
-    )
+    pk, ptype = _distinct_keys(probe, probe_key)
+    key_type = _key_type(ptype, btype)
+    bloom_ref = ray.put(_bloom_build(rk, build_key, key_type,
+                                     bloom_bits, bloom_k))
+    keys_ref = ray.put(_collect_keys(rk, build_key, key_type))
 
     def annotate(b: pa.Table) -> pa.Table:
-        bits = ray.get(bloom_ref)
-        h = _key_hash_u64(b.column(probe_key))
-        hit = np.ones(len(h), dtype=bool)
-        for idx in _bloom_positions(h, bloom_bits, bloom_k):
-            byte = bits[(idx >> np.uint64(3)).astype(np.int64)]
-            hit &= (byte >> (idx & np.uint64(7)).astype(np.uint8)) & 1 > 0
+        keys = pc.cast(b.column(probe_key), key_type)
+        hit = _bloom_probe(ray.get(bloom_ref), keys, bloom_bits, bloom_k)
         member = pc.fill_null(pc.is_in(
-            b.column(probe_key), value_set=ray.get(keys_ref)), False)
+            keys, value_set=ray.get(keys_ref)), False)
         return pa.table({
             probe_key: b.column(probe_key),
             "is_member": pc.cast(member, pa.int32()),

@@ -752,6 +752,67 @@ def test_asof_join_backward_and_forward(ray_session):
                   left_cols=["l"], right_cols=["l"])
 
 
+@pytest.mark.parametrize("on_type", [pa.int64(), pa.timestamp("us")])
+def test_asof_join_naive_reference(ray_session, on_type):
+    """Seeded differential against a per-row Python scan: several keys
+    over three blocks, many ties on ``on`` (backward picks the largest
+    right payload among equal ``on``, forward the smallest), null
+    by/on on both sides, both directions x allow_equal."""
+    import ray.data
+
+    from smartreader_ray.functions import asof_join
+
+    rng = np.random.default_rng(23)
+
+    def side(n, id_name, id_base):
+        def nullable(vals):
+            return [None if rng.random() < 0.1 else int(v) for v in vals]
+
+        return pa.table({
+            "k": pa.array(nullable(rng.integers(0, 6, n)), type=pa.int64()),
+            "t": pa.array(nullable(rng.integers(0, 40, n)),
+                          type=pa.int64()).cast(on_type),
+            id_name: pa.array(id_base + rng.permutation(n), type=pa.int64()),
+        })
+
+    lt, rt = side(120, "lid", 0), side(150, "rv", 1000)
+
+    def blocks(t):
+        return ray.data.from_arrow([t.slice(0, 40), t.slice(40, 40),
+                                    t.slice(80)])
+
+    def rows(t, id_name):
+        t = t.set_column(1, "t", t.column("t").cast(pa.int64()))
+        return list(zip(*(t.column(c).to_pylist()
+                          for c in ("k", "t", id_name))))
+
+    lrows, rrows = rows(lt, "lid"), rows(rt, "rv")
+    for direction in ("backward", "forward"):
+        for allow_equal in (True, False):
+            want = {}
+            for k, t, lid in lrows:
+                if k is None or t is None:
+                    want[lid] = None
+                    continue
+                if direction == "backward":
+                    c = [(rt_, rv) for rk, rt_, rv in rrows
+                         if rk == k and rt_ is not None
+                         and (rt_ <= t if allow_equal else rt_ < t)]
+                    want[lid] = max(c)[1] if c else None
+                else:
+                    c = [(rt_, rv) for rk, rt_, rv in rrows
+                         if rk == k and rt_ is not None
+                         and (rt_ >= t if allow_equal else rt_ > t)]
+                    want[lid] = min(c)[1] if c else None
+            out = asof_join(blocks(lt), blocks(rt), by="k", on="t",
+                            left_cols=["lid"], right_cols=["rv"],
+                            direction=direction,
+                            allow_equal=allow_equal).take_all()
+            got = {r["lid"]: r["rv"] for r in out}
+            assert len(out) == len(lrows)
+            assert got == want, (direction, allow_equal)
+
+
 def test_approx_quantile_accuracy(ray_session):
     import numpy as np
     import ray.data

@@ -437,6 +437,31 @@ def test_log_odds_terms_small_vocab_emits_each_term_once(ray_session):
     assert zs == sorted(zs, key=lambda x: (-x[0], x[1]))
 
 
+def test_log_odds_terms_oracle_matches_engine_on_small_vocab(ray_session,
+                                                             tmp_path):
+    """The `log_odds_terms` query and its DuckDB oracle agree on a
+    5-term corpus, where both rank ends (top_k=15) span the whole
+    vocabulary."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+    from tools.oracle_check import value_hash
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1], type=pa.int64()),
+        "text": ["alpha beta gamma", "gamma delta epsilon"],
+        "lang": ["en", "fr"],
+    }), tmp_path / "documents.parquet")
+    got = entrymod.queries()["log_odds_terms"](str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.sql("CREATE VIEW documents AS SELECT * FROM "
+            f"'{tmp_path / 'documents.parquet'}'")
+    exp = con.sql(entrymod.oracle_sql()["log_odds_terms"]).df()
+    assert len(got) == len(exp) == 5
+    assert value_hash(got) == value_hash(exp)
+
+
 def test_good_turing_estimators(ray_session):
     import ray.data
 

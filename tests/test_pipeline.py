@@ -639,6 +639,31 @@ def test_oracle_sql_all_parse_in_duckdb():
             raise AssertionError(f"oracle {name!r} does not plan: {exc}")
 
 
+def test_oracle_check_skips_only_absent_fixture_reads(tmp_path,
+                                                     monkeypatch):
+    """tools/oracle_check.py names a query skipped only when the fixture
+    directory is missing AND the query's FileNotFoundError is for a
+    path under it; every other exception stays a failure."""
+    import smartreader_ray.sources as sources
+    from tools.oracle_check import fixtures_absent
+
+    fixtures = str(tmp_path / "pages")
+    monkeypatch.setattr(sources, "FIXTURE_DIR", fixtures)
+
+    def missing(path):
+        return FileNotFoundError(2, "No such file or directory", path)
+
+    assert fixtures_absent(missing(fixtures)) == fixtures
+    assert fixtures_absent(
+        missing(os.path.join(fixtures, "001", "source.html"))) == fixtures
+    assert fixtures_absent(missing(str(tmp_path / "pages2"))) is None
+    assert fixtures_absent(missing(str(tmp_path / "orders.parquet"))) is None
+    assert fixtures_absent(FileNotFoundError("no filename")) is None
+    assert fixtures_absent(ValueError(fixtures)) is None
+    os.mkdir(fixtures)
+    assert fixtures_absent(missing(os.path.join(fixtures, "x"))) is None
+
+
 def test_checkpointed_transform_generic_resume(ray_session, tmp_path):
     """The generic checkpoint base works for a NON-extraction pipeline:
     a curation-style filter+stat transform, committed per partition,

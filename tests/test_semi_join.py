@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 
 def _mk(ray, n=5000, seed=3):
@@ -112,3 +113,43 @@ def test_bloom_confusion_string_keys(ray_session):
         assert r["is_member"] == want
         if want:
             assert r["bloom_hit"] == 1
+
+
+@pytest.mark.parametrize("broadcast_limit", [2_000_000, 1])
+def test_semi_anti_mixed_key_types_agree_across_regimes(ray_session,
+                                                        broadcast_limit):
+    """int64 left keys against string right keys compare as strings
+    (hash_join's key-type rule) in the broadcast AND the Bloom regime."""
+    import ray.data
+
+    from smartreader_ray.functions.join import anti_join, semi_join
+
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array(np.arange(200), type=pa.int64()),
+        "v": pa.array(np.arange(200), type=pa.int64()),
+    }))
+    right = ray.data.from_arrow(pa.table(
+        {"rk": [str(i) for i in range(0, 200, 10)]}))
+    kw = dict(broadcast_limit=broadcast_limit, bloom_bits=1 << 20)
+    semi = sorted(r["v"] for r in semi_join(
+        left, right, "k", "rk", **kw).take_all())
+    anti = sorted(r["v"] for r in anti_join(
+        left, right, "k", "rk", **kw).take_all())
+    assert semi == list(range(0, 200, 10))
+    assert anti == [v for v in range(200) if v % 10]
+
+
+def test_semi_anti_empty_right(ray_session):
+    """An empty right side is an empty key set: semi keeps nothing,
+    anti keeps every left row."""
+    import ray.data
+
+    from smartreader_ray.functions.join import anti_join, semi_join
+
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2, None], type=pa.int64()), "v": [1, 2, 3]}))
+    right = ray.data.from_arrow(pa.table(
+        {"rk": pa.array([], type=pa.int64())}))
+    assert semi_join(left, right, "k", "rk").take_all() == []
+    assert sorted(r["v"] for r in anti_join(
+        left, right, "k", "rk").take_all()) == [1, 2, 3]
