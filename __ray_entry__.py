@@ -7073,20 +7073,18 @@ def _q_dedup_cascade_chain(sf_dir: str):
     corpus, and source-sized partial rollups; removed-pair IDs are a
     verified-dup-sized side merged driver-side into the source-sized
     report."""
-    import hashlib
-
     import pandas as pd
     import pyarrow as pa
     from ray.data.aggregate import Count, Min, Sum
 
     from smartreader_ray.functions import minhash_dedup
+    from smartreader_ray.functions.dedup import _md5_key
     from smartreader_ray.functions.join import hash_join
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     def fp(b: pa.Table) -> pa.Table:
-        md5 = hashlib.md5
-        fps = [int(md5(((t or "").strip()).encode()).hexdigest()[:15], 16)
+        fps = [_md5_key((t or "").strip())
                for t in b.column("text").to_pylist()]
         return pa.table({
             "fp": pa.array(fps, type=pa.int64()),
@@ -7193,15 +7191,14 @@ def _q_leakage_safe_split(sf_dir: str):
     import pyarrow as pa
     from ray.data.aggregate import Min
 
+    from smartreader_ray.functions.dedup import _md5_key
     from smartreader_ray.functions.join import hash_join
     from smartreader_ray.functions.sampling import split_assign
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def fp(b: pa.Table) -> pa.Table:
-        import hashlib
-        md5 = hashlib.md5
-        fps = [int(md5(((t or "").strip()).encode()).hexdigest()[:15], 16)
+        fps = [_md5_key((t or "").strip())
                for t in b.column("text").to_pylist()]
         return pa.table({
             "fp": pa.array(fps, type=pa.int64()),

@@ -1,4 +1,5 @@
-"""HTML → DOM tree builder on stdlib ``html.parser``.
+"""HTML → DOM tree builder, driven by the one-shot tokenizer in
+``tokenizer.py`` (token-for-token compatible with stdlib ``html.parser``).
 
 A pragmatic subset of the HTML5 tree-construction algorithm (the reference
 uses AngleSharp's full spec parser with scripting enabled,
@@ -14,7 +15,6 @@ HTML5 parsing spec and validated on the fixture corpus.
 from __future__ import annotations
 
 import html as _htmlmod
-from html.parser import HTMLParser
 
 from .node import (
     CommentNode,
@@ -23,6 +23,7 @@ from .node import (
     TextNode,
     VOID_ELEMENTS,
 )
+from .tokenizer import tokenize
 
 # RCDATA: tokenized raw but entities decode.
 _RCDATA = frozenset({"title", "textarea"})
@@ -118,11 +119,15 @@ def _is_space_only(s: str) -> bool:
     return not s.strip(" \t\n\f\r")
 
 
-class _TreeBuilder(HTMLParser):
+class _TreeBuilder:
+    """Tree-construction side of the parser: the ``html.parser`` handler
+    surface, driven by ``tokenizer.tokenize`` (which also sets
+    ``cdata_elem`` while inside a raw-text element)."""
+
     CDATA_CONTENT_ELEMENTS = _CDATA_ELEMS
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
+        self.cdata_elem: str | None = None
         self.doc = Document()
         self.html_el: Element | None = None
         self.head_el: Element | None = None
@@ -278,7 +283,7 @@ class _TreeBuilder(HTMLParser):
             return True
         return False
 
-    # -- HTMLParser callbacks ---------------------------------------------
+    # -- tokenizer callbacks (the html.parser handler surface) -------------
     def handle_starttag(self, tag, attrs):
         attrdict: dict[str, str] = {}
         for k, v in attrs:
@@ -502,21 +507,14 @@ class _TreeBuilder(HTMLParser):
         pass
 
 
-def parse_html(text: str, use_fast_tokenizer: bool = True) -> Document:
+def parse_html(text: str) -> Document:
     """Parse an HTML string into a Document (html/head/body synthesized).
 
-    The default tokenizer is the one-shot scanner in ``tokenizer.py``
-    (~2× the stdlib's throughput, behavior-identical — see the
-    differential test in tests/test_dom.py). ``use_fast_tokenizer=False``
-    drives the same tree builder through stdlib ``html.parser`` instead.
+    The tokenizer is the one-shot scanner in ``tokenizer.py`` (~2× the
+    stdlib's throughput, behavior-identical to ``html.parser`` — see the
+    differential test in tests/test_dom.py).
     """
     tb = _TreeBuilder()
-    if use_fast_tokenizer:
-        from .tokenizer import tokenize
-
-        tokenize(text, tb)
-    else:
-        tb.feed(text)
-        tb.close()
+    tokenize(text, tb)
     tb._ensure_body()
     return tb.doc

@@ -1,22 +1,41 @@
 """Deduplication operators over a (doc_id, text) table.
 
-- exact_dedup: hash-partition groupby + per-group first (Min/Count
-  aggregates pre-combine per block before the shuffle)
-- minhash_lsh_candidates: shingle → minhash → band → bucket groupby;
-  only bucket keys shuffle, never documents
-- simhash_neardup: 64-bit simhash, banded hamming buckets
-- ngram_jaccard: exact verify for candidate pairs
+- exact: ``exact_dedup`` (first-k-token key), ``fingerprint_dedup``
+  (full-content hash), ``priority_dedup``, ``line_dedup``,
+  ``intra_line_dedup_batch``
+- near-duplicate family: ``minhash_lsh_candidates``/``minhash_dedup``
+  (banded MinHash, exact n-gram Jaccard verify), ``simhash_neardup``
+  (banded 64-bit SimHash, hamming verify), ``ngram_jaccard_pairs``,
+  ``duplicate_passages``/``passage_clusters``, ``longest_common_runs``,
+  ``ngram_novelty``, ``template_score`` (``winnow.py`` adds winnowing
+  and containment on the same cores)
+
+The near-duplicate family shares four cores, each the one copy of a
+rule the SQL oracles replay bit for bit:
+
+- ``_bucket_pairs``: the pair emitter — every within-bucket
+  ``doc_a < doc_b`` pair of an LSH/fingerprint bucket, over-full
+  buckets sub-split by ``_capped_subgroups``;
+- ``_windows``: the ``string_split(trim(text), ' ')`` token-window
+  scanner;
+- ``_window_count_emitter``: one (md5 key, doc, in-doc count) row per
+  doc and distinct window;
+- ``_score_pair``: the exact n-gram Jaccard scorer of a candidate pair.
 
 All per-batch math is vectorized numpy over Arrow columns.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .join import _empty_table
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = np.uint64((1 << 61) - 1)
@@ -28,6 +47,8 @@ _LOG = logging.getLogger(__name__)
 #: _capped_subgroups). Pair emission per bucket is bounded by
 #: ceil(n/cap) * C(cap, 2) ≈ n*cap/2 — linear in n, never quadratic.
 DEFAULT_MAX_BUCKET = 128
+#: hash partitions of the ``_bucket_pairs`` exchange
+_PAIR_PARTITIONS = 64
 
 
 def _capped_subgroups(members: list, cap: int, salt: str, key=lambda m: m) -> list[list]:
@@ -54,6 +75,97 @@ def _capped_subgroups(members: list, cap: int, salt: str, key=lambda m: m) -> li
         len(members), cap, k,
     )
     return groups
+
+
+def _bucket_pairs(rows, key_col: str, max_bucket: int,
+                  payload: str | None = None):
+    """The pair emitter: every within-bucket (doc_a < doc_b) pair over
+    (``key_col``, doc_id) rows, where a bucket is one int64 key value.
+
+    ONE Python call per hash PARTITION instead of one per distinct key —
+    bucket keys are near-unique, so per-key ``map_groups`` is the known
+    pathology (fixed in `join.hash_join` the same way): partition on the
+    key, sort each partition once, skip single-doc runs, and emit each
+    multi-doc run's pairs with vectorized ``triu_indices``. A bucket
+    pairs its DISTINCT doc ids in sorted order; one over ``max_bucket``
+    is sub-split by `_capped_subgroups` with salt ``str(key)`` (the rule
+    the SQL oracles replay).
+
+    ``payload`` names a per-doc column carried to both ends of each pair
+    as ``<payload>_a``/``<payload>_b`` (one value per doc is assumed; a
+    doc's first row in the bucket supplies it)."""
+
+    def stamp(b: pa.Table) -> pa.Table:
+        k = b.column(key_col).to_numpy(zero_copy_only=False)
+        part = (k.astype(np.int64).view(np.uint64)
+                % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
+        return b.append_column("__part", pa.array(part, type=pa.int64()))
+
+    def emit_part(g: pa.Table) -> pa.Table:
+        key = g.column(key_col).to_numpy(zero_copy_only=False)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        doc = g.column("doc_id").to_numpy(zero_copy_only=False)[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        ends = np.r_[starts[1:], key.size]
+        a_acc, b_acc = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            if e - s < 2:
+                continue
+            docs, first = np.unique(doc[s:e], return_index=True)
+            if docs.size < 2:
+                continue
+            # row index of each distinct doc, in doc order
+            for sub in _capped_subgroups(first + s, max_bucket, str(key[s]),
+                                         key=doc.__getitem__):
+                sub = np.asarray(sub, dtype=np.int64)
+                ii, jj = np.triu_indices(sub.size, k=1)
+                a_acc.append(sub[ii])
+                b_acc.append(sub[jj])
+        ia, ib = np.concatenate(a_acc), np.concatenate(b_acc)
+        id_type = g.schema.field("doc_id").type
+        out = {"doc_a": pa.array(doc[ia], type=id_type),
+               "doc_b": pa.array(doc[ib], type=id_type)}
+        if payload is not None:
+            p = g.column(payload).to_numpy(zero_copy_only=False)[order]
+            p_type = g.schema.field(payload).type
+            out[f"{payload}_a"] = pa.array(p[ia], type=p_type)
+            out[f"{payload}_b"] = pa.array(p[ib], type=p_type)
+        return pa.table(out)
+
+    return (rows.map_batches(stamp, batch_format="pyarrow")
+            .groupby("__part")
+            .map_groups(emit_part, batch_format="pyarrow"))
+
+
+def _windows(text: str | None, window: int) -> list[str]:
+    """Every ``window``-token window of ``text``, in order, duplicates
+    kept; ``[]`` when the text has fewer than ``window`` tokens.
+
+    Tokens are the SQL oracles' ``string_split(trim(text), ' ')``: a
+    single-space split of the trimmed text that keeps empty tokens on
+    runs of spaces (any-whitespace ``.split()`` diverges on tabs and
+    double spaces). Consecutive tokens are separated by exactly one
+    space in the source, so the ``' '.join`` of a token run equals the
+    substring from the first token's start to the last token's end —
+    each window is one slice, no per-window join."""
+    body = (text or "").strip()
+    toks = body.split(" ")
+    if len(toks) < window:
+        return []
+    starts = [0]
+    app = starts.append
+    pos = 0
+    for tok in toks:
+        pos += len(tok) + 1
+        app(pos)
+    return [body[starts[i]:starts[i + window] - 1]
+            for i in range(len(toks) - window + 1)]
+
+
+def _n_windows(text: str | None, window: int) -> int:
+    """``len(_windows(text, window))`` without building the windows."""
+    return max(len((text or "").strip().split(" ")) - window + 1, 0)
 
 
 def _token_ngrams(text: str, n: int = 3) -> list[str]:
@@ -98,6 +210,21 @@ def _hash64(values: list[str]) -> np.ndarray:
             nh = (h ^ buf[:, j].astype(np.uint64)) * _FNV_PRIME
             h = np.where(lens > j, nh, h)
     return h
+
+
+def _md5_key(s: str) -> int:
+    """The md5-derived int64 key of a string (first 15 hex digits, so
+    always non-negative) — the key the SQL oracles replay exactly."""
+    return int(hashlib.md5(s.encode()).hexdigest()[:15], 16)
+
+
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Set-bit count of each 64-bit word (byte lookup table)."""
+    return _POPCOUNT8[np.ascontiguousarray(x, dtype=np.int64)
+                      .view(np.uint8)].reshape(-1, 8).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +424,7 @@ def minhash_lsh_candidates(ds, num_hashes: int = 128, bands: int = 16, ngram: in
         concurrency=(1, 8),
     )
 
-    def bucket_to_pairs(group: pa.Table) -> pa.Table:
-        id_type = group.schema.field("doc_id").type
-        ids = sorted(set(group.column("doc_id").to_pylist()))
-        salt = group.column("band_key")[0].as_py() if group.num_rows else ""
-        pairs_a, pairs_b = [], []
-        for sub in _capped_subgroups(ids, max_bucket, salt):
-            for i in range(len(sub)):
-                for j in range(i + 1, len(sub)):
-                    pairs_a.append(sub[i])
-                    pairs_b.append(sub[j])
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(pairs_a, type=id_type),
-                "doc_b": pa.array(pairs_b, type=id_type),
-            }
-        )
-
-    pairs = banded.groupby("band_key").map_groups(bucket_to_pairs, batch_format="pyarrow")
+    pairs = _bucket_pairs(banded, "band_key", max_bucket)
     # candidate pairs can appear in multiple bands → distinct
     from ray.data.aggregate import Count
 
@@ -365,7 +475,8 @@ def simhash_neardup(ds, max_hamming: int = 3, ngram: int = 2,
                     max_bucket: int = DEFAULT_MAX_BUCKET):
     """Near-dup pairs by simhash: band the 64-bit hash into 4×16-bit
     chunks (any pair within hamming ≤ 3 of each other shares ≥1 exact
-    chunk by pigeonhole) → bucket groupby → verify hamming in-bucket.
+    chunk by pigeonhole) → within-bucket pairs (``_bucket_pairs``, each
+    end carrying its simhash) → keep hamming ≤ ``max_hamming``.
     Buckets over ``max_bucket`` members are sub-split (skew guard)."""
     hashed = ds.select_columns(["doc_id", "text"]).map_batches(
         lambda b: simhash_batch(b, ngram), batch_format="pyarrow"
@@ -394,39 +505,23 @@ def simhash_neardup(ds, max_hamming: int = 3, ngram: int = 2,
 
     banded = hashed.map_batches(band, batch_format="pyarrow")
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        rows = sorted(
-            set(
-                zip(
-                    group.column("doc_id").to_pylist(),
-                    group.column("simhash").to_pylist(),
-                )
-            )
-        )
-        salt = group.column("band_key")[0].as_py() if group.num_rows else ""
-        out_a, out_b, out_d = [], [], []
-        for sub in _capped_subgroups(rows, max_bucket, salt, key=lambda r: r[0]):
-            for i in range(len(sub)):
-                for j in range(i + 1, len(sub)):
-                    # simhashes ride as int64 two's complement; mask the
-                    # XOR back to the unsigned 64-bit value before the
-                    # popcount (bit_count of a negative int counts |x|)
-                    d = ((sub[i][1] ^ sub[j][1])
-                         & 0xFFFFFFFFFFFFFFFF).bit_count()
-                    if d <= max_hamming:
-                        out_a.append(sub[i][0])
-                        out_b.append(sub[j][0])
-                        out_d.append(d)
-        id_type = group.schema.field("doc_id").type
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array(out_a, type=id_type),
-                "doc_b": pa.array(out_b, type=id_type),
-                "hamming": pa.array(out_d, type=pa.int32()),
-            }
-        )
+    def within_hamming(b: pa.Table) -> pa.Table:
+        # simhashes ride as int64 two's complement; the XOR's bit pattern
+        # is the unsigned one, so the byte popcount needs no mask
+        d = _popcount64(
+            b.column("simhash_a").to_numpy(zero_copy_only=False)
+            ^ b.column("simhash_b").to_numpy(zero_copy_only=False))
+        keep = d <= max_hamming
+        mask = pa.array(keep)
+        return pa.table({
+            "doc_a": b.column("doc_a").filter(mask),
+            "doc_b": b.column("doc_b").filter(mask),
+            "hamming": pa.array(d[keep], type=pa.int32()),
+        })
 
-    pairs = banded.groupby("band_key").map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = _bucket_pairs(banded, "band_key", max_bucket,
+                          payload="simhash").map_batches(
+        within_hamming, batch_format="pyarrow")
     from ray.data.aggregate import Min
 
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("hamming", alias_name="hamming_min"))
@@ -435,11 +530,30 @@ def simhash_neardup(ds, max_hamming: int = 3, ngram: int = 2,
 # ---------------------------------------------------------------------------
 # candidate-pair verification (exact n-gram Jaccard)
 # ---------------------------------------------------------------------------
+def _score_pair(group: pa.Table, doc_a, doc_b, ngram: int,
+                threshold: float) -> pa.Table:
+    """The pair scorer: one (doc_a, doc_b, jaccard, is_dup) row from a
+    pair's (side, text) rows, side 0 = doc_a and side 1 = doc_b.
+    ``doc_a``/``doc_b`` are the one-element id arrays of the row."""
+    texts = dict(zip(group.column("side").to_pylist(),
+                     group.column("text").to_pylist()))
+    j = ngram_jaccard(texts.get(0, ""), texts.get(1, ""), ngram)
+    return pa.table({
+        "doc_a": doc_a,
+        "doc_b": doc_b,
+        # RAW quotient: one IEEE division of exact ints is
+        # bit-replayable by the SQL oracle; Python round(j, 6)
+        # (banker's) is not
+        "jaccard": pa.array([j], type=pa.float64()),
+        "is_dup": pa.array([j >= threshold], type=pa.bool_()),
+    })
+
+
 def verify_candidate_pairs(docs_ds, pairs, ngram: int = 3, threshold: float = 0.5):
     """Exact-Jaccard verification of candidate near-dup pairs.
 
-    ``pairs``: list of (doc_a, doc_b) (or a pyarrow Table with those
-    columns) — the SMALL side (LSH candidates), broadcast via ``ray.put``.
+    ``pairs``: list of (doc_a, doc_b) — the SMALL side (LSH
+    candidates), broadcast via ``ray.put``.
     The big side (documents) streams once: each batch emits (pair_id,
     doc_id, text) only for docs that appear in some pair, then a
     groupby(pair_id) joins the two texts and computes n-gram Jaccard.
@@ -450,13 +564,7 @@ def verify_candidate_pairs(docs_ds, pairs, ngram: int = 3, threshold: float = 0.
     """
     import ray
 
-    if isinstance(pairs, pa.Table):
-        pair_list = list(
-            zip(pairs.column("doc_a").to_pylist(), pairs.column("doc_b").to_pylist())
-        )
-    else:
-        pair_list = [(a, b) for a, b, *_ in pairs] if pairs and len(pairs[0]) > 2 else list(pairs)
-
+    pair_list = list(pairs)
     membership: dict = {}
     for pid, (a, b) in enumerate(pair_list):
         membership.setdefault(a, []).append((pid, 0))
@@ -483,24 +591,9 @@ def verify_candidate_pairs(docs_ds, pairs, ngram: int = 3, threshold: float = 0.
         )
 
     def score_pair(group: pa.Table) -> pa.Table:
-        all_pairs = ray.get(pairs_ref)
-        pid = group.column("pair_id")[0].as_py()
-        texts = {s: t for s, t in zip(group.column("side").to_pylist(),
-                                      group.column("text").to_pylist())}
-        a, b = all_pairs[pid]
-        j = ngram_jaccard(texts.get(0, ""), texts.get(1, ""), ngram)
-        return pa.Table.from_pydict(
-            {
-                "doc_a": pa.array([a]),
-                "doc_b": pa.array([b]),
-                "jaccard": pa.array([j], type=pa.float64()),  # RAW
-                # quotient: one IEEE division of exact ints is
-                # bit-replayable by the SQL oracle; Python
-                # round(j, 6) (banker's) is not
-
-                "is_dup": pa.array([j >= threshold], type=pa.bool_()),
-            }
-        )
+        a, b = ray.get(pairs_ref)[group.column("pair_id")[0].as_py()]
+        return _score_pair(group, pa.array([a]), pa.array([b]), ngram,
+                           threshold)
 
     matched = docs_ds.select_columns(["doc_id", "text"]).map_batches(
         emit_matched, batch_format="pyarrow"
@@ -570,14 +663,8 @@ def verify_candidate_pairs_distributed(docs_ds, cands_ds, ngram: int = 3,
         else:
             doc_text_rows = [i for i, s in enumerate(sides) if s >= 0]
         if not doc_text_rows:
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([], type=id_type),
-                    "doc_b": pa.array([], type=id_type),
-                    "side": pa.array([], type=pa.int8()),
-                    "text": pa.array([], type=pa.string()),
-                }
-            )
+            return _empty_table(["doc_a", "doc_b", "side", "text"],
+                                [id_type, id_type, pa.int8(), pa.string()])
         taken = group.take(doc_text_rows)
         return pa.Table.from_pydict(
             {
@@ -589,21 +676,9 @@ def verify_candidate_pairs_distributed(docs_ds, cands_ds, ngram: int = 3,
         )
 
     def score(group: pa.Table) -> pa.Table:
-        texts = {s: t for s, t in zip(group.column("side").to_pylist(),
-                                      group.column("text").to_pylist())}
-        j = ngram_jaccard(texts.get(0, ""), texts.get(1, ""), ngram)
-        return pa.Table.from_pydict(
-            {
-                "doc_a": group.column("doc_a").slice(0, 1),
-                "doc_b": group.column("doc_b").slice(0, 1),
-                "jaccard": pa.array([j], type=pa.float64()),  # RAW
-                # quotient: one IEEE division of exact ints is
-                # bit-replayable by the SQL oracle; Python
-                # round(j, 6) (banker's) is not
-
-                "is_dup": pa.array([j >= threshold], type=pa.bool_()),
-            }
-        )
+        return _score_pair(group, group.column("doc_a").slice(0, 1),
+                           group.column("doc_b").slice(0, 1), ngram,
+                           threshold)
 
     needs = cands_ds.select_columns(["doc_a", "doc_b"]).map_batches(
         to_needs, batch_format="pyarrow"
@@ -641,16 +716,9 @@ def minhash_dedup(ds, num_hashes: int = 128, bands: int = 16, ngram: int = 3,
         # derive pair-id types from the input's doc_id (ADVICE r01: a
         # string-keyed corpus must get a string-typed empty result)
         id_type = _ds_column_type(ds, "doc_id")
-        return ray.data.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([], type=id_type),
-                    "doc_b": pa.array([], type=id_type),
-                    "jaccard": pa.array([], type=pa.float64()),
-                    "is_dup": pa.array([], type=pa.bool_()),
-                }
-            )
-        )
+        return ray.data.from_arrow(_empty_table(
+            ["doc_a", "doc_b", "jaccard", "is_dup"],
+            [id_type, id_type, pa.float64(), pa.bool_()]))
     if n_pairs > broadcast_pair_limit:
         return verify_candidate_pairs_distributed(
             ds, cands, ngram=ngram, threshold=threshold
@@ -663,37 +731,42 @@ def minhash_dedup(ds, num_hashes: int = 128, bands: int = 16, ngram: int = 3,
 # ---------------------------------------------------------------------------
 # substring-level duplicate passages
 # ---------------------------------------------------------------------------
-def _passage_tokens(t: str | None, window: int) -> list[str]:
-    """Single-space tokenizer for passage windows — matches the SQL
-    oracle's ``string_split(trim(text), ' ')`` exactly (keeps empty
-    tokens on runs of spaces; any-whitespace ``.split()`` silently
-    diverges on tabs/double spaces)."""
-    toks = (t or "").strip().split(" ")
-    return toks if len(toks) >= window else []
-
-
 def _doc_window_set(t: str | None, window: int) -> list[str]:
-    """DISTINCT ``window``-token spans of one doc, in first-seen order.
+    """DISTINCT ``window``-token spans of one doc, in first-seen order."""
+    return list(dict.fromkeys(_windows(t, window)))
 
-    Windows are direct SLICES of the trimmed text: consecutive
-    ``split(' ')`` tokens are separated by exactly one space in the
-    source, so the ``' '.join`` of a token run equals the substring
-    between the first token's start and the last token's end — no
-    per-window join allocation."""
-    body = (t or "").strip()
-    toks = body.split(" ")
-    if len(toks) < window:
-        return []
-    starts = [0]
-    app = starts.append
-    pos = 0
-    for tok in toks:
-        pos += len(tok) + 1
-        app(pos)
-    seen: dict[str, None] = {}
-    for i in range(len(toks) - window + 1):
-        seen.setdefault(body[starts[i]:starts[i + window] - 1])
-    return list(seen)
+
+def _window_count_emitter(window: int, text_col: str, id_col: str):
+    """Batch fn: one (k, ``id_col``, c) row per doc and DISTINCT window —
+    ``k`` the window's md5 key (``_md5_key``, the hash the SQL oracles
+    apply, so window TEXT never crosses an exchange), ``c`` its in-doc
+    occurrence count. Ids come out int64."""
+
+    def emit(batch: pa.Table) -> pa.Table:
+        texts = batch.column(text_col).to_pylist()
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        # block-level memo: boilerplate windows repeat across docs, and
+        # md5-of-text is the per-window cost — hash each distinct
+        # window once per block
+        hash_of: dict[str, int] = {}
+        out_k: list[int] = []
+        out_d: list[int] = []
+        out_c: list[int] = []
+        for doc_id, t in zip(ids.tolist(), texts):
+            for w, c in Counter(_windows(t, window)).items():
+                h = hash_of.get(w)
+                if h is None:
+                    h = hash_of[w] = _md5_key(w)
+                out_k.append(h)
+                out_d.append(doc_id)
+                out_c.append(c)
+        return pa.table({
+            "k": pa.array(out_k, type=pa.int64()),
+            id_col: pa.array(out_d, type=pa.int64()),
+            "c": pa.array(out_c, type=pa.int64()),
+        })
+
+    return emit
 
 
 def _window_emitter(window: int, text_col: str):
@@ -746,12 +819,7 @@ def duplicate_passages(ds, window: int = 8, min_docs: int = 2,
     def count_docs(group: pa.Table) -> pa.Table:
         n = len(set(group.column("doc_id").to_pylist()))
         if n < min_docs:
-            return pa.Table.from_pydict(
-                {
-                    "win": pa.array([], type=pa.string()),
-                    "n_docs": pa.array([], type=pa.int64()),
-                }
-            )
+            return _empty_table(["win", "n_docs"], [pa.string(), pa.int64()])
         return pa.Table.from_pydict(
             {
                 "win": group.column("win").slice(0, 1),
@@ -774,9 +842,6 @@ def _duplicate_passages_hashed(ds, window: int, min_docs: int,
     broadcast hash→n_docs map."""
     import ray
 
-    def doc_windows(doc_id, t):
-        return _doc_window_set(t, window)
-
     def emit_hashes(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
         ids = batch.column("doc_id").to_pylist()
@@ -784,7 +849,7 @@ def _duplicate_passages_hashed(ds, window: int, min_docs: int,
         out_h: list[int] = []
         out_ids = []
         for doc_id, t in zip(ids, texts):
-            wins = doc_windows(doc_id, t)
+            wins = _doc_window_set(t, window)
             if wins:
                 out_h.extend(
                     _hash64(wins).astype(np.int64).tolist()
@@ -800,12 +865,8 @@ def _duplicate_passages_hashed(ds, window: int, min_docs: int,
     def count_docs(group: pa.Table) -> pa.Table:
         n = len(set(group.column("doc_id").to_pylist()))
         if n < min_docs:
-            return pa.Table.from_pydict(
-                {
-                    "win_hash": pa.array([], type=pa.int64()),
-                    "n_docs": pa.array([], type=pa.int64()),
-                }
-            )
+            return _empty_table(["win_hash", "n_docs"],
+                                [pa.int64(), pa.int64()])
         return pa.Table.from_pydict(
             {
                 "win_hash": group.column("win_hash").slice(0, 1),
@@ -833,7 +894,7 @@ def _duplicate_passages_hashed(ds, window: int, min_docs: int,
         wins_out, counts = [], []
         seen = set()
         for doc_id, t in zip(ids, texts):
-            wins = doc_windows(doc_id, t)
+            wins = _doc_window_set(t, window)
             if not wins:
                 continue
             hashes = _hash64(wins).astype(np.int64)
@@ -1044,12 +1105,7 @@ def passage_star_edges(ds, window: int = 8, text_col: str = "text"):
         ids = sorted(set(group.column("doc_id").to_pylist()))
         id_type = group.schema.field("doc_id").type
         if len(ids) < 2:
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([], type=id_type),
-                    "doc_b": pa.array([], type=id_type),
-                }
-            )
+            return _empty_table(["doc_a", "doc_b"], [id_type, id_type])
         hub = ids[0]
         return pa.Table.from_pydict(
             {
@@ -1345,21 +1401,13 @@ def ngram_jaccard_pairs(ds, prefix_tokens: int = 8, n: int = 2,
             }
         )
 
-    schema = ds.schema()
-    id_type = dict(zip(schema.names, schema.types))["doc_id"]
+    id_type = _ds_column_type(ds, "doc_id")
 
     def emit_pairs(group: pa.Table) -> pa.Table:
         m = group.num_rows
-        empty = pa.Table.from_pydict(
-            {
-                "doc_a": pa.nulls(0, type=id_type),
-                "doc_b": pa.nulls(0, type=id_type),
-                "n_inter": pa.array([], type=pa.int64()),
-                "n_union": pa.array([], type=pa.int64()),
-            }
-        )
         if m < 2:
-            return empty
+            return _empty_table(["doc_a", "doc_b", "n_inter", "n_union"],
+                                [id_type, id_type, pa.int64(), pa.int64()])
         if m > max_docs_per_group:
             raise ValueError(
                 f"ngram_jaccard_pairs: prefix group of {m} docs (> "
@@ -1442,19 +1490,16 @@ def longest_common_runs(ds, window: int = 8, text_col: str = "text",
     Returns (doc_a, doc_b, lcs_tokens ≥ window), optionally filtered to
     ``lcs_tokens ≥ min_run_tokens``.
     """
-    schema = ds.schema()
-    id_type = dict(zip(schema.names, schema.types))["doc_id"]
+    id_type = _ds_column_type(ds, "doc_id")
 
     def emit_positions(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
         ids = batch.column("doc_id").to_pylist()
         out_h, out_ids, out_pos = [], [], []
         for doc_id, t in zip(ids, texts):
-            toks = _passage_tokens(t, window)
-            if not toks:
+            wins = _windows(t, window)
+            if not wins:
                 continue
-            wins = [" ".join(toks[i:i + window])
-                    for i in range(len(toks) - window + 1)]
             out_h.extend(_hash64(wins).astype(np.int64).tolist())
             out_ids.extend([doc_id] * len(wins))
             out_pos.extend(range(len(wins)))
@@ -1466,18 +1511,13 @@ def longest_common_runs(ds, window: int = 8, text_col: str = "text",
             }
         )
 
+    empty_matches = _empty_table(["doc_a", "doc_b", "diag", "pos_a"],
+                                 [id_type, id_type, pa.int64(), pa.int64()])
+
     def emit_matches(group: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pydict(
-            {
-                "doc_a": pa.nulls(0, type=id_type),
-                "doc_b": pa.nulls(0, type=id_type),
-                "diag": pa.array([], type=pa.int64()),
-                "pos_a": pa.array([], type=pa.int64()),
-            }
-        )
         n = group.num_rows
         if n < 2:
-            return empty
+            return empty_matches
         if n > max_rows_per_window:
             raise ValueError(
                 f"longest_common_runs: k-mer group of {n} rows (> "
@@ -1492,7 +1532,7 @@ def longest_common_runs(ds, window: int = 8, text_col: str = "text",
             by_doc.setdefault(d, []).append(pos[i])
         docs = sorted(by_doc)
         if len(docs) < 2:
-            return empty
+            return empty_matches
         o_a, o_b, o_diag, o_pa = [], [], [], []
         for i in range(len(docs) - 1):
             pa_arr = np.asarray(by_doc[docs[i]], dtype=np.int64)
@@ -1527,13 +1567,8 @@ def longest_common_runs(ds, window: int = 8, text_col: str = "text",
         m = int(np.bincount(island).max())
         lcs = m + window - 1
         if min_run_tokens is not None and lcs < min_run_tokens:
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.nulls(0, type=id_type),
-                    "doc_b": pa.nulls(0, type=id_type),
-                    "lcs_tokens": pa.array([], type=pa.int64()),
-                }
-            )
+            return _empty_table(["doc_a", "doc_b", "lcs_tokens"],
+                                [id_type, id_type, pa.int64()])
         return pa.Table.from_pydict(
             {
                 "doc_a": group.column("doc_a").slice(0, 1),
@@ -1575,59 +1610,27 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
     a scan-side per-doc count). Bounds are loud: doc_id < 2⁴², in-doc
     window occurrences < 2²¹.
     """
-    import hashlib
-
     from ray.data.aggregate import Min, Sum
 
     C_BITS = 21
+    count_rows = _window_count_emitter(window, text_col, id_col)
 
     def emit(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        md5 = hashlib.md5
-        # block-level memo: boilerplate windows repeat across docs, and
-        # md5-of-text is the per-window cost — hash each distinct
-        # window once per block
-        hash_of: dict[str, int] = {}
-        out_k: list[int] = []
-        out_m: list[int] = []
-        for doc_id, t in zip(ids.tolist(), texts):
-            if not (0 <= doc_id < (1 << 42)):
-                raise ValueError(
-                    "ngram_novelty: doc_id outside [0, 2^42) breaks the "
-                    "min-composite packing")
-            body = (t or "").strip()
-            toks = body.split(" ")
-            if len(toks) < window:
-                continue
-            # consecutive split(' ') tokens are separated by EXACTLY one
-            # space in the source, so the joined window equals a direct
-            # slice of the trimmed text — no per-window str join
-            starts = [0]
-            app = starts.append
-            pos = 0
-            for tok in toks:
-                pos += len(tok) + 1
-                app(pos)
-            counts: dict[str, int] = {}
-            for i in range(len(toks) - window + 1):
-                w = body[starts[i]:starts[i + window] - 1]
-                counts[w] = counts.get(w, 0) + 1
-            base = doc_id << C_BITS
-            for w, c in counts.items():
-                if c >= (1 << C_BITS):
-                    raise ValueError(
-                        "ngram_novelty: >2^21 in-doc occurrences of one "
-                        "window breaks the min-composite packing")
-                h = hash_of.get(w)
-                if h is None:
-                    h = int(md5(w.encode()).hexdigest()[:15], 16)
-                    hash_of[w] = h
-                out_k.append(h)
-                out_m.append(base | c)
-        return pa.Table.from_pydict({
-            "k": pa.array(out_k, type=pa.int64()),
-            "m": pa.array(out_m, type=pa.int64()),
+        if not np.all((ids >= 0) & (ids < (1 << 42))):
+            raise ValueError(
+                "ngram_novelty: doc_id outside [0, 2^42) breaks the "
+                "min-composite packing")
+        kdc = count_rows(batch)
+        c = kdc.column("c").to_numpy(zero_copy_only=False)
+        if c.size and int(c.max()) >= (1 << C_BITS):
+            raise ValueError(
+                "ngram_novelty: >2^21 in-doc occurrences of one "
+                "window breaks the min-composite packing")
+        doc = kdc.column(id_col).to_numpy(zero_copy_only=False)
+        return pa.table({
+            "k": kdc.column("k"),
+            "m": pa.array((doc << C_BITS) | c, type=pa.int64()),
         })
 
     owners = (ds.select_columns([id_col, text_col])
@@ -1645,9 +1648,8 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
     novel = owners.map_batches(decompose, batch_format="pyarrow")
 
     def totals(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        n_win = [max(len((t or "").strip().split(" ")) - window + 1, 0)
-                 for t in texts]
+        n_win = [_n_windows(t, window)
+                 for t in batch.column(text_col).to_pylist()]
         z = np.zeros(batch.num_rows, dtype=np.int64)
         return pa.Table.from_pydict({
             id_col: pa.array(
@@ -1676,8 +1678,7 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
 
 
 def template_score(ds, window: int = 4, text_col: str = "text",
-                   id_col: str = "doc_id",
-                   materialize_windows: bool = True):
+                   id_col: str = "doc_id"):
     """Templated-text screen — the corpus-frequency COMPLEMENT of
     ``ngram_novelty``: for every document, the sum and mean of the
     corpus-wide occurrence count of each of its ``window``-token spans
@@ -1695,67 +1696,21 @@ def template_score(ds, window: int = 4, text_col: str = "text",
     (run-length emit kernel, no per-key Python) to stamp each count
     back onto its per-doc occurrences, one doc-sized rollup.
     ``n_windows`` rides scan-side (``len(toks)−w+1``) and never touches
-    the key exchange. ``materialize_windows=False`` trades the object
-    store footprint of the window table for re-running its emit pass
-    per consumer — the streaming-friendly choice at extreme corpus
-    sizes.
+    the key exchange.
 
     Returns (doc_id, n_windows, sum_freq, template_score) where
     ``template_score = sum_freq / n_windows`` (0.0 for sub-window
     docs); ints exact, the score is ONE IEEE division.
     """
-    import hashlib
-
     from ray.data.aggregate import Sum
 
     from .join import hash_join
 
-    def emit(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        md5 = hashlib.md5
-        # block-level memo: boilerplate windows repeat across docs —
-        # hash each distinct window once per block
-        hash_of: dict[str, int] = {}
-        out_k: list[int] = []
-        out_d: list[int] = []
-        out_c: list[int] = []
-        for doc_id, t in zip(ids.tolist(), texts):
-            body = (t or "").strip()
-            toks = body.split(" ")
-            if len(toks) < window:
-                continue
-            # consecutive split(' ') tokens are separated by EXACTLY
-            # one space in the source, so the joined window equals a
-            # direct slice of the trimmed text (ngram_novelty's rule)
-            starts = [0]
-            app = starts.append
-            pos = 0
-            for tok in toks:
-                pos += len(tok) + 1
-                app(pos)
-            counts: dict[str, int] = {}
-            for i in range(len(toks) - window + 1):
-                w = body[starts[i]:starts[i + window] - 1]
-                counts[w] = counts.get(w, 0) + 1
-            for w, c in counts.items():
-                h = hash_of.get(w)
-                if h is None:
-                    h = int(md5(w.encode()).hexdigest()[:15], 16)
-                    hash_of[w] = h
-                out_k.append(h)
-                out_d.append(doc_id)
-                out_c.append(c)
-        return pa.Table.from_pydict({
-            "k": pa.array(out_k, type=pa.int64()),
-            id_col: pa.array(out_d, type=pa.int64()),
-            "c": pa.array(out_c, type=pa.int64()),
-        })
-
+    # consumed twice: corpus counts + stamp-back
     kv = (ds.select_columns([id_col, text_col])
-          .map_batches(emit, batch_format="pyarrow"))
-    if materialize_windows:
-        kv = kv.materialize()  # consumed twice: corpus counts + stamp-back
+          .map_batches(_window_count_emitter(window, text_col, id_col),
+                       batch_format="pyarrow")
+          .materialize())
     tot = kv.groupby("k").aggregate(Sum("c", alias_name="tot"))
     joined = hash_join(kv, tot, "k", "k", [id_col, "c"], ["tot"])
 
@@ -1775,9 +1730,8 @@ def template_score(ds, window: int = 4, text_col: str = "text",
         })
 
     def base_pass(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        n_win = [max(len((t or "").strip().split(" ")) - window + 1, 0)
-                 for t in texts]
+        n_win = [_n_windows(t, window)
+                 for t in batch.column(text_col).to_pylist()]
         z = np.zeros(batch.num_rows, dtype=np.int64)
         return pa.Table.from_pydict({
             id_col: pa.array(

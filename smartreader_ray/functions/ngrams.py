@@ -264,8 +264,7 @@ def _doc_term_tf(batch: pa.Table, doc_col: str, text_col: str) -> pd.DataFrame:
 
 def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
                     k: int = 3, round_to: int = 6,
-                    broadcast_vocab_max: int = 5_000_000,
-                    strategy: str = "auto"):
+                    broadcast_vocab_max: int = 5_000_000):
     """Top ``k`` terms per document by TF-IDF (idf = ln(N/df), raw tf).
 
     Pass 1 always reduces the corpus to a vocabulary-sized (term, df)
@@ -282,8 +281,8 @@ def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
       instead of zero — the price of not holding the vocabulary
       anywhere.
 
-    ``strategy``: "auto" (size-based), "broadcast", or "join". Both
-    paths produce identical rows (equivalence pinned in tests).
+    Both regimes produce identical rows (equivalence pinned in tests;
+    ``broadcast_vocab_max=0`` forces the join regime).
 
     Ordering inside a doc is (rounded score desc, term asc) — rounding
     BEFORE ranking so the engine and the SQL oracle break near-ties
@@ -301,15 +300,9 @@ def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
         .map_batches(lambda b: b.rename_columns(["term", "df"]),
                      batch_format="pyarrow")
     )
-    if strategy == "auto":
-        strategy = (
-            "broadcast" if df_tbl.count() <= broadcast_vocab_max else "join"
-        )
-    if strategy == "join":
+    if df_tbl.count() > broadcast_vocab_max:
         return _tfidf_join_path(ds, df_tbl, n_docs, doc_col, text_col, k,
                                 round_to)
-    if strategy != "broadcast":
-        raise ValueError(f"unknown strategy {strategy!r}")
     df_pd = df_tbl.to_pandas()
     df_map_ref = ray.put(
         dict(zip(df_pd["term"].to_numpy(), df_pd["df"].to_numpy()))

@@ -16,6 +16,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from .dedup import _md5_key
+
 
 def _md5_hex(values: list) -> list[str]:
     md5 = hashlib.md5
@@ -334,10 +336,8 @@ def dsir_select(ds, target_lang: str = "en", n_buckets: int = 256,
         if isinstance(enc, pa.ChunkedArray):
             enc = enc.combine_chunks()
         vocab = enc.dictionary.to_pylist()
-        vb = np.fromiter(
-            (int(hashlib.md5(t.encode()).hexdigest()[:15], 16) % B
-             for t in vocab),
-            dtype=np.int64, count=len(vocab))
+        vb = np.fromiter((_md5_key(t) % B for t in vocab),
+                         dtype=np.int64, count=len(vocab))
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         return vb[codes] if len(codes) else np.zeros(0, np.int64)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .dedup import _hash64
+from .dedup import _hash64, _md5_key
 from .join import hash_join
 
 
@@ -195,10 +195,7 @@ def table_fingerprint(ds, group_col: str, cols: list[str],
     rows ever cross the exchange. SQL replays it with md5 + hugeint
     modulo + bit_xor.
     """
-    import hashlib
-
     _P = (1 << 61) - 1
-    md5 = hashlib.md5
     ts_set = set(ts_cols)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -214,8 +211,7 @@ def table_fingerprint(ds, group_col: str, cols: list[str],
         groups = b.column(group_col).to_pylist()
         acc: dict = {}
         for i, g in enumerate(groups):
-            h = int(md5("|".join(r[i] for r in rendered)
-                        .encode()).hexdigest()[:15], 16)
+            h = _md5_key("|".join(r[i] for r in rendered))
             s, x, n = acc.get(g, (0, 0, 0))
             acc[g] = ((s + h) % _P, x ^ h, n + 1)
         keys = sorted(acc)

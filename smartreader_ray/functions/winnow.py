@@ -31,102 +31,19 @@ import numpy as np
 import pyarrow as pa
 
 from .dedup import (
-    _capped_subgroups,
+    DEFAULT_MAX_BUCKET,
+    _bucket_pairs,
     _doc_window_set,
     _hash64,
+    _windows,
 )
-
-# pair-emission safety cap: a fingerprint shared by > cap docs is
-# boilerplate, not duplication — split deterministically and loudly
-# (same policy/cap as the MinHash LSH buckets, dedup.py:33)
-DEFAULT_MAX_BUCKET = 128
-
-
-def _bucket_pairs_exchange(docfp, key_col: str, max_bucket: int,
-                           nparts: int = 64):
-    """All within-bucket (doc_a < doc_b) pairs over (key_col, doc_id)
-    rows, ONE Python call per hash PARTITION instead of one per
-    distinct key — fingerprint keys are near-unique, so per-key
-    ``map_groups`` is the known pathology (VERDICT r4 #2, fixed in
-    `join.hash_join` the same way): partition on the key, sort each
-    partition once, skip single-doc runs entirely, and emit each
-    multi-doc run's pairs with vectorized ``triu_indices``. Over-cap
-    buckets replay `_capped_subgroups` byte-for-byte (identical
-    ``str(key)`` salt and sorted member order), so outputs are
-    IDENTICAL to the per-key pairer at every scale."""
-    import pyarrow.compute as pc
-
-    def stamp(b: pa.Table) -> pa.Table:
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        part = (k.astype(np.int64).view(np.uint64)
-                % np.uint64(nparts)).astype(np.int64)
-        return b.append_column("__part", pa.array(part, type=pa.int64()))
-
-    def emit_part(g: pa.Table) -> pa.Table:
-        key = g.column(key_col).to_numpy(zero_copy_only=False)
-        doc_arr = g.column("doc_id")
-        id_type = g.schema.field("doc_id").type
-        doc = doc_arr.to_numpy(zero_copy_only=False)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        doc = doc[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        ends = np.r_[starts[1:], key.size]
-        a_acc, b_acc = [], []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            if e - s < 2:
-                continue
-            docs = np.unique(doc[s:e])
-            if docs.size < 2:
-                continue
-            if docs.size <= max_bucket:
-                ii, jj = np.triu_indices(docs.size, k=1)
-                a_acc.append(docs[ii])
-                b_acc.append(docs[jj])
-            else:
-                for sub in _capped_subgroups(docs.tolist(), max_bucket,
-                                             str(key[s])):
-                    arr = np.asarray(sub)
-                    if arr.size < 2:
-                        continue
-                    ii, jj = np.triu_indices(arr.size, k=1)
-                    a_acc.append(arr[ii])
-                    b_acc.append(arr[jj])
-        if not a_acc:
-            return pa.table({"doc_a": pa.nulls(0, type=id_type),
-                             "doc_b": pa.nulls(0, type=id_type)})
-        return pa.table({
-            "doc_a": pa.array(np.concatenate(a_acc), type=id_type),
-            "doc_b": pa.array(np.concatenate(b_acc), type=id_type),
-        })
-
-    return (docfp.map_batches(stamp, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(emit_part, batch_format="pyarrow"))
 
 
 def _doc_kgram_hashes(t: str | None, k: int) -> np.ndarray:
     """uint64 FNV-1a hashes of ALL k-token shingles of one doc, in
-    position order (duplicates kept — winnowing is positional).
-
-    Tokenizer contract matches the passage oracles exactly:
-    ``string_split(trim(text), ' ')``; shingles are direct slices of
-    the trimmed text (consecutive single-space tokens ⇒ the join of a
-    token run equals the substring), no per-shingle join allocation.
-    """
-    body = (t or "").strip()
-    toks = body.split(" ")
-    if len(toks) < k:
-        return np.empty(0, dtype=np.uint64)
-    starts = [0]
-    app = starts.append
-    pos = 0
-    for tok in toks:
-        pos += len(tok) + 1
-        app(pos)
-    grams = [body[starts[i]:starts[i + k] - 1]
-             for i in range(len(toks) - k + 1)]
-    return _hash64(grams)
+    position order (duplicates kept — winnowing is positional); the
+    shingles are the passage oracles' windows (``dedup._windows``)."""
+    return _hash64(_windows(t, k))
 
 
 def _winnow_select(h: np.ndarray, w: int) -> np.ndarray:
@@ -232,7 +149,7 @@ def winnow_dedup(ds, k: int = 4, w: int = 4, min_shared: int = 2,
     sizes = docfp.groupby("doc_id").aggregate(
         Count(alias_name="n_fp")).materialize()
 
-    pairs = (_bucket_pairs_exchange(docfp, "fp", max_bucket)
+    pairs = (_bucket_pairs(docfp, "fp", max_bucket)
              .groupby(["doc_a", "doc_b"])
              .aggregate(Count(alias_name="shared")))
 
@@ -299,7 +216,7 @@ def containment_pairs(ds, window: int = 8, text_col: str = "text",
     sizes = docw.groupby("doc_id").aggregate(
         Count(alias_name="n_win")).materialize()
 
-    pairs = (_bucket_pairs_exchange(docw, "wh", max_bucket)
+    pairs = (_bucket_pairs(docw, "wh", max_bucket)
              .groupby(["doc_a", "doc_b"])
              .aggregate(Count(alias_name="shared")))
 

@@ -764,11 +764,11 @@ def span_fingerprint_batch(article_batch,
     DOCUMENT; only (doc_id, span_fp) leaves the block. Output:
     (doc_id, span_fp).
     """
-    import hashlib
-
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
+
+    from .functions.dedup import _md5_key
 
     flat = normalize_spans_batch(article_batch)
     n = flat.num_rows
@@ -797,8 +797,7 @@ def span_fingerprint_batch(article_batch,
     lists = pa.ListArray.from_arrays(
         pa.array(bounds, type=pa.int32()), piece)
     canon = pc.binary_join(lists, "\x1e").to_pylist()
-    md5 = hashlib.md5
-    fps = [int(md5(c.encode()).hexdigest()[:15], 16) for c in canon]
+    fps = [_md5_key(c) for c in canon]
     return pa.table({
         "doc_id": doc.take(pa.array(starts, type=pa.int64())),
         "span_fp": pa.array(fps, type=pa.int64()),

@@ -347,6 +347,86 @@ def test_simhash_bucket_cap(ray_session):
     assert n_pairs < n * (n - 1) // 2
 
 
+def _clustered_docs(seed, n_templates=6, copies=7, n_toks=40):
+    """Seeded corpus of near-duplicate clusters: each template appears
+    ``copies`` times, some copies verbatim and some with one token
+    swapped, so LSH buckets hold more members than a small cap."""
+    import random
+
+    rng = random.Random(seed)
+    words = [f"w{j}" for j in range(300)]
+    docs = []
+    for t in range(n_templates):
+        toks = [rng.choice(words) for _ in range(n_toks)]
+        for _ in range(copies):
+            v = list(toks)
+            if rng.random() < 0.5:
+                v[rng.randrange(n_toks)] = rng.choice(words)
+            docs.append(" ".join(v))
+    rng.shuffle(docs)
+    return [{"doc_id": i, "text": t} for i, t in enumerate(docs)]
+
+
+def _naive_bucket_pairs(buckets, cap):
+    """Reference pairer: per bucket key, the sorted distinct members,
+    sub-split by ``_capped_subgroups`` (salt ``str(key)``), every pair
+    within a sub-bucket; counts how many buckets emit each pair."""
+    from collections import Counter
+    from itertools import combinations
+
+    from smartreader_ray.functions.dedup import _capped_subgroups
+
+    out = Counter()
+    for key, members in buckets.items():
+        for sub in _capped_subgroups(sorted(members), cap, str(key)):
+            out.update(combinations(sub, 2))
+    return out
+
+
+def test_lsh_pairers_match_naive_reference_with_sub_split(ray_session):
+    """``minhash_lsh_candidates`` and ``simhash_neardup`` at a cap of 3
+    (the over-cap sub-split fires on every cluster bucket) emit exactly
+    the pair set of a per-bucket in-process reference."""
+    import numpy as np
+    import ray.data
+
+    from smartreader_ray.functions import (minhash_lsh_candidates,
+                                           simhash_neardup)
+    from smartreader_ray.functions.dedup import MinHasher, simhash64
+
+    cap = 3
+    docs = _clustered_docs(seed=5)
+    ids = [d["doc_id"] for d in docs]
+    texts = [d["text"] for d in docs]
+    ds = ray.data.from_items(docs).repartition(3)
+
+    h = MinHasher()  # minhash_lsh_candidates' defaults
+    keys = h.band_keys_batch(h.signatures_batch(texts)).view(np.int64)
+    buckets: dict = {}
+    for d, row in zip(ids, keys.tolist()):
+        for k in row:
+            buckets.setdefault(k, set()).add(d)
+    assert max(len(m) for m in buckets.values()) > cap
+    want = _naive_bucket_pairs(buckets, cap)
+    got = {(r["doc_a"], r["doc_b"]): r["n_bands"]
+           for r in minhash_lsh_candidates(ds, max_bucket=cap).take_all()}
+    assert got == dict(want)
+
+    sims = {d: simhash64(t, 2) for d, t in zip(ids, texts)}
+    buckets = {}
+    for d, s in sims.items():
+        for c in range(4):
+            buckets.setdefault((c << 16) | ((s >> (16 * c)) & 0xFFFF),
+                               set()).add(d)
+    assert max(len(m) for m in buckets.values()) > cap
+    want = {p: bin(sims[p[0]] ^ sims[p[1]]).count("1")
+            for p in _naive_bucket_pairs(buckets, cap)}
+    want = {p: d for p, d in want.items() if d <= 3}
+    got = {(r["doc_a"], r["doc_b"]): r["hamming_min"]
+           for r in simhash_neardup(ds, max_bucket=cap).take_all()}
+    assert want and got == want
+
+
 def test_minhash_dedup_distributed_verify_matches_broadcast(ray_session):
     """Forcing the distributed verify join (broadcast_pair_limit=0) must
     give the same verified pairs as the broadcast path."""

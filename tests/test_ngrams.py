@@ -91,9 +91,7 @@ def test_tfidf_auto_falls_back_to_join(ray_session):
     a = tfidf_top_terms(
         ray.data.from_arrow(_tbl()), k=2, broadcast_vocab_max=1
     ).take_all()
-    b = tfidf_top_terms(
-        ray.data.from_arrow(_tbl()), k=2, strategy="broadcast"
-    ).take_all()
+    b = tfidf_top_terms(ray.data.from_arrow(_tbl()), k=2).take_all()
     key = lambda r: (r["doc_id"], -r["score"], r["term"])
     assert sorted(a, key=key) == sorted(b, key=key)
 
@@ -102,8 +100,8 @@ def test_tfidf_join_path_equivalence(ray_session):
     import ray.data
 
     ds = ray.data.from_arrow(_tbl())
-    b = tfidf_top_terms(ds, k=2, strategy="broadcast").take_all()
-    j = tfidf_top_terms(ds, k=2, strategy="join").take_all()
+    b = tfidf_top_terms(ds, k=2).take_all()
+    j = tfidf_top_terms(ds, k=2, broadcast_vocab_max=0).take_all()
     key = lambda r: (r["doc_id"], -r["score"], r["term"])
     assert sorted(b, key=key) == sorted(j, key=key)
 
@@ -114,8 +112,8 @@ def test_tfidf_join_path_equivalence_corpus(ray_session):
     ds = ray.data.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
     ).repartition(4)
-    b = tfidf_top_terms(ds, strategy="broadcast").take_all()
-    j = tfidf_top_terms(ds, strategy="join").take_all()
+    b = tfidf_top_terms(ds).take_all()
+    j = tfidf_top_terms(ds, broadcast_vocab_max=0).take_all()
     key = lambda r: (r["doc_id"], -r["score"], r["term"])
     assert sorted(b, key=key) == sorted(j, key=key)
 

@@ -56,9 +56,9 @@ def test_tfidf_invariant_both_regimes(ray_session):
     from smartreader_ray.functions.ngrams import tfidf_top_terms
 
     a, b = _pair(ray_session)
-    one = _rows(tfidf_top_terms(a, k=2, strategy="broadcast"))
-    assert one == _rows(tfidf_top_terms(b, k=2, strategy="broadcast"))
-    assert one == _rows(tfidf_top_terms(b, k=2, strategy="join"))
+    one = _rows(tfidf_top_terms(a, k=2))
+    assert one == _rows(tfidf_top_terms(b, k=2))
+    assert one == _rows(tfidf_top_terms(b, k=2, broadcast_vocab_max=0))
 
 
 def test_zscore_invariant(ray_session):

@@ -172,6 +172,31 @@ def test_hash64_property(values):
 
 
 # ---------------------------------------------------------------------------
+# token-window scanner vs the split/join definition (hypothesis)
+# ---------------------------------------------------------------------------
+# runs of spaces, tabs, newlines, non-ASCII letters and astral chars;
+# leading/trailing whitespace arises from the same alphabet
+_window_texts = st.text(alphabet=st.sampled_from(
+    list("ab  \t\né日本　\U0001f600")), max_size=80)
+
+
+@given(_window_texts, st.integers(min_value=1, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_windows_match_split_join(text, window):
+    from smartreader_ray.functions.dedup import _doc_window_set, _windows
+
+    toks = text.strip().split(" ")
+    naive = [" ".join(toks[i:i + window])
+             for i in range(len(toks) - window + 1)]
+    assert _windows(text, window) == naive
+    distinct = []
+    for w in naive:
+        if w not in distinct:
+            distinct.append(w)
+    assert _doc_window_set(text, window) == distinct
+
+
+# ---------------------------------------------------------------------------
 # fast tokenizer vs stdlib html.parser on arbitrary markup-ish text
 # ---------------------------------------------------------------------------
 _markup_alphabet = st.sampled_from(

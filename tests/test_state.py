@@ -137,3 +137,71 @@ def test_neardup_index_rejected_doc_does_not_pollute(ray_session):
     ))).take_all()
     assert kept == []
     assert idx.stats()["band_keys"] == n1
+
+
+def test_neardup_index_matches_naive_across_save_load_resume(ray_session,
+                                                             tmp_path):
+    """Seeded waves of near-duplicate clusters through ``NearDupIndex``
+    vs a naive single-process reference of its admit rule: a doc is
+    admitted iff none of its band keys was recorded by a previously
+    ADMITTED doc, and only admitted docs record keys. The index is saved
+    after wave 2 and reloaded; the reloaded index and the uninterrupted
+    one must both follow the reference on waves 3-4."""
+    import random
+
+    import ray.data
+
+    from smartreader_ray.functions.dedup import MinHasher
+    from smartreader_ray.state.dedup_index import NearDupIndex
+
+    rng = random.Random(11)
+    words = [f"w{j}" for j in range(500)]
+    templates = [[rng.choice(words) for _ in range(40)] for _ in range(12)]
+    waves, doc_id = [], 0
+    for _ in range(4):
+        wave = []
+        # each template at most once per wave: near-dups only ever meet
+        # across waves, so batch boundaries inside a wave do not matter
+        for t in rng.sample(range(len(templates)), 6):
+            toks = list(templates[t])
+            if rng.random() < 0.5:
+                toks[rng.randrange(len(toks))] = rng.choice(words)
+            wave.append((doc_id, " ".join(toks)))
+            doc_id += 1
+        waves.append(wave)
+
+    idx = NearDupIndex(num_shards=2)
+    hasher = MinHasher(num_hashes=idx.num_hashes, bands=idx.bands,
+                       ngram=idx.ngram, seed=idx.seed)
+    recorded: set = set()
+    want_kept, want_sizes = [], []
+    for wave in waves:
+        keys = hasher.band_keys_batch(
+            hasher.signatures_batch([t for _, t in wave]))
+        doc_keys = [set(int(k) for k in row) for row in keys]
+        for i in range(len(doc_keys)):
+            for j in range(i):
+                assert not doc_keys[i] & doc_keys[j]
+        kept = [d for (d, _), ks in zip(wave, doc_keys)
+                if not ks & recorded]
+        for (d, _), ks in zip(wave, doc_keys):
+            if d in kept:
+                recorded |= ks
+        want_kept.append(kept)
+        want_sizes.append(len(recorded))
+    assert any(len(k) < len(w) for k, w in zip(want_kept, waves))
+
+    def run(index, wave):
+        kept = index.filter_new(ray.data.from_arrow(_docs(wave))).take_all()
+        return sorted(r["doc_id"] for r in kept)
+
+    for w in range(2):
+        assert run(idx, waves[w]) == want_kept[w]
+        assert idx.stats()["band_keys"] == want_sizes[w]
+    idx.save(str(tmp_path / "near"))
+    resumed = NearDupIndex.load(str(tmp_path / "near"))
+    assert resumed.stats()["band_keys"] == want_sizes[1]
+    for w in range(2, 4):
+        for index in (resumed, idx):
+            assert run(index, waves[w]) == want_kept[w]
+            assert index.stats()["band_keys"] == want_sizes[w]
