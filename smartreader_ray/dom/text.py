@@ -4,19 +4,17 @@ relies on (AngleSharp ``StringExtensions.Collapse``, used by
 
 from __future__ import annotations
 
-# HTML5 "space characters": space, tab, LF, FF, CR (NOT U+00A0).
-_HTML_SPACE = " \t\n\f\r"
-_SPACE_SET = frozenset(_HTML_SPACE)
-
 import re
 
-_COLLAPSE_RE = re.compile(r"[ \t\n\f\r]+")
+_SPACE_RUN = re.compile(" {2,}")
 
 
 def collapse_whitespace(text: str) -> str:
-    """Collapse runs of HTML5 space characters into a single space."""
-    return _COLLAPSE_RE.sub(" ", text)
+    """Collapse runs of HTML5 space characters (space, tab, LF, FF, CR —
+    not U+00A0) into a single space.
 
-
-def is_html_space(ch: str) -> bool:
-    return ch in _SPACE_SET
+    Each non-space HTML5 space becomes a space (``str.replace`` is a
+    C-speed scan on any string width), then runs of two or more spaces
+    shrink to one; the regex runs only when such a run exists."""
+    text = text.replace("\t", " ").replace("\n", " ").replace("\f", " ").replace("\r", " ")
+    return _SPACE_RUN.sub(" ", text) if "  " in text else text

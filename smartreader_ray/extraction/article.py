@@ -6,6 +6,7 @@ Semantics follow the reference's ``Article.cs`` (ConvertToPlaintext
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -68,51 +69,44 @@ def _convert_to_text(el: Element, out: list[str]) -> None:
 
 
 #: every Unicode Z-category codepoint (Zs + Zl + Zp) — the set the
-#: reference's char.IsWhiteSpace-ish "space" test reduces to here; a
-#: frozenset lookup replaces a per-char unicodedata.category call
-_Z_SPACE = frozenset(
+#: reference's char.IsWhiteSpace-ish "space" test reduces to here
+_Z_SPACE = (
     "\x20\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
     "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
+_Z = f"[{_Z_SPACE}]"
+
+#: the Z-spaces the reference's char loop drops: one after a newline or
+#: another Z-space (taken with the rest of its run), and one before a
+#: newline. The pattern starts with the Z class, so the regex engine
+#: scans for it in C and text with nothing to drop costs one scan.
+_DROPPED_SPACES = re.compile(rf"{_Z}(?:(?<=[\r\n{_Z_SPACE}]{_Z}){_Z}*|(?=[\r\n]))")
+
+
+def squash_spaces(text: str) -> str:
+    """Article.cs:268-312 drop rule — a Z-category space is dropped iff
+    the next char is a newline, the previous char was a newline, or the
+    previous char was a space."""
+    return _DROPPED_SPACES.sub("", text)
 
 
 def convert_to_plaintext(el: Element) -> str:
-    """Article.cs:268-312 — whitespace-normalizing DOM→text conversion.
-
-    Drop rule (faithful to the reference's char loop): a Z-category space
-    is dropped iff the next char is a newline, the previous char was a
-    newline, or the previous char was a space."""
+    """Article.cs:268-312 — whitespace-normalizing DOM→text conversion:
+    tab runs become one space, then ``squash_spaces``, strip, and runs of
+    three or more newlines become a blank line."""
     sb: list[str] = []
     _convert_to_text(el, sb)
-    text = regexes.ELIMINATE_TABS.sub(" ", "".join(sb))
-
-    out: list[str] = []
-    append = out.append
-    z_set = _Z_SPACE
-    prev_space = False
-    prev_newline = False
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch in z_set:
-            if not (
-                prev_space
-                or prev_newline
-                or (i + 1 < n and text[i + 1] in "\r\n")
-            ):
-                append(ch)
-            prev_space = True
-            prev_newline = False
-        else:
-            append(ch)
-            prev_space = False
-            prev_newline = ch == "\n" or ch == "\r"
-
-    text = "".join(out).strip()
+    text = squash_spaces(regexes.ELIMINATE_TABS.sub(" ", "".join(sb))).strip()
     return regexes.NORMALIZE_NEWLINES.sub("\n\n", text)
 
 
-#: lazily-built per-char UTF-16 letter weights (see count_letters)
-_LETTER_WEIGHT: dict[str, int] = {}
+#: ' ' and every BMP punctuation (P*) codepoint: the chars that are not
+#: letters. Astral chars are never deleted, punctuation or not, so each
+#: still counts 2 UTF-16 units.
+_NOT_LETTER = " " + "".join(
+    c for c in map(chr, range(0x10000)) if unicodedata.category(c)[0] == "P"
+)
+_NOT_LETTER_RE = re.compile(f"[{re.escape(_NOT_LETTER)}]")
 
 
 def count_letters(text: str) -> int:
@@ -120,25 +114,10 @@ def count_letters(text: str) -> int:
 
     Counted in UTF-16 code units (.NET ``char`` semantics): astral-plane
     characters contribute 2 (surrogates are category Cs — neither space
-    nor punctuation). Classified once per distinct char (memo dict) and
-    multiplied by occurrence counts — C-speed counting via Counter.
-    """
-    from collections import Counter
-
-    weights = _LETTER_WEIGHT
-    total = 0
-    for ch, n in Counter(text).items():
-        w = weights.get(ch)
-        if w is None:
-            if ord(ch) > 0xFFFF:
-                w = 2
-            elif ch != " " and not unicodedata.category(ch).startswith("P"):
-                w = 1
-            else:
-                w = 0
-            weights[ch] = w
-        total += w * n
-    return total
+    nor punctuation). One char-class regex deletes the non-letters and a
+    UTF-16 encode counts the units left."""
+    kept = _NOT_LETTER_RE.sub("", text)
+    return len(kept.encode("utf-16-le", "surrogatepass")) // 2
 
 
 def time_to_read_seconds(element_text: str, plain_text: str, language: Optional[str]) -> int:

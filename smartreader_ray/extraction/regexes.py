@@ -84,7 +84,9 @@ MUSTACHE = re.compile(r"{{.*?}}")
 URL_DATE = re.compile(r"/(?P<year>[0-9]{4})/(?P<month>[0-9]{2})/((?P<day>[0-9]{2})/)?")
 
 ELIMINATE_TABS = re.compile(r"\t+")
-NORMALIZE_NEWLINES = re.compile(r"(\r?\n){3,}")
+#: ``(\r?\n){3,}`` written so its first char is a class the regex engine
+#: can scan for
+NORMALIZE_NEWLINES = re.compile(r"(?:\r\n|\n)(?:\r?\n){2,}")
 
 #: Replaceable-regex surface (reference ``RegularExpressions.cs`` +
 #: ``SmartReader.cs:2440-2508``): config carries overrides keyed by these.

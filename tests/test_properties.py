@@ -1,21 +1,30 @@
 """Property tests: optimized hot paths vs naive reference implementations.
 
-The DOM text caches, the Z-category space set, and the memoized letter
-counter replaced per-char unicodedata calls and repeated subtree walks;
-these properties pin them to the straightforward definitions on
-arbitrary inputs (hypothesis).
+The DOM text caches, the regex/``str``-method whitespace kernels
+(``collapse_whitespace``, ``squash_spaces``, ``convert_to_plaintext``)
+and the regex letter counter replaced per-char Python loops
+and repeated subtree walks; these properties pin them to the
+straightforward definitions on arbitrary inputs (hypothesis).
 """
 
+import re
 import unicodedata
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 # text with a bias toward the interesting classes: spaces of every
-# Z category, newlines, tabs, punctuation, astral chars
-_special = "     　\r\n\t .,!«»—\U0001f600\U00010400"
-_alphabet = st.sampled_from(list("abcdef ") + list(_special))
-texts = st.text(alphabet=_alphabet, max_size=200)
+# Z category, HTML5 and other control whitespace (\f, \x0b, \x85),
+# line/paragraph separators, newlines, tab runs, punctuation, astral
+# chars (astral punctuation included) and a lone surrogate
+_special = (
+    list(" \xa0\u3000\u2003\u205f\u1680\u202f\u2028\u2029")
+    + list("\r\n\t\f\x0b\x85")
+    + ["\t\t", "\t\t\t", "\r\n", "\n\n\n", "  "]
+    + list(".,!\u00ab\u00bb\u2014\U0001f600\U00010400\U00010100\ud800")
+)
+_tokens = st.sampled_from(list("abcdef ") + _special)
+texts = st.lists(_tokens, max_size=120).map("".join)
 
 
 def _naive_space_squash(text: str) -> str:
@@ -45,24 +54,17 @@ def _naive_space_squash(text: str) -> str:
 @given(texts)
 @settings(max_examples=300, deadline=None)
 def test_space_squash_matches_naive(text):
-    from smartreader_ray.extraction.article import _Z_SPACE
+    from smartreader_ray.extraction.article import squash_spaces
 
-    # re-run the optimized inner loop standalone (mirrors convert_to_plaintext)
-    out = []
-    prev_space = False
-    prev_newline = False
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch in _Z_SPACE:
-            if not (prev_space or prev_newline or (i + 1 < n and text[i + 1] in "\r\n")):
-                out.append(ch)
-            prev_space = True
-            prev_newline = False
-        else:
-            out.append(ch)
-            prev_space = False
-            prev_newline = ch == "\n" or ch == "\r"
-    assert "".join(out) == _naive_space_squash(text)
+    assert squash_spaces(text) == _naive_space_squash(text)
+
+
+@given(texts)
+@settings(max_examples=300, deadline=None)
+def test_collapse_whitespace_matches_regex(text):
+    from smartreader_ray.dom import collapse_whitespace
+
+    assert collapse_whitespace(text) == re.sub(r"[ \t\n\f\r]+", " ", text)
 
 
 def _naive_count_letters(text: str) -> int:
@@ -81,6 +83,58 @@ def test_count_letters_matches_naive(text):
     from smartreader_ray.extraction.article import count_letters
 
     assert count_letters(text) == _naive_count_letters(text)
+
+
+@st.composite
+def whitespace_docs(draw):
+    """Random nested P/BR/DIV/SPAN/PRE markup around whitespace-heavy text."""
+    parts = ["<html><body>"]
+    stack = []
+    for _ in range(draw(st.integers(0, 25))):
+        action = draw(st.integers(0, 3))
+        if action == 0 and len(stack) < 5:
+            t = draw(st.sampled_from(["p", "div", "span", "pre"]))
+            parts.append(f"<{t}>")
+            stack.append(t)
+        elif action == 1 and stack:
+            parts.append(f"</{stack.pop()}>")
+        elif action == 2:
+            parts.append("<br>")
+        else:
+            parts.append(draw(st.lists(_tokens, max_size=12).map("".join)))
+    while stack:
+        parts.append(f"</{stack.pop()}>")
+    parts.append("</body></html>")
+    return "".join(parts)
+
+
+def _naive_dom_text(node) -> str:
+    """Article.cs:317-344 written naively: text nodes in document order,
+    a newline before every P and BR and after every P."""
+    if node.node_type == 3:
+        return node.data
+    if node.node_type != 1:
+        return ""
+    inner = "".join(_naive_dom_text(c) for c in node.childNodes)
+    if node.node_name == "P":
+        return "\n" + inner + "\n"
+    if node.node_name == "BR":
+        return "\n" + inner
+    return inner
+
+
+@given(whitespace_docs())
+@settings(max_examples=300, deadline=None)
+def test_convert_to_plaintext_matches_naive(doc):
+    from smartreader_ray.dom import parse_html
+    from smartreader_ray.extraction import convert_to_plaintext
+
+    body = parse_html(doc).body
+    if body is None:
+        return
+    raw = re.sub(r"\t+", " ", _naive_dom_text(body))
+    naive = re.sub(r"(\r?\n){3,}", "\n\n", _naive_space_squash(raw).strip())
+    assert convert_to_plaintext(body) == naive
 
 
 # -- DOM invariants ---------------------------------------------------------
