@@ -52,8 +52,9 @@ def build_extraction_pipeline(
         # min=n would (a) starve the upstream read tasks at low CPU counts
         # (observed hangs) and (b) warn/idle when the input has fewer
         # blocks than actors; min=1 keeps reads alive and Ray grows the
-        # pool as batches queue. Callers on a hot path (bench, driver)
-        # pass an explicit pool size.
+        # pool as batches queue. The benchmark (perfbench) runs this
+        # default; the query driver passes the same shape with a cap
+        # (``__ray_entry__._pool_max``).
         try:
             import ray
 

@@ -144,23 +144,49 @@ def _sha256(value) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def golden_digests() -> dict:
-    """``{doc_id: {field: sha256}}`` of the current code's output."""
+def _digests(tables) -> dict:
+    """``{doc_id: {field: sha256}}`` of extracted article tables."""
     out = {}
-    for table in ExtractBatch()(golden_inputs()):
+    for table in tables:
         for row in table.select(["doc_id", *FIELDS]).to_pylist():
             out[row["doc_id"]] = {f: _sha256(row[f]) for f in FIELDS}
     return out
 
 
-def test_extraction_golden():
+def golden_digests() -> dict:
+    """``{doc_id: {field: sha256}}`` of the current code's output."""
+    return _digests(ExtractBatch()(golden_inputs()))
+
+
+def _assert_golden(got: dict) -> None:
     with open(GOLDEN_PATH, encoding="utf-8") as f:
         golden = json.load(f)
-    got = golden_digests()
     assert sorted(got) == sorted(golden)
     moved = [f"{doc}.{field}" for doc in sorted(golden)
              for field in FIELDS if got[doc][field] != golden[doc][field]]
     assert not moved, f"extraction output moved: {moved}"
+
+
+def test_extraction_golden():
+    _assert_golden(golden_digests())
+
+
+def test_extraction_golden_through_actor(ray_session):
+    """The same hashes from one Ray actor, where the heap is frozen and
+    GC runs on the doc cadence and after the oversized doc."""
+    import ray.data
+
+    from smartreader_ray.pipelines import build_extraction_pipeline
+
+    inputs = golden_inputs()
+    sizes = [len(h) for h in inputs.column("html").to_pylist()]
+    threshold = max(sizes)  # the largest doc is oversized, the rest are not
+    assert min(sizes) < threshold
+    out = build_extraction_pipeline(ray.data.from_arrow(inputs),
+                                    batch_size=16, concurrency=1,
+                                    size_threshold=threshold)
+    _assert_golden(_digests(out.iter_batches(batch_format="pyarrow",
+                                             batch_size=None)))
 
 
 if __name__ == "__main__":
