@@ -60,17 +60,11 @@ def _extract_articles(sf_dir: str):
     from smartreader_ray.pipelines import build_extraction_pipeline
     from smartreader_ray.sources import documents_to_spans
 
-    spans = documents_to_spans(sf_dir)
-    # autoscaling pool up to cpus-1: min=1 keeps upstream reads alive on
-    # small CPU counts (fixed pools starve the read stage), max tracks
-    # the Ray session so driver queries use the whole allotment
-    return build_extraction_pipeline(
-        spans, batch_size=32, concurrency=(1, _pool_max())
-    )
+    return build_extraction_pipeline(documents_to_spans(sf_dir), batch_size=32)
 
 
 def entry() -> Any:
-    """Flagship: extraction over sf0.001 documents (streaming, actor pool)."""
+    """Flagship: extraction over sf0.001 documents (streaming, tasks)."""
     sf_dir = "/root/testdata/sf0.001"
     return _extract_articles(sf_dir).select_columns(
         ["doc_id", "title", "language", "length", "time_to_read_s",
@@ -1937,7 +1931,7 @@ def _q_warc_extract(sf_dir: str):
         .map_batches(warc_pages_batch, batch_format="pyarrow")
         .map_batches(to_spans, batch_format="pyarrow")
     )
-    out = build_extraction_pipeline(spans, batch_size=32, concurrency=(1, _pool_max()))
+    out = build_extraction_pipeline(spans, batch_size=32)
 
     def project(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
@@ -3320,7 +3314,7 @@ def _q_extract_fixtures(sf_dir: str):
 
     names = fixture_names()[:40]
     ds = ray.data.from_arrow(fixture_spans_table(names))
-    out = build_extraction_pipeline(ds, batch_size=4, concurrency=(1, 8))
+    out = build_extraction_pipeline(ds, batch_size=4)
 
     def project(batch: pa.Table) -> pa.Table:
         return batch.select(
@@ -3353,7 +3347,7 @@ def _q_fixture_span_parity(sf_dir: str):
 
     names = fixture_names()[:40]
     ds = ray.data.from_arrow(fixture_spans_table(names))
-    out = build_extraction_pipeline(ds, batch_size=4, concurrency=(1, 8))
+    out = build_extraction_pipeline(ds, batch_size=4)
 
     def diff(batch: pa.Table) -> pa.Table:
         got, exp = [], []
@@ -3382,7 +3376,7 @@ def _q_media_meta(sf_dir: str):
 
     names = fixture_names()[:20]
     ds = ray.data.from_arrow(fixture_spans_table(names))
-    articles = build_extraction_pipeline(ds, batch_size=4, concurrency=(1, 4))
+    articles = build_extraction_pipeline(ds, batch_size=4)
     media = articles.map_batches(media_spans_table, batch_format="pyarrow")
     return media.map_batches(
         MediaDecodeStub, batch_format="pyarrow", concurrency=(1, 4), batch_size=16
@@ -3762,7 +3756,7 @@ def _q_media_data_uri(sf_dir: str):
 
     names = fixture_names()[:20]
     ds = ray.data.from_arrow(fixture_spans_table(names))
-    articles = build_extraction_pipeline(ds, batch_size=4, concurrency=(1, 4))
+    articles = build_extraction_pipeline(ds, batch_size=4)
 
     def project(batch: pa.Table) -> pa.Table:
         return batch.select(["doc_id", "n_inlined", "n_removed"])

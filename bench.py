@@ -108,7 +108,7 @@ def bench_extract_fixtures(replicas: int = 48, repeats: int = 2):
     """Flagship: real-web-page extraction throughput (docs/s, MB/s).
 
     Best-of-``repeats``: single-node wall-clock has high run-to-run
-    variance (actor-pool ramp, allocator/page-cache state); the best run
+    variance (worker start-up, allocator/page-cache state); the best run
     is the least-contaminated estimate of pipeline throughput."""
     from smartreader_ray.pipelines import build_extraction_pipeline
 
@@ -118,16 +118,10 @@ def bench_extract_fixtures(replicas: int = 48, repeats: int = 2):
         for spans in base.column("spans").to_pylist()
     ) * replicas
     n_docs = base.num_rows * replicas
-    # explicit FIXED pool: the bench owns the session and wants every CPU
-    # working from the first block — the library's autoscaling default
-    # (kind to shared sessions and tiny inputs) ramps too slowly here
-    pool = max(2, _num_cpus() - 1)
     best = None
     for _ in range(repeats):
         t0 = time.time()
-        out = build_extraction_pipeline(
-            ds, batch_size=8, include_content=False, concurrency=pool
-        )
+        out = build_extraction_pipeline(ds, batch_size=8, include_content=False)
         rows = _consume(out)
         dt = time.time() - t0
         assert rows == n_docs, (rows, n_docs)
@@ -143,11 +137,8 @@ def bench_extract_documents(sf_dir: str):
     from smartreader_ray.sources import documents_to_spans
 
     t0 = time.time()
-    # trivial wrapped docs: a modest pool beats a full one (startup cost
-    # outweighs parallel gain on this corpus)
     ds = build_extraction_pipeline(
-        documents_to_spans(sf_dir), batch_size=64, include_content=False,
-        concurrency=min(16, _num_cpus()),
+        documents_to_spans(sf_dir), batch_size=64, include_content=False
     )
     rows = _consume(ds)
     dt = time.time() - t0

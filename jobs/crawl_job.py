@@ -157,8 +157,7 @@ def run_crawl(input_dir: str, output: str, *, min_tokens: int = 5,
             build_extraction_pipeline(
                 read_warc([wave_path]).map_batches(
                     to_spans, batch_format="pyarrow"),
-                batch_size=batch_size, concurrency=(1, 4),
-            )
+                batch_size=batch_size)
             .map_batches(thin, batch_format="pyarrow")
             .materialize()
         )

@@ -2,12 +2,20 @@
 
 Default shape (SURVEY §3.5, single pass — the input is read ONCE):
 
-    read spans → ExtractBatch actor pool (generator UDF)
+    read spans → MapBatches(ExtractBatch) tasks (generator UDF)
     → (write / aggregate)
 
-Skew is handled *inside* the actor, not by branching the plan: the UDF
-flushes finished rows incrementally (an oversized doc's output ships on
-its own, bounding actor heap), and ``time_budget_s`` cooperatively
+The UDF is pure per document, so no worker keeps state between calls and
+the stage runs as Ray Data tasks on the session's warm worker pool: an
+``ExtractBatch`` instance, not the class, goes to ``map_batches``. No
+actor pool is started per job, and Ray Data sizes the task concurrency
+to the session's CPUs. A task holds its CPU only while it runs, so read
+and extraction tasks take turns even on a 1-CPU session, where an actor
+that held its CPU for the whole job starved the read.
+
+Skew is handled *inside* the UDF, not by branching the plan: it flushes
+finished rows incrementally (an oversized doc's output ships on its own,
+bounding worker heap), and ``time_budget_s`` cooperatively
 cancels pathological docs into error rows (reference war story:
 ``docfx_project/articles/notes.md`` "Dealing with Long Extraction
 Time"). Everything stays lazy/streaming — no materialization, no
@@ -16,8 +24,8 @@ op anywhere is the optional metrics rollup, which pre-aggregates per
 block before the tiny final combine).
 
 There is no size-routed second plan: a branch that sent oversized docs
-to their own pool would re-execute the upstream read (a 2× input-IO
-tax), and the in-actor flush already ships an oversized doc's output as
+to their own stage would re-execute the upstream read (a 2× input-IO
+tax), and the in-UDF flush already ships an oversized doc's output as
 its own sub-batch.
 """
 
@@ -40,36 +48,13 @@ def build_extraction_pipeline(
     config: Optional[ExtractorConfig] = None,
     base_uri: str = "https://localhost/",
     batch_size: int = 16,
-    concurrency=None,
     size_threshold: int = DEFAULT_SIZE_THRESHOLD,
     include_content: bool = True,
     time_budget_s: float = 0.0,
 ):
-    """spans Dataset → article-rows Dataset (lazy)."""
-    if concurrency is None:
-        # size the actor pool to the cluster: extraction is pure-CPU python
-        # → up to 1 actor per CPU, autoscaling from 1. A fixed pool of
-        # min=n would (a) starve the upstream read tasks at low CPU counts
-        # (observed hangs) and (b) warn/idle when the input has fewer
-        # blocks than actors; min=1 keeps reads alive and Ray grows the
-        # pool as batches queue. The benchmark (perfbench) runs this
-        # default; the query driver passes the same shape with a cap
-        # (``__ray_entry__._pool_max``).
-        try:
-            import ray
-
-            n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:  # pragma: no cover
-            n_cpus = 8
-        # cap at n-1: a pool that reserves every cluster CPU starves the
-        # producer side and the pipeline stalls.
-        concurrency = (1, max(2, n_cpus - 1))
-    # num_cpus slightly < 1 keeps a little extra headroom for the producer
-    # side even when callers pass a full-size pool explicitly. Single pass:
-    # the input is read once; skew is handled inside the generator UDF.
+    """spans Dataset → article-rows Dataset (lazy), extracted in tasks."""
     return ds.map_batches(
-        ExtractBatch,
-        fn_constructor_kwargs=dict(
+        ExtractBatch(
             config=config,
             base_uri=base_uri,
             include_content=include_content,
@@ -78,8 +63,6 @@ def build_extraction_pipeline(
         ),
         batch_size=batch_size,
         batch_format="pyarrow",
-        num_cpus=0.9,
-        concurrency=concurrency,
     )
 
 

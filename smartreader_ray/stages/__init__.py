@@ -1,4 +1,4 @@
-"""Ray Data batch stages: the extractor actor, metrics fold,
+"""Ray Data batch stages: the extraction UDF, metrics fold,
 PDF text extraction, media decode / data-URI inlining."""
 
 from .extract import (

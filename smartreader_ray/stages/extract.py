@@ -1,12 +1,12 @@
-"""Extraction as a Ray Data actor-pool stage.
+"""Extraction as a Ray Data map stage.
 
 The per-document chain (smartreader_ray.extraction) is pure; this module
 adapts it to zero-copy Arrow batches for
-``ds.map_batches(ExtractBatch, concurrency=(min,max), batch_format="pyarrow")``.
+``ds.map_batches(ExtractBatch(...), batch_format="pyarrow")``.
 The regex set compiles once per process, at import (reference analogue:
 the static pre-compiled ``G_RE_*`` table, ``SmartReader.cs:188-208``);
-the actor's ``__init__`` only builds the extractor and, inside a Ray
-actor, sets the GC regime; ``__call__`` handles one batch.
+``ExtractBatch`` holds only the extractor and its options, and
+``__call__`` handles one batch.
 
 Failures become rows, never task retries (``completed=False`` + ``error``,
 mirroring ``SmartReader.cs:479-482``).
@@ -130,20 +130,6 @@ def article_to_row(
     }
 
 
-_GC_EVERY = 16
-
-
-def _in_ray_actor() -> bool:
-    """True only inside a Ray actor process, never in a driver, a test
-    process or a pooled task worker: the GC regime below outlives the
-    call, and a task worker goes on to run other operators' tasks."""
-    import ray
-
-    if not ray.is_initialized():  # get_runtime_context() would start one
-        return False
-    return ray.get_runtime_context().get_actor_id() is not None
-
-
 def rows_to_table(rows: list[dict]) -> pa.Table:
     if not rows:
         return ARTICLE_SCHEMA.empty_table()
@@ -154,7 +140,12 @@ def rows_to_table(rows: list[dict]) -> pa.Table:
 
 
 class ExtractBatch:
-    """Actor-pool UDF: one warm Extractor per worker, one doc per row.
+    """Map UDF, one doc per row.
+
+    Built once in the driver and passed to ``map_batches`` as an
+    instance, so Ray Data runs it as tasks on the session's warm worker
+    pool rather than starting an actor pool per job: nothing here has to
+    outlive a call, and the extractor is cheap to unpickle.
 
     Input batch columns: ``doc_id`` (string castable), ``spans`` (F1 span
     list) OR ``html`` (raw string); optional ``uri`` and ``partition_id``.
@@ -162,7 +153,7 @@ class ExtractBatch:
     ``__call__`` is a generator: finished rows are flushed as soon as the
     pending output exceeds ``flush_bytes`` (or after any oversized doc),
     so one multi-MB document never pins a whole batch of outputs in the
-    actor heap — Ray's streaming executor ships each yielded sub-batch
+    worker heap — Ray's streaming executor ships each yielded sub-batch
     downstream immediately. ``time_budget_s`` bounds pathological docs
     (reference war story: notes.md "Dealing with Long Extraction Time");
     an overrun yields an error row (completed=False), never a task death.
@@ -183,32 +174,6 @@ class ExtractBatch:
         self.time_budget_s = time_budget_s
         self.flush_bytes = flush_bytes
         self.size_threshold = size_threshold
-        self.worker_id = f"{socket.gethostname()}:{os.getpid()}"
-        # DOM trees are pure reference cycles (parent/sibling links), so
-        # CPython's generational GC walks every live node on its default
-        # 700-allocation cadence, promoting trees that die moments later.
-        # Inside a Ray actor we own the process: automatic GC is off and
-        # one full collect runs per ``_GC_EVERY`` documents and after any
-        # oversized one, which bounds the heap at a few docs' trees.
-        # A full collect walks every tracked object, and a warm Ray Data
-        # actor already tracks ~119k start-up objects (Python, Ray,
-        # pyarrow, this package) that never die. ``gc.freeze()`` moves
-        # them to the permanent generation once, here, so each later
-        # collect walks only objects born during extraction. Measured on
-        # 1 vCPU: one collect with nothing to free takes 53 → 0.09 ms, and
-        # over the 200 heavy-tail benchmark pages one actor's 13 collects
-        # take 58.5 → 3.6 ms each (0.76 → 0.05 s per job). Freeze only
-        # at construction: after a cadence collect the current doc's tree
-        # is still alive, and a frozen tree is never freed. Never done in
-        # a driver, a test process or a task worker (see ``_in_ray_actor``).
-        self._docs_since_collect = 0
-        self._manage_gc = _in_ray_actor()
-        if self._manage_gc:
-            import gc
-
-            gc.collect()
-            gc.freeze()
-            gc.disable()
 
     def __call__(self, batch: pa.Table):
         names = set(batch.column_names)
@@ -247,6 +212,8 @@ class ExtractBatch:
             else [-1] * len(doc_ids)
         )
 
+        # the process running this call, not the one that built the UDF
+        worker_id = f"{socket.gethostname()}:{os.getpid()}"
         rows: list[dict] = []
         pending = 0
         for doc_id, html, uri, pid in zip(doc_ids, htmls, uris, pids):
@@ -260,7 +227,7 @@ class ExtractBatch:
                 str(doc_id),
                 article,
                 partition_id=pid if pid is not None else -1,
-                worker_id=self.worker_id,
+                worker_id=worker_id,
                 source_chars=src_len,
             )
             if not self.include_content:
@@ -269,13 +236,6 @@ class ExtractBatch:
             rows.append(row)
             pending += src_len + len(row["content_html"]) + len(row["text_content"])
             oversized = self.size_threshold and src_len >= self.size_threshold
-            if self._manage_gc:
-                self._docs_since_collect += 1
-                if self._docs_since_collect >= _GC_EVERY or oversized:
-                    import gc
-
-                    gc.collect()
-                    self._docs_since_collect = 0
             if pending >= self.flush_bytes or oversized:
                 yield rows_to_table(rows)
                 rows, pending = [], 0

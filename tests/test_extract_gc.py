@@ -1,9 +1,9 @@
-"""The extraction actor's GC regime: where it applies and what it frees.
+"""How extraction runs under Ray: as tasks, with CPython's GC left alone.
 
-Inside a Ray actor, ``ExtractBatch`` freezes the warm heap, turns off
-automatic GC and runs one full collect per ``_GC_EVERY`` documents. These
-tests pin down that the regime stays out of task workers, and that the
-cadence collects still free every finished document's DOM tree.
+``build_extraction_pipeline`` hands ``map_batches`` an ``ExtractBatch``
+instance, so the stage runs on the session's warm task workers and no
+actor pool is started. The UDF sets no process-wide GC state, and its
+finished documents' DOM trees are freed by an ordinary collect.
 """
 
 from __future__ import annotations
@@ -15,37 +15,50 @@ import sys
 
 import pyarrow as pa
 
-from smartreader_ray.dom import parse_html
 from smartreader_ray.dom.node import Element
 from smartreader_ray.sources import synthetic_doc_html
-from smartreader_ray.stages import extract
-from smartreader_ray.stages.extract import _GC_EVERY, ExtractBatch
+from smartreader_ray.stages.extract import ExtractBatch
 
 
-def test_gc_regime_only_in_actors(ray_session):
+def _doc_table(n: int) -> pa.Table:
+    htmls = [synthetic_doc_html(i, 16_000, seed=3) for i in range(n)]
+    return pa.table({"doc_id": [str(i) for i in range(n)], "html": htmls})
+
+
+def test_plan_runs_extraction_as_tasks(ray_session):
+    import ray.data
+    from ray.data._internal.compute import TaskPoolStrategy
+
+    from smartreader_ray.pipelines import build_extraction_pipeline
+
+    op = build_extraction_pipeline(ray.data.from_arrow(_doc_table(1)))._logical_plan.dag
+    assert op.name == "MapBatches(ExtractBatch)"
+    assert isinstance(op._compute, TaskPoolStrategy)
+
+
+def test_gc_untouched_in_tasks_and_actors(ray_session):
     ray = ray_session
 
-    def build_and_report():
+    def build_call_and_report(table):
         import gc
 
         from smartreader_ray.stages.extract import ExtractBatch
 
-        ExtractBatch()
+        list(ExtractBatch()(table))
         return gc.isenabled(), gc.get_freeze_count()
 
-    # a pooled task worker goes on to run other operators' tasks
-    enabled, frozen = ray.get(ray.remote(build_and_report).remote())
-    assert enabled and frozen == 0
+    table = _doc_table(2)
+    assert ray.get(ray.remote(build_call_and_report).remote(table)) == (True, 0)
 
     class Actor:
-        def report(self):
-            return build_and_report()
+        def report(self, table):
+            return build_call_and_report(table)
 
-    enabled, frozen = ray.get(ray.remote(Actor).remote().report.remote())
-    assert not enabled and frozen > 0
+    actor = ray.remote(Actor).remote()
+    assert ray.get(actor.report.remote(table)) == (True, 0)
 
 
-def test_actor_check_starts_no_ray():
+def test_extract_batch_starts_no_ray():
     code = ("import ray\n"
             "from smartreader_ray.stages.extract import ExtractBatch\n"
             "ExtractBatch()\n"
@@ -60,26 +73,12 @@ def _n_elements() -> int:
     return sum(isinstance(o, Element) for o in gc.get_objects())
 
 
-def test_cadence_collects_free_trees(monkeypatch):
-    n = 2 * _GC_EVERY
-    htmls = [synthetic_doc_html(i, 16_000, seed=3) for i in range(n)]
-    one_tree = max(sum(1 for _ in parse_html(h).iter_elements()) for h in htmls)
-    table = pa.table({"doc_id": [str(i) for i in range(n)], "html": htmls})
-    monkeypatch.setattr(extract, "_in_ray_actor", lambda: True)
+def test_finished_trees_are_freed():
+    table = _doc_table(32)
     gc.collect()
     before = _n_elements()
-    try:
-        udf = ExtractBatch()
-        assert not gc.isenabled() and gc.get_freeze_count() > 0
-        # one flush at the end: the generator stops right after the
-        # collect of the n-th doc, whose tree is still alive
-        out = next(udf(table))
-        # a tree frozen during extraction is hidden from gc.get_objects()
-        # and never freed; unfreezing brings it back into the count
-        gc.unfreeze()
-        live = _n_elements() - before
-    finally:
-        gc.unfreeze()
-        gc.enable()
-    assert out.num_rows == n
-    assert live <= one_tree, f"{live} Elements alive, one tree has {one_tree}"
+    udf = ExtractBatch()
+    out = pa.concat_tables(udf(table))
+    gc.collect()
+    assert out.num_rows == 32
+    assert _n_elements() == before

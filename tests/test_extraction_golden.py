@@ -171,9 +171,9 @@ def test_extraction_golden():
     _assert_golden(golden_digests())
 
 
-def test_extraction_golden_through_actor(ray_session):
-    """The same hashes from one Ray actor, where the heap is frozen and
-    GC runs on the doc cadence and after the oversized doc."""
+def test_extraction_golden_through_pipeline(ray_session):
+    """The same hashes from the Ray pipeline's extraction tasks, with the
+    largest doc past the size threshold so its output ships on its own."""
     import ray.data
 
     from smartreader_ray.pipelines import build_extraction_pipeline
@@ -183,8 +183,7 @@ def test_extraction_golden_through_actor(ray_session):
     threshold = max(sizes)  # the largest doc is oversized, the rest are not
     assert min(sizes) < threshold
     out = build_extraction_pipeline(ray.data.from_arrow(inputs),
-                                    batch_size=16, concurrency=1,
-                                    size_threshold=threshold)
+                                    batch_size=16, size_threshold=threshold)
     _assert_golden(_digests(out.iter_batches(batch_format="pyarrow",
                                              batch_size=None)))
 

@@ -29,7 +29,7 @@ def test_extraction_pipeline_on_fixtures(ray_session, reference_fixtures):
 
     names = ["001", "002", "aclu", "videos-1", "rtl-1"]
     ds = ray.data.from_arrow(fixture_spans_table(names))
-    out = build_extraction_pipeline(ds, batch_size=2, concurrency=(1, 2))
+    out = build_extraction_pipeline(ds, batch_size=2)
     rows = {r["doc_id"]: r for r in out.take_all()}
     assert set(rows) == set(names)
     assert rows["001"]["title"] == "Get your Frontend JavaScript Code Covered | Code"
@@ -85,6 +85,78 @@ def test_skew_routing_splits_paths(ray_session):
     assert set(rows) == {"small", "big"}
     assert rows["big"]["completed"]
     assert rows["big"]["length"] > 100_000
+
+
+def test_lineage_names_the_extracting_worker(ray_session):
+    import ray.data
+
+    from smartreader_ray.pipelines import build_extraction_pipeline
+
+    table = synthetic_corpus_table(8, seed=11, mean_size=2_000)
+    out = build_extraction_pipeline(ray.data.from_arrow(table), batch_size=2)
+    ids = [r["lineage"]["worker_id"] for r in out.take_all()]
+    assert len(ids) == 8
+    # the UDF instance is built here and pickled to the tasks
+    assert all(int(i.rsplit(":", 1)[1]) != os.getpid() for i in ids), ids
+
+
+#: the columns a 1-CPU run must reproduce from the in-process UDF
+_ONE_CPU_COLUMNS = ["doc_id", "spans", "title", "byline", "content_html",
+                    "text_content", "length", "is_readable", "completed"]
+
+_ONE_CPU_CHILD = """
+import json, sys
+import ray, ray.data
+from smartreader_ray.pipelines import build_extraction_pipeline
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         log_to_driver=False)
+out = build_extraction_pipeline(ray.data.read_parquet(sys.argv[1]))
+print(json.dumps(out.select_columns(json.loads(sys.argv[2])).take_all()))
+"""
+
+
+def _rows_digest(rows: list[dict]) -> str:
+    import hashlib
+
+    blobs = sorted(json.dumps(r, sort_keys=True) for r in rows)
+    return hashlib.sha256("\n".join(blobs).encode()).hexdigest()
+
+
+def test_one_cpu_session_reads_and_extracts(tmp_path):
+    """read_parquet → extraction in a ``num_cpus=1`` session finishes:
+    read and extraction tasks each hold the CPU only while they run, so
+    neither stage waits forever for the other. Runs in its own process
+    under a deadline, because the shared test session has 4 CPUs."""
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from smartreader_ray.stages.extract import ExtractBatch
+
+    table = synthetic_corpus_table(64, seed=13, mean_size=4_000)
+    for i in range(4):
+        pq.write_table(table.slice(16 * i, 16), tmp_path / f"spans-{i}.parquet")
+    want = pa.concat_tables(ExtractBatch()(table)).select(_ONE_CPU_COLUMNS)
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_CHILD, str(tmp_path),
+         json.dumps(_ONE_CPU_COLUMNS)],
+        cwd=repo, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, start_new_session=True)
+    try:
+        stdout, _ = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("read → extract did not finish in 120 s at num_cpus=1")
+    assert child.returncode == 0
+    got = json.loads(stdout.splitlines()[-1])
+    assert len(got) == 64
+    assert _rows_digest(got) == _rows_digest(want.to_pylist())
 
 
 def test_oversized_doc_flushes_own_subbatch():
