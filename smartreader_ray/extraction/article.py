@@ -97,16 +97,27 @@ def convert_to_plaintext(el: Element) -> str:
     sb: list[str] = []
     _convert_to_text(el, sb)
     text = squash_spaces(regexes.ELIMINATE_TABS.sub(" ", "".join(sb))).strip()
-    return regexes.NORMALIZE_NEWLINES.sub("\n\n", text)
+    return normalize_newlines(text)
 
 
-#: ' ' and every BMP punctuation (P*) codepoint: the chars that are not
-#: letters. Astral chars are never deleted, punctuation or not, so each
-#: still counts 2 UTF-16 units.
-_NOT_LETTER = " " + "".join(
+def normalize_newlines(text: str) -> str:
+    """Runs of three or more line breaks (``(\\r?\\n){3,}``) become one
+    blank line. The scan is for ``NORMALIZE_NEWLINES``, whose literal
+    first ``\\n`` the regex engine finds in C; a ``\\r`` just before a
+    match belongs to the run, so it goes with it."""
+    parts = regexes.NORMALIZE_NEWLINES.split(text)
+    for i in range(len(parts) - 1):
+        if parts[i].endswith("\r"):
+            parts[i] = parts[i][:-1]
+    return "\n\n".join(parts)
+
+
+#: every BMP punctuation (P*) codepoint. Astral chars are never deleted,
+#: punctuation or not, so each still counts 2 UTF-16 units.
+_BMP_PUNCT = "".join(
     c for c in map(chr, range(0x10000)) if unicodedata.category(c)[0] == "P"
 )
-_NOT_LETTER_RE = re.compile(f"[{re.escape(_NOT_LETTER)}]")
+_BMP_PUNCT_RE = re.compile(f"[{re.escape(_BMP_PUNCT)}]")
 
 
 def count_letters(text: str) -> int:
@@ -114,10 +125,12 @@ def count_letters(text: str) -> int:
 
     Counted in UTF-16 code units (.NET ``char`` semantics): astral-plane
     characters contribute 2 (surrogates are category Cs — neither space
-    nor punctuation). One char-class regex deletes the non-letters and a
-    UTF-16 encode counts the units left."""
-    kept = _NOT_LETTER_RE.sub("", text)
-    return len(kept.encode("utf-16-le", "surrogatepass")) // 2
+    nor punctuation). The UTF-16 length is a sum over chars and every
+    char the reference deletes is one BMP unit, so the count is the
+    UTF-16 length less the spaces and the BMP punctuation: the chars are
+    counted where they stand, not deleted from a copy."""
+    units = len(text.encode("utf-16-le", "surrogatepass")) // 2
+    return units - text.count(" ") - len(_BMP_PUNCT_RE.findall(text))
 
 
 def time_to_read_seconds(element_text: str, plain_text: str, language: Optional[str]) -> int:

@@ -888,11 +888,7 @@ class Extractor:
 
         self._clean_conditionally(article_content, "form")
         self._clean_conditionally(article_content, "fieldset")
-        self._clean(article_content, "object")
-        self._clean(article_content, "embed")
-        self._clean(article_content, "footer")
-        self._clean(article_content, "link")
-        self._clean(article_content, "aside")
+        self._clean(article_content, ("object", "embed", "footer", "link", "aside"))
 
         share_element_threshold = cfg.char_threshold
         for top_candidate in article_content.children:
@@ -904,11 +900,7 @@ class Extractor:
                 ),
             )
 
-        self._clean(article_content, "iframe")
-        self._clean(article_content, "input")
-        self._clean(article_content, "textarea")
-        self._clean(article_content, "select")
-        self._clean(article_content, "button")
+        self._clean(article_content, ("iframe", "input", "textarea", "select", "button"))
         self._clean_headers(article_content)
 
         self._clean_conditionally(article_content, "table")
@@ -918,10 +910,10 @@ class Extractor:
         replace_node_tags(article_content.get_elements_by_tag_name("h1"), "h2")
 
         def _empty_paragraph(paragraph: Element) -> bool:
-            count = len(
-                get_all_nodes_with_tag(paragraph, ["img", "embed", "object", "iframe"])
+            # the text test first: a paragraph with text needs no media walk
+            return not paragraph.has_nonws_text() and not get_all_nodes_with_tag(
+                paragraph, ["img", "embed", "object", "iframe"]
             )
-            return count == 0 and not get_inner_text(paragraph, False)
 
         remove_nodes(article_content.get_elements_by_tag_name("p"), _empty_paragraph)
 
@@ -954,22 +946,26 @@ class Extractor:
                     cell.parent.remove_child(cell)
                     table_el.parent.replace_child(cell, table_el)
 
-    def _clean(self, e: Element, tag: str) -> None:
-        """SmartReader.cs:1631-1663"""
-        is_embed = tag in ("object", "embed", "iframe")
+    def _clean(self, e: Element, tags: tuple[str, ...]) -> None:
+        """SmartReader.cs:1631-1663, once per tag in ``tags``, in order, over
+        one walk of ``e``. A node inside a subtree an earlier tag removed
+        is removed from that detached subtree or kept in it, which no
+        later step reads."""
+        nodes = e.get_all_nodes_with_tag(tags)
+        for tag in tags:
+            upper = tag.upper()
+            remove_nodes(
+                [n for n in nodes if n.tag == upper],
+                (lambda n: not self._links_video(n))
+                if tag in ("object", "embed", "iframe") else None,
+            )
 
-        def _filter(element: Element) -> bool:
-            if is_embed:
-                for value in element.attrs.values():
-                    if self.re_videos.search(value):
-                        return False
-                if element.tag == "OBJECT" and self.re_videos.search(
-                    inner_html(element)
-                ):
-                    return False
+    def _links_video(self, embed: Element) -> bool:
+        """An attribute, or an OBJECT's inner HTML, names a video host.
+        ``_clean`` keeps such an embed, ``_clean_conditionally`` its container."""
+        if any(self.re_videos.search(value) for value in embed.attrs.values()):
             return True
-
-        remove_nodes(e.get_elements_by_tag_name(tag), _filter)
+        return embed.tag == "OBJECT" and bool(self.re_videos.search(inner_html(embed)))
 
     def _is_data_table(self, el: Element) -> bool:
         dt = el.get_attribute("datatable")
@@ -1130,16 +1126,9 @@ class Extractor:
 
                 heading_density = self._get_text_density(node, HEADING_TAGS)
 
-                embed_count = 0
-                for embed in embeds:
-                    for value in embed.attrs.values():
-                        if self.re_videos.search(value):
-                            return False
-                    if embed.tag == "OBJECT" and self.re_videos.search(
-                        inner_html(embed)
-                    ):
-                        return False
-                    embed_count += 1
+                if any(self._links_video(embed) for embed in embeds):
+                    return False
+                embed_count = len(embeds)
 
                 inner_text = get_inner_text(node)
                 if regexes.AD_WORDS.search(inner_text) or regexes.LOADING_WORDS.search(
@@ -1212,20 +1201,19 @@ class Extractor:
     ) -> None:
         self._fix_relative_uris(article_content, uri, doc)
         self._simplify_nested_elements(article_content)
+        # the two attribute scrubs change no structure: one walk serves both
+        elements = [article_content, *article_content.get_elements_by_tag_name("*")]
         if not self.config.keep_classes:
-            self._clean_classes(article_content, list(self.config.classes_to_preserve))
+            self._clean_classes(elements, list(self.config.classes_to_preserve))
         if not self.config.debug:
             # reader-internal attrs (SmartReader.cs:640-644, 736-747);
             # scores live off-DOM so only the data-table marks remain
-            self._clean_reader_attributes(article_content, "datatable")
+            self._clean_reader_attributes(elements, "datatable")
 
-    def _clean_reader_attributes(self, node: Element, attribute: str) -> None:
-        if node.get_attribute(attribute):
-            node.remove_attribute(attribute)
-        child = node.first_element_child
-        while child is not None:
-            self._clean_reader_attributes(child, attribute)
-            child = child.next_element_sibling
+    def _clean_reader_attributes(self, elements: list[Element], attribute: str) -> None:
+        for el in elements:
+            if el.get_attribute(attribute):
+                el.remove_attribute(attribute)
 
     def _fix_relative_uris(
         self, article_content: Element, uri: PageUri, doc: Document
@@ -1292,23 +1280,19 @@ class Extractor:
                     continue
             node = get_next_node(node)
 
-    def _clean_classes(self, node: Element, classes_to_preserve: list[str]) -> None:
+    def _clean_classes(self, elements: list[Element], classes_to_preserve: list[str]) -> None:
         """Readability.cs:50-74"""
-        class_attr = node.get_attribute("class")
-        class_name = ""
-        if class_attr:
+        for el in elements:
+            class_attr = el.get_attribute("class")
+            if class_attr is None:
+                continue
             class_name = " ".join(
                 x for x in class_attr.split(" ") if x and x in classes_to_preserve
             )
-        if class_name:
-            node.set_attribute("class", class_name)
-        else:
-            node.remove_attribute("class")
-        child = node.first_element_child
-        while child is not None:
-            nxt = child.next_element_sibling
-            self._clean_classes(child, classes_to_preserve)
-            child = nxt
+            if class_name:
+                el.set_attribute("class", class_name)
+            else:
+                el.remove_attribute("class")
 
     # ------------------------------------------------------------------
     # final assembly (Article.cs:119-141)

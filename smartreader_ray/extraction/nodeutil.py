@@ -16,10 +16,10 @@ from . import regexes
 
 DIV_TO_P_ELEMS = frozenset({"BLOCKQUOTE", "DL", "DIV", "IMG", "OL", "P", "PRE", "TABLE", "UL"})
 
-PRESENTATIONAL_ATTRIBUTES = (
+PRESENTATIONAL_ATTRIBUTES = frozenset({
     "align", "background", "bgcolor", "border", "cellpadding", "cellspacing",
     "frame", "hspace", "rules", "style", "valign", "vspace",
-)
+})
 
 DEPRECATED_SIZE_ATTRIBUTE_ELEMS = frozenset({"TABLE", "TH", "TD", "HR", "PRE"})
 
@@ -262,19 +262,28 @@ def get_link_density(el: Element) -> float:
 
 
 # -- style scrub (NodeUtility.cs:442-466) -----------------------------------
+_PRESENTATIONAL_AND_SIZE = PRESENTATIONAL_ATTRIBUTES | {"width", "height"}
+
+
 def clean_styles(el: Element | None) -> None:
-    if el is None or el.local_name == "svg":
+    """Drops the presentational attributes, plus width/height on the
+    ``DEPRECATED_SIZE_ATTRIBUTE_ELEMS``, from ``el`` and its descendants
+    outside ``svg``: one set intersection per element with attributes.
+    Each element is scrubbed on its own, so the walk's order is free."""
+    if el is None:
         return
-    for attr in PRESENTATIONAL_ATTRIBUTES:
-        el.remove_attribute(attr)
-    if el.tag in DEPRECATED_SIZE_ATTRIBUTE_ELEMS:
-        el.remove_attribute("width")
-        el.remove_attribute("height")
-    cur = el.first_element_child
-    while cur is not None:
-        nxt = cur.next_element_sibling
-        clean_styles(cur)
-        cur = nxt
+    stack = [el]
+    while stack:
+        el = stack.pop()
+        if el.local_name == "svg":
+            continue
+        attrs = el.attrs
+        if attrs:
+            drop = (_PRESENTATIONAL_AND_SIZE if el.tag in DEPRECATED_SIZE_ATTRIBUTE_ELEMS
+                    else PRESENTATIONAL_ATTRIBUTES)
+            for attr in drop.intersection(attrs):
+                del attrs[attr]
+        stack += el.children
 
 
 # -- DFS traversal (NodeUtility.cs:492-551) ---------------------------------

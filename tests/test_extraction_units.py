@@ -3,7 +3,7 @@ TextUtilityTests / UriExtensionsTests coverage buckets (SURVEY §5.2-5.3)."""
 
 from datetime import datetime, timezone
 
-from smartreader_ray.dom import parse_html
+from smartreader_ray.dom import Element, inner_html, parse_html
 from smartreader_ray.extraction import (
     get_jsonld,
     parse_article,
@@ -15,12 +15,16 @@ from smartreader_ray.extraction.article import (
     convert_to_plaintext,
     count_letters,
 )
+from smartreader_ray.extraction import regexes
+from smartreader_ray.extraction.core import Extractor
 from smartreader_ray.extraction.metadata import clean_title, get_article_title
 from smartreader_ray.extraction.nodeutil import (
+    clean_styles,
     clean_xml_name,
     get_display_from_style,
     get_visibility_from_style,
     is_probably_visible,
+    remove_nodes,
 )
 from smartreader_ray.extraction.urialg import PageUri
 
@@ -253,6 +257,90 @@ def test_count_letters_utf16_units():
     assert count_letters("🌟") == 2  # astral → 2 UTF-16 units
 
 
+# -- prep-article cleaning (SmartReader.cs:1631-1663, NodeUtility.cs:442-466)
+_CLEAN_RUNS = (
+    ("object", "embed", "footer", "link", "aside"),
+    ("iframe", "input", "textarea", "select", "button"),
+)
+
+
+def _clean_per_tag(root, tag):
+    """``_clean`` as the reference runs it: a fresh tag walk per tag."""
+
+    def removable(el):
+        if tag in ("object", "embed", "iframe"):
+            if any(regexes.VIDEOS.search(v) for v in el.attrs.values()):
+                return False
+            if el.tag == "OBJECT" and regexes.VIDEOS.search(inner_html(el)):
+                return False
+        return True
+
+    remove_nodes(root.get_elements_by_tag_name(tag), removable)
+
+
+def _nested_clean_doc():
+    body = parse_html(
+        "<html><body><div>"
+        "<footer><object data='a.swf'><embed src='b.swf'></object><p>f</p></footer>"
+        "<object><param name='movie' value='https://www.youtube.com/v/x'></object>"
+        "<object data='c.swf'><embed src='https://player.vimeo.com/video/1'></object>"
+        "<object data='e.swf'><aside><embed src='https://youtu.be/z'></aside>"
+        "<link href='https://www.youtube.com/embed/z'></object>"
+        "<aside><iframe src='https://www.youtube.com/embed/y'></iframe>"
+        "<button>b</button></aside>"
+        "<p>text<input><select><option>o</option></select><textarea>t</textarea>"
+        "<link rel='x'></p>"
+        "<iframe src='d.html'></iframe>"
+        "</div></body></html>"
+    ).body
+    # an iframe's content parses as text, so its aside is built by hand
+    iframe = body.get_elements_by_tag_name("iframe")[-1]
+    aside = iframe.append_child(Element("aside"))
+    aside.append_child(Element("embed"))
+    return body
+
+
+def test_grouped_clean_matches_per_tag_clean():
+    grouped, per_tag = _nested_clean_doc(), _nested_clean_doc()
+    extractor = Extractor()
+    for run in _CLEAN_RUNS:
+        extractor._clean(grouped, run)
+        for tag in run:
+            _clean_per_tag(per_tag, tag)
+    assert inner_html(grouped) == inner_html(per_tag)
+    kept = inner_html(grouped)
+    # an OBJECT whose video URL sits only in its inner HTML survives with
+    # it; the footer, aside and non-video object/embed/iframe do not
+    assert "youtube.com/v/x" in kept and "vimeo.com/video/1" in kept
+    # the object's inner HTML is read before the aside and link go
+    assert '<object data="e.swf"></object>' in kept
+    assert "<footer" not in kept and "<aside" not in kept
+    assert "a.swf" not in kept and "b.swf" not in kept and "d.html" not in kept
+    assert "<p>text</p>" in kept
+
+
+def test_clean_styles_scope():
+    body = parse_html(
+        "<html><body><div id='a' style='s' align='c' width='1' class='k'>"
+        "<table width='2' height='3' border='1' summary='t'><tr>"
+        "<td height='4' valign='top' headers='h'>x</td></tr></table>"
+        "<img width='5' height='6' style='s' src='i.png'>"
+        "<hr width='7'><pre height='8'>p</pre>"
+        "<svg width='9' style='s'><rect style='r' width='10'></rect></svg>"
+        "</div></body></html>"
+    ).body
+    clean_styles(body)
+    attrs = {el.tag: el.attrs for el in body.iter_elements()}
+    assert list(attrs["DIV"].items()) == [("id", "a"), ("width", "1"), ("class", "k")]
+    assert list(attrs["TABLE"].items()) == [("summary", "t")]
+    assert list(attrs["TD"].items()) == [("headers", "h")]
+    assert list(attrs["IMG"].items()) == [("width", "5"), ("height", "6"), ("src", "i.png")]
+    assert attrs["HR"] == {} and attrs["PRE"] == {}
+    # the svg subtree is untouched
+    assert list(attrs["SVG"].items()) == [("width", "9"), ("style", "s")]
+    assert list(attrs["RECT"].items()) == [("style", "r"), ("width", "10")]
+
+
 # -- URI algebra (UriExtensionsTests.cs) -------------------------------------
 def test_uri_absolutization():
     u = PageUri("https://ex.com/a/b/page.html?q=1")
@@ -414,7 +502,7 @@ def test_custom_start_ops_persist_across_retry_rounds():
 
     def start_op(doc_el):
         body = doc_el.get_elements_by_tag_name("body")[0]
-        from smartreader_ray.dom import parse_html
+        from smartreader_ray.dom import Element, inner_html, parse_html
 
         frag = parse_html(
             f'<div class="sidebar"><p>{marker}</p></div>'

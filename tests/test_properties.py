@@ -1,10 +1,11 @@
 """Property tests: optimized hot paths vs naive reference implementations.
 
 The DOM text caches, the regex/``str``-method whitespace kernels
-(``collapse_whitespace``, ``squash_spaces``, ``convert_to_plaintext``)
-and the regex letter counter replaced per-char Python loops
-and repeated subtree walks; these properties pin them to the
-straightforward definitions on arbitrary inputs (hypothesis).
+(``collapse_whitespace``, ``squash_spaces``, ``convert_to_plaintext``
+and its literal-first tab and newline patterns) and the letter counter
+replaced per-char Python loops and repeated subtree walks; these
+properties pin them to the straightforward definitions on arbitrary
+inputs (hypothesis).
 """
 
 import re
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 # text with a bias toward the interesting classes: spaces of every
 # Z category, HTML5 and other control whitespace (\f, \x0b, \x85),
-# line/paragraph separators, newlines, tab runs, punctuation, astral
-# chars (astral punctuation included) and a lone surrogate
+# line/paragraph separators, newlines (CR-heavy runs included), tab
+# runs, punctuation, astral chars (astral punctuation included) and a
+# lone surrogate
 _special = (
     list(" \xa0\u3000\u2003\u205f\u1680\u202f\u2028\u2029")
     + list("\r\n\t\f\x0b\x85")
     + ["\t\t", "\t\t\t", "\r\n", "\n\n\n", "  "]
+    + ["\r\r\n", "\n\r\n\n", "\r\n\r\n\r\n"]
     + list(".,!\u00ab\u00bb\u2014\U0001f600\U00010400\U00010100\ud800")
 )
 _tokens = st.sampled_from(list("abcdef ") + _special)
@@ -57,6 +60,22 @@ def test_space_squash_matches_naive(text):
     from smartreader_ray.extraction.article import squash_spaces
 
     assert squash_spaces(text) == _naive_space_squash(text)
+
+
+@given(texts)
+@settings(max_examples=300, deadline=None)
+def test_eliminate_tabs_matches_definition(text):
+    from smartreader_ray.extraction.regexes import ELIMINATE_TABS
+
+    assert ELIMINATE_TABS.sub(" ", text) == re.sub(r"\t+", " ", text)
+
+
+@given(texts)
+@settings(max_examples=300, deadline=None)
+def test_normalize_newlines_matches_definition(text):
+    from smartreader_ray.extraction.article import normalize_newlines
+
+    assert normalize_newlines(text) == re.sub(r"(\r?\n){3,}", "\n\n", text)
 
 
 @given(texts)
