@@ -46,15 +46,6 @@ def _docs(sf_dir: str):
     return _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
 
-def _pool_max(cap: int = 64) -> int:
-    """Autoscaling actor-pool ceiling: track the Ray session's CPUs
-    (VERDICT r02 #6 — pinned (1, 8) pools idled 24 of 32 CPUs)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", os.cpu_count() or 8))
-    return max(2, min(cap, cpus - 1))
-
-
 def _extract_articles(sf_dir: str):
     """documents → F1 spans → streaming extraction pipeline."""
     from smartreader_ray.pipelines import build_extraction_pipeline
@@ -762,7 +753,7 @@ def _q_curriculum_chain(sf_dir: str):
 
     # materialize the THIN (doc_id, __ck) table: three consumers
     # (count, rank sampling, rank stamping) would otherwise re-run the
-    # whole actor-pool LM scoring pass each
+    # whole LM scoring pass each
     keyed = scored.map_batches(key, batch_format="pyarrow").materialize()
     n = keyed.count()
     ranked = global_rank(keyed, "__ck", num_parts=32)
@@ -3379,7 +3370,7 @@ def _q_media_meta(sf_dir: str):
     articles = build_extraction_pipeline(ds, batch_size=4)
     media = articles.map_batches(media_spans_table, batch_format="pyarrow")
     return media.map_batches(
-        MediaDecodeStub, batch_format="pyarrow", concurrency=(1, 4), batch_size=16
+        MediaDecodeStub(), batch_format="pyarrow", batch_size=16
     )
 
 
@@ -3387,7 +3378,7 @@ def _q_media_pipeline(sf_dir: str):
     """Multimodal image chain over REAL byte-level decode: one
     deterministic 24-bit BMP per document (width/height/pixels pure
     functions of doc_id and n_chars — red channel a column ramp
-    ``(doc_id + x) % 256``, green/blue constants), actor-pool
+    ``(doc_id + x) % 256``, green/blue constants), task-stage
     nearest-neighbor resize to max_dim=256 (bmp→bmp re-encode), then
     exact integer pixel stats. Every number — resized dims, pixel sum /
     min / max — is replayed by the SQL oracle, including the resize's
@@ -3427,12 +3418,10 @@ def _q_media_pipeline(sf_dir: str):
         sf_dir, "documents", ["doc_id", "n_chars"]
     ).map_batches(synth, batch_format="pyarrow")
     resized = ds.map_batches(
-        ImageResizeStage, batch_format="pyarrow",
-        concurrency=(1, _pool_max()), batch_size=16,
+        ImageResizeStage(), batch_format="pyarrow", batch_size=16,
     )
     stats = resized.map_batches(
-        ImageStatsFeatures, batch_format="pyarrow",
-        concurrency=(1, _pool_max()), batch_size=16,
+        ImageStatsFeatures(), batch_format="pyarrow", batch_size=16,
     )
 
     def thin(batch: pa.Table) -> pa.Table:
@@ -3487,8 +3476,7 @@ def _q_audio_spectral(sf_dir: str):
         sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     feats = ds.map_batches(
-        AudioSpectralFeatures, batch_format="pyarrow",
-        concurrency=(1, _pool_max()), batch_size=32,
+        AudioSpectralFeatures(), batch_format="pyarrow", batch_size=32,
     )
 
     def thin(batch: pa.Table) -> pa.Table:
@@ -3552,8 +3540,8 @@ def _q_audio_ann(sf_dir: str):
     ds = (
         _read(sf_dir, "documents", ["doc_id"])
         .map_batches(synth, batch_format="pyarrow")
-        .map_batches(AudioSpectralFeatures, batch_format="pyarrow",
-                     concurrency=(1, _pool_max()), batch_size=32)
+        .map_batches(AudioSpectralFeatures(), batch_format="pyarrow",
+                     batch_size=32)
         .map_batches(to_vecs, batch_format="pyarrow")
     )
     # query matrix: docs 0..4, embeddings computed in-process by the SAME
@@ -3656,7 +3644,7 @@ def _q_audio_features(sf_dir: str):
     """Audio modality leg: one deterministic PCM WAV per document
     (mono int16 ramp ``((doc_id%7+1)·j) % 2001 − 1000`` over
     ``50 + doc_id%150`` frames at 8 kHz), decoded for REAL by the
-    stdlib `wave` parser inside an actor-pool stage, reduced to exact
+    stdlib `wave` parser inside a task stage, reduced to exact
     integer features (duration, peak, Σs, Σs²). The oracle replays the
     per-sample ramp with a lateral generate_series — hash-exact."""
     import numpy as np
@@ -3687,8 +3675,7 @@ def _q_audio_features(sf_dir: str):
         sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     feats = ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow",
-        concurrency=(1, _pool_max()), batch_size=32,
+        AudioFeatureStage(), batch_format="pyarrow", batch_size=32,
     )
 
     def thin(batch: pa.Table) -> pa.Table:
@@ -3737,8 +3724,7 @@ def _q_pdf_extract(sf_dir: str):
     return (
         _docs(sf_dir)
         .map_batches(to_pdf, batch_format="pyarrow")
-        .map_batches(PdfTextExtract, batch_format="pyarrow",
-                     concurrency=(1, _pool_max()), batch_size=64)
+        .map_batches(PdfTextExtract(), batch_format="pyarrow", batch_size=64)
         .map_batches(project, batch_format="pyarrow")
     )
 
@@ -3762,8 +3748,7 @@ def _q_media_data_uri(sf_dir: str):
         return batch.select(["doc_id", "n_inlined", "n_removed"])
 
     return articles.map_batches(
-        ImageDataUriInliner, batch_format="pyarrow", concurrency=(1, 4),
-        batch_size=8,
+        ImageDataUriInliner(), batch_format="pyarrow", batch_size=8,
     ).map_batches(project, batch_format="pyarrow")
 
 
@@ -5330,8 +5315,7 @@ def _q_shot_boundaries(sf_dir: str):
         sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     bounds = ds.map_batches(
-        ShotBoundaryStage, batch_format="pyarrow",
-        concurrency=(1, _pool_max()), batch_size=16,
+        ShotBoundaryStage(), batch_format="pyarrow", batch_size=16,
     )
 
     def thin(b: pa.Table) -> pa.Table:
@@ -5487,7 +5471,7 @@ def _q_key_skew_gini(sf_dir: str):
 def _q_audio_autocorr(sf_dir: str):
     """Exact integer PCM autocorrelation at lags 1/2/4 (`stages/
     media.py: AudioAutocorrFeatures`): same deterministic ramp WAVs as
-    `audio_features`, REAL stdlib `wave` decode in an actor pool, pure
+    `audio_features`, REAL stdlib `wave` decode in a task stage, pure
     int64 Σ s[i]·s[i+L]; the oracle replays the ramp per lag with a
     lateral generate_series."""
     import numpy as np
@@ -5515,9 +5499,8 @@ def _q_audio_autocorr(sf_dir: str):
         sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     feats = ds.map_batches(
-        AudioAutocorrFeatures, batch_format="pyarrow",
-        fn_constructor_kwargs={"lags": (1, 2, 4)},
-        concurrency=(1, _pool_max()), batch_size=32,
+        AudioAutocorrFeatures(lags=(1, 2, 4)), batch_format="pyarrow",
+        batch_size=32,
     )
 
     def thin(batch: pa.Table) -> pa.Table:
@@ -6320,13 +6303,13 @@ def _q_media_phash(sf_dir: str):
     """Perceptual near-dup over REAL image bytes
     (`stages/media.py:ImagePHashStage`): per-doc 24-bit BMP (32 visual
     classes — pixels pure integer functions of ``v = doc_id % 32``),
-    actor-pool average-hash (decode → integer gray → 8×8 nearest
+    task-stage average-hash (decode → integer gray → 8×8 nearest
     downsample → mean threshold → 64-bit pack), then the
     hamming-radius-0 bucket screen: groupby(phash) count stamped back
     via the repo's vectorized `hash_join`. Every hash bit is integer
     arithmetic, so the oracle replays the fingerprint bit-for-bit
     (bit_or of shifted UBIGINTs over an 8×8 unnest). Binary payloads
-    never leave the actor stage."""
+    never leave the hashing stage."""
     from ray.data.aggregate import Count
 
     from smartreader_ray.functions.join import hash_join
@@ -6338,11 +6321,10 @@ def _q_media_phash(sf_dir: str):
         sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     hashed = ds.map_batches(
-        ImagePHashStage, batch_format="pyarrow",
-        concurrency=(1, _pool_max()), batch_size=64,
+        ImagePHashStage(), batch_format="pyarrow", batch_size=64,
     ).drop_columns(["error"]).materialize()
     # ^ two consumers (bucket counts + the stamp-back join): without
-    # this the synth+decode+hash actor pass runs twice
+    # this the synth+decode+hash pass runs twice
     counts = hashed.groupby("phash").aggregate(
         Count(alias_name="bucket_size"))
     return (hash_join(hashed, counts, "phash", "phash",
@@ -6375,8 +6357,7 @@ def _q_phash_band_pairs(sf_dir: str):
         sf_dir, "documents", ["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
     hashed = ds.map_batches(
-        ImagePHashStage, batch_format="pyarrow",
-        concurrency=(1, _pool_max()), batch_size=64,
+        ImagePHashStage(), batch_format="pyarrow", batch_size=64,
     )
     cnt = hashed.groupby("phash").aggregate(Count(alias_name="n"))
 
@@ -7142,16 +7123,17 @@ def _q_lid_confusion(sf_dir: str):
     """Language-ID EVALUATION (`functions/textstats.py: LanguageId`
     scored against the corpus's lang labels): the (label, prediction)
     confusion matrix — the per-class error surface a pipeline needs
-    before trusting an LID gate. Warm-actor scoring batches carry the
-    label through; the only exchange is (|langs|×|preds|)-sized integer
-    partials."""
+    before trusting an LID gate. Scoring tasks carry the label through
+    (the stopword profiles ship once with the UDF instance); the only
+    exchange is (|langs|×|preds|)-sized integer partials."""
     import pandas as pd
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.textstats import LanguageId
+
     class Conf:
         def __init__(self):
-            from smartreader_ray.functions.textstats import LanguageId
             self.lid = LanguageId()
 
         def __call__(self, b: pa.Table) -> pa.Table:
@@ -7164,8 +7146,7 @@ def _q_lid_confusion(sf_dir: str):
             return pa.Table.from_pandas(g, preserve_index=False)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    return (ds.map_batches(Conf, batch_format="pyarrow",
-                           concurrency=(1, 8))
+    return (ds.map_batches(Conf(), batch_format="pyarrow")
             .groupby(["lang", "pred_lang"])
             .aggregate(Sum("n", alias_name="n"))
             .sort(["lang", "pred_lang"]))

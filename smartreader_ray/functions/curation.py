@@ -109,18 +109,15 @@ def per_source_cap(ds, cap: int = 10, source_col: str = "source",
 # test-set decontamination
 # ---------------------------------------------------------------------------
 class _ContaminationFlagger:
-    """Actor-pool stage: compiles the eval-snippet alternation ONCE per
-    actor (RE2 builds a DFA over the alternation — effectively
-    Aho-Corasick multi-pattern matching), then flags each batch with one
-    vectorized ``pc.match_substring_regex`` call.
+    """Task UDF: the eval-snippet alternation is built once on the
+    driver and travels with the instance; each batch is flagged with one
+    vectorized ``pc.match_substring_regex`` call (RE2 builds a DFA over
+    the alternation — effectively Aho-Corasick multi-pattern matching).
     """
 
-    def __init__(self, snippets_ref, text_col: str = "text"):
+    def __init__(self, snippets: Sequence[str], text_col: str = "text"):
         import re as _re
 
-        import ray
-
-        snippets = ray.get(snippets_ref)
         # escape: snippets are literals, not patterns
         self.pattern = "|".join(_re.escape(s) for s in snippets if s)
         self.text_col = text_col
@@ -137,27 +134,16 @@ class _ContaminationFlagger:
         return batch.append_column("contaminated", flags)
 
 
-def decontaminate(ds, snippets: Sequence[str], concurrency: int = 4,
-                  text_col: str = "text"):
+def decontaminate(ds, snippets: Sequence[str], text_col: str = "text"):
     """Flag docs containing any eval-set snippet (substring containment).
 
     ``snippets`` (the benchmark/eval side) must be driver-small — the
     standard shape: eval sets are KBs–MBs while the train corpus is TBs.
-    They are ``ray.put`` once and every actor reads the same object; the
-    corpus streams through in one pass, nothing shuffles.
+    Their pattern ships once inside the UDF instance and the corpus
+    streams through in one pass of tasks, nothing shuffles.
     """
-    import ray
-
-    snippets_ref = ray.put(list(snippets))
-    return ds.map_batches(
-        _ContaminationFlagger,
-        fn_constructor_kwargs={"snippets_ref": snippets_ref,
-                               "text_col": text_col},
-        # autoscaling pool with min=1: never starves upstream read tasks
-        # on small CPU counts (see stages/extract.py sizing notes)
-        concurrency=(1, concurrency),
-        batch_format="pyarrow",
-    )
+    return ds.map_batches(_ContaminationFlagger(snippets, text_col),
+                          batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,8 @@ def exact_dedup(ds, key_tokens: int = 5):
 # MinHash + LSH
 # ---------------------------------------------------------------------------
 class MinHasher:
-    """Warm actor state: the (a, b) hash-family parameters, built once."""
+    """Banded MinHash UDF: the (a, b) hash-family parameters are built
+    once on the driver and travel with the instance to each task."""
 
     def __init__(self, num_hashes: int = 128, bands: int = 16, ngram: int = 3, seed: int = 42):
         assert num_hashes % bands == 0
@@ -418,10 +419,8 @@ def minhash_lsh_candidates(ds, num_hashes: int = 128, bands: int = 16, ngram: in
     ``_capped_subgroups``) so pair output stays linear in bucket size.
     """
     banded = ds.select_columns(["doc_id", "text"]).map_batches(
-        MinHasher,
-        fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands, ngram=ngram),
+        MinHasher(num_hashes=num_hashes, bands=bands, ngram=ngram),
         batch_format="pyarrow",
-        concurrency=(1, 8),
     )
 
     pairs = _bucket_pairs(banded, "band_key", max_bucket)

@@ -2,9 +2,9 @@
 for big-big, and one distinct-key set for [NOT] EXISTS.
 
 ``broadcast_join``: when one side fits in memory (dimension tables,
-lookup maps), broadcast it once with ``ray.put`` and enrich the big side
-inside ``map_batches`` — zero shuffle, the big side streams through
-exactly once. Always prefer this when it applies.
+lookup maps), ship it once inside the ``map_batches`` UDF instance and
+enrich the big side in tasks — zero shuffle, the big side streams
+through exactly once. Always prefer this when it applies.
 
 The **partitioned-exchange core** serves ``hash_join``, ``range_join``
 and ``asof_join``. Each side is pruned and packed into rows of
@@ -68,8 +68,30 @@ def compacted(ds, target_rows_per_block: int = 65_536):
     return m
 
 
+class _Enrich:
+    """Left-join probe of each batch against the small side's key and
+    value arrays, which the instance carries to every task."""
+
+    def __init__(self, key: str, small_keys: pa.Array, values: dict):
+        self.key = key
+        self.small_keys = small_keys
+        self.values = values
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        # null index for unmatched keys → take yields null (left join).
+        # SQL semantics: a NULL probe key matches NOTHING — index_in
+        # would match a null build-side key, so mask null probes out.
+        probe = batch.column(self.key)
+        idx = pc.index_in(probe, value_set=self.small_keys)
+        idx = pc.if_else(pc.is_valid(probe), idx,
+                         pa.scalar(None, type=idx.type))
+        for c, vals in self.values.items():
+            batch = batch.append_column(c, pc.take(vals, idx))
+        return batch
+
+
 def broadcast_join(ds, small, key: str, value_cols: list[str],
-                   small_key: Optional[str] = None, concurrency=(1, 8)):
+                   small_key: Optional[str] = None):
     """Enrich ``ds`` with ``value_cols`` from the small side.
 
     ``small``: pyarrow Table or Ray Dataset (materialized — it must be
@@ -82,33 +104,12 @@ def broadcast_join(ds, small, key: str, value_cols: list[str],
     its small-side row (hash lookup in C), then one ``take`` per value
     column — no per-row Python.
     """
-    import ray
-
     if hasattr(small, "to_arrow_refs"):  # Ray Dataset → driver table
         small = pa.Table.from_pylist(small.take_all())
-    sk = small_key or key
     small = small.combine_chunks()
-    small_ref = ray.put(small.select([sk] + list(value_cols)))
-
-    class Enrich:
-        def __init__(self):
-            t = ray.get(small_ref)
-            self.small_keys = t.column(sk).combine_chunks()
-            self.values = {c: t.column(c).combine_chunks() for c in value_cols}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # null index for unmatched keys → take yields null (left join).
-            # SQL semantics: a NULL probe key matches NOTHING — index_in
-            # would match a null build-side key, so mask null probes out.
-            probe = batch.column(key)
-            idx = pc.index_in(probe, value_set=self.small_keys)
-            idx = pc.if_else(pc.is_valid(probe), idx,
-                             pa.scalar(None, type=idx.type))
-            for c in value_cols:
-                batch = batch.append_column(c, pc.take(self.values[c], idx))
-            return batch
-
-    return ds.map_batches(Enrich, batch_format="pyarrow", concurrency=concurrency)
+    enrich = _Enrich(key, small.column(small_key or key).combine_chunks(),
+                     {c: small.column(c).combine_chunks() for c in value_cols})
+    return ds.map_batches(enrich, batch_format="pyarrow")
 
 
 def _col_type(schema, col: str) -> pa.DataType:

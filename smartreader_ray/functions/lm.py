@@ -14,10 +14,11 @@ Ray shape (the two-phase broadcast pattern):
 
 1. **Train** (`train_bigram_lm`): per-block Arrow ``group_by`` partial
    bigram counts over the held-in slice → one vocab²-bounded groupby →
-   driver collects the (bounded, asserted) count table, derives prefix
-   counts by summation, and ``ray.put``s the model once.
-2. **Score** (`lm_score`): shuffle-free ``map_batches`` — each worker
-   resolves the model ref once and scores transitions vectorized.
+   driver collects the (bounded, asserted) count table and derives
+   prefix counts by summation.
+2. **Score** (`lm_score`): shuffle-free ``map_batches`` tasks — the
+   scorer instance carries the model (shipped once per stage) and
+   scores transitions vectorized.
 
 Oracle strategy (the repo's degeneration pattern): the float perplexity
 is order-sensitive to sum per doc, so the HASH GATE compares the exact
@@ -103,18 +104,15 @@ def train_bigram_lm(ds, text_col: str = "text",
 
 
 class _LMScorer:
-    """Actor-pool stage: resolve the broadcast model once per worker,
-    score each doc's transitions. Emits the exact integer sufficient
-    statistics (the hash-gated columns) plus the float ``log2_ppl``
+    """Task UDF that carries the model and scores each doc's
+    transitions. Emits the exact integer sufficient statistics (the
+    hash-gated columns) plus the float ``log2_ppl``
     (order-deterministic per doc: sequential sum in token order)."""
 
-    def __init__(self, model_ref):
-        import ray
-
-        m = ray.get(model_ref)
-        self.c2 = m["c2"]
-        self.c1 = m["c1"]
-        self.V = m["V"]
+    def __init__(self, model: dict):
+        self.c2 = model["c2"]
+        self.c1 = model["c1"]
+        self.V = model["V"]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, n_tr, s_big, s_pfx, n_oov, ppl = [], [], [], [], [], []
@@ -157,21 +155,12 @@ class _LMScorer:
         )
 
 
-def lm_score(ds, model: dict, text_col: str = "text",
-             concurrency=(1, 4), batch_size: int = 64):
+def lm_score(ds, model: dict, text_col: str = "text", batch_size: int = 64):
     """Score every doc in ``ds`` against a trained bigram LM (see
     module docstring). Returns (doc_id, n_trans, sum_bigram_c,
     sum_prefix_c, n_oov, log2_ppl); docs with < 2 tokens are omitted."""
-    import ray
-
-    model_ref = ray.put(model)
     return ds.select_columns(["doc_id", text_col]).map_batches(
-        _LMScorer,
-        fn_constructor_args=(model_ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-    )
+        _LMScorer(model), batch_format="pyarrow", batch_size=batch_size)
 
 
 def train_bigram_lm_by(ds, key_col: str = "lang", text_col: str = "text",
@@ -236,15 +225,13 @@ def train_bigram_lm_by(ds, key_col: str = "lang", text_col: str = "text",
 
 
 class _LMScorerBy:
-    """Per-key scorer: resolves the broadcast {key: model} map once per
-    worker; a row whose key has no model scores against the empty model
-    (V=1, every transition OOV) — the same convention the SQL oracle
-    replays with COALESCEs."""
+    """Per-key task scorer that carries the {key: model} map; a row
+    whose key has no model scores against the empty model (V=1, every
+    transition OOV) — the same convention the SQL oracle replays with
+    COALESCEs."""
 
-    def __init__(self, models_ref):
-        import ray
-
-        self.models = ray.get(models_ref)
+    def __init__(self, models: dict):
+        self.models = models
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         empty = {"c2": {}, "c1": {}, "V": 1}
@@ -290,21 +277,12 @@ class _LMScorerBy:
 
 
 def lm_score_by(ds, models: dict, key_col: str = "lang",
-                text_col: str = "text", concurrency=(1, 4),
-                batch_size: int = 64):
+                text_col: str = "text", batch_size: int = 64):
     """Score every doc against ITS key's model (see
     :func:`train_bigram_lm_by`). Output adds ``key_col``; docs with
     < 2 tokens are omitted."""
-    import ray
-
-    models_ref = ray.put(models)
     return ds.select_columns(["doc_id", key_col, text_col]).map_batches(
-        _LMScorerBy,
-        fn_constructor_args=(models_ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-    )
+        _LMScorerBy(models), batch_format="pyarrow", batch_size=batch_size)
 
 
 def lm_perplexity_reference(held_texts: list[str], text: str) -> float | None:
@@ -330,9 +308,9 @@ def lm_perplexity_reference(held_texts: list[str], text: str) -> float | None:
 
 
 class _MbitsScorerBy:
-    """Actor-pool stage for :func:`ccnet_head_middle_tail`: resolves the
-    broadcast ``{lang: model}`` map once per worker and pre-stamps every
-    known bigram's code length as an INT64 micro-nat weight
+    """Task UDF for :func:`ccnet_head_middle_tail`: built once on the
+    driver from the ``{lang: model}`` map, it pre-stamps every known
+    bigram's code length as an INT64 micro-nat weight
     ``floor(1e6 · ln((c1[w1]+V)/(c2[w1,w2]+1)))`` (libm ``math.log`` on
     an explicit float division, floor — the DSIR stamp discipline, so
     the SQL oracle replays it bit-for-bit with
@@ -340,12 +318,9 @@ class _MbitsScorerBy:
     DOUBLE)))``). Per doc the score is an order-independent integer sum
     of stamps — the float math never touches corpus-sized data."""
 
-    def __init__(self, models_ref):
+    def __init__(self, models: dict):
         import math
 
-        import ray
-
-        models = ray.get(models_ref)
         self.stamp: dict = {}   # lang -> {(w1,w2): micro-nats}
         self.pfx: dict = {}     # lang -> {w1: micro-nats of an OOV w2}
         self.oov: dict = {}     # lang -> micro-nats of an OOV w1
@@ -394,8 +369,7 @@ class _MbitsScorerBy:
 
 def ccnet_head_middle_tail(ds, held, key_col: str = "lang",
                            text_col: str = "text", id_col: str = "doc_id",
-                           num_parts: int = 32, concurrency=(1, 4),
-                           batch_size: int = 64):
+                           num_parts: int = 32, batch_size: int = 64):
     """CCNet's head/middle/tail quality split (Wenzek et al. 2020,
     public paper): train one bigram LM per language on the held-in
     slice, score every document's total smoothed code length, and
@@ -412,7 +386,7 @@ def ccnet_head_middle_tail(ds, held, key_col: str = "lang",
 
     Scale shape: one distributed count pass for the models
     (vocab²-bounded broadcast, see :func:`train_bigram_lm_by`), one
-    scoring map over an actor pool, then the tercile rank rides ONE
+    scoring map as tasks, then the tercile rank rides ONE
     TeraSort-shape :func:`~smartreader_ray.functions.reshape.global_rank`
     over the lang-major composite ``li·2⁶⁰ | key·2²⁴ | id`` (the
     proven ``balanced_interleave`` layout; per-language rank falls out
@@ -421,19 +395,13 @@ def ccnet_head_middle_tail(ds, held, key_col: str = "lang",
     The scored table (4 thin columns) is materialized once because the
     offset count and the rank both consume it.
     """
-    import ray
     import ray.data  # noqa: F401
 
     from .reshape import global_rank
 
     models = train_bigram_lm_by(held, key_col=key_col, text_col=text_col)
-    models_ref = ray.put(models)
     scored = ds.select_columns([id_col, key_col, text_col]).map_batches(
-        _MbitsScorerBy,
-        fn_constructor_args=(models_ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
+        _MbitsScorerBy(models), batch_format="pyarrow", batch_size=batch_size,
     ).materialize()  # thin (id, lang, n_trans, mbits); consumed twice
 
     counts = scored.groupby(key_col).count().to_pandas()

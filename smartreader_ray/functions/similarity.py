@@ -1,11 +1,15 @@
 """Similarity search over an embedding column (list<float>).
 
-- ann_topk: brute-force cosine top-k — the small-side query matrix is
-  ``ray.put`` once and matmul'd against every batch (never re-shipped
-  per batch); per-batch partial top-k keeps the combine tiny.
+- ann_topk: brute-force cosine top-k — the small-side query matrix
+  rides in the ``map_batches`` UDF instance (shipped once per stage,
+  never per batch) and is matmul'd against every batch; per-batch
+  partial top-k keeps the combine tiny.
 - embedding_neardup: near-dup pairs by cosine ≥ threshold; brute
   all-pairs per batch against the broadcast matrix for small corpora,
   or LSH (random-hyperplane) bucketed for the scale path.
+
+Every per-batch scorer here is a UDF instance built on the driver, so
+its stage runs as Ray Data tasks: no actor pool starts per call.
 """
 
 from __future__ import annotations
@@ -32,27 +36,28 @@ def _embeddings_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
     return flat.reshape(batch.num_rows, dim).astype(np.float64)
 
 
+def _top_k(row: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` best entries of ``row`` by (sim desc, id asc),
+    the order of :func:`_merge_topk_partials`: a tie at the k-th place
+    keeps the smaller id wherever the block boundaries fall."""
+    return np.lexsort((ids, -row))[:k]
+
+
 class _TopKPartial:
     """Per-batch partial top-k against a broadcast query matrix."""
 
-    def __init__(self, queries_ref, k: int):
-        import ray
-
-        q = ray.get(queries_ref) if not isinstance(queries_ref, np.ndarray) else queries_ref
-        self.queries = _normalize(np.asarray(q, dtype=np.float64))
-        self.query_ids = None
+    def __init__(self, queries: np.ndarray, k: int):
+        self.queries = _normalize(np.asarray(queries, dtype=np.float64))
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         mat = _normalize(_embeddings_matrix(batch))
         sims = self.queries @ mat.T  # (Q, B)
         vec_ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        k = min(self.k, sims.shape[1])
         out_q, out_v, out_s = [], [], []
         for qi in range(sims.shape[0]):
             row = sims[qi]
-            idx = np.argpartition(-row, k - 1)[:k] if k < len(row) else np.arange(len(row))
-            for i in idx:
+            for i in _top_k(row, vec_ids, self.k):
                 out_q.append(qi)
                 out_v.append(int(vec_ids[i]))
                 out_s.append(float(row[i]))
@@ -73,52 +78,15 @@ def ann_topk(ds, query_matrix: np.ndarray, k: int = 10, round_to: int = 6):
     Scale path: replace the driver merge with a groupby(query_id)
     .map_groups top-k when Q is large; here Q is small by construction.
     """
-    import ray
-
-    queries_ref = ray.put(np.asarray(query_matrix, dtype=np.float64))
-    partials = ds.map_batches(
-        _TopKPartial,
-        fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-    heaps: dict[int, list] = {}
-    for batch in partials.iter_batches(batch_format="pyarrow"):
-        for q, v, s in zip(
-            batch.column("query_id").to_pylist(),
-            batch.column("vec_id").to_pylist(),
-            batch.column("sim").to_pylist(),
-        ):
-            heap = heaps.setdefault(q, [])
-            item = (s, -v)  # tie-break: smaller vec_id wins
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-    out_q, out_v, out_s, out_r = [], [], [], []
-    for q in sorted(heaps):
-        ranked = sorted(heaps[q], key=lambda t: (-t[0], -t[1]))
-        for rank, (s, negv) in enumerate(ranked, start=1):
-            out_q.append(q)
-            out_v.append(-negv)
-            out_s.append(round(s, round_to))
-            out_r.append(rank)
-    return pa.Table.from_pydict(
-        {
-            "query_id": pa.array(out_q, type=pa.int64()),
-            "vec_id": pa.array(out_v, type=pa.int64()),
-            "sim": pa.array(out_s, type=pa.float64()),
-            "rank": pa.array(out_r, type=pa.int64()),
-        }
-    )
+    partials = ds.map_batches(_TopKPartial(query_matrix, k),
+                              batch_format="pyarrow")
+    return _merge_topk_partials(partials, k, round_to)
 
 
 class _NearDupBrute:
-    def __init__(self, matrix_ref, ids_ref, threshold: float):
-        import ray
-
-        self.all_mat = _normalize(np.asarray(ray.get(matrix_ref), dtype=np.float64))
-        self.all_ids = np.asarray(ray.get(ids_ref), dtype=np.int64)
+    def __init__(self, matrix: np.ndarray, ids: np.ndarray, threshold: float):
+        self.all_mat = _normalize(np.asarray(matrix, dtype=np.float64))
+        self.all_ids = np.asarray(ids, dtype=np.int64)
         self.threshold = threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -149,8 +117,9 @@ def embedding_neardup(ds, threshold: float = 0.95, use_lsh: bool | None = None,
                       max_bucket: int = 4096):
     """Cosine near-dup pairs (vec_a < vec_b, sim ≥ threshold).
 
-    Brute path: broadcast the (normalized) full matrix once via ray.put;
-    each batch matmuls against it — O(N·B) per batch but zero shuffle.
+    Brute path: broadcast the (normalized) full matrix once in the UDF
+    instance; each batch matmuls against it — O(N·B) per batch but zero
+    shuffle.
     LSH path: random-hyperplane signature → bucket groupby → in-bucket
     pair check; only signatures + embeddings of co-bucketed vectors
     shuffle, and buckets over ``max_bucket`` are sub-split (skew guard).
@@ -160,8 +129,6 @@ def embedding_neardup(ds, threshold: float = 0.95, use_lsh: bool | None = None,
     materializes the full matrix, so it is only ever the small-N /
     exact-oracle path.
     """
-    import ray
-
     if use_lsh is None:
         use_lsh = ds.count() > brute_limit
     if not use_lsh:
@@ -181,16 +148,8 @@ def embedding_neardup(ds, threshold: float = 0.95, use_lsh: bool | None = None,
             np.concatenate(ids_parts).astype(np.int64)
             if ids_parts else np.zeros(0, dtype=np.int64)
         )
-        matrix_ref = ray.put(mat)
-        ids_ref = ray.put(ids)
-        return ds.map_batches(
-            _NearDupBrute,
-            fn_constructor_kwargs=dict(
-                matrix_ref=matrix_ref, ids_ref=ids_ref, threshold=threshold
-            ),
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-        )
+        return ds.map_batches(_NearDupBrute(mat, ids, threshold),
+                              batch_format="pyarrow")
 
     planes = None  # built lazily per worker from the seed (deterministic)
 
@@ -318,48 +277,38 @@ def ann_ivf_bucketed(index_dir: str, query_matrix: np.ndarray, k: int = 10,
              "rank": pa.array([], type=pa.int64())}
         )
     ds = ray.data.read_parquet(files)
-    queries_ref = ray.put(queries)
-    probed_ref = ray.put(probed)
 
-    class _BucketPartial:
-        def __init__(self):
-            self.queries = ray.get(queries_ref)
-            self.probed = ray.get(probed_ref)
+    def bucket_partial(batch: pa.Table) -> pa.Table:
+        mat = _normalize(_embeddings_matrix(batch))
+        vec_ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        cl = batch.column("cl").to_numpy(zero_copy_only=False).astype(np.int64)
+        out_q, out_v, out_s = [], [], []
+        for qi in range(queries.shape[0]):
+            mask = np.isin(cl, probed[qi])
+            if not mask.any():
+                continue
+            row = queries[qi] @ mat[mask].T
+            ids = vec_ids[mask]
+            for i in _top_k(row, ids, k):
+                out_q.append(qi)
+                out_v.append(int(ids[i]))
+                out_s.append(float(row[i]))
+        return pa.Table.from_pydict(
+            {
+                "query_id": pa.array(out_q, type=pa.int64()),
+                "vec_id": pa.array(out_v, type=pa.int64()),
+                "sim": pa.array(out_s, type=pa.float64()),
+            }
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _normalize(_embeddings_matrix(batch))
-            vec_ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-            cl = batch.column("cl").to_numpy(zero_copy_only=False).astype(np.int64)
-            out_q, out_v, out_s = [], [], []
-            for qi in range(self.queries.shape[0]):
-                mask = np.isin(cl, self.probed[qi])
-                if not mask.any():
-                    continue
-                row = self.queries[qi] @ mat[mask].T
-                ids = vec_ids[mask]
-                kk = min(k, len(row))
-                idx = (np.argpartition(-row, kk - 1)[:kk]
-                       if kk < len(row) else np.arange(len(row)))
-                for i in idx:
-                    out_q.append(qi)
-                    out_v.append(int(ids[i]))
-                    out_s.append(float(row[i]))
-            return pa.Table.from_pydict(
-                {
-                    "query_id": pa.array(out_q, type=pa.int64()),
-                    "vec_id": pa.array(out_v, type=pa.int64()),
-                    "sim": pa.array(out_s, type=pa.float64()),
-                }
-            )
-
-    partials = ds.map_batches(_BucketPartial, batch_format="pyarrow",
-                              concurrency=(1, 8))
+    partials = ds.map_batches(bucket_partial, batch_format="pyarrow")
     return _merge_topk_partials(partials, k, round_to)
 
 
 def _merge_topk_partials(partials, k: int, round_to: int) -> pa.Table:
     """Tiny driver-side heap merge of per-block partial top-k rows
-    (shared by ann_topk / ann_ivf / ann_ivf_bucketed)."""
+    (shared by ann_topk / ann_ivf / ann_ivf_bucketed / hard_negatives).
+    Ties break on the smaller vec_id."""
     heaps: dict[int, list] = {}
     for batch in partials.iter_batches(batch_format="pyarrow"):
         for q, v, s in zip(
@@ -420,11 +369,10 @@ class _IVFPartial:
     only if the vector's nearest centroid is one of that query's
     ``nprobe`` probed clusters. Centroids + queries broadcast once."""
 
-    def __init__(self, queries_ref, centroids_ref, k: int, nprobe: int):
-        import ray
-
-        self.queries = _normalize(np.asarray(ray.get(queries_ref), dtype=np.float64))
-        self.centroids = np.asarray(ray.get(centroids_ref), dtype=np.float64)
+    def __init__(self, queries: np.ndarray, centroids: np.ndarray, k: int,
+                 nprobe: int):
+        self.queries = _normalize(np.asarray(queries, dtype=np.float64))
+        self.centroids = np.asarray(centroids, dtype=np.float64)
         self.k = k
         sims_qc = self.queries @ self.centroids.T  # (Q, C)
         nprobe = min(nprobe, self.centroids.shape[0])
@@ -442,9 +390,7 @@ class _IVFPartial:
             sub = mat[mask]
             ids = vec_ids[mask]
             row = self.queries[qi] @ sub.T
-            k = min(self.k, len(row))
-            idx = np.argpartition(-row, k - 1)[:k] if k < len(row) else np.arange(len(row))
-            for i in idx:
+            for i in _top_k(row, ids, self.k):
                 out_q.append(qi)
                 out_v.append(int(ids[i]))
                 out_s.append(float(row[i]))
@@ -469,52 +415,12 @@ def ann_ivf(ds, query_matrix: np.ndarray, k: int = 10, n_clusters: int = 16,
     corpus would be written bucketed by centroid id so unprobed buckets
     are never READ — here pruning saves compute, not IO.
     """
-    import heapq
-
-    import ray
-
     sample_rows = ds.select_columns(["embedding"]).limit(train_sample).take_all()
     sample = np.asarray([r["embedding"] for r in sample_rows], dtype=np.float64)
     centroids = kmeans_centroids(sample, n_clusters, seed=seed)
-    queries_ref = ray.put(np.asarray(query_matrix, dtype=np.float64))
-    centroids_ref = ray.put(centroids)
-    partials = ds.map_batches(
-        _IVFPartial,
-        fn_constructor_kwargs=dict(
-            queries_ref=queries_ref, centroids_ref=centroids_ref, k=k, nprobe=nprobe
-        ),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-    heaps: dict[int, list] = {}
-    for batch in partials.iter_batches(batch_format="pyarrow"):
-        for q, v, s in zip(
-            batch.column("query_id").to_pylist(),
-            batch.column("vec_id").to_pylist(),
-            batch.column("sim").to_pylist(),
-        ):
-            heap = heaps.setdefault(q, [])
-            item = (s, -v)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-    out_q, out_v, out_s, out_r = [], [], [], []
-    for q in sorted(heaps):
-        ranked = sorted(heaps[q], key=lambda t: (-t[0], -t[1]))
-        for rank, (s, negv) in enumerate(ranked, start=1):
-            out_q.append(q)
-            out_v.append(-negv)
-            out_s.append(round(s, round_to))
-            out_r.append(rank)
-    return pa.Table.from_pydict(
-        {
-            "query_id": pa.array(out_q, type=pa.int64()),
-            "vec_id": pa.array(out_v, type=pa.int64()),
-            "sim": pa.array(out_s, type=pa.float64()),
-            "rank": pa.array(out_r, type=pa.int64()),
-        }
-    )
+    partials = ds.map_batches(_IVFPartial(query_matrix, centroids, k, nprobe),
+                              batch_format="pyarrow")
+    return _merge_topk_partials(partials, k, round_to)
 
 
 def _kmeans_assign_partial(centroids_ref, id_col: str, emb_col: str):
@@ -1086,12 +992,9 @@ class _HardNegPartial:
     broadcast (queries, labels) pair — the masking twin of
     :class:`_TopKPartial`."""
 
-    def __init__(self, queries_ref, qlabels_ref, k: int):
-        import ray
-
-        self.queries = _normalize(
-            np.asarray(ray.get(queries_ref), dtype=np.float64))
-        self.qlabels = np.asarray(ray.get(qlabels_ref), dtype=np.int64)
+    def __init__(self, queries: np.ndarray, qlabels: np.ndarray, k: int):
+        self.queries = _normalize(np.asarray(queries, dtype=np.float64))
+        self.qlabels = np.asarray(qlabels, dtype=np.int64)
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -1103,13 +1006,10 @@ class _HardNegPartial:
         # removes the query's own row)
         sims[self.qlabels[:, None] == labels[None, :]] = -np.inf
         vec_ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        k = min(self.k, sims.shape[1])
         out_q, out_v, out_s = [], [], []
         for qi in range(sims.shape[0]):
             row = sims[qi]
-            idx = (np.argpartition(-row, k - 1)[:k]
-                   if k < len(row) else np.arange(len(row)))
-            for i in idx:
+            for i in _top_k(row, vec_ids, self.k):
                 if row[i] == -np.inf:
                     continue
                 out_q.append(qi)
@@ -1131,47 +1031,14 @@ def hard_negatives(ds, query_matrix: np.ndarray, query_labels: np.ndarray,
     rank) ordered by (query_id, −sim, vec_id), deterministic under ties.
 
     Same scale shape as :func:`ann_topk`: broadcast the (Q×d) anchor
-    matrix + Q labels once via ``ray.put``, one masked matmul per block
+    matrix + Q labels once in the UDF instance, one masked matmul per block
     (partial top-k per block, ≤ Q·k rows leave any block), tiny driver
     heap merge. Q is small by construction; for large Q switch the merge
     to groupby(query_id) top-k as named in ``ann_topk``.
     """
-    import ray
-
-    queries_ref = ray.put(np.asarray(query_matrix, dtype=np.float64))
-    qlabels_ref = ray.put(np.asarray(query_labels, dtype=np.int64))
     partials = ds.map_batches(
-        _HardNegPartial,
-        fn_constructor_kwargs=dict(queries_ref=queries_ref,
-                                   qlabels_ref=qlabels_ref, k=k),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-    heaps: dict[int, list] = {}
-    for batch in partials.iter_batches(batch_format="pyarrow"):
-        for q, v, s in zip(batch.column("query_id").to_pylist(),
-                           batch.column("vec_id").to_pylist(),
-                           batch.column("sim").to_pylist()):
-            heap = heaps.setdefault(q, [])
-            item = (s, -v)  # tie-break: smaller vec_id wins
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-    out_q, out_v, out_s, out_r = [], [], [], []
-    for q in sorted(heaps):
-        ranked = sorted(heaps[q], key=lambda t: (-t[0], -t[1]))
-        for rank, (s, negv) in enumerate(ranked, start=1):
-            out_q.append(q)
-            out_v.append(-negv)
-            out_s.append(round(s, round_to))
-            out_r.append(rank)
-    return pa.Table.from_pydict({
-        "query_id": pa.array(out_q, type=pa.int64()),
-        "vec_id": pa.array(out_v, type=pa.int64()),
-        "sim": pa.array(out_s, type=pa.float64()),
-        "rank": pa.array(out_r, type=pa.int64()),
-    })
+        _HardNegPartial(query_matrix, query_labels, k), batch_format="pyarrow")
+    return _merge_topk_partials(partials, k, round_to)
 
 
 def cross_decontam(ds, eval_label: int = 0, tau: float = 0.35,

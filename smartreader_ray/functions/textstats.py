@@ -1,6 +1,6 @@
 """Text analysis operators: token stats, quality scoring, language ID,
-document fingerprinting. All vectorized per batch; language ID holds its
-profile tables as warm actor state.
+document fingerprinting. All vectorized per batch; language ID builds its
+profile tables once on the driver and ships them with the UDF instance.
 """
 
 from __future__ import annotations
@@ -153,11 +153,12 @@ def quality_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class LanguageId:
-    """Warm actor: stopword profiles built once; per-batch scoring.
+    """Stopword-profile language ID: profiles built once on the driver,
+    per-batch scoring in tasks.
 
     Heuristic analogue of the reference's optional FastText stage
     (``SmartReader.NaturalLanguageProcessing/NLP.cs:16-32``) — same
-    pipeline position (separate actor-pool map_batches), stdlib model.
+    pipeline position (its own map_batches stage), stdlib model.
 
     COVERAGE CAVEAT: this stopword heuristic distinguishes 7 Latin-script
     languages (en/de/fr/es/it/pt/nl) and returns "und" otherwise; the
@@ -207,7 +208,7 @@ class LanguageId:
 
 def language_id(ds):
     return ds.select_columns(["doc_id", "text"]).map_batches(
-        LanguageId, batch_format="pyarrow", concurrency=(1, 8)
+        LanguageId(), batch_format="pyarrow"
     )
 
 

@@ -1,7 +1,8 @@
 """Multimodal span processing: decode / feature-extract stages.
 
-Media payloads are opaque ``binary`` columns + typed metadata; decode
-stages are actor pools so codec state loads once per worker. Image
+Media payloads are opaque ``binary`` columns + typed metadata. Each
+stage is a callable class whose instance ``map_batches`` runs as tasks;
+the codecs are stateless, so no worker keeps state between calls. Image
 (BMP/PPM/PGM) and audio (PCM WAV) decoding is REAL — pure-stdlib
 parsers in ``stages/codecs.py`` — so the resize / stats / audio-feature
 stages exercise genuine byte-level decode end to end. PIL/ffmpeg
@@ -49,11 +50,11 @@ def _decode_stub(kind: str, payload: bytes) -> dict:
 
 
 class MediaDecodeStub:
-    """Actor-pool stage over rows of (doc_id, media_ref, kind, payload).
+    """Stage over rows of (doc_id, media_ref, kind, payload).
 
     Large binary payloads → keep ``batch_size`` small (e.g. 4-16) so a
-    batch × concurrency fits worker heap; the object store spills the
-    rest. Per-item failures become ``error`` values, not task failures.
+    batch times the tasks running at once (up to the session's CPUs)
+    fits worker heap; the object store spills the rest. Per-item failures become ``error`` values, not task failures.
     """
 
     def __init__(self, decoder=None):
@@ -173,7 +174,7 @@ def _payload_stub(media_ref: str) -> bytes:
 
 
 class ImageDataUriInliner:
-    """Actor-pool stage over extracted article rows: rewrite
+    """Stage over extracted article rows: rewrite
     ``content_html`` inlining images as data URIs (resolver-fed payloads,
     default deterministic stub). Emits per-doc inline/remove counts."""
 
@@ -303,7 +304,7 @@ def _resize_nearest(px, max_dim: int):
 
 
 class ImageResizeStage:
-    """Actor-pool stage: (doc_id, media_ref, payload) → resized payload
+    """Stage: (doc_id, media_ref, payload) → resized payload
     + before/after dimensions. REAL decode (BMP/PPM/PGM via
     `stages/codecs.py`), deterministic nearest-neighbor resample,
     re-encode in the source format. Per-item failures become ``error``
@@ -311,8 +312,8 @@ class ImageResizeStage:
     `ExtractBatch`).
 
     Batch sizing rule for binary columns: payload_bytes × batch_size ×
-    concurrency must fit the worker heap — callers pass batch_size≈4-16
-    for multi-MB images.
+    the tasks running at once (up to the session's CPUs) must fit the
+    worker heap — callers pass batch_size≈4-16 for multi-MB images.
     """
 
     def __init__(self, max_dim: int = 256):
@@ -351,7 +352,7 @@ class ImageResizeStage:
 
 
 class ImageStatsFeatures:
-    """Actor-pool stage: decode each image payload (real BMP/PPM/PGM)
+    """Stage: decode each image payload (real BMP/PPM/PGM)
     and emit EXACT integer pixel statistics — (width, height, n_px,
     px_sum, px_min, px_max). Integer-exact by construction, so a SQL
     oracle can replay them from whatever deterministic rule synthesized
@@ -393,7 +394,7 @@ class ImageStatsFeatures:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage over (doc_id, media_ref, payload) WAV rows →
+    """Stage over (doc_id, media_ref, payload) WAV rows →
     exact integer audio features: framerate, n_channels, n_frames,
     duration_ms (floor), peak_abs, sum_samples, sum_sq — all int64, so
     the oracle can replay them exactly from the synthesis rule. Decode
@@ -440,7 +441,7 @@ class AudioFeatureStage:
 
 
 class AudioSpectralFeatures:
-    """Actor-pool stage: real spectral analysis of WAV payloads with
+    """Stage: real spectral analysis of WAV payloads with
     numpy's FFT — (doc_id, media_ref, payload) → per-clip features:
 
     - ``n_frames``: sliding analysis frames (``frame_size`` samples,
@@ -521,7 +522,7 @@ class AudioSpectralFeatures:
 
 
 class FrameSampleStage:
-    """Actor-pool flat-map: one input video row → one output row per
+    """Flat-map stage: one input video row → one output row per
     sampled frame (every ``every_k``-th). The row-count expansion is the
     real thing being exercised: a generator-style stage whose output
     row count differs from its input's, with frame index metadata.
@@ -564,7 +565,7 @@ class ByteHistogramFeatures:
     byte histogram per payload → ``list<float>`` embedding column,
     directly consumable by `functions/similarity.py` (ann_topk /
     embedding_neardup). The batched-inference pattern: "model" (here
-    just numpy) set up once per actor, whole batch vectorized per call.
+    just numpy) set up once per instance, whole batch vectorized per call.
     """
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -589,7 +590,7 @@ class ByteHistogramFeatures:
 
 
 class ShotBoundaryStage:
-    """Actor-pool video temporal segmentation: demux the FVID container,
+    """Video temporal segmentation stage: demux the FVID container,
     decode every frame (real byte-level BMP/PPM decode), and flag a shot
     boundary wherever the mean absolute pixel delta between consecutive
     frames exceeds ``threshold`` — the classic histogram/intensity-delta
@@ -646,7 +647,7 @@ class ShotBoundaryStage:
 
 
 class AudioAutocorrFeatures:
-    """Actor-pool stage: EXACT integer autocorrelation of WAV PCM at
+    """Stage: EXACT integer autocorrelation of WAV PCM at
     fixed sample lags — ``ac_{L} = Σ s[i]·s[i+L]`` over channel 0 —
     the periodicity / pitch-strength signal (YIN-class detectors reduce
     to these sums) kept in pure int64 so an oracle can replay it from
@@ -695,7 +696,7 @@ class AudioAutocorrFeatures:
 
 
 class ImagePHashStage:
-    """Actor-pool stage: average-hash (aHash) perceptual fingerprint —
+    """Stage: average-hash (aHash) perceptual fingerprint —
     decode (real BMP/PPM/PGM bytes), integer grayscale ``(r+g+b)//3``,
     8×8 nearest-neighbor downsample with the SAME index map as
     `ImageResizeStage` (row ``(j*h)//8``, col ``(k*w)//8``), threshold

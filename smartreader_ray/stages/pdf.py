@@ -9,8 +9,8 @@ task failure: encrypted files, exotic filters (JBIG2, CCITT, DCT text),
 CID/Type0 composite fonts with custom CMaps (their strings decode to
 garbage, flagged via a heuristic), and OCR-needing scans.
 
-Ray side: ``PdfTextExtract`` is an actor-pool ``map_batches`` stage over
-``(doc_id, pdf: binary)`` rows. Layout: text chunks are emitted in
+Ray side: a ``PdfTextExtract`` instance is a ``map_batches`` task stage
+over ``(doc_id, pdf: binary)`` rows. Layout: text chunks are emitted in
 content-stream order, joined per text object (BT..ET) with newlines —
 the same reading-order approximation pdfminer uses for untagged PDFs.
 
@@ -187,7 +187,7 @@ def pdf_to_text(data: bytes) -> str:
 
 
 class PdfTextExtract:
-    """Actor-pool stage: (doc_id, pdf:binary) → (doc_id, text, n_chars,
+    """Stage: (doc_id, pdf:binary) → (doc_id, text, n_chars,
     error). Per-file failures are error rows, never task failures."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -259,13 +259,10 @@ class NearDupIndex:
 
         shards = self.shards
         n_shards = self.num_shards
-        params = (self.num_hashes, self.bands, self.ngram, self.seed)
 
         class Filter:
-            def __init__(self):
-                nh, bands, ngram, seed = params
-                self.hasher = MinHasher(num_hashes=nh, bands=bands,
-                                        ngram=ngram, seed=seed)
+            def __init__(self, hasher: MinHasher):
+                self.hasher = hasher
 
             def __call__(self, batch: pa.Table) -> pa.Table:
                 if batch.num_rows == 0:
@@ -301,8 +298,10 @@ class NearDupIndex:
                 ray.get(adds)  # barrier: accepted keys visible before return
                 return batch.filter(pa.array(accept))
 
-        return ds.map_batches(Filter, batch_format="pyarrow",
-                              concurrency=(1, 4))
+        # a task stage: the shard actors hold the state, the filter none
+        hasher = MinHasher(num_hashes=self.num_hashes, bands=self.bands,
+                           ngram=self.ngram, seed=self.seed)
+        return ds.map_batches(Filter(hasher), batch_format="pyarrow")
 
     def stats(self) -> dict:
         counts = ray.get([s.count.remote() for s in self.shards])

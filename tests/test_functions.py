@@ -116,6 +116,24 @@ def test_ann_topk_matches_numpy(ray_session):
         assert got_q.column("vec_id").to_pylist()[0] == qi  # self is top hit
 
 
+def test_ann_topk_ties_keep_smallest_ids_across_blocks(ray_session):
+    """Bit-identical vectors tie on similarity; whatever the block
+    boundaries, the top-k are the smallest ids (the oracle's order)."""
+    import ray.data
+
+    from smartreader_ray.functions import ann_topk
+
+    ids = list(range(19, -1, -1))  # descending: small ids in the last block
+    table = pa.table({
+        "vec_id": pa.array(ids, type=pa.int64()),
+        "embedding": pa.array([[1.0, 0.0]] * 20, type=pa.list_(pa.float32())),
+    })
+    blocks = [table.slice(5 * i, 5) for i in range(4)]
+    got = ann_topk(ray.data.from_arrow(blocks), np.array([[1.0, 0.0]]), k=3)
+    assert got.column("vec_id").to_pylist() == [0, 1, 2]
+    assert got.column("rank").to_pylist() == [1, 2, 3]
+
+
 def test_embedding_neardup_brute(ray_session):
     import ray.data
 

@@ -1,6 +1,9 @@
 """Local stand-in for the driver's correctness gate: run each queries()
 entry and its oracle_sql() side-by-side on one sf dir and compare
 row-count, schema (column names), and an order-insensitive value hash.
+Every line also prints the engine output's own value hash, so two
+checkouts' outputs can be diffed, rows-only queries included. Ray runs
+at the host's CPU count, so a stage that stalls at ``nproc`` shows here.
 A query that needs the reference fixture directory prints
 ``skip <name>: reference fixtures absent: <dir>`` when that directory is
 missing, and does not count as a failure.
@@ -63,6 +66,15 @@ def fixtures_absent(exc: BaseException) -> str | None:
     return FIXTURE_DIR if os.path.commonpath([root, path]) == root else None
 
 
+def host_cpus() -> int:
+    """The CPU count ``nproc`` reports: the affinity mask, capped by
+    ``OMP_NUM_THREADS`` when that is set (how a shared host states a
+    container's CPU share)."""
+    n = len(os.sched_getaffinity(0))
+    omp = os.environ.get("OMP_NUM_THREADS", "")
+    return min(n, int(omp)) if omp.isdigit() and int(omp) > 0 else n
+
+
 def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -71,7 +83,7 @@ def main() -> None:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False)
+        ray.init(address="local", num_cpus=host_cpus(), include_dashboard=False)
 
     import __ray_entry__ as entrymod
 
@@ -104,21 +116,23 @@ def main() -> None:
             print(f"FAIL {name}: query raised {type(exc).__name__}: {exc}")
             failures += 1
             continue
+        got_hash = value_hash(got)
         if name not in oracles:
-            print(f"ok   {name}: rows={len(got)} (rows-only, {dt:.1f}s)")
+            print(f"ok   {name}: rows={len(got)} hash={got_hash} "
+                  f"(rows-only, {dt:.1f}s)")
             if len(got) == 0 and name not in ("embed_neardup_lsh",):
                 print(f"     WARNING: zero rows")
             continue
         exp = con.sql(oracles[name]).df()
         ok_rows = len(got) == len(exp)
         ok_cols = sorted(got.columns) == sorted(exp.columns)
-        ok_hash = value_hash(got) == value_hash(exp) if ok_rows and ok_cols else False
+        ok_hash = got_hash == value_hash(exp) if ok_rows and ok_cols else False
         status = "ok  " if (ok_rows and ok_cols and ok_hash) else "FAIL"
         if status == "FAIL":
             failures += 1
         print(
             f"{status} {name}: rows {len(got)}/{len(exp)} cols_ok={ok_cols} "
-            f"hash_ok={ok_hash} ({dt:.1f}s)"
+            f"hash_ok={ok_hash} hash={got_hash} ({dt:.1f}s)"
         )
         if not ok_cols:
             print(f"     got  cols: {sorted(got.columns)}")
