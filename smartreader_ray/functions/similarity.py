@@ -39,8 +39,14 @@ def _embeddings_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
 def _top_k(row: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` best entries of ``row`` by (sim desc, id asc),
     the order of :func:`_merge_topk_partials`: a tie at the k-th place
-    keeps the smaller id wherever the block boundaries fall."""
-    return np.lexsort((ids, -row))[:k]
+    keeps the smaller id wherever the block boundaries fall. Only the
+    entries at least as good as the k-th best value are sorted."""
+    neg = -row
+    if 0 < k < neg.size:
+        cand = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+    else:
+        cand = np.arange(neg.size)
+    return cand[np.lexsort((ids[cand], neg[cand]))][:k]
 
 
 class _TopKPartial:

@@ -13,7 +13,7 @@ exercise REAL byte-level parsing instead of a fake framing:
   standard library, samples decoded to int16/uint8 numpy arrays.
 
 Every decoder raises :class:`MediaDecodeError` on malformed input so
-actor-pool stages can convert failures to error rows. Encoders exist
+map stages can convert failures to error rows. Encoders exist
 for all three so pipelines can synthesize deterministic payloads and
 round-trip them (the test strategy: encode → decode → exact stats,
 with a SQL oracle replaying the stats straight off the source table).

@@ -134,6 +134,23 @@ def test_ann_topk_ties_keep_smallest_ids_across_blocks(ray_session):
     assert got.column("rank").to_pylist() == [1, 2, 3]
 
 
+def test_block_top_k_equals_full_sort():
+    """The per-block top-k picks exactly the first k of a full
+    (sim desc, id asc) sort, with ties, -inf (masked) and NaN sims."""
+    from smartreader_ray.functions.similarity import _top_k
+
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        n, k = int(rng.integers(0, 30)), int(rng.integers(0, 33))
+        row = rng.integers(0, 4, n) / 3.0
+        if n:
+            row[rng.integers(0, n, 2)] = -np.inf
+            row[rng.integers(0, n, 2)] = rng.choice([np.nan, 1.0])
+        ids = rng.permutation(n) + 100
+        want = np.lexsort((ids, -row))[:k]
+        assert _top_k(row, ids, k).tolist() == want.tolist()
+
+
 def test_embedding_neardup_brute(ray_session):
     import ray.data
 

@@ -3,7 +3,8 @@ entry and its oracle_sql() side-by-side on one sf dir and compare
 row-count, schema (column names), and an order-insensitive value hash.
 Every line also prints the engine output's own value hash, so two
 checkouts' outputs can be diffed, rows-only queries included. Ray runs
-at the host's CPU count, so a stage that stalls at ``nproc`` shows here.
+at ``max(2, nproc)`` CPUs, as ``perfbench/run.py`` does: at one CPU an
+exchange fed by a union can stall for good (see ROADMAP 3(c)).
 A query that needs the reference fixture directory prints
 ``skip <name>: reference fixtures absent: <dir>`` when that directory is
 missing, and does not count as a failure.
@@ -66,15 +67,6 @@ def fixtures_absent(exc: BaseException) -> str | None:
     return FIXTURE_DIR if os.path.commonpath([root, path]) == root else None
 
 
-def host_cpus() -> int:
-    """The CPU count ``nproc`` reports: the affinity mask, capped by
-    ``OMP_NUM_THREADS`` when that is set (how a shared host states a
-    container's CPU share)."""
-    n = len(os.sched_getaffinity(0))
-    omp = os.environ.get("OMP_NUM_THREADS", "")
-    return min(n, int(omp)) if omp.isdigit() and int(omp) > 0 else n
-
-
 def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -82,8 +74,11 @@ def main() -> None:
     import duckdb
     import ray
 
+    from perfbench.run import host_nproc
+
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=host_cpus(), include_dashboard=False)
+        ray.init(address="local", num_cpus=max(2, host_nproc()),
+                 include_dashboard=False)
 
     import __ray_entry__ as entrymod
 
