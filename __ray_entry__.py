@@ -7042,80 +7042,67 @@ def _q_dedup_cascade_chain(sf_dir: str):
     n-gram-Jaccard verify over the SURVIVORS (`functions/dedup.py:
     minhash_dedup`, threshold 0.5; the larger doc_id of each verified
     pair is removed) → per-source funnel rollup
-    (n_docs, n_exact_kept, n_near_kept). Exchanges: (fp, doc_id)
-    for the exact stage, the vectorized `hash_join` to re-attach text
-    to survivors, the banded-LSH pipeline on the (smaller) survivor
-    corpus, and source-sized partial rollups; removed-pair IDs are a
-    verified-dup-sized side merged driver-side into the source-sized
-    report."""
-    import pandas as pd
+    (n_docs, n_exact_kept, n_near_kept). The exact stage is ONE
+    exchange hash-partitioned on the fp, one call per partition, that
+    emits (doc_id, source, kept, text if kept): text crosses it once and
+    is never joined back. The removed ids are a verified-dup-sized
+    driver set; ONE groupby("source") rolls up all three counts."""
+    import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Count, Min, Sum
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Count, Sum
 
     from smartreader_ray.functions import minhash_dedup
-    from smartreader_ray.functions.dedup import _md5_key
-    from smartreader_ray.functions.join import hash_join
+    from smartreader_ray.functions.dedup import _by_key_partition, _md5_key
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
     def fp(b: pa.Table) -> pa.Table:
-        fps = [_md5_key((t or "").strip())
-               for t in b.column("text").to_pylist()]
+        return b.append_column("fp", pa.array(
+            [_md5_key((t or "").strip())
+             for t in b.column("text").to_pylist()], type=pa.int64()))
+
+    def keep_first(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g, [("fp", "ascending"),
+                                       ("doc_id", "ascending")]))
+        f = g.column("fp").to_numpy()
+        kept = np.ones(len(f), dtype=bool)
+        kept[1:] = f[1:] != f[:-1]
+        text = g.column("text")
         return pa.table({
-            "fp": pa.array(fps, type=pa.int64()),
-            "doc_id": b.column("doc_id"),
-            "source": b.column("source"),
+            "doc_id": g.column("doc_id"),
+            "source": g.column("source"),
+            "kept": pa.array(kept),
+            "text": pc.if_else(pa.array(kept), text,
+                               pa.nulls(len(f), type=text.type)),
         })
 
-    # stage 1: exact full-content dedup — only (fp, doc_id) exchanges
-    keepers = (docs.map_batches(fp, batch_format="pyarrow")
-               .groupby("fp")
-               .aggregate(Min("doc_id", alias_name="doc_id"))
-               .select_columns(["doc_id"])
-               .materialize())  # survivor ids: consumed by join + rollup
+    # stage 1: exact dedup; read by the LSH and verify passes and rollup
+    exact = _by_key_partition(docs.map_batches(fp, batch_format="pyarrow"),
+                              "fp", keep_first).materialize()
 
-    # stage 2: near-dedup over survivors (text re-attached via the
-    # vectorized run-length join; survivors are output-sized)
-    surv = hash_join(keepers, docs, "doc_id", "doc_id",
-                     ["doc_id"], ["text", "source"],
-                     how="inner").materialize()
-    # ^ consumed three times (LSH pass + verify pass inside
-    # minhash_dedup, then the stage-3 rollup); un-materialized, each
-    # consumer re-executes the exact-dedup join
-    pairs = minhash_dedup(surv.select_columns(["doc_id", "text"]),
-                          threshold=0.5)
+    # stage 2: near-dedup over the survivors
+    surv = exact.filter(expr="kept").select_columns(["doc_id", "text"])
+    pairs = minhash_dedup(surv, threshold=0.5)
+    removed = pa.array([r["doc_b"] for r in pairs.filter(expr="is_dup")
+                        .select_columns(["doc_b"]).take_all()],
+                       type=pa.int64())
 
-    def dup_b(b: pa.Table) -> pa.Table:
-        return b.filter(b.column("is_dup")).select(["doc_b"])
+    # stage 3: per-source funnel, one source-sized rollup
+    def funnel(b: pa.Table) -> pa.Table:
+        kept = b.column("kept")
+        near = pc.and_(kept, pc.invert(pc.is_in(b.column("doc_id"),
+                                                value_set=removed)))
+        return pa.table({"source": b.column("source"),
+                         "kept": pc.cast(kept, pa.int64()),
+                         "near": pc.cast(near, pa.int64())})
 
-    removed = pairs.map_batches(dup_b,
-                                batch_format="pyarrow").take_all()
-    removed_ids = {int(r["doc_b"]) for r in removed}
-
-    # stage 3: per-source funnel (verified-dup-sized set is the only
-    # driver-resident state; rollups are source-sized partials)
-    n_docs = (docs.groupby("source").aggregate(Count(alias_name="n_docs"))
-              .to_pandas())
-
-    def surv_partial(b: pa.Table) -> pa.Table:
-        import numpy as np
-        src = b.column("source").to_pandas()
-        ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        near = np.array([int(i) not in removed_ids for i in ids],
-                        dtype=np.int64)
-        g = pd.DataFrame({"source": src, "n_exact_kept": 1,
-                          "n_near_kept": near}) \
-            .groupby("source", sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    kept = (surv.map_batches(surv_partial, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("n_exact_kept", alias_name="n_exact_kept"),
-                       Sum("n_near_kept", alias_name="n_near_kept"))
-            .to_pandas())
-    out = n_docs.merge(kept, on="source", how="left")
-    for c in ("n_exact_kept", "n_near_kept"):
-        out[c] = out[c].fillna(0).astype("int64")
+    out = (exact.map_batches(funnel, batch_format="pyarrow")
+           .groupby("source")
+           .aggregate(Count(alias_name="n_docs"),
+                      Sum("kept", alias_name="n_exact_kept"),
+                      Sum("near", alias_name="n_near_kept"))
+           .to_pandas())
     return out.sort_values("source").reset_index(drop=True)
 
 

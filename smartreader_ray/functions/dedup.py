@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .join import _empty_table
+from .join import _col_type, _empty_table
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = np.uint64((1 << 61) - 1)
@@ -47,7 +47,7 @@ _LOG = logging.getLogger(__name__)
 #: _capped_subgroups). Pair emission per bucket is bounded by
 #: ceil(n/cap) * C(cap, 2) ≈ n*cap/2 — linear in n, never quadratic.
 DEFAULT_MAX_BUCKET = 128
-#: hash partitions of the ``_bucket_pairs`` exchange
+#: hash partitions of the ``_by_key_partition`` exchange
 _PAIR_PARTITIONS = 64
 
 
@@ -95,12 +95,6 @@ def _bucket_pairs(rows, key_col: str, max_bucket: int,
     as ``<payload>_a``/``<payload>_b`` (one value per doc is assumed; a
     doc's first row in the bucket supplies it)."""
 
-    def stamp(b: pa.Table) -> pa.Table:
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        part = (k.astype(np.int64).view(np.uint64)
-                % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
-        return b.append_column("__part", pa.array(part, type=pa.int64()))
-
     def emit_part(g: pa.Table) -> pa.Table:
         key = g.column(key_col).to_numpy(zero_copy_only=False)
         order = np.argsort(key, kind="stable")
@@ -133,9 +127,23 @@ def _bucket_pairs(rows, key_col: str, max_bucket: int,
             out[f"{payload}_b"] = pa.array(p[ib], type=p_type)
         return pa.table(out)
 
+    return _by_key_partition(rows, key_col, emit_part)
+
+
+def _by_key_partition(rows, key_col: str, emit):
+    """ONE exchange hash-partitioned on the int64 ``key_col``:
+    ``emit(group)`` runs once per partition (all rows of each key in
+    one call), never once per key."""
+
+    def stamp(b: pa.Table) -> pa.Table:
+        k = b.column(key_col).to_numpy(zero_copy_only=False)
+        part = (k.astype(np.int64).view(np.uint64)
+                % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
+        return b.append_column("__part", pa.array(part, type=pa.int64()))
+
     return (rows.map_batches(stamp, batch_format="pyarrow")
             .groupby("__part")
-            .map_groups(emit_part, batch_format="pyarrow"))
+            .map_groups(emit, batch_format="pyarrow"))
 
 
 def _windows(text: str | None, window: int) -> list[str]:
@@ -418,19 +426,23 @@ def minhash_lsh_candidates(ds, num_hashes: int = 128, bands: int = 16, ngram: in
     Buckets over ``max_bucket`` members are sub-split (skew guard, see
     ``_capped_subgroups``) so pair output stays linear in bucket size.
     """
+    from ray.data.aggregate import Count
+
+    # candidate pairs can appear in multiple bands → distinct
+    return (_band_pairs(ds, num_hashes, bands, ngram, max_bucket)
+            .groupby(["doc_a", "doc_b"])
+            .aggregate(Count(alias_name="n_bands")))
+
+
+def _band_pairs(ds, num_hashes: int, bands: int, ngram: int,
+                max_bucket: int):
+    """The raw (doc_a, doc_b) bucket pairs of banded MinHash: one row
+    per pair and band the two docs share."""
     banded = ds.select_columns(["doc_id", "text"]).map_batches(
         MinHasher(num_hashes=num_hashes, bands=bands, ngram=ngram),
         batch_format="pyarrow",
     )
-
-    pairs = _bucket_pairs(banded, "band_key", max_bucket)
-    # candidate pairs can appear in multiple bands → distinct
-    from ray.data.aggregate import Count
-
-    return (
-        pairs.groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="n_bands"))
-    )
+    return _bucket_pairs(banded, "band_key", max_bucket)
 
 
 def ngram_jaccard(text_a: str, text_b: str, n: int = 3) -> float:
@@ -554,8 +566,10 @@ def verify_candidate_pairs(docs_ds, pairs, ngram: int = 3, threshold: float = 0.
     ``pairs``: list of (doc_a, doc_b) — the SMALL side (LSH
     candidates), broadcast via ``ray.put``.
     The big side (documents) streams once: each batch emits (pair_id,
-    doc_id, text) only for docs that appear in some pair, then a
-    groupby(pair_id) joins the two texts and computes n-gram Jaccard.
+    side, doc_a, doc_b, text) only for docs that appear in some pair,
+    then a groupby(pair_id) joins the two texts and computes n-gram
+    Jaccard; each row carries its pair's ids, so no task reads the
+    whole pair list.
     Only matched texts shuffle — never the corpus. (A hash ``ds.join``
     would shuffle all document texts twice.)
 
@@ -566,44 +580,32 @@ def verify_candidate_pairs(docs_ds, pairs, ngram: int = 3, threshold: float = 0.
     pair_list = list(pairs)
     membership: dict = {}
     for pid, (a, b) in enumerate(pair_list):
-        membership.setdefault(a, []).append((pid, 0))
-        membership.setdefault(b, []).append((pid, 1))
+        membership.setdefault(a, []).append((pid, 0, a, b))
+        membership.setdefault(b, []).append((pid, 1, a, b))
     membership_ref = ray.put(membership)
-    pairs_ref = ray.put(pair_list)
 
     def emit_matched(batch: pa.Table) -> pa.Table:
         index = ray.get(membership_ref)
-        pid_out, side_out, text_out = [], [], []
-        for doc_id, text in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            for pid, side in index.get(doc_id, ()):
-                pid_out.append(pid)
-                side_out.append(side)
-                text_out.append(text or "")
-        return pa.Table.from_pydict(
-            {
-                "pair_id": pa.array(pid_out, type=pa.int64()),
-                "side": pa.array(side_out, type=pa.int8()),
-                "text": pa.array(text_out, type=pa.string()),
-            }
-        )
+        rows = [(pid, side, a, b, text or "")
+                for doc_id, text in zip(batch.column("doc_id").to_pylist(),
+                                        batch.column("text").to_pylist())
+                for pid, side, a, b in index.get(doc_id, ())]
+        id_type = batch.schema.field("doc_id").type
+        return pa.table([
+            pa.array(col, type=t) for col, t in zip(
+                list(zip(*rows)) or [()] * 5,
+                (pa.int64(), pa.int8(), id_type, id_type, pa.string()))
+        ], names=["pair_id", "side", "doc_a", "doc_b", "text"])
 
     def score_pair(group: pa.Table) -> pa.Table:
-        a, b = ray.get(pairs_ref)[group.column("pair_id")[0].as_py()]
-        return _score_pair(group, pa.array([a]), pa.array([b]), ngram,
+        return _score_pair(group, group.column("doc_a").slice(0, 1),
+                           group.column("doc_b").slice(0, 1), ngram,
                            threshold)
 
     matched = docs_ds.select_columns(["doc_id", "text"]).map_batches(
         emit_matched, batch_format="pyarrow"
     )
     return matched.groupby("pair_id").map_groups(score_pair, batch_format="pyarrow")
-
-
-def _ds_column_type(ds, name: str) -> pa.DataType:
-    """Arrow type of a column of a Ray Dataset (Schema wraps pyarrow)."""
-    schema = ds.schema()
-    return dict(zip(schema.names, schema.types))[name]
 
 
 def verify_candidate_pairs_distributed(docs_ds, cands_ds, ngram: int = 3,
@@ -620,7 +622,7 @@ def verify_candidate_pairs_distributed(docs_ds, cands_ds, ngram: int = 3,
     count is provably small; this path exists so an unbounded candidate
     set (skewed corpus at 100 TB) never lands on the driver.
     """
-    id_type = _ds_column_type(cands_ds, "doc_a")
+    id_type = _col_type(cands_ds.schema(), "doc_a")
 
     def to_needs(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_a")
@@ -652,27 +654,16 @@ def verify_candidate_pairs_distributed(docs_ds, cands_ds, ngram: int = 3,
         )
 
     def attach_text(group: pa.Table) -> pa.Table:
-        sides = group.column("side").to_pylist()
-        texts = group.column("text").to_pylist()
-        doc_text = next(
-            (t for s, t in zip(sides, texts) if s == -1), None
-        )
-        if doc_text is None:  # pair references a doc missing from corpus
-            doc_text_rows = []
-        else:
-            doc_text_rows = [i for i, s in enumerate(sides) if s >= 0]
-        if not doc_text_rows:
-            return _empty_table(["doc_a", "doc_b", "side", "text"],
-                                [id_type, id_type, pa.int8(), pa.string()])
-        taken = group.take(doc_text_rows)
-        return pa.Table.from_pydict(
-            {
-                "doc_a": taken.column("doc_a"),
-                "doc_b": taken.column("doc_b"),
-                "side": taken.column("side"),
-                "text": pa.array([doc_text] * len(doc_text_rows), type=pa.string()),
-            }
-        )
+        sides = group.column("side").to_numpy(zero_copy_only=False)
+        doc_text = group.column("text").filter(pa.array(sides == -1))
+        taken = group.filter(pa.array(sides >= 0)).select(
+            ["doc_a", "doc_b", "side"])
+        if not len(doc_text) or not doc_text[0].is_valid:
+            # pair references a doc missing from corpus
+            return taken.slice(0, 0).append_column(
+                "text", pa.array([], type=pa.string()))
+        return taken.append_column("text", pa.array(
+            [doc_text[0].as_py()] * taken.num_rows, type=pa.string()))
 
     def score(group: pa.Table) -> pa.Table:
         return _score_pair(group, group.column("doc_a").slice(0, 1),
@@ -699,31 +690,32 @@ def minhash_dedup(ds, num_hashes: int = 128, bands: int = 16, ngram: int = 3,
     """Full MinHash+LSH near-dedup: candidates → exact-Jaccard verify.
 
     Returns (doc_a, doc_b, jaccard, is_dup) for every LSH candidate pair.
-    The candidate Dataset is counted (a distributed aggregate, contents
-    never collected): at most ``broadcast_pair_limit`` pairs use the
-    zero-shuffle broadcast verify; above the bound the fully distributed
-    verify join runs instead — the driver never holds an unbounded
-    candidate set. The verify pass streams the corpus once either way.
+    The raw bucket pairs (one per pair and shared band) are materialized
+    and counted; that count bounds the distinct pairs from above. At
+    most ``broadcast_pair_limit`` raw pairs are collected and made
+    distinct on the driver for the zero-shuffle broadcast verify; above
+    the bound a distributed distinct feeds the fully distributed verify
+    join instead — the driver never holds an unbounded candidate set.
+    The verify pass streams the corpus once either way.
     """
-    cands = minhash_lsh_candidates(
-        ds, num_hashes=num_hashes, bands=bands, ngram=ngram, max_bucket=max_bucket
-    ).materialize()  # small (pairs only); avoids re-running LSH for count + verify
-    n_pairs = cands.count()
-    if n_pairs == 0:
+    raw = _band_pairs(ds, num_hashes, bands, ngram,
+                      max_bucket).materialize()  # counted, then read once
+    n_raw = raw.count()
+    if n_raw == 0:
         import ray.data
 
         # derive pair-id types from the input's doc_id (ADVICE r01: a
         # string-keyed corpus must get a string-typed empty result)
-        id_type = _ds_column_type(ds, "doc_id")
+        id_type = _col_type(ds.schema(), "doc_id")
         return ray.data.from_arrow(_empty_table(
             ["doc_a", "doc_b", "jaccard", "is_dup"],
             [id_type, id_type, pa.float64(), pa.bool_()]))
-    if n_pairs > broadcast_pair_limit:
+    if n_raw > broadcast_pair_limit:
         return verify_candidate_pairs_distributed(
-            ds, cands, ngram=ngram, threshold=threshold
-        )
-    pair_rows = cands.select_columns(["doc_a", "doc_b"]).take_all()
-    pair_list = [(r["doc_a"], r["doc_b"]) for r in pair_rows]
+            ds, raw.groupby(["doc_a", "doc_b"]).count().materialize(),
+            ngram=ngram, threshold=threshold)
+    pair_list = list(dict.fromkeys(
+        (r["doc_a"], r["doc_b"]) for r in raw.take_all()))
     return verify_candidate_pairs(ds, pair_list, ngram=ngram, threshold=threshold)
 
 
@@ -1400,7 +1392,7 @@ def ngram_jaccard_pairs(ds, prefix_tokens: int = 8, n: int = 2,
             }
         )
 
-    id_type = _ds_column_type(ds, "doc_id")
+    id_type = _col_type(ds.schema(), "doc_id")
 
     def emit_pairs(group: pa.Table) -> pa.Table:
         m = group.num_rows
@@ -1489,7 +1481,7 @@ def longest_common_runs(ds, window: int = 8, text_col: str = "text",
     Returns (doc_a, doc_b, lcs_tokens ≥ window), optionally filtered to
     ``lcs_tokens ≥ min_run_tokens``.
     """
-    id_type = _ds_column_type(ds, "doc_id")
+    id_type = _col_type(ds.schema(), "doc_id")
 
     def emit_positions(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()

@@ -112,6 +112,27 @@ def broadcast_join(ds, small, key: str, value_cols: list[str],
     return ds.map_batches(enrich, batch_format="pyarrow")
 
 
+def _with_schema(ds):
+    """``(ds, schema)`` for one join side, running its plan at most once:
+    a schema Ray cannot infer costs a one-block run of the plan, which
+    for a side with an all-to-all is the whole exchange — so such a side
+    is materialized and the join reads that run. A map-only side keeps
+    the one-block probe and streams into the join."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll)
+
+    def exchange(op) -> bool:
+        return isinstance(op, AbstractAllToAll) or any(
+            map(exchange, op.input_dependencies))
+
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is not None:
+        return ds, schema
+    if exchange(ds._logical_plan.dag):
+        ds = ds.materialize()
+    return ds, ds.schema()
+
+
 def _col_type(schema, col: str) -> pa.DataType:
     """The type of ``col`` in a pyarrow or Ray Dataset schema."""
     return schema.types[list(schema.names).index(col)]
@@ -247,9 +268,10 @@ def hash_join(left, right, left_key: str, right_key: str,
     if overlap:
         raise ValueError(f"output column collision: {sorted(overlap)}")
 
-    # schema() on a lazy Dataset can trigger upstream execution — fetch
-    # each side's schema exactly ONCE and derive everything from it
-    lschema, rschema = left.schema(), right.schema()
+    # each side's schema is fetched once; a side whose schema costs an
+    # exchange to learn is materialized, so the probe is the run
+    left, lschema = _with_schema(left)
+    right, rschema = _with_schema(right)
     key_type = _key_type(_col_type(lschema, left_key),
                          _col_type(rschema, right_key))
     l_fields = _types(lschema, left_cols)
@@ -432,9 +454,8 @@ def _pack_by_on(left, right, by: str, on: str, left_cols: list[str],
     rows are dropped, except on the left side of a left-outer operator
     (``keep_left_nulls``), where they ride the same exchange in
     ``NULL_PART`` instead of a second scan of the input."""
-    # fetch each side's schema exactly once (schema() on a lazy Dataset
-    # can trigger execution)
-    lschema, rschema = left.schema(), right.schema()
+    left, lschema = _with_schema(left)
+    right, rschema = _with_schema(right)
     key_type = _key_type(_col_type(lschema, by), _col_type(rschema, by))
     l_types = _types(lschema, left_cols)
     r_types = _types(rschema, right_cols)
@@ -829,7 +850,7 @@ def _semi_anti(left, right, left_key: str, right_key: str,
     import ray
     import ray.data
 
-    lschema = left.schema()
+    left, lschema = _with_schema(left)
     left_cols = lschema.names
     rk, rtype = _distinct_keys(right, right_key)
     key_type = _key_type(_col_type(lschema, left_key), rtype)

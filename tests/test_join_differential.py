@@ -348,3 +348,40 @@ def test_join_cardinality_matches_naive(ray_session):
     assert row["max_fanout"] == int((c1 * c2).max())
     assert row["n_keys_left_only"] == ((c1 > 0) & (c2 == 0)).sum()
     assert row["n_keys_right_only"] == ((c2 > 0) & (c1 == 0)).sum()
+
+
+def test_join_side_with_exchange_runs_once(tmp_path, ray_session):
+    """The schema probe of a join side whose plan has an exchange reads
+    the same run as the join: the side's map UDF runs once per input
+    block, not once for the probe and again for the join. A map-only
+    side is not materialized: it streams into the join."""
+    import uuid
+
+    import ray.data
+
+    from smartreader_ray.functions.join import _with_schema
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def tag(b: pa.Table) -> pa.Table:
+        (calls / uuid.uuid4().hex).touch()  # one file per call
+        return b
+
+    blocks = [pa.table({"k": pa.array([i % 7 for i in range(10 * j,
+                                                          10 * j + 10)],
+                                      type=pa.int64())}) for j in range(4)]
+    right = (ray.data.from_arrow(blocks)
+             .map_batches(tag, batch_format="pyarrow")
+             .groupby("k").count())
+    left = ray.data.from_arrow(pa.table({
+        "lk": pa.array([0, 3, 6, 9], type=pa.int64()),
+        "lv": ["a", "b", "c", "d"]})).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    assert _with_schema(left)[0] is left
+
+    out = hash_join(left, right, "lk", "k", ["lk", "lv"], ["count()"],
+                    how="left").to_pandas()
+    assert len(list(calls.iterdir())) == len(blocks)
+    got = dict(zip(out["lk"], out["count()"].fillna(0).astype(int)))
+    assert got == {0: 6, 3: 6, 6: 5, 9: 0}  # k = i % 7 over i < 40

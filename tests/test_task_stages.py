@@ -3,9 +3,9 @@
 Each stage hands ``map_batches`` a UDF instance built on the driver, so
 it runs on the session's warm task workers: no actor pool starts per
 call, and a task holds its CPU only while it runs. The plan test pins
-the strategy; the 1-CPU test runs two such stages end to end in a
-``num_cpus=1`` session, where an actor pool held the only CPU and
-starved the read.
+the strategy; the 1-CPU test runs such stages, and two queries whose
+stages are exchanges, end to end in a ``num_cpus=1`` session, where an
+actor pool held the only CPU and starved the read.
 """
 
 from __future__ import annotations
@@ -34,44 +34,15 @@ def _map_op(ds, name: str):
     raise AssertionError(f"{name} not in the plan")
 
 
-def _docs_table() -> pa.Table:
-    """A seeded corpus in the ``documents`` shape: stopword-rich lines
-    in four labelled languages, with planted near-duplicates."""
-    import random
-
-    words = {
-        "en": "the and of to in is that it was for with on".split(),
-        "de": "der die und das ist nicht mit von auf ein sich den".split(),
-        "fr": "le la les et des est une pas que dans pour sur".split(),
-        "es": "el la los y que en por con una para del las".split(),
-    }
-    fill = "data stream batch join merge window hash table".split()
-    rng = random.Random(7)
-    ids, texts, langs = [], [], []
-    for i in range(48):
-        lang = sorted(words)[i % 4]
-        toks = [rng.choice(words[lang] if rng.random() < 0.5 else fill)
-                for _ in range(30 + rng.randrange(30))]
-        ids.append(i)
-        texts.append(" ".join(toks))
-        langs.append(lang)
-    for j in range(8):  # near-dups: one trailing token changed
-        src = texts[j * 5].split()
-        ids.append(100 + j)
-        texts.append(" ".join(src[:-1] + ["tail"]))
-        langs.append(langs[j * 5])
-    return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                     "text": texts, "lang": langs})
-
-
-def test_plan_runs_corpus_stages_as_tasks(ray_session):
+def test_plan_runs_corpus_stages_as_tasks(corpus_sf_dir, ray_session):
     import ray.data
     from ray.data._internal.compute import TaskPoolStrategy
 
     from smartreader_ray.functions import (broadcast_join, language_id,
                                            minhash_lsh_candidates)
 
-    ds = ray.data.from_arrow(_docs_table())
+    ds = ray.data.from_arrow(pq.read_table(
+        os.path.join(corpus_sf_dir, "documents.parquet")))
     small = pa.table({"lang": ["en", "de"], "name": ["English", "German"]})
     plans = {
         "MapBatches(MinHasher)": minhash_lsh_candidates(ds),
@@ -90,34 +61,37 @@ import __ray_entry__ as entry
 
 ray.init(address="local", num_cpus=1, include_dashboard=False,
          log_to_driver=False)
-print(json.dumps({name: entry.queries()[name](sys.argv[1]).to_pandas()
+from tools.oracle_check import to_pandas
+
+print(json.dumps({name: to_pandas(entry.queries()[name](sys.argv[1]))
                   .to_dict("records") for name in json.loads(sys.argv[2])}))
 """
 
-_ONE_CPU_QUERIES = ["minhash_dedup", "lid_confusion"]
+_ONE_CPU_QUERIES = ["minhash_dedup", "lid_confusion", "dedup_cascade_chain",
+                    "customer_orders_full"]
 
 
 def _rows(records: list[dict]) -> list[str]:
     return sorted(json.dumps(r, sort_keys=True) for r in records)
 
 
-def test_one_cpu_session_runs_dedup_and_lid(tmp_path, ray_session):
-    """``minhash_dedup`` and the language-ID confusion rollup finish in a
-    ``num_cpus=1`` session and give the rows of the shared 4-CPU
-    session. Runs in its own process under a deadline."""
+def test_one_cpu_session_runs_dedup_and_lid(corpus_sf_dir, ray_session):
+    """``minhash_dedup``, the language-ID confusion rollup, the dedup
+    cascade and the full outer ``hash_join`` finish in a ``num_cpus=1``
+    session and give the rows of the shared 4-CPU session. The last two
+    have exchange-only stages. Runs in its own process under a
+    deadline."""
     import __ray_entry__ as entry
+    from tools.oracle_check import to_pandas
 
-    sf_dir = tmp_path / "sf"
-    sf_dir.mkdir()
-    # one file, as in a generated sf dir: with one read task, a (1, 8)
-    # actor pool at num_cpus=1 never let the read run
-    pq.write_table(_docs_table(), sf_dir / "documents.parquet")
-    want = {name: _rows(entry.queries()[name](str(sf_dir)).to_pandas()
+    # one file per table, as in a generated sf dir: with one read task,
+    # a (1, 8) actor pool at num_cpus=1 never let the read run
+    want = {name: _rows(to_pandas(entry.queries()[name](corpus_sf_dir))
                         .to_dict("records")) for name in _ONE_CPU_QUERIES}
     assert any(r["is_dup"] for r in map(json.loads, want["minhash_dedup"]))
 
     child = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_CHILD, str(sf_dir),
+        [sys.executable, "-c", _ONE_CPU_CHILD, corpus_sf_dir,
          json.dumps(_ONE_CPU_QUERIES)],
         cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True, start_new_session=True)
@@ -126,8 +100,8 @@ def test_one_cpu_session_runs_dedup_and_lid(tmp_path, ray_session):
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.communicate()
-        pytest.fail("minhash_dedup + lid_confusion did not finish in 120 s "
-                    "at num_cpus=1")
+        pytest.fail(f"{_ONE_CPU_QUERIES} did not finish in 120 s at "
+                    "num_cpus=1")
     assert child.returncode == 0
     got = json.loads(stdout.splitlines()[-1])
     assert {name: _rows(rows) for name, rows in got.items()} == want
