@@ -34,12 +34,40 @@ _EN_STOP = (
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
-    """``<sf_dir>/<table>.parquet`` as a Ray Dataset (optionally pruned)."""
-    import ray.data
+    """``<sf_dir>/<table>.parquet`` as a Ray Dataset (optionally pruned),
+    in blocks sized by the bytes read.
 
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, f"{table}.parquet"), columns=columns
-    )
+    Ray splits a read into at least 2 × the session's CPUs blocks,
+    whatever its size, and every map task and exchange stage downstream
+    then runs one task per block: for a sub-MiB table that fixed cost
+    per task outweighs the work. Here a table under
+    ``read_op_min_num_blocks`` × ``DataContext.target_min_block_size``
+    (200 MiB by default) reads as one block per target of the selected
+    columns' uncompressed bytes, taken from the parquet footer (no
+    column data is read) — Ray's own rule without its CPU-count floor.
+    A larger table keeps Ray's sizing; a missing file still raises
+    Ray's ``FileNotFoundError`` naming the path."""
+    import math
+
+    import pyarrow.parquet as pq
+    import ray.data
+    from ray.data.context import DataContext
+
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    blocks = None
+    if os.path.isfile(path):  # a dataset directory keeps Ray's sizing
+        meta = pq.read_metadata(path)
+        nbytes = sum(
+            col.total_uncompressed_size
+            for rg in map(meta.row_group, range(meta.num_row_groups))
+            for col in map(rg.column, range(rg.num_columns))
+            if columns is None or col.path_in_schema.split(".")[0] in columns
+        )
+        ctx = DataContext.get_current()
+        if nbytes < ctx.read_op_min_num_blocks * ctx.target_min_block_size:
+            blocks = max(1, math.ceil(nbytes / ctx.target_min_block_size))
+    return ray.data.read_parquet(path, columns=columns,
+                                 override_num_blocks=blocks)
 
 
 def _docs(sf_dir: str):
@@ -7968,13 +7996,17 @@ def oracle_sql() -> dict[str, str]:
         )
 
     def _grams_ctes(ngram: int, src: str = "documents") -> str:
-        # replay dedup._token_ngrams: lowercase whitespace split; docs
-        # shorter than n tokens yield the single full-join gram
+        # replay dedup._token_ngrams: lowercase whitespace split (runs
+        # of spaces give no empty token); docs shorter than n tokens
+        # yield the single full-join gram, docs with no token (null,
+        # empty or blank text) none
         return f"""
-        toks AS (SELECT doc_id, string_split(trim(lower(text)), ' ') AS t
+        toks AS (SELECT doc_id,
+                        list_filter(string_split(lower(text), ' '),
+                                    w -> w <> '') AS t
                  FROM {src}),
-        grams AS (SELECT doc_id, unnest(CASE WHEN len(t) < {ngram}
-              THEN [array_to_string(t, ' ')]
+        grams AS (SELECT doc_id, unnest(CASE WHEN len(t) = 0 THEN []
+              WHEN len(t) < {ngram} THEN [array_to_string(t, ' ')]
               ELSE [array_to_string(t[i:i+{ngram - 1}], ' ')
                     FOR i IN range(1, len(t) - {ngram - 2})] END) AS g
               FROM toks)"""

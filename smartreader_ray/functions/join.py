@@ -116,16 +116,24 @@ def _with_schema(ds):
     """``(ds, schema)`` for one join side, running its plan at most once:
     a schema Ray cannot infer costs a one-block run of the plan, which
     for a side with an all-to-all is the whole exchange — so such a side
-    is materialized and the join reads that run. A map-only side keeps
-    the one-block probe and streams into the join."""
+    is materialized and the join reads that run. A filter never changes
+    the schema, so a side that ends in filters takes the schema of the
+    plan under them when Ray can infer that one (a read → filter side
+    runs nothing here). A map-only side keeps the one-block probe and
+    streams into the join."""
     from ray.data._internal.logical.operators.all_to_all_operator import (
         AbstractAllToAll)
+    from ray.data._internal.logical.operators.map_operator import Filter
 
     def exchange(op) -> bool:
         return isinstance(op, AbstractAllToAll) or any(
             map(exchange, op.input_dependencies))
 
     schema = ds.schema(fetch_if_missing=False)
+    op = ds._logical_plan.dag
+    while schema is None and isinstance(op, Filter):
+        op = op.input_dependencies[0]
+        schema = op.infer_schema()
     if schema is not None:
         return ds, schema
     if exchange(ds._logical_plan.dag):

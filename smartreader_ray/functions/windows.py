@@ -22,6 +22,43 @@ import pyarrow as pa
 _LOG = logging.getLogger(__name__)
 
 
+#: hash partitions of ``_combine_window_partials``' exchange
+_WINDOW_PARTITIONS = 16
+
+
+def _combine_window_partials(partials, key_col: str):
+    """(``key_col``, window_start, part_sum, part_n) partials → one row
+    per (key, window) with cent-rounded ``sum_value`` and ``n_events``.
+
+    ONE exchange hash-partitioned on the window start, then one Arrow
+    ``group_by`` per partition. Ray's ``groupby().aggregate()`` walks
+    each sorted block row by row and combines each group in Python:
+    sliding windows have about one group per partial row, and 10k
+    events (45k windows) cost ~13 s of task time there."""
+    import pyarrow.compute as pc
+
+    from .join import _partition
+
+    def stamp(b: pa.Table) -> pa.Table:
+        return b.append_column("__part", _partition(
+            pc.cast(b.column("window_start"), pa.int64()),
+            _WINDOW_PARTITIONS))
+
+    def combine(g: pa.Table) -> pa.Table:
+        out = g.group_by([key_col, "window_start"]).aggregate(
+            [("part_sum", "sum"), ("part_n", "sum")])
+        return pa.table({
+            key_col: out.column(key_col),
+            "window_start": out.column("window_start"),
+            "sum_value": pc.round(out.column("part_sum_sum"), 2),
+            "n_events": out.column("part_n_sum"),
+        })
+
+    return (partials.map_batches(stamp, batch_format="pyarrow")
+            .groupby("__part")
+            .map_groups(combine, batch_format="pyarrow"))
+
+
 def sessionize(ds, gap_s: float = 1800.0, user_col: str = "user_id",
                ts_col: str = "ts", value_col: str = "value",
                order_col: str = "event_id",
@@ -108,10 +145,10 @@ def sliding_window(ds, window_s: float = 300.0, slide_s: float = 60.0,
     Ray shape: the k-fold replication happens INSIDE ``map_batches``
     and is immediately collapsed by a per-batch Arrow partial combine,
     so the exchange ships one row per (block, key, window) — the
-    replication factor never crosses the shuffle.
+    replication factor never crosses the shuffle
+    (``_combine_window_partials``).
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     slide_us = int(slide_s * 1_000_000)
     k = int(round(window_s / slide_s))
@@ -142,23 +179,9 @@ def sliding_window(ds, window_s: float = 300.0, slide_s: float = 60.0,
             .rename_columns([key_col, "window_start", "part_sum", "part_n"])
         )
 
-    agg = (
+    return _combine_window_partials(
         ds.select_columns([key_col, ts_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby([key_col, "window_start"])
-        .aggregate(
-            Sum("part_sum", alias_name="sum_value"),
-            Sum("part_n", alias_name="n_events"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        i = batch.column_names.index("sum_value")
-        return batch.set_column(
-            i, "sum_value", pc.round(batch.column("sum_value"), 2)
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+        .map_batches(partial, batch_format="pyarrow"), key_col)
 
 
 def tumbling_window(ds, window_s: float = 3600.0, ts_col: str = "ts",
@@ -168,11 +191,10 @@ def tumbling_window(ds, window_s: float = 3600.0, ts_col: str = "ts",
 
     Shape: per-batch partial combine (Arrow ``group_by`` inside
     ``map_batches``) so the shuffle ships one row per (block, key,
-    window), then a small global groupby — the same
+    window), then ``_combine_window_partials`` — the same
     pre-aggregate-before-exchange pattern as the TPC-H rollups.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         win = pc.floor_temporal(batch.column(ts_col), unit="second",
@@ -190,23 +212,9 @@ def tumbling_window(ds, window_s: float = 3600.0, ts_col: str = "ts",
             .rename_columns([key_col, "window_start", "part_sum", "part_n"])
         )
 
-    agg = (
+    return _combine_window_partials(
         ds.select_columns([key_col, ts_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby([key_col, "window_start"])
-        .aggregate(
-            Sum("part_sum", alias_name="sum_value"),
-            Sum("part_n", alias_name="n_events"),
-        )
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        i = batch.column_names.index("sum_value")
-        return batch.set_column(
-            i, "sum_value", pc.round(batch.column("sum_value"), 2)
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+        .map_batches(partial, batch_format="pyarrow"), key_col)
 
 
 def late_events(ds, tolerance_s: float = 3600.0, user_col: str = "user_id",

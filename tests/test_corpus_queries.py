@@ -62,3 +62,83 @@ def test_query_matches_oracle(name, corpus_sf_dir, oracle, ray_session):
     if name == "dedup_cascade_chain":  # both stages remove docs
         assert (got["n_exact_kept"] < got["n_docs"]).any()
         assert (got["n_near_kept"] < got["n_exact_kept"]).any()
+
+
+#: a target block size far below the seeded tables' sizes: every read
+#: splits into many blocks
+SMALL_BLOCK = 512
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    from ray.data.context import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
+                        SMALL_BLOCK)
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_query_matches_oracle_in_small_blocks(name, corpus_sf_dir, oracle,
+                                              ray_session, small_blocks):
+    """Block sizing moves no output: with every read split into many
+    blocks, each query still equals its oracle."""
+    import __ray_entry__ as entry
+    from tools.oracle_check import to_pandas, value_hash
+
+    assert entry._read(corpus_sf_dir, "documents").materialize() \
+        .num_blocks() > 1
+    got = to_pandas(entry.queries()[name](corpus_sf_dir))
+    want = oracle.sql(entry.oracle_sql()[name]).df()
+    assert value_hash(got) == value_hash(want)
+
+
+def test_read_sizes_blocks_by_bytes(corpus_sf_dir, ray_session, monkeypatch):
+    """A sub-MiB table reads as one block, whatever the CPU count; the
+    same table at a target of a few hundred bytes reads as several."""
+    import __ray_entry__ as entry
+    from ray.data.context import DataContext
+
+    def blocks(*cols):
+        return entry._read(corpus_sf_dir, "documents",
+                           list(cols) or None).materialize().num_blocks()
+
+    assert os.path.getsize(os.path.join(corpus_sf_dir,
+                                        "documents.parquet")) < 1 << 20
+    assert blocks() == 1
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
+                        SMALL_BLOCK)
+    many = blocks()
+    assert many > 1
+    assert blocks("doc_id") < many  # only the selected columns count
+
+
+def test_read_missing_file_names_the_path(tmp_path):
+    import __ray_entry__ as entry
+
+    with pytest.raises(FileNotFoundError, match="nosuch.parquet"):
+        entry._read(str(tmp_path), "nosuch")
+
+
+def test_customer_orders_full_runs_two_executions(corpus_sf_dir, oracle,
+                                                  ray_session, monkeypatch):
+    """The filtered ``customer`` side takes the read's schema (a filter
+    keeps it), so it needs no one-block probe run: one execution
+    materializes the aggregated ``orders`` side, one runs the join."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    import __ray_entry__ as entry
+    from tools.oracle_check import to_pandas, value_hash
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    got = to_pandas(entry.queries()["customer_orders_full"](corpus_sf_dir))
+    assert len(runs) == 2
+    want = oracle.sql(entry.oracle_sql()["customer_orders_full"]).df()
+    assert value_hash(got) == value_hash(want)

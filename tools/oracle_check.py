@@ -9,16 +9,27 @@ A query that needs the reference fixture directory prints
 ``skip <name>: reference fixtures absent: <dir>`` when that directory is
 missing, and does not count as a failure.
 
-Usage: python tools/oracle_check.py [sf_dir] [query ...]
+With ``--times PATH`` it also writes a JSON artifact: the host facts a
+timing needs (``nproc``, Ray's ``num_cpus``, the checkout's git sha,
+versions) and each query's status, rows, hash and wall time, so the
+per-query times of two checkouts can be compared.
+
+Usage: python tools/oracle_check.py [sf_dir] [query ...] [--times PATH]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import os
+import platform
+import subprocess
 import sys
+import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
@@ -67,7 +78,46 @@ def fixtures_absent(exc: BaseException) -> str | None:
     return FIXTURE_DIR if os.path.commonpath([root, path]) == root else None
 
 
+def git_sha() -> str | None:
+    """The checkout's ``git describe --always --dirty``, or ``None``
+    outside a git checkout."""
+    if not os.path.exists(os.path.join(ROOT, ".git")):
+        return None  # git would name an enclosing repo
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=ROOT, text=True, capture_output=True, timeout=10,
+        ).stdout.strip() or None
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+
+
+def host_facts(sf_dir: str) -> dict:
+    import duckdb
+    import pyarrow
+    import ray
+
+    from perfbench.run import host_nproc
+
+    return {
+        "sf_dir": os.path.abspath(sf_dir),
+        "git_sha": git_sha(),
+        "nproc": host_nproc(),
+        "ray_num_cpus": int(ray.cluster_resources().get("CPU", 0)),
+        "python": platform.python_version(),
+        "ray": ray.__version__,
+        "pyarrow": pyarrow.__version__,
+        "duckdb": duckdb.__version__,
+    }
+
+
 def main() -> None:
+    ap = argparse.ArgumentParser(
+        usage="%(prog)s [sf_dir] [query ...] [--times PATH]",
+        description=__doc__.split("\n\n")[0])
+    ap.add_argument("--times", metavar="PATH",
+                    help="write host facts and per-query times as JSON")
+    args, sys.argv[1:] = ap.parse_known_args()  # the rest is positional
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
@@ -91,27 +141,30 @@ def main() -> None:
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
     failures = 0
+    times: dict[str, dict] = {}
     for name, fn in qs.items():
         if only and name not in only:
             continue
         try:
-            import time
-
-            t0 = time.time()
+            t0 = time.perf_counter()
             got = to_pandas(fn(sf_dir))
-            dt = time.time() - t0
+            dt = time.perf_counter() - t0
         except Exception as exc:
             import traceback
 
             absent = fixtures_absent(exc)
             if absent:
                 print(f"skip {name}: reference fixtures absent: {absent}")
+                times[name] = {"status": "skip"}
                 continue
             traceback.print_exc()
             print(f"FAIL {name}: query raised {type(exc).__name__}: {exc}")
+            times[name] = {"status": "raised"}
             failures += 1
             continue
         got_hash = value_hash(got)
+        times[name] = {"status": "rows-only", "rows": len(got),
+                       "hash": got_hash, "wall_s": round(dt, 4)}
         if name not in oracles:
             print(f"ok   {name}: rows={len(got)} hash={got_hash} "
                   f"(rows-only, {dt:.1f}s)")
@@ -123,6 +176,7 @@ def main() -> None:
         ok_cols = sorted(got.columns) == sorted(exp.columns)
         ok_hash = got_hash == value_hash(exp) if ok_rows and ok_cols else False
         status = "ok  " if (ok_rows and ok_cols and ok_hash) else "FAIL"
+        times[name]["status"] = status.strip()
         if status == "FAIL":
             failures += 1
         print(
@@ -136,6 +190,10 @@ def main() -> None:
             merged = _first_diff(got, exp)
             if merged is not None:
                 print(f"     first diff:\n{merged}")
+    if args.times:
+        with open(args.times, "w") as f:
+            json.dump({**host_facts(sf_dir), "failures": failures,
+                       "queries": times}, f, indent=1)
     sys.exit(1 if failures else 0)
 
 
