@@ -132,22 +132,17 @@ def _q_extract_text(sf_dir: str):
 def _q_doc_stats(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     def add_len(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             "n_chars", pc.cast(pc.utf8_length(batch.column("text")), pa.int64())
         )
 
-    agg = (
-        _docs(sf_dir)
-        .map_batches(add_len, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_chars", alias_name="total_chars"),
-        )
-    )
+    agg = keyed_agg(_docs(sf_dir).map_batches(add_len, batch_format="pyarrow"),
+                    "lang", {"n_docs": ("count", None),
+                             "total_chars": ("sum", "n_chars")})
 
     def finish(batch: pa.Table) -> pa.Table:
         # Integer division on both sides (SQL uses `//`): float AVG's
@@ -398,60 +393,34 @@ def _q_embed_neardup_lsh(sf_dir: str):
 
 
 def _q_lineitem_pricing(sf_dir: str):
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+    from smartreader_ray.functions.exchange import keyed_agg
 
     ds = _read(
         sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"]
     )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # per-block combine before the shuffle: groupby ships one row per
-        # (block, flag, status) instead of one per lineitem
-        return (
-            batch.group_by(["l_returnflag", "l_linestatus"])
-            .aggregate([("l_quantity", "sum"), ("l_quantity", "count")])
-            .rename_columns(
-                ["l_returnflag", "l_linestatus", "part_qty", "part_count"]
-            )
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    final = (
-        partials.groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("part_qty", alias_name="sum_qty"),
-            Sum("part_count", alias_name="count_order"),
-        )
-    )
-    return final
+    return keyed_agg(ds, ["l_returnflag", "l_linestatus"],
+                     {"sum_qty": ("sum", "l_quantity"),
+                      "count_order": ("count", "l_quantity")})
 
 
 def _q_top_orders(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     ds = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     )
 
     def revenue(batch: pa.Table) -> pa.Table:
-        rev = pc.multiply(
+        return batch.append_column("rev", pc.multiply(
             batch.column("l_extendedprice"),
             pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        # partial: sum revenue per orderkey within the block
-        return (
-            batch.append_column("rev", rev)
-            .group_by(["l_orderkey"])
-            .aggregate([("rev", "sum")])
-            .rename_columns(["l_orderkey", "part_rev"])
-        )
+        ))
 
-    partials = ds.map_batches(revenue, batch_format="pyarrow")
-    total = partials.groupby("l_orderkey").aggregate(Sum("part_rev", alias_name="revenue"))
+    total = keyed_agg(ds.map_batches(revenue, batch_format="pyarrow"),
+                      "l_orderkey", {"revenue": ("sum", "rev")})
     # distributed top-k: per-block select_k, then sort only the survivors
     from smartreader_ray.functions import top_k
 
@@ -470,9 +439,9 @@ def _q_orders_by_segment(sf_dir: str, salt: int = 1):
     ``salt`` > 1 runs the hot-key-splitting variant against the SAME
     oracle (identical result proven by hash)."""
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     from smartreader_ray.functions import hash_join
+    from smartreader_ray.functions.exchange import keyed_agg
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -481,21 +450,9 @@ def _q_orders_by_segment(sf_dir: str, salt: int = 1):
         ["o_totalprice"], ["c_mktsegment"], salt=salt,
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["c_mktsegment"])
-            .aggregate([("o_totalprice", "sum"), ("o_totalprice", "count")])
-            .rename_columns(["c_mktsegment", "part_total", "part_n"])
-        )
-
-    agg = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("part_total", alias_name="total_price"),
-            Sum("part_n", alias_name="n_orders"),
-        )
-    )
+    agg = keyed_agg(joined, "c_mktsegment",
+                    {"total_price": ("sum", "o_totalprice"),
+                     "n_orders": ("count", "o_totalprice")})
 
     def finish(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -517,9 +474,9 @@ def _q_orders_by_nation(sf_dir: str):
     dimension tables ray.put once), then a partial-combined groupby."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Count, Sum
 
     from smartreader_ray.functions import broadcast_join
+    from smartreader_ray.functions.exchange import keyed_agg
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     customer = pq.read_table(
@@ -533,21 +490,9 @@ def _q_orders_by_nation(sf_dir: str):
     named = broadcast_join(enriched, nation, key="c_nationkey",
                            value_cols=["n_name"], small_key="n_nationkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by(["n_name"])
-            .aggregate([("o_totalprice", "sum"), ("o_totalprice", "count")])
-            .rename_columns(["n_name", "part_total", "part_n"])
-        )
-
-    agg = (
-        named.map_batches(partial, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(
-            Sum("part_total", alias_name="total_price"),
-            Sum("part_n", alias_name="n_orders"),
-        )
-    )
+    agg = keyed_agg(named, "n_name",
+                    {"total_price": ("sum", "o_totalprice"),
+                     "n_orders": ("count", "o_totalprice")})
 
     def round_total(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -563,18 +508,14 @@ def _q_orders_by_nation(sf_dir: str):
 
 
 def _q_events_by_type(sf_dir: str):
-    from ray.data.aggregate import Count
+    from smartreader_ray.functions.exchange import keyed_agg
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    per_user = ds.groupby(["event_type", "user_id"]).aggregate(
-        Count(alias_name="n_events_user")
-    )
-    from ray.data.aggregate import Sum
-
-    return per_user.groupby("event_type").aggregate(
-        Count(alias_name="n_users"),
-        Sum("n_events_user", alias_name="n_events"),
-    )
+    per_user = keyed_agg(ds, ["event_type", "user_id"],
+                         {"n_events_user": ("count", None)})
+    return keyed_agg(per_user, "event_type",
+                     {"n_users": ("count", None),
+                      "n_events": ("sum", "n_events_user")})
 
 
 def _q_training_sample(sf_dir: str):
@@ -684,8 +625,8 @@ def _q_padding_plan(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Max, Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.reshape import global_rank
 
     docs = _docs(sf_dir)
@@ -719,11 +660,10 @@ def _q_padding_plan(sf_dir: str):
             "n_tokens": b.column("n_tokens"),
         })
 
-    return (ranked.map_batches(to_batch, batch_format="pyarrow")
-            .groupby("batch_id")
-            .aggregate(Count(alias_name="n_docs"),
-                       Max("n_tokens", alias_name="max_len"),
-                       Sum("n_tokens", alias_name="sum_len"))
+    return (keyed_agg(ranked.map_batches(to_batch, batch_format="pyarrow"),
+                      "batch_id", {"n_docs": ("count", None),
+                                   "max_len": ("max", "n_tokens"),
+                                   "sum_len": ("sum", "n_tokens")})
             .map_batches(lambda b: pa.Table.from_pydict({
                 "batch_id": b.column("batch_id"),
                 "n_docs": b.column("n_docs"),
@@ -833,8 +773,8 @@ def _q_lm_gate_chain(sf_dir: str):
     what's being proven, not the pieces."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.lm import lm_score_by, train_bigram_lm_by
 
     docs = _docs(sf_dir)
@@ -856,13 +796,10 @@ def _q_lm_gate_chain(sf_dir: str):
         return b.filter(keep).select(["lang", "n_trans", "n_oov"])
 
     return (
-        scored.map_batches(gate, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Sum("n_trans", alias_name="total_trans"),
-            Sum("n_oov", alias_name="total_oov"),
-        )
+        keyed_agg(scored.map_batches(gate, batch_format="pyarrow"), "lang",
+                  {"n_docs": ("count", None),
+                   "total_trans": ("sum", "n_trans"),
+                   "total_oov": ("sum", "n_oov")})
     )
 
 
@@ -898,7 +835,8 @@ def _q_ccnet_keep_chain(sf_dir: str):
     statement as oracle."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     buckets = _q_ccnet_buckets(sf_dir)
 
@@ -908,11 +846,10 @@ def _q_ccnet_keep_chain(sf_dir: str):
         ).select(["lang", "n_trans", "mbits"])
 
     return (
-        buckets.map_batches(keep, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("n_trans", alias_name="total_trans"),
-                   Sum("mbits", alias_name="total_mbits"))
+        keyed_agg(buckets.map_batches(keep, batch_format="pyarrow"), "lang",
+                  {"n_docs": ("count", None),
+                   "total_trans": ("sum", "n_trans"),
+                   "total_mbits": ("sum", "mbits")})
     )
 
 
@@ -1183,7 +1120,8 @@ def _q_blocklist_rates(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     blocklist = pa.array(["dup", "slow"], type=pa.string())
 
@@ -1207,10 +1145,9 @@ def _q_blocklist_rates(sf_dir: str):
             "n_blocked": pa.array(blocked.astype(np.int64)),
         })
 
-    return (docs.map_batches(partial, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("n_blocked", alias_name="n_blocked"))
+    return (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
+                      "source", {"n_docs": ("sum", "n_docs"),
+                                 "n_blocked": ("sum", "n_blocked")})
             .sort("source"))
 
 
@@ -1222,10 +1159,11 @@ def _q_novelty_decay(sf_dir: str):
     the ratio is ONE division stamped on ten rows."""
     import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     # the novelty table is thin (doc_id, n_windows, n_novel) but its
-    # LINEAGE is the full window-hash emit + groupby-Min exchange —
+    # LINEAGE is the full window-hash emit + keyed min —
     # materialize before the two consumers below (count + decile
     # rollup), or Ray re-executes that whole replay per consumer
     nv = _q_ngram_novelty(sf_dir).materialize()
@@ -1242,10 +1180,9 @@ def _q_novelty_decay(sf_dir: str):
             "n_novel": b.column("n_novel"),
         })
 
-    agg = (nv.map_batches(decile, batch_format="pyarrow")
-           .groupby("decile")
-           .aggregate(Sum("n_windows", alias_name="n_windows"),
-                      Sum("n_novel", alias_name="n_novel")))
+    agg = keyed_agg(nv.map_batches(decile, batch_format="pyarrow"),
+                    "decile", {"n_windows": ("sum", "n_windows"),
+                               "n_novel": ("sum", "n_novel")})
 
     def ratio(b: pa.Table) -> pa.Table:
         w = b.column("n_windows").to_numpy(zero_copy_only=False).astype(
@@ -1272,7 +1209,8 @@ def _q_source_entropy(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg, keyed_agg_table
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
@@ -1295,12 +1233,11 @@ def _q_source_entropy(sf_dir: str):
             "c": pa.array(g[0].to_numpy(), type=pa.int64()),
         })
 
-    counts = (docs.map_batches(partial, batch_format="pyarrow")
-              .groupby(["source", "term"])
-              .aggregate(Sum("c", alias_name="c"))).materialize()
-    totals = {r["source"]: r["c"] for r in
-              counts.groupby("source")
-              .aggregate(Sum("c", alias_name="c")).take_all()}
+    counts = (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
+                        ["source", "term"], {"c": ("sum", "c")})).materialize()
+    tot = keyed_agg_table(counts, "source", {"c": ("sum", "c")})
+    totals = dict(zip(tot.column("source").to_pylist(),
+                      tot.column("c").to_pylist()))
 
     def nano_nats(b: pa.Table) -> pa.Table:
         srcs = b.column("source").to_pylist()
@@ -1315,10 +1252,9 @@ def _q_source_entropy(sf_dir: str):
             "n_terms": pa.array([1] * b.num_rows, type=pa.int64()),
         })
 
-    return (counts.map_batches(nano_nats, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("h", alias_name="entropy_nanonats"),
-                       Sum("n_terms", alias_name="n_distinct_terms"))
+    return (keyed_agg(counts.map_batches(nano_nats, batch_format="pyarrow"),
+                      "source", {"entropy_nanonats": ("sum", "h"),
+                                 "n_distinct_terms": ("sum", "n_terms")})
             .sort("source"))
 
 
@@ -1424,6 +1360,8 @@ def _q_term_drift(sf_dir: str):
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
+
     docs = _docs(sf_dir)
     half = docs.count() // 2
 
@@ -1448,10 +1386,8 @@ def _q_term_drift(sf_dir: str):
             "c2": pa.array(g["c2"].to_numpy(), type=pa.int64()),
         })
 
-    counts = (docs.map_batches(partial, batch_format="pyarrow")
-              .groupby("term")
-              .aggregate(Sum("c1", alias_name="c1"),
-                         Sum("c2", alias_name="c2"))
+    counts = (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
+                        "term", {"c1": ("sum", "c1"), "c2": ("sum", "c2")})
               ).materialize()  # vocab-sized; consumed twice (totals +
     # top-k cut) — without this each consumer re-runs the tokenize +
     # groupby exchange over the full corpus
@@ -1620,7 +1556,8 @@ def _q_benford_audit(sf_dir: str):
 
     import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     li = _read(sf_dir, "lineitem", ["l_extendedprice"])
 
@@ -1637,9 +1574,8 @@ def _q_benford_audit(sf_dir: str):
             "n": pa.array(counts.astype(np.int64)),
         })
 
-    agg = (li.map_batches(partial, batch_format="pyarrow")
-           .groupby("digit")
-           .aggregate(Sum("n", alias_name="n")))
+    agg = (keyed_agg(li.map_batches(partial, batch_format="pyarrow"), "digit",
+                     {"n": ("sum", "n")}))
 
     def stamp(b: pa.Table) -> pa.Table:
         d = b.column("digit").to_numpy(zero_copy_only=False)
@@ -1673,14 +1609,14 @@ def _q_source_overlap(sf_dir: str):
     fingerprint-count-sized, payloads never move."""
     import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.dedup import _hash64, dedup_key_batch
+    from smartreader_ray.functions.exchange import keyed_agg, keyed_agg_table
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    sources = sorted(r["source"] for r in
-                     docs.groupby("source").count()
-                     .select_columns(["source"]).take_all())
+    sources = keyed_agg_table(docs.select_columns(["source"]), "source",
+                              {}).column("source").to_pylist()  # sorted
     if len(sources) >= 63:
         raise ValueError("source_overlap: >=63 sources — widen the "
                          "mask to multiple int64 lanes")
@@ -1699,9 +1635,8 @@ def _q_source_overlap(sf_dir: str):
             "src": pa.array(u[:, 1], type=pa.int64()),
         })
 
-    masks = (docs.map_batches(keyed, batch_format="pyarrow")
-             .groupby(["fp", "src"])
-             .aggregate(Count(alias_name="_n"))
+    masks = (keyed_agg(docs.map_batches(keyed, batch_format="pyarrow"),
+                       ["fp", "src"], {"_n": ("count", None)})
              .map_batches(lambda b: pa.Table.from_pydict({
                  "fp": b.column("fp"),
                  "mask": pa.array(
@@ -1733,9 +1668,8 @@ def _q_source_overlap(sf_dir: str):
             "n_shared": b.column("n_shared"),
         })
 
-    return (masks.map_batches(pairs, batch_format="pyarrow")
-            .groupby("pk")
-            .aggregate(Count(alias_name="n_shared"))
+    return (keyed_agg(masks.map_batches(pairs, batch_format="pyarrow"), "pk",
+                      {"n_shared": ("count", None)})
             .map_batches(name, batch_format="pyarrow")
             .sort(["source_a", "source_b"]))
 
@@ -1753,7 +1687,8 @@ def _q_vocab_coverage(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     docs = _docs(sf_dir)
 
@@ -1769,9 +1704,8 @@ def _q_vocab_coverage(sf_dir: str):
             "cf": pc.cast(vc.field("counts"), pa.int64()),
         })
 
-    counts = (docs.map_batches(partial, batch_format="pyarrow")
-              .groupby("term")
-              .aggregate(Sum("cf", alias_name="cf")))
+    counts = (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
+                        "term", {"cf": ("sum", "cf")}))
 
     def curve(b: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -1808,8 +1742,8 @@ def _q_hrw_resharding(sf_dir: str):
     set online."""
     import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Count, Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.sampling import rendezvous_shards
 
     ds = _read(sf_dir, "documents", ["doc_id"])
@@ -1828,10 +1762,9 @@ def _q_hrw_resharding(sf_dir: str):
             "moved": pa.array(moved.astype(np.int64), type=pa.int64()),
         })
 
-    return (both.map_batches(partial, batch_format="pyarrow")
-            .groupby("shard")
-            .aggregate(Count(alias_name="n_keys"),
-                       Sum("moved", alias_name="n_moved"))
+    return (keyed_agg(both.map_batches(partial, batch_format="pyarrow"),
+                      "shard", {"n_keys": ("count", None),
+                                "n_moved": ("sum", "moved")})
             .sort("shard"))
 
 
@@ -1881,8 +1814,8 @@ def _q_dsir_gopher_chain(sf_dir: str):
     the gate exchanges only bucket-histogram / k-sized rows."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.sampling import dsir_select
     from smartreader_ray.functions.textstats import gopher_rules
 
@@ -1897,9 +1830,8 @@ def _q_dsir_gopher_chain(sf_dir: str):
     ).materialize()  # consumed twice by DSIR (histogram + scoring pass)
     sel = dsir_select(gated, target_lang="en", n_buckets=256, k=50,
                       carry_cols=("lang",))
-    return (sel.groupby("lang")
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("score", alias_name="sum_score"))
+    return (keyed_agg(sel, "lang", {"n_docs": ("count", None),
+                                    "sum_score": ("sum", "score")})
             .sort("lang"))
 
 
@@ -2200,9 +2132,9 @@ def _q_c4_clean_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from smartreader_ray.functions import line_dedup
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import hash_join
 
     def plant(b: pa.Table) -> pa.Table:
@@ -2239,14 +2171,11 @@ def _q_c4_clean_chain(sf_dir: str):
         per_doc, docs.select_columns(["doc_id", "source"]),
         "doc_id", "doc_id",
         ["kept", "lines_removed", "clean_chars"], ["source"])
-    from ray.data.aggregate import Count
 
-    return (joined.groupby("source")
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("kept", alias_name="n_kept"),
-                       Sum("lines_removed", alias_name="lines_removed"),
-                       Sum("clean_chars", alias_name="clean_chars"))
-            .sort("source"))
+    return keyed_agg(joined, "source", {
+        "n_docs": ("count", None), "n_kept": ("sum", "kept"),
+        "lines_removed": ("sum", "lines_removed"),
+        "clean_chars": ("sum", "clean_chars")}).sort("source")
 
 
 def _q_c4_line_gates(sf_dir: str):
@@ -2325,6 +2254,7 @@ def _q_pretrain_mix_chain(sf_dir: str):
     import ray.data
 
     from smartreader_ray.functions import line_dedup
+    from smartreader_ray.functions.exchange import keyed_agg_table
     from smartreader_ray.functions.join import hash_join
     from smartreader_ray.functions.sampling import unimax_allocation
 
@@ -2358,8 +2288,8 @@ def _q_pretrain_mix_chain(sf_dir: str):
                        "doc_id", "doc_id", ["doc_id", "tok"],
                        ["lang"]).materialize()  # counts + selection
 
-    counts = {r["lang"]: int(r["count()"])
-              for r in tagged.groupby("lang").count().iter_rows()}
+    n = keyed_agg_table(tagged, "lang", {"n": ("count", None)})
+    counts = dict(zip(n.column("lang").to_pylist(), n.column("n").to_pylist()))
     quota = unimax_allocation(counts, budget=380, max_epochs=1)
     quota_ref = ray.put(quota)
 
@@ -2438,9 +2368,9 @@ def _q_quote_screen_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import ray
-    from ray.data.aggregate import Sum
 
     from smartreader_ray.functions import containment_pairs
+    from smartreader_ray.functions.exchange import keyed_agg
 
     pairs = containment_pairs(_docs(sf_dir), window=8)
 
@@ -2490,13 +2420,9 @@ def _q_quote_screen_chain(sf_dir: str):
     import ray.data
 
     docs_src = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    return (docs_src
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("n_kept", alias_name="n_kept"),
-                       Sum("tokens_kept", alias_name="tokens_kept"))
-            .sort("source"))
+    sums = ("n_docs", "n_kept", "tokens_kept")
+    return keyed_agg(docs_src.map_batches(partial, batch_format="pyarrow"),
+                     "source", {c: ("sum", c) for c in sums}).sort("source")
 
 
 def _q_token_dropout(sf_dir: str):
@@ -2729,8 +2655,8 @@ def _q_chi2_lid_chain(sf_dir: str):
     import pyarrow.compute as pc
     import ray
     import ray.data
-    from ray.data.aggregate import Count
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.ngrams import _tokens_flat, chi2_terms
 
     docs = _docs(sf_dir).select_columns(["doc_id", "text", "lang"])
@@ -2765,9 +2691,8 @@ def _q_chi2_lid_chain(sf_dir: str):
                                    type=pa.string()),
         })
 
-    return (docs.map_batches(classify, batch_format="pyarrow")
-            .groupby(["true_lang", "pred_label"])
-            .aggregate(Count(alias_name="n"))
+    return (keyed_agg(docs.map_batches(classify, batch_format="pyarrow"),
+                      ["true_lang", "pred_label"], {"n": ("count", None)})
             .sort(["true_lang", "pred_label"]))
 
 
@@ -2824,16 +2749,16 @@ def _q_textrank_terms(sf_dir: str):
     import ray
     import ray.data
 
+    from smartreader_ray.functions.exchange import keyed_agg_table
     from smartreader_ray.functions.graph import pagerank
     from smartreader_ray.functions.ngrams import _partial_bigram_counts
 
     docs = _docs(sf_dir).select_columns(["doc_id", "text"])
-    bigrams = (docs.map_batches(
+    bigrams = keyed_agg_table(docs.map_batches(
         lambda b: _partial_bigram_counts(b, "text"),
-        batch_format="pyarrow")
-        .groupby("bigram").count())
-    pair_list = [r["bigram"].split(" ", 1)
-                 for r in bigrams.iter_rows()]  # vocab²-bounded
+        batch_format="pyarrow"), "bigram", {})
+    pair_list = [b.split(" ", 1) for b in
+                 bigrams.column("bigram").to_pylist()]  # vocab²-bounded
     pairs = {(a, b) for a, b in pair_list if a != b}
     vocab = sorted({t for p in pairs for t in p})
     t_id = {t: i for i, t in enumerate(vocab)}
@@ -2883,16 +2808,10 @@ def _q_tfidf_terms(sf_dir: str):
 
 def _roundtrip_agg(back):
     """Shared per-lang rollup used by the text-format round trips."""
-    from ray.data.aggregate import Count, Sum
+    from smartreader_ray.functions.exchange import keyed_agg
 
-    import pyarrow as pa
-
-    agg = back.groupby("lang").aggregate(Count(), Sum("n_chars"))
-
-    def rename(b: pa.Table) -> pa.Table:
-        return b.rename_columns(["lang", "n_docs", "sum_chars"])
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return keyed_agg(back, "lang", {"n_docs": ("count", None),
+                                    "sum_chars": ("sum", "n_chars")})
 
 
 def _q_jsonl_roundtrip(sf_dir: str):
@@ -2961,21 +2880,20 @@ def _q_unimax_mix(sf_dir: str):
     import pyarrow as pa
     import ray
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg, keyed_agg_table
     from smartreader_ray.functions.sampling import (unimax_allocation,
                                                     unimax_mix)
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-    counts = {r["lang"]: int(r["count()"])
-              for r in ds.groupby("lang").count().iter_rows()}
+    n = keyed_agg_table(ds, "lang", {"n": ("count", None)})
+    counts = dict(zip(n.column("lang").to_pylist(), n.column("n").to_pylist()))
     quota = unimax_allocation(counts, budget=400, max_epochs=1)
     alloc_ref = ray.put((counts, quota))
 
-    rollup = (unimax_mix(ds, budget=400, max_epochs=1)
-              .groupby("lang")
-              .aggregate(Count(alias_name="n_kept"),
-                         Sum("doc_id", alias_name="id_sum")))
+    rollup = (keyed_agg(unimax_mix(ds, budget=400, max_epochs=1), "lang",
+                        {"n_kept": ("count", None),
+                         "id_sum": ("sum", "doc_id")}))
 
     def stamp(b: pa.Table) -> pa.Table:
         cnt, q = ray.get(alloc_ref)
@@ -2997,7 +2915,8 @@ def _q_keys_union(sf_dir: str):
     supplier), one groupby giving per-key row and distinct-source
     counts — the UNION ALL + GROUP BY reconciliation pattern."""
     import pyarrow as pa
-    from ray.data.aggregate import Count, Max, Min
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     def tagged(table, col, tag):
         import pyarrow.compute as pc
@@ -3016,12 +2935,13 @@ def _q_keys_union(sf_dir: str):
     both = tagged("customer", "c_custkey", 1).union(
         tagged("supplier", "s_suppkey", 2)
     )
-    agg = both.groupby("key").aggregate(Count(), Min("src"), Max("src"))
+    agg = keyed_agg(both, "key", {"n_rows": ("count", None),
+                                  "mn": ("min", "src"),
+                                  "mx": ("max", "src")})
 
     def finalize(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        b = b.rename_columns(["key", "n_rows", "mn", "mx"])
         n_sources = pc.add(
             pc.cast(pc.not_equal(b.column("mn"), b.column("mx")), pa.int64()),
             1,
@@ -3042,21 +2962,15 @@ def _q_customer_orders_full(sf_dir: str):
     (customers below 1000 vs per-customer order counts from 500 up):
     nulls opposite each unmatched side, native int64 key over the
     exchange."""
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import hash_join
 
     cust = _read(
         sf_dir, "customer", ["c_custkey", "c_mktsegment"]
     ).filter(expr="c_custkey < 1000")
-    ords = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .filter(expr="o_custkey >= 500")
-        .groupby("o_custkey")
-        .count()
-        .map_batches(
-            lambda b: b.rename_columns(["o_custkey", "n_orders"]),
-            batch_format="pyarrow",
-        )
-    )
+    ords = keyed_agg(
+        _read(sf_dir, "orders", ["o_custkey"]).filter(expr="o_custkey >= 500"),
+        "o_custkey", {"n_orders": ("count", None)})
     return hash_join(
         cust, ords, left_key="c_custkey", right_key="o_custkey",
         left_cols=["c_custkey", "c_mktsegment"],
@@ -3596,9 +3510,9 @@ def _q_url_dedup(sf_dir: str):
     replays the plant: every variant of (doc_id % 50, doc_id % 7)
     normalizes to the same canonical form."""
     import pyarrow as pa
-    from ray.data.aggregate import Count, Min
 
     from smartreader_ray.extraction.urialg import normalize_url
+    from smartreader_ray.functions.exchange import keyed_agg
 
     def synth_and_norm(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -3617,16 +3531,10 @@ def _q_url_dedup(sf_dir: str):
             }
         )
 
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id"])
-        .map_batches(synth_and_norm, batch_format="pyarrow")
-        .groupby("url_norm")
-        .aggregate(
-            Min("doc_id", alias_name="keep_doc_id"),
-            Count(alias_name="n_dups"),
-        )
-    )
+    return keyed_agg(_docs(sf_dir).select_columns(["doc_id"])
+                     .map_batches(synth_and_norm, batch_format="pyarrow"),
+                     "url_norm", {"keep_doc_id": ("min", "doc_id"),
+                                  "n_dups": ("count", None)})
 
 
 def _q_featured_image(sf_dir: str):
@@ -3826,6 +3734,7 @@ def _q_norm_curation(sf_dir: str):
     import pyarrow.compute as pc
 
     from smartreader_ray.functions.curation import normalized_dedup
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import hash_join
 
     docs = _read(
@@ -3851,15 +3760,10 @@ def _q_norm_curation(sf_dir: str):
         ).aggregate([("n_chars", "count"), ("n_chars", "sum")])
         return g.rename_columns(["lang", "source", "n", "sum_chars"])
 
-    from ray.data.aggregate import Sum
-
     return (
-        kept.map_batches(gate_partial, batch_format="pyarrow")
-        .groupby(["lang", "source"])
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sum_chars", alias_name="sum_chars"),
-        )
+        keyed_agg(kept.map_batches(gate_partial, batch_format="pyarrow"),
+                  ["lang", "source"], {"n": ("sum", "n"),
+                                       "sum_chars": ("sum", "sum_chars")})
         .map_batches(
             lambda b: pa.table(
                 {
@@ -4057,8 +3961,8 @@ def _q_robots_gate(sf_dir: str):
     ROW_NUMBER."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.robots import (parse_robots_txt,
                                                   robots_gate)
 
@@ -4108,12 +4012,9 @@ def _q_robots_gate(sf_dir: str):
         )
 
     return (
-        gated.map_batches(rollup_partial, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("n_allowed", alias_name="n_allowed"),
-        )
+        keyed_agg(gated.map_batches(rollup_partial, batch_format="pyarrow"),
+                  "host", {"n": ("sum", "n"),
+                           "n_allowed": ("sum", "n_allowed")})
         .sort("host")
     )
 
@@ -4319,8 +4220,8 @@ def _q_debounce(sf_dir: str):
     vectorized lag inside the group."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.windows import debounce
 
     ds = _read(
@@ -4342,10 +4243,9 @@ def _q_debounce(sf_dir: str):
         return g.rename_columns(["event_type", "n", "value_cents"])
 
     return (
-        kept.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("value_cents", alias_name="value_cents"))
+        keyed_agg(kept.map_batches(partial, batch_format="pyarrow"),
+                  "event_type", {"n": ("sum", "n"),
+                                 "value_cents": ("sum", "value_cents")})
         .map_batches(
             lambda b: pa.table({
                 "event_type": b.column("event_type"),
@@ -4417,8 +4317,8 @@ def _q_clean_rank_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.standardize import impute_median
     from smartreader_ray.functions.windows import percent_rank_by
 
@@ -4452,10 +4352,9 @@ def _q_clean_rank_chain(sf_dir: str):
         return g.rename_columns(["event_type", "n", "value_cents"])
 
     return (
-        kept.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("value_cents", alias_name="value_cents"))
+        keyed_agg(kept.map_batches(partial, batch_format="pyarrow"),
+                  "event_type", {"n": ("sum", "n"),
+                                 "value_cents": ("sum", "value_cents")})
         .map_batches(
             lambda b: pa.table({
                 "event_type": b.column("event_type"),
@@ -4477,7 +4376,6 @@ def _q_dataset_split(sf_dir: str):
     counts."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.sampling import split_assign
 
@@ -4606,8 +4504,8 @@ def _q_impute_values(sf_dir: str):
     broadcast fill, the row-sized data never shuffles."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.standardize import impute_median
 
     ds = _read(
@@ -4644,10 +4542,9 @@ def _q_impute_values(sf_dir: str):
         return g.rename_columns(["l_returnflag", "n", "qty_cents"])
 
     return (
-        filled.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("qty_cents", alias_name="qty_cents"))
+        keyed_agg(filled.map_batches(partial, batch_format="pyarrow"),
+                  "l_returnflag", {"n": ("sum", "n"),
+                                   "qty_cents": ("sum", "qty_cents")})
         .map_batches(
             lambda b: pa.table({
                 "l_returnflag": b.column("l_returnflag"),
@@ -4797,8 +4694,8 @@ def _q_bloom_semi_join(sf_dir: str):
     prefilter, then exact verify join — result is exact."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import semi_join
 
     li = _read(
@@ -4824,10 +4721,9 @@ def _q_bloom_semi_join(sf_dir: str):
         return g.rename_columns(["l_returnflag", "n", "revenue_cents"])
 
     return (
-        kept.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("revenue_cents", alias_name="revenue_cents"))
+        keyed_agg(kept.map_batches(partial, batch_format="pyarrow"),
+                  "l_returnflag", {"n": ("sum", "n"),
+                                   "revenue_cents": ("sum", "revenue_cents")})
         .map_batches(
             lambda b: pa.table({
                 "l_returnflag": b.column("l_returnflag"),
@@ -4851,8 +4747,8 @@ def _q_anti_join(sf_dir: str):
     enter the exact ``left_anti`` verify join."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import anti_join
 
     cust = _read(
@@ -4878,10 +4774,9 @@ def _q_anti_join(sf_dir: str):
         return g.rename_columns(["c_mktsegment", "n", "bal_cents"])
 
     return (
-        never.map_batches(partial, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("bal_cents", alias_name="bal_cents"))
+        keyed_agg(never.map_batches(partial, batch_format="pyarrow"),
+                  "c_mktsegment", {"n": ("sum", "n"),
+                                   "bal_cents": ("sum", "bal_cents")})
         .map_batches(
             lambda b: pa.table({
                 "c_mktsegment": b.column("c_mktsegment"),
@@ -4950,8 +4845,8 @@ def _q_decontam_clean_chain(sf_dir: str):
     remix."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import anti_join
     from smartreader_ray.functions.similarity import cross_decontam
 
@@ -4977,10 +4872,9 @@ def _q_decontam_clean_chain(sf_dir: str):
         return g.rename_columns(["label", "n_clean", "sum_vec_id"])
 
     return (
-        clean.map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(Sum("n_clean", alias_name="n_clean"),
-                   Sum("sum_vec_id", alias_name="sum_vec_id"))
+        keyed_agg(clean.map_batches(partial, batch_format="pyarrow"), "label",
+                  {"n_clean": ("sum", "n_clean"),
+                   "sum_vec_id": ("sum", "sum_vec_id")})
         .map_batches(
             lambda b: pa.table({
                 "label": b.column("label"),
@@ -5086,8 +4980,7 @@ def _q_join_explain(sf_dir: str):
                                       300000.0)).select(["o_orderkey"]),
         batch_format="pyarrow",
     )
-    return join_cardinality(li, hv, "l_orderkey", "o_orderkey",
-                            combine_blocks=16)
+    return join_cardinality(li, hv, "l_orderkey", "o_orderkey")
 
 
 def _q_basket_pairs(sf_dir: str):
@@ -5150,8 +5043,8 @@ def _q_cdc_reprocess_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import semi_join
     from smartreader_ray.functions.setops import table_diff
 
@@ -5196,10 +5089,9 @@ def _q_cdc_reprocess_chain(sf_dir: str):
         return g.rename_columns(["lang", "n_docs", "sum_chars"])
 
     return (
-        kept.map_batches(rollup_partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("sum_chars", alias_name="sum_chars"))
+        keyed_agg(kept.map_batches(rollup_partial, batch_format="pyarrow"),
+                  "lang", {"n_docs": ("sum", "n_docs"),
+                           "sum_chars": ("sum", "sum_chars")})
         .map_batches(
             lambda b: pa.table({
                 "lang": b.column("lang"),
@@ -5374,8 +5266,8 @@ def _q_engagement_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.windows import sessionize
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value", "event_id"])
@@ -5403,11 +5295,10 @@ def _q_engagement_chain(sf_dir: str):
             ["bucket", "n_sessions", "sum_events", "sum_duration_us"])
 
     return (
-        sess.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum("n_sessions", alias_name="n_sessions"),
-                   Sum("sum_events", alias_name="sum_events"),
-                   Sum("sum_duration_us", alias_name="sum_duration_us"))
+        keyed_agg(sess.map_batches(partial, batch_format="pyarrow"), "bucket",
+                  {"n_sessions": ("sum", "n_sessions"),
+                   "sum_events": ("sum", "sum_events"),
+                   "sum_duration_us": ("sum", "sum_duration_us")})
         .map_batches(
             lambda b: pa.table({
                 "bucket": b.column("bucket"),
@@ -5689,7 +5580,8 @@ def _q_media_url_dedup(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Min, Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     def partial(b: pa.Table) -> pa.Table:
         spans = b.column("spans").combine_chunks()
@@ -5721,12 +5613,11 @@ def _q_media_url_dedup(sf_dir: str):
         return pa.Table.from_pandas(g, preserve_index=False)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    agg = (ds.map_batches(_synth_interleaved_spans(),
-                          batch_format="pyarrow")
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("asset_bucket")
-           .aggregate(Min("packed", alias_name="packed"),
-                      Sum("n_refs", alias_name="n_refs")))
+    agg = keyed_agg(ds.map_batches(_synth_interleaved_spans(),
+                                   batch_format="pyarrow")
+                    .map_batches(partial, batch_format="pyarrow"),
+                    "asset_bucket", {"packed": ("min", "packed"),
+                                     "n_refs": ("sum", "n_refs")})
 
     def unpack(b: pa.Table) -> pa.Table:
         packed = b.column("packed").to_numpy(zero_copy_only=False).astype(
@@ -5754,8 +5645,8 @@ def _q_interleave_gate_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.spanio import interleave_stats_batch
 
     synth = _synth_interleaved_spans()
@@ -5778,12 +5669,11 @@ def _q_interleave_gate_chain(sf_dir: str):
         return pa.Table.from_pandas(g, preserve_index=False)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("n_kept", alias_name="n_kept"),
-                       Sum("media_kept", alias_name="media_kept"),
-                       Sum("alt_kept", alias_name="alt_kept"))
+    return (keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                      "source", {"n_docs": ("sum", "n_docs"),
+                                 "n_kept": ("sum", "n_kept"),
+                                 "media_kept": ("sum", "media_kept"),
+                                 "alt_kept": ("sum", "alt_kept")})
             .sort("source"))
 
 
@@ -5836,8 +5726,8 @@ def _q_caption_coverage(sf_dir: str):
     partials."""
     import pandas as pd
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.spanio import caption_pairs_batch
 
     synth = _synth_interleaved_spans()
@@ -5856,10 +5746,10 @@ def _q_caption_coverage(sf_dir: str):
         return pa.Table.from_pandas(g, preserve_index=False)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(["source", "caption_src"])
-            .aggregate(Sum("n_media", alias_name="n_media"),
-                       Sum("total_distance", alias_name="total_distance"))
+    return (keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                      ["source", "caption_src"],
+                      {"n_media": ("sum", "n_media"),
+                       "total_distance": ("sum", "total_distance")})
             .sort(["source", "caption_src"]))
 
 
@@ -5974,8 +5864,8 @@ def _q_span_boilerplate(sf_dir: str):
     no per-key Python."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import hash_join
 
     THRESH = 20
@@ -6018,7 +5908,7 @@ def _q_span_boilerplate(sf_dir: str):
     # materialize once or the synth+flatten scan re-executes
     spans = ds.map_batches(text_spans,
                            batch_format="pyarrow").materialize()
-    counts = spans.groupby("txt").aggregate(Count(alias_name="cnt"))
+    counts = keyed_agg(spans, "txt", {"cnt": ("count", None)})
     stamped = hash_join(spans, counts, "txt", "txt",
                         left_cols=["doc_id"], right_cols=["cnt"])
 
@@ -6031,10 +5921,9 @@ def _q_span_boilerplate(sf_dir: str):
             "boiler": boiler,
         })
 
-    out = (stamped.map_batches(partial, batch_format="pyarrow")
-           .groupby("doc_id")
-           .aggregate(Sum("one", alias_name="n_text_spans"),
-                      Sum("boiler", alias_name="n_boiler")))
+    out = (keyed_agg(stamped.map_batches(partial, batch_format="pyarrow"),
+                     "doc_id", {"n_text_spans": ("sum", "one"),
+                                "n_boiler": ("sum", "boiler")}))
 
     def finish(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -6198,7 +6087,8 @@ def _q_affix_strip_chain(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+
+    from smartreader_ray.functions.exchange import keyed_agg
 
     aff = {r["source"]: (int(r["prefix_len"]), int(r["suffix_len"]))
            for r in _q_source_affixes(sf_dir).take_all()}
@@ -6222,12 +6112,11 @@ def _q_affix_strip_chain(sf_dir: str):
         })
 
     ds = _read(sf_dir, "documents", ["source", "text"])
-    return (ds.map_batches(strip_stats, batch_format="pyarrow")
-            .groupby("source")
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("chars_in", alias_name="chars_in"),
-                       Sum("chars_removed", alias_name="chars_removed"),
-                       Sum("chars_out", alias_name="chars_out"))
+    return (keyed_agg(ds.map_batches(strip_stats, batch_format="pyarrow"),
+                      "source", {"n_docs": ("count", None),
+                                 "chars_in": ("sum", "chars_in"),
+                                 "chars_removed": ("sum", "chars_removed"),
+                                 "chars_out": ("sum", "chars_out")})
             .sort("source"))
 
 
@@ -6338,8 +6227,7 @@ def _q_media_phash(sf_dir: str):
     arithmetic, so the oracle replays the fingerprint bit-for-bit
     (bit_or of shifted UBIGINTs over an 8×8 unnest). Binary payloads
     never leave the hashing stage."""
-    from ray.data.aggregate import Count
-
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import hash_join
     from smartreader_ray.stages.media import ImagePHashStage
 
@@ -6353,8 +6241,7 @@ def _q_media_phash(sf_dir: str):
     ).drop_columns(["error"]).materialize()
     # ^ two consumers (bucket counts + the stamp-back join): without
     # this the synth+decode+hash pass runs twice
-    counts = hashed.groupby("phash").aggregate(
-        Count(alias_name="bucket_size"))
+    counts = keyed_agg(hashed, "phash", {"bucket_size": ("count", None)})
     return (hash_join(hashed, counts, "phash", "phash",
                       left_cols=["doc_id", "media_ref", "phash"],
                       right_cols=["bucket_size"])
@@ -6376,8 +6263,8 @@ def _q_phash_band_pairs(sf_dir: str):
     groupby; banding/pairing/verify run over DISTINCT hashes (tiny)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Max
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.stages.media import ImagePHashStage
 
     synth = _synth_class_bmps()
@@ -6387,7 +6274,7 @@ def _q_phash_band_pairs(sf_dir: str):
     hashed = ds.map_batches(
         ImagePHashStage(), batch_format="pyarrow", batch_size=64,
     )
-    cnt = hashed.groupby("phash").aggregate(Count(alias_name="n"))
+    cnt = keyed_agg(hashed, "phash", {"n": ("count", None)})
 
     def emit_bands(b: pa.Table) -> pa.Table:
         band, val, ph, n = [], [], [], []
@@ -6423,12 +6310,11 @@ def _q_phash_band_pairs(sf_dir: str):
             "n_b": pa.array(nb_, type=pa.int64()),
         })
 
-    pairs = (cnt.map_batches(emit_bands, batch_format="pyarrow")
-             .groupby(["band", "band_val"])
-             .map_groups(bucket_pairs, batch_format="pyarrow")
-             .groupby(["phash_a", "phash_b"])
-             .aggregate(Max("n_a", alias_name="n_a"),
-                        Max("n_b", alias_name="n_b")))
+    pairs = keyed_agg(cnt.map_batches(emit_bands, batch_format="pyarrow")
+                      .groupby(["band", "band_val"])
+                      .map_groups(bucket_pairs, batch_format="pyarrow"),
+                      ["phash_a", "phash_b"],
+                      {"n_a": ("max", "n_a"), "n_b": ("max", "n_b")})
 
     def verify(b: pa.Table) -> pa.Table:
         ham = [bin(int(x, 16) ^ int(y, 16)).count("1")
@@ -7049,18 +6935,17 @@ def _q_span_dedup(sf_dir: str):
     or alts DO, which a text-level hash cannot see). Only
     (span_fp, doc_id) crosses the exchange; Min/Count pre-combine per
     block — the fingerprint_dedup scale shape on the span payload."""
-    from ray.data.aggregate import Count, Min
-
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.spanio import span_fingerprint_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return (ds.map_batches(_synth_interleaved_spans(),
-                           batch_format="pyarrow")
-            .map_batches(span_fingerprint_batch, batch_format="pyarrow")
-            .groupby("span_fp")
-            .aggregate(Min("doc_id", alias_name="keep_doc_id"),
-                       Count(alias_name="n_dups"))
-            .sort("keep_doc_id"))
+    return keyed_agg(ds.map_batches(_synth_interleaved_spans(),
+                                    batch_format="pyarrow")
+                     .map_batches(span_fingerprint_batch,
+                                  batch_format="pyarrow"),
+                     "span_fp", {"keep_doc_id": ("min", "doc_id"),
+                                 "n_dups": ("count", None)}
+                     ).sort("keep_doc_id")
 
 
 def _q_dedup_cascade_chain(sf_dir: str):
@@ -7074,14 +6959,16 @@ def _q_dedup_cascade_chain(sf_dir: str):
     exchange hash-partitioned on the fp, one call per partition, that
     emits (doc_id, source, kept, text if kept): text crosses it once and
     is never joined back. The removed ids are a verified-dup-sized
-    driver set; ONE groupby("source") rolls up all three counts."""
+    driver set; ONE ``keyed_agg_table`` on source rolls up all three
+    counts."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
     from smartreader_ray.functions import minhash_dedup
-    from smartreader_ray.functions.dedup import _by_key_partition, _md5_key
+    from smartreader_ray.functions.dedup import _md5_key
+    from smartreader_ray.functions.exchange import (keyed_agg_table,
+                                                    keyed_exchange)
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
@@ -7106,8 +6993,8 @@ def _q_dedup_cascade_chain(sf_dir: str):
         })
 
     # stage 1: exact dedup; read by the LSH and verify passes and rollup
-    exact = _by_key_partition(docs.map_batches(fp, batch_format="pyarrow"),
-                              "fp", keep_first).materialize()
+    exact = keyed_exchange(docs.map_batches(fp, batch_format="pyarrow"),
+                           "fp", keep_first).materialize()
 
     # stage 2: near-dedup over the survivors
     surv = exact.filter(expr="kept").select_columns(["doc_id", "text"])
@@ -7125,13 +7012,11 @@ def _q_dedup_cascade_chain(sf_dir: str):
                          "kept": pc.cast(kept, pa.int64()),
                          "near": pc.cast(near, pa.int64())})
 
-    out = (exact.map_batches(funnel, batch_format="pyarrow")
-           .groupby("source")
-           .aggregate(Count(alias_name="n_docs"),
-                      Sum("kept", alias_name="n_exact_kept"),
-                      Sum("near", alias_name="n_near_kept"))
-           .to_pandas())
-    return out.sort_values("source").reset_index(drop=True)
+    # the source-sized result is consumed here: combined on the driver
+    return keyed_agg_table(
+        exact.map_batches(funnel, batch_format="pyarrow"), "source",
+        {"n_docs": ("count", None), "n_exact_kept": ("sum", "kept"),
+         "n_near_kept": ("sum", "near")}).to_pandas()
 
 
 def _q_lid_confusion(sf_dir: str):
@@ -7143,8 +7028,8 @@ def _q_lid_confusion(sf_dir: str):
     exchange is (|langs|×|preds|)-sized integer partials."""
     import pandas as pd
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.textstats import LanguageId
 
     class Conf:
@@ -7161,9 +7046,8 @@ def _q_lid_confusion(sf_dir: str):
             return pa.Table.from_pandas(g, preserve_index=False)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    return (ds.map_batches(Conf(), batch_format="pyarrow")
-            .groupby(["lang", "pred_lang"])
-            .aggregate(Sum("n", alias_name="n"))
+    return (keyed_agg(ds.map_batches(Conf(), batch_format="pyarrow"),
+                      ["lang", "pred_lang"], {"n": ("sum", "n")})
             .sort(["lang", "pred_lang"]))
 
 
@@ -7179,9 +7063,9 @@ def _q_leakage_safe_split(sf_dir: str):
     stamp each doc's group id back; the split itself is shuffle-free.
     Returns per-doc (doc_id, group_id, split)."""
     import pyarrow as pa
-    from ray.data.aggregate import Min
 
     from smartreader_ray.functions.dedup import _md5_key
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.join import hash_join
     from smartreader_ray.functions.sampling import split_assign
 
@@ -7196,8 +7080,7 @@ def _q_leakage_safe_split(sf_dir: str):
         })
 
     fps = docs.map_batches(fp, batch_format="pyarrow").materialize()
-    groups = (fps.groupby("fp")
-              .aggregate(Min("doc_id", alias_name="group_id")))
+    groups = (keyed_agg(fps, "fp", {"group_id": ("min", "doc_id")}))
     tagged = hash_join(fps, groups, "fp", "fp",
                        ["doc_id"], ["group_id"], how="inner")
     return split_assign(
@@ -7347,9 +7230,9 @@ def _q_near_dedup_best_chain(sf_dir: str):
     import pyarrow.compute as pc
     import ray
     import ray.data
-    from ray.data.aggregate import Count, Min
 
     from smartreader_ray.functions import minhash_dedup
+    from smartreader_ray.functions.exchange import keyed_agg
 
     _SHIFT = 1 << 42
     PAIR_MAX = 5_000_000
@@ -7405,10 +7288,9 @@ def _q_near_dedup_best_chain(sf_dir: str):
             "comp": pa.array(pri * _SHIFT + ids, type=pa.int64()),
         })
 
-    agg = (docs.map_batches(pack, batch_format="pyarrow")
-           .groupby("cluster_id")
-           .aggregate(Min("comp", alias_name="comp"),
-                      Count(alias_name="n_members")))
+    agg = (keyed_agg(docs.map_batches(pack, batch_format="pyarrow"),
+                     "cluster_id", {"comp": ("min", "comp"),
+                                    "n_members": ("count", None)}))
 
     def unpack(b: pa.Table) -> pa.Table:
         comp = b.column("comp").to_numpy(zero_copy_only=False)
@@ -8029,7 +7911,7 @@ def oracle_sql() -> dict[str, str]:
 
     def _splitmix64_ctes(src: str, pfx: str, incol: str,
                          outcol: str) -> str:
-        # staged replay of join._mix64 (splitmix64 finalizer, Steele et
+        # staged replay of exchange._mix64 (splitmix64 finalizer, Steele et
         # al. 2014) — the hash behind semi/anti-join Bloom filters.
         # Distinct from _mix64_ctes above (that one is murmur fmix64,
         # sketch.py's mixer). `incol` must be UBIGINT on `src`.

@@ -18,6 +18,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_agg, keyed_agg_table
+
 
 @dataclass(frozen=True)
 class NotNull:
@@ -113,29 +115,33 @@ def dq_report(ds, rules: list, fk_refs: dict | None = None) -> pa.Table:
                 "n_checked": pa.array(checked, type=pa.int64()),
             })
 
-        agg = (ds.select_columns(cols)
-               .map_batches(partial, batch_format="pyarrow")
-               .groupby("rule")
-               .sum(["n_violations", "n_checked"]))
-        for row in agg.take_all():
-            results[row["rule"]] = (int(row["sum(n_violations)"]),
-                                    int(row["sum(n_checked)"]))
+        agg = keyed_agg_table(
+            ds.select_columns(cols).map_batches(partial,
+                                                batch_format="pyarrow"),
+            "rule", {"n_violations": ("sum", "n_violations"),
+                     "n_checked": ("sum", "n_checked")})
+        for row in agg.to_pylist():
+            results[row["rule"]] = (int(row["n_violations"]),
+                                    int(row["n_checked"]))
 
     # --- uniqueness: one key groupby, dup rows = sum(cnt-1 | cnt>1) -----
     for r in uniq_rules:
-        counts = ds.select_columns([r.col]).groupby(r.col).count()
+        counts = keyed_agg(ds.select_columns([r.col]), r.col,
+                           {"c": ("count", None)})
 
-        def dup_partial(b: pa.Table, _c="count()") -> pa.Table:
-            c = b.column(_c).to_numpy(zero_copy_only=False)
+        def dup_partial(b: pa.Table) -> pa.Table:
+            c = b.column("c").to_numpy(zero_copy_only=False)
             return pa.Table.from_pydict({
                 "d": pa.array([int(c[c > 1].sum() - (c > 1).sum())],
                               type=pa.int64()),
                 "n": pa.array([int(c.sum())], type=pa.int64()),
             })
 
-        s = (counts.map_batches(dup_partial, batch_format="pyarrow")
-             .sum(["d", "n"]))
-        results[_rule_name(r)] = (int(s["sum(d)"]), int(s["sum(n)"]))
+        # one (d, n) row per block of key counts reaches the driver
+        parts = counts.map_batches(dup_partial,
+                                   batch_format="pyarrow").take_all()
+        results[_rule_name(r)] = (sum(p["d"] for p in parts),
+                                  sum(p["n"] for p in parts))
 
     # --- referential integrity: broadcast dimension keyset --------------
     for r in fk_rules:
@@ -205,8 +211,6 @@ def psi_drift(ds, group_col: str, value_col: str, baseline: str,
     """
     import math
 
-    from ray.data.aggregate import Sum
-
     def bin_partial(b: pa.Table) -> pa.Table:
         v = b.column(value_col).to_numpy(zero_copy_only=False)
         bins = np.minimum(np.floor(v / bin_width).astype(np.int64),
@@ -219,10 +223,9 @@ def psi_drift(ds, group_col: str, value_col: str, baseline: str,
         g = t.group_by(["group", "bin"]).aggregate([("c", "sum")])
         return g.rename_columns(["group", "bin", "c"])
 
-    agg = (ds.select_columns([group_col, value_col])
-           .map_batches(bin_partial, batch_format="pyarrow")
-           .groupby(["group", "bin"])
-           .aggregate(Sum("c", alias_name="c")))
+    agg = keyed_agg(ds.select_columns([group_col, value_col])
+                    .map_batches(bin_partial, batch_format="pyarrow"),
+                    ["group", "bin"], {"c": ("sum", "c")})
 
     def finalize(b: pa.Table) -> pa.Table:
         groups = b.column("group").to_pylist()
@@ -282,7 +285,6 @@ def embedding_audit(ds, dim: int = 64, vec_col: str = "embedding",
     Returns (group, n_vecs, n_bad_dim, n_nonfinite, n_zero) sorted.
     """
     import numpy as np
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         import pandas as pd
@@ -314,14 +316,10 @@ def embedding_audit(ds, dim: int = 64, vec_col: str = "embedding",
         }).groupby("group", sort=False).sum().reset_index())
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.select_columns([group_col, vec_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("group")
-            .aggregate(Sum("n_vecs", alias_name="n_vecs"),
-                       Sum("n_bad_dim", alias_name="n_bad_dim"),
-                       Sum("n_nonfinite", alias_name="n_nonfinite"),
-                       Sum("n_zero", alias_name="n_zero"))
-            .sort("group"))
+    sums = ("n_vecs", "n_bad_dim", "n_nonfinite", "n_zero")
+    return keyed_agg(ds.select_columns([group_col, vec_col])
+                     .map_batches(partial, batch_format="pyarrow"),
+                     "group", {c: ("sum", c) for c in sums}).sort("group")
 
 
 def ks_drift(ds, group_col: str, value_col: str, baseline: str):
@@ -343,11 +341,9 @@ def ks_drift(ds, group_col: str, value_col: str, baseline: str):
     excluded.
     """
     import numpy as np
-    from ray.data.aggregate import Count
 
-    counts = (ds.select_columns([group_col, value_col])
-              .groupby([group_col, value_col])
-              .aggregate(Count(alias_name="c")))
+    counts = keyed_agg(ds.select_columns([group_col, value_col]),
+                       [group_col, value_col], {"c": ("count", None)})
 
     def finalize(b: pa.Table) -> pa.Table:
         import pandas as pd
@@ -422,7 +418,6 @@ def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
     contrib_nano) sorted by category.
     """
     import numpy as np
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         import pandas as pd
@@ -439,11 +434,9 @@ def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
             "b": pa.array((cnt - s).to_numpy(), type=pa.int64()),
         })
 
-    counts = (ds.select_columns([cat_col, ts_col])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby("cat")
-              .aggregate(Sum("a", alias_name="a"),
-                         Sum("b", alias_name="b")))
+    counts = keyed_agg(ds.select_columns([cat_col, ts_col])
+                       .map_batches(partial, batch_format="pyarrow"),
+                       "cat", {"a": ("sum", "a"), "b": ("sum", "b")})
 
     # k rows by construction — one block
     return (counts.repartition(1)

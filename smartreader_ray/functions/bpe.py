@@ -54,15 +54,11 @@ def _word_partial(batch: pa.Table, text_col: str) -> pa.Table:
 def word_histogram(ds, text_col: str = "text"):
     """Distinct-word frequency table — ONE corpus pass, pre-combined
     per block so the exchange is vocabulary-sized."""
-    from ray.data.aggregate import Sum
+    from .exchange import keyed_agg
 
-    return (
-        ds.map_batches(
-            lambda b: _word_partial(b, text_col), batch_format="pyarrow"
-        )
-        .groupby("word")
-        .aggregate(Sum("c", alias_name="c"))
-    )
+    return keyed_agg(ds.map_batches(lambda b: _word_partial(b, text_col),
+                                    batch_format="pyarrow"),
+                     "word", {"c": ("sum", "c")})
 
 
 def bpe_train_from_histogram(hist: dict[str, int], num_merges: int):
@@ -148,7 +144,6 @@ def bpe_pair_counts(ds, text_col: str = "text", top_k: int = 20):
     (l, r) tie-break. The word histogram rides the same single corpus
     pass as training."""
     import numpy as np
-    from ray.data.aggregate import Sum
 
     def pair_partial(b: pa.Table) -> pa.Table:
         w = b.column("word").to_pandas()
@@ -173,11 +168,12 @@ def bpe_pair_counts(ds, text_col: str = "text", top_k: int = 20):
             }
         )
 
+    from .exchange import keyed_agg
+
     return (
-        word_histogram(ds, text_col)
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["l", "r"])
-        .aggregate(Sum("n", alias_name="n"))
+        keyed_agg(word_histogram(ds, text_col)
+                  .map_batches(pair_partial, batch_format="pyarrow"),
+                  ["l", "r"], {"n": ("sum", "n")})
         .sort(["n", "l", "r"], descending=[True, False, False])
         .limit(top_k)
     )

@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_agg, keyed_agg_table
+
 # ---------------------------------------------------------------------------
 # PII redaction
 # ---------------------------------------------------------------------------
@@ -380,16 +382,13 @@ def normalized_dedup(ds, doc_col: str = "doc_id", text_col: str = "text"):
     text column is pruned before the groupby, and Min/Count pre-combine
     per block.
     """
-    from ray.data.aggregate import Count, Min
-
     keyed = ds.map_batches(
         lambda b: normalize_text_batch(b, text_col),
         batch_format="pyarrow",
     ).select_columns(["text_norm", doc_col])
-    return keyed.groupby("text_norm").aggregate(
-        Min(doc_col, alias_name="keep_doc_id"),
-        Count(alias_name="n_dups"),
-    )
+    return keyed_agg(keyed, "text_norm",
+                     {"keep_doc_id": ("min", doc_col),
+                      "n_dups": ("count", None)})
 
 
 def winsorize_stats(ds, key_col: str, value_col: str,
@@ -412,7 +411,6 @@ def winsorize_stats(ds, key_col: str, value_col: str,
     """
     import numpy as np
     import ray
-    from ray.data.aggregate import Sum
 
     from .sketch import exact_quantile_by
 
@@ -459,17 +457,9 @@ def winsorize_stats(ds, key_col: str, value_col: str,
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("n_clipped_lo", alias_name="n_clipped_lo"),
-            Sum("n_clipped_hi", alias_name="n_clipped_hi"),
-            Sum("sum_cents", alias_name="sum_cents"),
-        )
-        .sort(key_col)
-    )
+    sums = ("n", "n_clipped_lo", "n_clipped_hi", "sum_cents")
+    return keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                     key_col, {c: ("sum", c) for c in sums}).sort(key_col)
 
 
 def span_corruption(ds, doc_col: str = "doc_id", text_col: str = "text",
@@ -682,8 +672,6 @@ def l_diversity(ds, quasi_cols: list[str], sensitive_col: str,
     """
     import numpy as np
 
-    from ray.data.aggregate import Count, Sum
-
     cols = quasi_cols + [sensitive_col]
 
     def partial(b: pa.Table) -> pa.Table:
@@ -692,10 +680,9 @@ def l_diversity(ds, quasi_cols: list[str], sensitive_col: str,
         g = t.group_by(cols).aggregate([("n", "sum")])
         return g.rename_columns(cols + ["n"])
 
-    pairs = (ds.select_columns(cols)
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby(cols)
-             .aggregate(Sum("n", alias_name="n")))
+    pairs = keyed_agg(ds.select_columns(cols)
+                      .map_batches(partial, batch_format="pyarrow"),
+                      cols, {"n": ("sum", "n")})
 
     def under_l(b: pa.Table) -> pa.Table:
         ns = pc.cast(b.column("n_sensitive"), pa.int64())
@@ -705,10 +692,10 @@ def l_diversity(ds, quasi_cols: list[str], sensitive_col: str,
                          pc.cast(t.column("n_rows"), pa.int64()))
         return t.filter(pc.less(ns, l))
 
-    return (pairs.groupby(quasi_cols)
-            .aggregate(Count(alias_name="n_sensitive"),
-                       Sum("n", alias_name="n_rows"))
-            .map_batches(under_l, batch_format="pyarrow"))
+    return keyed_agg(pairs, quasi_cols,
+                     {"n_sensitive": ("count", None),
+                      "n_rows": ("sum", "n")}
+                     ).map_batches(under_l, batch_format="pyarrow")
 
 
 def _tvd_num(c: np.ndarray, cb: np.ndarray, ng: int, n: int) -> int:
@@ -746,7 +733,6 @@ def t_closeness(ds, quasi_cols: list[str], sensitive_col: str,
     """
     import numpy as np
     import ray
-    from ray.data.aggregate import Sum
 
     cols = quasi_cols + [sensitive_col]
 
@@ -756,15 +742,14 @@ def t_closeness(ds, quasi_cols: list[str], sensitive_col: str,
         g = t.group_by(cols).aggregate([("n", "sum")])
         return g.rename_columns(cols + ["n"])
 
-    pairs = (ds.select_columns(cols)
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby(cols)
-             .aggregate(Sum("n", alias_name="n"))
-             .materialize())  # consumed twice: global bands + groups
+    pairs = keyed_agg(ds.select_columns(cols)
+                      .map_batches(partial, batch_format="pyarrow"),
+                      cols, {"n": ("sum", "n")}
+                      ).materialize()  # consumed twice: global bands + groups
 
     gb = {r[sensitive_col]: int(r["n"])
-          for r in pairs.groupby(sensitive_col)
-          .aggregate(Sum("n", alias_name="n")).iter_rows()}
+          for r in keyed_agg_table(pairs, sensitive_col,
+                                   {"n": ("sum", "n")}).to_pylist()}
     n_total = sum(gb.values())
     if n_total and max(gb.values()) * n_total >= (1 << 62):
         raise OverflowError(
@@ -810,8 +795,6 @@ def k_anonymity(ds, quasi_cols: list[str], k: int = 10):
     """
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         t = b.select(quasi_cols).append_column(
             "n", pa.array(np.ones(b.num_rows, dtype=np.int64)))
@@ -823,13 +806,10 @@ def k_anonymity(ds, quasi_cols: list[str], k: int = 10):
         t = b.set_column(b.schema.get_field_index("n"), "n", n)
         return t.filter(pc.less(n, k))
 
-    return (
-        ds.select_columns(quasi_cols)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(quasi_cols)
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(under_k, batch_format="pyarrow")
-    )
+    return keyed_agg(ds.select_columns(quasi_cols)
+                     .map_batches(partial, batch_format="pyarrow"),
+                     quasi_cols, {"n": ("sum", "n")}
+                     ).map_batches(under_k, batch_format="pyarrow")
 
 
 def c4_line_gates_batch(batch: pa.Table, text_col: str = "text",

@@ -35,6 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_agg, keyed_exchange
 from .join import _col_type, _empty_table
 
 _MERSENNE = (1 << 61) - 1
@@ -47,8 +48,8 @@ _LOG = logging.getLogger(__name__)
 #: _capped_subgroups). Pair emission per bucket is bounded by
 #: ceil(n/cap) * C(cap, 2) ≈ n*cap/2 — linear in n, never quadratic.
 DEFAULT_MAX_BUCKET = 128
-#: hash partitions of the ``_by_key_partition`` exchange
-_PAIR_PARTITIONS = 64
+#: an exact-dedup group's representative (min doc_id) and size
+_KEEP_MIN_DOC = {"keep_doc_id": ("min", "doc_id"), "n_dups": ("count", None)}
 
 
 def _capped_subgroups(members: list, cap: int, salt: str, key=lambda m: m) -> list[list]:
@@ -127,23 +128,7 @@ def _bucket_pairs(rows, key_col: str, max_bucket: int,
             out[f"{payload}_b"] = pa.array(p[ib], type=p_type)
         return pa.table(out)
 
-    return _by_key_partition(rows, key_col, emit_part)
-
-
-def _by_key_partition(rows, key_col: str, emit):
-    """ONE exchange hash-partitioned on the int64 ``key_col``:
-    ``emit(group)`` runs once per partition (all rows of each key in
-    one call), never once per key."""
-
-    def stamp(b: pa.Table) -> pa.Table:
-        k = b.column(key_col).to_numpy(zero_copy_only=False)
-        part = (k.astype(np.int64).view(np.uint64)
-                % np.uint64(_PAIR_PARTITIONS)).astype(np.int64)
-        return b.append_column("__part", pa.array(part, type=pa.int64()))
-
-    return (rows.map_batches(stamp, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(emit, batch_format="pyarrow"))
+    return keyed_exchange(rows, key_col, emit_part)
 
 
 def _windows(text: str | None, window: int) -> list[str]:
@@ -267,17 +252,12 @@ def fingerprint_dedup(ds):
     the normalized text itself, modulo 64-bit collisions (≈ n²/2⁶⁵ —
     negligible below ~10⁸ distinct docs; above that, widen the hash or
     re-verify groups)."""
-    from ray.data.aggregate import Count, Min
-
     from .textstats import doc_fingerprint
 
     keyed = ds.select_columns(["doc_id", "text"]).map_batches(
         doc_fingerprint, batch_format="pyarrow"
     )
-    return keyed.groupby("fingerprint").aggregate(
-        Min("doc_id", alias_name="keep_doc_id"),
-        Count(alias_name="n_dups"),
-    )
+    return keyed_agg(keyed, "fingerprint", _KEEP_MIN_DOC)
 
 
 def exact_dedup(ds, key_tokens: int = 5):
@@ -286,16 +266,10 @@ def exact_dedup(ds, key_tokens: int = 5):
     The groupby ships only (dup_key, doc_id) after column pruning; Min and
     Count pre-combine inside each block before the exchange.
     """
-    from ray.data.aggregate import Count, Min
-
     keyed = ds.map_batches(
         lambda b: dedup_key_batch(b, key_tokens), batch_format="pyarrow"
     ).select_columns(["dup_key", "doc_id"])
-    agg = keyed.groupby("dup_key").aggregate(
-        Min("doc_id", alias_name="keep_doc_id"),
-        Count(alias_name="n_dups"),
-    )
-    return agg
+    return keyed_agg(keyed, "dup_key", _KEEP_MIN_DOC)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +387,17 @@ class MinHasher:
                     * np.uint64(0x9E3779B97F4A7C15))[None, :]
         return key
 
+    def gram_band_keys(self, texts: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, keys)``: the rows of ``texts`` that have n-grams and
+        their (n, bands) band keys. A doc without n-grams (null, empty
+        or blank text) has the all-``_MAX_HASH`` signature, which would
+        share every bucket with every other gram-less doc, so it gets
+        no keys and is nobody's candidate; a doc with grams has no
+        ``_MAX_HASH`` entry, as each is reduced mod p = ``_MAX_HASH``."""
+        sigs = self.signatures_batch(texts)
+        has = np.flatnonzero(sigs[:, 0] != _MAX_HASH)
+        return has, self.band_keys_batch(sigs[has])
+
     def band_keys(self, sig: np.ndarray) -> list[int]:
         """Per-doc convenience wrapper over ``band_keys_batch``."""
         return [int(k) for k in self.band_keys_batch(sig[None, :])[0]]
@@ -420,12 +405,7 @@ class MinHasher:
     def __call__(self, batch: pa.Table) -> pa.Table:
         """doc → one row per band: (band_key, doc_id). Only keys shuffle;
         a doc without n-grams (null, empty or blank text) has no rows."""
-        sigs = self.signatures_batch(batch.column("text").to_pylist())
-        # an all-_MAX_HASH signature would share every bucket with every
-        # other gram-less doc; a doc with grams has no _MAX_HASH entry,
-        # as each is reduced mod p = _MAX_HASH
-        has = np.flatnonzero(sigs[:, 0] != _MAX_HASH)
-        keys = self.band_keys_batch(sigs[has])
+        has, keys = self.gram_band_keys(batch.column("text").to_pylist())
         idx = pa.array(np.repeat(has, self.bands))
         return pa.Table.from_pydict(
             {
@@ -557,9 +537,8 @@ def simhash_neardup(ds, max_hamming: int = 3, ngram: int = 2,
     pairs = _bucket_pairs(banded, "band_key", max_bucket,
                           payload="simhash").map_batches(
         within_hamming, batch_format="pyarrow")
-    from ray.data.aggregate import Min
-
-    return pairs.groupby(["doc_a", "doc_b"]).aggregate(Min("hamming", alias_name="hamming_min"))
+    return keyed_agg(pairs, ["doc_a", "doc_b"],
+                     {"hamming_min": ("min", "hamming")})
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +715,7 @@ def minhash_dedup(ds, num_hashes: int = 128, bands: int = 16, ngram: int = 3,
             [id_type, id_type, pa.float64(), pa.bool_()]))
     if n_raw > broadcast_pair_limit:
         return verify_candidate_pairs_distributed(
-            ds, raw.groupby(["doc_a", "doc_b"]).count().materialize(),
+            ds, keyed_agg(raw, ["doc_a", "doc_b"], {}),
             ngram=ngram, threshold=threshold)
     pair_list = list(dict.fromkeys(
         (r["doc_a"], r["doc_b"]) for r in raw.take_all()))
@@ -968,7 +947,6 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     `duplicate_passages(use_hash=True)`.
     """
     import ray
-    from ray.data.aggregate import Sum
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         flat: list[str] = []
@@ -982,8 +960,9 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         })
 
     pruned = ds.select_columns([id_col, text_col])
-    counts = (pruned.map_batches(partial_counts, batch_format="pyarrow")
-              .groupby("h").aggregate(Sum("c", alias_name="c")))
+    counts = keyed_agg(pruned.map_batches(partial_counts,
+                                          batch_format="pyarrow"),
+                       "h", {"c": ("sum", "c")})
     flagged_parts = []
     for b in (counts.filter(expr=f"c >= {min_count}")
               .select_columns(["h"])
@@ -1187,8 +1166,8 @@ def label_propagation_components(edges, col_a: str = "doc_a",
     """
     import ray
     import ray.data
-    from ray.data.aggregate import Min
 
+    from .exchange import keyed_agg_table
     from .join import hash_join
 
     def sym(b: pa.Table) -> pa.Table:
@@ -1213,29 +1192,19 @@ def label_propagation_components(edges, col_a: str = "doc_a",
         max(2, -(-n_edge_rows // 500_000))
     ).materialize()
 
-    # round 0: label(node) = min(node, neighbors) straight off the edges,
-    # with per-block pre-combine so the exchange input is node-, not
+    # round 0: label(node) = min(node, neighbors) straight off the edges;
+    # keyed_agg's per-block partial makes the combine node-, not
     # edge-sized
-    def init_partial(b: pa.Table) -> pa.Table:
-        t = pa.Table.from_pydict(
-            {"node": b.column("src"), "label": b.column("dst")}
-        )
-        own = pa.Table.from_pydict(
-            {"node": b.column("src"), "label": b.column("src")}
-        )
-        g = pa.concat_tables([t, own]).group_by("node").aggregate(
-            [("label", "min")]
-        )
-        return pa.Table.from_pydict(
-            {"node": g.column("node"), "label": g.column("label_min")}
-        )
+    def init_labels(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "node": pa.concat_arrays([b.column("src").combine_chunks()] * 2),
+            "label": pa.concat_arrays([b.column("dst").combine_chunks(),
+                                       b.column("src").combine_chunks()]),
+        })
 
-    labels = (
-        sym_edges.map_batches(init_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
+    labels = keyed_agg(
+        sym_edges.map_batches(init_labels, batch_format="pyarrow"),
+        "node", {"label": ("min", "label")}).materialize()
     n_nodes = labels.count()
 
     def compress(d: dict) -> dict:
@@ -1270,30 +1239,20 @@ def label_propagation_components(edges, col_a: str = "doc_a",
             lbl_ref = ray.put(lbl)
 
             def relabel(b: pa.Table) -> pa.Table:
-                import pandas as pd
-
                 m = ray.get(lbl_ref)
-                src = b.column("src").to_pandas()
-                dst = b.column("dst").to_pandas()
                 # every dst is an edge endpoint and thus a key of m
-                lab = dst.map(m)
-                g = pd.DataFrame({"node": src, "label": lab}).groupby(
-                    "node", sort=False
-                )["label"].min()
-                return pa.table(
-                    {"node": pa.array(g.index), "label": pa.array(g.to_numpy())}
-                )
+                lab = b.column("dst").to_pandas().map(m)
+                return pa.table({"node": b.column("src"),
+                                 "label": pa.array(lab.to_numpy())})
 
-            partial = sym_edges.map_batches(
-                relabel, batch_format="pyarrow"
-            ).groupby("node").aggregate(Min("label", alias_name="label"))
+            partial = keyed_agg_table(
+                sym_edges.map_batches(relabel, batch_format="pyarrow"),
+                "node", {"label": ("min", "label")})
             new = dict(lbl)
-            for b in partial.iter_batches(batch_format="pyarrow",
-                                          batch_size=None):
-                for n, l in zip(b.column("node").to_pylist(),
-                                b.column("label").to_pylist()):
-                    if l < new[n]:
-                        new[n] = l
+            for n, l in zip(partial.column("node").to_pylist(),
+                            partial.column("label").to_pylist()):
+                if l < new[n]:
+                    new[n] = l
             new = compress(new)
             if new == lbl:
                 break
@@ -1316,9 +1275,7 @@ def label_propagation_components(edges, col_a: str = "doc_a",
             except Exception:
                 return None  # non-numeric ids: run to max_rounds
 
-        # shuffle width sized to the edge list, not hash_join's 64-part
-        # default — a tiny forced-regime graph shouldn't pay 64-partition
-        # exchanges per round, and a 100-TB edge list wants more than 64
+        # block count sized to the edge list (~500k edge rows per block)
         n_parts = max(2, -(-n_edge_rows // 500_000))
 
         prev_sum = label_sum(labels)
@@ -1328,26 +1285,22 @@ def label_propagation_components(edges, col_a: str = "doc_a",
             # neighbor messages: (dst's src partner, label of dst)
             msgs = hash_join(
                 sym_edges, labels, "dst", "node", ["src"], ["label"],
-                num_partitions=n_parts,
             ).map_batches(
                 lambda b: pa.Table.from_pydict(
                     {"node": b.column("src"), "label": b.column("label")}
                 ),
                 batch_format="pyarrow",
             )
-            labels = (
+            labels = keyed_agg(
                 labels.map_batches(
                     lambda b: b.select(["node", "label"]),
                     batch_format="pyarrow",
-                )
-                .union(msgs)
-                .groupby("node")
-                .aggregate(Min("label", alias_name="label"))
+                ).union(msgs),
+                "node", {"label": ("min", "label")},
                 # materialized because the pointer-jump self-join consumes
-                # it TWICE — un-materialized, the whole msgs-join + groupby
-                # chain would re-execute per side
-                .materialize()
-            )
+                # it TWICE — un-materialized, the whole msgs-join +
+                # aggregate chain would re-execute per side
+            ).materialize()
             # pointer jump: label ← label(label). Every label is itself
             # a node of the label table (it is the min over a set of
             # endpoint ids, attained at some endpoint), so this inner
@@ -1361,7 +1314,6 @@ def label_propagation_components(edges, col_a: str = "doc_a",
             # exponential per-round wall time even on a 64-node graph
             labels = hash_join(
                 labels, labels, "label", "node", ["node"], ["label"],
-                num_partitions=n_parts,
             ).repartition(n_parts).materialize()
             cur = label_sum(labels)
             if cur is not None and cur == prev_sum:
@@ -1615,8 +1567,8 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
     Scale shape: window TEXT never crosses an exchange — windows ship
     as md5-derived int64 keys (the SQL oracle applies the IDENTICAL
     hash, so parity survives even a key collision). The first-seen
-    owner AND its occurrence count ride ONE vectorized
-    ``groupby(key).min`` as the packed composite ``doc_id·2²¹ + c``
+    owner AND its occurrence count ride ONE ``keyed_agg`` min on the
+    key as the packed composite ``doc_id·2²¹ + c``
     (doc_id dominates, so MIN picks the smallest doc and carries its
     count) — per-distinct-key ``map_groups`` would spawn a Python call
     per window and is the known near-unique-key pathology. Per-block
@@ -1625,7 +1577,7 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
     a scan-side per-doc count). Bounds are loud: doc_id < 2⁴², in-doc
     window occurrences < 2²¹.
     """
-    from ray.data.aggregate import Min, Sum
+    from .exchange import keyed_agg
 
     C_BITS = 21
     count_rows = _window_count_emitter(window, text_col, id_col)
@@ -1648,10 +1600,9 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
             "m": pa.array((doc << C_BITS) | c, type=pa.int64()),
         })
 
-    owners = (ds.select_columns([id_col, text_col])
-              .map_batches(emit, batch_format="pyarrow")
-              .groupby("k")
-              .aggregate(Min("m", alias_name="m")))
+    owners = keyed_agg(ds.select_columns([id_col, text_col])
+                       .map_batches(emit, batch_format="pyarrow"),
+                       "k", {"m": ("min", "m")})
 
     def decompose(b: pa.Table) -> pa.Table:
         m = b.column("m").to_numpy(zero_copy_only=False)
@@ -1685,11 +1636,10 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
             "novel": b.column("novel"),
         })
 
-    return (base.union(novel.map_batches(pad, batch_format="pyarrow"))
-            .groupby(id_col)
-            .aggregate(Sum("n_windows", alias_name="n_windows"),
-                       Sum("novel", alias_name="n_novel"))
-            .sort(id_col))
+    return keyed_agg(base.union(novel.map_batches(pad,
+                                                  batch_format="pyarrow")),
+                     id_col, {"n_windows": ("sum", "n_windows"),
+                              "n_novel": ("sum", "novel")}).sort(id_col)
 
 
 def template_score(ds, window: int = 4, text_col: str = "text",
@@ -1707,7 +1657,7 @@ def template_score(ds, window: int = 4, text_col: str = "text",
     as md5-derived int64 keys (the SQL oracle applies the IDENTICAL
     hash, so parity survives even a key collision). Three
     key-partitioned passes over the (k, doc, c) window-count table:
-    one groupby-Sum for the corpus counts, one vectorized ``hash_join``
+    one keyed sum for the corpus counts, one vectorized ``hash_join``
     (run-length emit kernel, no per-key Python) to stamp each count
     back onto its per-doc occurrences, one doc-sized rollup.
     ``n_windows`` rides scan-side (``len(toks)−w+1``) and never touches
@@ -1717,8 +1667,6 @@ def template_score(ds, window: int = 4, text_col: str = "text",
     ``template_score = sum_freq / n_windows`` (0.0 for sub-window
     docs); ints exact, the score is ONE IEEE division.
     """
-    from ray.data.aggregate import Sum
-
     from .join import hash_join
 
     # consumed twice: corpus counts + stamp-back
@@ -1726,7 +1674,7 @@ def template_score(ds, window: int = 4, text_col: str = "text",
           .map_batches(_window_count_emitter(window, text_col, id_col),
                        batch_format="pyarrow")
           .materialize())
-    tot = kv.groupby("k").aggregate(Sum("c", alias_name="tot"))
+    tot = keyed_agg(kv, "k", {"tot": ("sum", "c")})
     joined = hash_join(kv, tot, "k", "k", [id_col, "c"], ["tot"])
 
     def product(b: pa.Table) -> pa.Table:
@@ -1758,10 +1706,10 @@ def template_score(ds, window: int = 4, text_col: str = "text",
 
     base = (ds.select_columns([id_col, text_col])
             .map_batches(base_pass, batch_format="pyarrow"))
-    agg = (base.union(joined.map_batches(product, batch_format="pyarrow"))
-           .groupby(id_col)
-           .aggregate(Sum("n_windows", alias_name="n_windows"),
-                      Sum("sum_freq", alias_name="sum_freq")))
+    agg = keyed_agg(
+        base.union(joined.map_batches(product, batch_format="pyarrow")),
+        id_col, {"n_windows": ("sum", "n_windows"),
+                 "sum_freq": ("sum", "sum_freq")})
 
     def score(b: pa.Table) -> pa.Table:
         n = b.column("n_windows").to_numpy(
@@ -1792,8 +1740,6 @@ def priority_dedup(ds, priority_col: str, key_tokens: int = 5,
 
     Returns (dup_key, keep_priority, keep_doc_id, n_dups).
     """
-    from ray.data.aggregate import Count, Min
-
     _SHIFT = 1 << 42
 
     def pack(b: pa.Table) -> pa.Table:
@@ -1813,10 +1759,8 @@ def priority_dedup(ds, priority_col: str, key_tokens: int = 5,
             "comp": pa.array(pri * _SHIFT + doc, type=pa.int64()),
         })
 
-    agg = (ds.map_batches(pack, batch_format="pyarrow")
-           .groupby("dup_key")
-           .aggregate(Min("comp", alias_name="comp"),
-                      Count(alias_name="n_dups")))
+    agg = keyed_agg(ds.map_batches(pack, batch_format="pyarrow"), "dup_key",
+                    {"comp": ("min", "comp"), "n_dups": ("count", None)})
 
     def unpack(b: pa.Table) -> pa.Table:
         comp = b.column("comp").to_numpy(zero_copy_only=False)

@@ -20,6 +20,8 @@ import logging
 import numpy as np
 import pyarrow as pa
 
+from .exchange import keyed_agg
+
 _LOG = logging.getLogger(__name__)
 
 
@@ -63,12 +65,7 @@ def edit1_pairs(ds, col: str, bucket_cap: int = 1024):
     near-constant prefix and the pairs are noise).
     """
 
-    distinct = (
-        ds.select_columns([col])
-        .groupby(col)
-        .count()
-        .map_batches(lambda b: b.select([col]), batch_format="pyarrow")
-    )
+    distinct = keyed_agg(ds.select_columns([col]), col, {})
 
     def variants(b: pa.Table) -> pa.Table:
         vals = b.column(col).to_pylist()
@@ -105,16 +102,10 @@ def edit1_pairs(ds, col: str, bucket_cap: int = 1024):
             "b": pa.array(b_out, type=pa.string()),
         })
 
-    return (
-        distinct.map_batches(variants, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .count()
-        .map_batches(lambda b: b.select(["a", "b"]),
-                     batch_format="pyarrow")
-        .sort(["a", "b"])
-    )
+    return keyed_agg(distinct.map_batches(variants, batch_format="pyarrow")
+                     .groupby("bucket")
+                     .map_groups(bucket_pairs, batch_format="pyarrow"),
+                     ["a", "b"], {}).sort(["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +190,9 @@ def soundex_tokens(ds, text_col: str):
                                 type=pa.string()),
         })
 
-    return (ds.select_columns([text_col])
-            .map_batches(encode, batch_format="pyarrow")
-            .groupby(["token", "soundex"])
-            .count()
-            .map_batches(lambda b: b.select(["token", "soundex"]),
-                         batch_format="pyarrow")
-            .sort("token"))
+    return keyed_agg(ds.select_columns([text_col])
+                     .map_batches(encode, batch_format="pyarrow"),
+                     ["token", "soundex"], {}).sort("token")
 
 
 def resolve_entities(ds, id_col: str, name_col: str, max_dist: int = 2,
@@ -235,10 +222,7 @@ def resolve_entities(ds, id_col: str, name_col: str, max_dist: int = 2,
 
     from .dedup import connected_components
 
-    distinct = (ds.select_columns([name_col])
-                .groupby(name_col).count()
-                .map_batches(lambda b: b.select([name_col]),
-                             batch_format="pyarrow"))
+    distinct = keyed_agg(ds.select_columns([name_col]), name_col, {})
 
     def block_keys(b: pa.Table) -> pa.Table:
         codes: list[str] = []
@@ -272,13 +256,10 @@ def resolve_entities(ds, id_col: str, name_col: str, max_dist: int = 2,
             "b": pa.array(b_out, type=pa.string()),
         })
 
-    pairs = (distinct.map_batches(block_keys, batch_format="pyarrow")
-             .groupby("code")
-             .map_groups(block_pairs, batch_format="pyarrow")
-             .groupby(["a", "b"])
-             .count()
-             .map_batches(lambda b: b.select(["a", "b"]),
-                          batch_format="pyarrow"))
+    pairs = keyed_agg(distinct.map_batches(block_keys, batch_format="pyarrow")
+                      .groupby("code")
+                      .map_groups(block_pairs, batch_format="pyarrow"),
+                      ["a", "b"], {})
 
     comp = connected_components(pairs, col_a="a", col_b="b")
     canon = {r["doc_id"]: r["cluster_id"]

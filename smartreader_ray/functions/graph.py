@@ -29,6 +29,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_agg, keyed_agg_table
+
 SCALE = 10**12
 DAMP_NUM, DAMP_DEN = 85, 100
 
@@ -147,12 +149,8 @@ def consecutive_edges(ds, group_col: str, seq_col: str, node_col: str,
         g = b.group_by(["src", "dst"]).aggregate([])
         return g.select(["src", "dst"])
 
-    dedup = (
-        pairs.map_batches(block_distinct, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .count()
-    )
-    return dedup.select_columns(["src", "dst"])
+    return keyed_agg(pairs.map_batches(block_distinct, batch_format="pyarrow"),
+                     ["src", "dst"], {})
 
 
 def _check_headroom(n_nodes: int, scale: int):
@@ -204,7 +202,6 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
     """
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from .join import hash_join
 
@@ -219,8 +216,6 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
     edges = edges.repartition(
         max(2, -(-n_edge_rows // 500_000))
     ).materialize()
-
-    od_ds = edges.groupby("src").count()
 
     def _result(rank_of: dict, outdeg_of: dict):
         vs = sorted(rank_of)
@@ -278,13 +273,10 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
         )
 
     if n_nodes <= broadcast_nodes_max:
-        outdeg = {
-            v: c
-            for b in od_ds.iter_batches(batch_format="pyarrow",
-                                        batch_size=None)
-            for v, c in zip(b.column("src").to_pylist(),
-                            b.column("count()").to_pylist())
-        }
+        od = keyed_agg_table(edges.select_columns(["src"]), "src",
+                             {"n": ("count", None)})
+        outdeg = dict(zip(od.column("src").to_pylist(),
+                          od.column("n").to_pylist()))
         rank = {
             v: scale
             for b in node_ids.iter_batches(batch_format="pyarrow",
@@ -322,15 +314,11 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
                     }
                 )
 
-            inflow = {
-                v: s
-                for b in edges.map_batches(partial, batch_format="pyarrow")
-                .groupby("v")
-                .aggregate(Sum("infl", alias_name="infl"))
-                .iter_batches(batch_format="pyarrow", batch_size=None)
-                for v, s in zip(b.column("v").to_pylist(),
-                                b.column("infl").to_pylist())
-            }
+            inflow = keyed_agg_table(
+                edges.map_batches(partial, batch_format="pyarrow"), "v",
+                {"infl": ("sum", "infl")})
+            inflow = dict(zip(inflow.column("v").to_pylist(),
+                              inflow.column("infl").to_pylist()))
             rank = {
                 v: base + (DAMP_NUM * inflow.get(v, 0)) // DAMP_DEN
                 for v in rank
@@ -338,11 +326,12 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
         return _result(rank, outdeg)
 
     # ---- distributed regime: rank state never leaves the cluster ----
-    od_named = od_ds.map_batches(
+    od_named = keyed_agg(edges.select_columns(["src"]), "src",
+                         {"n": ("count", None)}).map_batches(
         lambda b: pa.table(
             {
                 "od_v": pc.cast(b.column("src"), pa.int64()),
-                "outdeg": pc.cast(b.column("count()"), pa.int64()),
+                "outdeg": pc.cast(b.column("n"), pa.int64()),
             }
         ),
         batch_format="pyarrow",
@@ -390,9 +379,9 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
 
         src_state = state.map_batches(_contrib, batch_format="pyarrow")
         infl = (
-            hash_join(edges, src_state, "src", "sv", ["dst"], ["contrib"])
-            .groupby("dst")
-            .aggregate(Sum("contrib", alias_name="infl"))
+            keyed_agg(hash_join(edges, src_state, "src", "sv", ["dst"],
+                                ["contrib"]),
+                      "dst", {"infl": ("sum", "contrib")})
             .map_batches(
                 lambda b: pa.table(
                     {
@@ -450,7 +439,6 @@ def rank_weighted_rollup(fact, ranks, fact_key: str, group_col: str,
     Ties at the cut break by ``group_col``.
     """
     import ray
-    from ray.data.aggregate import Sum
 
     rank_map = {
         v: r
@@ -489,9 +477,9 @@ def rank_weighted_rollup(fact, ranks, fact_key: str, group_col: str,
         )
 
     return (
-        fact.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(Sum("weighted_demand", alias_name="weighted_demand"))
+        keyed_agg(fact.map_batches(partial, batch_format="pyarrow"),
+                  group_col,
+                  {"weighted_demand": ("sum", "weighted_demand")})
         .sort(["weighted_demand", group_col], descending=[True, False])
         .limit(top_k)
     )
@@ -524,7 +512,7 @@ def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
     import pandas as pd
     import ray
     import ray.data
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
 
     from .join import hash_join
 
@@ -606,9 +594,9 @@ def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
             batch_format="pyarrow",
         )
         raw = (
-            hash_join(edges, named, from_col, "jv", [to_col], ["s"])
-            .groupby(to_col)
-            .aggregate(Sum("s", alias_name="raw"))
+            keyed_agg(hash_join(edges, named, from_col, "jv", [to_col],
+                                ["s"]),
+                      to_col, {"raw": ("sum", "s")})
             .map_batches(
                 lambda b: pa.table(
                     {
@@ -744,12 +732,8 @@ def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25,
 
     from .join import hash_join
 
-    distinct = (
-        ds.select_columns([group_col, item_col])
-        .groupby([group_col, item_col]).count()
-        .map_batches(lambda b: b.select([group_col, item_col]),
-                     batch_format="pyarrow")
-    )
+    distinct = keyed_agg(ds.select_columns([group_col, item_col]),
+                         [group_col, item_col], {})
     left = distinct.map_batches(
         lambda b: b.rename_columns(["g", "item_a"]),
         batch_format="pyarrow")
@@ -758,27 +742,12 @@ def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25,
         batch_format="pyarrow")
     joined = hash_join(left, right, "g", "g2", ["item_a"], ["item_b"])
 
-    def precombine(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.less(b.column("item_a"), b.column("item_b")))
-        g2 = b.group_by(["item_a", "item_b"]).aggregate([([], "count_all")])
-        return g2.rename_columns(["item_a", "item_b", "n_groups"])
+    def ordered(b: pa.Table) -> pa.Table:
+        return b.filter(pc.less(b.column("item_a"), b.column("item_b")))
 
-    from ray.data.aggregate import Sum
-
-    counts = (
-        joined.map_batches(precombine, batch_format="pyarrow")
-        .groupby(["item_a", "item_b"])
-        .aggregate(Sum("n_groups", alias_name="n_groups"))
-        .map_batches(
-            lambda b: pa.table({
-                "item_a": b.column("item_a"),
-                "item_b": b.column("item_b"),
-                "n_groups": pc.cast(b.column("n_groups"), pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
-    )
-    return finalize_counts(counts)
+    return finalize_counts(keyed_agg(
+        joined.map_batches(ordered, batch_format="pyarrow"),
+        ["item_a", "item_b"], {"n_groups": ("count", None)}))
 
 
 
@@ -831,7 +800,6 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
     import numpy as np
     import ray
     import ray.data as _rd
-    from ray.data.aggregate import Sum
 
     def result(n_edges, n_nodes, n_wedges, n_triangles):
         return _rd.from_arrow(pa.table({
@@ -906,16 +874,11 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
             "a": pc.min_element_wise(s, d),
             "b": pc.max_element_wise(s, d),
         })
-        t = t.filter(pc.not_equal(t.column("a"), t.column("b")))
-        g = t.group_by(["a", "b"]).aggregate([])  # per-block distinct
-        return g.select(["a", "b"])
+        return t.filter(pc.not_equal(t.column("a"), t.column("b")))
 
-    und = (
-        edges.map_batches(undirect, batch_format="pyarrow")
-        .groupby(["a", "b"]).count()
-        .map_batches(lambda b: b.select(["a", "b"]),
-                     batch_format="pyarrow")
-    ).materialize()  # edge-sized; feeds degrees, orientation, closing
+    und = keyed_agg(  # edge-sized; feeds degrees, orientation, closing
+        edges.map_batches(undirect, batch_format="pyarrow"), ["a", "b"], {}
+    ).materialize()
     n_edges = und.count()
 
     def endpoints(b: pa.Table) -> pa.Table:
@@ -923,13 +886,10 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
             b.column("a").combine_chunks().cast(pa.int64()),
             b.column("b").combine_chunks().cast(pa.int64()),
         ])
-        g = pa.table({"v": v}).group_by("v").aggregate([([], "count_all")])
-        return g.rename_columns(["v", "deg"])
+        return pa.table({"v": v})
 
-    deg = (
-        und.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("v").aggregate(Sum("deg", alias_name="deg"))
-    ).materialize()
+    deg = keyed_agg(und.map_batches(endpoints, batch_format="pyarrow"),
+                    "v", {"deg": ("count", None)}).materialize()
     n_nodes = deg.count()
 
     if n_nodes <= degree_broadcast_limit:
@@ -1029,9 +989,8 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
         })
 
     tallies = (
-        wedge_rows.union(flagged_edges)
-        .groupby(["x", "y"])
-        .aggregate(Sum("n", alias_name="n"), Sum("flag", alias_name="f"))
+        keyed_agg(wedge_rows.union(flagged_edges), ["x", "y"],
+                  {"n": ("sum", "n"), "f": ("sum", "flag")})
         .map_batches(closed_partial, batch_format="pyarrow")
         .take_all()
     )
@@ -1124,13 +1083,10 @@ def bfs_hops(edges, sources, max_hops: int = 4,
         }))
 
     # count distinct nodes once to pick the wide regime
-    n_nodes = (
-        edges.map_batches(
-            lambda b: pa.table({"v": pc.unique(pa.chunked_array(
-                [b.column("src"), b.column("dst")]).combine_chunks())}),
-            batch_format="pyarrow")
-        .groupby("v").count().count()
-    )
+    n_nodes = keyed_agg(edges.map_batches(
+        lambda b: pa.table({"v": pa.chunked_array(
+            [b.column("src"), b.column("dst")]).combine_chunks()}),
+        batch_format="pyarrow"), "v", {}).count()
 
     if n_nodes <= broadcast_nodes_max:
         visited = {int(s): 0 for s in seeds}
@@ -1173,7 +1129,7 @@ def bfs_hops(edges, sources, max_hops: int = 4,
             left_cols=["dst"], right_cols=["v"], how="inner",
         ).map_batches(lambda b: b.select(["dst"]), batch_format="pyarrow")
         nxt = (
-            adj.groupby("dst").count()
+            keyed_agg(adj, "dst", {})
             .map_batches(lambda b: pa.table({"v": pc.cast(
                 b.column("dst"), pa.int64())}), batch_format="pyarrow")
         )
@@ -1212,7 +1168,7 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
     2-column exchange past that), so the initial distinct and every
     round's filter exchange 8 B/edge. Each round = per-block degree
     partials (np.unique over unpacked endpoints) → one node-sized
-    ``groupby Sum`` → survivors (deg ≥ k) broadcast once as a sorted
+    ``keyed_agg`` sum → survivors (deg ≥ k) broadcast once as a sorted
     array via ``ray.put`` (bounded by ``alive_max``; the named
     alternative past the bound is two semi-joins on the endpoint
     columns) → vectorized searchsorted filter of the packed edges,
@@ -1221,7 +1177,6 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
     """
     import numpy as np
     import ray
-    from ray.data.aggregate import Sum
 
     lim = np.int64(1) << np.int64(31)
 
@@ -1240,25 +1195,9 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
         e = np.unique((lo << np.int64(32)) | hi)
         return pa.table({"e": pa.array(e, type=pa.int64())})
 
-    from ray.data.aggregate import Count
-
-    def drop_count(batch: pa.Table) -> pa.Table:
-        return batch.select(["e"])
-
-    # distinct via the VECTORIZED Count aggregate + column drop — a
-    # per-distinct-key map_groups here costs one Python call per edge
-    # (measured 15 s on the 310k-edge sf0.1 part graph vs ~1 s this way)
-    packed = edges.map_batches(pack,
-                               batch_format="pyarrow").materialize()
-    if packed.num_blocks() < 16:
-        # a near-single-block edge list (consecutive_edges' local
-        # regime returns ONE driver-built block) serializes the
-        # sort-based aggregate onto one core — measured 33 s vs 3.3 s
-        # at 32 blocks on 600k keys; the repartition ships 8 B/row
-        packed = packed.repartition(32)
-    cur = (packed.groupby("e").aggregate(Count(alias_name="__c"))
-           .map_batches(drop_count, batch_format="pyarrow")
-           .materialize())
+    # distinct edges: a keyed_agg with no aggregate
+    cur = keyed_agg(edges.map_batches(pack, batch_format="pyarrow"),
+                    "e", {}).materialize()
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         e = batch.column("e").to_numpy(zero_copy_only=False)
@@ -1270,8 +1209,9 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
                                        type=pa.int64())})
 
     def degrees(ds):
-        return (ds.map_batches(degree_partial, batch_format="pyarrow")
-                .groupby("v").aggregate(Sum("c", alias_name="deg")))
+        return keyed_agg(ds.map_batches(degree_partial,
+                                        batch_format="pyarrow"),
+                         "v", {"deg": ("sum", "c")})
 
     for _ in range(rounds):
         surv_parts = [b.column("v").to_numpy(zero_copy_only=False)

@@ -8,11 +8,10 @@ through exactly once. Always prefer this when it applies.
 
 The **partitioned-exchange core** serves ``hash_join``, ``range_join``
 and ``asof_join``. Each side is pruned and packed into rows of
-``__key`` (the join key in ``_key_type``), ``__part``
-(``hash64(key) % num_partitions``, or the reserved ``NULL_PART`` for
-null-key rows a mode keeps), ``__side`` and payload; ``_exchange``
-unions the two sides and groups them by ``__part`` — ONE all-to-all —
-and each partition is one vectorized call over its ``_key_runs``.
+``__key`` (the join key in ``_key_type``; null for the null-key rows
+a mode keeps), ``__side`` and payload; ``_exchange`` runs the two sides
+through ``exchange.keyed_exchange`` on ``__key`` — ONE all-to-all — and
+each partition is one vectorized call over its ``_key_runs``.
 
 - ``hash_join``: equi-join; per key the left×right cross product with
   numpy run-length arithmetic; a guard fails loudly on a hot key
@@ -43,11 +42,7 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# the reserved exchange partition of null-key rows that a mode keeps
-# unmatched (outer joins, count mode, as-of left rows)
-NULL_PART = -1
-# hash partitions per exchange (hash_join's default; range/asof fixed)
-NUM_PARTITIONS = 64
+from .exchange import _key_hash_u64, _mix64, keyed_agg, keyed_exchange
 
 
 def compacted(ds, target_rows_per_block: int = 65_536):
@@ -168,40 +163,22 @@ def _empty_table(names, types) -> pa.Table:
     )
 
 
-def _partition(keys, num_partitions: int, nulls=None) -> pa.Array:
-    """``__part`` of each packed row: its key's hash partition, or
-    ``NULL_PART`` where the boolean array ``nulls`` is true."""
-    import numpy as np
-
-    parts = (_key_hash_u64(keys)
-             % np.uint64(num_partitions)).astype(np.int64)
-    if nulls is not None:
-        isnull = nulls.to_numpy(zero_copy_only=False)
-        if isnull.any():
-            parts = np.where(isnull, NULL_PART, parts)
-    return pa.array(parts)
-
-
 def _exchange(l_packed, r_packed, empty: pa.Table, emit_nulls, emit_runs):
-    """The one all-to-all of hash_join, range_join and asof_join: union
-    the two packed sides and group by ``__part``; each partition is ONE
-    call — ``emit_nulls(group)`` for the reserved ``NULL_PART``
-    partition, ``emit_runs(group)`` for a hash partition, ``empty`` for
+    """The one all-to-all of hash_join, range_join and asof_join: the
+    two packed sides meet in ``keyed_exchange`` on ``__key``; each
+    partition is ONE call — ``emit_nulls(group)`` for the partition of
+    null keys, ``emit_runs(group)`` for a hash partition, ``empty`` for
     an empty group. Null-key rows a mode keeps travel the same exchange
-    in their reserved partition: no second scan of either input."""
+    in their own partition: no second scan of either input."""
 
     def emit_part(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
             return empty
-        if group.column("__part")[0].as_py() == NULL_PART:
+        if group.column("__key").null_count:
             return emit_nulls(group)
         return emit_runs(group)
 
-    return (
-        l_packed.union(r_packed)
-        .groupby("__part")
-        .map_groups(emit_part, batch_format="pyarrow")
-    )
+    return keyed_exchange([l_packed, r_packed], "__key", emit_part)
 
 
 def _key_runs(group: pa.Table, then: tuple[str, ...] = ()):
@@ -237,12 +214,12 @@ def _key_runs(group: pa.Table, then: tuple[str, ...] = ()):
 def hash_join(left, right, left_key: str, right_key: str,
               left_cols: list[str], right_cols: list[str],
               max_pairs_per_key: int = 10_000_000, how: str = "inner",
-              salt: int = 1, num_partitions: int = NUM_PARTITIONS):
+              salt: int = 1):
     """Distributed equi-join of two big Datasets.
 
     Both sides are pruned to ``key + cols``, packed into one struct
-    column each, tagged, unioned, and hash-partitioned on the key
-    (``__part = hash64(key) % num_partitions``); ONE vectorized kernel
+    column each, tagged, and hash-partitioned on the key by
+    ``keyed_exchange``; ONE vectorized kernel
     per partition sorts its rows by key and emits every key's
     left×right cross product with numpy run-length arithmetic — no
     per-distinct-key Python (the round-4 pathology: near-unique keys
@@ -288,8 +265,8 @@ def hash_join(left, right, left_key: str, right_key: str,
     right_type = pa.struct([pa.field(c, t) for c, t in r_fields])
 
     # SQL semantics: a NULL key matches NOTHING (not even another NULL).
-    # Modes that must KEEP unmatched null-key rows route them to
-    # NULL_PART inside the SAME pack pass instead of re-reading the
+    # Modes that must KEEP unmatched null-key rows send them through
+    # the exchange's null-key partition instead of re-reading the
     # whole input in a second null-extraction leg — at 100 TB an outer
     # join must not scan its inputs twice.
     need_left_nulls = how in ("left", "left_anti", "full_outer")
@@ -328,9 +305,6 @@ def hash_join(left, right, left_key: str, right_key: str,
             return pa.Table.from_pydict(
                 {
                     "__key": keys,
-                    "__part": _partition(
-                        keys, num_partitions,
-                        pc.is_null(keys) if keep_nulls else None),
                     "__side": pa.array([side] * n, type=pa.int8()),
                     "__left": payload if side == 0 else pa.nulls(
                         n, type=left_type
@@ -453,15 +427,16 @@ def hash_join(left, right, left_key: str, right_key: str,
 def _pack_by_on(left, right, by: str, on: str, left_cols: list[str],
                 right_cols: list[str], keep_left_nulls: bool):
     """Both sides of range_join/asof_join, pruned and packed for
-    ``_exchange``: ``__key`` (``by`` in ``_key_type``), ``__part``,
-    ``__on``, ``__side``, the side's own payload columns, and the other
-    side's payload columns as typed nulls. Returns ``(l_packed,
-    r_packed, l_types, r_types)`` with each payload's ``(name, type)``.
+    ``_exchange``: ``__key`` (``by`` in ``_key_type``, null where ``by``
+    or ``on`` is), ``__on``, ``__side``, the side's own payload columns,
+    and the other side's payload columns as typed nulls. Returns
+    ``(l_packed, r_packed, l_types, r_types)`` with each payload's
+    ``(name, type)``.
 
     SQL semantics: a null ``by``/``on`` can never produce a match. Such
     rows are dropped, except on the left side of a left-outer operator
-    (``keep_left_nulls``), where they ride the same exchange in
-    ``NULL_PART`` instead of a second scan of the input."""
+    (``keep_left_nulls``), where they ride the same exchange in its
+    null-key partition instead of a second scan of the input."""
     left, lschema = _with_schema(left)
     right, rschema = _with_schema(right)
     key_type = _key_type(_col_type(lschema, by), _col_type(rschema, by))
@@ -476,11 +451,11 @@ def _pack_by_on(left, right, by: str, on: str, left_cols: list[str],
                 batch = batch.filter(valid)
             n = batch.num_rows
             keys = pc.cast(batch.column(by), key_type)
+            if keep_nulls:
+                keys = pc.if_else(valid, keys,
+                                  pa.scalar(None, type=key_type))
             cols = {
                 "__key": keys,
-                "__part": _partition(
-                    keys, NUM_PARTITIONS,
-                    pc.invert(valid) if keep_nulls else None),
                 "__on": batch.column(on),
                 "__side": pa.array([side] * n, type=pa.int8()),
             }
@@ -728,42 +703,6 @@ def asof_join(left, right, by: str, on: str,
     return _exchange(l_packed, r_packed, empty, emit_nulls, emit_runs)
 
 
-def _mix64(x):
-    """splitmix64 finalizer, vectorized over uint64 — the standard
-    public integer mixer (Steele et al., 2014)."""
-    import numpy as np
-
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
-
-
-def _key_hash_u64(arr: pa.ChunkedArray | pa.Array):
-    """Column → uint64 hashes: integer keys are mixed in-register;
-    string keys go through the repo's blake2b hash64."""
-    import numpy as np
-
-    t = arr.type
-    if pa.types.is_integer(t):
-        # fill nulls BEFORE to_numpy: a null in an int64 column makes
-        # to_numpy return float64 (NaN), and .view on float bits would
-        # hash every value in the batch wrong. Null rows hash as 0 —
-        # callers mask them out (a null key matches nothing) or route
-        # them to NULL_PART.
-        v = pc.fill_null(pc.cast(arr, pa.int64()), 0).to_numpy(
-            zero_copy_only=False)
-        return _mix64(v.astype(np.int64).view(np.uint64))
-    from .dedup import _hash64
-
-    vals = arr.to_pylist()
-    return np.asarray(_hash64([str(v) for v in vals]), dtype=np.uint64)
-
-
 def _bloom_positions(h, bloom_bits: int, k: int):
     """k double-hashed bit positions per key (Kirsch–Mitzenmacher)."""
     import numpy as np
@@ -786,10 +725,8 @@ def _distinct_keys(ds, key: str):
     build, broadcast, verify join) would each re-execute the whole
     derivation otherwise."""
     keys = (
-        ds.select_columns([key])
-        .groupby(key)
-        .count()
-        .map_batches(lambda b: b.select([key]).filter(
+        keyed_agg(ds.select_columns([key]), key, {})
+        .map_batches(lambda b: b.filter(
             pc.is_valid(b.column(key))), batch_format="pyarrow")
     ).materialize()
     schema = keys.schema()
@@ -1109,7 +1046,6 @@ def star_revenue_by_nation(lineitem, orders_tbl, customer_tbl,
     import numpy as np
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     def dense_lut(tbl, key_col, val_col, fill=-1):
         k = tbl.column(key_col).to_numpy(zero_copy_only=False).astype(
@@ -1155,11 +1091,10 @@ def star_revenue_by_nation(lineitem, orders_tbl, customer_tbl,
         g = t.group_by("nationkey").aggregate([("revenue_cc", "sum")])
         return g.rename_columns(["nationkey", "revenue_cc"])
 
-    agg = (lineitem.select_columns(
+    agg = keyed_agg(lineitem.select_columns(
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
-        .map_batches(revenue_partial, batch_format="pyarrow")
-        .groupby("nationkey")
-        .aggregate(Sum("revenue_cc", alias_name="revenue_cc")))
+        .map_batches(revenue_partial, batch_format="pyarrow"),
+        "nationkey", {"revenue_cc": ("sum", "revenue_cc")})
 
     def name_out(b: pa.Table) -> pa.Table:
         nk = b.column("nationkey").to_pylist()
@@ -1227,8 +1162,7 @@ def bloom_confusion(build, probe, build_key: str, probe_key: str,
     return pk.map_batches(annotate, batch_format="pyarrow")
 
 
-def join_cardinality(left, right, left_key: str, right_key: str,
-                     combine_blocks: int | None = None):
+def join_cardinality(left, right, left_key: str, right_key: str):
     """Join PLANNING profiler: before paying for an exchange, measure
     what an inner equi-join of ``left×right`` would produce. One-row
     Arrow table, all int64:
@@ -1249,7 +1183,6 @@ def join_cardinality(left, right, left_key: str, right_key: str,
     `_key_hash_u64` first — collisions only perturb the estimate).
     """
     import numpy as np
-    from ray.data.aggregate import Max, Sum
 
     def side_partial(col: str, mine: str, other: str):
         def f(b: pa.Table) -> pa.Table:
@@ -1281,21 +1214,10 @@ def join_cardinality(left, right, left_key: str, right_key: str,
         side_partial(left_key, "cl", "cr"), batch_format="pyarrow")
     rc = right.select_columns([right_key]).map_batches(
         side_partial(right_key, "cr", "cl"), batch_format="pyarrow")
-    # ONE all-to-all: the side-tagged partials are stamped with a key
-    # hash partition and each partition combines its keys AND rolls up
-    # to 8 scalars in a single Python call — a key-keyed groupby
-    # aggregate would pay two extra exchange barriers to produce a
-    # per-key table this profiler immediately collapses anyway.
-    # ``combine_blocks`` (default 64 partitions) bounds exchange task
-    # count; raise it when the distinct-key set is huge.
-    nparts = combine_blocks or 64
-
-    def stamp(b: pa.Table) -> pa.Table:
-        k = b.column("key").to_numpy(zero_copy_only=False)
-        part = (k.view(np.uint64) % np.uint64(nparts)).astype(np.int64)
-        return b.append_column("__part",
-                               pa.array(part, type=pa.int64()))
-
+    # ONE all-to-all: each key partition of the side-tagged partials
+    # combines its keys AND rolls up to 8 scalars in a single Python
+    # call — a key-keyed aggregate would build a per-key table this
+    # profiler immediately collapses anyway.
     def part_rollup(g: pa.Table) -> pa.Table:
         t = g.select(["key", "cl", "cr", "n_null"])
         agg = t.group_by("key").aggregate(
@@ -1315,24 +1237,15 @@ def join_cardinality(left, right, left_key: str, right_key: str,
             "max_fanout": [int(prod.max()) if len(prod) else 0],
         })
 
-    # the driver-side dict is 8 scalars — the only data leaving the
-    # cluster; n_null carrier rows (key=0, zero counts) don't perturb
+    # one row of 8 scalars per partition is all that reaches the
+    # driver; n_null carrier rows (key=0, zero counts) don't perturb
     # key-class tallies because cl>0/cr>0 masks exclude them
-    agg = (lc.union(rc)
-           .map_batches(stamp, batch_format="pyarrow")
-           .groupby("__part")
-           .map_groups(part_rollup, batch_format="pyarrow")) \
-        .aggregate(Sum("n_left", alias_name="n_left"),
-                   Sum("n_right", alias_name="n_right"),
-                   Sum("n_null_both", alias_name="n_null_both"),
-                   Sum("n_keys_left", alias_name="n_keys_left"),
-                   Sum("n_keys_right", alias_name="n_keys_right"),
-                   Sum("n_keys_both", alias_name="n_keys_both"),
-                   Sum("est_inner_rows", alias_name="est_inner_rows"),
-                   Max("max_fanout", alias_name="max_fanout"))
+    rolled = keyed_exchange([lc, rc], "key", part_rollup).to_pandas()
     names = ["n_left", "n_right", "n_null_both", "n_keys_left",
              "n_keys_right", "n_keys_both", "est_inner_rows",
              "max_fanout"]
+    agg = {n: int(rolled[n].sum()) for n in names[:-1]}
+    agg["max_fanout"] = int(rolled["max_fanout"].max()) if len(rolled) else 0
     out = pa.table({n: pa.array([int(agg[n])], type=pa.int64())
                     for n in names})
     return out.append_column(

@@ -78,8 +78,7 @@ def zorder_layout(ds, x_col: str, y_col: str, id_col: str,
                          "+ a 32-bit id is the int64 budget)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    from ray.data.aggregate import Count, Max, Min
-
+    from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.reshape import global_rank
 
     mask = np.int64((1 << bits) - 1)
@@ -114,15 +113,12 @@ def zorder_layout(ds, x_col: str, y_col: str, id_col: str,
         shard = (rn - 1) * k // total
         return b.append_column("shard", pa.array(shard, type=pa.int64()))
 
-    zones = (ranked.map_batches(stamp_shard, batch_format="pyarrow")
-             .groupby("shard")
-             .aggregate(Count(alias_name="n_rows"),
-                        Min("x", alias_name="x_min"),
-                        Max("x", alias_name="x_max"),
-                        Min("y", alias_name="y_min"),
-                        Max("y", alias_name="y_max"),
-                        Min("zkey", alias_name="z_min"),
-                        Max("zkey", alias_name="z_max")))
+    zones = keyed_agg(
+        ranked.map_batches(stamp_shard, batch_format="pyarrow"), "shard",
+        {"n_rows": ("count", None), "x_min": ("min", "x"),
+         "x_max": ("max", "x"), "y_min": ("min", "y"),
+         "y_max": ("max", "y"), "z_min": ("min", "zkey"),
+         "z_max": ("max", "zkey")})
 
     def cast64(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict({

@@ -39,6 +39,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .exchange import keyed_agg, keyed_agg_table
+
 
 def _tokens(t: str | None) -> list[str]:
     return (t or "").strip().split(" ")
@@ -61,8 +63,6 @@ def train_bigram_lm(ds, text_col: str = "text",
     ``state/dedup_index`` actor pattern) — this trainer names that path
     rather than silently collecting an unbounded table.
     """
-    from ray.data.aggregate import Sum
-
     def partial_counts(batch: pa.Table) -> pa.Table:
         w1s, w2s = [], []
         for t in batch.column(text_col).to_pylist():
@@ -79,12 +79,9 @@ def train_bigram_lm(ds, text_col: str = "text",
              "n": g.column("count_all")}
         )
 
-    totals = (
-        ds.select_columns([text_col])
-        .map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["w1", "w2"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = keyed_agg(ds.select_columns([text_col])
+                       .map_batches(partial_counts, batch_format="pyarrow"),
+                       ["w1", "w2"], {"n": ("sum", "n")})
     c2: dict = {}
     for b in totals.iter_batches(batch_format="pyarrow", batch_size=None):
         for w1, w2, n in zip(b.column("w1").to_pylist(),
@@ -174,8 +171,6 @@ def train_bigram_lm_by(ds, key_col: str = "lang", text_col: str = "text",
     :func:`train_bigram_lm` shape. A key absent from ``ds`` simply has
     no entry; scorers must define the empty-model convention (see
     :func:`lm_score_by`: V=1, every transition OOV)."""
-    from ray.data.aggregate import Sum
-
     def partial_counts(batch: pa.Table) -> pa.Table:
         ks, w1s, w2s = [], [], []
         for k, t in zip(batch.column(key_col).to_pylist(),
@@ -195,12 +190,9 @@ def train_bigram_lm_by(ds, key_col: str = "lang", text_col: str = "text",
              "w2": g.column("w2"), "n": g.column("count_all")}
         )
 
-    totals = (
-        ds.select_columns([key_col, text_col])
-        .map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["k", "w1", "w2"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = keyed_agg(ds.select_columns([key_col, text_col])
+                       .map_batches(partial_counts, batch_format="pyarrow"),
+                       ["k", "w1", "w2"], {"n": ("sum", "n")})
     c2_by: dict = {}
     n_entries = 0
     for b in totals.iter_batches(batch_format="pyarrow", batch_size=None):
@@ -404,14 +396,15 @@ def ccnet_head_middle_tail(ds, held, key_col: str = "lang",
         _MbitsScorerBy(models), batch_format="pyarrow", batch_size=batch_size,
     ).materialize()  # thin (id, lang, n_trans, mbits); consumed twice
 
-    counts = scored.groupby(key_col).count().to_pandas()
+    counts = keyed_agg_table(scored.select_columns([key_col]), key_col,
+                             {"n": ("count", None)}).to_pandas()
     langs = sorted(counts[key_col].tolist())
     if len(langs) > 16:
         raise ValueError("ccnet_head_middle_tail: >16 languages (lang "
                          "index needs >4 bits) — bucket per shard "
                          "hierarchically instead")
     lang_idx = {lg: i for i, lg in enumerate(langs)}
-    n_of = dict(zip(counts[key_col], counts["count()"]))
+    n_of = dict(zip(counts[key_col], counts["n"]))
     offsets, acc = {}, 0
     for lg in langs:
         offsets[lg] = acc

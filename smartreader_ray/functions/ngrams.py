@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_agg, keyed_agg_table
 from .topk import top_k
 
 
@@ -71,17 +72,11 @@ def term_doc_freq(ds, text_col: str = "text", top_n: int = 100):
     exchange, ≤ |vocab| × blocks rows) → distributed top-n with
     deterministic (df desc, term asc) tie order.
     """
-    from ray.data.aggregate import Sum
-
     partial = ds.select_columns([text_col]).map_batches(
         lambda b: _partial_term_counts(b, text_col), batch_format="pyarrow"
     )
-    totals = partial.groupby("term").aggregate(Sum("df"), Sum("cf"))
-
-    def rename(b: pa.Table) -> pa.Table:
-        return b.rename_columns(["term", "df", "cf"])
-
-    totals = totals.map_batches(rename, batch_format="pyarrow")
+    totals = keyed_agg(partial, "term",
+                       {"df": ("sum", "df"), "cf": ("sum", "cf")})
 
     def local(b: pa.Table) -> pa.Table:
         if b.num_rows > top_n:
@@ -125,7 +120,6 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
     (label, term, df_in, df_out, chi2) — ordered (label, χ² desc, term).
     """
     import ray
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, row_idx, _ = _tokens_flat(batch, text_col)
@@ -145,13 +139,14 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
             "a": pa.array(g.to_numpy(), type=pa.int64()),
         })
 
-    lt = (ds.select_columns([text_col, label_col])
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby(["label", "term"])
-          .aggregate(Sum("a", alias_name="a")))
+    lt = keyed_agg(ds.select_columns([text_col, label_col])
+                   .map_batches(partial, batch_format="pyarrow"),
+                   ["label", "term"], {"a": ("sum", "a")})
 
-    n_of = {r[label_col]: int(r["count()"])
-            for r in ds.groupby(label_col).count().iter_rows()}
+    n_lab = keyed_agg_table(ds.select_columns([label_col]), label_col,
+                            {"n": ("count", None)})
+    n_of = dict(zip(n_lab.column(label_col).to_pylist(),
+                    n_lab.column("n").to_pylist()))
     n_total = sum(n_of.values())
     n_ref = ray.put(n_of)
 
@@ -222,15 +217,10 @@ def bigram_counts(ds, text_col: str = "text", top_n: int = 100):
     """Top ``top_n`` corpus bigrams (adjacent token pairs within a doc)
     by count, ties broken by bigram text ascending. Same partial-combine
     shape as :func:`term_doc_freq`."""
-    from ray.data.aggregate import Sum
-
     partial = ds.select_columns([text_col]).map_batches(
         lambda b: _partial_bigram_counts(b, text_col), batch_format="pyarrow"
     )
-    totals = partial.groupby("bigram").aggregate(Sum("cnt"))
-    totals = totals.map_batches(
-        lambda b: b.rename_columns(["bigram", "cnt"]), batch_format="pyarrow"
-    )
+    totals = keyed_agg(partial, "bigram", {"cnt": ("sum", "cnt")})
 
     def local(b: pa.Table) -> pa.Table:
         if b.num_rows > top_n:
@@ -289,17 +279,12 @@ def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
     identically.
     """
     import ray
-    from ray.data.aggregate import Sum
 
     n_docs = ds.count()
     partial = ds.select_columns([text_col]).map_batches(
         lambda b: _partial_term_counts(b, text_col), batch_format="pyarrow"
     )
-    df_tbl = (
-        partial.groupby("term").aggregate(Sum("df"))
-        .map_batches(lambda b: b.rename_columns(["term", "df"]),
-                     batch_format="pyarrow")
-    )
+    df_tbl = keyed_agg(partial, "term", {"df": ("sum", "df")})
     if df_tbl.count() > broadcast_vocab_max:
         return _tfidf_join_path(ds, df_tbl, n_docs, doc_col, text_col, k,
                                 round_to)
@@ -455,16 +440,11 @@ def cooccurrence_window(ds, text_col: str = "text", window: int = 3,
     Ties at the cut rank break deterministically by (a, b).
     """
     import ray
-    from ray.data.aggregate import Sum
 
-    pairs = (
-        ds.map_batches(
-            lambda b: _partial_cooc(b, text_col, window),
-            batch_format="pyarrow",
-        )
-        .groupby(["a", "b"])
-        .aggregate(Sum("pair_count", alias_name="pair_count"))
-    )
+    pairs = keyed_agg(
+        ds.map_batches(lambda b: _partial_cooc(b, text_col, window),
+                       batch_format="pyarrow"),
+        ["a", "b"], {"pair_count": ("sum", "pair_count")})
     top = pairs.sort(
         ["pair_count", "a", "b"], descending=[True, False, False]
     ).limit(top_k_pairs)
@@ -480,20 +460,11 @@ def cooccurrence_window(ds, text_col: str = "text", window: int = 3,
             }
         )
 
-    marg = (
-        ds.map_batches(marg_partial, batch_format="pyarrow")
-        .groupby("tok")
-        .aggregate(Sum("c", alias_name="c"))
-    )
-    marg_ref = ray.put(
-        {
-            t: c
-            for b in marg.iter_batches(batch_format="pyarrow",
-                                       batch_size=None)
-            for t, c in zip(b.column("tok").to_pylist(),
-                            b.column("c").to_pylist())
-        }
-    )
+    marg = keyed_agg_table(ds.map_batches(marg_partial,
+                                          batch_format="pyarrow"),
+                           "tok", {"c": ("sum", "c")})
+    marg_ref = ray.put(dict(zip(marg.column("tok").to_pylist(),
+                                marg.column("c").to_pylist())))
 
     def attach(b: pa.Table, _ref=marg_ref) -> pa.Table:
         m = ray.get(_ref)
@@ -527,45 +498,28 @@ def phrase_count(ds, w1: str, w2: str, text_col: str = "text",
     pre-aggregates per group; only (group, n_docs, n_occ) partials
     reach the final vocabulary-sized groupby.
     """
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         flat, row_idx, lens = _tokens_flat(b, text_col)
         if len(flat) == 0:
             return pa.table({
                 group_col: pa.array([], type=pa.string()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "n_occ": pa.array([], type=pa.int64()),
+                "occ": pa.array([], type=pa.int64()),
+                "hit": pa.array([], type=pa.int64()),
             })
         is1 = pc.equal(flat, w1).to_numpy(zero_copy_only=False)
         is2 = pc.equal(flat, w2).to_numpy(zero_copy_only=False)
         adj = is1[:-1] & is2[1:] & (row_idx[:-1] == row_idx[1:])
         occ = np.zeros(len(lens), dtype=np.int64)
         np.add.at(occ, row_idx[:-1][adj], 1)
-        t = pa.table({
+        return pa.table({
             group_col: b.column(group_col),
             "occ": pa.array(occ),
             "hit": pa.array((occ > 0).astype(np.int64)),
         })
-        g = t.group_by(group_col).aggregate(
-            [("hit", "sum"), ("occ", "sum")])
-        return g.rename_columns([group_col, "n_docs", "n_occ"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_occ", alias_name="n_occ"))
-        .map_batches(
-            lambda b: pa.table({
-                group_col: b.column(group_col),
-                "n_docs": pc.cast(b.column("n_docs"), pa.int64()),
-                "n_occ": pc.cast(b.column("n_occ"), pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
-        .sort(group_col)
-    )
+    return keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                     group_col, {"n_docs": ("sum", "hit"),
+                                 "n_occ": ("sum", "occ")}).sort(group_col)
 
 
 def posting_lists(ds, doc_col: str = "doc_id", text_col: str = "text",
@@ -841,8 +795,6 @@ def simpson_concentration(ds, text_col: str = "text",
     ~3e9; counts are int64 and the squaring block would wrap silently
     beyond that, so it raises if any c > 3_000_000_000.
     """
-    from ray.data.aggregate import Count, Sum
-
     def partial(b: pa.Table) -> pa.Table:
         text = pc.cast(b.column(text_col), pa.string())
         filled = pc.coalesce(text, pa.scalar("", type=pa.string()))
@@ -860,12 +812,9 @@ def simpson_concentration(ds, text_col: str = "text",
             "c": pa.array(g[0].to_numpy(), type=pa.int64()),
         })
 
-    counts = (
-        ds.select_columns([source_col, text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "term"])
-        .aggregate(Sum("c", alias_name="c"))
-    )
+    counts = keyed_agg(ds.select_columns([source_col, text_col])
+                       .map_batches(partial, batch_format="pyarrow"),
+                       ["source", "term"], {"c": ("sum", "c")})
 
     def square(b: pa.Table) -> pa.Table:
         c = b.column("c").to_numpy(zero_copy_only=False)
@@ -880,13 +829,10 @@ def simpson_concentration(ds, text_col: str = "text",
             "c2": pa.array(c * c, type=pa.int64()),
         })
 
-    rolled = (
-        counts.map_batches(square, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum("c", alias_name="n_tokens"),
-                   Count(alias_name="n_terms"),
-                   Sum("c2", alias_name="sum_sq"))
-    )
+    rolled = keyed_agg(counts.map_batches(square, batch_format="pyarrow"),
+                       "source", {"n_tokens": ("sum", "c"),
+                                  "n_terms": ("count", None),
+                                  "sum_sq": ("sum", "c2")})
 
     def check_totals(b: pa.Table) -> pa.Table:
         # the SAFE invariant is the per-source token total N ≤ 3e9
@@ -933,8 +879,6 @@ def source_cosine(ds, text_col: str = "text", source_col: str = "source",
     """
     import math
 
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         text = pc.cast(b.column(text_col), pa.string())
         filled = pc.coalesce(text, pa.scalar("", type=pa.string()))
@@ -952,12 +896,9 @@ def source_cosine(ds, text_col: str = "text", source_col: str = "source",
             "c": pa.array(g[0].to_numpy(), type=pa.int64()),
         })
 
-    counts = (
-        ds.select_columns([source_col, text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "term"])
-        .aggregate(Sum("c", alias_name="c"))
-    )
+    counts = keyed_agg(ds.select_columns([source_col, text_col])
+                       .map_batches(partial, batch_format="pyarrow"),
+                       ["source", "term"], {"c": ("sum", "c")})
 
     def pairwise(b: pa.Table) -> pa.Table:
         if b.num_rows > max_vocab_block:
@@ -1037,8 +978,6 @@ def zipf_fit(ds, text_col: str = "text", source_col: str = "source",
     """
     import math
 
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         text = pc.cast(b.column(text_col), pa.string())
         filled = pc.coalesce(text, pa.scalar("", type=pa.string()))
@@ -1056,12 +995,9 @@ def zipf_fit(ds, text_col: str = "text", source_col: str = "source",
             "c": pa.array(g[0].to_numpy(), type=pa.int64()),
         })
 
-    counts = (
-        ds.select_columns([source_col, text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "term"])
-        .aggregate(Sum("c", alias_name="c"))
-    )
+    counts = keyed_agg(ds.select_columns([source_col, text_col])
+                       .map_batches(partial, batch_format="pyarrow"),
+                       ["source", "term"], {"c": ("sum", "c")})
 
     fscale = float(scale)
 
@@ -1127,14 +1063,11 @@ def freq_spectrum(ds, text_col: str = "text"):
     then a COUNT-sized (distinct r values) second groupby — the second
     exchange is spectrum-sized, never corpus-sized.
     """
-    from ray.data.aggregate import Count, Sum
+    counts = keyed_agg(ds.select_columns([text_col]).map_batches(
+        lambda b: _partial_term_counts(b, text_col), batch_format="pyarrow"),
+        "term", {"c": ("sum", "cf")})
 
-    counts = (ds.select_columns([text_col])
-              .map_batches(lambda b: _partial_term_counts(b, text_col),
-                           batch_format="pyarrow")
-              .groupby("term").aggregate(Sum("cf", alias_name="c")))
-
-    spec = counts.groupby("c").aggregate(Count(alias_name="n_terms"))
+    spec = keyed_agg(counts, "c", {"n_terms": ("count", None)})
 
     def finish(b: pa.Table) -> pa.Table:
         r = b.column("c").to_numpy(zero_copy_only=False)
@@ -1163,7 +1096,7 @@ def vocab_growth(ds, doc_col: str = "doc_id", text_col: str = "text",
     hash_join to stamp ranks, then a bucket-sized rollup; the cumulative
     sum runs driver-side over ``n_buckets`` rows.
     """
-    from ray.data.aggregate import Count, Max, Min
+    from ray.data.aggregate import Max
 
     from .join import hash_join
     from .reshape import global_rank
@@ -1183,9 +1116,9 @@ def vocab_growth(ds, doc_col: str = "doc_id", text_col: str = "text",
             "fd": pa.array(g.to_numpy(), type=pa.int64()),
         })
 
-    first = (ds.select_columns([doc_col, text_col])
-             .map_batches(first_doc_partial, batch_format="pyarrow")
-             .groupby("term").aggregate(Min("fd", alias_name="fd")))
+    first = keyed_agg(ds.select_columns([doc_col, text_col])
+                      .map_batches(first_doc_partial, batch_format="pyarrow"),
+                      "term", {"fd": ("min", "fd")})
 
     ranked = global_rank(ds.select_columns([doc_col]), doc_col)
     n_docs = int(ranked.aggregate(Max("rn"))["max(rn)"])
@@ -1197,13 +1130,13 @@ def vocab_growth(ds, doc_col: str = "doc_id", text_col: str = "text",
         bk = (rn - 1) * n_buckets // n_docs + 1
         return pa.table({"bucket": pa.array(bk, type=pa.int64())})
 
-    per_bucket = (joined.map_batches(to_bucket, batch_format="pyarrow")
-                  .groupby("bucket")
-                  .aggregate(Count(alias_name="new_terms")))
+    per_bucket = keyed_agg_table(
+        joined.map_batches(to_bucket, batch_format="pyarrow"), "bucket",
+        {"new_terms": ("count", None)})
 
     # bucket-sized (n_buckets rows): the cumulative fill is driver math
     rows = {int(r["bucket"]): int(r["new_terms"])
-            for r in per_bucket.take_all()}
+            for r in per_bucket.to_pylist()}
     out_b, out_docs, out_new, out_vocab = [], [], [], []
     cum_v = 0
     for b in range(1, n_buckets + 1):
@@ -1433,12 +1366,11 @@ def log_odds_terms(ds, text_col: str = "text", label_col: str = "lang",
             "cf_rest": pa.array((cnt - s).to_numpy(), type=pa.int64()),
         })
 
-    counts = (ds.select_columns([text_col, label_col])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby("term")
-              .aggregate(Sum("cf_target", alias_name="cf_target"),
-                         Sum("cf_rest", alias_name="cf_rest"))
-              .materialize())  # consumed for totals + scoring + 2 rank ends
+    counts = keyed_agg(ds.select_columns([text_col, label_col])
+                       .map_batches(partial, batch_format="pyarrow"),
+                       "term", {"cf_target": ("sum", "cf_target"),
+                                "cf_rest": ("sum", "cf_rest")}
+                       ).materialize()  # totals + scoring + 2 rank ends
 
     def tot_partial(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1511,8 +1443,6 @@ def good_turing(ds, text_col: str = "text", source_col: str = "source"):
     cross); the frequency-of-frequencies rollup collapses that table
     to sources × {1, 2, other} before the driver-visible result.
     """
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         flat, row_idx, _ = _tokens_flat(b, text_col)
         src = b.column(source_col).to_pandas()
@@ -1530,10 +1460,9 @@ def good_turing(ds, text_col: str = "text", source_col: str = "source"):
             "c": pa.array(g.to_numpy(), type=pa.int64()),
         })
 
-    st = (ds.select_columns([text_col, source_col])
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby(["source", "term"])
-          .aggregate(Sum("c", alias_name="c")))
+    st = keyed_agg(ds.select_columns([text_col, source_col])
+                   .map_batches(partial, batch_format="pyarrow"),
+                   ["source", "term"], {"c": ("sum", "c")})
 
     def fof_partial(b: pa.Table) -> pa.Table:
         c = b.column("c").to_numpy(zero_copy_only=False)
@@ -1554,12 +1483,10 @@ def good_turing(ds, text_col: str = "text", source_col: str = "source"):
             "f2": pa.array(g["f2"].to_numpy(), type=pa.int64()),
         })
 
-    tot = (st.map_batches(fof_partial, batch_format="pyarrow")
-           .groupby("source")
-           .aggregate(Sum("n", alias_name="n_tokens"),
-                      Sum("v", alias_name="vocab"),
-                      Sum("f1", alias_name="f1"),
-                      Sum("f2", alias_name="f2")))
+    tot = keyed_agg(st.map_batches(fof_partial, batch_format="pyarrow"),
+                    "source", {"n_tokens": ("sum", "n"),
+                               "vocab": ("sum", "v"), "f1": ("sum", "f1"),
+                               "f2": ("sum", "f2")})
 
     def finalize(b: pa.Table) -> pa.Table:
         n = b.column("n_tokens").to_numpy(zero_copy_only=False)
@@ -1601,8 +1528,6 @@ def term_burstiness(ds, text_col: str = "text", top_k: int = 20):
     is ONE fixed-order float tree the oracle replays. Output: top_k
     terms by (vmr DESC, term), columns (term, df, cf, vmr).
     """
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         flat, row_idx, _ = _tokens_flat(b, text_col)
         terms = flat.to_pandas()
@@ -1623,12 +1548,10 @@ def term_burstiness(ds, text_col: str = "text", top_k: int = 20):
         })
 
     n_docs = float(ds.count())
-    totals = (ds.select_columns([text_col])
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby("term")
-              .aggregate(Sum("sc", alias_name="cf"),
-                         Sum("sc2", alias_name="sc2"),
-                         Sum("df", alias_name="df")))
+    totals = keyed_agg(ds.select_columns([text_col])
+                       .map_batches(partial, batch_format="pyarrow"),
+                       "term", {"cf": ("sum", "sc"), "sc2": ("sum", "sc2"),
+                                "df": ("sum", "df")})
 
     def score(b: pa.Table) -> pa.Table:
         sc = b.column("cf").to_numpy(zero_copy_only=False).astype(

@@ -12,6 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_agg, keyed_agg_table, keyed_exchange
+
 
 def pivot_counts(ds, key_col: str, col: str, values: list[str],
                  value_col: str | None = None, prefix: str = "n_"):
@@ -133,7 +135,6 @@ def fixed_width_histogram(ds, value_col: str, lo: float, hi: float,
     nbins × blocks regardless of corpus size.
     """
     import numpy as np
-    from ray.data.aggregate import Sum
 
     w = (hi - lo) / nbins
 
@@ -153,11 +154,8 @@ def fixed_width_histogram(ds, value_col: str, lo: float, hi: float,
             }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bin")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    agg = keyed_agg(ds.map_batches(partial, batch_format="pyarrow"), "bin",
+                    {"n": ("sum", "n")})
     return agg.map_batches(
         lambda b: pa.table(
             {
@@ -186,8 +184,6 @@ def json_field_agg(ds, json_col: str, key: str, group_col: str):
     pre-combine keeps the exchange group-sized. All-integer outputs →
     hash-exact.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     # Arrow extract_regex requires a NAMED group; DuckDB addresses the
     # same group by number — one RE2 semantics either way
     pattern = r'"' + key + r'":\s*(?P<v>\d+)'
@@ -224,17 +220,11 @@ def json_field_agg(ds, json_col: str, key: str, group_col: str):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sum_v", alias_name="sum_v"),
-            Min("min_v", alias_name="min_v"),
-            Max("max_v", alias_name="max_v"),
-        )
-        .sort(group_col)
-    )
+    return keyed_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), group_col,
+        {"n": ("sum", "n"), "sum_v": ("sum", "sum_v"),
+         "min_v": ("min", "min_v"), "max_v": ("max", "max_v")},
+    ).sort(group_col)
 
 
 def mode_by(ds, key_col: str, col: str):
@@ -291,8 +281,6 @@ def rollup_agg(ds, key_cols: list[str], value_cols: list[str],
     (floor(v·100+0.5), the repo's established float-exactness route) so
     the rolled-up sums are hash-exact and order-independent.
     """
-    from ray.data.aggregate import Sum
-
     sum_cols = [f"sum_{v}_cents" for v in value_cols]
 
     def partial(b: pa.Table) -> pa.Table:
@@ -319,22 +307,16 @@ def rollup_agg(ds, key_cols: list[str], value_cols: list[str],
             outs.append(g.rename_columns(key_cols + sum_cols + ["n"]))
         return pa.concat_tables(outs)
 
-    aggs = [Sum(sc, alias_name=sc) for sc in sum_cols]
-    aggs.append(Sum("n", alias_name="n"))
-
     def finalize(b: pa.Table) -> pa.Table:
         cols = {k: b.column(k) for k in key_cols}
         for sc in sum_cols + ["n"]:
             cols[sc] = pc.cast(b.column(sc), pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(key_cols)
-        .aggregate(*aggs)
-        .map_batches(finalize, batch_format="pyarrow")
-        .sort(key_cols)
-    )
+    return keyed_agg(
+        ds.map_batches(partial, batch_format="pyarrow"), key_cols,
+        {c: ("sum", c) for c in sum_cols + ["n"]},
+    ).map_batches(finalize, batch_format="pyarrow").sort(key_cols)
 
 
 def profile_table(ds, columns: list[str]):
@@ -350,8 +332,6 @@ def profile_table(ds, columns: list[str]):
     SQL-replayable. All-null blocks emit null min/max (the groupby's
     ignore-nulls Min/Max handles them).
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     def partial(b: pa.Table) -> pa.Table:
         names, ns, nulls, mins, maxs, sums = [], [], [], [], [], []
         for c in columns:
@@ -382,16 +362,12 @@ def profile_table(ds, columns: list[str]):
         })
 
     return (
-        ds.select_columns(columns)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("column_name")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("n_null", alias_name="n_null"),
-            Min("min_v", alias_name="min_v"),
-            Max("max_v", alias_name="max_v"),
-            Sum("sum_cents", alias_name="sum_cents"),
-        )
+        keyed_agg(ds.select_columns(columns)
+                  .map_batches(partial, batch_format="pyarrow"),
+                  "column_name",
+                  {"n": ("sum", "n"), "n_null": ("sum", "n_null"),
+                   "min_v": ("min", "min_v"), "max_v": ("max", "max_v"),
+                   "sum_cents": ("sum", "sum_cents")})
         .map_batches(
             lambda b: pa.table({
                 "column_name": b.column("column_name"),
@@ -632,7 +608,6 @@ def fd_histogram(ds, value_col: str, max_driver_values: int = 5_000_000):
     import math
 
     import numpy as np
-    from ray.data.aggregate import Sum
 
     def vc_partial(b: pa.Table) -> pa.Table:
         v = b.column(value_col).to_numpy(zero_copy_only=False).astype(
@@ -642,11 +617,9 @@ def fd_histogram(ds, value_col: str, max_driver_values: int = 5_000_000):
         return pa.table({"v": pa.array(uniq, type=pa.float64()),
                          "cnt": pa.array(cnt, type=pa.int64())})
 
-    hist = (
-        ds.select_columns([value_col])
-        .map_batches(vc_partial, batch_format="pyarrow")
-        .groupby("v").aggregate(Sum("cnt", alias_name="cnt"))
-    ).materialize()
+    hist = keyed_agg(ds.select_columns([value_col])
+                     .map_batches(vc_partial, batch_format="pyarrow"),
+                     "v", {"cnt": ("sum", "cnt")}).materialize()
     n_distinct = hist.count()
     if n_distinct == 0:
         import ray.data
@@ -710,7 +683,6 @@ def global_rank(ds, ckey_col: str, num_parts: int = 64,
     total behind Pareto/ABC cuts and equal-weight splits.
     """
     import ray
-    from ray.data.aggregate import Count, Sum
 
     def samp(b: dict) -> dict:
         v = np.sort(np.asarray(b[ckey_col], dtype=np.int64))
@@ -736,55 +708,48 @@ def global_rank(ds, ckey_col: str, num_parts: int = 64,
     def stamp(b: pa.Table) -> pa.Table:
         bd = ray.get(bounds_ref)
         v = b.column(ckey_col).to_numpy(zero_copy_only=False)
-        part = np.searchsorted(bd, v, side="right").astype(np.int64)
-        return b.append_column("__part", pa.array(part, type=pa.int64()))
+        rng = np.searchsorted(bd, v, side="right").astype(np.int64)
+        return b.append_column("__range", pa.array(rng, type=pa.int64()))
 
     stamped = ds.map_batches(stamp, batch_format="pyarrow").materialize()
-    if sum_col is None:
-        cnt = stamped.groupby("__part").count().to_pandas()
-    else:
-        cnt = stamped.groupby("__part").aggregate(
-            Count(alias_name="count()"),
-            Sum(sum_col, alias_name="__vsum")).to_pandas()
-    cnt = cnt.sort_values("__part")
-    offs = np.concatenate(([0], np.cumsum(cnt["count()"].to_numpy())))
-    if sum_col is None:
-        off_by_part = {int(p): (int(o), 0) for p, o in
-                       zip(cnt["__part"].to_numpy(), offs[:-1])}
-    else:
-        # Python-int prefix sums: partition subtotals never wrap
-        vsums = [int(x) for x in cnt["__vsum"].to_numpy()]
-        voffs, acc = [], 0
-        for x in vsums:
-            voffs.append(acc)
-            acc += x
-        off_by_part = {int(p): (int(o), vo) for p, o, vo in
-                       zip(cnt["__part"].to_numpy(), offs[:-1], voffs)}
-    offs_ref = ray.put(off_by_part)
+    aggs = {"n": ("count", None)}
+    if sum_col is not None:
+        aggs["vsum"] = ("sum", sum_col)
+    cnt = keyed_agg_table(stamped, "__range", aggs)  # sorted by range
+    ranges = cnt.column("__range").to_numpy()
+    offs = np.cumsum(cnt.column("n").to_numpy()) - cnt.column("n").to_numpy()
+    voffs = None
+    if sum_col is not None:
+        vsum = cnt.column("vsum").to_numpy().astype(np.int64)
+        voffs = np.cumsum(vsum) - vsum
+    offs_ref = ray.put((ranges, offs, voffs))
 
     def rank_part(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            g = g.append_column("rn", pa.array([], type=pa.int64()))
-            if sum_col is not None:
-                g = g.append_column("cum", pa.array([], type=pa.int64()))
-            return g
-        off, voff = ray.get(offs_ref)[int(g.column("__part")[0].as_py())]
+        """Rank the rows of the ranges in one partition: ranges are
+        disjoint key intervals, so in key order each range is one run,
+        and a row's rank is its range's offset plus its place in the
+        run."""
+        n = g.num_rows
+        ranges, offs, voffs = ray.get(offs_ref)
         v = g.column(ckey_col).to_numpy(zero_copy_only=False)
         order = np.argsort(v, kind="stable")
-        rn = np.empty(v.size, dtype=np.int64)
-        rn[order] = off + 1 + np.arange(v.size, dtype=np.int64)
-        g = g.append_column("rn", pa.array(rn, type=pa.int64()))
+        r = g.column("__range").to_numpy(zero_copy_only=False)[order]
+        first = np.searchsorted(r, r, side="left")
+        at = np.searchsorted(ranges, r)
+        rn = np.empty(n, dtype=np.int64)
+        rn[order] = offs[at] + 1 + np.arange(n, dtype=np.int64) - first
+        g = g.drop_columns(["__range"]).append_column(
+            "rn", pa.array(rn, type=pa.int64()))
         if sum_col is not None:
             vals = g.column(sum_col).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            cum = np.empty(v.size, dtype=np.int64)
-            cum[order] = voff + np.cumsum(vals[order])
+                zero_copy_only=False).astype(np.int64)[order]
+            cs = np.cumsum(vals)
+            cum = np.empty(n, dtype=np.int64)
+            cum[order] = voffs[at] + cs - (cs[first] - vals[first])
             g = g.append_column("cum", pa.array(cum, type=pa.int64()))
         return g
 
-    return (stamped.groupby("__part")
-            .map_groups(rank_part, batch_format="pyarrow")
-            .drop_columns(["__part"]))
+    return keyed_exchange(stamped, "__range", rank_part)
 
 
 def ntile_summary(ds, value_col: str, id_col: str, k: int = 8,
@@ -800,8 +765,6 @@ def ntile_summary(ds, value_col: str, id_col: str, k: int = 8,
     end (cents = floor(v*100 + 0.5)); ids must fit in [0, 2^31) so the
     composite sort key cents·2³² + id stays int64-exact.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     def keyed(b: pa.Table) -> pa.Table:
         v = b.column(value_col).to_numpy(zero_copy_only=False)
         ids = b.column(id_col).to_numpy(zero_copy_only=False).astype(
@@ -846,12 +809,11 @@ def ntile_summary(ds, value_col: str, id_col: str, k: int = 8,
         return g.rename_columns(
             ["bucket", "n_rows", "min_cents", "max_cents", "sum_cents"])
 
-    out = (ranked.map_batches(bucketize, batch_format="pyarrow")
-           .groupby("bucket")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Min("min_cents", alias_name="min_cents"),
-                      Max("max_cents", alias_name="max_cents"),
-                      Sum("sum_cents", alias_name="sum_cents")))
+    out = keyed_agg(ranked.map_batches(bucketize, batch_format="pyarrow"),
+                    "bucket", {"n_rows": ("sum", "n_rows"),
+                               "min_cents": ("min", "min_cents"),
+                               "max_cents": ("max", "max_cents"),
+                               "sum_cents": ("sum", "sum_cents")})
 
     def cast64(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -873,12 +835,13 @@ def key_gini(ds, key_col: str, num_parts: int = 16):
     int64 sufficient stats + ONE final IEEE division, identical in SQL.
     Loud int64 bound: n_keys · total_rows must stay below 2^63.
     """
-    counts = ds.groupby(key_col).count()
+    counts = keyed_agg(ds.select_columns([key_col]), key_col,
+                       {"n": ("count", None)})
 
     def keyed(b: pa.Table) -> pa.Table:
         kv = b.column(key_col).to_numpy(zero_copy_only=False).astype(
             np.int64)
-        n = b.column("count()").to_numpy(zero_copy_only=False).astype(
+        n = b.column("n").to_numpy(zero_copy_only=False).astype(
             np.int64)
         if kv.size and (kv.min() < 0 or kv.max() >= 2**31):
             raise OverflowError(
@@ -993,10 +956,9 @@ def abc_analysis(ds, value_col: str, id_col: str,
             [("cents", "count"), ("cents", "sum")])
         return g.rename_columns(["cls", "n_rows", "sum_cents"])
 
-    out = (ranked.map_batches(classify, batch_format="pyarrow")
-           .groupby("cls")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Sum("sum_cents", alias_name="sum_cents")))
+    out = keyed_agg(ranked.map_batches(classify, batch_format="pyarrow"),
+                    "cls", {"n_rows": ("sum", "n_rows"),
+                            "sum_cents": ("sum", "sum_cents")})
 
     def cast64(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1022,7 +984,7 @@ def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16,
     ``id_col`` itself, the running weight total comes with the same
     exchange. Pure int64 (guarded: total · k < 2^63).
     """
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Sum
 
     if k <= 0:
         raise ValueError("k must be positive")
@@ -1071,12 +1033,11 @@ def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16,
         return g.rename_columns(
             ["shard", "n_rows", "sum_weight", "min_id", "max_id"])
 
-    out = (ranked.map_batches(assign, batch_format="pyarrow")
-           .groupby("shard")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Sum("sum_weight", alias_name="sum_weight"),
-                      Min("min_id", alias_name="min_id"),
-                      Max("max_id", alias_name="max_id")))
+    out = keyed_agg(ranked.map_batches(assign, batch_format="pyarrow"),
+                    "shard", {"n_rows": ("sum", "n_rows"),
+                              "sum_weight": ("sum", "sum_weight"),
+                              "min_id": ("min", "min_id"),
+                              "max_id": ("max", "max_id")})
 
     def cast64(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1124,20 +1085,11 @@ def cube_counts(ds, a_col: str, b_col: str, value_col: str,
             "value_cents": pa.array(np.tile(s, 4), type=pa.int64()),
         })
 
-    def finalize(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict({
-            a_col: b.column(a_col),
-            b_col: b.column(b_col),
-            "n": b.column("sum(n)").cast(pa.int64()),
-            "value_cents": b.column("sum(value_cents)").cast(pa.int64()),
-        })
-
-    return (ds.select_columns([a_col, b_col, value_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby([a_col, b_col])
-            .sum(["n", "value_cents"])
-            .map_batches(finalize, batch_format="pyarrow")
-            .sort([a_col, b_col]))
+    return keyed_agg(ds.select_columns([a_col, b_col, value_col])
+                     .map_batches(partial, batch_format="pyarrow"),
+                     [a_col, b_col], {"n": ("sum", "n"),
+                                      "value_cents": ("sum", "value_cents")}
+                     ).sort([a_col, b_col])
 
 
 def largest_remainder_alloc(ds, key_col: str, weight_col: str,
@@ -1160,8 +1112,6 @@ def largest_remainder_alloc(ds, key_col: str, weight_col: str,
     Returns (key, weight_cents, alloc: int64) with sum(alloc) ==
     total_units.
     """
-    from ray.data.aggregate import Sum
-
     def cents_partial(b: pa.Table) -> pa.Table:
         w = np.floor(b.column(weight_col).to_numpy(
             zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
@@ -1170,10 +1120,9 @@ def largest_remainder_alloc(ds, key_col: str, weight_col: str,
             "weight_cents": pa.array(w, type=pa.int64()),
         })
 
-    agg = (ds.select_columns([key_col, weight_col])
-           .map_batches(cents_partial, batch_format="pyarrow")
-           .groupby(key_col)
-           .aggregate(Sum("weight_cents", alias_name="weight_cents")))
+    agg = keyed_agg(ds.select_columns([key_col, weight_col])
+                    .map_batches(cents_partial, batch_format="pyarrow"),
+                    key_col, {"weight_cents": ("sum", "weight_cents")})
 
     def allocate(b: pa.Table) -> pa.Table:
         keys = b.column(key_col)

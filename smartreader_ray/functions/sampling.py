@@ -17,6 +17,14 @@ import numpy as np
 import pyarrow as pa
 
 from .dedup import _md5_key
+from .exchange import keyed_agg_table
+
+
+def _counts(ds, key_col: str):
+    """Rows per ``key_col`` value as a driver DataFrame
+    (``key_col``, ``n``), sorted by key."""
+    return keyed_agg_table(ds.select_columns([key_col]), key_col,
+                           {"n": ("count", None)}).to_pandas()
 
 
 def _md5_hex(values: list) -> list[str]:
@@ -148,10 +156,10 @@ def temperature_mix(ds, alpha: float = 0.5, c: float = 8.0,
     """
     import math
 
-    counts = ds.groupby(key_col).count().to_pandas()
+    counts = _counts(ds, key_col)
     weights = {
         k: min(1.0, c * math.pow(float(n), alpha - 1.0))
-        for k, n in zip(counts[key_col], counts["count()"])
+        for k, n in zip(counts[key_col], counts["n"])
     }
     return weighted_mix(ds, weights, default_weight=0.0,
                         key_col=key_col, id_col=id_col)
@@ -364,14 +372,11 @@ def dsir_select(ds, target_lang: str = "en", n_buckets: int = 256,
                 np.bincount(bk[tok_t], minlength=B)[:B].astype(np.int64)),
         })
 
-    from ray.data.aggregate import Sum
-
-    hist = (ds.select_columns([text_col, lang_col])
-            .map_batches(hist_partial, batch_format="pyarrow")
-            .groupby("bucket")
-            .aggregate(Sum("c_raw", alias_name="c_raw"),
-                       Sum("c_target", alias_name="c_target"))
-            .take_all())
+    hist = keyed_agg_table(ds.select_columns([text_col, lang_col])
+                           .map_batches(hist_partial, batch_format="pyarrow"),
+                           "bucket", {"c_raw": ("sum", "c_raw"),
+                                      "c_target": ("sum", "c_target")}
+                           ).to_pylist()
     c_raw = np.zeros(B, np.int64)
     c_tgt = np.zeros(B, np.int64)
     for r in hist:
@@ -496,14 +501,14 @@ def balanced_interleave(ds, seed: str = "bi", id_col: str = "doc_id",
 
     md5 = hashlib.md5
 
-    counts = ds.groupby(lang_col).count().to_pandas()
+    counts = _counts(ds, lang_col)
     langs = sorted(counts[lang_col].tolist())
     if len(langs) > 16:
         raise ValueError("balanced_interleave: >16 languages (lang "
                          "index needs >4 bits) — use a hierarchical "
                          "per-shard interleave")
     lang_idx = {lg: i for i, lg in enumerate(langs)}
-    n_of = dict(zip(counts[lang_col], counts["count()"]))
+    n_of = dict(zip(counts[lang_col], counts["n"]))
     offsets, acc = {}, 0
     for lg in langs:
         offsets[lg] = acc
@@ -621,8 +626,8 @@ def unimax_mix(ds, budget: int, max_epochs: int = 1,
     import pandas as pd
     import ray
 
-    counts = {r[lang_col]: int(r["count()"])
-              for r in ds.groupby(lang_col).count().iter_rows()}
+    c = _counts(ds, lang_col)
+    counts = dict(zip(c[lang_col].tolist(), c["n"].tolist()))
     quota = unimax_allocation(counts, budget, max_epochs)
     quota_ref = ray.put(quota)
 

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from .dedup import _hash64, _md5_key
+from .exchange import keyed_agg
 from .join import hash_join
 
 
@@ -46,8 +47,6 @@ def except_by_content(left, right, id_col: str = "doc_id",
     groupby(hash).min(id) dedups the survivors. Only (hash, id) pairs
     cross either exchange; document bytes never do.
     """
-    from ray.data.aggregate import Min
-
     lh = _with_content_hash(left.select_columns([id_col, content_col]),
                             content_col, "__h").select_columns([id_col, "__h"])
     rh = _with_content_hash(right.select_columns([content_col]),
@@ -56,13 +55,8 @@ def except_by_content(left, right, id_col: str = "doc_id",
         lh, rh, left_key="__h", right_key="__rh",
         left_cols=[id_col, "__h"], right_cols=["__rh"], how="left_anti",
     )
-    firsts = survivors.groupby("__h").aggregate(Min(id_col))
-
-    def clean(b: pa.Table) -> pa.Table:
-        b = b.rename_columns(["__h", id_col])
-        return b.select([id_col])
-
-    return firsts.map_batches(clean, batch_format="pyarrow")
+    return keyed_agg(survivors, "__h", {id_col: ("min", id_col)}
+                     ).select_columns([id_col])
 
 
 def intersect_by_content(left, right, id_col: str = "doc_id",
@@ -76,28 +70,17 @@ def intersect_by_content(left, right, id_col: str = "doc_id",
     left row matches at most one right row — the cross-product guard
     can never trip on duplicate-heavy inputs.
     """
-    from ray.data.aggregate import Min
-
     lh = _with_content_hash(left.select_columns([id_col, content_col]),
                             content_col, "__h").select_columns([id_col, "__h"])
-    rh = (
-        _with_content_hash(right.select_columns([content_col]),
-                           content_col, "__rh")
-        .select_columns(["__rh"])
-        .groupby("__rh").count()
-        .map_batches(lambda b: b.select(["__rh"]), batch_format="pyarrow")
-    )
+    rh = keyed_agg(_with_content_hash(right.select_columns([content_col]),
+                                      content_col, "__rh")
+                   .select_columns(["__rh"]), "__rh", {})
     matched = hash_join(
         lh, rh, left_key="__h", right_key="__rh",
         left_cols=[id_col, "__h"], right_cols=["__rh"], how="inner",
     )
-    firsts = matched.groupby("__h").aggregate(Min(id_col))
-
-    def clean(b: pa.Table) -> pa.Table:
-        b = b.rename_columns(["__h", id_col])
-        return b.select([id_col])
-
-    return firsts.map_batches(clean, batch_format="pyarrow")
+    return keyed_agg(matched, "__h", {id_col: ("min", id_col)}
+                     ).select_columns([id_col])
 
 
 def table_diff(left, right, key_col: str = "doc_id",
@@ -120,7 +103,6 @@ def table_diff(left, right, key_col: str = "doc_id",
     ``except_by_content``.
     """
     import numpy as np
-    from ray.data.aggregate import Count, Max, Min, Sum
 
     def tag(side: int):
         def f(b: pa.Table) -> pa.Table:
@@ -141,12 +123,9 @@ def table_diff(left, right, key_col: str = "doc_id",
         .union(right.select_columns([key_col, content_col])
                .map_batches(tag(2), batch_format="pyarrow"))
     )
-    agg = tagged.groupby(key_col).aggregate(
-        Sum("__side", alias_name="side_sum"),
-        Min("__h", alias_name="h_min"),
-        Max("__h", alias_name="h_max"),
-        Count(alias_name="n"),
-    )
+    agg = keyed_agg(tagged, key_col, {
+        "side_sum": ("sum", "__side"), "h_min": ("min", "__h"),
+        "h_max": ("max", "__h"), "n": ("count", None)})
 
     def classify(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

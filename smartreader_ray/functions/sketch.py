@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from .dedup import _hash64
+from .exchange import keyed_agg
 
 
 def _mix64(h: np.ndarray) -> np.ndarray:
@@ -395,7 +396,6 @@ def frequent_terms(ds, text_col: str = "text", capacity: int = 256,
     Output: (term, est, err) — est descending, term-ascending ties.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .ngrams import _tokens_flat
 
@@ -421,17 +421,10 @@ def frequent_terms(ds, text_col: str = "text", capacity: int = 256,
             }
         )
 
-    merged = (
+    merged = keyed_agg(  # bounded by construction: ≤ capacity × blocks rows
         ds.select_columns([text_col])
-        .map_batches(mg_partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("est"), Sum("dec"))
-        .map_batches(
-            lambda b: b.rename_columns(["term", "est", "dec"]),
-            batch_format="pyarrow",
-        )
-        .materialize()  # bounded by construction: ≤ capacity × blocks rows
-    )
+        .map_batches(mg_partial, batch_format="pyarrow"),
+        "term", {"est": ("sum", "est"), "dec": ("sum", "dec")}).materialize()
 
     sent = merged.map_batches(
         lambda b: b.filter(pc.equal(b.column("term"), "")).select(["dec"]),

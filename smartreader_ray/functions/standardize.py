@@ -35,6 +35,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import keyed_agg
+
 
 def _check_int_totals(int_totals: "np.ndarray", float_totals: "np.ndarray",
                       what: str) -> None:
@@ -92,19 +94,12 @@ def zscore_by(ds, key_col: str, value_col: str, round_to: int = 6,
     (population std; a single-value or constant key yields null z).
     """
     import ray
-    from ray.data.aggregate import Sum
 
     partial = ds.select_columns([key_col, value_col]).map_batches(
         _moment_partials(key_col, value_col), batch_format="pyarrow"
     )
-    totals = (
-        partial.groupby(key_col)
-        .aggregate(Sum("n"), Sum("s"), Sum("ss"), Sum("ss_f"))
-        .map_batches(
-            lambda b: b.rename_columns([key_col, "n", "s", "ss", "ss_f"]),
-            batch_format="pyarrow",
-        )
-    )
+    totals = keyed_agg(partial, key_col,
+                       {c: ("sum", c) for c in ("n", "s", "ss", "ss_f")})
     n_keys = totals.count()
     if n_keys > broadcast_keys_max:
         return _zscore_join_path(ds, totals, key_col, value_col, round_to)
@@ -226,23 +221,12 @@ def _comoment_partials(key_col: str, x_col: str, y_col: str):
 def _comoment_totals(ds, key_col: str, x_col: str, y_col: str):
     """Shared reduction for :func:`corr_by` / :func:`linreg_by`: exact
     int64 co-moment totals per key (+ float64 overflow checksums)."""
-    from ray.data.aggregate import Sum
-
     partial = ds.select_columns([key_col, x_col, y_col]).map_batches(
         _comoment_partials(key_col, x_col, y_col), batch_format="pyarrow"
     )
-    return (
-        partial.groupby(key_col)
-        .aggregate(Sum("n"), Sum("sx"), Sum("sy"), Sum("sxx"), Sum("syy"),
-                   Sum("sxy"), Sum("sxx_f"), Sum("syy_f"), Sum("sxy_f"))
-        .map_batches(
-            lambda b: b.rename_columns(
-                [key_col, "n", "sx", "sy", "sxx", "syy", "sxy",
-                 "sxx_f", "syy_f", "sxy_f"]
-            ),
-            batch_format="pyarrow",
-        )
-    )
+    return keyed_agg(partial, key_col, {
+        c: ("sum", c) for c in ("n", "sx", "sy", "sxx", "syy", "sxy",
+                                "sxx_f", "syy_f", "sxy_f")})
 
 
 def linreg_by(ds, key_col: str, x_col: str, y_col: str, round_to: int = 6):
@@ -369,7 +353,6 @@ def mad_outliers(ds, key_col: str, value_col: str, k: float = 3.0):
     """
     import numpy as np
     import ray
-    from ray.data.aggregate import Sum
 
     from .sketch import exact_quantile_by
 
@@ -416,13 +399,10 @@ def mad_outliers(ds, key_col: str, value_col: str, k: float = 3.0):
             [("n", "sum"), ("n_outliers", "sum")])
         return g.rename_columns([key_col, "n", "n_outliers"])
 
-    counted = (
-        ds.select_columns([key_col, value_col])
-        .map_batches(count_partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(Sum("n", alias_name="n"),
-                   Sum("n_outliers", alias_name="n_outliers"))
-    )
+    counted = keyed_agg(ds.select_columns([key_col, value_col])
+                        .map_batches(count_partial, batch_format="pyarrow"),
+                        key_col, {"n": ("sum", "n"),
+                                  "n_outliers": ("sum", "n_outliers")})
 
     def finalize(b: pa.Table) -> pa.Table:
         med = ray.get(med_ref)
@@ -511,8 +491,6 @@ def quantile_normalize_by(ds, group_col: str, value_col: str,
     mapping table (group, value, n, normalized) sorted — joinable back
     to rows with a broadcast when per-row output is needed.
     """
-    from ray.data.aggregate import Sum
-
     def count_partial(b: pa.Table) -> pa.Table:
         t = pa.table({
             "grp": b.column(group_col).cast(pa.string()),
@@ -522,10 +500,9 @@ def quantile_normalize_by(ds, group_col: str, value_col: str,
         g = t.group_by(["grp", "value"]).aggregate([("n", "sum")])
         return g.rename_columns(["grp", "value", "n"])
 
-    hist = (ds.select_columns([group_col, value_col])
-            .map_batches(count_partial, batch_format="pyarrow")
-            .groupby(["grp", "value"])
-            .aggregate(Sum("n", alias_name="n")))
+    hist = keyed_agg(ds.select_columns([group_col, value_col])
+                     .map_batches(count_partial, batch_format="pyarrow"),
+                     ["grp", "value"], {"n": ("sum", "n")})
 
     def normalize(b: pa.Table) -> pa.Table:
         grp = np.asarray(b.column("grp").to_pylist())

@@ -19,44 +19,28 @@ import logging
 import numpy as np
 import pyarrow as pa
 
+from .exchange import keyed_agg, keyed_agg_table
+
 _LOG = logging.getLogger(__name__)
 
 
-#: hash partitions of ``_combine_window_partials``' exchange
-_WINDOW_PARTITIONS = 16
-
-
-def _combine_window_partials(partials, key_col: str):
-    """(``key_col``, window_start, part_sum, part_n) partials → one row
-    per (key, window) with cent-rounded ``sum_value`` and ``n_events``.
-
-    ONE exchange hash-partitioned on the window start, then one Arrow
-    ``group_by`` per partition. Ray's ``groupby().aggregate()`` walks
-    each sorted block row by row and combines each group in Python:
-    sliding windows have about one group per partial row, and 10k
-    events (45k windows) cost ~13 s of task time there."""
+def _window_sums(events, key_col: str, value_col: str):
+    """(``key_col``, window_start, ``value_col``) events → one row per
+    (key, window) with cent-rounded ``sum_value`` and ``n_events`` (the
+    non-null values): one ``keyed_agg``, rounded after its final
+    combine. Ray's ``groupby().aggregate()`` walks each sorted block
+    row by row and combines each group in Python: sliding windows have
+    about one group per replicated event, and 10k events (45k windows)
+    cost ~13 s of task time there."""
     import pyarrow.compute as pc
 
-    from .join import _partition
+    def cents(b: pa.Table) -> pa.Table:
+        return b.set_column(2, "sum_value", pc.round(b.column(2), 2))
 
-    def stamp(b: pa.Table) -> pa.Table:
-        return b.append_column("__part", _partition(
-            pc.cast(b.column("window_start"), pa.int64()),
-            _WINDOW_PARTITIONS))
-
-    def combine(g: pa.Table) -> pa.Table:
-        out = g.group_by([key_col, "window_start"]).aggregate(
-            [("part_sum", "sum"), ("part_n", "sum")])
-        return pa.table({
-            key_col: out.column(key_col),
-            "window_start": out.column("window_start"),
-            "sum_value": pc.round(out.column("part_sum_sum"), 2),
-            "n_events": out.column("part_n_sum"),
-        })
-
-    return (partials.map_batches(stamp, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(combine, batch_format="pyarrow"))
+    return keyed_agg(events, [key_col, "window_start"],
+                     {"sum_value": ("sum", value_col),
+                      "n_events": ("count", value_col)}).map_batches(
+        cents, batch_format="pyarrow")
 
 
 def sessionize(ds, gap_s: float = 1800.0, user_col: str = "user_id",
@@ -143,10 +127,10 @@ def sliding_window(ds, window_s: float = 300.0, slide_s: float = 60.0,
     as ``tumbling_window``'s ``floor_temporal``).
 
     Ray shape: the k-fold replication happens INSIDE ``map_batches``
-    and is immediately collapsed by a per-batch Arrow partial combine,
-    so the exchange ships one row per (block, key, window) — the
-    replication factor never crosses the shuffle
-    (``_combine_window_partials``).
+    and is immediately collapsed by ``keyed_agg``'s per-block Arrow
+    partial in the same task, so only one row per (block, key, window)
+    is combined — the replication factor never crosses the combine
+    (``_window_sums``).
     """
     import pyarrow.compute as pc
 
@@ -164,7 +148,7 @@ def sliding_window(ds, window_s: float = 300.0, slide_s: float = 60.0,
         # repeated key/value columns line up with np.repeat(…, k)
         starts = base[:, None] - (np.arange(k, dtype=np.int64) * slide_us)[None, :]
         idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), k))
-        t = pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
                 key_col: pc.take(batch.column(key_col), idx),
                 "window_start": pa.array(starts.reshape(-1)).cast(
@@ -173,15 +157,10 @@ def sliding_window(ds, window_s: float = 300.0, slide_s: float = 60.0,
                 value_col: pc.take(batch.column(value_col), idx),
             }
         )
-        return (
-            t.group_by([key_col, "window_start"])
-            .aggregate([(value_col, "sum"), (value_col, "count")])
-            .rename_columns([key_col, "window_start", "part_sum", "part_n"])
-        )
 
-    return _combine_window_partials(
+    return _window_sums(
         ds.select_columns([key_col, ts_col, value_col])
-        .map_batches(partial, batch_format="pyarrow"), key_col)
+        .map_batches(partial, batch_format="pyarrow"), key_col, value_col)
 
 
 def tumbling_window(ds, window_s: float = 3600.0, ts_col: str = "ts",
@@ -189,32 +168,27 @@ def tumbling_window(ds, window_s: float = 3600.0, ts_col: str = "ts",
     """Fixed (tumbling) time-window aggregate per key: one row per
     (key, window_start) with ``n_events`` and cent-rounded ``sum_value``.
 
-    Shape: per-batch partial combine (Arrow ``group_by`` inside
-    ``map_batches``) so the shuffle ships one row per (block, key,
-    window), then ``_combine_window_partials`` — the same
-    pre-aggregate-before-exchange pattern as the TPC-H rollups.
+    Shape: ``_window_sums``' per-block Arrow partial fuses into the
+    window-stamping map, so only one row per (block, key, window) is
+    combined — the same pre-aggregate-before-exchange pattern as the
+    TPC-H rollups.
     """
     import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
-        win = pc.floor_temporal(batch.column(ts_col), unit="second",
-                                multiple=int(window_s))
-        t = pa.Table.from_pydict(
+    def windowed(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pydict(
             {
                 key_col: batch.column(key_col),
-                "window_start": win,
+                "window_start": pc.floor_temporal(
+                    batch.column(ts_col), unit="second",
+                    multiple=int(window_s)),
                 value_col: batch.column(value_col),
             }
         )
-        return (
-            t.group_by([key_col, "window_start"])
-            .aggregate([(value_col, "sum"), (value_col, "count")])
-            .rename_columns([key_col, "window_start", "part_sum", "part_n"])
-        )
 
-    return _combine_window_partials(
+    return _window_sums(
         ds.select_columns([key_col, ts_col, value_col])
-        .map_batches(partial, batch_format="pyarrow"), key_col)
+        .map_batches(windowed, batch_format="pyarrow"), key_col, value_col)
 
 
 def late_events(ds, tolerance_s: float = 3600.0, user_col: str = "user_id",
@@ -319,7 +293,6 @@ def funnel(ds, steps=("view", "click", "purchase"),
     import pyarrow.compute as pc
     import ray
     import ray.data
-    from ray.data.aggregate import Min
 
     from .join import hash_join
 
@@ -345,9 +318,8 @@ def funnel(ds, steps=("view", "click", "purchase"),
             batch_format="pyarrow",
         )
 
-    frontier_ds = (
-        step_rows(steps[0]).groupby("u").aggregate(Min("t", alias_name="t"))
-    ).materialize()
+    frontier_ds = keyed_agg(step_rows(steps[0]), "u",
+                            {"t": ("min", "t")}).materialize()
     n_front = frontier_ds.count()
     ts_type = frontier_ds.schema().types[
         frontier_ds.schema().names.index("t")
@@ -416,16 +388,13 @@ def funnel(ds, steps=("view", "click", "purchase"),
         )
         joined = hash_join(rows, prev_named, "u", "pu",
                            ["u", "t"], ["pt"])
-        frontier = (
+        frontier = keyed_agg(
             joined.map_batches(
                 lambda b: b.filter(
                     pc.greater(b.column("t"), b.column("pt"))
                 ).select(["u", "t"]),
                 batch_format="pyarrow",
-            )
-            .groupby("u")
-            .aggregate(Min("t", alias_name="t"))
-        ).materialize()
+            ), "u", {"t": ("min", "t")}).materialize()
         stage_tables.append(frontier)
 
     out = stage_tables[0].map_batches(
@@ -523,13 +492,10 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts"):
     identical to SQL's ``CAST(ts AS DATE) - DATE '1970-01-01'``.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def day_pairs(b: pa.Table) -> pa.Table:
         days = pc.cast(pc.cast(b.column(ts_col), pa.date32()), pa.int32())
-        t = pa.table({user_col: b.column(user_col), "day": days})
-        g = t.group_by([user_col, "day"]).aggregate([([], "count_all")])
-        return g.rename_columns([user_col, "day", "_n"])
+        return pa.table({user_col: b.column(user_col), "day": days})
 
     def per_user(g: pa.Table) -> pa.Table:
         days = np.unique(g.column("day").to_numpy(zero_copy_only=False))
@@ -542,32 +508,12 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts"):
             "n": pa.array(np.ones(len(days), dtype=np.int64)),
         })
 
-    def precombine(b: pa.Table) -> pa.Table:
-        g = b.group_by(["cohort_day", "offset_days"]).aggregate(
-            [("n", "sum")])
-        return g.rename_columns(["cohort_day", "offset_days", "n"])
-
-    pairs = (
-        ds.map_batches(day_pairs, batch_format="pyarrow")
-        .groupby([user_col, "day"])
-        .aggregate(Sum("_n", alias_name="_n"))
-    )
-    return (
-        pairs.groupby(user_col)
-        .map_groups(per_user, batch_format="pyarrow")
-        .map_batches(precombine, batch_format="pyarrow")
-        .groupby(["cohort_day", "offset_days"])
-        .aggregate(Sum("n", alias_name="n_users"))
-        .map_batches(
-            lambda b: pa.table({
-                "cohort_day": b.column("cohort_day"),
-                "offset_days": b.column("offset_days"),
-                "n_users": pc.cast(b.column("n_users"), pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
-        .sort(["cohort_day", "offset_days"])
-    )
+    pairs = keyed_agg(ds.map_batches(day_pairs, batch_format="pyarrow"),
+                      [user_col, "day"], {"_n": ("count", None)})
+    return keyed_agg(
+        pairs.groupby(user_col).map_groups(per_user, batch_format="pyarrow"),
+        ["cohort_day", "offset_days"], {"n_users": ("sum", "n")},
+    ).sort(["cohort_day", "offset_days"])
 
 
 def resample_daily(ds, group_col: str = "event_type", ts_col: str = "ts"):
@@ -585,19 +531,16 @@ def resample_daily(ds, group_col: str = "event_type", ts_col: str = "ts"):
     step is never the scale problem; the single count exchange is.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
-    def day_counts(b: pa.Table) -> pa.Table:
-        days = pc.cast(pc.cast(b.column(ts_col), pa.date32()), pa.int32())
-        t = pa.table({group_col: b.column(group_col), "day": days})
-        g = t.group_by([group_col, "day"]).aggregate([([], "count_all")])
-        return g.rename_columns([group_col, "day", "n"])
+    def days(b: pa.Table) -> pa.Table:
+        return pa.table({group_col: b.column(group_col), "day": pc.cast(
+            pc.cast(b.column(ts_col), pa.date32()), pa.int32())})
 
-    counts = (
-        ds.map_batches(day_counts, batch_format="pyarrow")
-        .groupby([group_col, "day"])
-        .aggregate(Sum("n", alias_name="n"))
-    ).materialize()  # groups × days rows — tiny; reused twice below
+    # groups × days rows — tiny; reused twice below
+    counts = keyed_agg(ds.map_batches(days, batch_format="pyarrow"),
+                       [group_col, "day"], {"n": ("count", None)}
+                       ).materialize()
     # global day span: a 2-value reduction, not a materialization
     span = counts.aggregate(Min("day"), Max("day"))
     lo, hi = int(span["min(day)"]), int(span["max(day)"])
@@ -643,7 +586,6 @@ def user_day_paths(ds, top_n: int = 20, user_col: str = "user_id",
     (ts, id) — total because event ids are unique.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def per_user(g: pa.Table) -> pa.Table:
         import pandas as pd
@@ -663,10 +605,6 @@ def user_day_paths(ds, top_n: int = 20, user_col: str = "user_id",
                                     type=pa.int64()),
         })
 
-    def precombine(b: pa.Table) -> pa.Table:
-        g = b.group_by("path").aggregate([("n_user_days", "sum")])
-        return g.rename_columns(["path", "n_user_days"])
-
     def local_cut(b: pa.Table) -> pa.Table:
         idx = pc.sort_indices(b, sort_keys=[
             ("n_user_days", "descending"), ("path", "ascending")])
@@ -674,20 +612,10 @@ def user_day_paths(ds, top_n: int = 20, user_col: str = "user_id",
             ["path", "n_user_days"])
 
     return (
-        ds.select_columns([user_col, ts_col, id_col, step_col])
-        .groupby(user_col)
-        .map_groups(per_user, batch_format="pyarrow")
-        .map_batches(precombine, batch_format="pyarrow")
-        .groupby("path")
-        .aggregate(Sum("n_user_days", alias_name="n_user_days"))
-        .map_batches(
-            lambda b: pa.table({
-                "path": b.column("path"),
-                "n_user_days": pc.cast(b.column("n_user_days"),
-                                       pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
+        keyed_agg(ds.select_columns([user_col, ts_col, id_col, step_col])
+                  .groupby(user_col)
+                  .map_groups(per_user, batch_format="pyarrow"),
+                  "path", {"n_user_days": ("sum", "n_user_days")})
         .map_batches(local_cut, batch_format="pyarrow")
         .repartition(1)
         .map_batches(local_cut, batch_format="pyarrow")
@@ -715,27 +643,21 @@ def interval_window_overlap(ds, user_col: str = "user_id",
     dedup pair) — documented here as the scale recipe.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
 
     w_us = int(window_s) * 1_000_000
 
     def day_pairs(b: pa.Table) -> pa.Table:
         days = pc.cast(pc.cast(b.column(ts_col), pa.date32()), pa.int32())
-        t = pa.table({
+        return pa.table({
             user_col: b.column(user_col),
             "day": days,
             "ts": b.column(ts_col),
         })
-        g = t.group_by([user_col, "day"]).aggregate(
-            [("ts", "min"), ("ts", "max")])
-        return g.rename_columns([user_col, "day", "s", "e"])
 
-    intervals = (
+    intervals = keyed_agg(
         ds.select_columns([user_col, ts_col])
-        .map_batches(day_pairs, batch_format="pyarrow")
-        .groupby([user_col, "day"])
-        .aggregate(Min("s", alias_name="s"), Max("e", alias_name="e"))
-    )
+        .map_batches(day_pairs, batch_format="pyarrow"),
+        [user_col, "day"], {"s": ("min", "ts"), "e": ("max", "ts")})
 
     def expand(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -759,20 +681,9 @@ def interval_window_overlap(ds, user_col: str = "user_id",
             "n": pa.array(n.astype(np.int64)),
         })
 
-    return (
-        intervals.map_batches(expand, batch_format="pyarrow")
-        .groupby("window_us")
-        .aggregate(Sum("n", alias_name="n_intervals"))
-        .map_batches(
-            lambda b: pa.table({
-                "window_us": b.column("window_us"),
-                "n_intervals": pc.cast(b.column("n_intervals"),
-                                       pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
-        .sort("window_us")
-    )
+    return keyed_agg(intervals.map_batches(expand, batch_format="pyarrow"),
+                     "window_us", {"n_intervals": ("sum", "n")}
+                     ).sort("window_us")
 
 
 def match_pattern(ds, pattern: str, symbol_map: dict,
@@ -1047,10 +958,10 @@ def markov_transitions(ds, user_col: str = "user_id",
     pruned = ds.select_columns([user_col, type_col, ts_col, id_col])
     partials = pruned.groupby(user_col).map_groups(
         per_user, batch_format="pyarrow")
-    counts = partials.groupby(["prev_type", "event_type"]).sum("n")
     # |types|^2 rows — driver-side finalize is bounded by the type
     # vocabulary, not the corpus.
-    mat = counts.to_pandas()
+    mat = keyed_agg_table(partials, ["prev_type", "event_type"],
+                          {"n": ("sum", "n")}).to_pandas()
     empty_out = pa.table({
         "prev_type": pa.array([], type=pa.string()),
         "event_type": pa.array([], type=pa.string()),
@@ -1059,8 +970,6 @@ def markov_transitions(ds, user_col: str = "user_id",
     })
     if len(mat) == 0:
         return empty_out
-    mat = mat.rename(columns={"sum(n)": "n"})
-    mat["n"] = mat["n"].astype(np.int64)
     tot = mat.groupby("prev_type")["n"].transform("sum").astype(np.int64)
     mat["p"] = mat["n"].to_numpy(np.float64) / tot.to_numpy(np.float64)
     mat = mat.sort_values(["prev_type", "event_type"]).reset_index(drop=True)
@@ -1088,16 +997,16 @@ def session_attribution(ds, gap_s: float = 1800.0,
     shuffle.
     """
     gap_us = int(gap_s * 1_000_000)
+    empty = pa.table({
+        "first_touch": pa.array([], type=pa.string()),
+        "n_sessions": pa.array([], type=pa.int64()),
+        "n_converted": pa.array([], type=pa.int64()),
+        "converted_value_cents": pa.array([], type=pa.int64()),
+    })
 
     def per_user(g: pa.Table) -> pa.Table:
         import pandas as pd
 
-        empty = pa.table({
-            "first_touch": pa.array([], type=pa.string()),
-            "n_sessions": pa.array([], type=pa.int64()),
-            "n_converted": pa.array([], type=pa.int64()),
-            "converted_value_cents": pa.array([], type=pa.int64()),
-        })
         n = g.num_rows
         if n == 0:
             return empty
@@ -1137,24 +1046,10 @@ def session_attribution(ds, gap_s: float = 1800.0,
         [user_col, ts_col, type_col, value_col, id_col])
     partials = pruned.groupby(user_col).map_groups(
         per_user, batch_format="pyarrow")
-    rolled = partials.groupby("first_touch").sum(
-        ["n_sessions", "n_converted", "converted_value_cents"])
-    out = rolled.to_pandas()
-    if len(out) == 0:
-        return pa.table({
-            "first_touch": pa.array([], type=pa.string()),
-            "n_sessions": pa.array([], type=pa.int64()),
-            "n_converted": pa.array([], type=pa.int64()),
-            "converted_value_cents": pa.array([], type=pa.int64()),
-        })
-    out = out.rename(columns={
-        "sum(n_sessions)": "n_sessions",
-        "sum(n_converted)": "n_converted",
-        "sum(converted_value_cents)": "converted_value_cents"})
-    for c in ("n_sessions", "n_converted", "converted_value_cents"):
-        out[c] = out[c].astype(np.int64)
-    out = out.sort_values("first_touch").reset_index(drop=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    sums = ("n_sessions", "n_converted", "converted_value_cents")
+    out = keyed_agg_table(partials, "first_touch",
+                          {c: ("sum", c) for c in sums})
+    return out if out.num_rows else empty
 
 
 def rolling_anomaly(ds, k: int = 4, factor: int = 2,
@@ -1412,26 +1307,12 @@ def hourly_profile(ds, ts_col: str = "ts", value_col: str = "value"):
             "value_cents": pa.array(s_int[seen], type=pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
-    agg = (ds.select_columns([ts_col, value_col])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby(["dow", "hour"])
-           .aggregate(Sum("n", alias_name="n"),
-                      Sum("value_cents", alias_name="value_cents")))
-
-    import pyarrow.compute as pc
-
-    def cast64(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "dow": b.column("dow"),
-            "hour": b.column("hour"),
-            "n": pc.cast(b.column("n"), pa.int64()),
-            "value_cents": pc.cast(b.column("value_cents"), pa.int64()),
-        })
-
-    return agg.map_batches(cast64, batch_format="pyarrow").sort(
-        ["dow", "hour"])
+    return keyed_agg(ds.select_columns([ts_col, value_col])
+                     .map_batches(partial, batch_format="pyarrow"),
+                     ["dow", "hour"],
+                     {"n": ("sum", "n"),
+                      "value_cents": ("sum", "value_cents")}
+                     ).sort(["dow", "hour"])
 
 
 def time_weighted_avg(ds, user_col: str = "user_id", ts_col: str = "ts",
@@ -1574,15 +1455,13 @@ def ohlc_bars(ds, key_col: str = "event_type", ts_col: str = "ts",
     arithmetic. Guards keep the packing exact: |cents| < 2^20 and
     width_s * 1e6 * 2^21 within int64 (width <= ~611 hours).
 
-    Ray shape: per-block Arrow group_by pre-aggregates (key, window)
-    cells, ONE groupby merges min/max/sum partials — exchange is
-    cells x blocks rows, never events.
+    Ray shape: one ``keyed_agg`` on (key, window): its per-block Arrow
+    partials fuse into the packing map, so the combine sees cells x
+    blocks rows, never events.
 
     Returns (key, window_us, open_cents, high_cents, low_cents,
     close_cents, n) sorted.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     width_us = int(width_s) * 1_000_000
     bias = 1 << 20
     scale = 1 << 21
@@ -1590,7 +1469,7 @@ def ohlc_bars(ds, key_col: str = "event_type", ts_col: str = "ts",
         raise OverflowError("ohlc_bars: width_s too large for exact "
                             "int64 composite packing")
 
-    def partial(b: pa.Table) -> pa.Table:
+    def pack(b: pa.Table) -> pa.Table:
         t = b.column(ts_col).to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)
         v = b.column(value_col).to_numpy(zero_copy_only=False)
@@ -1604,29 +1483,20 @@ def ohlc_bars(ds, key_col: str = "event_type", ts_col: str = "ts",
         cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
         win = t - t % width_us
         comp = (t - win) * scale + (cents + bias)
-        tbl = pa.table({
+        return pa.table({
             key_col: b.column(key_col),
             "window_us": pa.array(win, type=pa.int64()),
-            "comp_min": pa.array(comp, type=pa.int64()),
-            "comp_max": pa.array(comp, type=pa.int64()),
-            "hi": pa.array(cents, type=pa.int64()),
-            "lo": pa.array(cents, type=pa.int64()),
-            "n": pa.array(np.ones(len(cents), dtype=np.int64)),
+            "comp": pa.array(comp, type=pa.int64()),
+            "cents": pa.array(cents, type=pa.int64()),
         })
-        g = tbl.group_by([key_col, "window_us"]).aggregate(
-            [("comp_min", "min"), ("comp_max", "max"),
-             ("hi", "max"), ("lo", "min"), ("n", "sum")])
-        return g.rename_columns([key_col, "window_us", "comp_min",
-                                 "comp_max", "hi", "lo", "n"])
 
-    agg = (ds.select_columns([key_col, ts_col, value_col])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby([key_col, "window_us"])
-           .aggregate(Min("comp_min", alias_name="comp_min"),
-                      Max("comp_max", alias_name="comp_max"),
-                      Max("hi", alias_name="hi"),
-                      Min("lo", alias_name="lo"),
-                      Sum("n", alias_name="n")))
+    agg = keyed_agg(
+        ds.select_columns([key_col, ts_col, value_col])
+        .map_batches(pack, batch_format="pyarrow"),
+        [key_col, "window_us"],
+        {"comp_min": ("min", "comp"), "comp_max": ("max", "comp"),
+         "hi": ("max", "cents"), "lo": ("min", "cents"),
+         "n": ("count", None)})
 
     def decode(b: pa.Table) -> pa.Table:
         cmin = b.column("comp_min").to_numpy(zero_copy_only=False)
@@ -1740,8 +1610,6 @@ def mrc_curve(ds, max_capacity: int = 4, user_col: str = "user_id",
     counts into the cumulative curve. Exchange size: (capacities+1) ×
     users rows, never events.
     """
-    from ray.data.aggregate import Sum
-
     if max_capacity < 1:
         raise ValueError("mrc_curve: max_capacity must be >= 1")
 
@@ -1772,10 +1640,9 @@ def mrc_curve(ds, max_capacity: int = 4, user_col: str = "user_id",
         })
 
     pruned = ds.select_columns([user_col, key_col, ts_col, order_col])
-    merged = (pruned.groupby(user_col)
-              .map_groups(per_user, batch_format="pyarrow")
-              .groupby("d")
-              .aggregate(Sum("n", alias_name="n")))
+    merged = keyed_agg(pruned.groupby(user_col)
+                       .map_groups(per_user, batch_format="pyarrow"),
+                       "d", {"n": ("sum", "n")})
 
     def finish(b: pa.Table) -> pa.Table:
         d = b.column("d").to_numpy(zero_copy_only=False)
@@ -1815,24 +1682,18 @@ def ewma_decay(ds, key_col: str = "event_type", ts_col: str = "ts",
     overflow the Q40 scale and raises loudly.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
 
-    def partial(b: pa.Table) -> pa.Table:
+    def days(b: pa.Table) -> pa.Table:
         days = pc.cast(pc.cast(b.column(ts_col), pa.date32()),
                        pa.int32())
-        t = pa.table({
-            "key": b.column(key_col),
-            "day": days,
-            "c": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        }).filter(pc.is_valid(days))
-        g = t.group_by(["key", "day"]).aggregate([("c", "sum")])
-        return g.rename_columns(["key", "day", "c"])
+        return pa.table({"key": b.column(key_col),
+                         "day": days}).filter(pc.is_valid(days))
 
-    daily = (
+    daily = keyed_agg(
         ds.select_columns([key_col, ts_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["key", "day"])
-        .aggregate(Sum("c", alias_name="c"))
+        .map_batches(days, batch_format="pyarrow"),
+        ["key", "day"], {"c": ("count", None)},
     ).materialize()  # keys × days rows; consumed twice (T + weighting)
     t_day = int(daily.aggregate(Max("day", alias_name="t"))["t"])
 
@@ -1855,20 +1716,8 @@ def ewma_decay(ds, key_col: str = "event_type", ts_col: str = "ts",
             "ewma_q40": pa.array(c * w, type=pa.int64()),
         })
 
-    out = (
-        daily.map_batches(weigh, batch_format="pyarrow")
-        .groupby("key")
-        .aggregate(Sum("n_events", alias_name="n_events"),
-                   Sum("n_days", alias_name="n_days"),
-                   Sum("ewma_q40", alias_name="ewma_q40"))
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            key_col: b.column("key"),
-            "n_events": pc.cast(b.column("n_events"), pa.int64()),
-            "n_days": pc.cast(b.column("n_days"), pa.int64()),
-            "ewma_q40": pc.cast(b.column("ewma_q40"), pa.int64()),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow")
+    sums = ("n_events", "n_days", "ewma_q40")
+    out = keyed_agg(daily.map_batches(weigh, batch_format="pyarrow"),
+                    "key", {c: ("sum", c) for c in sums})
+    return out.map_batches(lambda b: b.rename_columns([key_col, *sums]),
+                           batch_format="pyarrow")

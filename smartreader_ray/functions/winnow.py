@@ -37,6 +37,7 @@ from .dedup import (
     _hash64,
     _windows,
 )
+from .exchange import keyed_agg
 
 
 def _doc_kgram_hashes(t: str | None, k: int) -> np.ndarray:
@@ -106,8 +107,6 @@ def winnow_dedup(ds, k: int = 4, w: int = 4, min_shared: int = 2,
     one pair-keyed count, and two vectorized `hash_join`s to stamp
     sizes — the per-doc size table never touches the driver.
     """
-    from ray.data.aggregate import Count
-
     from .join import hash_join
 
     pruned = ds.select_columns(["doc_id", text_col])
@@ -146,12 +145,10 @@ def winnow_dedup(ds, k: int = 4, w: int = 4, min_shared: int = 2,
     docfp = docfp.repartition(
         max(8, docfp.count() // 250_000 + 1)).materialize()
 
-    sizes = docfp.groupby("doc_id").aggregate(
-        Count(alias_name="n_fp")).materialize()
+    sizes = keyed_agg(docfp, "doc_id", {"n_fp": ("count", None)})
 
-    pairs = (_bucket_pairs(docfp, "fp", max_bucket)
-             .groupby(["doc_a", "doc_b"])
-             .aggregate(Count(alias_name="shared")))
+    pairs = keyed_agg(_bucket_pairs(docfp, "fp", max_bucket),
+                      ["doc_a", "doc_b"], {"shared": ("count", None)})
 
     def keep(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -187,8 +184,6 @@ def containment_pairs(ds, window: int = 8, text_col: str = "text",
 
     Output: (doc_a, doc_b, shared, n_a, n_b, c_a, c_b), doc_a < doc_b.
     """
-    from ray.data.aggregate import Count
-
     from .join import hash_join
 
     pruned = ds.select_columns(["doc_id", text_col])
@@ -213,12 +208,10 @@ def containment_pairs(ds, window: int = 8, text_col: str = "text",
                               batch_format="pyarrow").materialize()
     docw = docw.repartition(
         max(8, docw.count() // 250_000 + 1)).materialize()
-    sizes = docw.groupby("doc_id").aggregate(
-        Count(alias_name="n_win")).materialize()
+    sizes = keyed_agg(docw, "doc_id", {"n_win": ("count", None)})
 
-    pairs = (_bucket_pairs(docw, "wh", max_bucket)
-             .groupby(["doc_a", "doc_b"])
-             .aggregate(Count(alias_name="shared")))
+    pairs = keyed_agg(_bucket_pairs(docw, "wh", max_bucket),
+                      ["doc_a", "doc_b"], {"shared": ("count", None)})
 
     def ren(col_to: str):
         def fn(b: pa.Table) -> pa.Table:

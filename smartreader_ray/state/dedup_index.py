@@ -268,11 +268,10 @@ class NearDupIndex:
                 if batch.num_rows == 0:
                     return batch
                 texts = batch.column(text_col).to_pylist()
-                sigs = self.hasher.signatures_batch(texts)
-                keys = self.hasher.band_keys_batch(sigs)  # (B, bands)
+                # a doc without n-grams has no keys: never a duplicate
+                has, keys = self.hasher.gram_band_keys(texts)
                 flat = keys.reshape(-1).astype(np.uint64)
-                doc_of = np.repeat(np.arange(len(texts), dtype=np.int64),
-                                   keys.shape[1])
+                doc_of = np.repeat(has, keys.shape[1])
                 shard_of = (flat % np.uint64(n_shards)).astype(np.int64)
                 hit = np.zeros(len(flat), dtype=bool)
                 pending = []

@@ -139,6 +139,30 @@ def test_neardup_index_rejected_doc_does_not_pollute(ray_session):
     assert idx.stats()["band_keys"] == n1
 
 
+def test_neardup_index_admits_docs_without_ngrams(ray_session):
+    """A doc without n-grams (null, empty or blank text) records no band
+    keys and is nobody's near-duplicate, as in ``MinHasher``: a later
+    batch of such docs is admitted whole, not rejected as duplicates of
+    the first gram-less doc."""
+    import ray.data
+
+    from smartreader_ray.state.dedup_index import NearDupIndex
+
+    text = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
+            "lambda mu nu xi omicron pi rho sigma tau upsilon phi chi")
+    idx = NearDupIndex(num_shards=2)
+    first = idx.filter_new(ray.data.from_arrow(_docs(
+        [(1, None), (2, ""), (3, text)]))).take_all()
+    assert sorted(r["doc_id"] for r in first) == [1, 2, 3]
+    n_keys = idx.stats()["band_keys"]
+    assert n_keys == idx.bands  # the one doc with n-grams
+
+    later = idx.filter_new(ray.data.from_arrow(_docs(
+        [(4, None), (5, "   ")]))).take_all()
+    assert sorted(r["doc_id"] for r in later) == [4, 5]
+    assert idx.stats()["band_keys"] == n_keys
+
+
 def test_neardup_index_matches_naive_across_save_load_resume(ray_session,
                                                              tmp_path):
     """Seeded waves of near-duplicate clusters through ``NearDupIndex``

@@ -62,13 +62,40 @@ import __ray_entry__ as entry
 ray.init(address="local", num_cpus=1, include_dashboard=False,
          log_to_driver=False)
 from tools.oracle_check import to_pandas
+from tests.test_task_stages import exchanged_order_counts
 
-print(json.dumps({name: to_pandas(entry.queries()[name](sys.argv[1]))
-                  .to_dict("records") for name in json.loads(sys.argv[2])}))
+out = {name: to_pandas(entry.queries()[name](sys.argv[1])).to_dict("records")
+       for name in json.loads(sys.argv[2])}
+out["keyed_agg_exchange"] = exchanged_order_counts(sys.argv[1])
+print(json.dumps(out))
 """
 
+#: union-fed exchanges among them: vocab_growth's sort, template_score's
+#: aggregate
 _ONE_CPU_QUERIES = ["minhash_dedup", "lid_confusion", "dedup_cascade_chain",
-                    "customer_orders_full"]
+                    "customer_orders_full", "vocab_growth", "template_score"]
+
+
+def exchanged_order_counts(sf_dir: str) -> list[dict]:
+    """Orders and max order key per customer by ``keyed_agg``, with
+    block targets so small that the read splits into many blocks and
+    their partials take the ``keyed_exchange`` path."""
+    from ray.data.context import DataContext
+
+    import __ray_entry__ as entry
+    from smartreader_ray.functions.exchange import keyed_agg
+
+    ctx = DataContext.get_current()
+    saved = ctx.target_min_block_size, ctx.target_max_block_size
+    ctx.target_min_block_size, ctx.target_max_block_size = 512, 2048
+    try:
+        orders = entry._read(sf_dir, "orders", ["o_custkey", "o_orderkey"])
+        out = keyed_agg(orders, "o_custkey", {
+            "n": ("count", None), "max_key": ("max", "o_orderkey")})
+        _map_op(out, "Sort")  # the exchange, not the one-task combine
+        return out.to_pandas().to_dict("records")
+    finally:
+        ctx.target_min_block_size, ctx.target_max_block_size = saved
 
 
 def _rows(records: list[dict]) -> list[str]:
@@ -77,10 +104,11 @@ def _rows(records: list[dict]) -> list[str]:
 
 def test_one_cpu_session_runs_dedup_and_lid(corpus_sf_dir, ray_session):
     """``minhash_dedup``, the language-ID confusion rollup, the dedup
-    cascade and the full outer ``hash_join`` finish in a ``num_cpus=1``
-    session and give the rows of the shared 4-CPU session. The last two
-    have exchange-only stages. Runs in its own process under a
-    deadline."""
+    cascade, the full outer ``hash_join``, ``vocab_growth``,
+    ``template_score`` and ``keyed_agg``'s exchange path finish in a
+    ``num_cpus=1`` session and give the rows of the shared 4-CPU
+    session. All but the first two have exchange-only stages. Runs in
+    its own process under a deadline."""
     import __ray_entry__ as entry
     from tools.oracle_check import to_pandas
 
@@ -88,6 +116,7 @@ def test_one_cpu_session_runs_dedup_and_lid(corpus_sf_dir, ray_session):
     # a (1, 8) actor pool at num_cpus=1 never let the read run
     want = {name: _rows(to_pandas(entry.queries()[name](corpus_sf_dir))
                         .to_dict("records")) for name in _ONE_CPU_QUERIES}
+    want["keyed_agg_exchange"] = _rows(exchanged_order_counts(corpus_sf_dir))
     assert any(r["is_dup"] for r in map(json.loads, want["minhash_dedup"]))
 
     child = subprocess.Popen(
