@@ -1206,35 +1206,13 @@ def _q_source_entropy(sf_dir: str):
     and floored before any aggregation."""
     import math
 
-    import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from smartreader_ray.functions.exchange import keyed_agg, keyed_agg_table
+    from smartreader_ray.functions.ngrams import _source_term_counts
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-        toks = pc.split_pattern(
-            pc.utf8_trim_whitespace(
-                pc.coalesce(pc.cast(b.column("text"), pa.string()),
-                            pa.scalar("", type=pa.string()))), " ")
-        toks = toks.combine_chunks()
-        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        src = np.repeat(np.asarray(b.column("source").to_pylist(),
-                                   dtype=object), lens)
-        df = pd.DataFrame({"source": src,
-                           "term": toks.flatten().to_pandas()})
-        g = df.groupby(["source", "term"], sort=False).size().reset_index()
-        return pa.Table.from_pydict({
-            "source": pa.array(g["source"], type=pa.string()),
-            "term": pa.array(g["term"], type=pa.string()),
-            "c": pa.array(g[0].to_numpy(), type=pa.int64()),
-        })
-
-    counts = (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
-                        ["source", "term"], {"c": ("sum", "c")})).materialize()
+    counts = _source_term_counts(docs, "text", "source").materialize()
     tot = keyed_agg_table(counts, "source", {"c": ("sum", "c")})
     totals = dict(zip(tot.column("source").to_pylist(),
                       tot.column("c").to_pylist()))
@@ -1361,32 +1339,18 @@ def _q_term_drift(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from smartreader_ray.functions.exchange import keyed_agg
+    from smartreader_ray.functions.ngrams import _tokens_flat
 
     docs = _docs(sf_dir)
     half = docs.count() // 2
 
-    def partial(b: pa.Table) -> pa.Table:
+    def halves(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
-        toks = pc.split_pattern(
-            pc.utf8_trim_whitespace(
-                pc.coalesce(pc.cast(b.column("text"), pa.string()),
-                            pa.scalar("", type=pa.string()))), " ")
-        toks = toks.combine_chunks()
-        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        flat = toks.flatten()
-        lo = np.repeat(ids < half, lens)
-        import pandas as pd
-        df = pd.DataFrame({"term": flat.to_pandas(),
-                           "c1": lo.astype(np.int64),
-                           "c2": (~lo).astype(np.int64)})
-        g = df.groupby("term", sort=False).sum().reset_index()
-        return pa.Table.from_pydict({
-            "term": pa.array(g["term"], type=pa.string()),
-            "c1": pa.array(g["c1"].to_numpy(), type=pa.int64()),
-            "c2": pa.array(g["c2"].to_numpy(), type=pa.int64()),
-        })
+        flat, row_idx, _ = _tokens_flat(b, "text")
+        lo = (ids < half)[row_idx].astype(np.int64)
+        return pa.table({"term": flat, "c1": lo, "c2": 1 - lo})
 
-    counts = (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
+    counts = (keyed_agg(docs.map_batches(halves, batch_format="pyarrow"),
                         "term", {"c1": ("sum", "c1"), "c2": ("sum", "c2")})
               ).materialize()  # vocab-sized; consumed twice (totals +
     # top-k cut) — without this each consumer re-runs the tokenize +
@@ -1551,7 +1515,7 @@ def _q_benford_audit(sf_dir: str):
     ``ln((d+1)/d)/ln(10)`` (ONE shared libm expression, the pmi_pairs
     float contract). Counts are exact int64 over cents; the digit is
     extracted by a log-step vectorized integer divide (≤ 12 numpy
-    passes), 9-row partials per block, digit-sized exchange."""
+    passes), digit-sized exchange."""
     import math
 
     import numpy as np
@@ -1561,21 +1525,17 @@ def _q_benford_audit(sf_dir: str):
 
     li = _read(sf_dir, "lineitem", ["l_extendedprice"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def first_digits(b: pa.Table) -> pa.Table:
         p = b.column("l_extendedprice").to_numpy(zero_copy_only=False)
         x = np.floor(p * 100.0 + 0.5).astype(np.int64)
         x = x[x > 0]
         while len(x) and x.max() >= 10:
             m = x >= 10
             x[m] //= 10
-        counts = np.bincount(x, minlength=10)[1:10]
-        return pa.Table.from_pydict({
-            "digit": pa.array(np.arange(1, 10, dtype=np.int64)),
-            "n": pa.array(counts.astype(np.int64)),
-        })
+        return pa.table({"digit": x})
 
-    agg = (keyed_agg(li.map_batches(partial, batch_format="pyarrow"), "digit",
-                     {"n": ("sum", "n")}))
+    agg = (keyed_agg(li.map_batches(first_digits, batch_format="pyarrow"),
+                     "digit", {"n": ("count", None)}))
 
     def stamp(b: pa.Table) -> pa.Table:
         d = b.column("digit").to_numpy(zero_copy_only=False)
@@ -1689,23 +1649,13 @@ def _q_vocab_coverage(sf_dir: str):
     import pyarrow.compute as pc
 
     from smartreader_ray.functions.exchange import keyed_agg
+    from smartreader_ray.functions.ngrams import _tokens_flat
 
     docs = _docs(sf_dir)
 
-    def partial(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(
-            pc.utf8_trim_whitespace(
-                pc.coalesce(pc.cast(b.column("text"), pa.string()),
-                            pa.scalar("", type=pa.string()))), " ")
-        flat = toks.combine_chunks().flatten()
-        vc = flat.value_counts()
-        return pa.Table.from_pydict({
-            "term": vc.field("values"),
-            "cf": pc.cast(vc.field("counts"), pa.int64()),
-        })
-
-    counts = (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
-                        "term", {"cf": ("sum", "cf")}))
+    counts = keyed_agg(docs.map_batches(
+        lambda b: pa.table({"term": _tokens_flat(b, "text")[0]}),
+        batch_format="pyarrow"), "term", {"cf": ("count", None)})
 
     def curve(b: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -2367,6 +2317,7 @@ def _q_quote_screen_chain(sf_dir: str):
     decontaminate pattern (`__ray_entry__.py` r3 fix)."""
     import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray
 
     from smartreader_ray.functions import containment_pairs
@@ -2394,35 +2345,28 @@ def _q_quote_screen_chain(sf_dir: str):
         "switch to the hash_join anti path")
     ref = ray.put(dropped)
 
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
+    def kept(b: pa.Table) -> pa.Table:
         dr = ray.get(ref)
+        b = b.filter(pc.is_valid(b.column("source")))
         ids = b.column("doc_id").to_pylist()
         texts = b.column("text").to_pylist()
-        srcs = b.column("source").to_pylist()
         keep = np.fromiter((i not in dr for i in ids), dtype=bool,
                            count=len(ids))
         ntok = np.fromiter(
             (len(((t or "").strip()).split(" ")) for t in texts),
             dtype=np.int64, count=len(texts))
-        df = pd.DataFrame({"source": srcs, "keep": keep,
-                           "tok": ntok * keep})
-        g = df.groupby("source", sort=False)
-        return pa.table({
-            "source": pa.array(g.size().index, type=pa.string()),
-            "n_docs": pa.array(g.size().to_numpy(), type=pa.int64()),
-            "n_kept": pa.array(g["keep"].sum().to_numpy(),
-                               type=pa.int64()),
-            "tokens_kept": pa.array(g["tok"].sum().to_numpy(),
-                                    type=pa.int64()),
-        })
+        return pa.table({"source": b.column("source").cast(pa.string()),
+                         "keep": keep.astype(np.int64),
+                         "tok": ntok * keep})
 
     import ray.data
 
     docs_src = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    sums = ("n_docs", "n_kept", "tokens_kept")
-    return keyed_agg(docs_src.map_batches(partial, batch_format="pyarrow"),
-                     "source", {c: ("sum", c) for c in sums}).sort("source")
+    return keyed_agg(docs_src.map_batches(kept, batch_format="pyarrow"),
+                     "source", {"n_docs": ("count", None),
+                                "n_kept": ("sum", "keep"),
+                                "tokens_kept": ("sum", "tok")}
+                     ).sort("source")
 
 
 def _q_token_dropout(sf_dir: str):
@@ -2751,11 +2695,11 @@ def _q_textrank_terms(sf_dir: str):
 
     from smartreader_ray.functions.exchange import keyed_agg_table
     from smartreader_ray.functions.graph import pagerank
-    from smartreader_ray.functions.ngrams import _partial_bigram_counts
+    from smartreader_ray.functions.ngrams import _bigrams
 
     docs = _docs(sf_dir).select_columns(["doc_id", "text"])
     bigrams = keyed_agg_table(docs.map_batches(
-        lambda b: _partial_bigram_counts(b, "text"),
+        lambda b: _bigrams(b, "text"),
         batch_format="pyarrow"), "bigram", {})
     pair_list = [b.split(" ", 1) for b in
                  bigrams.column("bigram").to_pylist()]  # vocab²-bounded
@@ -3750,32 +3694,16 @@ def _q_norm_curation(sf_dir: str):
         ["doc_id", "lang", "source", "n_chars"], ["w"],
     )
 
-    def gate_partial(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.greater_equal(
+    def gate(b: pa.Table) -> pa.Table:
+        return b.filter(pc.greater_equal(
             pc.cast(b.column("n_chars"), pa.int64()),
             pa.scalar(100, type=pa.int64()),
         ))
-        g = b.select(["lang", "source", "n_chars"]).group_by(
-            ["lang", "source"]
-        ).aggregate([("n_chars", "count"), ("n_chars", "sum")])
-        return g.rename_columns(["lang", "source", "n", "sum_chars"])
 
     return (
-        keyed_agg(kept.map_batches(gate_partial, batch_format="pyarrow"),
-                  ["lang", "source"], {"n": ("sum", "n"),
-                                       "sum_chars": ("sum", "sum_chars")})
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "lang": b.column("lang"),
-                    "source": b.column("source"),
-                    "n": pc.cast(b.column("n"), pa.int64()),
-                    "sum_chars": pc.cast(b.column("sum_chars"),
-                                         pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
+        keyed_agg(kept.map_batches(gate, batch_format="pyarrow"),
+                  ["lang", "source"], {"n": ("count", "n_chars"),
+                                       "sum_chars": ("sum", "n_chars")})
         .sort(["lang", "source"])
     )
 
@@ -3991,30 +3919,15 @@ def _q_robots_gate(sf_dir: str):
     ).map_batches(make_urls_pd, batch_format="pyarrow")
     gated = robots_gate(urls, rules_by_host)
 
-    def rollup_partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame(
-            {
-                "host": b.column("host").to_pandas(),
-                "one": 1,
-                "ok": b.column("allowed").to_pandas().astype("int64"),
-            }
-        ).groupby("host", sort=False).sum().reset_index()
-        return pa.table(
-            {
-                "host": pa.array(df["host"].to_numpy(),
-                                 type=pa.string()),
-                "n": pa.array(df["one"].to_numpy(), type=pa.int64()),
-                "n_allowed": pa.array(df["ok"].to_numpy(),
-                                      type=pa.int64()),
-            }
-        )
+    def allowed(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_valid(b.column("host")))
+        return pa.table({"host": b.column("host").cast(pa.string()),
+                         "ok": pc.cast(b.column("allowed"), pa.int64())})
 
     return (
-        keyed_agg(gated.map_batches(rollup_partial, batch_format="pyarrow"),
-                  "host", {"n": ("sum", "n"),
-                           "n_allowed": ("sum", "n_allowed")})
+        keyed_agg(gated.map_batches(allowed, batch_format="pyarrow"),
+                  "host", {"n": ("count", None),
+                           "n_allowed": ("sum", "ok")})
         .sort("host")
     )
 
@@ -4229,32 +4142,18 @@ def _q_debounce(sf_dir: str):
     )
     kept = debounce(ds, window_s=60.0)
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            pc.cast(b.column("value"), pa.float64()), 100.0), 0.5)),
-            pa.int64())
-        t = pa.table({
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({
             "event_type": b.column("event_type"),
-            "value_cents": cents,
-            "n": pa.array([1] * b.num_rows, type=pa.int64()),
+            "value_cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                pc.cast(b.column("value"), pa.float64()), 100.0), 0.5)),
+                pa.int64()),
         })
-        g = t.group_by("event_type").aggregate(
-            [("n", "sum"), ("value_cents", "sum")])
-        return g.rename_columns(["event_type", "n", "value_cents"])
 
     return (
-        keyed_agg(kept.map_batches(partial, batch_format="pyarrow"),
-                  "event_type", {"n": ("sum", "n"),
+        keyed_agg(kept.map_batches(cents, batch_format="pyarrow"),
+                  "event_type", {"n": ("count", None),
                                  "value_cents": ("sum", "value_cents")})
-        .map_batches(
-            lambda b: pa.table({
-                "event_type": b.column("event_type"),
-                "n": pc.cast(b.column("n"), pa.int64()),
-                "value_cents": pc.cast(b.column("value_cents"),
-                                       pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
         .sort("event_type")
     )
 
@@ -4339,31 +4238,17 @@ def _q_clean_rank_chain(sf_dir: str):
         lambda b: b.filter(pc.greater_equal(b.column("pr"), 0.5)),
         batch_format="pyarrow")
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            b.column("v"), 100.0), 0.5)), pa.int64())
-        t = pa.table({
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({
             "event_type": b.column("event_type"),
-            "value_cents": cents,
-            "n": pa.array([1] * b.num_rows, type=pa.int64()),
+            "value_cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                b.column("v"), 100.0), 0.5)), pa.int64()),
         })
-        g = t.group_by("event_type").aggregate(
-            [("n", "sum"), ("value_cents", "sum")])
-        return g.rename_columns(["event_type", "n", "value_cents"])
 
     return (
-        keyed_agg(kept.map_batches(partial, batch_format="pyarrow"),
-                  "event_type", {"n": ("sum", "n"),
+        keyed_agg(kept.map_batches(cents, batch_format="pyarrow"),
+                  "event_type", {"n": ("count", None),
                                  "value_cents": ("sum", "value_cents")})
-        .map_batches(
-            lambda b: pa.table({
-                "event_type": b.column("event_type"),
-                "n": pc.cast(b.column("n"), pa.int64()),
-                "value_cents": pc.cast(b.column("value_cents"),
-                                       pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
         .sort("event_type")
     )
 
@@ -4529,30 +4414,17 @@ def _q_impute_values(sf_dir: str):
         ds.map_batches(synth_nulls, batch_format="pyarrow"),
         "l_returnflag", "q")
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            b.column("q"), 100.0), 0.5)), pa.int64())
-        t = pa.table({
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({
             "l_returnflag": b.column("l_returnflag"),
-            "qty_cents": cents,
-            "n": pa.array([1] * b.num_rows, type=pa.int64()),
+            "qty_cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                b.column("q"), 100.0), 0.5)), pa.int64()),
         })
-        g = t.group_by("l_returnflag").aggregate(
-            [("n", "sum"), ("qty_cents", "sum")])
-        return g.rename_columns(["l_returnflag", "n", "qty_cents"])
 
     return (
-        keyed_agg(filled.map_batches(partial, batch_format="pyarrow"),
-                  "l_returnflag", {"n": ("sum", "n"),
+        keyed_agg(filled.map_batches(cents, batch_format="pyarrow"),
+                  "l_returnflag", {"n": ("count", None),
                                    "qty_cents": ("sum", "qty_cents")})
-        .map_batches(
-            lambda b: pa.table({
-                "l_returnflag": b.column("l_returnflag"),
-                "n": pc.cast(b.column("n"), pa.int64()),
-                "qty_cents": pc.cast(b.column("qty_cents"), pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
         .sort("l_returnflag")
     )
 
@@ -4708,31 +4580,17 @@ def _q_bloom_semi_join(sf_dir: str):
     kept = semi_join(li, hv, "l_orderkey", "o_orderkey",
                      broadcast_limit=100)
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            b.column("l_extendedprice"), 100.0), 0.5)), pa.int64())
-        t = pa.table({
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({
             "l_returnflag": b.column("l_returnflag"),
-            "revenue_cents": cents,
-            "n": pa.array([1] * b.num_rows, type=pa.int64()),
+            "revenue_cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                b.column("l_extendedprice"), 100.0), 0.5)), pa.int64()),
         })
-        g = t.group_by("l_returnflag").aggregate(
-            [("n", "sum"), ("revenue_cents", "sum")])
-        return g.rename_columns(["l_returnflag", "n", "revenue_cents"])
 
     return (
-        keyed_agg(kept.map_batches(partial, batch_format="pyarrow"),
-                  "l_returnflag", {"n": ("sum", "n"),
+        keyed_agg(kept.map_batches(cents, batch_format="pyarrow"),
+                  "l_returnflag", {"n": ("count", None),
                                    "revenue_cents": ("sum", "revenue_cents")})
-        .map_batches(
-            lambda b: pa.table({
-                "l_returnflag": b.column("l_returnflag"),
-                "n": pc.cast(b.column("n"), pa.int64()),
-                "revenue_cents": pc.cast(b.column("revenue_cents"),
-                                         pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
         .sort("l_returnflag")
     )
 
@@ -4761,30 +4619,17 @@ def _q_anti_join(sf_dir: str):
     never = anti_join(cust, ords, "c_custkey", "o_custkey",
                       broadcast_limit=100)
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(pc.multiply(
-            b.column("c_acctbal"), 100.0), 0.5)), pa.int64())
-        t = pa.table({
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({
             "c_mktsegment": b.column("c_mktsegment"),
-            "bal_cents": cents,
-            "n": pa.array([1] * b.num_rows, type=pa.int64()),
+            "bal_cents": pc.cast(pc.floor(pc.add(pc.multiply(
+                b.column("c_acctbal"), 100.0), 0.5)), pa.int64()),
         })
-        g = t.group_by("c_mktsegment").aggregate(
-            [("n", "sum"), ("bal_cents", "sum")])
-        return g.rename_columns(["c_mktsegment", "n", "bal_cents"])
 
     return (
-        keyed_agg(never.map_batches(partial, batch_format="pyarrow"),
-                  "c_mktsegment", {"n": ("sum", "n"),
+        keyed_agg(never.map_batches(cents, batch_format="pyarrow"),
+                  "c_mktsegment", {"n": ("count", None),
                                    "bal_cents": ("sum", "bal_cents")})
-        .map_batches(
-            lambda b: pa.table({
-                "c_mktsegment": b.column("c_mktsegment"),
-                "n": pc.cast(b.column("n"), pa.int64()),
-                "bal_cents": pc.cast(b.column("bal_cents"), pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
         .sort("c_mktsegment")
     )
 
@@ -4861,27 +4706,14 @@ def _q_decontam_clean_chain(sf_dir: str):
         batch_format="pyarrow")
     clean = anti_join(train, bad, "vec_id", "bad_id")
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "label": b.column("label"),
-            "n_clean": pa.array([1] * b.num_rows, type=pa.int64()),
-            "sum_vec_id": pc.cast(b.column("vec_id"), pa.int64()),
-        })
-        g = t.group_by("label").aggregate(
-            [("n_clean", "sum"), ("sum_vec_id", "sum")])
-        return g.rename_columns(["label", "n_clean", "sum_vec_id"])
+    def vec_ids(b: pa.Table) -> pa.Table:
+        return pa.table({"label": b.column("label"),
+                         "vec_id": pc.cast(b.column("vec_id"), pa.int64())})
 
     return (
-        keyed_agg(clean.map_batches(partial, batch_format="pyarrow"), "label",
-                  {"n_clean": ("sum", "n_clean"),
-                   "sum_vec_id": ("sum", "sum_vec_id")})
-        .map_batches(
-            lambda b: pa.table({
-                "label": b.column("label"),
-                "n_clean": pc.cast(b.column("n_clean"), pa.int64()),
-                "sum_vec_id": pc.cast(b.column("sum_vec_id"),
-                                      pa.int64()),
-            }), batch_format="pyarrow")
+        keyed_agg(clean.map_batches(vec_ids, batch_format="pyarrow"), "label",
+                  {"n_clean": ("count", None),
+                   "sum_vec_id": ("sum", "vec_id")})
         .sort("label")
     )
 
@@ -5077,29 +4909,16 @@ def _q_cdc_reprocess_chain(sf_dir: str):
     # this the whole diff pipeline (two corpus scans) re-executes
     kept = semi_join(v2, dirty, "doc_id", "doc_id")
 
-    def rollup_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
+    def chars(b: pa.Table) -> pa.Table:
+        return pa.table({
             "lang": b.column("lang"),
-            "n_docs": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-            "sum_chars": pc.cast(pc.utf8_length(b.column("text")),
-                                 pa.int64()),
+            "n_chars": pc.cast(pc.utf8_length(b.column("text")), pa.int64()),
         })
-        g = t.group_by("lang").aggregate(
-            [("n_docs", "sum"), ("sum_chars", "sum")])
-        return g.rename_columns(["lang", "n_docs", "sum_chars"])
 
     return (
-        keyed_agg(kept.map_batches(rollup_partial, batch_format="pyarrow"),
-                  "lang", {"n_docs": ("sum", "n_docs"),
-                           "sum_chars": ("sum", "sum_chars")})
-        .map_batches(
-            lambda b: pa.table({
-                "lang": b.column("lang"),
-                "n_docs": pc.cast(b.column("n_docs"), pa.int64()),
-                "sum_chars": pc.cast(b.column("sum_chars"), pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
+        keyed_agg(kept.map_batches(chars, batch_format="pyarrow"),
+                  "lang", {"n_docs": ("count", None),
+                           "sum_chars": ("sum", "n_chars")})
         .sort("lang")
     )
 
@@ -5265,7 +5084,6 @@ def _q_engagement_chain(sf_dir: str):
     chains the LAG/SUM-OVER sessionization into the same rollup."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.windows import sessionize
@@ -5275,40 +5093,24 @@ def _q_engagement_chain(sf_dir: str):
 
     BUCKETS = np.asarray(["1", "2-3", "4-7", "8+"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def sessions(b: pa.Table) -> pa.Table:
         n = b.column("n_events").to_numpy(zero_copy_only=False)
         t0 = b.column("t_start").to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)
         t1 = b.column("t_end").to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)
-        bucket = BUCKETS[np.digitize(n, [2, 4, 8])]
-        t = pa.table({
-            "bucket": pa.array(bucket, type=pa.string()),
-            "n_sessions": pa.array(np.ones(len(n), dtype=np.int64)),
-            "sum_events": pa.array(n.astype(np.int64)),
-            "sum_duration_us": pa.array(t1 - t0),
+        return pa.table({
+            "bucket": pa.array(BUCKETS[np.digitize(n, [2, 4, 8])],
+                               type=pa.string()),
+            "n_events": n.astype(np.int64),
+            "duration_us": t1 - t0,
         })
-        g = t.group_by("bucket").aggregate(
-            [("n_sessions", "sum"), ("sum_events", "sum"),
-             ("sum_duration_us", "sum")])
-        return g.rename_columns(
-            ["bucket", "n_sessions", "sum_events", "sum_duration_us"])
 
     return (
-        keyed_agg(sess.map_batches(partial, batch_format="pyarrow"), "bucket",
-                  {"n_sessions": ("sum", "n_sessions"),
-                   "sum_events": ("sum", "sum_events"),
-                   "sum_duration_us": ("sum", "sum_duration_us")})
-        .map_batches(
-            lambda b: pa.table({
-                "bucket": b.column("bucket"),
-                "n_sessions": pc.cast(b.column("n_sessions"), pa.int64()),
-                "sum_events": pc.cast(b.column("sum_events"), pa.int64()),
-                "sum_duration_us": pc.cast(b.column("sum_duration_us"),
-                                           pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
+        keyed_agg(sess.map_batches(sessions, batch_format="pyarrow"), "bucket",
+                  {"n_sessions": ("count", None),
+                   "sum_events": ("sum", "n_events"),
+                   "sum_duration_us": ("sum", "duration_us")})
         .sort("bucket")
     )
 
@@ -5603,21 +5405,15 @@ def _q_media_url_dedup(sf_dir: str):
         k = refs.str.rsplit("/", n=1).str[-1].astype(np.int64).to_numpy()
         assert (off < (1 << 20)).all() and (doc < (1 << 42)).all(), \
             "media_url_dedup pack bounds exceeded"
-        bucket = (doc * 31 + k * 17) % 1000
-        packed = doc * (1 << 20) + off
-        import pandas as pd
-        g = (pd.DataFrame({"asset_bucket": bucket, "packed": packed})
-             .groupby("asset_bucket", sort=False)
-             .agg(packed=("packed", "min"), n_refs=("packed", "size"))
-             .reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"asset_bucket": (doc * 31 + k * 17) % 1000,
+                         "packed": doc * (1 << 20) + off})
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     agg = keyed_agg(ds.map_batches(_synth_interleaved_spans(),
                                    batch_format="pyarrow")
                     .map_batches(partial, batch_format="pyarrow"),
                     "asset_bucket", {"packed": ("min", "packed"),
-                                     "n_refs": ("sum", "n_refs")})
+                                     "n_refs": ("count", None)})
 
     def unpack(b: pa.Table) -> pa.Table:
         packed = b.column("packed").to_numpy(zero_copy_only=False).astype(
@@ -5651,26 +5447,22 @@ def _q_interleave_gate_chain(sf_dir: str):
 
     synth = _synth_interleaved_spans()
 
-    def partial(b: pa.Table) -> pa.Table:
+    def kept(b: pa.Table) -> pa.Table:
         stats = interleave_stats_batch(synth(b))  # row-aligned 1:1
         nm = stats.column("n_media").to_numpy(zero_copy_only=False)
         nt = stats.column("n_text").to_numpy(zero_copy_only=False)
         na = stats.column("n_alt").to_numpy(zero_copy_only=False)
         keep = (nm >= 1) & (nt >= 2 * nm) & (na >= nm)
-        import pandas as pd
-        g = (pd.DataFrame({
-                "source": b.column("source").to_pandas(),
-                "n_docs": np.ones(len(nm), np.int64),
-                "n_kept": keep.astype(np.int64),
-                "media_kept": np.where(keep, nm, 0),
-                "alt_kept": np.where(keep, na, 0),
-            })
-            .groupby("source", sort=False).sum().reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({
+            "source": b.column("source"),
+            "n_kept": keep.astype(np.int64),
+            "media_kept": np.where(keep, nm, 0),
+            "alt_kept": np.where(keep, na, 0),
+        }).filter(pc.is_valid(b.column("source")))
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    return (keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
-                      "source", {"n_docs": ("sum", "n_docs"),
+    return (keyed_agg(ds.map_batches(kept, batch_format="pyarrow"),
+                      "source", {"n_docs": ("count", None),
                                  "n_kept": ("sum", "n_kept"),
                                  "media_kept": ("sum", "media_kept"),
                                  "alt_kept": ("sum", "alt_kept")})
@@ -5732,24 +5524,22 @@ def _q_caption_coverage(sf_dir: str):
 
     synth = _synth_interleaved_spans()
 
-    def partial(b: pa.Table) -> pa.Table:
+    def captions(b: pa.Table) -> pa.Table:
         pairs = caption_pairs_batch(synth(b)).to_pandas()
         src = pd.DataFrame({
             "doc_id": b.column("doc_id").to_pandas(),
             "source": b.column("source").to_pandas(),
         })
-        j = pairs.merge(src, on="doc_id", how="left")
-        g = (j.groupby(["source", "caption_src"], sort=False)
-             .agg(n_media=("doc_id", "size"),
-                  total_distance=("distance", "sum"))
-             .reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
+        j = pairs.merge(src, on="doc_id", how="left").dropna(
+            subset=["source", "caption_src"])
+        return pa.Table.from_pandas(j[["source", "caption_src", "distance"]],
+                                    preserve_index=False)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    return (keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
+    return (keyed_agg(ds.map_batches(captions, batch_format="pyarrow"),
                       ["source", "caption_src"],
-                      {"n_media": ("sum", "n_media"),
-                       "total_distance": ("sum", "total_distance")})
+                      {"n_media": ("count", None),
+                       "total_distance": ("sum", "distance")})
             .sort(["source", "caption_src"]))
 
 
@@ -7026,8 +6816,8 @@ def _q_lid_confusion(sf_dir: str):
     before trusting an LID gate. Scoring tasks carry the label through
     (the stopword profiles ship once with the UDF instance); the only
     exchange is (|langs|×|preds|)-sized integer partials."""
-    import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.textstats import LanguageId
@@ -7037,17 +6827,17 @@ def _q_lid_confusion(sf_dir: str):
             self.lid = LanguageId()
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            preds = [self.lid.predict(t)[0]
-                     for t in b.column("text").to_pylist()]
-            g = (pd.DataFrame({"lang": b.column("lang").to_pandas(),
-                               "pred_lang": preds, "n": 1})
-                 .groupby(["lang", "pred_lang"], sort=False)
-                 .sum().reset_index())
-            return pa.Table.from_pandas(g, preserve_index=False)
+            b = b.filter(pc.is_valid(b.column("lang")))
+            return pa.table({
+                "lang": b.column("lang"),
+                "pred_lang": pa.array([self.lid.predict(t)[0] for t in
+                                       b.column("text").to_pylist()],
+                                      type=pa.string()),
+            })
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     return (keyed_agg(ds.map_batches(Conf(), batch_format="pyarrow"),
-                      ["lang", "pred_lang"], {"n": ("sum", "n")})
+                      ["lang", "pred_lang"], {"n": ("count", None)})
             .sort(["lang", "pred_lang"]))
 
 

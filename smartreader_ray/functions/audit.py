@@ -211,21 +211,18 @@ def psi_drift(ds, group_col: str, value_col: str, baseline: str,
     """
     import math
 
-    def bin_partial(b: pa.Table) -> pa.Table:
+    def bin_rows(b: pa.Table) -> pa.Table:
         v = b.column(value_col).to_numpy(zero_copy_only=False)
         bins = np.minimum(np.floor(v / bin_width).astype(np.int64),
                           nbins - 1)
-        t = pa.table({
+        return pa.table({
             "group": b.column(group_col).cast(pa.string()),
             "bin": pa.array(bins, type=pa.int64()),
-            "c": pa.array(np.ones(len(bins), dtype=np.int64)),
         })
-        g = t.group_by(["group", "bin"]).aggregate([("c", "sum")])
-        return g.rename_columns(["group", "bin", "c"])
 
     agg = keyed_agg(ds.select_columns([group_col, value_col])
-                    .map_batches(bin_partial, batch_format="pyarrow"),
-                    ["group", "bin"], {"c": ("sum", "c")})
+                    .map_batches(bin_rows, batch_format="pyarrow"),
+                    ["group", "bin"], {"c": ("count", None)})
 
     def finalize(b: pa.Table) -> pa.Table:
         groups = b.column("group").to_pylist()
@@ -286,9 +283,7 @@ def embedding_audit(ds, dim: int = 64, vec_col: str = "embedding",
     """
     import numpy as np
 
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def flags(b: pa.Table) -> pa.Table:
         col = b.column(vec_col).combine_chunks()
         off = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         starts, ends = off[:-1] - off[0], off[1:] - off[0]
@@ -307,19 +302,19 @@ def embedding_audit(ds, dim: int = 64, vec_col: str = "embedding",
             # NaN propagates through abs/maximum -> NaN max != 0: a
             # non-finite vector is never also counted as zero
             zero &= ~nonfin
-        g = (pd.DataFrame({
-            "group": b.column(group_col).to_pandas(),
-            "n_vecs": 1,
+        t = pa.table({
+            "group": b.column(group_col),
             "n_bad_dim": bad_dim.astype(np.int64),
             "n_nonfinite": nonfin.astype(np.int64),
             "n_zero": zero.astype(np.int64),
-        }).groupby("group", sort=False).sum().reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
+        })
+        return t.filter(pc.is_valid(t.column("group")))  # no null group
 
-    sums = ("n_vecs", "n_bad_dim", "n_nonfinite", "n_zero")
+    sums = ("n_bad_dim", "n_nonfinite", "n_zero")
     return keyed_agg(ds.select_columns([group_col, vec_col])
-                     .map_batches(partial, batch_format="pyarrow"),
-                     "group", {c: ("sum", c) for c in sums}).sort("group")
+                     .map_batches(flags, batch_format="pyarrow"),
+                     "group", {"n_vecs": ("count", None),
+                               **{c: ("sum", c) for c in sums}}).sort("group")
 
 
 def ks_drift(ds, group_col: str, value_col: str, baseline: str):
@@ -419,23 +414,15 @@ def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
     """
     import numpy as np
 
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def halves(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_valid(b.column(cat_col)))  # no null category
         early = pc.less(b.column(ts_col), pa.scalar(split_ts)).to_numpy(
-            zero_copy_only=False)
-        d = pd.DataFrame({"cat": b.column(cat_col).to_pylist(),
-                          "a": early.astype(np.int64)})
-        g = d.groupby("cat", sort=False)["a"]
-        s, cnt = g.sum(), g.size()
-        return pa.table({
-            "cat": pa.array(s.index, type=pa.string()),
-            "a": pa.array(s.to_numpy(), type=pa.int64()),
-            "b": pa.array((cnt - s).to_numpy(), type=pa.int64()),
-        })
+            zero_copy_only=False).astype(np.int64)
+        return pa.table({"cat": b.column(cat_col).cast(pa.string()),
+                         "a": early, "b": 1 - early})
 
     counts = keyed_agg(ds.select_columns([cat_col, ts_col])
-                       .map_batches(partial, batch_format="pyarrow"),
+                       .map_batches(halves, batch_format="pyarrow"),
                        "cat", {"a": ("sum", "a"), "b": ("sum", "b")})
 
     # k rows by construction — one block

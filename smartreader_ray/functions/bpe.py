@@ -27,10 +27,9 @@ convention (Sennrich et al. 2016, public).
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 
-from .ngrams import _tokens_flat
+from .ngrams import _terms
 
 END = "</w>"
 
@@ -38,27 +37,14 @@ __all__ = ["word_histogram", "bpe_train_from_histogram", "bpe_train",
            "bpe_pair_counts", "END"]
 
 
-def _word_partial(batch: pa.Table, text_col: str) -> pa.Table:
-    flat, _, _ = _tokens_flat(batch, text_col)
-    s = flat.to_pandas()
-    s = s[s.str.len() > 0]
-    c = s.groupby(s, sort=False).size()
-    return pa.table(
-        {
-            "word": pa.array(c.index.to_numpy(), type=pa.string()),
-            "c": pa.array(c.to_numpy(), type=pa.int64()),
-        }
-    )
-
-
 def word_histogram(ds, text_col: str = "text"):
     """Distinct-word frequency table — ONE corpus pass, pre-combined
     per block so the exchange is vocabulary-sized."""
     from .exchange import keyed_agg
 
-    return keyed_agg(ds.map_batches(lambda b: _word_partial(b, text_col),
-                                    batch_format="pyarrow"),
-                     "word", {"c": ("sum", "c")})
+    return keyed_agg(ds.map_batches(
+        lambda b: _terms(b, text_col).rename_columns(["word"]),
+        batch_format="pyarrow"), "word", {"c": ("count", None)})
 
 
 def bpe_train_from_histogram(hist: dict[str, int], num_merges: int):
@@ -143,36 +129,24 @@ def bpe_pair_counts(ds, text_col: str = "text", top_k: int = 20):
     it), weighted by word frequency, global top-k with deterministic
     (l, r) tie-break. The word histogram rides the same single corpus
     pass as training."""
-    import numpy as np
-
-    def pair_partial(b: pa.Table) -> pa.Table:
-        w = b.column("word").to_pandas()
-        c = b.column("c").to_pandas().to_numpy()
+    def pairs(b: pa.Table) -> pa.Table:
+        # a loop over DISTINCT words (vocab-, not corpus-sized): one
+        # row per adjacent pair, weighted by the word's count
         ls, rs, ns = [], [], []
-        # per-block loop over DISTINCT words (vocab-, not corpus-sized)
-        agg: dict[tuple[str, str], int] = {}
-        for word, cnt in zip(w, c):
-            for i in range(len(word) - 1):
-                p = (word[i], word[i + 1])
-                agg[p] = agg.get(p, 0) + int(cnt)
-        for (l, r), n in agg.items():
-            ls.append(l)
-            rs.append(r)
-            ns.append(n)
-        return pa.table(
-            {
-                "l": pa.array(ls, type=pa.string()),
-                "r": pa.array(rs, type=pa.string()),
-                "n": pa.array(np.asarray(ns, dtype=np.int64),
-                              type=pa.int64()),
-            }
-        )
+        for word, cnt in zip(b.column("word").to_pylist(),
+                             b.column("c").to_pylist()):
+            ls.extend(word[:-1])
+            rs.extend(word[1:])
+            ns.extend([cnt] * (len(word) - 1))
+        return pa.table({"l": pa.array(ls, type=pa.string()),
+                         "r": pa.array(rs, type=pa.string()),
+                         "n": pa.array(ns, type=pa.int64())})
 
     from .exchange import keyed_agg
 
     return (
         keyed_agg(word_histogram(ds, text_col)
-                  .map_batches(pair_partial, batch_format="pyarrow"),
+                  .map_batches(pairs, batch_format="pyarrow"),
                   ["l", "r"], {"n": ("sum", "n")})
         .sort(["n", "l", "r"], descending=[True, False, False])
         .limit(top_k)

@@ -422,44 +422,26 @@ def winsorize_stats(ds, key_col: str, value_col: str,
         by_key[k] = (float(g[0]), float(g[-1]))
     ref = ray.put(by_key)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def clip(batch: pa.Table) -> pa.Table:
         bk = ray.get(ref)
+        batch = batch.filter(pc.is_valid(batch.column(key_col)))
         keys = batch.column(key_col).to_pandas()
         vals = batch.column(value_col).to_numpy(
             zero_copy_only=False).astype(np.float64)
         lo = keys.map(lambda k: bk[k][0]).to_numpy()
         hi = keys.map(lambda k: bk[k][1]).to_numpy()
-        clip_lo = vals < lo
-        clip_hi = vals > hi
         w = np.minimum(np.maximum(vals, lo), hi)
-        cents = np.floor(w * 100.0 + 0.5).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "k": keys,
-                "one": np.ones(len(vals), dtype=np.int64),
-                "c_lo": clip_lo.astype(np.int64),
-                "c_hi": clip_hi.astype(np.int64),
-                "cents": cents,
-            }
-        ).groupby("k", sort=False).sum().reset_index()
-        return pa.table(
-            {
-                key_col: pa.array(df["k"].to_numpy()),
-                "n": pa.array(df["one"].to_numpy(), type=pa.int64()),
-                "n_clipped_lo": pa.array(df["c_lo"].to_numpy(),
-                                         type=pa.int64()),
-                "n_clipped_hi": pa.array(df["c_hi"].to_numpy(),
-                                         type=pa.int64()),
-                "sum_cents": pa.array(df["cents"].to_numpy(),
-                                      type=pa.int64()),
-            }
-        )
+        return pa.table({
+            key_col: batch.column(key_col),
+            "n_clipped_lo": (vals < lo).astype(np.int64),
+            "n_clipped_hi": (vals > hi).astype(np.int64),
+            "sum_cents": np.floor(w * 100.0 + 0.5).astype(np.int64),
+        })
 
-    sums = ("n", "n_clipped_lo", "n_clipped_hi", "sum_cents")
-    return keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
-                     key_col, {c: ("sum", c) for c in sums}).sort(key_col)
+    sums = ("n_clipped_lo", "n_clipped_hi", "sum_cents")
+    return keyed_agg(ds.map_batches(clip, batch_format="pyarrow"),
+                     key_col, {"n": ("count", None),
+                               **{c: ("sum", c) for c in sums}}).sort(key_col)
 
 
 def span_corruption(ds, doc_col: str = "doc_id", text_col: str = "text",
@@ -670,27 +652,12 @@ def l_diversity(ds, quasi_cols: list[str], sensitive_col: str,
     one groupby over quasi combinations counting pairs (= distinct
     sensitive values) and summing rows → the under-l filter.
     """
-    import numpy as np
-
     cols = quasi_cols + [sensitive_col]
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.select(cols).append_column(
-            "n", pa.array(np.ones(b.num_rows, dtype=np.int64)))
-        g = t.group_by(cols).aggregate([("n", "sum")])
-        return g.rename_columns(cols + ["n"])
-
-    pairs = keyed_agg(ds.select_columns(cols)
-                      .map_batches(partial, batch_format="pyarrow"),
-                      cols, {"n": ("sum", "n")})
+    pairs = keyed_agg(ds.select_columns(cols), cols, {"n": ("count", None)})
 
     def under_l(b: pa.Table) -> pa.Table:
-        ns = pc.cast(b.column("n_sensitive"), pa.int64())
-        t = b.set_column(b.schema.get_field_index("n_sensitive"),
-                         "n_sensitive", ns)
-        t = t.set_column(t.schema.get_field_index("n_rows"), "n_rows",
-                         pc.cast(t.column("n_rows"), pa.int64()))
-        return t.filter(pc.less(ns, l))
+        return b.filter(pc.less(b.column("n_sensitive"), l))
 
     return keyed_agg(pairs, quasi_cols,
                      {"n_sensitive": ("count", None),
@@ -736,15 +703,7 @@ def t_closeness(ds, quasi_cols: list[str], sensitive_col: str,
 
     cols = quasi_cols + [sensitive_col]
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.select(cols).append_column(
-            "n", pa.array(np.ones(b.num_rows, dtype=np.int64)))
-        g = t.group_by(cols).aggregate([("n", "sum")])
-        return g.rename_columns(cols + ["n"])
-
-    pairs = keyed_agg(ds.select_columns(cols)
-                      .map_batches(partial, batch_format="pyarrow"),
-                      cols, {"n": ("sum", "n")}
+    pairs = keyed_agg(ds.select_columns(cols), cols, {"n": ("count", None)}
                       ).materialize()  # consumed twice: global bands + groups
 
     gb = {r[sensitive_col]: int(r["n"])
@@ -793,22 +752,12 @@ def k_anonymity(ds, quasi_cols: list[str], k: int = 10):
     census release pairs suppression with masking: one guards values,
     this guards group sizes.
     """
-    import numpy as np
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = b.select(quasi_cols).append_column(
-            "n", pa.array(np.ones(b.num_rows, dtype=np.int64)))
-        g = t.group_by(quasi_cols).aggregate([("n", "sum")])
-        return g.rename_columns(quasi_cols + ["n"])
 
     def under_k(b: pa.Table) -> pa.Table:
-        n = pc.cast(b.column("n"), pa.int64())
-        t = b.set_column(b.schema.get_field_index("n"), "n", n)
-        return t.filter(pc.less(n, k))
+        return b.filter(pc.less(b.column("n"), k))
 
-    return keyed_agg(ds.select_columns(quasi_cols)
-                     .map_batches(partial, batch_format="pyarrow"),
-                     quasi_cols, {"n": ("sum", "n")}
+    return keyed_agg(ds.select_columns(quasi_cols), quasi_cols,
+                     {"n": ("count", None)}
                      ).map_batches(under_k, batch_format="pyarrow")
 
 

@@ -430,12 +430,9 @@ def minhash_lsh_candidates(ds, num_hashes: int = 128, bands: int = 16, ngram: in
     Buckets over ``max_bucket`` members are sub-split (skew guard, see
     ``_capped_subgroups``) so pair output stays linear in bucket size.
     """
-    from ray.data.aggregate import Count
-
     # candidate pairs can appear in multiple bands → distinct
-    return (_band_pairs(ds, num_hashes, bands, ngram, max_bucket)
-            .groupby(["doc_a", "doc_b"])
-            .aggregate(Count(alias_name="n_bands")))
+    return keyed_agg(_band_pairs(ds, num_hashes, bands, ngram, max_bucket),
+                     ["doc_a", "doc_b"], {"n_bands": ("count", None)})
 
 
 def _band_pairs(ds, num_hashes: int, bands: int, ngram: int,
@@ -928,17 +925,18 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
     Scale shape (two streaming passes, one thin exchange):
 
-    1. Per block: split → FNV-1a hash64 per line → ``np.unique`` partial
-       counts, so only (int64 hash, count) rows — never line text —
-       cross the exchange; a global ``groupby(h).Sum`` finishes the
-       count (the distinct-lines-sized CCNet shard shape).
+    1. Per block: split → FNV-1a hash64 per line → ``keyed_agg``
+       counts per hash, so only (int64 hash, count) rows — never line
+       text — cross the exchange (the distinct-lines-sized CCNet shard
+       shape).
     2. The FLAGGED set (count ≥ min_count) is boilerplate-sized — far
-       smaller than the distinct-line universe — collected once,
-       broadcast via ``ray.put``, and pass 2 re-renders each doc with a
-       vectorized ``searchsorted`` membership mask. A loud guard bounds
-       the broadcast at ``flagged_max``; past it the named alternative
-       is stamping the flag back by a hash-shuffle join on ``h``
-       (the `span_boilerplate` shape) instead of a broadcast.
+       smaller than the distinct-line universe — collected once (a
+       one-task combine is filtered on the driver, an exchange in the
+       stream), broadcast via ``ray.put``, and pass 2 re-renders each
+       doc with a vectorized ``searchsorted`` membership mask. A loud
+       guard bounds the broadcast at ``flagged_max``; past it the named
+       alternative is stamping the flag back by a hash-shuffle join on
+       ``h`` (the `span_boilerplate` shape) instead of a broadcast.
 
     Output: one row per input doc — ``doc_id, n_lines, n_removed,
     clean_text`` (kept lines joined with ``sep``; '' when everything
@@ -948,28 +946,28 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     """
     import ray
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    from ray.data.dataset import MaterializedDataset
+
+    def line_hashes(batch: pa.Table) -> pa.Table:
         flat: list[str] = []
         for t in batch.column(text_col).to_pylist():
             flat.extend((t or "").split(sep))
-        h = _hash64(flat).view(np.int64)
-        uh, c = np.unique(h, return_counts=True)
-        return pa.table({
-            "h": pa.array(uh, type=pa.int64()),
-            "c": pa.array(c.astype(np.int64), type=pa.int64()),
-        })
+        return pa.table({"h": pa.array(_hash64(flat).view(np.int64))})
 
     pruned = ds.select_columns([id_col, text_col])
-    counts = keyed_agg(pruned.map_batches(partial_counts,
+    counts = keyed_agg(pruned.map_batches(line_hashes,
                                           batch_format="pyarrow"),
-                       "h", {"c": ("sum", "c")})
-    flagged_parts = []
-    for b in (counts.filter(expr=f"c >= {min_count}")
-              .select_columns(["h"])
-              .iter_batches(batch_format="pyarrow")):
-        flagged_parts.append(b.column("h").to_numpy(zero_copy_only=False))
-    flagged = (np.sort(np.concatenate(flagged_parts))
-               if flagged_parts else np.empty(0, np.int64))
+                       "h", {"c": ("count", None)})
+    if not isinstance(counts, MaterializedDataset):
+        # the exchange path: only flagged rows leave the cluster
+        counts = counts.filter(expr=f"c >= {min_count}")
+    # one-task path: the single combined block is filtered here, with
+    # no further execution
+    flagged = np.sort(np.concatenate(
+        [np.empty(0, np.int64)]
+        + [t.filter(pc.greater_equal(t.column("c"), min_count))
+           .column("h").to_numpy() for t in ray.get(counts.to_arrow_refs())
+           if t.num_rows]))
     if len(flagged) > flagged_max:
         raise ValueError(
             f"line_dedup: {len(flagged)} flagged lines exceed the "

@@ -21,6 +21,18 @@ partials go through ``keyed_exchange``, with one Arrow ``group_by`` per
 partition. A caller that rounds (cents) rounds the combined result, so
 rounding never happens on a partial.
 
+Caller contract: hand ``keyed_agg`` rows, not partials. ``_Partial`` is
+the per-block pre-aggregate, so a map that groups its block before
+``keyed_agg`` groups the same rows twice in one task. The map keeps the
+row work (tokenize, hash, round to cents, mask) and the aggregate goes
+into ``aggs``: a column of ones is ``("count", None)``, a per-row value
+is ``("sum", col)``, a per-block distinct is ``{}``. ``keyed_agg``
+keeps null keys as a group; a map whose key can be null and whose
+result must not show it filters it out. A map still groups only for
+what ``keyed_agg`` cannot compute from rows: a distinct count within a
+block (``ngrams._partial_term_counts``' ``df``) or a bounded sketch
+(``sketch.mg_partial``'s Misra-Gries counters).
+
 Why not Ray's own operators (``nproc`` 1, Ray at 2 CPUs):
 
 - Ray 2.49's ``groupby().aggregate()`` sorts, then walks each sorted
@@ -236,7 +248,8 @@ def keyed_agg(ds, keys, aggs: dict):
     ``max`` or ``mean``. Returns a Dataset with columns ``keys`` then
     ``aggs`` in order, one row per distinct key tuple (null keys form a
     group, as in SQL). Partials within ``target_max_block_size`` are
-    combined in one task, whose output is sorted by ``keys``; larger
+    combined in one task, whose output is sorted by ``keys`` and comes
+    back as a one-block ``MaterializedDataset``; larger
     ones through ``keyed_exchange``, sorted within each partition."""
     import ray
     from ray.data import DataContext
@@ -247,8 +260,10 @@ def keyed_agg(ds, keys, aggs: dict):
         refs = parts.to_arrow_refs()
         if not refs:
             return parts
+        # materialized, so that reading its block refs back (a
+        # driver-side consumer) starts no further execution
         return ray.data.from_arrow_refs(
-            [_combine_task().remote(keys, aggs, *refs)])
+            [_combine_task().remote(keys, aggs, *refs)]).materialize()
     return keyed_exchange(parts, keys,
                           functools.partial(_combine, keys, aggs))
 

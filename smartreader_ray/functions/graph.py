@@ -142,14 +142,12 @@ def consecutive_edges(ds, group_col: str, seq_col: str, node_col: str,
     right = ds.map_batches(keyed(-1, "dst"), batch_format="pyarrow")
     pairs = hash_join(left, right, "k", "k", ["src"], ["dst"])
 
-    def block_distinct(b: pa.Table) -> pa.Table:
-        # pre-combine: per-block distinct before the global exchange —
-        # repeated pairs (hot supplier hand-offs) collapse map-side
-        b = b.filter(pc.not_equal(b.column("src"), b.column("dst")))
-        g = b.group_by(["src", "dst"]).aggregate([])
-        return g.select(["src", "dst"])
+    def no_self_loops(b: pa.Table) -> pa.Table:
+        return b.filter(pc.not_equal(b.column("src"), b.column("dst")))
 
-    return keyed_agg(pairs.map_batches(block_distinct, batch_format="pyarrow"),
+    # distinct pairs: repeated hand-offs collapse in keyed_agg's
+    # per-block partial, map-side
+    return keyed_agg(pairs.map_batches(no_self_loops, batch_format="pyarrow"),
                      ["src", "dst"], {})
 
 
@@ -289,33 +287,20 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
             }
             ref = ray.put(contrib)
 
-            def partial(b: pa.Table, _ref=ref) -> pa.Table:
-                import pandas as pd
-
-                m = ray.get(_ref)
-                src = b.column("src").to_pandas()
-                dst = b.column("dst").to_pandas()
-                c = src.map(m)
+            def contribs(b: pa.Table, _ref=ref) -> pa.Table:
+                c = b.column("src").to_pandas().map(ray.get(_ref))
                 # drop unmapped sources BEFORE casting: a NaN would force
-                # float64 and silently round int64 partial sums > 2^53
-                keep = c.notna()
-                g = (
-                    pd.DataFrame(
-                        {"v": dst[keep],
-                         "c": c[keep].astype("int64")}
-                    )
-                    .groupby("v", sort=False)["c"]
-                    .sum()
-                )
-                return pa.table(
-                    {
-                        "v": pa.array(g.index.to_numpy(), type=pa.int64()),
-                        "infl": pa.array(g.to_numpy(), type=pa.int64()),
-                    }
-                )
+                # float64 and silently round int64 sums > 2^53
+                keep = (c.notna().to_numpy()
+                        & pc.is_valid(b.column("dst")).to_numpy(
+                            zero_copy_only=False))
+                return pa.table({
+                    "v": pc.cast(b.column("dst").filter(keep), pa.int64()),
+                    "infl": pa.array(c[keep].astype("int64").to_numpy()),
+                })
 
             inflow = keyed_agg_table(
-                edges.map_batches(partial, batch_format="pyarrow"), "v",
+                edges.map_batches(contribs, batch_format="pyarrow"), "v",
                 {"infl": ("sum", "infl")})
             inflow = dict(zip(inflow.column("v").to_pylist(),
                               inflow.column("infl").to_pylist()))
@@ -449,35 +434,22 @@ def rank_weighted_rollup(fact, ranks, fact_key: str, group_col: str,
     }
     ref = ray.put(rank_map)
 
-    def partial(b: pa.Table, _ref=ref) -> pa.Table:
-        import pandas as pd
-
-        m = ray.get(_ref)
-        key = b.column(fact_key).to_pandas()
+    def weighted(b: pa.Table, _ref=ref) -> pa.Table:
+        r = b.column(fact_key).to_pandas().map(ray.get(_ref))
         # safe cast: raises on non-integral quantities instead of
         # silently rounding differently than the SQL side
         qty = pc.cast(b.column(qty_col), pa.int64()).to_pandas()
-        r = key.map(m)
-        keep = r.notna()
-        g = (
-            pd.DataFrame(
-                {
-                    "g": b.column(group_col).to_pandas()[keep],
-                    "w": r[keep].astype("int64") * qty[keep],
-                }
-            )
-            .groupby("g", sort=False)["w"]
-            .sum()
-        )
-        return pa.table(
-            {
-                group_col: pa.array(g.index.to_numpy(), type=pa.int64()),
-                "weighted_demand": pa.array(g.to_numpy(), type=pa.int64()),
-            }
-        )
+        keep = (r.notna().to_numpy()
+                & pc.is_valid(b.column(group_col)).to_numpy(
+                    zero_copy_only=False))
+        return pa.table({
+            group_col: pc.cast(b.column(group_col).filter(keep), pa.int64()),
+            "weighted_demand": pa.array(
+                (r[keep].astype("int64") * qty[keep]).to_numpy()),
+        })
 
     return (
-        keyed_agg(fact.map_batches(partial, batch_format="pyarrow"),
+        keyed_agg(fact.map_batches(weighted, batch_format="pyarrow"),
                   group_col,
                   {"weighted_demand": ("sum", "weighted_demand")})
         .sort(["weighted_demand", group_col], descending=[True, False])
@@ -1166,14 +1138,13 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
     Scale shape: canonical distinct edges live as ONE packed int64
     (lo << 32 | hi; loud guard: node ids must fit 31 bits — widen to a
     2-column exchange past that), so the initial distinct and every
-    round's filter exchange 8 B/edge. Each round = per-block degree
-    partials (np.unique over unpacked endpoints) → one node-sized
-    ``keyed_agg`` sum → survivors (deg ≥ k) broadcast once as a sorted
-    array via ``ray.put`` (bounded by ``alive_max``; the named
-    alternative past the bound is two semi-joins on the endpoint
-    columns) → vectorized searchsorted filter of the packed edges,
-    materialized so the next round starts from the shrunk list instead
-    of replaying the lineage.
+    round's filter exchange 8 B/edge. Each round = unpacked endpoints
+    → one node-sized ``keyed_agg`` count → survivors (deg ≥ k)
+    broadcast once as a sorted array via ``ray.put`` (bounded by
+    ``alive_max``; the named alternative past the bound is two
+    semi-joins on the endpoint columns) → vectorized searchsorted
+    filter of the packed edges, materialized so the next round starts
+    from the shrunk list instead of replaying the lineage.
     """
     import numpy as np
     import ray
@@ -1192,26 +1163,21 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
         m = s != d
         lo = np.minimum(s[m], d[m])
         hi = np.maximum(s[m], d[m])
-        e = np.unique((lo << np.int64(32)) | hi)
-        return pa.table({"e": pa.array(e, type=pa.int64())})
+        return pa.table({"e": pa.array((lo << np.int64(32)) | hi,
+                                       type=pa.int64())})
 
     # distinct edges: a keyed_agg with no aggregate
     cur = keyed_agg(edges.map_batches(pack, batch_format="pyarrow"),
                     "e", {}).materialize()
 
-    def degree_partial(batch: pa.Table) -> pa.Table:
+    def endpoints(batch: pa.Table) -> pa.Table:
         e = batch.column("e").to_numpy(zero_copy_only=False)
-        v = np.concatenate([e >> np.int64(32),
-                            e & np.int64(0xFFFFFFFF)])
-        uv, c = np.unique(v, return_counts=True)
-        return pa.table({"v": pa.array(uv, type=pa.int64()),
-                         "c": pa.array(c.astype(np.int64),
-                                       type=pa.int64())})
+        return pa.table({"v": np.concatenate([e >> np.int64(32),
+                                              e & np.int64(0xFFFFFFFF)])})
 
     def degrees(ds):
-        return keyed_agg(ds.map_batches(degree_partial,
-                                        batch_format="pyarrow"),
-                         "v", {"deg": ("sum", "c")})
+        return keyed_agg(ds.map_batches(endpoints, batch_format="pyarrow"),
+                         "v", {"deg": ("count", None)})
 
     for _ in range(rounds):
         surv_parts = [b.column("v").to_numpy(zero_copy_only=False)

@@ -1071,7 +1071,7 @@ def star_revenue_by_nation(lineitem, orders_tbl, customer_tbl,
     names = {int(r["n_nationkey"]): str(r["n_name"])
              for r in nation_tbl.to_pylist()}
 
-    def revenue_partial(b: pa.Table) -> pa.Table:
+    def revenue_rows(b: pa.Table) -> pa.Table:
         orders_lut, cust_lut, supp_lut = ray.get(refs)
         ok = b.column("l_orderkey").to_numpy(zero_copy_only=False)
         sk = b.column("l_suppkey").to_numpy(zero_copy_only=False)
@@ -1083,17 +1083,15 @@ def star_revenue_by_nation(lineitem, orders_tbl, customer_tbl,
         dc = b.column("l_discount").to_numpy(zero_copy_only=False)
         cents = np.floor(ep * 100.0 + 0.5).astype(np.int64)
         pct = np.floor(dc * 100.0 + 0.5).astype(np.int64)
-        rev = cents[sel] * (100 - pct[sel])
-        t = pa.table({
+        return pa.table({
             "nationkey": pa.array(snat[sel], type=pa.int64()),
-            "revenue_cc": pa.array(rev, type=pa.int64()),
+            "revenue_cc": pa.array(cents[sel] * (100 - pct[sel]),
+                                   type=pa.int64()),
         })
-        g = t.group_by("nationkey").aggregate([("revenue_cc", "sum")])
-        return g.rename_columns(["nationkey", "revenue_cc"])
 
     agg = keyed_agg(lineitem.select_columns(
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
-        .map_batches(revenue_partial, batch_format="pyarrow"),
+        .map_batches(revenue_rows, batch_format="pyarrow"),
         "nationkey", {"revenue_cc": ("sum", "revenue_cc")})
 
     def name_out(b: pa.Table) -> pa.Table:

@@ -120,14 +120,7 @@ def zorder_layout(ds, x_col: str, y_col: str, id_col: str,
          "y_max": ("max", "y"), "z_min": ("min", "zkey"),
          "z_max": ("max", "zkey")})
 
-    def cast64(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict({
-            c: pa.array(b.column(c).to_numpy(zero_copy_only=False),
-                        type=pa.int64())
-            for c in ("shard", "n_rows", "x_min", "x_max",
-                      "y_min", "y_max", "z_min", "z_max")})
-
-    return zones.map_batches(cast64, batch_format="pyarrow").sort("shard")
+    return zones.sort("shard")
 
 
 def zone_prune_fraction(zones_table: pa.Table, x_lo: int, x_hi: int,

@@ -63,7 +63,7 @@ def train_bigram_lm(ds, text_col: str = "text",
     ``state/dedup_index`` actor pattern) — this trainer names that path
     rather than silently collecting an unbounded table.
     """
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    def bigrams(batch: pa.Table) -> pa.Table:
         w1s, w2s = [], []
         for t in batch.column(text_col).to_pylist():
             toks = _tokens(t)
@@ -71,17 +71,12 @@ def train_bigram_lm(ds, text_col: str = "text",
                 continue
             w1s.extend(toks[:-1])
             w2s.extend(toks[1:])
-        t = pa.table({"w1": pa.array(w1s, type=pa.string()),
-                      "w2": pa.array(w2s, type=pa.string())})
-        g = t.group_by(["w1", "w2"]).aggregate([([], "count_all")])
-        return pa.Table.from_pydict(
-            {"w1": g.column("w1"), "w2": g.column("w2"),
-             "n": g.column("count_all")}
-        )
+        return pa.table({"w1": pa.array(w1s, type=pa.string()),
+                         "w2": pa.array(w2s, type=pa.string())})
 
     totals = keyed_agg(ds.select_columns([text_col])
-                       .map_batches(partial_counts, batch_format="pyarrow"),
-                       ["w1", "w2"], {"n": ("sum", "n")})
+                       .map_batches(bigrams, batch_format="pyarrow"),
+                       ["w1", "w2"], {"n": ("count", None)})
     c2: dict = {}
     for b in totals.iter_batches(batch_format="pyarrow", batch_size=None):
         for w1, w2, n in zip(b.column("w1").to_pylist(),
@@ -171,7 +166,7 @@ def train_bigram_lm_by(ds, key_col: str = "lang", text_col: str = "text",
     :func:`train_bigram_lm` shape. A key absent from ``ds`` simply has
     no entry; scorers must define the empty-model convention (see
     :func:`lm_score_by`: V=1, every transition OOV)."""
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    def bigrams(batch: pa.Table) -> pa.Table:
         ks, w1s, w2s = [], [], []
         for k, t in zip(batch.column(key_col).to_pylist(),
                         batch.column(text_col).to_pylist()):
@@ -181,18 +176,13 @@ def train_bigram_lm_by(ds, key_col: str = "lang", text_col: str = "text",
             ks.extend([k] * (len(toks) - 1))
             w1s.extend(toks[:-1])
             w2s.extend(toks[1:])
-        t = pa.table({"k": pa.array(ks, type=pa.string()),
-                      "w1": pa.array(w1s, type=pa.string()),
-                      "w2": pa.array(w2s, type=pa.string())})
-        g = t.group_by(["k", "w1", "w2"]).aggregate([([], "count_all")])
-        return pa.Table.from_pydict(
-            {"k": g.column("k"), "w1": g.column("w1"),
-             "w2": g.column("w2"), "n": g.column("count_all")}
-        )
+        return pa.table({"k": pa.array(ks, type=pa.string()),
+                         "w1": pa.array(w1s, type=pa.string()),
+                         "w2": pa.array(w2s, type=pa.string())})
 
     totals = keyed_agg(ds.select_columns([key_col, text_col])
-                       .map_batches(partial_counts, batch_format="pyarrow"),
-                       ["k", "w1", "w2"], {"n": ("sum", "n")})
+                       .map_batches(bigrams, batch_format="pyarrow"),
+                       ["k", "w1", "w2"], {"n": ("count", None)})
     c2_by: dict = {}
     n_entries = 0
     for b in totals.iter_batches(batch_format="pyarrow", batch_size=None):

@@ -45,6 +45,34 @@ def _tokens_flat(batch: pa.Table, text_col: str):
     return flat, row_idx, lens
 
 
+def _terms(batch: pa.Table, text_col: str) -> pa.Table:
+    """One ``term`` row per non-empty token."""
+    flat, _, _ = _tokens_flat(batch, text_col)
+    return pa.table({"term": flat.filter(pc.greater(pc.utf8_length(flat),
+                                                    0))})
+
+
+def _source_term_counts(ds, text_col: str, source_col: str,
+                        nonempty: bool = False):
+    """``keyed_agg`` count ``c`` per ``(source, term)`` over every token
+    of every doc with a source (empty tokens only when not
+    ``nonempty``)."""
+
+    def source_terms(b: pa.Table) -> pa.Table:
+        flat, row_idx, _ = _tokens_flat(b, text_col)
+        t = pa.table({"source": pc.take(b.column(source_col),
+                                        pa.array(row_idx)).cast(pa.string()),
+                      "term": flat})
+        keep = pc.is_valid(t.column("source"))
+        if nonempty:
+            keep = pc.and_(keep, pc.greater(pc.utf8_length(flat), 0))
+        return t.filter(keep)
+
+    return keyed_agg(ds.select_columns([source_col, text_col])
+                     .map_batches(source_terms, batch_format="pyarrow"),
+                     ["source", "term"], {"c": ("count", None)})
+
+
 def _partial_term_counts(batch: pa.Table, text_col: str) -> pa.Table:
     """Per-block (term, df, cf) partial: df counts distinct docs
     containing the term, cf counts total occurrences. One pandas
@@ -189,38 +217,31 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
                   descending=[False, True, False]))
 
 
-def _partial_bigram_counts(batch: pa.Table, text_col: str) -> pa.Table:
-    """Per-block bigram counts, vectorized: flatten all tokens, pair
-    each with its successor, mask pairs that cross document boundaries,
-    count with one pandas groupby."""
-    flat, row_idx, lens = _tokens_flat(batch, text_col)
+def _bigrams(batch: pa.Table, text_col: str) -> pa.Table:
+    """One ``bigram`` row per adjacent token pair, vectorized: flatten
+    all tokens, pair each with its successor, mask pairs that cross
+    document boundaries or hold an empty token."""
+    flat, row_idx, _ = _tokens_flat(batch, text_col)
     n = len(flat)
     if n < 2:
-        return pa.table({"bigram": pa.array([], type=pa.string()),
-                         "cnt": pa.array([], type=pa.int64())})
-    left = flat.slice(0, n - 1).to_pandas()
-    right = flat.slice(1, n - 1).to_pandas()
-    same_doc = row_idx[:-1] == row_idx[1:]
-    nonempty = (left.str.len() > 0).to_numpy() & (right.str.len() > 0).to_numpy()
-    keep = same_doc & nonempty
-    bigrams = left[keep] + " " + right[keep]
-    counts = bigrams.value_counts(sort=False)
-    return pa.table(
-        {
-            "bigram": pa.array(counts.index, type=pa.string()),
-            "cnt": pa.array(counts.to_numpy(), type=pa.int64()),
-        }
-    )
+        return pa.table({"bigram": pa.array([], type=pa.string())})
+    left, right = flat.slice(0, n - 1), flat.slice(1, n - 1)
+    keep = pc.and_(
+        pa.array(row_idx[:-1] == row_idx[1:]),
+        pc.and_(pc.greater(pc.utf8_length(left), 0),
+                pc.greater(pc.utf8_length(right), 0)))
+    return pa.table({"bigram": pc.binary_join_element_wise(
+        left.filter(keep), right.filter(keep), " ")})
 
 
 def bigram_counts(ds, text_col: str = "text", top_n: int = 100):
     """Top ``top_n`` corpus bigrams (adjacent token pairs within a doc)
-    by count, ties broken by bigram text ascending. Same partial-combine
-    shape as :func:`term_doc_freq`."""
+    by count, ties broken by bigram text ascending. One vocabulary-sized
+    ``keyed_agg`` count, as in :func:`term_doc_freq`."""
     partial = ds.select_columns([text_col]).map_batches(
-        lambda b: _partial_bigram_counts(b, text_col), batch_format="pyarrow"
+        lambda b: _bigrams(b, text_col), batch_format="pyarrow"
     )
-    totals = keyed_agg(partial, "bigram", {"cnt": ("sum", "cnt")})
+    totals = keyed_agg(partial, "bigram", {"cnt": ("count", None)})
 
     def local(b: pa.Table) -> pa.Table:
         if b.num_rows > top_n:
@@ -383,44 +404,21 @@ def _tfidf_join_path(ds, df_tbl, n_docs: int, doc_col: str, text_col: str,
     )
 
 
-def _partial_cooc(batch: pa.Table, text_col: str, window: int) -> pa.Table:
-    """Per-block canonical-pair partial: every unordered token pair
-    within ``window`` positions in the same doc, pre-combined to one
-    row per distinct pair per block (the module's exchange contract).
-    Empty tokens are KEPT — `string_split` semantics, like the oracle."""
+def _cooc_pairs(batch: pa.Table, text_col: str, window: int) -> pa.Table:
+    """One canonical ``(a, b)`` row per token pair within ``window``
+    positions in the same doc. Empty tokens are KEPT — `string_split`
+    semantics, like the oracle."""
     flat, row_idx, _ = _tokens_flat(batch, text_col)
     toks = flat.to_numpy(zero_copy_only=False)
-    frames = []
-    for d in range(1, window + 1):
-        if len(toks) <= d:
-            break
+    xs, ys = [np.empty(0, dtype=object)], [np.empty(0, dtype=object)]
+    for d in range(1, min(window, len(toks) - 1) + 1):
         same = row_idx[:-d] == row_idx[d:]
         x, y = toks[:-d][same], toks[d:][same]
         swap = x > y  # canonical order: lexicographic (binary, ASCII)
-        frames.append(
-            pd.DataFrame({"a": np.where(swap, y, x),
-                          "b": np.where(swap, x, y)})
-        )
-    if not frames:
-        return pa.table(
-            {"a": pa.array([], type=pa.string()),
-             "b": pa.array([], type=pa.string()),
-             "pair_count": pa.array([], type=pa.int64())}
-        )
-    g = (
-        pd.concat(frames)
-        .groupby(["a", "b"], sort=False)
-        .size()
-        .reset_index(name="pair_count")
-    )
-    return pa.table(
-        {
-            "a": pa.array(g["a"].to_numpy(), type=pa.string()),
-            "b": pa.array(g["b"].to_numpy(), type=pa.string()),
-            "pair_count": pa.array(g["pair_count"].to_numpy(),
-                                   type=pa.int64()),
-        }
-    )
+        xs.append(np.where(swap, y, x))
+        ys.append(np.where(swap, x, y))
+    return pa.table({"a": pa.array(np.concatenate(xs), type=pa.string()),
+                     "b": pa.array(np.concatenate(ys), type=pa.string())})
 
 
 def cooccurrence_window(ds, text_col: str = "text", window: int = 3,
@@ -433,7 +431,8 @@ def cooccurrence_window(ds, text_col: str = "text", window: int = 3,
     hash-reproducible; the float PMI is one deterministic log away).
 
     Shape at scale: the pair exchange carries one row per DISTINCT pair
-    per block (per-block pandas pre-combine), never per occurrence; the
+    per block (``keyed_agg``'s per-block pre-combine), never per
+    occurrence; the
     marginal table is vocabulary-sized and rides the TF-IDF broadcast
     pattern (``ray.put`` once, attached to the 50-row top-k map-side —
     no join shuffle for a lookup two orders smaller than a block).
@@ -442,27 +441,16 @@ def cooccurrence_window(ds, text_col: str = "text", window: int = 3,
     import ray
 
     pairs = keyed_agg(
-        ds.map_batches(lambda b: _partial_cooc(b, text_col, window),
+        ds.map_batches(lambda b: _cooc_pairs(b, text_col, window),
                        batch_format="pyarrow"),
-        ["a", "b"], {"pair_count": ("sum", "pair_count")})
+        ["a", "b"], {"pair_count": ("count", None)})
     top = pairs.sort(
         ["pair_count", "a", "b"], descending=[True, False, False]
     ).limit(top_k_pairs)
 
-    def marg_partial(batch: pa.Table) -> pa.Table:
-        flat, _, _ = _tokens_flat(batch, text_col)
-        s = flat.to_pandas()
-        c = s.groupby(s, sort=False).size()
-        return pa.table(
-            {
-                "tok": pa.array(c.index.to_numpy(), type=pa.string()),
-                "c": pa.array(c.to_numpy(), type=pa.int64()),
-            }
-        )
-
-    marg = keyed_agg_table(ds.map_batches(marg_partial,
-                                          batch_format="pyarrow"),
-                           "tok", {"c": ("sum", "c")})
+    marg = keyed_agg_table(ds.map_batches(
+        lambda b: pa.table({"tok": _tokens_flat(b, text_col)[0]}),
+        batch_format="pyarrow"), "tok", {"c": ("count", None)})
     marg_ref = ray.put(dict(zip(marg.column("tok").to_pylist(),
                                 marg.column("c").to_pylist())))
 
@@ -788,33 +776,14 @@ def simpson_concentration(ds, text_col: str = "text",
     Token semantics match ``source_entropy``: single-space split of the
     trimmed text, empty tokens kept (``string_split(trim(text), ' ')``).
 
-    Ray shape: per-block (source, term) pandas precombine →
-    groupby(source, term) Sum (the only vocab-sized exchange) → per-block
+    Ray shape: ``_source_term_counts``, a (source, term) count
+    pre-combined per block (the only vocab-sized exchange) → per-block
     squaring → groupby(source) Sum over a source-sized table. Overflow
     regime: Σc² < 2⁶³ holds while no single source-term count exceeds
     ~3e9; counts are int64 and the squaring block would wrap silently
     beyond that, so it raises if any c > 3_000_000_000.
     """
-    def partial(b: pa.Table) -> pa.Table:
-        text = pc.cast(b.column(text_col), pa.string())
-        filled = pc.coalesce(text, pa.scalar("", type=pa.string()))
-        toks = pc.split_pattern(
-            pc.utf8_trim_whitespace(filled), " ").combine_chunks()
-        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        src = np.repeat(
-            np.asarray(b.column(source_col).to_pylist(), dtype=object), lens)
-        df = pd.DataFrame({"source": src,
-                           "term": toks.flatten().to_pandas()})
-        g = df.groupby(["source", "term"], sort=False).size().reset_index()
-        return pa.Table.from_pydict({
-            "source": pa.array(g["source"], type=pa.string()),
-            "term": pa.array(g["term"], type=pa.string()),
-            "c": pa.array(g[0].to_numpy(), type=pa.int64()),
-        })
-
-    counts = keyed_agg(ds.select_columns([source_col, text_col])
-                       .map_batches(partial, batch_format="pyarrow"),
-                       ["source", "term"], {"c": ("sum", "c")})
+    counts = _source_term_counts(ds, text_col, source_col)
 
     def square(b: pa.Table) -> pa.Table:
         c = b.column("c").to_numpy(zero_copy_only=False)
@@ -864,9 +833,8 @@ def source_cosine(ds, text_col: str = "text", source_col: str = "source",
     exactly-representable ints, sqrt correctly rounded — identical in
     both engines).
 
-    Ray shape: per-block (source, term) pandas precombine →
-    groupby(source, term) Sum (the vocab×sources exchange, same as
-    ``simpson_concentration``) → ONE vocab-sized pivot block where a
+    Ray shape: ``_source_term_counts`` (the vocab×sources exchange, same
+    as ``simpson_concentration``) → ONE vocab-sized pivot block where a
     single numpy Cᵀ·C matmul yields all pairs at once (the tfidf /
     vocab_coverage single-block regime — bounded by |vocab|·|sources|,
     never by rows; loud guard at ``max_vocab_block`` naming the
@@ -879,26 +847,7 @@ def source_cosine(ds, text_col: str = "text", source_col: str = "source",
     """
     import math
 
-    def partial(b: pa.Table) -> pa.Table:
-        text = pc.cast(b.column(text_col), pa.string())
-        filled = pc.coalesce(text, pa.scalar("", type=pa.string()))
-        toks = pc.split_pattern(
-            pc.utf8_trim_whitespace(filled), " ").combine_chunks()
-        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        src = np.repeat(
-            np.asarray(b.column(source_col).to_pylist(), dtype=object), lens)
-        df = pd.DataFrame({"source": src,
-                           "term": toks.flatten().to_pandas()})
-        g = df.groupby(["source", "term"], sort=False).size().reset_index()
-        return pa.Table.from_pydict({
-            "source": pa.array(g["source"], type=pa.string()),
-            "term": pa.array(g["term"], type=pa.string()),
-            "c": pa.array(g[0].to_numpy(), type=pa.int64()),
-        })
-
-    counts = keyed_agg(ds.select_columns([source_col, text_col])
-                       .map_batches(partial, batch_format="pyarrow"),
-                       ["source", "term"], {"c": ("sum", "c")})
+    counts = _source_term_counts(ds, text_col, source_col)
 
     def pairwise(b: pa.Table) -> pa.Table:
         if b.num_rows > max_vocab_block:
@@ -969,8 +918,7 @@ def zipf_fit(ds, text_col: str = "text", source_col: str = "source",
     ≈ 2.2e4, so Σx² fits int64 to ~1.9e10 terms/source; loud guard at
     1e9 (shard the source past that).
 
-    Ray shape: the same per-block (source, term) precombine →
-    groupby(source, term) Sum vocab-sized exchange as
+    Ray shape: the same ``_source_term_counts`` vocab-sized exchange as
     ``simpson_concentration``, then ONE vectorized ``map_groups`` call
     per source over its vocab-sized count table (sources are few; the
     documented partitioning assumption is one source's vocabulary fits
@@ -978,26 +926,7 @@ def zipf_fit(ds, text_col: str = "text", source_col: str = "source",
     """
     import math
 
-    def partial(b: pa.Table) -> pa.Table:
-        text = pc.cast(b.column(text_col), pa.string())
-        filled = pc.coalesce(text, pa.scalar("", type=pa.string()))
-        toks = pc.split_pattern(
-            pc.utf8_trim_whitespace(filled), " ").combine_chunks()
-        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        src = np.repeat(
-            np.asarray(b.column(source_col).to_pylist(), dtype=object), lens)
-        df = pd.DataFrame({"source": src,
-                           "term": toks.flatten().to_pandas()})
-        g = df.groupby(["source", "term"], sort=False).size().reset_index()
-        return pa.Table.from_pydict({
-            "source": pa.array(g["source"], type=pa.string()),
-            "term": pa.array(g["term"], type=pa.string()),
-            "c": pa.array(g[0].to_numpy(), type=pa.int64()),
-        })
-
-    counts = keyed_agg(ds.select_columns([source_col, text_col])
-                       .map_batches(partial, batch_format="pyarrow"),
-                       ["source", "term"], {"c": ("sum", "c")})
+    counts = _source_term_counts(ds, text_col, source_col)
 
     fscale = float(scale)
 
@@ -1059,13 +988,13 @@ def freq_spectrum(ds, text_col: str = "text"):
     p₀ = N₁/N — reported as exact integers plus the single IEEE
     division (bit-reproducible both engines).
 
-    Exchanges: the per-block (term, cf) partials → one term-keyed Sum,
+    Exchanges: token rows → one term-keyed count,
     then a COUNT-sized (distinct r values) second groupby — the second
     exchange is spectrum-sized, never corpus-sized.
     """
     counts = keyed_agg(ds.select_columns([text_col]).map_batches(
-        lambda b: _partial_term_counts(b, text_col), batch_format="pyarrow"),
-        "term", {"c": ("sum", "cf")})
+        lambda b: _terms(b, text_col), batch_format="pyarrow"),
+        "term", {"c": ("count", None)})
 
     spec = keyed_agg(counts, "c", {"n_terms": ("count", None)})
 
@@ -1091,7 +1020,7 @@ def vocab_growth(ds, doc_col: str = "doc_id", text_col: str = "text",
     far. First-occurrence decomposition makes it distributive: a term
     enters the vocabulary exactly at its MIN containing doc_id.
 
-    Exchanges: per-block (term, min doc) partials → one term-keyed Min,
+    Exchanges: (term, doc) rows → one term-keyed Min,
     the TeraSort-shaped `global_rank` over the doc ids, one vectorized
     hash_join to stamp ranks, then a bucket-sized rollup; the cumulative
     sum runs driver-side over ``n_buckets`` rows.
@@ -1101,23 +1030,18 @@ def vocab_growth(ds, doc_col: str = "doc_id", text_col: str = "text",
     from .join import hash_join
     from .reshape import global_rank
 
-    def first_doc_partial(batch: pa.Table) -> pa.Table:
+    def first_docs(batch: pa.Table) -> pa.Table:
         flat, row_idx, _ = _tokens_flat(batch, text_col)
-        terms = flat.to_pandas()
-        docs = batch.column(doc_col).to_numpy(zero_copy_only=False)
-        mask = terms.str.len() > 0
-        df = pd.DataFrame({
-            "term": terms[mask],
-            "fd": docs[row_idx[mask.to_numpy()]],
-        })
-        g = df.groupby("term", sort=False)["fd"].min()
+        keep = pc.greater(pc.utf8_length(flat), 0)
         return pa.table({
-            "term": pa.array(g.index, type=pa.string()),
-            "fd": pa.array(g.to_numpy(), type=pa.int64()),
+            "term": flat.filter(keep),
+            "fd": pc.cast(pc.take(batch.column(doc_col),
+                                  pa.array(row_idx).filter(keep)),
+                          pa.int64()),
         })
 
     first = keyed_agg(ds.select_columns([doc_col, text_col])
-                      .map_batches(first_doc_partial, batch_format="pyarrow"),
+                      .map_batches(first_docs, batch_format="pyarrow"),
                       "term", {"fd": ("min", "fd")})
 
     ranked = global_rank(ds.select_columns([doc_col]), doc_col)
@@ -1338,36 +1262,27 @@ def log_odds_terms(ds, text_col: str = "text", label_col: str = "lang",
     once, columns ``(term, cf_target, cf_rest, z)``, ordered (z desc,
     term).
 
-    Scale shape: ONE vocab-sized exchange — per-block partials emit
-    (term, cf_target, cf_rest) with the side split done map-side, the
-    groupby Sums both columns; totals n1/n2/V are three numbers
+    Scale shape: ONE vocab-sized exchange — each token row carries its
+    side split map-side (cf_target, cf_rest), and one ``keyed_agg``
+    sums both columns; totals n1/n2/V are three numbers
     derived from the same materialized count table; scoring is one
     vectorized ``map_batches``; the two rank ends ride select_k
     partials + a tiny global sort.
     """
     from ray.data.aggregate import Sum
 
-    def partial(b: pa.Table) -> pa.Table:
+    def sides(b: pa.Table) -> pa.Table:
         flat, row_idx, _ = _tokens_flat(b, text_col)
         is_t = np.asarray(
             [lb == target_label for lb in b.column(label_col).to_pylist()],
-            dtype=bool)
-        terms = flat.to_pandas()
-        mask = (terms.str.len() > 0).to_numpy()
-        d = pd.DataFrame({
-            "term": terms[mask],
-            "ct": is_t[row_idx[mask]].astype(np.int64),
-        })
-        g = d.groupby("term", sort=False)["ct"]
-        s, cnt = g.sum(), g.size()
-        return pa.table({
-            "term": pa.array(s.index, type=pa.string()),
-            "cf_target": pa.array(s.to_numpy(), type=pa.int64()),
-            "cf_rest": pa.array((cnt - s).to_numpy(), type=pa.int64()),
-        })
+            dtype=np.int64)
+        keep = pc.greater(pc.utf8_length(flat), 0)
+        ct = is_t[pa.array(row_idx).filter(keep).to_numpy()]
+        return pa.table({"term": flat.filter(keep),
+                         "cf_target": ct, "cf_rest": 1 - ct})
 
     counts = keyed_agg(ds.select_columns([text_col, label_col])
-                       .map_batches(partial, batch_format="pyarrow"),
+                       .map_batches(sides, batch_format="pyarrow"),
                        "term", {"cf_target": ("sum", "cf_target"),
                                 "cf_rest": ("sum", "cf_rest")}
                        ).materialize()  # totals + scoring + 2 rank ends
@@ -1438,54 +1353,25 @@ def good_turing(ds, text_col: str = "text", source_col: str = "source"):
     each float column is ONE fixed-order IEEE expression the SQL
     oracle replays bit-for-bit.
 
-    Scale shape: ONE (source, term) counting exchange (per-block
-    pandas partials pre-combine, so ≤ |vocab|×|sources| rows per block
-    cross); the frequency-of-frequencies rollup collapses that table
-    to sources × {1, 2, other} before the driver-visible result.
+    Scale shape: ONE (source, term) counting exchange (pre-combined
+    per block, so ≤ |vocab|×|sources| rows per block cross); the
+    frequency-of-frequencies rollup collapses that table to
+    sources × {1, 2, other} before the driver-visible result.
     """
-    def partial(b: pa.Table) -> pa.Table:
-        flat, row_idx, _ = _tokens_flat(b, text_col)
-        src = b.column(source_col).to_pandas()
-        terms = flat.to_pandas()
-        mask = (terms.str.len() > 0).to_numpy()
-        d = pd.DataFrame({
-            "source": src.iloc[row_idx[mask]].to_numpy(),
-            "term": terms[mask],
-        })
-        g = d.groupby(["source", "term"], sort=False).size()
-        idx = g.index.to_frame(index=False)
-        return pa.table({
-            "source": pa.array(idx["source"], type=pa.string()),
-            "term": pa.array(idx["term"], type=pa.string()),
-            "c": pa.array(g.to_numpy(), type=pa.int64()),
-        })
+    st = _source_term_counts(ds, text_col, source_col, nonempty=True)
 
-    st = keyed_agg(ds.select_columns([text_col, source_col])
-                   .map_batches(partial, batch_format="pyarrow"),
-                   ["source", "term"], {"c": ("sum", "c")})
-
-    def fof_partial(b: pa.Table) -> pa.Table:
+    def fof(b: pa.Table) -> pa.Table:
         c = b.column("c").to_numpy(zero_copy_only=False)
-        src = b.column("source").to_pandas()
-        d = pd.DataFrame({
-            "source": src,
+        return pa.table({
+            "source": b.column("source"),
             "n": c,
-            "v": np.ones(len(c), dtype=np.int64),
             "f1": (c == 1).astype(np.int64),
             "f2": (c == 2).astype(np.int64),
         })
-        g = d.groupby("source", sort=False).sum()
-        return pa.table({
-            "source": pa.array(g.index, type=pa.string()),
-            "n": pa.array(g["n"].to_numpy(), type=pa.int64()),
-            "v": pa.array(g["v"].to_numpy(), type=pa.int64()),
-            "f1": pa.array(g["f1"].to_numpy(), type=pa.int64()),
-            "f2": pa.array(g["f2"].to_numpy(), type=pa.int64()),
-        })
 
-    tot = keyed_agg(st.map_batches(fof_partial, batch_format="pyarrow"),
+    tot = keyed_agg(st.map_batches(fof, batch_format="pyarrow"),
                     "source", {"n_tokens": ("sum", "n"),
-                               "vocab": ("sum", "v"), "f1": ("sum", "f1"),
+                               "vocab": ("count", None), "f1": ("sum", "f1"),
                                "f2": ("sum", "f2")})
 
     def finalize(b: pa.Table) -> pa.Table:

@@ -130,32 +130,23 @@ def fixed_width_histogram(ds, value_col: str, lo: float, hi: float,
     are data-dependent floats). Nulls are dropped. Returns one row per
     OBSERVED bin: ``(bin, bin_lo, n)``, ordered by bin.
 
-    Scale shape: per-block ``np.bincount`` partials (nbins-sized, not
-    row-sized) ride one groupby-sum; the exchange is bounded by
-    nbins × blocks regardless of corpus size.
+    Scale shape: one ``keyed_agg`` count per bin; the exchange is
+    bounded by nbins × blocks regardless of corpus size.
     """
     import numpy as np
 
     w = (hi - lo) / nbins
 
-    def partial(b: pa.Table) -> pa.Table:
+    def bins(b: pa.Table) -> pa.Table:
         v = b.column(value_col).to_numpy(zero_copy_only=False).astype(
             "float64"
         )
         v = v[~np.isnan(v)]
-        idx = np.clip(np.floor((v - lo) / w).astype("int64"), 0,
-                      nbins - 1)
-        counts = np.bincount(idx, minlength=nbins)
-        seen = np.nonzero(counts)[0]
-        return pa.table(
-            {
-                "bin": pa.array(seen, type=pa.int64()),
-                "n": pa.array(counts[seen], type=pa.int64()),
-            }
-        )
+        return pa.table({"bin": np.clip(np.floor((v - lo) / w)
+                                        .astype("int64"), 0, nbins - 1)})
 
-    agg = keyed_agg(ds.map_batches(partial, batch_format="pyarrow"), "bin",
-                    {"n": ("sum", "n")})
+    agg = keyed_agg(ds.map_batches(bins, batch_format="pyarrow"), "bin",
+                    {"n": ("count", None)})
     return agg.map_batches(
         lambda b: pa.table(
             {
@@ -165,7 +156,7 @@ def fixed_width_histogram(ds, value_col: str, lo: float, hi: float,
                     pc.multiply(pc.cast(b.column("bin"), pa.float64()),
                                 pa.scalar(w, type=pa.float64())),
                 ),
-                "n": pc.cast(b.column("n"), pa.int64()),
+                "n": b.column("n"),
             }
         ),
         batch_format="pyarrow",
@@ -188,42 +179,21 @@ def json_field_agg(ds, json_col: str, key: str, group_col: str):
     # same group by number — one RE2 semantics either way
     pattern = r'"' + key + r'":\s*(?P<v>\d+)'
 
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def values(b: pa.Table) -> pa.Table:
         ext = pc.extract_regex(
             pc.coalesce(pc.cast(b.column(json_col), pa.string()),
                         pa.scalar("", type=pa.string())),
             pattern,
         )
-        vals = pc.cast(pc.struct_field(ext, "v"), pa.int64())
-        df = pd.DataFrame(
-            {
-                "g": b.column(group_col).to_pandas(),
-                "v": vals.to_pandas(),
-            }
-        ).dropna(subset=["v"])
-        df["v"] = df["v"].astype("int64")
-        g = df.groupby("g", sort=False)["v"]
-        agg = g.agg(["count", "sum", "min", "max"]).reset_index()
-        return pa.table(
-            {
-                group_col: pa.array(agg["g"].to_numpy()),
-                "n": pa.array(agg["count"].to_numpy().astype("int64"),
-                              type=pa.int64()),
-                "sum_v": pa.array(agg["sum"].to_numpy().astype("int64"),
-                                  type=pa.int64()),
-                "min_v": pa.array(agg["min"].to_numpy().astype("int64"),
-                                  type=pa.int64()),
-                "max_v": pa.array(agg["max"].to_numpy().astype("int64"),
-                                  type=pa.int64()),
-            }
-        )
+        t = pa.table({group_col: b.column(group_col),
+                      "v": pc.cast(pc.struct_field(ext, "v"), pa.int64())})
+        return t.filter(pc.and_(pc.is_valid(t.column(group_col)),
+                                pc.is_valid(t.column("v"))))
 
     return keyed_agg(
-        ds.map_batches(partial, batch_format="pyarrow"), group_col,
-        {"n": ("sum", "n"), "sum_v": ("sum", "sum_v"),
-         "min_v": ("min", "min_v"), "max_v": ("max", "max_v")},
+        ds.map_batches(values, batch_format="pyarrow"), group_col,
+        {"n": ("count", None), "sum_v": ("sum", "v"),
+         "min_v": ("min", "v"), "max_v": ("max", "v")},
     ).sort(group_col)
 
 
@@ -283,7 +253,7 @@ def rollup_agg(ds, key_cols: list[str], value_cols: list[str],
     """
     sum_cols = [f"sum_{v}_cents" for v in value_cols]
 
-    def partial(b: pa.Table) -> pa.Table:
+    def levels(b: pa.Table) -> pa.Table:
         n = b.num_rows
         cents = {
             sc: pc.cast(
@@ -292,31 +262,16 @@ def rollup_agg(ds, key_cols: list[str], value_cols: list[str],
                 pa.int64())
             for v, sc in zip(value_cols, sum_cols)
         }
-        ones = pa.array(np.ones(n, dtype=np.int64))
-        outs = []
-        for lvl in range(len(key_cols), -1, -1):
-            cols = {}
-            for i, k in enumerate(key_cols):
-                cols[k] = (b.column(k) if i < lvl
-                           else pa.array([all_token] * n, type=pa.string()))
-            for sc in sum_cols:
-                cols[sc] = cents[sc]
-            cols["n"] = ones
-            g = pa.table(cols).group_by(key_cols).aggregate(
-                [(sc, "sum") for sc in sum_cols] + [("n", "sum")])
-            outs.append(g.rename_columns(key_cols + sum_cols + ["n"]))
-        return pa.concat_tables(outs)
-
-    def finalize(b: pa.Table) -> pa.Table:
-        cols = {k: b.column(k) for k in key_cols}
-        for sc in sum_cols + ["n"]:
-            cols[sc] = pc.cast(b.column(sc), pa.int64())
-        return pa.table(cols)
+        all_col = pa.array([all_token] * n, type=pa.string())
+        return pa.concat_tables([
+            pa.table({**{k: b.column(k) if i < lvl else all_col
+                         for i, k in enumerate(key_cols)}, **cents})
+            for lvl in range(len(key_cols), -1, -1)])
 
     return keyed_agg(
-        ds.map_batches(partial, batch_format="pyarrow"), key_cols,
-        {c: ("sum", c) for c in sum_cols + ["n"]},
-    ).map_batches(finalize, batch_format="pyarrow").sort(key_cols)
+        ds.map_batches(levels, batch_format="pyarrow"), key_cols,
+        {**{c: ("sum", c) for c in sum_cols}, "n": ("count", None)},
+    ).sort(key_cols)
 
 
 def profile_table(ds, columns: list[str]):
@@ -368,17 +323,6 @@ def profile_table(ds, columns: list[str]):
                   {"n": ("sum", "n"), "n_null": ("sum", "n_null"),
                    "min_v": ("min", "min_v"), "max_v": ("max", "max_v"),
                    "sum_cents": ("sum", "sum_cents")})
-        .map_batches(
-            lambda b: pa.table({
-                "column_name": b.column("column_name"),
-                "n": pc.cast(b.column("n"), pa.int64()),
-                "n_null": pc.cast(b.column("n_null"), pa.int64()),
-                "min_v": pc.cast(b.column("min_v"), pa.float64()),
-                "max_v": pc.cast(b.column("max_v"), pa.float64()),
-                "sum_cents": pc.cast(b.column("sum_cents"), pa.int64()),
-            }),
-            batch_format="pyarrow",
-        )
         .sort("column_name")
     )
 
@@ -609,17 +553,14 @@ def fd_histogram(ds, value_col: str, max_driver_values: int = 5_000_000):
 
     import numpy as np
 
-    def vc_partial(b: pa.Table) -> pa.Table:
+    def values(b: pa.Table) -> pa.Table:
         v = b.column(value_col).to_numpy(zero_copy_only=False).astype(
             np.float64)
-        v = v[~np.isnan(v)]
-        uniq, cnt = np.unique(v, return_counts=True)
-        return pa.table({"v": pa.array(uniq, type=pa.float64()),
-                         "cnt": pa.array(cnt, type=pa.int64())})
+        return pa.table({"v": v[~np.isnan(v)]})
 
     hist = keyed_agg(ds.select_columns([value_col])
-                     .map_batches(vc_partial, batch_format="pyarrow"),
-                     "v", {"cnt": ("sum", "cnt")}).materialize()
+                     .map_batches(values, batch_format="pyarrow"),
+                     "v", {"cnt": ("count", None)}).materialize()
     n_distinct = hist.count()
     if n_distinct == 0:
         import ray.data
@@ -799,27 +740,17 @@ def ntile_summary(ds, value_col: str, id_col: str, k: int = 8,
         small = np.maximum(q, 1)  # q==0 rows never take the else branch
         bucket = np.where(rn0 < cut, rn0 // (q + 1),
                           r + (rn0 - cut) // small) + 1
-        t = pa.table({
+        return pa.table({
             "bucket": pa.array(bucket, type=pa.int64()),
             "cents": b.column("cents"),
         })
-        g = t.group_by("bucket").aggregate(
-            [("cents", "count"), ("cents", "min"),
-             ("cents", "max"), ("cents", "sum")])
-        return g.rename_columns(
-            ["bucket", "n_rows", "min_cents", "max_cents", "sum_cents"])
 
-    out = keyed_agg(ranked.map_batches(bucketize, batch_format="pyarrow"),
-                    "bucket", {"n_rows": ("sum", "n_rows"),
-                               "min_cents": ("min", "min_cents"),
-                               "max_cents": ("max", "max_cents"),
-                               "sum_cents": ("sum", "sum_cents")})
-
-    def cast64(b: pa.Table) -> pa.Table:
-        return pa.table({
-            c: pc.cast(b.column(c), pa.int64()) for c in b.column_names})
-
-    return out.map_batches(cast64, batch_format="pyarrow").sort("bucket")
+    return keyed_agg(ranked.map_batches(bucketize, batch_format="pyarrow"),
+                     "bucket", {"n_rows": ("count", None),
+                                "min_cents": ("min", "cents"),
+                                "max_cents": ("max", "cents"),
+                                "sum_cents": ("sum", "cents")}
+                     ).sort("bucket")
 
 
 def key_gini(ds, key_col: str, num_parts: int = 16):
@@ -948,26 +879,14 @@ def abc_analysis(ds, value_col: str, id_col: str,
         cum = b.column("cum").to_numpy(zero_copy_only=False)
         cls = np.where(cum * 1000 <= lo * total, "A",
                        np.where(cum * 1000 <= hi * total, "B", "C"))
-        t = pa.table({
+        return pa.table({
             "cls": pa.array(cls, type=pa.string()),
             "cents": b.column("cents"),
         })
-        g = t.group_by("cls").aggregate(
-            [("cents", "count"), ("cents", "sum")])
-        return g.rename_columns(["cls", "n_rows", "sum_cents"])
 
-    out = keyed_agg(ranked.map_batches(classify, batch_format="pyarrow"),
-                    "cls", {"n_rows": ("sum", "n_rows"),
-                            "sum_cents": ("sum", "sum_cents")})
-
-    def cast64(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "cls": b.column("cls"),
-            "n_rows": pc.cast(b.column("n_rows"), pa.int64()),
-            "sum_cents": pc.cast(b.column("sum_cents"), pa.int64()),
-        })
-
-    return out.map_batches(cast64, batch_format="pyarrow").sort("cls")
+    return keyed_agg(ranked.map_batches(classify, batch_format="pyarrow"),
+                     "cls", {"n_rows": ("count", None),
+                             "sum_cents": ("sum", "cents")}).sort("cls")
 
 
 def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16,
@@ -1023,71 +942,48 @@ def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16,
         cum = b.column("cum").to_numpy(zero_copy_only=False)
         w = b.column("w").to_numpy(zero_copy_only=False)
         shard = (cum - w) * k // total  # exclusive prefix
-        t = pa.table({
+        return pa.table({
             "shard": pa.array(shard, type=pa.int64()),
             "w": b.column("w"),
             "id": b.column("__ck"),
         })
-        g = t.group_by("shard").aggregate(
-            [("w", "count"), ("w", "sum"), ("id", "min"), ("id", "max")])
-        return g.rename_columns(
-            ["shard", "n_rows", "sum_weight", "min_id", "max_id"])
 
-    out = keyed_agg(ranked.map_batches(assign, batch_format="pyarrow"),
-                    "shard", {"n_rows": ("sum", "n_rows"),
-                              "sum_weight": ("sum", "sum_weight"),
-                              "min_id": ("min", "min_id"),
-                              "max_id": ("max", "max_id")})
-
-    def cast64(b: pa.Table) -> pa.Table:
-        return pa.table({
-            c: pc.cast(b.column(c), pa.int64()) for c in b.column_names})
-
-    return out.map_batches(cast64, batch_format="pyarrow").sort("shard")
+    return keyed_agg(ranked.map_batches(assign, batch_format="pyarrow"),
+                     "shard", {"n_rows": ("count", None),
+                               "sum_weight": ("sum", "w"),
+                               "min_id": ("min", "id"),
+                               "max_id": ("max", "id")}).sort("shard")
 
 
 def cube_counts(ds, a_col: str, b_col: str, value_col: str,
                 sentinel: str = "ALL"):
     """CUBE(a, b) rollup — all four grouping sets {(a,b), (a), (b), ()}
-    in ONE pass: per-block Arrow group_by pre-aggregates (a,b) cells,
-    each block then emits its cells four times with ``sentinel``
-    substituted for the rolled-up dimension, and a single global
-    groupby sums the partials. The exchange carries 4·cells rows per
-    block (cells = distinct (a,b) pairs, tiny for categorical dims) —
-    never 4x the data. Value sums are exact integer cents.
+    in ONE pass: each row is emitted four times with ``sentinel``
+    substituted for the rolled-up dimension, and one ``keyed_agg``
+    counts and sums them, pre-aggregated per block. The exchange
+    carries 4·cells rows per block (cells = distinct (a,b) pairs, tiny
+    for categorical dims) — never 4x the data. Value sums are exact
+    integer cents.
 
     ``sentinel`` marks rolled-up levels explicitly (real NULLs in the
     dimensions would be ambiguous under SQL CUBE's NULL convention —
     declared sentinel beats inferred NULL for a reproducible gate).
     """
 
-    def partial(b: pa.Table) -> pa.Table:
+    def cells(b: pa.Table) -> pa.Table:
         cents = np.floor(
             b.column(value_col).to_numpy(zero_copy_only=False)
             * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({
-            "a": b.column(a_col).cast(pa.string()),
-            "b": b.column(b_col).cast(pa.string()),
-            "cents": pa.array(cents, type=pa.int64()),
-        })
-        g = t.group_by(["a", "b"]).aggregate(
-            [("cents", "sum"), ("cents", "count")])
-        a = g.column("a").to_pylist()
-        bb = g.column("b").to_pylist()
-        s = g.column("cents_sum").to_numpy(zero_copy_only=False)
-        n = g.column("cents_count").to_numpy(zero_copy_only=False)
-        k = len(a)
-        alls = [sentinel] * k
-        return pa.Table.from_pydict({
-            a_col: pa.array(a + a + alls + alls, type=pa.string()),
-            b_col: pa.array(bb + alls + bb + alls, type=pa.string()),
-            "n": pa.array(np.tile(n, 4), type=pa.int64()),
-            "value_cents": pa.array(np.tile(s, 4), type=pa.int64()),
-        })
+        a = b.column(a_col).cast(pa.string())
+        bb = b.column(b_col).cast(pa.string())
+        alls = pa.array([sentinel] * b.num_rows, type=pa.string())
+        return pa.concat_tables([
+            pa.table({a_col: x, b_col: y, "value_cents": cents})
+            for x, y in ((a, bb), (a, alls), (alls, bb), (alls, alls))])
 
     return keyed_agg(ds.select_columns([a_col, b_col, value_col])
-                     .map_batches(partial, batch_format="pyarrow"),
-                     [a_col, b_col], {"n": ("sum", "n"),
+                     .map_batches(cells, batch_format="pyarrow"),
+                     [a_col, b_col], {"n": ("count", None),
                                       "value_cents": ("sum", "value_cents")}
                      ).sort([a_col, b_col])
 

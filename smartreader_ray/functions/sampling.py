@@ -358,24 +358,17 @@ def dsir_select(ds, target_lang: str = "en", n_buckets: int = 256,
         return toks.flatten(), np.repeat(
             np.arange(len(lens), dtype=np.int64), lens)
 
-    def hist_partial(b: pa.Table) -> pa.Table:
+    def token_buckets(b: pa.Table) -> pa.Table:
         flat, row_idx = _tokens(b)
-        bk = _buckets_for(flat)
         is_t = pc.equal(
             b.column(lang_col), target_lang).to_numpy(zero_copy_only=False)
-        tok_t = is_t[row_idx]
-        return pa.Table.from_pydict({
-            "bucket": pa.array(np.arange(B, dtype=np.int64)),
-            "c_raw": pa.array(np.bincount(bk, minlength=B)[:B]
-                              .astype(np.int64)),
-            "c_target": pa.array(
-                np.bincount(bk[tok_t], minlength=B)[:B].astype(np.int64)),
-        })
+        return pa.table({"bucket": _buckets_for(flat),
+                         "is_t": is_t[row_idx].astype(np.int64)})
 
     hist = keyed_agg_table(ds.select_columns([text_col, lang_col])
-                           .map_batches(hist_partial, batch_format="pyarrow"),
-                           "bucket", {"c_raw": ("sum", "c_raw"),
-                                      "c_target": ("sum", "c_target")}
+                           .map_batches(token_buckets, batch_format="pyarrow"),
+                           "bucket", {"c_raw": ("count", None),
+                                      "c_target": ("sum", "is_t")}
                            ).to_pylist()
     c_raw = np.zeros(B, np.int64)
     c_tgt = np.zeros(B, np.int64)

@@ -31,7 +31,6 @@ integer moments.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -53,8 +52,9 @@ def _check_int_totals(int_totals: "np.ndarray", float_totals: "np.ndarray",
         )
 
 
-def _moment_partials(key_col: str, value_col: str):
+def _moment_rows(key_col: str, value_col: str):
     def fn(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch.column(key_col)))
         v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
         if np.any(np.abs(v) > 3_000_000_000):
             raise OverflowError(
@@ -64,24 +64,10 @@ def _moment_partials(key_col: str, value_col: str):
         vf = v.astype(np.float64)
         # one float checksum column suffices: for integer inputs
         # Σx² ≥ Σ|x|, so a Σx wrap forces a Σx² wrap — checking ss
-        # covers s too (ss partials are non-negative, so wraps can
-        # never cancel at the merge either)
-        df = pd.DataFrame(
-            {"k": batch.column(key_col).to_pandas(), "v": v, "v2": v * v,
-             "v2f": vf * vf}
-        )
-        g = df.groupby("k", sort=False)
-        agg = g.agg(n=("v", "size"), s=("v", "sum"), ss=("v2", "sum"),
-                    ss_f=("v2f", "sum"))
-        return pa.table(
-            {
-                key_col: pa.array(agg.index),
-                "n": pa.array(agg["n"].to_numpy(), type=pa.int64()),
-                "s": pa.array(agg["s"].to_numpy(), type=pa.int64()),
-                "ss": pa.array(agg["ss"].to_numpy(), type=pa.int64()),
-                "ss_f": pa.array(agg["ss_f"].to_numpy(), type=pa.float64()),
-            }
-        )
+        # covers s too (x² terms are non-negative, so wraps can never
+        # cancel at the merge either)
+        return pa.table({key_col: batch.column(key_col), "v": v,
+                         "v2": v * v, "v2f": vf * vf})
 
     return fn
 
@@ -95,11 +81,12 @@ def zscore_by(ds, key_col: str, value_col: str, round_to: int = 6,
     """
     import ray
 
-    partial = ds.select_columns([key_col, value_col]).map_batches(
-        _moment_partials(key_col, value_col), batch_format="pyarrow"
+    rows = ds.select_columns([key_col, value_col]).map_batches(
+        _moment_rows(key_col, value_col), batch_format="pyarrow"
     )
-    totals = keyed_agg(partial, key_col,
-                       {c: ("sum", c) for c in ("n", "s", "ss", "ss_f")})
+    totals = keyed_agg(rows, key_col, {"n": ("count", None),
+                                       "s": ("sum", "v"), "ss": ("sum", "v2"),
+                                       "ss_f": ("sum", "v2f")})
     n_keys = totals.count()
     if n_keys > broadcast_keys_max:
         return _zscore_join_path(ds, totals, key_col, value_col, round_to)
@@ -187,8 +174,9 @@ def _zscore_join_path(ds, totals, key_col: str, value_col: str,
     return joined.map_batches(score, batch_format="pyarrow")
 
 
-def _comoment_partials(key_col: str, x_col: str, y_col: str):
+def _comoment_rows(key_col: str, x_col: str, y_col: str):
     def fn(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch.column(key_col)))
         x = batch.column(x_col).to_numpy(zero_copy_only=False).astype(np.int64)
         y = batch.column(y_col).to_numpy(zero_copy_only=False).astype(np.int64)
         if np.any(np.abs(x) > 3_000_000_000) or np.any(np.abs(y) > 3_000_000_000):
@@ -196,24 +184,11 @@ def _comoment_partials(key_col: str, x_col: str, y_col: str):
                 "values exceed the int64 co-moment bound; shift per key first"
             )
         xf, yf = x.astype(np.float64), y.astype(np.float64)
-        df = pd.DataFrame(
-            {
-                "k": batch.column(key_col).to_pandas(),
-                "x": x, "y": y, "xx": x * x, "yy": y * y, "xy": x * y,
-                "xxf": xf * xf, "yyf": yf * yf, "xyf": xf * yf,
-            }
-        )
-        g = df.groupby("k", sort=False).agg(
-            n=("x", "size"), sx=("x", "sum"), sy=("y", "sum"),
-            sxx=("xx", "sum"), syy=("yy", "sum"), sxy=("xy", "sum"),
-            sxx_f=("xxf", "sum"), syy_f=("yyf", "sum"), sxy_f=("xyf", "sum"),
-        )
-        cols = {key_col: pa.array(g.index)}
-        for c in ("n", "sx", "sy", "sxx", "syy", "sxy"):
-            cols[c] = pa.array(g[c].to_numpy(), type=pa.int64())
-        for c in ("sxx_f", "syy_f", "sxy_f"):
-            cols[c] = pa.array(g[c].to_numpy(), type=pa.float64())
-        return pa.table(cols)
+        return pa.table({
+            key_col: batch.column(key_col),
+            "x": x, "y": y, "xx": x * x, "yy": y * y, "xy": x * y,
+            "xxf": xf * xf, "yyf": yf * yf, "xyf": xf * yf,
+        })
 
     return fn
 
@@ -221,12 +196,13 @@ def _comoment_partials(key_col: str, x_col: str, y_col: str):
 def _comoment_totals(ds, key_col: str, x_col: str, y_col: str):
     """Shared reduction for :func:`corr_by` / :func:`linreg_by`: exact
     int64 co-moment totals per key (+ float64 overflow checksums)."""
-    partial = ds.select_columns([key_col, x_col, y_col]).map_batches(
-        _comoment_partials(key_col, x_col, y_col), batch_format="pyarrow"
+    rows = ds.select_columns([key_col, x_col, y_col]).map_batches(
+        _comoment_rows(key_col, x_col, y_col), batch_format="pyarrow"
     )
-    return keyed_agg(partial, key_col, {
-        c: ("sum", c) for c in ("n", "sx", "sy", "sxx", "syy", "sxy",
-                                "sxx_f", "syy_f", "sxy_f")})
+    return keyed_agg(rows, key_col, {
+        "n": ("count", None),
+        **{"s" + c: ("sum", c) for c in ("x", "y", "xx", "yy", "xy")},
+        **{f"s{c}_f": ("sum", f"{c}f") for c in ("xx", "yy", "xy")}})
 
 
 def linreg_by(ds, key_col: str, x_col: str, y_col: str, round_to: int = 6):
@@ -381,7 +357,7 @@ def mad_outliers(ds, key_col: str, value_col: str, k: float = 3.0):
     mad_ref = ray.put(qmap(exact_quantile_by(dev_ds, key_col, "dev",
                                              qs=(0.5,))))
 
-    def count_partial(b: pa.Table) -> pa.Table:
+    def outliers(b: pa.Table) -> pa.Table:
         med = ray.get(med_ref)
         mad = ray.get(mad_ref)
         keys = b.column(key_col).to_pylist()
@@ -389,19 +365,14 @@ def mad_outliers(ds, key_col: str, value_col: str, k: float = 3.0):
             np.float64)
         m = np.asarray([med[kk] for kk in keys], dtype=np.float64)
         t = np.asarray([mad[kk] for kk in keys], dtype=np.float64)
-        out = (np.abs(v - m) > k * t).astype(np.int64)
-        tbl = pa.table({
+        return pa.table({
             key_col: b.column(key_col),
-            "n": pa.array(np.ones(len(v), dtype=np.int64)),
-            "n_outliers": pa.array(out),
+            "n_outliers": (np.abs(v - m) > k * t).astype(np.int64),
         })
-        g = tbl.group_by(key_col).aggregate(
-            [("n", "sum"), ("n_outliers", "sum")])
-        return g.rename_columns([key_col, "n", "n_outliers"])
 
     counted = keyed_agg(ds.select_columns([key_col, value_col])
-                        .map_batches(count_partial, batch_format="pyarrow"),
-                        key_col, {"n": ("sum", "n"),
+                        .map_batches(outliers, batch_format="pyarrow"),
+                        key_col, {"n": ("count", None),
                                   "n_outliers": ("sum", "n_outliers")})
 
     def finalize(b: pa.Table) -> pa.Table:
@@ -410,12 +381,12 @@ def mad_outliers(ds, key_col: str, value_col: str, k: float = 3.0):
         keys = b.column(key_col).to_pylist()
         return pa.table({
             key_col: b.column(key_col),
-            "n": pc.cast(b.column("n"), pa.int64()),
+            "n": b.column("n"),
             "med": pa.array([med[kk] for kk in keys],
                             type=pa.float64()),
             "mad": pa.array([mad[kk] for kk in keys],
                             type=pa.float64()),
-            "n_outliers": pc.cast(b.column("n_outliers"), pa.int64()),
+            "n_outliers": b.column("n_outliers"),
         })
 
     return counted.map_batches(
@@ -491,18 +462,15 @@ def quantile_normalize_by(ds, group_col: str, value_col: str,
     mapping table (group, value, n, normalized) sorted — joinable back
     to rows with a broadcast when per-row output is needed.
     """
-    def count_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
+    def cells(b: pa.Table) -> pa.Table:
+        return pa.table({
             "grp": b.column(group_col).cast(pa.string()),
             "value": b.column(value_col).cast(pa.float64()),
-            "n": pa.array(np.ones(b.num_rows, dtype=np.int64)),
         })
-        g = t.group_by(["grp", "value"]).aggregate([("n", "sum")])
-        return g.rename_columns(["grp", "value", "n"])
 
     hist = keyed_agg(ds.select_columns([group_col, value_col])
-                     .map_batches(count_partial, batch_format="pyarrow"),
-                     ["grp", "value"], {"n": ("sum", "n")})
+                     .map_batches(cells, batch_format="pyarrow"),
+                     ["grp", "value"], {"n": ("count", None)})
 
     def normalize(b: pa.Table) -> pa.Table:
         grp = np.asarray(b.column("grp").to_pylist())

@@ -661,10 +661,7 @@ def interval_window_overlap(ds, user_col: str = "user_id",
 
     def expand(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
-            return pa.table({
-                "window_us": pa.array([], type=pa.int64()),
-                "n": pa.array([], type=pa.int64()),
-            })
+            return pa.table({"window_us": pa.array([], type=pa.int64())})
         s = b.column("s").to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)
         e = b.column("e").to_numpy(zero_copy_only=False).astype(
@@ -675,14 +672,10 @@ def interval_window_overlap(ds, user_col: str = "user_id",
         flat = np.repeat(k0, counts) + (
             np.arange(counts.sum(), dtype=np.int64)
             - np.repeat(np.cumsum(counts) - counts, counts))
-        uniq, n = np.unique(flat, return_counts=True)
-        return pa.table({
-            "window_us": pa.array(uniq * w_us, type=pa.int64()),
-            "n": pa.array(n.astype(np.int64)),
-        })
+        return pa.table({"window_us": flat * w_us})
 
     return keyed_agg(intervals.map_batches(expand, batch_format="pyarrow"),
-                     "window_us", {"n_intervals": ("sum", "n")}
+                     "window_us", {"n_intervals": ("count", None)}
                      ).sort("window_us")
 
 
@@ -1280,37 +1273,25 @@ def hourly_profile(ds, ts_col: str = "ts", value_col: str = "value"):
     the oracle replays the identical integer formula with no calendar
     or timezone function in the loop.
 
-    Ray shape: per-block 7×24 count/sum partials (np.bincount over the
-    composite bucket) ride one fixed-size groupby — the exchange is
-    168 rows per block regardless of corpus size.
+    Ray shape: one ``keyed_agg`` over (day-of-week, hour) — the
+    exchange is 168 rows per block regardless of corpus size.
     """
 
-    def partial(b: pa.Table) -> pa.Table:
+    def buckets(b: pa.Table) -> pa.Table:
         ts = b.column(ts_col).to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)
         v = b.column(value_col).to_numpy(zero_copy_only=False)
-        cents = np.floor(v.astype(np.float64) * 100.0 + 0.5).astype(
-            np.int64)
-        dow = ((ts // 86_400_000_000) + 4) % 7
-        hour = (ts // 3_600_000_000) % 24
-        bucket = (dow * 24 + hour).astype(np.int64)
-        n = np.bincount(bucket, minlength=168)
-        # weighted bincount goes through float64 (exact only under
-        # 2^53) — accumulate the cent sums in int64 instead
-        s_int = np.zeros(168, dtype=np.int64)
-        np.add.at(s_int, bucket, cents)
-        seen = np.nonzero(n)[0]
         return pa.table({
-            "dow": pa.array(seen // 24, type=pa.int64()),
-            "hour": pa.array(seen % 24, type=pa.int64()),
-            "n": pa.array(n[seen], type=pa.int64()),
-            "value_cents": pa.array(s_int[seen], type=pa.int64()),
+            "dow": ((ts // 86_400_000_000) + 4) % 7,
+            "hour": (ts // 3_600_000_000) % 24,
+            "value_cents": np.floor(v.astype(np.float64) * 100.0
+                                    + 0.5).astype(np.int64),
         })
 
     return keyed_agg(ds.select_columns([ts_col, value_col])
-                     .map_batches(partial, batch_format="pyarrow"),
+                     .map_batches(buckets, batch_format="pyarrow"),
                      ["dow", "hour"],
-                     {"n": ("sum", "n"),
+                     {"n": ("count", None),
                       "value_cents": ("sum", "value_cents")}
                      ).sort(["dow", "hour"])
 

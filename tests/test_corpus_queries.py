@@ -119,11 +119,21 @@ def test_read_missing_file_names_the_path(tmp_path):
         entry._read(str(tmp_path), "nosuch")
 
 
-def test_customer_orders_full_runs_two_executions(corpus_sf_dir, oracle,
-                                                  ray_session, monkeypatch):
-    """The filtered ``customer`` side takes the read's schema (a filter
-    keeps it), so it needs no one-block probe run: one execution
-    materializes the aggregated ``orders`` side, one runs the join."""
+#: streaming executions per bench query: the cascade's exact-stage
+#: exchange, LSH pairs, verify and rollup; the aggregated ``orders`` side
+#: materialized once, then the join (the filtered ``customer`` side takes
+#: the read's schema, so it needs no one-block probe run); the line
+#: counts' partials, then the render (the one-task combine is filtered
+#: on the driver); the band pairs, then the verify
+EXECUTIONS = {"dedup_cascade_chain": 4, "customer_orders_full": 2,
+              "line_dedup": 2, "minhash_dedup": 2}
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_query_runs_its_executions(name, corpus_sf_dir, oracle,
+                                   ray_session, monkeypatch):
+    """A plan that runs an input twice starts one more streaming
+    execution than ``EXECUTIONS`` names."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor)
 
@@ -138,7 +148,7 @@ def test_customer_orders_full_runs_two_executions(corpus_sf_dir, oracle,
         return execute(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    got = to_pandas(entry.queries()["customer_orders_full"](corpus_sf_dir))
-    assert len(runs) == 2
-    want = oracle.sql(entry.oracle_sql()["customer_orders_full"]).df()
+    got = to_pandas(entry.queries()[name](corpus_sf_dir))
+    assert len(runs) == EXECUTIONS[name]
+    want = oracle.sql(entry.oracle_sql()[name]).df()
     assert value_hash(got) == value_hash(want)

@@ -1665,6 +1665,14 @@ def test_json_field_agg_drops_nonmatching(ray_session):
     # '{"x": 1}' and the null row contribute nothing
     assert rows == {"a": (2, 13, 3, 10), "b": (1, 7, 7, 7)}
 
+    # rows with a null group are dropped, like rows without the field
+    nulls = pa.table({"g": pa.array([None, "a", None], pa.string()),
+                      "props": ['{"k": 5}', '{"k": 1}', '{"k": 2}']})
+    out = json_field_agg(ray.data.from_arrow(pa.concat_tables([t, nulls]))
+                         .repartition(3), "props", "k", "g").take_all()
+    assert {r["g"]: (r["n"], r["sum_v"], r["min_v"], r["max_v"])
+            for r in out} == {"a": (3, 14, 1, 10), "b": (1, 7, 7, 7)}
+
 
 def test_parse_robots_txt_groups_and_precedence():
     from smartreader_ray.functions.robots import parse_robots_txt

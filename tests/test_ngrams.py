@@ -1,12 +1,13 @@
 """N-gram statistics + TF-IDF operator tests (functions/ngrams.py)."""
 
 import math
+from collections import Counter
 
 import pyarrow as pa
 import pytest
 
 from smartreader_ray.functions.ngrams import (
-    _partial_bigram_counts,
+    _bigrams,
     _partial_term_counts,
     bigram_counts,
     term_doc_freq,
@@ -37,8 +38,8 @@ def test_partial_term_counts_df_vs_cf():
 
 
 def test_partial_bigrams_respect_doc_boundaries():
-    out = _partial_bigram_counts(_tbl(), "text")
-    rows = {r["bigram"]: r["cnt"] for r in out.to_pylist()}
+    out = _bigrams(_tbl(), "text")
+    rows = Counter(out.column("bigram").to_pylist())
     # "c" (end of doc 1) never pairs with "b" (start of doc 2)
     assert "c b" not in rows
     assert rows == {"a b": 1, "b a": 1, "a c": 1, "b b": 1, "b c": 1}
@@ -119,16 +120,12 @@ def test_tfidf_join_path_equivalence_corpus(ray_session):
 
 
 def test_partial_cooc_window_and_boundaries():
-    from smartreader_ray.functions.ngrams import _partial_cooc
+    from smartreader_ray.functions.ngrams import _cooc_pairs
 
     t = pa.table({"text": ["a b c d", "x y"]})
-    out = _partial_cooc(t, "text", 2)
-    got = {
-        (a, b): c
-        for a, b, c in zip(out.column("a").to_pylist(),
-                           out.column("b").to_pylist(),
-                           out.column("pair_count").to_pylist())
-    }
+    out = _cooc_pairs(t, "text", 2)
+    got = Counter(zip(out.column("a").to_pylist(),
+                      out.column("b").to_pylist()))
     # doc 1 shift-1: (a,b),(b,c),(c,d); shift-2: (a,c),(b,d);
     # doc 2 shift-1: (x,y); no cross-doc pair (d,x)/(c,x)
     assert got == {("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1,

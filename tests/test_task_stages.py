@@ -38,14 +38,18 @@ def test_plan_runs_corpus_stages_as_tasks(corpus_sf_dir, ray_session):
     import ray.data
     from ray.data._internal.compute import TaskPoolStrategy
 
-    from smartreader_ray.functions import (broadcast_join, language_id,
-                                           minhash_lsh_candidates)
+    from smartreader_ray.functions import broadcast_join, language_id
+    from smartreader_ray.functions.dedup import (DEFAULT_MAX_BUCKET,
+                                                 _band_pairs)
 
     ds = ray.data.from_arrow(pq.read_table(
         os.path.join(corpus_sf_dir, "documents.parquet")))
     small = pa.table({"lang": ["en", "de"], "name": ["English", "German"]})
     plans = {
-        "MapBatches(MinHasher)": minhash_lsh_candidates(ds),
+        # minhash_lsh_candidates' band pairs: its keyed_agg materializes
+        # them, so the lazy plan is the one upstream of the aggregate
+        "MapBatches(MinHasher)": _band_pairs(ds, 128, 16, 3,
+                                             DEFAULT_MAX_BUCKET),
         "MapBatches(LanguageId)": language_id(ds),
         "MapBatches(_Enrich)": broadcast_join(ds, small, key="lang",
                                               value_cols=["name"]),

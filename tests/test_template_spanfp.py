@@ -247,6 +247,14 @@ def test_chi2_drift_detects_mix_shift(ray_session):
     assert out["shifted"]["contrib_nano"] > out["stable"]["contrib_nano"]
     assert out["shifted"]["contrib_nano"] > 0
 
+    # null categories are no category: they count in neither half
+    nulls = [{"event_type": None, "ts": early}] * 4 + [
+        {"event_type": None, "ts": late}] * 2
+    with_nulls = {r["category"]: r
+                  for r in chi2_drift(ray.data.from_items(rows + nulls),
+                                      "event_type", "ts", split).take_all()}
+    assert with_nulls == out
+
 
 def test_chi2_drift_one_sided_split_raises(ray_session):
     import datetime
