@@ -4560,15 +4560,15 @@ def _q_phrase_search(sf_dir: str):
 
 def _q_bloom_semi_join(sf_dir: str):
     """Revenue per returnflag over lineitem rows of high-value orders
-    (`functions/join.py: semi_join`), with ``broadcast_limit`` forced
-    below the key count so the driver exercises the SCALE path: Bloom
-    bitmap OR-merged from per-block partials, broadcast once, local
-    prefilter, then exact verify join — result is exact."""
+    (`functions/join.py: semi_join`) through its SCALE path,
+    ``_semi_anti_bloom``, whatever the key set's size: Bloom bitmap
+    OR-merged from per-block partials, broadcast once, local prefilter,
+    then exact verify join — result is exact."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     from smartreader_ray.functions.exchange import keyed_agg
-    from smartreader_ray.functions.join import semi_join
+    from smartreader_ray.functions.join import _key_sides, _semi_anti_bloom
 
     li = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_extendedprice"]
@@ -4577,8 +4577,7 @@ def _q_bloom_semi_join(sf_dir: str):
         lambda b: b.filter(pc.greater(b.column("o_totalprice"), 450000.0)),
         batch_format="pyarrow",
     )
-    kept = semi_join(li, hv, "l_orderkey", "o_orderkey",
-                     broadcast_limit=100)
+    kept = _semi_anti_bloom(_key_sides(li, hv, "l_orderkey", "o_orderkey"))
 
     def cents(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -4598,16 +4597,15 @@ def _q_bloom_semi_join(sf_dir: str):
 def _q_anti_join(sf_dir: str):
     """Customers who never placed an order above $300k, rolled up per
     market segment (`functions/join.py: anti_join` — SQL NOT EXISTS)
-    with ``broadcast_limit`` forced below the distinct key count so the
-    driver exercises the SCALE path: a Bloom MISS proves
-    non-membership, so those rows are emitted locally with zero
-    exchange; only bloom positives (mostly rows that will be dropped)
-    enter the exact ``left_anti`` verify join."""
+    through its SCALE path, ``_semi_anti_bloom``, whatever the key set's
+    size: a Bloom MISS proves non-membership, so those rows are emitted
+    locally with zero exchange; only bloom positives (mostly rows that
+    will be dropped) enter the exact ``left_anti`` verify join."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     from smartreader_ray.functions.exchange import keyed_agg
-    from smartreader_ray.functions.join import anti_join
+    from smartreader_ray.functions.join import _key_sides, _semi_anti_bloom
 
     cust = _read(
         sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"]
@@ -4616,8 +4614,8 @@ def _q_anti_join(sf_dir: str):
         lambda b: b.filter(pc.greater(b.column("o_totalprice"), 300000.0)),
         batch_format="pyarrow",
     )
-    never = anti_join(cust, ords, "c_custkey", "o_custkey",
-                      broadcast_limit=100)
+    never = _semi_anti_bloom(_key_sides(cust, ords, "c_custkey", "o_custkey"),
+                             anti=True)
 
     def cents(b: pa.Table) -> pa.Table:
         return pa.table({

@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_agg, keyed_exchange
+from .exchange import fits, keyed_agg, keyed_exchange
 from .join import _col_type, _empty_table
 
 _MERSENNE = (1 << 61) - 1
@@ -1008,34 +1008,27 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 # ---------------------------------------------------------------------------
 # dup-group clustering (connected components)
 # ---------------------------------------------------------------------------
-def connected_components(pairs, col_a: str = "doc_a", col_b: str = "doc_b",
-                         max_edges: int = 5_000_000):
+def connected_components(pairs, col_a: str = "doc_a", col_b: str = "doc_b"):
     """Cluster assignment for the undirected graph given as a pair
     Dataset: every node gets ``cluster_id`` = the smallest node id in
     its component — the step that turns pairwise dup detection into
     dedup GROUPS (keep one doc per cluster).
 
     Edge lists here are OUTPUT-sized (verified dup pairs / shared-window
-    links), not corpus-sized, so a driver union-find behind an asserted
-    bound is the honest tool; past ``max_edges`` the right move is
-    iterative min-label propagation (a groupby per round, O(graph
-    diameter) shuffles), which this guard names rather than silently
-    attempting. Returns a Dataset of (doc_id, cluster_id) for every
+    links), not corpus-sized, so an edge list that ``exchange.fits`` is
+    clustered by a driver union-find; a larger one goes to
+    ``label_propagation_components`` (a groupby per round, same
+    contract). Returns a Dataset of (doc_id, cluster_id) for every
     node that appears in an edge.
     """
     import ray.data
 
-    # edges are consumed twice (count guard + the union-find scan);
-    # materialize so the upstream pipeline (often a window-groupby
-    # shuffle) executes once, not twice
-    pairs = pairs.materialize()
-    n_edges = pairs.count()
-    if n_edges > max_edges:
-        raise ValueError(
-            f"connected_components: {n_edges} edges exceeds max_edges="
-            f"{max_edges}; use iterative label propagation for graphs "
-            "beyond driver memory"
-        )
+    # materialized once: the size rule and the union-find scan read
+    # the same run of the upstream pipeline (often a window-groupby
+    # shuffle)
+    pairs, small = fits(pairs)
+    if not small:
+        return label_propagation_components(pairs, col_a, col_b)
     parent: dict = {}
 
     def find(x):
@@ -1076,14 +1069,13 @@ def connected_components(pairs, col_a: str = "doc_a", col_b: str = "doc_b",
     return ray.data.from_arrow(table)
 
 
-def passage_clusters(ds, window: int = 8, text_col: str = "text",
-                     max_edges: int = 5_000_000):
+def passage_clusters(ds, window: int = 8, text_col: str = "text"):
     """Documents linked by ANY shared ``window``-token passage, grouped
     into connected components. Edge construction is star-shaped per
     window (min doc → every other holder): same components as the
     clique at O(n) edges per window instead of O(n²)."""
     edges = passage_star_edges(ds, window=window, text_col=text_col)
-    return connected_components(edges, max_edges=max_edges)
+    return connected_components(edges)
 
 
 def passage_star_edges(ds, window: int = 8, text_col: str = "text"):
@@ -1118,20 +1110,20 @@ def passage_star_edges(ds, window: int = 8, text_col: str = "text"):
 def label_propagation_components(edges, col_a: str = "doc_a",
                                  col_b: str = "doc_b",
                                  max_rounds: int = 50,
-                                 broadcast_labels_max: int = 2_000_000,
                                  stats: dict | None = None):
     """Distributed connected components: iterative min-label propagation
-    — the scale path ``connected_components`` names for edge lists past
-    driver memory. Each round every node takes the min of its own label
-    and its neighbors' labels, converging in O(graph diameter) rounds;
-    labels only decrease, so an unchanged label state is a sound
+    — the scale path ``connected_components`` takes for an edge list
+    past ``exchange.fits``. Each round every node takes the min of its
+    own label and its neighbors' labels, converging in O(graph diameter)
+    rounds; labels only decrease, so an unchanged label state is a sound
     fixpoint test. Per-round state is one (node, label) row per node
     WITH EDGES — output-sized, never corpus-sized.
 
     Two regimes for shipping labels to the edge list (the tfidf
-    dual-regime pattern):
+    dual-regime pattern), chosen by ``exchange.fits`` on the round-0
+    label table:
 
-    - **broadcast** (≤ ``broadcast_labels_max`` nodes): the label table
+    - **broadcast** (the label table fits): the label table
       is ``ray.put`` once per round and each edge block resolves
       neighbor labels map-side with a dict lookup + per-block
       pre-combine — ONE keyed exchange per round instead of the three a
@@ -1142,22 +1134,17 @@ def label_propagation_components(edges, col_a: str = "doc_a",
       r4: 16.4 s → ~8 s at sf0.1; the join machinery on tiny per-round
       state was the cost, not round count — this graph converges in one
       round).
-    - **distributed** (beyond the bound): per-round ``hash_join`` of
+    - **distributed** (beyond): per-round ``hash_join`` of
       labels onto the symmetric edge list + groupby-min, then a
       POINTER-JUMP self-join (label ← label(label); sound because
       label(l) ≤ l always — labels only decrease) so chain length
       halves every round and convergence is O(log diameter) Ray
-      rounds, not O(diameter); label-sum fixpoint — nothing
+      rounds, not O(diameter); fixpoint when no label moves — nothing
       driver-sized anywhere.
 
     ``stats``, if given, is filled with ``{"regime", "rounds"}`` —
     the forced-regime tests assert rounds ≤ ⌈log₂ d⌉+1 on a path
     graph of diameter d.
-
-    The symmetric edge list is repartitioned to match its actual size
-    (``~500k`` edge rows per block) so fixpoint rounds don't pay
-    orchestration for hundreds of near-empty partitions inherited from
-    the upstream shuffle.
 
     Same contract as ``connected_components``: (doc_id, cluster_id =
     min member), nodes restricted to edge endpoints.
@@ -1185,10 +1172,6 @@ def label_propagation_components(edges, col_a: str = "doc_a",
         )
 
     sym_edges = edges.map_batches(sym, batch_format="pyarrow").materialize()
-    n_edge_rows = sym_edges.count()
-    sym_edges = sym_edges.repartition(
-        max(2, -(-n_edge_rows // 500_000))
-    ).materialize()
 
     # round 0: label(node) = min(node, neighbors) straight off the edges;
     # keyed_agg's per-block partial makes the combine node-, not
@@ -1200,10 +1183,9 @@ def label_propagation_components(edges, col_a: str = "doc_a",
                                        b.column("src").combine_chunks()]),
         })
 
-    labels = keyed_agg(
+    labels, small = fits(keyed_agg(
         sym_edges.map_batches(init_labels, batch_format="pyarrow"),
-        "node", {"label": ("min", "label")}).materialize()
-    n_nodes = labels.count()
+        "node", {"label": ("min", "label")}))
 
     def compress(d: dict) -> dict:
         # driver-side path compression on the bounded dict — subsumes
@@ -1218,12 +1200,10 @@ def label_propagation_components(edges, col_a: str = "doc_a",
         return d
 
     if stats is not None:
-        stats["regime"] = (
-            "broadcast" if n_nodes <= broadcast_labels_max else "distributed"
-        )
+        stats["regime"] = "broadcast" if small else "distributed"
         stats["rounds"] = 0
 
-    if n_nodes <= broadcast_labels_max:
+    if small:
         lbl = compress(
             {n: l
              for b in labels.iter_batches(batch_format="pyarrow",
@@ -1265,36 +1245,30 @@ def label_propagation_components(edges, col_a: str = "doc_a",
             )
         )
     else:
-        def label_sum(l) -> float | None:
-            try:
-                from ray.data.aggregate import Sum
-
-                return l.aggregate(Sum("label", alias_name="s"))["s"]
-            except Exception:
-                return None  # non-numeric ids: run to max_rounds
-
         # block count sized to the edge list (~500k edge rows per block)
-        n_parts = max(2, -(-n_edge_rows // 500_000))
+        n_parts = max(2, -(-sym_edges.count() // 500_000))
 
-        prev_sum = label_sum(labels)
         for _ in range(max_rounds):
             if stats is not None:
                 stats["rounds"] += 1
-            # neighbor messages: (dst's src partner, label of dst)
+            # neighbor messages: (dst's src partner, label of dst); each
+            # node also carries its label at the start of the round
             msgs = hash_join(
                 sym_edges, labels, "dst", "node", ["src"], ["label"],
             ).map_batches(
-                lambda b: pa.Table.from_pydict(
-                    {"node": b.column("src"), "label": b.column("label")}
-                ),
+                lambda b: pa.table({
+                    "node": b.column("src"), "label": b.column("label"),
+                    "start": pa.nulls(b.num_rows, b.column("label").type)}),
                 batch_format="pyarrow",
             )
             labels = keyed_agg(
                 labels.map_batches(
-                    lambda b: b.select(["node", "label"]),
+                    lambda b: pa.table({"node": b.column("node"),
+                                        "label": b.column("label"),
+                                        "start": b.column("label")}),
                     batch_format="pyarrow",
                 ).union(msgs),
-                "node", {"label": ("min", "label")},
+                "node", {"label": ("min", "label"), "start": ("max", "start")},
                 # materialized because the pointer-jump self-join consumes
                 # it TWICE — un-materialized, the whole msgs-join +
                 # aggregate chain would re-execute per side
@@ -1311,12 +1285,15 @@ def label_propagation_components(edges, col_a: str = "doc_a",
             # COMPOUND the block count ~4× per round, which measured as
             # exponential per-round wall time even on a 64-node graph
             labels = hash_join(
-                labels, labels, "label", "node", ["node"], ["label"],
+                labels, labels, "label", "node", ["node", "start"],
+                ["label"],
             ).repartition(n_parts).materialize()
-            cur = label_sum(labels)
-            if cur is not None and cur == prev_sum:
+            # fixpoint: no label moved this round (ids of any type)
+            if not labels.map_batches(
+                    lambda b: b.filter(pc.not_equal(b.column("label"),
+                                                    b.column("start"))),
+                    batch_format="pyarrow").count():
                 break
-            prev_sum = cur
 
     return labels.map_batches(
         lambda b: pa.Table.from_pydict(

@@ -21,6 +21,25 @@ partials go through ``keyed_exchange``, with one Arrow ``group_by`` per
 partition. A caller that rounds (cents) rounds the combined result, so
 rounding never happens on a partial.
 
+``fits(ds)`` is the one size rule for holding a side on the driver (or
+broadcasting it) versus exchanging it: ``ds`` materialized once, its
+Arrow bytes against ``DataContext.target_max_block_size``, the budget of
+``keyed_agg``'s partials. It picks the regime of ``join``'s semi/anti
+joins (distinct right keys), ``windows.funnel`` (frontier) and
+``percent_rank_by`` (rank map), ``standardize.zscore_by`` (moments),
+``ngrams.tfidf_top_terms`` (term dfs), ``dedup.connected_components``
+(edges; past the rule it runs ``label_propagation_components``) and
+``label_propagation_components`` (labels), and ``graph``'s
+``consecutive_edges``, ``basket_pairs``, ``pagerank``, ``hits``,
+``triangle_count`` and ``bfs_hops`` (nodes, edges, degrees). So one low
+budget puts all their scale paths under test. Bounds on something else
+than a collected side's bytes stay parameters: ``minhash_dedup``'s
+``broadcast_pair_limit`` (a dict every task unpickles),
+``embedding_neardup``'s ``brute_limit``/``use_lsh`` (O(n²) compute) and
+the guards that raise (``flagged_max``, ``max_pairs_per_key``,
+``member_limit``, ``max_vocab_*``, ``max_driver_values``,
+``eval_rows_max``, ``alive_max``).
+
 Caller contract: hand ``keyed_agg`` rows, not partials. ``_Partial`` is
 the per-block pre-aggregate, so a map that groups its block before
 ``keyed_agg`` groups the same rows twice in one task. The map keeps the
@@ -234,11 +253,24 @@ def _combine_task():
     return ray.remote(_combine)
 
 
+def fits(ds):
+    """``(ds materialized, whether its bytes fit the one size budget,
+    DataContext.target_max_block_size)``: the rule by which every
+    operator picks between collecting or broadcasting a side and
+    exchanging it. Materializing an already materialized Dataset starts
+    no execution."""
+    from ray.data import DataContext
+
+    ds = ds.materialize()
+    limit = DataContext.get_current().target_max_block_size
+    return ds, limit is None or ds.size_bytes() <= limit
+
+
 def _partials(ds, keys, aggs):
-    """``(keys as a list, the materialized per-block partials)``."""
+    """``(keys as a list, the per-block partials, lazy)``."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     return keys, ds.map_batches(_Partial(keys, aggs), batch_format="pyarrow",
-                                batch_size=None).materialize()
+                                batch_size=None)
 
 
 def keyed_agg(ds, keys, aggs: dict):
@@ -252,11 +284,10 @@ def keyed_agg(ds, keys, aggs: dict):
     back as a one-block ``MaterializedDataset``; larger
     ones through ``keyed_exchange``, sorted within each partition."""
     import ray
-    from ray.data import DataContext
 
     keys, parts = _partials(ds, keys, aggs)
-    limit = DataContext.get_current().target_max_block_size
-    if limit is None or parts.size_bytes() <= limit:
+    parts, small = fits(parts)
+    if small:
         refs = parts.to_arrow_refs()
         if not refs:
             return parts
@@ -275,4 +306,5 @@ def keyed_agg_table(ds, keys, aggs: dict) -> pa.Table:
     import ray
 
     keys, parts = _partials(ds, keys, aggs)
-    return _combine(keys, aggs, *ray.get(parts.to_arrow_refs()))
+    return _combine(keys, aggs,
+                    *ray.get(parts.materialize().to_arrow_refs()))

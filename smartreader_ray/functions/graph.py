@@ -29,7 +29,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_agg, keyed_agg_table
+from .exchange import fits, keyed_agg, keyed_agg_table
 
 SCALE = 10**12
 DAMP_NUM, DAMP_DEN = 85, 100
@@ -39,8 +39,7 @@ __all__ = ["consecutive_edges", "pagerank", "rank_weighted_rollup",
 
 
 def consecutive_edges(ds, group_col: str, seq_col: str, node_col: str,
-                      seq_stride: int = 1000,
-                      local_rows_max: int = 20_000_000):
+                      seq_stride: int = 1000):
     """Directed DISTINCT edges between nodes at consecutive sequence
     positions within a group: for every pair of rows in the same
     ``group_col`` whose ``seq_col`` values are ``s`` and ``s+1``, emit
@@ -54,9 +53,9 @@ def consecutive_edges(ds, group_col: str, seq_col: str, node_col: str,
     value falls outside ``[0, seq_stride)`` (a colliding composite key
     would silently merge groups). Two regimes:
 
-    - **local** (input rows ≤ ``local_rows_max`` and integer nodes):
-      pull (key, node) once, one numpy argsort + searchsorted range
-      expansion + ``np.unique`` — the repo's `hash_join` costs one
+    - **local** (the (key, node) rows pass ``exchange.fits`` and nodes are
+      integers): pull (key, node) once, one numpy argsort + searchsorted
+      range expansion + ``np.unique`` — the repo's `hash_join` costs one
       Python ``emit`` per distinct key, pathological when keys are
       near-unique per row (measured: the sf0.1 supplier graph's edge
       derivation dominated `supplier_pagerank` at 45 s; this path cuts
@@ -83,11 +82,10 @@ def consecutive_edges(ds, group_col: str, seq_col: str, node_col: str,
             return pa.table({"k": k, out: batch.column(node_col)})
         return fn
 
-    left = ds.map_batches(keyed(0, "src"), batch_format="pyarrow")
-
-    n_rows = ds.count()
-    node_type = dict(zip(ds.schema().names, ds.schema().types))[node_col]
-    if n_rows <= local_rows_max and pa.types.is_integer(node_type):
+    left, small = fits(ds.map_batches(keyed(0, "src"),
+                                      batch_format="pyarrow"))
+    node_type = left.schema().base_schema.field("src").type
+    if small and pa.types.is_integer(node_type):
         import numpy as np
         import ray.data
 
@@ -163,8 +161,7 @@ def _check_headroom(n_nodes: int, scale: int):
 
 
 def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
-             scale: int = SCALE, broadcast_nodes_max: int = 2_000_000,
-             local_edges_max: int = 5_000_000):
+             scale: int = SCALE):
     """Integer power-iteration PageRank over a DISTINCT directed edge
     list. Returns a Dataset ``(node_col, rank: int64, outdeg: int64)``
     covering every node in ``nodes`` (dangling and isolated nodes
@@ -177,26 +174,25 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
 
     Three regimes, the `label_propagation_components` pattern plus its
     measured lesson (per-round Ray orchestration ~2 s dwarfs tiny-state
-    rounds — `dup_clusters_lp`'s dual-regime fix):
+    rounds — `dup_clusters_lp`'s dual-regime fix), chosen by
+    ``exchange.fits`` on the node and the edge table:
 
-    - **local** (nodes ≤ ``broadcast_nodes_max`` AND edge rows ≤
-      ``local_edges_max``): pull the (src, dst) code arrays once and
+    - **local** (both fit): pull the (src, dst) code arrays once and
       run every round as a vectorized ``np.add.at`` over int64 —
       zero per-round Ray executions (measured: 45 s → ~11 s for the
       supplier graph at sf0.1, all of it in edge derivation).
-    - **broadcast** (≤ ``broadcast_nodes_max`` nodes, edges beyond the
-      local bound): the contribution dict ``{u: rank(u)//outdeg(u)}``
+    - **broadcast** (the nodes fit, the edges do not): the contribution
+      dict ``{u: rank(u)//outdeg(u)}``
       is ``ray.put`` once per round; each edge block resolves it
       map-side and pre-combines to node-sized partials, so a round
       costs ONE keyed exchange (groupby-sum) over node-sized data.
-    - **distributed** (beyond the node bound): rank state stays a
+    - **distributed** (the nodes do not fit): rank state stays a
       Dataset; each round is `hash_join` (edges ⋈ state on src) →
       groupby-sum → left `hash_join` back onto the node table. Nothing
       driver-sized.
 
-    The edge list is materialized once and repartitioned to its actual
-    size so fixpoint rounds don't pay per-block orchestration for empty
-    partitions (measured lesson from `label_propagation_components`).
+    The node and edge tables are materialized once, so every round
+    reads the same run.
     """
     import ray
     import ray.data
@@ -205,15 +201,9 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
 
     base = (15 * scale) // 100
 
-    node_ids = nodes.select_columns([node_col])
-    n_nodes = node_ids.count()
-    _check_headroom(max(n_nodes, 1), scale)
-
-    edges = edges.materialize()
-    n_edge_rows = edges.count()
-    edges = edges.repartition(
-        max(2, -(-n_edge_rows // 500_000))
-    ).materialize()
+    node_ids, nodes_fit = fits(nodes.select_columns([node_col]))
+    _check_headroom(max(node_ids.count(), 1), scale)
+    edges, edges_fit = fits(edges)
 
     def _result(rank_of: dict, outdeg_of: dict):
         vs = sorted(rank_of)
@@ -229,7 +219,7 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
             )
         )
 
-    if n_nodes <= broadcast_nodes_max and n_edge_rows <= local_edges_max:
+    if nodes_fit and edges_fit:
         import numpy as np
         import pandas as pd
 
@@ -270,7 +260,7 @@ def pagerank(edges, nodes, node_col: str = "v", iterations: int = 5,
             dict(zip(node_vals, outdeg_arr.tolist())),
         )
 
-    if n_nodes <= broadcast_nodes_max:
+    if nodes_fit:
         od = keyed_agg_table(edges.select_columns(["src"]), "src",
                              {"n": ("count", None)})
         outdeg = dict(zip(od.column("src").to_pylist(),
@@ -458,8 +448,7 @@ def rank_weighted_rollup(fact, ranks, fact_key: str, group_col: str,
 
 
 def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
-         scale: int = SCALE, local_edges_max: int = 5_000_000,
-         local_nodes_max: int = 2_000_000):
+         scale: int = SCALE):
     """Integer HITS (hubs & authorities) over a DISTINCT directed edge
     list — the second classic link-analysis iteration, exercising the
     OPPOSITE exchange direction from PageRank each half-round. Returns
@@ -474,7 +463,8 @@ def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
     ``scale/max`` so every intermediate stays in int64 (sums are bounded
     by n·scale — guarded) and the oracle replays it with plain BIGINT
     arithmetic, no int128. Two regimes: **local** (driver numpy
-    ``np.add.at`` rounds when nodes and edges fit the bounds) and
+    ``np.add.at`` rounds when the node and the edge table both pass
+    ``exchange.fits``) and
     **distributed** (per half-round `hash_join` of the score table onto
     the edge list + groupby-sum + scalar max — the `pagerank`
     distributed shape; the max is a scalar aggregate, never
@@ -488,14 +478,11 @@ def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
 
     from .join import hash_join
 
-    node_ids = nodes.select_columns([node_col])
-    n_nodes = node_ids.count()
-    _check_headroom(max(n_nodes, 1), scale)
+    node_ids, nodes_fit = fits(nodes.select_columns([node_col]))
+    _check_headroom(max(node_ids.count(), 1), scale)
+    edges, edges_fit = fits(edges)
 
-    edges = edges.materialize()
-    n_edge_rows = edges.count()
-
-    if n_nodes <= local_nodes_max and n_edge_rows <= local_edges_max:
+    if nodes_fit and edges_fit:
         node_vals = [
             v
             for b in node_ids.iter_batches(batch_format="pyarrow",
@@ -626,8 +613,7 @@ def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
     return joined.sort(node_col)
 
 
-def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25,
-                 local_rows_max: int = 20_000_000):
+def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25):
     """Market-basket co-occurrence: count, per unordered item pair, the
     number of groups (orders / sessions / docs) containing BOTH items —
     the sufficient statistic for association rules and co-click graphs.
@@ -636,10 +622,11 @@ def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25,
     Same dual-regime shape as `consecutive_edges` (graph.py:39), and
     for the same measured reason: the group key is near-unique (a few
     rows per order), the regime where a generic hash self-join pays one
-    Python emit per key. Local regime (rows ≤ ``local_rows_max``): one
-    argsort on the (group, item) pairs + fully vectorized within-
-    segment pair expansion (items sorted within a group, so pairs come
-    out id-canonical a<b for free) + ``np.unique`` counts. Distributed
+    Python emit per key. Local regime (the (group, item) rows pass
+    ``exchange.fits`` and items are integers): one argsort on the
+    (group, item) pairs + fully vectorized within-segment pair
+    expansion (items sorted within a group, so pairs come out
+    id-canonical a<b for free) + ``np.unique`` counts. Distributed
     regime: distinct (group, item) → `hash_join` self-join on the
     group key → per-block pre-combine → pair groupby; one 16-byte-row
     all-to-all, nothing driver-sized.
@@ -669,12 +656,11 @@ def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25,
             .map_batches(local_cut, batch_format="pyarrow")
         )
 
-    n_rows = ds.count()
-    item_type = dict(zip(ds.schema().names, ds.schema().types))[item_col]
-    if n_rows <= local_rows_max and pa.types.is_integer(item_type):
+    rows, small = fits(ds.select_columns([group_col, item_col]))
+    item_type = rows.schema().base_schema.field(item_col).type
+    if small and pa.types.is_integer(item_type):
         g_parts, i_parts = [], []
-        for b in ds.select_columns([group_col, item_col]).iter_batches(
-                batch_format="pyarrow", batch_size=None):
+        for b in rows.iter_batches(batch_format="pyarrow", batch_size=None):
             g_parts.append(pc.cast(b.column(group_col), pa.int64())
                            .to_numpy(zero_copy_only=False))
             i_parts.append(pc.cast(b.column(item_col), pa.int64())
@@ -704,8 +690,7 @@ def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25,
 
     from .join import hash_join
 
-    distinct = keyed_agg(ds.select_columns([group_col, item_col]),
-                         [group_col, item_col], {})
+    distinct = keyed_agg(rows, [group_col, item_col], {})
     left = distinct.map_batches(
         lambda b: b.rename_columns(["g", "item_a"]),
         batch_format="pyarrow")
@@ -733,9 +718,7 @@ def _orient_arrays(a, bb, da, db):
     return np.where(a_first, a, bb), np.where(a_first, bb, a)
 
 
-def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
-                   local_edges_max: int = 5_000_000,
-                   wedge_cap: int = 20_000):
+def triangle_count(edges, wedge_cap: int = 20_000):
     """EXACT triangle count of the undirected graph induced by a
     directed edge list — the standard clustering/cohesion statistic
     for link graphs. Node-iterator with degree ordering (Suri &
@@ -751,18 +734,18 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
     Returns one row (n_nodes, n_edges, n_wedges, n_triangles), all
     int64 — hash-exact against the SQL replay.
 
-    Regimes after the shared symmetrize-distinct + degree-count stages
-    (both edge-sized exchanges):
+    Regimes, chosen by ``exchange.fits``:
 
-    * **local** (≤ ``local_edges_max`` undirected edges): the edge
+    * **local** (the directed edge list fits): the edge
       list is pulled once (16 bytes/edge), and orientation → lexsort →
       within-segment pair expansion → sorted-key membership are all
       single numpy kernels. This exists for the same measured reason
       as `consecutive_edges`' local regime: per-group Python overhead
       across 10⁴–10⁵ wedge groups dwarfs the actual work (measured
       325 s → ~4 s on the sf0.1 part graph, 294k edges / 2.3M wedges).
-    * **distributed**: degrees attached by broadcast map (or two
-      `hash_join`s beyond ``degree_broadcast_limit`` nodes), wedges
+    * **distributed**, after the symmetrize-distinct and degree-count
+      stages (both edge-sized exchanges): degrees attached by broadcast
+      map when the degree table fits (else two `hash_join`s), wedges
       per source via ``groupby(src)`` (a group beyond ``wedge_cap``
       raises loudly — C(cap,2) pairs would OOM the task), and ONE
       pair-keyed groupby over wedge-counts ∪ flagged-edges closes
@@ -781,8 +764,8 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
             "n_triangles": pa.array([int(n_triangles)], type=pa.int64()),
         }))
 
-    n_directed = edges.count()
-    if n_directed <= local_edges_max:
+    edges, small = fits(edges)
+    if small:
         # symmetrize + distinct + count + orient + wedge-expand + close,
         # all as single numpy kernels on 16 bytes/edge — no exchange at
         # all (a two-key distinct groupby alone measured 30 s on the
@@ -860,11 +843,12 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
         ])
         return pa.table({"v": v})
 
-    deg = keyed_agg(und.map_batches(endpoints, batch_format="pyarrow"),
-                    "v", {"deg": ("count", None)}).materialize()
+    deg, deg_fits = fits(keyed_agg(
+        und.map_batches(endpoints, batch_format="pyarrow"), "v",
+        {"deg": ("count", None)}))
     n_nodes = deg.count()
 
-    if n_nodes <= degree_broadcast_limit:
+    if deg_fits:
         vs_parts, dg_parts = [], []
         for b in deg.iter_batches(batch_format="pyarrow",
                                   batch_size=None):
@@ -971,9 +955,7 @@ def triangle_count(edges, degree_broadcast_limit: int = 5_000_000,
     return result(n_edges, n_nodes, n_wedges, n_triangles)
 
 
-def bfs_hops(edges, sources, max_hops: int = 4,
-             broadcast_nodes_max: int = 2_000_000,
-             local_edges_max: int = 5_000_000):
+def bfs_hops(edges, sources, max_hops: int = 4):
     """Multi-source BFS over a directed edge list ``(src, dst)``:
     minimum hop count from ANY source to every node reachable within
     ``max_hops``. Returns ``(v: int64, hops: int64)`` including the
@@ -983,13 +965,14 @@ def bfs_hops(edges, sources, max_hops: int = 4,
     ``sources`` is a small driver-side list (seed sets are curated,
     not data-sized); the rounds are where scale lives. Three regimes,
     the `pagerank` pattern (per-round Ray orchestration ~2 s dwarfs
-    tiny-state rounds — measured in `dup_clusters_lp`):
+    tiny-state rounds — measured in `dup_clusters_lp`), chosen by
+    ``exchange.fits``:
 
-    - **local** (edge rows ≤ ``local_edges_max``): pull the coded
+    - **local** (the edge list fits): pull the coded
       (src, dst) arrays once; each round is one boolean-mask gather
       (``in_frontier[src_codes]``) + ``np.unique`` — zero per-round Ray
       executions.
-    - **broadcast** (≤ ``broadcast_nodes_max`` distinct nodes): the
+    - **broadcast** (the distinct node table fits): the
       frontier node set is ``ray.put`` once per round; every edge block
       emits its frontier-adjacent dst set (pre-deduped per block), the
       driver merges node-sized partials — one map pass per round, no
@@ -1016,11 +999,8 @@ def bfs_hops(edges, sources, max_hops: int = 4,
     if not seeds:
         raise ValueError("bfs_hops: sources must be non-empty")
 
-    edges = edges.materialize()
-    n_edge_rows = edges.count()
-
-    if n_edge_rows <= local_edges_max:
-        import pandas as pd
+    edges, small = fits(edges)
+    if small:
 
         parts = [b for b in edges.iter_batches(batch_format="pyarrow",
                                                batch_size=None)]
@@ -1054,13 +1034,11 @@ def bfs_hops(edges, sources, max_hops: int = 4,
             "hops": pa.array(dist[hit], type=pa.int64()),
         }))
 
-    # count distinct nodes once to pick the wide regime
-    n_nodes = keyed_agg(edges.map_batches(
-        lambda b: pa.table({"v": pa.chunked_array(
-            [b.column("src"), b.column("dst")]).combine_chunks()}),
-        batch_format="pyarrow"), "v", {}).count()
-
-    if n_nodes <= broadcast_nodes_max:
+    # the distinct nodes pick the wide regime
+    if fits(keyed_agg(edges.map_batches(
+            lambda b: pa.table({"v": pa.chunked_array(
+                [b.column("src"), b.column("dst")]).combine_chunks()}),
+            batch_format="pyarrow"), "v", {}))[1]:
         visited = {int(s): 0 for s in seeds}
         frontier = list(seeds)
         for h in range(1, max_hops + 1):
@@ -1139,8 +1117,9 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
     (lo << 32 | hi; loud guard: node ids must fit 31 bits — widen to a
     2-column exchange past that), so the initial distinct and every
     round's filter exchange 8 B/edge. Each round = unpacked endpoints
-    → one node-sized ``keyed_agg`` count → survivors (deg ≥ k)
-    broadcast once as a sorted array via ``ray.put`` (bounded by
+    → one node-sized ``keyed_agg_table`` count, combined on the driver
+    → survivors (deg ≥ k) broadcast once as a sorted array via
+    ``ray.put`` (bounded by
     ``alive_max``; the named alternative past the bound is two
     semi-joins on the endpoint columns) → vectorized searchsorted
     filter of the packed edges, materialized so the next round starts
@@ -1175,17 +1154,16 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
         return pa.table({"v": np.concatenate([e >> np.int64(32),
                                               e & np.int64(0xFFFFFFFF)])})
 
-    def degrees(ds):
-        return keyed_agg(ds.map_batches(endpoints, batch_format="pyarrow"),
-                         "v", {"deg": ("count", None)})
+    def ends(ds):
+        return ds.map_batches(endpoints, batch_format="pyarrow")
 
     for _ in range(rounds):
-        surv_parts = [b.column("v").to_numpy(zero_copy_only=False)
-                      for b in degrees(cur).filter(expr=f"deg >= {k}")
-                      .select_columns(["v"])
-                      .iter_batches(batch_format="pyarrow")]
-        alive = (np.sort(np.concatenate(surv_parts))
-                 if surv_parts else np.empty(0, np.int64))
+        # combined and filtered on the driver, which consumes it: no
+        # execution beyond the partials
+        deg = keyed_agg_table(ends(cur), "v", {"deg": ("count", None)})
+        alive = (np.sort(deg.filter(pc.greater_equal(deg.column("deg"), k))
+                         .column("v").to_numpy())
+                 if deg.num_rows else np.empty(0, np.int64))
         if len(alive) > alive_max:
             raise ValueError(
                 f"kcore_rounds: {len(alive)} surviving nodes exceed "
@@ -1212,4 +1190,4 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
         cur = cur.map_batches(keep_alive,
                               batch_format="pyarrow").materialize()
 
-    return degrees(cur).sort("v")
+    return keyed_agg(ends(cur), "v", {"deg": ("count", None)}).sort("v")

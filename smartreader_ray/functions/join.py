@@ -42,7 +42,8 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import _key_hash_u64, _mix64, keyed_agg, keyed_exchange
+from .exchange import (_key_hash_u64, _mix64, fits, keyed_agg,
+                       keyed_exchange)
 
 
 def compacted(ds, target_rows_per_block: int = 65_536):
@@ -784,33 +785,53 @@ def _bloom_probe(bits, keys, bloom_bits: int, bloom_k: int):
     return hit
 
 
+def _key_sides(left, right, left_key: str, right_key: str):
+    """What both regimes of ``_semi_anti`` start from: ``(left, its
+    schema, left_key, the materialized distinct non-null right keys,
+    right_key, the type both sides' keys are cast to)``."""
+    left, lschema = _with_schema(left)
+    rk, rtype = _distinct_keys(right, right_key)
+    return (left, lschema, left_key, rk, right_key,
+            _key_type(_col_type(lschema, left_key), rtype))
+
+
 def _semi_anti(left, right, left_key: str, right_key: str,
-               broadcast_limit: int, bloom_bits: int, bloom_k: int,
-               anti: bool):
+               bloom_bits: int, bloom_k: int, anti: bool):
     """The one algorithm behind :func:`semi_join` (``anti=False``) and
     :func:`anti_join` (``anti=True``): left rows whose key is (or is
     NOT) among the distinct non-null right keys, both sides' keys cast
     to ``_key_type`` so the two regimes agree. A null left key matches
-    nothing: semi drops its row, anti keeps it."""
+    nothing: semi drops its row, anti keeps it. Distinct keys that
+    ``exchange.fits`` are broadcast; others go through
+    ``_semi_anti_bloom``."""
+    import ray
+
+    sides = _key_sides(left, right, left_key, right_key)
+    left, _, _, rk, right_key, key_type = sides
+    if not fits(rk)[1]:
+        return _semi_anti_bloom(sides, bloom_bits, bloom_k, anti)
+    ref = ray.put(_collect_keys(rk, right_key, key_type))
+
+    def filt(b: pa.Table) -> pa.Table:
+        member = pc.fill_null(pc.is_in(
+            pc.cast(b.column(left_key), key_type),
+            value_set=ray.get(ref)), False)
+        return b.filter(pc.invert(member) if anti else member)
+
+    return left.map_batches(filt, batch_format="pyarrow")
+
+
+def _semi_anti_bloom(sides, bloom_bits: int = 1 << 23, bloom_k: int = 4,
+                     anti: bool = False):
+    """The scale regime of ``_semi_anti`` over its ``_key_sides``,
+    whatever their size: a Bloom bitmap of the right keys prunes the
+    left side locally, and only its positives enter the exact verify
+    ``hash_join``."""
     import ray
     import ray.data
 
-    left, lschema = _with_schema(left)
+    left, lschema, left_key, rk, right_key, key_type = sides
     left_cols = lschema.names
-    rk, rtype = _distinct_keys(right, right_key)
-    key_type = _key_type(_col_type(lschema, left_key), rtype)
-
-    if rk.count() <= broadcast_limit:
-        ref = ray.put(_collect_keys(rk, right_key, key_type))
-
-        def filt(b: pa.Table) -> pa.Table:
-            member = pc.fill_null(pc.is_in(
-                pc.cast(b.column(left_key), key_type),
-                value_set=ray.get(ref)), False)
-            return b.filter(pc.invert(member) if anti else member)
-
-        return left.map_batches(filt, batch_format="pyarrow")
-
     bloom_ref = ray.put(_bloom_build(rk, right_key, key_type,
                                      bloom_bits, bloom_k))
 
@@ -844,18 +865,16 @@ def _semi_anti(left, right, left_key: str, right_key: str,
 
 
 def semi_join(left, right, left_key: str, right_key: str,
-              broadcast_limit: int = 2_000_000,
               bloom_bits: int = 1 << 23, bloom_k: int = 4):
     """EXACT semi-join: left rows whose key appears in ``right`` —
     SQL ``WHERE EXISTS`` — without ever shipping the full left table
     through a shuffle.
 
-    Two regimes on the DISTINCT right-key count (one keys-only groupby
-    either way):
+    Two regimes on the DISTINCT right keys (one keys-only groupby
+    either way), chosen by ``exchange.fits``:
 
-    * ``≤ broadcast_limit``: the distinct keys are ``ray.put`` once and
-      every left task filters with an Arrow ``is_in`` — zero left-side
-      exchange.
+    * keys that fit: they are ``ray.put`` once and every left task
+      filters with an Arrow ``is_in`` — zero left-side exchange.
     * beyond: a Bloom filter (``bloom_bits`` bits, ``bloom_k``
       double-hashed probes) is built from per-block partial bitmaps
       OR-merged on the driver, broadcast once, and left batches drop
@@ -866,12 +885,11 @@ def semi_join(left, right, left_key: str, right_key: str,
     Keys of different types compare as strings (``hash_join``'s rule)
     in both regimes.
     """
-    return _semi_anti(left, right, left_key, right_key, broadcast_limit,
-                      bloom_bits, bloom_k, anti=False)
+    return _semi_anti(left, right, left_key, right_key, bloom_bits,
+                      bloom_k, anti=False)
 
 
 def anti_join(left, right, left_key: str, right_key: str,
-              broadcast_limit: int = 2_000_000,
               bloom_bits: int = 1 << 23, bloom_k: int = 4):
     """EXACT anti-join: left rows whose key appears NOWHERE in ``right``
     — SQL ``WHERE NOT EXISTS`` — the mirror of :func:`semi_join`, and
@@ -880,11 +898,12 @@ def anti_join(left, right, left_key: str, right_key: str,
     Null-key semantics follow SQL ``NOT EXISTS``: a null left key never
     equals anything, so those rows are KEPT (unlike ``NOT IN``).
 
-    Two regimes on the DISTINCT right-key count:
+    Two regimes on the DISTINCT right keys, chosen by
+    ``exchange.fits``:
 
-    * ``≤ broadcast_limit``: distinct keys are ``ray.put`` once and every
-      left task drops members with Arrow ``is_in`` locally — zero
-      left-side exchange.
+    * keys that fit: they are ``ray.put`` once and every left task
+      drops members with Arrow ``is_in`` locally — zero left-side
+      exchange.
     * beyond: the Bloom filter is even better placed here than in the
       semi-join — a bloom MISS proves non-membership, so every
       definitely-absent left row is emitted locally without ever
@@ -897,8 +916,8 @@ def anti_join(left, right, left_key: str, right_key: str,
     Keys of different types compare as strings (``hash_join``'s rule)
     in both regimes.
     """
-    return _semi_anti(left, right, left_key, right_key, broadcast_limit,
-                      bloom_bits, bloom_k, anti=True)
+    return _semi_anti(left, right, left_key, right_key, bloom_bits,
+                      bloom_k, anti=True)
 
 
 def scd2_apply(history, snapshot, id_col: str, attr_cols: list[str],

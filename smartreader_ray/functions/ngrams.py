@@ -25,7 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_agg, keyed_agg_table
+from .exchange import fits, keyed_agg, keyed_agg_table
 from .topk import top_k
 
 
@@ -274,14 +274,14 @@ def _doc_term_tf(batch: pa.Table, doc_col: str, text_col: str) -> pd.DataFrame:
 
 
 def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
-                    k: int = 3, round_to: int = 6,
-                    broadcast_vocab_max: int = 5_000_000):
+                    k: int = 3, round_to: int = 6):
     """Top ``k`` terms per document by TF-IDF (idf = ln(N/df), raw tf).
 
     Pass 1 always reduces the corpus to a vocabulary-sized (term, df)
-    table. Pass 2 picks one of two scale regimes:
+    table. Pass 2 picks one of two scale regimes by ``exchange.fits``
+    on that table:
 
-    - ``broadcast`` (vocab ≤ ``broadcast_vocab_max``): the IDF map is
+    - ``broadcast`` (the table fits): the IDF map is
       ``ray.put`` once and pass 2 is a single shuffle-free
       ``map_batches`` — re-tokenize, score, keep each doc's top-k
       inside its own block.
@@ -293,7 +293,8 @@ def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
       anywhere.
 
     Both regimes produce identical rows (equivalence pinned in tests;
-    ``broadcast_vocab_max=0`` forces the join regime).
+    a ``target_max_block_size`` below the table's bytes forces the join
+    regime).
 
     Ordering inside a doc is (rounded score desc, term asc) — rounding
     BEFORE ranking so the engine and the SQL oracle break near-ties
@@ -305,8 +306,8 @@ def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
     partial = ds.select_columns([text_col]).map_batches(
         lambda b: _partial_term_counts(b, text_col), batch_format="pyarrow"
     )
-    df_tbl = keyed_agg(partial, "term", {"df": ("sum", "df")})
-    if df_tbl.count() > broadcast_vocab_max:
+    df_tbl, small = fits(keyed_agg(partial, "term", {"df": ("sum", "df")}))
+    if not small:
         return _tfidf_join_path(ds, df_tbl, n_docs, doc_col, text_col, k,
                                 round_to)
     df_pd = df_tbl.to_pandas()

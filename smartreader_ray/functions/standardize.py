@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_agg
+from .exchange import fits, keyed_agg
 
 
 def _check_int_totals(int_totals: "np.ndarray", float_totals: "np.ndarray",
@@ -72,23 +72,23 @@ def _moment_rows(key_col: str, value_col: str):
     return fn
 
 
-def zscore_by(ds, key_col: str, value_col: str, round_to: int = 6,
-              broadcast_keys_max: int = 1_000_000):
+def zscore_by(ds, key_col: str, value_col: str, round_to: int = 6):
     """Append ``z`` = per-``key_col`` z-score of ``value_col``.
 
     Output columns: id columns of ``ds`` are preserved as-is plus ``z``
     (population std; a single-value or constant key yields null z).
+    Per-key moments that ``exchange.fits`` are broadcast to a map over
+    the rows; others are joined back (``_zscore_join_path``).
     """
     import ray
 
     rows = ds.select_columns([key_col, value_col]).map_batches(
         _moment_rows(key_col, value_col), batch_format="pyarrow"
     )
-    totals = keyed_agg(rows, key_col, {"n": ("count", None),
-                                       "s": ("sum", "v"), "ss": ("sum", "v2"),
-                                       "ss_f": ("sum", "v2f")})
-    n_keys = totals.count()
-    if n_keys > broadcast_keys_max:
+    totals, small = fits(keyed_agg(rows, key_col, {
+        "n": ("count", None), "s": ("sum", "v"), "ss": ("sum", "v2"),
+        "ss_f": ("sum", "v2f")}))
+    if not small:
         return _zscore_join_path(ds, totals, key_col, value_col, round_to)
     moments = totals.to_pandas()
     _check_int_totals(moments["ss"].to_numpy(dtype=np.int64),
@@ -123,8 +123,8 @@ def zscore_by(ds, key_col: str, value_col: str, round_to: int = 6,
 
 def _zscore_join_path(ds, totals, key_col: str, value_col: str,
                       round_to: int):
-    """Scale regime of :func:`zscore_by`, for key cardinalities past the
-    broadcast bound: overflow-check the moment totals DISTRIBUTED (per
+    """Scale regime of :func:`zscore_by`, for per-key moments past
+    ``exchange.fits``: overflow-check the moment totals DISTRIBUTED (per
     totals block — the checksum gate is per-key, no driver collect),
     then hash-shuffle join the rows against the key-sized moment table
     and stamp z per joined batch with the IDENTICAL double expression

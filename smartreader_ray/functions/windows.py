@@ -19,7 +19,7 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-from .exchange import keyed_agg, keyed_agg_table
+from .exchange import fits, keyed_agg, keyed_agg_table
 
 _LOG = logging.getLogger(__name__)
 
@@ -259,8 +259,7 @@ def late_events(ds, tolerance_s: float = 3600.0, user_col: str = "user_id",
 
 def funnel(ds, steps=("view", "click", "purchase"),
            user_col: str = "user_id", ts_col: str = "ts",
-           type_col: str = "event_type",
-           broadcast_users_max: int = 2_000_000):
+           type_col: str = "event_type"):
     """Ordered-funnel analysis: per user, the earliest timestamp of each
     step STRICTLY AFTER the previous step's earliest qualifying
     timestamp (t₁ = min ts of step 1; tₖ = min ts of step k with
@@ -273,16 +272,16 @@ def funnel(ds, steps=("view", "click", "purchase"),
     One pass per step, each a single keyed reduction over only that
     step's rows (type filter is pushed into the batch scan). The
     per-user frontier table between passes rides the repo's dual
-    regime:
+    regime, chosen by ``exchange.fits`` on the stage-1 frontier:
 
-    - **broadcast** (≤ ``broadcast_users_max`` users at the stage-1
-      frontier): frontier dicts live on the driver (bounded by the
-      regime check); each later step is ONE Ray execution — `ray.put`
-      the {user: tₖ₋₁} dict, filter + pre-combine per block map-side,
-      merge the user-sized partials on the driver (int/timestamp min is
-      associative). Assembly is a driver-built table — no joins, no
-      sort stage. Measured: 34.6 s → ~7 s at sf0.1 vs the join-chain
-      formulation (orchestration, not data, was the cost).
+    - **broadcast** (the frontier fits): frontier dicts live on the driver
+      (bounded by the regime check); each later step is ONE Ray execution
+      — `ray.put` the {user: tₖ₋₁} dict, filter + pre-combine per block
+      map-side, merge the user-sized partials on the driver
+      (int/timestamp min is associative). Assembly is a driver-built
+      table — no joins, no sort stage. Measured: 34.6 s → ~7 s at sf0.1
+      vs the join-chain formulation (orchestration, not data, was the
+      cost).
     - **distributed**: `hash_join` the frontier onto the step's rows,
       filter, groupby-min, chained left joins to assemble — nothing
       driver-sized.
@@ -318,14 +317,13 @@ def funnel(ds, steps=("view", "click", "purchase"),
             batch_format="pyarrow",
         )
 
-    frontier_ds = keyed_agg(step_rows(steps[0]), "u",
-                            {"t": ("min", "t")}).materialize()
-    n_front = frontier_ds.count()
+    frontier_ds, small = fits(keyed_agg(step_rows(steps[0]), "u",
+                                        {"t": ("min", "t")}))
     ts_type = frontier_ds.schema().types[
         frontier_ds.schema().names.index("t")
     ]
 
-    if n_front <= broadcast_users_max:
+    if small:
         front = {
             u: t
             for b in frontier_ds.iter_batches(batch_format="pyarrow",
@@ -758,8 +756,7 @@ def match_pattern(ds, pattern: str, symbol_map: dict,
 
 
 def percent_rank_by(ds, key_col: str, value_col: str,
-                    round_to: int = 6,
-                    broadcast_limit: int = 2_000_000):
+                    round_to: int = 6):
     """Tie-safe analytic ranking: appends ``pr`` =
     ``PERCENT_RANK() OVER (PARTITION BY key ORDER BY value)`` to every
     row — (strictly-smaller count) / (n−1), 0 for single-row keys.
@@ -773,7 +770,7 @@ def percent_rank_by(ds, key_col: str, value_col: str,
     bounded-domain contract) → per key one vectorized sort + exclusive
     cumsum gives (value → pr). The rank map is broadcast and applied
     with a pandas hash merge per batch when it fits
-    (``≤ broadcast_limit`` rows); beyond, it joins back via
+    (``exchange.fits``); beyond, it joins back via
     `join.hash_join` on a composite (key, value-bits) string — exact,
     float bits hex-encoded rather than formatted.
     """
@@ -805,13 +802,12 @@ def percent_rank_by(ds, key_col: str, value_col: str,
             "pr": pa.array(np.round(pr, round_to), type=pa.float64()),
         })
 
-    rank_map = (
+    rank_map, small = fits(
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby(key_col)
-        .map_groups(per_key, batch_format="pyarrow")
-    ).materialize()
+        .map_groups(per_key, batch_format="pyarrow"))
 
-    if rank_map.count() <= broadcast_limit:
+    if small:
         import ray
 
         parts = list(rank_map.iter_batches(batch_format="pyarrow",

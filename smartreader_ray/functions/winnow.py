@@ -136,14 +136,6 @@ def winnow_dedup(ds, k: int = 4, w: int = 4, min_shared: int = 2,
     # shingle+winnow scan
     docfp = pruned.map_batches(emit_distinct,
                                batch_format="pyarrow").materialize()
-    # right-size the exchange: every downstream all-to-all schedules
-    # O(blocks²) shuffle tasks, and the winnowed stream is ~2/(w+1) of
-    # the shingles — far smaller than the read's block count implies.
-    # ~250k rows per block keeps task count proportional to DATA (at
-    # 100 TB this grows into thousands of partitions, at bench scale it
-    # collapses 64→8 and saves seconds of pure scheduling overhead).
-    docfp = docfp.repartition(
-        max(8, docfp.count() // 250_000 + 1)).materialize()
 
     sizes = keyed_agg(docfp, "doc_id", {"n_fp": ("count", None)})
 
@@ -203,11 +195,9 @@ def containment_pairs(ds, window: int = 8, text_col: str = "text",
             "doc_id": pa.array(out_ids, type=id_type),
         })
 
-    # same double-consumption + block-right-sizing as winnow_dedup
+    # same double-consumption as winnow_dedup
     docw = pruned.map_batches(emit,
                               batch_format="pyarrow").materialize()
-    docw = docw.repartition(
-        max(8, docw.count() // 250_000 + 1)).materialize()
     sizes = keyed_agg(docw, "doc_id", {"n_win": ("count", None)})
 
     pairs = keyed_agg(_bucket_pairs(docw, "wh", max_bucket),

@@ -22,6 +22,26 @@ def ray_session():
 
 
 @pytest.fixture
+def size_budget(monkeypatch):
+    """``size_budget(nbytes)`` sets ``DataContext.target_max_block_size``,
+    the one budget ``exchange.fits`` holds a side to, for the rest of the
+    test. Build the test's input Datasets before the call: Ray splits the
+    blocks of a Dataset made under a budget of a few bytes row by row.
+    A Dataset an operator makes under the budget is split too, and Ray's
+    splitter divides by the row count of the block it splits: an empty
+    block of 1.5 × the budget's bytes or more (4 bytes for an empty
+    string column) fails, so a test whose operator makes one uses a
+    budget of some dozens of bytes rather than 0 or 1."""
+    from ray.data import DataContext
+
+    def set_budget(nbytes: int) -> None:
+        monkeypatch.setattr(DataContext.get_current(),
+                            "target_max_block_size", nbytes)
+
+    return set_budget
+
+
+@pytest.fixture
 def reference_fixtures():
     """The reference test-pages directory; skips the test when absent."""
     from smartreader_ray.sources import FIXTURE_DIR

@@ -40,7 +40,8 @@ def test_basket_pairs_local_matches_bruteforce(ray_session):
     assert got == _brute_basket(t, 10)
 
 
-def test_basket_pairs_distributed_regime_matches_local(ray_session):
+def test_basket_pairs_distributed_regime_matches_local(ray_session,
+                                                        size_budget):
     import ray.data
 
     from smartreader_ray.functions.graph import basket_pairs
@@ -48,8 +49,8 @@ def test_basket_pairs_distributed_regime_matches_local(ray_session):
     t = _baskets(seed=8)
     ds = ray.data.from_arrow(t).repartition(3)
     local = basket_pairs(ds, "g", "item", top_n=12).take_all()
-    dist = basket_pairs(ds, "g", "item", top_n=12,
-                        local_rows_max=0).take_all()
+    size_budget(0)  # no (group, item) row fits: the distributed regime
+    dist = basket_pairs(ds, "g", "item", top_n=12).take_all()
     assert local == dist == [
         {"item_a": a, "item_b": b, "n_groups": n}
         for a, b, n in _brute_basket(t, 12)]
@@ -91,7 +92,7 @@ def test_triangle_count_matches_bruteforce(ray_session):
     assert out["n_triangles"] == n_tri
 
 
-def test_triangle_count_all_three_regimes_agree(ray_session):
+def test_triangle_count_all_three_regimes_agree(ray_session, size_budget):
     import ray.data
 
     from smartreader_ray.functions.graph import triangle_count
@@ -99,13 +100,16 @@ def test_triangle_count_all_three_regimes_agree(ray_session):
     rng = np.random.default_rng(21)
     src = rng.integers(0, 25, 150).astype(np.int64)
     dst = rng.integers(0, 25, 150).astype(np.int64)
-    edges = ray.data.from_arrow(pa.table({
-        "src": pa.array(src), "dst": pa.array(dst)})).repartition(3)
+    table = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
+    edges = ray.data.from_arrow(table).repartition(3)
     local = triangle_count(edges).take_all()[0]
-    dist_bcast = triangle_count(
-        edges, local_edges_max=0).take_all()[0]
-    dist_join = triangle_count(
-        edges, local_edges_max=0, degree_broadcast_limit=0).take_all()[0]
+    # the (v, deg) table (two int64 per node) fits, the edges do not
+    n_nodes = len(set(src) | set(dst))
+    assert 16 * n_nodes < table.nbytes
+    size_budget(table.nbytes - 1)
+    dist_bcast = triangle_count(edges).take_all()[0]
+    size_budget(0)
+    dist_join = triangle_count(edges).take_all()[0]
     assert local == dist_bcast == dist_join
 
 

@@ -1108,11 +1108,10 @@ def test_duplicate_passages_hash_path_matches_text_path(ray_session):
     assert (shared_a, 6) in text_out and (shared_b, 6) in text_out
 
 
-def test_connected_components(ray_session):
-    import pytest
+def test_connected_components(ray_session, size_budget, monkeypatch):
     import ray.data
 
-    from smartreader_ray.functions import connected_components
+    from smartreader_ray.functions import connected_components, dedup
 
     pairs = ray.data.from_items(
         [{"doc_a": 5, "doc_b": 3}, {"doc_a": 3, "doc_b": 9},
@@ -1122,8 +1121,17 @@ def test_connected_components(ray_session):
     got = {r["doc_id"]: r["cluster_id"] for r in out}
     assert got == {3: 3, 5: 3, 9: 3, 20: 20, 21: 20}
 
-    with pytest.raises(ValueError, match="max_edges"):
-        connected_components(pairs, max_edges=2).take_all()
+    # an edge list past the size budget goes to label propagation, with
+    # the same clusters, instead of raising
+    calls = []
+    lp = dedup.label_propagation_components
+    monkeypatch.setattr(dedup, "label_propagation_components",
+                        lambda *a, **k: calls.append(a) or lp(*a, **k))
+    size_budget(pairs.size_bytes() - 1)
+    got = {r["doc_id"]: r["cluster_id"]
+           for r in connected_components(pairs).take_all()}
+    assert got == {3: 3, 5: 3, 9: 3, 20: 20, 21: 20}
+    assert len(calls) == 1
 
 
 def test_passage_clusters(ray_session):
@@ -1148,7 +1156,7 @@ def test_passage_clusters(ray_session):
     assert 7 not in got  # isolated docs don't appear
 
 
-def test_label_propagation_matches_union_find(ray_session):
+def test_label_propagation_matches_union_find(ray_session, size_budget):
     import ray.data
 
     from smartreader_ray.functions import (
@@ -1170,11 +1178,11 @@ def test_label_propagation_matches_union_find(ray_session):
           for r in label_propagation_components(ds).take_all()}
     assert uf == lp
     assert lp == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 10: 10, 11: 10}
-    # force the fully-distributed regime (shuffle join + label-sum
+    # force the fully-distributed regime (shuffle join + moved-label
     # fixpoint) — must agree with both other paths
+    size_budget(0)
     dist = {r["doc_id"]: r["cluster_id"]
-            for r in label_propagation_components(
-                ds, broadcast_labels_max=0).take_all()}
+            for r in label_propagation_components(ds).take_all()}
     assert dist == lp
 
 
@@ -1197,7 +1205,8 @@ def test_label_propagation_deep_chain(ray_session):
     assert uf == lp and set(lp.values()) == {0}
 
 
-def test_label_propagation_distributed_pointer_jump(ray_session):
+def test_label_propagation_distributed_pointer_jump(ray_session,
+                                                   size_budget):
     # forced distributed regime on a diameter-63 path graph: the
     # pointer-jump self-join (label ← label(label)) must converge in
     # ≤ ⌈log₂ d⌉+1 Ray rounds, not O(d) (VERDICT r4 #7)
@@ -1210,13 +1219,14 @@ def test_label_propagation_distributed_pointer_jump(ray_session):
     d = 63
     edges = [{"doc_a": i, "doc_b": i + 1} for i in range(d)]
     ds = ray.data.from_items(edges).repartition(3)
+    size_budget(0)
     stats: dict = {}
     lp = {r["doc_id"]: r["cluster_id"]
           for r in label_propagation_components(
-              ds, broadcast_labels_max=0, stats=stats).take_all()}
+              ds, stats=stats).take_all()}
     assert set(lp.values()) == {0} and len(lp) == d + 1
     assert stats["regime"] == "distributed"
-    # +1 for the fixpoint-detection round (label sum unchanged)
+    # +1 for the fixpoint-detection round (no label moved)
     assert stats["rounds"] <= math.ceil(math.log2(d)) + 1, stats
 
 
@@ -1522,7 +1532,7 @@ def test_longest_common_runs_min_run_filter_and_guard(ray_session):
     assert "degenerate" in str(ei.value)
 
 
-def test_funnel_regimes_agree_and_match_duckdb(ray_session):
+def test_funnel_regimes_agree_and_match_duckdb(ray_session, size_budget):
     import duckdb
     import pyarrow as pa
     import ray.data
@@ -1543,16 +1553,18 @@ def test_funnel_regimes_agree_and_match_duckdb(ray_session):
     }
     t = pa.table(rows)
 
-    def run(bmax):
-        ds = ray.data.from_arrow(t).repartition(5)
-        out = funnel(ds, steps=("view", "click", "purchase"),
-                     broadcast_users_max=bmax)
+    ds = ray.data.from_arrow(t).repartition(5)
+
+    def run():
+        out = funnel(ds, steps=("view", "click", "purchase"))
         return pa.concat_tables(
             list(out.iter_batches(batch_format="pyarrow",
                                   batch_size=None))
         ).sort_by("user_id")
 
-    broad, dist = run(10**6), run(0)
+    broad = run()
+    size_budget(0)  # the frontier does not fit: the distributed regime
+    dist = run()
     assert broad.equals(dist.cast(broad.schema))
 
     con = duckdb.connect()

@@ -3,7 +3,9 @@
 The regime-equality test is the load-bearing one: the distributed path
 (hash_join + groupby-sum rounds) must produce bit-identical ranks to
 the broadcast path, because the oracle replays one arithmetic and the
-engine picks its regime by node count.
+engine picks its regime by the bytes of its node and edge tables
+(``exchange.fits``). A test forces a regime through the one budget,
+``DataContext.target_max_block_size`` (the ``size_budget`` fixture).
 """
 
 import pyarrow as pa
@@ -48,14 +50,15 @@ def _collect_pairs(ds):
     return set(zip(t.column("src").to_pylist(), t.column("dst").to_pylist()))
 
 
-@pytest.mark.parametrize("local_max", [20_000_000, 0])
-def test_consecutive_edges_tiny(ray_session, local_max):
+@pytest.mark.parametrize("budget", [20_000_000, 0])
+def test_consecutive_edges_tiny(ray_session, size_budget, budget):
+    """budget in bytes: 20 MB keeps the local regime, 0 the hash_join."""
     import ray.data
 
     ds = ray.data.from_arrow(_edges_table())
+    size_budget(budget)
     pairs = _collect_pairs(
-        consecutive_edges(ds, "g", "s", "n", seq_stride=10,
-                          local_rows_max=local_max)
+        consecutive_edges(ds, "g", "s", "n", seq_stride=10)
     )
     # group 1: (10,20), (20,10); group 2 cross product of {30,40}x{50,30}
     # minus the 30->30 self-loop; group 3: 60->60 dropped entirely
@@ -70,12 +73,12 @@ def test_consecutive_edges_stride_guard(ray_session):
         _collect_pairs(consecutive_edges(ds, "g", "s", "n", seq_stride=2))
 
 
-@pytest.mark.parametrize("broadcast_max,local_max", [
-    (2_000_000, 5_000_000),   # local regime (driver numpy rounds)
-    (2_000_000, 0),           # broadcast regime (per-round exchange)
-    (0, 0),                   # distributed regime (hash_join rounds)
+@pytest.mark.parametrize("regime", [
+    "local",        # both tables fit: driver numpy rounds
+    "broadcast",    # the nodes fit, the edges do not: per-round exchange
+    "distributed",  # neither fits: hash_join rounds
 ])
-def test_pagerank_matches_reference(ray_session, broadcast_max, local_max):
+def test_pagerank_matches_reference(ray_session, size_budget, regime):
     import random
 
     import ray.data
@@ -101,11 +104,14 @@ def test_pagerank_matches_reference(ray_session, broadcast_max, local_max):
     nodes_ds = ray.data.from_arrow(
         pa.table({"v": pa.array(nodes, type=pa.int64())})
     )
+    if regime == "broadcast":
+        assert nodes_ds.size_bytes() < edges_ds.size_bytes()
+        size_budget(edges_ds.size_bytes() - 1)
+    elif regime == "distributed":
+        size_budget(0)
     out = pa.concat_tables(
         list(
-            pagerank(edges_ds, nodes_ds, node_col="v", iterations=4,
-                     broadcast_nodes_max=broadcast_max,
-                     local_edges_max=local_max)
+            pagerank(edges_ds, nodes_ds, node_col="v", iterations=4)
             .iter_batches(batch_format="pyarrow", batch_size=None)
         )
     )
@@ -223,8 +229,9 @@ def _hits_reference(edges, nodes, iterations):
     return h, a
 
 
-@pytest.mark.parametrize("local_max", [5_000_000, 0])
-def test_hits_matches_reference(ray_session, local_max):
+@pytest.mark.parametrize("budget", [5_000_000, 0])
+def test_hits_matches_reference(ray_session, size_budget, budget):
+    """budget in bytes: 5 MB keeps the local regime, 0 the distributed."""
     import random
 
     import ray.data
@@ -244,10 +251,10 @@ def test_hits_matches_reference(ray_session, local_max):
     nodes_ds = ray.data.from_arrow(
         pa.table({"v": pa.array(nodes, type=pa.int64())})
     )
+    size_budget(budget)
     out = pa.concat_tables(
         list(
-            hits(edges_ds, nodes_ds, node_col="v", iterations=3,
-                 local_edges_max=local_max, local_nodes_max=local_max)
+            hits(edges_ds, nodes_ds, node_col="v", iterations=3)
             .iter_batches(batch_format="pyarrow", batch_size=None)
         )
     )
@@ -278,10 +285,10 @@ def _bfs_reference(edges, seeds, max_hops):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("regime", ["local", "broadcast", "distributed"])
-def test_bfs_hops_all_regimes(ray_session, seed, regime):
+def test_bfs_hops_all_regimes(ray_session, size_budget, seed, regime):
     """bfs_hops vs a dict BFS AND DuckDB's recursive CTE, on random
     directed graphs with cycles, unreachable nodes, and multi-seeds —
-    every regime forced via the thresholds."""
+    every regime forced via the size budget."""
     import duckdb
     import numpy as np
     import ray.data
@@ -294,15 +301,19 @@ def test_bfs_hops_all_regimes(ray_session, seed, regime):
                     for _ in range(m)})
     edges = [(s, d) for s, d in edges if s != d]
     seeds = sorted({int(rng.randint(0, n)) for _ in range(3)})
-    kw = {"local": dict(),
-          "broadcast": dict(local_edges_max=1),
-          "distributed": dict(local_edges_max=1,
-                              broadcast_nodes_max=1)}[regime]
-    eds = ray.data.from_arrow(pa.table({
+    table = pa.table({
         "src": pa.array([s for s, _ in edges], type=pa.int64()),
         "dst": pa.array([d for _, d in edges], type=pa.int64()),
-    })).repartition(3)
-    out = bfs_hops(eds, seeds, max_hops=3, **kw).take_all()
+    })
+    eds = ray.data.from_arrow(table).repartition(3)
+    if regime == "broadcast":
+        # the distinct-node table (one int64 per node) fits, the edges not
+        n_nodes = len({v for e in edges for v in e})
+        assert 8 * n_nodes < table.nbytes
+        size_budget(table.nbytes - 1)
+    elif regime == "distributed":
+        size_budget(32)
+    out = bfs_hops(eds, seeds, max_hops=3).take_all()
     got = {r["v"]: r["hops"] for r in out}
     want = _bfs_reference(edges, seeds, 3)
     assert got == want, (seed, regime)
@@ -358,3 +369,32 @@ def test_kcore_rounds_peels_tendrils(ray_session):
 
     # k above the max degree empties the graph
     assert kcore_rounds(ds, k=10, rounds=2).take_all() == []
+
+
+def test_kcore_rounds_runs_one_execution_per_round(ray_session,
+                                                   monkeypatch):
+    """Each peel round materializes its degree partials and its filtered
+    edges; the survivors are filtered on the driver from keyed_agg's
+    one-task block, with no further execution."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from smartreader_ray.functions import kcore_rounds
+
+    clique = [(a, b) for a in range(4) for b in range(4) if a < b]
+    ds = ray.data.from_items(
+        [{"src": a, "dst": b} for a, b in clique + [(3, 10), (10, 11)]])
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    out = kcore_rounds(ds, k=2, rounds=3).take_all()
+    assert {r["v"] for r in out} == {0, 1, 2, 3}
+    # the distinct edges' partials; per round the degree partials and
+    # the filtered edges; the last degrees' partials and the sort
+    assert len(runs) == 1 + 2 * 3 + 2

@@ -190,10 +190,11 @@ ANTI_SQL = """
 
 
 @pytest.mark.parametrize("seed", [30, 31, 32, 33])
-@pytest.mark.parametrize("broadcast_limit", [2_000_000, 1])
-def test_anti_join_matches_duckdb(ray_session, seed, broadcast_limit):
-    """anti_join (both regimes) vs DuckDB NOT EXISTS — nulls kept,
-    duplicates preserved, empty sides covered."""
+@pytest.mark.parametrize("budget", [2_000_000, 1])
+def test_anti_join_matches_duckdb(ray_session, size_budget, seed, budget):
+    """anti_join (both regimes: a size budget of 2 MB and of 1 byte) vs
+    DuckDB NOT EXISTS — nulls kept, duplicates preserved, empty sides
+    covered."""
     import ray.data
 
     from smartreader_ray.functions.join import anti_join
@@ -211,11 +212,11 @@ def test_anti_join_matches_duckdb(ray_session, seed, broadcast_limit):
     rds = ray.data.from_arrow(right) if n_r else ray.data.from_arrow(
         right.schema.empty_table())
 
-    out = anti_join(lds, rds, "k", "rk",
-                    broadcast_limit=broadcast_limit).take_all()
+    size_budget(budget)
+    out = anti_join(lds, rds, "k", "rk").take_all()
     got = _norm(tuple(r.get(c) for c in ("k", "lv")) for r in out)
     exp = _norm(con.sql(ANTI_SQL).fetchall())
-    assert got == exp, (seed, broadcast_limit)
+    assert got == exp, (seed, budget)
 
 
 SEMI_SQL = """
@@ -225,9 +226,10 @@ SEMI_SQL = """
 
 
 @pytest.mark.parametrize("seed", [40, 41, 42])
-@pytest.mark.parametrize("broadcast_limit", [2_000_000, 1])
-def test_semi_join_nullable_keys(ray_session, seed, broadcast_limit):
-    """semi_join on columns WITH nulls (regression: an int64 batch with
+@pytest.mark.parametrize("budget", [2_000_000, 1])
+def test_semi_join_nullable_keys(ray_session, size_budget, seed, budget):
+    """semi_join on columns WITH nulls, at a size budget of 2 MB and of
+    1 byte (regression: an int64 batch with
     a null key used to hash as float bits in the bloom prefilter,
     dropping true members; and a null right key in the broadcast set
     used to match null left keys unlike SQL EXISTS)."""
@@ -244,11 +246,11 @@ def test_semi_join_nullable_keys(ray_session, seed, broadcast_limit):
     lds = ray.data.from_arrow(left)
     rds = ray.data.from_arrow(right)
 
-    out = semi_join(lds, rds, "k", "rk",
-                    broadcast_limit=broadcast_limit).take_all()
+    size_budget(budget)
+    out = semi_join(lds, rds, "k", "rk").take_all()
     got = _norm(tuple(r.get(c) for c in ("k", "lv")) for r in out)
     exp = _norm(con.sql(SEMI_SQL).fetchall())
-    assert got == exp, (seed, broadcast_limit)
+    assert got == exp, (seed, budget)
 
 
 class TestSCD2Apply:

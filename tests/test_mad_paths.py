@@ -161,9 +161,11 @@ class TestMatchPattern:
 
 class TestPercentRank:
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("broadcast_limit", [2_000_000, 0])
-    def test_matches_duckdb_window(self, ray_session, seed,
-                                   broadcast_limit):
+    @pytest.mark.parametrize("budget", [2_000_000, 0])
+    def test_matches_duckdb_window(self, ray_session, size_budget, seed,
+                                   budget):
+        """The rank map broadcast (a 2 MB size budget) or joined back
+        (0 bytes)."""
         import duckdb
         import ray.data
 
@@ -177,9 +179,9 @@ class TestPercentRank:
             # heavy ties: few distinct values
             "v": pa.array(rng.randint(0, 6, size=n).astype(float)),
         })
-        out = percent_rank_by(
-            ray.data.from_arrow(t).repartition(4), "k", "v",
-            broadcast_limit=broadcast_limit).take_all()
+        ds = ray.data.from_arrow(t).repartition(4)
+        size_budget(budget)
+        out = percent_rank_by(ds, "k", "v").take_all()
         got = {r["rid"]: r["pr"] for r in out}
         con = duckdb.connect()
         con.register("t", t)
@@ -187,7 +189,7 @@ class TestPercentRank:
             SELECT rid, round(PERCENT_RANK() OVER (
                 PARTITION BY k ORDER BY v), 6) FROM t
         """).fetchall())
-        assert got == exp, (seed, broadcast_limit)
+        assert got == exp, (seed, budget)
 
     def test_single_row_key_is_zero(self, ray_session):
         import ray.data

@@ -84,37 +84,39 @@ def test_tfidf_scores_exact(ray_session):
     assert 3 not in by_doc
 
 
-def test_tfidf_auto_falls_back_to_join(ray_session):
+def test_tfidf_auto_falls_back_to_join(ray_session, size_budget):
     import ray.data
 
-    # vocab bound of 1 forces the join regime; results must be identical
-    # to the broadcast regime
-    a = tfidf_top_terms(
-        ray.data.from_arrow(_tbl()), k=2, broadcast_vocab_max=1
-    ).take_all()
+    # a size budget of 1 byte forces the join regime; results must be
+    # identical to the broadcast regime
     b = tfidf_top_terms(ray.data.from_arrow(_tbl()), k=2).take_all()
+    ds = ray.data.from_arrow(_tbl())
+    size_budget(1)
+    a = tfidf_top_terms(ds, k=2).take_all()
     key = lambda r: (r["doc_id"], -r["score"], r["term"])
     assert sorted(a, key=key) == sorted(b, key=key)
 
 
-def test_tfidf_join_path_equivalence(ray_session):
+def test_tfidf_join_path_equivalence(ray_session, size_budget):
     import ray.data
 
     ds = ray.data.from_arrow(_tbl())
     b = tfidf_top_terms(ds, k=2).take_all()
-    j = tfidf_top_terms(ds, k=2, broadcast_vocab_max=0).take_all()
+    size_budget(0)
+    j = tfidf_top_terms(ds, k=2).take_all()
     key = lambda r: (r["doc_id"], -r["score"], r["term"])
     assert sorted(b, key=key) == sorted(j, key=key)
 
 
-def test_tfidf_join_path_equivalence_corpus(ray_session):
+def test_tfidf_join_path_equivalence_corpus(ray_session, size_budget):
     import ray.data
 
     ds = ray.data.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
     ).repartition(4)
     b = tfidf_top_terms(ds).take_all()
-    j = tfidf_top_terms(ds, broadcast_vocab_max=0).take_all()
+    size_budget(0)
+    j = tfidf_top_terms(ds).take_all()
     key = lambda r: (r["doc_id"], -r["score"], r["term"])
     assert sorted(b, key=key) == sorted(j, key=key)
 

@@ -52,13 +52,14 @@ def test_bigram_counts_invariant(ray_session):
     assert _rows(bigram_counts(a, top_n=30)) == _rows(bigram_counts(b, top_n=30))
 
 
-def test_tfidf_invariant_both_regimes(ray_session):
+def test_tfidf_invariant_both_regimes(ray_session, size_budget):
     from smartreader_ray.functions.ngrams import tfidf_top_terms
 
     a, b = _pair(ray_session)
     one = _rows(tfidf_top_terms(a, k=2))
     assert one == _rows(tfidf_top_terms(b, k=2))
-    assert one == _rows(tfidf_top_terms(b, k=2, broadcast_vocab_max=0))
+    size_budget(0)  # the join regime
+    assert one == _rows(tfidf_top_terms(b, k=2))
 
 
 def test_zscore_invariant(ray_session):

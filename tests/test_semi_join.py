@@ -25,30 +25,30 @@ def test_semi_join_broadcast_regime_exact(ray_session):
     from smartreader_ray.functions.join import semi_join
 
     left, right, keys, lt = _mk(ray_session)
-    out = semi_join(left, right, "k", "rk",
-                    broadcast_limit=10_000).take_all()
+    out = semi_join(left, right, "k", "rk").take_all()
     want = sorted(v for k, v in zip(lt.column("k").to_pylist(),
                                     lt.column("v").to_pylist()) if k in keys)
     assert sorted(r["v"] for r in out) == want
 
 
-def test_semi_join_bloom_regime_matches_broadcast(ray_session):
+def test_semi_join_bloom_regime_matches_broadcast(ray_session, size_budget):
     from smartreader_ray.functions.join import semi_join
 
     left, right, keys, lt = _mk(ray_session, seed=9)
     a = sorted(r["v"] for r in semi_join(
-        left, right, "k", "rk", broadcast_limit=10_000).take_all())
-    # broadcast_limit below the 120 distinct keys → bloom + verify path
+        left, right, "k", "rk").take_all())
+    # a budget just below the 120 distinct int64 keys' bytes → bloom +
+    # verify path (a lower one splits the 5,000 left rows finer)
+    size_budget(8 * len(keys) - 1)
     b = sorted(r["v"] for r in semi_join(
-        left, right, "k", "rk", broadcast_limit=10,
-        bloom_bits=1 << 16).take_all())
+        left, right, "k", "rk", bloom_bits=1 << 16).take_all())
     assert a == b
     want = sorted(v for k, v in zip(lt.column("k").to_pylist(),
                                     lt.column("v").to_pylist()) if k in keys)
     assert b == want
 
 
-def test_semi_join_string_keys_bloom(ray_session):
+def test_semi_join_string_keys_bloom(ray_session, size_budget):
     import ray.data
 
     from smartreader_ray.functions.join import semi_join
@@ -58,9 +58,10 @@ def test_semi_join_string_keys_bloom(ray_session):
         "v": pa.array(np.arange(400), type=pa.int64()),
     })
     right = pa.table({"rn": [f"u{i}" for i in range(0, 50, 5)]})
-    out = semi_join(ray.data.from_arrow(left).repartition(3),
-                    ray.data.from_arrow(right), "name", "rn",
-                    broadcast_limit=2, bloom_bits=1 << 12).take_all()
+    lds = ray.data.from_arrow(left).repartition(3)
+    rds = ray.data.from_arrow(right)
+    size_budget(32)  # below the 10 keys' bytes: the Bloom regime
+    out = semi_join(lds, rds, "name", "rn", bloom_bits=1 << 12).take_all()
     keys = {f"u{i}" for i in range(0, 50, 5)}
     want = sorted(v for n, v in zip(left.column("name").to_pylist(),
                                     left.column("v").to_pylist())
@@ -115,11 +116,13 @@ def test_bloom_confusion_string_keys(ray_session):
             assert r["bloom_hit"] == 1
 
 
-@pytest.mark.parametrize("broadcast_limit", [2_000_000, 1])
+@pytest.mark.parametrize("budget", [2_000_000, 1])
 def test_semi_anti_mixed_key_types_agree_across_regimes(ray_session,
-                                                        broadcast_limit):
+                                                        size_budget,
+                                                        budget):
     """int64 left keys against string right keys compare as strings
-    (hash_join's key-type rule) in the broadcast AND the Bloom regime."""
+    (hash_join's key-type rule) in the broadcast AND the Bloom regime
+    (a budget of 2 MB and of 1 byte)."""
     import ray.data
 
     from smartreader_ray.functions.join import anti_join, semi_join
@@ -130,11 +133,11 @@ def test_semi_anti_mixed_key_types_agree_across_regimes(ray_session,
     }))
     right = ray.data.from_arrow(pa.table(
         {"rk": [str(i) for i in range(0, 200, 10)]}))
-    kw = dict(broadcast_limit=broadcast_limit, bloom_bits=1 << 20)
+    size_budget(budget)
     semi = sorted(r["v"] for r in semi_join(
-        left, right, "k", "rk", **kw).take_all())
+        left, right, "k", "rk", bloom_bits=1 << 20).take_all())
     anti = sorted(r["v"] for r in anti_join(
-        left, right, "k", "rk", **kw).take_all())
+        left, right, "k", "rk", bloom_bits=1 << 20).take_all())
     assert semi == list(range(0, 200, 10))
     assert anti == [v for v in range(200) if v % 10]
 

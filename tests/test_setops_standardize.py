@@ -85,8 +85,8 @@ def test_zscore_exact_values(ray_session):
     assert by_id[3] is None
 
 
-def test_zscore_join_path_matches_broadcast(ray_session):
-    """Above ``broadcast_keys_max`` zscore_by switches to the
+def test_zscore_join_path_matches_broadcast(ray_session, size_budget):
+    """Past ``exchange.fits`` zscore_by switches to the
     hash-shuffle join regime (r4 verdict #5: the seam used to raise
     NotImplementedError); both regimes must produce bit-identical z per
     doc, including the null-z verdicts for constant keys and null
@@ -107,8 +107,9 @@ def test_zscore_join_path_matches_broadcast(ray_session):
         }
     )
     broad = zscore_by(ray.data.from_arrow(t), "lang", "n_chars").take_all()
-    joined = zscore_by(ray.data.from_arrow(t), "lang", "n_chars",
-                       broadcast_keys_max=1).take_all()
+    ds = ray.data.from_arrow(t)
+    size_budget(1)
+    joined = zscore_by(ds, "lang", "n_chars").take_all()
     assert {r["doc_id"]: r["z"] for r in broad} == \
         {r["doc_id"]: r["z"] for r in joined}
 
