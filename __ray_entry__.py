@@ -649,8 +649,7 @@ def _q_padding_plan(sf_dir: str):
         })
 
     ranked = global_rank(
-        docs.map_batches(lens, batch_format="pyarrow"), "__lk",
-        num_parts=32)
+        docs.map_batches(lens, batch_format="pyarrow"), "__lk")
 
     def to_batch(b: pa.Table) -> pa.Table:
         rn = b.column("rn").to_numpy(zero_copy_only=False).astype(
@@ -724,7 +723,7 @@ def _q_curriculum_chain(sf_dir: str):
     # whole LM scoring pass each
     keyed = scored.map_batches(key, batch_format="pyarrow").materialize()
     n = keyed.count()
-    ranked = global_rank(keyed, "__ck", num_parts=32)
+    ranked = global_rank(keyed, "__ck")
 
     def out(b: pa.Table) -> pa.Table:
         pos = b.column("rn").to_numpy(zero_copy_only=False).astype(
@@ -1727,7 +1726,7 @@ def _q_balanced_interleave(sf_dir: str):
     from smartreader_ray.functions.sampling import balanced_interleave
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang"])
-    return balanced_interleave(docs, seed="bi", num_parts=32)
+    return balanced_interleave(docs, seed="bi")
 
 
 def _q_epoch_shuffle(sf_dir: str):
@@ -1739,7 +1738,7 @@ def _q_epoch_shuffle(sf_dir: str):
     from smartreader_ray.functions.sampling import epoch_shuffle
 
     docs = _read(sf_dir, "documents", ["doc_id"])
-    return epoch_shuffle(docs, seed="ep1", num_parts=32)
+    return epoch_shuffle(docs, seed="ep1")
 
 
 def _q_ngram_novelty(sf_dir: str):
@@ -1984,8 +1983,8 @@ def _q_weighted_mix(sf_dir: str):
 
 def _q_dup_passages(sf_dir: str):
     """Substring-level dedup: 8-token passages shared by ≥2 docs.
-    Within-doc windows dedupe before the exchange; exact text keys so
-    the oracle is byte-exact (hash keys are the 100 TB variant)."""
+    Within-doc windows dedupe before the aggregate; exact text keys so
+    the oracle is byte-exact."""
     from smartreader_ray.functions import duplicate_passages
 
     return duplicate_passages(_docs(sf_dir), window=8, min_docs=2)
@@ -2025,17 +2024,6 @@ def _q_dup_clusters_lp(sf_dir: str):
 
     edges = passage_star_edges(_docs(sf_dir), window=8)
     return label_propagation_components(edges)
-
-
-def _q_dup_passages_hashed(sf_dir: str):
-    """The 100 TB variant of dup_passages: only (hash64, doc_id) crosses
-    the exchange; survivors' text is recovered in a second streaming
-    pass against the broadcast hash map. Same SQL oracle as the text
-    path — identical output proves the scale path end to end."""
-    from smartreader_ray.functions import duplicate_passages
-
-    return duplicate_passages(_docs(sf_dir), window=8, min_docs=2,
-                              use_hash=True)
 
 
 def _q_line_dedup(sf_dir: str):
@@ -8861,19 +8849,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT d.lang, d.doc_id
             FROM documents d JOIN med USING (lang)
             WHERE d.n_chars > med.m
-        """,
-        "dup_passages_hashed": """
-            WITH base AS (
-                SELECT doc_id, string_split(trim(text), ' ') AS a
-                FROM documents
-            ),
-            w AS (
-                SELECT doc_id, array_to_string(a[i:i+7], ' ') AS win
-                FROM base,
-                     UNNEST(generate_series(1, len(a) - 7)) AS t(i)
-            )
-            SELECT win, COUNT(DISTINCT doc_id) AS n_docs
-            FROM w GROUP BY win HAVING COUNT(DISTINCT doc_id) >= 2
         """,
         "dup_passages": """
             WITH base AS (

@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .exchange import keyed_agg, keyed_agg_table
+from .topk import head_by
 
 # ---------------------------------------------------------------------------
 # PII redaction
@@ -65,46 +66,17 @@ def per_source_cap(ds, cap: int = 10, source_col: str = "source",
                    id_col: str = "doc_id"):
     """Keep at most ``cap`` docs per source (deterministic: lowest ids).
 
-    The classic domain-balancing step. Two-level: each BLOCK first keeps
-    its own ``cap`` lowest ids per source (the partial combine — "block
-    minimum of cap survivors ⊇ global survivors" because the global
-    winners are the cap smallest ids overall, and each is the smallest
-    of SOME block), so the exchange carries ≤ cap × blocks rows per
-    source instead of a source's entire row set — the difference between
-    a bounded reduce and a billion-row hot group when key cardinality is
-    low at 100 TB. Columns are pruned to (source, id) before either
-    step; document text never moves. Join the surviving ids back to the
-    corpus with ``broadcast_join`` (small survivor set) or ``hash_join``
-    when the cap output is itself large.
+    The classic domain-balancing step, a ``topk.head_by`` on (source,
+    id): each block keeps its own ``cap`` lowest ids per source before
+    the keyed exchange, so it carries ≤ cap × blocks rows per source
+    instead of a source's entire row set. Columns are pruned to (source,
+    id) first; document text never moves. Join the surviving ids back to
+    the corpus with ``broadcast_join`` (small survivor set) or
+    ``hash_join`` when the cap output is itself large.
     """
-
-    def head_of_group(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group.column(id_col))
-        return group.take(order[:cap])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # per-block combine: cap survivors per source within this block
-        order = pc.sort_indices(
-            batch, sort_keys=[(source_col, "ascending"),
-                              (id_col, "ascending")]
-        )
-        b = batch.take(order)
-        keys = b.column(source_col).to_pylist()
-        keep, run_key, run = [], object(), 0
-        for i, k in enumerate(keys):
-            if k != run_key:
-                run_key, run = k, 0
-            if run < cap:
-                keep.append(i)
-            run += 1
-        return b.take(pa.array(keep, type=pa.int64()))
-
-    return (
-        ds.select_columns([source_col, id_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(source_col)
-        .map_groups(head_of_group, batch_format="pyarrow")
-    )
+    return (head_by(ds.select_columns([source_col, id_col]), source_col,
+                    [(id_col, "ascending")], cap)
+            .drop_columns(["rank"]))
 
 
 # ---------------------------------------------------------------------------

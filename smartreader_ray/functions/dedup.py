@@ -784,131 +784,26 @@ def _window_emitter(window: int, text_col: str):
 
 
 def duplicate_passages(ds, window: int = 8, min_docs: int = 2,
-                       text_col: str = "text", use_hash: bool = False):
+                       text_col: str = "text"):
     """Passage-level duplication: every ``window``-token span appearing
     in ≥ ``min_docs`` DISTINCT documents (the substring-dedup family of
     Lee et al.'s "Deduplicating Training Data" — whole-doc dedup misses
     shared boilerplate passages inside otherwise-unique pages).
 
     Per batch each document's windows are deduplicated BEFORE the
-    exchange (one (window, doc_id) pair per distinct window per doc),
-    then one groupby(window) counts distinct doc_ids and keeps the
-    shared ones.
-
-    ``use_hash=False`` shuffles the window TEXT (byte-exact DuckDB
-    oracle). ``use_hash=True`` is the 100 TB path: only (hash64,
-    doc_id) crosses the exchange, the (small) survivor hash→count map
-    broadcasts back, and one second streaming pass recovers the
-    survivors' text — same output modulo 64-bit collisions (none at
-    test scale; both paths run against the same oracle).
+    aggregate (one (window, doc_id) row per distinct window per doc),
+    so with unique doc ids one ``keyed_agg`` row count per window is its
+    distinct-doc count; the shared windows are kept.
     """
-    if use_hash:
-        return _duplicate_passages_hashed(ds, window, min_docs, text_col)
 
-    emit_windows = _window_emitter(window, text_col)
+    def shared(b: pa.Table) -> pa.Table:
+        return b.filter(pc.greater_equal(b.column("n_docs"), min_docs))
 
-    def count_docs(group: pa.Table) -> pa.Table:
-        n = len(set(group.column("doc_id").to_pylist()))
-        if n < min_docs:
-            return _empty_table(["win", "n_docs"], [pa.string(), pa.int64()])
-        return pa.Table.from_pydict(
-            {
-                "win": group.column("win").slice(0, 1),
-                "n_docs": pa.array([n], type=pa.int64()),
-            }
-        )
-
-    return (
-        ds.select_columns(["doc_id", text_col])
-        .map_batches(emit_windows, batch_format="pyarrow")
-        .groupby("win")
-        .map_groups(count_docs, batch_format="pyarrow")
-    )
-
-
-def _duplicate_passages_hashed(ds, window: int, min_docs: int,
-                               text_col: str):
-    """Hash-keyed duplicate_passages (the scale path): pass 1 shuffles
-    only (window_hash64, doc_id), pass 2 recovers survivors' text via a
-    broadcast hash→n_docs map."""
-    import ray
-
-    def emit_hashes(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column("doc_id").to_pylist()
-        id_type = batch.schema.field("doc_id").type
-        out_h: list[int] = []
-        out_ids = []
-        for doc_id, t in zip(ids, texts):
-            wins = _doc_window_set(t, window)
-            if wins:
-                out_h.extend(
-                    _hash64(wins).astype(np.int64).tolist()
-                )
-                out_ids.extend([doc_id] * len(wins))
-        return pa.Table.from_pydict(
-            {
-                "win_hash": pa.array(out_h, type=pa.int64()),
-                "doc_id": pa.array(out_ids, type=id_type),
-            }
-        )
-
-    def count_docs(group: pa.Table) -> pa.Table:
-        n = len(set(group.column("doc_id").to_pylist()))
-        if n < min_docs:
-            return _empty_table(["win_hash", "n_docs"],
-                                [pa.int64(), pa.int64()])
-        return pa.Table.from_pydict(
-            {
-                "win_hash": group.column("win_hash").slice(0, 1),
-                "n_docs": pa.array([n], type=pa.int64()),
-            }
-        )
-
-    pruned = ds.select_columns(["doc_id", text_col])
-    survivors = (
-        pruned.map_batches(emit_hashes, batch_format="pyarrow")
-        .groupby("win_hash")
-        .map_groups(count_docs, batch_format="pyarrow")
-    )
-    # survivor map is output-sized (shared passages), not corpus-sized;
-    # broadcast once for the recovery pass
-    surv_map = {
-        r["win_hash"]: r["n_docs"] for r in survivors.take_all()
-    }
-    surv_ref = ray.put(surv_map)
-
-    def recover(batch: pa.Table) -> pa.Table:
-        smap = ray.get(surv_ref)
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column("doc_id").to_pylist()
-        wins_out, counts = [], []
-        seen = set()
-        for doc_id, t in zip(ids, texts):
-            wins = _doc_window_set(t, window)
-            if not wins:
-                continue
-            hashes = _hash64(wins).astype(np.int64)
-            for w, h in zip(wins, hashes.tolist()):
-                if h in smap and w not in seen:
-                    seen.add(w)
-                    wins_out.append(w)
-                    counts.append(smap[h])
-        return pa.Table.from_pydict(
-            {
-                "win": pa.array(wins_out, type=pa.string()),
-                "n_docs": pa.array(counts, type=pa.int64()),
-            }
-        )
-
-    def dedupe(group: pa.Table) -> pa.Table:
-        return group.slice(0, 1)
-
-    return (
-        pruned.map_batches(recover, batch_format="pyarrow")
-        .groupby("win")
-        .map_groups(dedupe, batch_format="pyarrow")
-    )
+    rows = (ds.select_columns(["doc_id", text_col])
+            .map_batches(_window_emitter(window, text_col),
+                         batch_format="pyarrow"))
+    return (keyed_agg(rows, "win", {"n_docs": ("count", None)})
+            .map_batches(shared, batch_format="pyarrow"))
 
 
 def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -941,8 +836,7 @@ def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     Output: one row per input doc — ``doc_id, n_lines, n_removed,
     clean_text`` (kept lines joined with ``sep``; '' when everything
     was boilerplate). Hash collisions across distinct lines are the
-    usual 64-bit-screen caveat (~n²/2⁶⁵), same contract as
-    `duplicate_passages(use_hash=True)`.
+    usual 64-bit-screen caveat (~n²/2⁶⁵).
     """
     import ray
 
@@ -1413,7 +1307,7 @@ def longest_common_runs(ds, window: int = 8, text_col: str = "text",
     1. Emit **positioned** k-mers: (win_hash64, doc_id, pos) — one row
        per position (no within-doc dedup: positions carry the run
        structure). Only 8-byte hashed keys + two ints cross the
-       exchange, the ``dup_passages_hashed`` scale discipline.
+       exchange.
     2. ``groupby(win_hash)`` → per shared k-mer, every cross-doc match
        (doc_a < doc_b, pos_a, pos_b). A window held by many docs/
        positions is quadratic by nature; ``max_rows_per_window`` fails

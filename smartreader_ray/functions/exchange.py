@@ -6,8 +6,9 @@ reserved ``NULL_PART`` for a row with a null key), the stamped rows are
 grouped by ``__part`` with Ray's ``groupby().map_groups``, and
 ``emit(group)`` runs once per partition, with every row of each key in
 one call. ``hash_join``/``range_join``/``asof_join``, the near-dup pair
-emitters, the exact-dedup stage, ``join_cardinality`` and
-``global_rank`` all run on it; nothing else stamps ``__part``.
+emitters, the exact-dedup stage, ``join_cardinality``, ``global_rank``
+and ``topk.head_by`` (every per-key "first n rows" operator) all run on
+it; nothing else stamps ``__part``.
 
 ``keyed_agg(ds, keys, aggs)`` is the aggregate for decomposable
 functions (count, sum, min, max; mean as sum + count). Each block is

@@ -48,7 +48,7 @@ def morton_key(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def zorder_layout(ds, x_col: str, y_col: str, id_col: str,
-                  k: int = 16, bits: int = 15, num_parts: int = 64):
+                  k: int = 16, bits: int = 15):
     """Z-order clustering plan with zone maps.
 
     Masks ``x_col`` / ``y_col`` to their low ``bits`` bits (the
@@ -57,8 +57,8 @@ def zorder_layout(ds, x_col: str, y_col: str, id_col: str,
     fixed no matter the column domain), Morton-interleaves them,
     assigns each row to one of ``k`` equal-size shards by GLOBAL rank
     of ``(zkey, id)`` (TeraSort-style distributed ranking via
-    `reshape.global_rank` — only block samples and a num_parts-sized
-    count table ever reach the driver), and returns the k-row shard
+    `reshape.global_rank` — only block samples and a range-count table
+    ever reach the driver), and returns the k-row shard
     plan: ``shard, n_rows, x_min, x_max, y_min, y_max, z_min, z_max``.
 
     ``id_col`` must be a unique non-negative int64 < 2^32 so the
@@ -106,7 +106,7 @@ def zorder_layout(ds, x_col: str, y_col: str, id_col: str,
     total = prepped.count()
     if total == 0:
         return prepped.drop_columns(["x", "y", "zkey", "ckey"])
-    ranked = global_rank(prepped, "ckey", num_parts=num_parts)
+    ranked = global_rank(prepped, "ckey")
 
     def stamp_shard(b: pa.Table) -> pa.Table:
         rn = b.column("rn").to_numpy(zero_copy_only=False)

@@ -351,7 +351,7 @@ class _MbitsScorerBy:
 
 def ccnet_head_middle_tail(ds, held, key_col: str = "lang",
                            text_col: str = "text", id_col: str = "doc_id",
-                           num_parts: int = 32, batch_size: int = 64):
+                           batch_size: int = 64):
     """CCNet's head/middle/tail quality split (Wenzek et al. 2020,
     public paper): train one bigram LM per language on the held-in
     slice, score every document's total smoothed code length, and
@@ -431,7 +431,7 @@ def ccnet_head_middle_tail(ds, held, key_col: str = "lang",
         })
 
     r1 = global_rank(scored.map_batches(key1, batch_format="pyarrow"),
-                     "__k1", num_parts=num_parts)
+                     "__k1")
 
     lang_arr = pa.array(langs, type=pa.string())
     bucket_arr = pa.array(["head", "middle", "tail"], type=pa.string())

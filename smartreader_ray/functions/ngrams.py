@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .exchange import fits, keyed_agg, keyed_agg_table
-from .topk import top_k
+from .topk import head_by, top_k
 
 
 def _tokens_flat(batch: pa.Table, text_col: str):
@@ -143,8 +143,8 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
     rows per block cross, never tokens); label totals are a tiny
     driver-side table broadcast into the per-term ``map_groups`` that
     derives per-term totals WITHIN the group (all labels of a term
-    co-locate), so no second join; a final per-label top-k exchange over
-    the vocab-sized score table. Output: ``top_k`` rows per label —
+    co-locate), so no second join; a final per-label ``topk.head_by``
+    over the vocab-sized score table. Output: ``top_k`` rows per label —
     (label, term, df_in, df_out, chi2) — ordered (label, χ² desc, term).
     """
     import ray
@@ -205,14 +205,9 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
 
     scored = lt.groupby("term").map_groups(score_term,
                                            batch_format="pyarrow")
-
-    def label_topk(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[
-            ("chi2", "descending"), ("term", "ascending")])
-        return group.take(order.slice(0, top_k))
-
-    return (scored.groupby("label")
-            .map_groups(label_topk, batch_format="pyarrow")
+    return (head_by(scored, "label", [("chi2", "descending"),
+                                      ("term", "ascending")], top_k)
+            .drop_columns(["rank"])
             .sort(["label", "chi2", "term"],
                   descending=[False, True, False]))
 
@@ -288,7 +283,7 @@ def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
     - ``join`` (an unbounded vocabulary — URLs, hashes, typos): the
       (doc, term, tf) table hash-joins the DF table on ``term`` (only
       (doc_id, term, tf) triples cross the exchange, never text), then
-      a per-block top-k prune feeds the per-doc groupby. Two shuffles
+      a ``topk.head_by`` keeps each doc's top-k. Two shuffles
       instead of zero — the price of not holding the vocabulary
       anywhere.
 
@@ -345,10 +340,8 @@ def tfidf_top_terms(ds, doc_col: str = "doc_id", text_col: str = "text",
 def _tfidf_join_path(ds, df_tbl, n_docs: int, doc_col: str, text_col: str,
                      k: int, round_to: int):
     """Unbounded-vocabulary TF-IDF: hash-join (doc, term, tf) against
-    (term, df) on the term, score per row, per-block top-k prune, then
-    the per-doc groupby sees ≤ k × blocks rows per document."""
-    import pyarrow.compute as pc
-
+    (term, df) on the term, score per row, then one ``topk.head_by``
+    keeps each document's top ``k``."""
     from .join import hash_join
 
     def to_triples(batch: pa.Table) -> pa.Table:
@@ -369,40 +362,18 @@ def _tfidf_join_path(ds, df_tbl, n_docs: int, doc_col: str, text_col: str,
         left_cols=[doc_col, "term", "tf"], right_cols=["df"], how="inner",
     )
 
-    sort_keys = [(doc_col, "ascending"), ("score", "descending"),
-                 ("term", "ascending")]
-
-    def score_and_prune(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table) -> pa.Table:
         tf = batch.column("tf").to_numpy(zero_copy_only=False).astype(np.float64)
         dfv = batch.column("df").to_numpy(zero_copy_only=False).astype(np.float64)
-        batch = batch.append_column(
+        return batch.append_column(
             "score",
             pa.array(np.round(tf * np.log(n_docs / dfv), round_to),
                      type=pa.float64()),
         )
-        # local per-doc top-k: global winners are always local winners
-        order = pc.sort_indices(batch, sort_keys=sort_keys)
-        b = batch.take(order)
-        docs = b.column(doc_col).to_numpy(zero_copy_only=False)
-        keep = np.ones(len(docs), dtype=bool)
-        if len(docs):
-            new_doc = np.concatenate([[True], docs[1:] != docs[:-1]])
-            run = np.arange(len(docs)) - np.maximum.accumulate(
-                np.where(new_doc, np.arange(len(docs)), -1)
-            )
-            keep = run < k
-        return b.filter(pa.array(keep))
 
-    def per_doc(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=sort_keys)[:k]
-        g = group.take(order)
-        return g.select([doc_col, "term", "tf", "df", "score"])
-
-    return (
-        joined.map_batches(score_and_prune, batch_format="pyarrow")
-        .groupby(doc_col)
-        .map_groups(per_doc, batch_format="pyarrow")
-    )
+    return head_by(joined.map_batches(score, batch_format="pyarrow"),
+                   doc_col, [("score", "descending"), ("term", "ascending")],
+                   k).select_columns([doc_col, "term", "tf", "df", "score"])
 
 
 def _cooc_pairs(batch: pa.Table, text_col: str, window: int) -> pa.Table:

@@ -12,7 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_agg, keyed_agg_table, keyed_exchange
+from .exchange import N_PARTS, keyed_agg, keyed_agg_table, keyed_exchange
+from .topk import head_by
 
 
 def pivot_counts(ds, key_col: str, col: str, values: list[str],
@@ -377,34 +378,14 @@ def latest_by(ds, key_cols: list[str], ts_col: str, id_col: str,
     by (ts desc, id desc) — the materialize step of every CDC or
     event-sourced table ("current state per entity"). The (ts, id)
     order is total because ids are unique, so the survivor is
-    deterministic.
-
-    Ray shape: the reduce is associative, so each block first collapses
-    to one candidate row per key (C-level pandas sort +
-    drop_duplicates — no per-row Python), and only keys × blocks rows
-    cross the keyed exchange; the identical kernel then picks the
-    global winner per group.
+    deterministic. A ``topk.head_by`` with ``n = 1``: each block first
+    keeps one candidate row per key, and only keys × blocks rows cross
+    the keyed exchange. The rows come back in no particular order.
     """
     cols = key_cols + [ts_col, id_col] + value_cols
-
-    def reduce_block(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = b.select(cols).to_pandas()
-        df = df.sort_values(
-            key_cols + [ts_col, id_col],
-            ascending=[True] * len(key_cols) + [False, False],
-            kind="stable",
-        ).drop_duplicates(subset=key_cols, keep="first")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return (
-        ds.select_columns(cols)
-        .map_batches(reduce_block, batch_format="pyarrow")
-        .groupby(key_cols)
-        .map_groups(reduce_block, batch_format="pyarrow")
-        .sort(key_cols)
-    )
+    return head_by(ds.select_columns(cols), key_cols,
+                   [(ts_col, "descending"), (id_col, "descending")],
+                   1).drop_columns(["rank"])
 
 
 def unpivot(ds, key_col: str, value_cols: list[str],
@@ -600,22 +581,21 @@ def fd_histogram(ds, value_col: str, max_driver_values: int = 5_000_000):
     return fixed_width_histogram(ds, value_col, lo, hi, nbins)
 
 
-def global_rank(ds, ckey_col: str, num_parts: int = 64,
-                samples_per_block: int = 37, sum_col: str | None = None):
+def global_rank(ds, ckey_col: str, sum_col: str | None = None):
     """Exact global 1-based row numbering over a UNIQUE int64 sort key —
     the distributed-ranking primitive behind NTILE / median-split /
-    Gini. TeraSort shape: (1) evenly-spaced per-block sort-key samples
-    → driver picks ``num_parts-1`` range bounds (sample table is
-    blocks × ``samples_per_block`` rows — bounded by block count, never
-    row count); (2) one range-keyed exchange; (3) per-range counts →
-    driver prefix-sum → broadcast offsets; (4) per-range local sort +
-    offset. Only the sample and the num_parts-sized count table ever
-    reach the driver.
+    Gini. TeraSort shape: (1) ``ds`` is materialized once, one task per
+    block takes ``N_PARTS`` evenly-spaced sort-key samples → driver picks
+    ``N_PARTS - 1`` range bounds (the sample table is bounded by the
+    block count, never the row count); (2) one range-keyed exchange;
+    (3) per-range counts → driver prefix-sum → broadcast offsets; (4)
+    per-range local sort + offset. Only the sample and the range-count
+    table ever reach the driver. The rank is exact whatever the range
+    count.
 
     ``ckey_col`` must be UNIQUE int64 (compose ties as
     ``value * 2^32 + id``) — uniqueness makes the rank total and the
-    range assignment unambiguous. Size ``num_parts`` so a range
-    (~n/num_parts rows) fits a worker's heap.
+    range assignment unambiguous.
 
     Returns the dataset with an added ``rn`` (int64, 1-based). With
     ``sum_col`` (an int64 column) it also adds ``cum`` — the INCLUSIVE
@@ -625,16 +605,20 @@ def global_rank(ds, ckey_col: str, num_parts: int = 64,
     """
     import ray
 
-    def samp(b: dict) -> dict:
-        v = np.sort(np.asarray(b[ckey_col], dtype=np.int64))
-        if v.size == 0:
-            return {"s": np.array([], dtype=np.int64)}
-        idx = np.linspace(0, v.size - 1, samples_per_block).astype(np.int64)
-        return {"s": v[idx]}
+    @ray.remote
+    def samp(b: pa.Table) -> np.ndarray:
+        if b.num_rows == 0:  # an empty block may lack the columns
+            return np.array([], dtype=np.int64)
+        v = np.sort(b.column(ckey_col).to_numpy(zero_copy_only=False)
+                    .astype(np.int64))
+        return v[np.linspace(0, v.size - 1, N_PARTS).astype(np.int64)]
 
+    # sampled (one task per block, no Dataset execution) and stamped from
+    # one copy, so the input's lineage runs once
+    ds = ds.materialize()
     sample_vals = np.sort(np.concatenate(
-        [b["s"] for b in ds.map_batches(samp, batch_format="numpy")
-         .iter_batches(batch_format="numpy")] or [np.array([], np.int64)]))
+        [np.array([], np.int64)]
+        + ray.get([samp.remote(b) for b in ds.to_arrow_refs()])))
     if sample_vals.size == 0:
         def empty_cols(b: pa.Table) -> pa.Table:
             b = b.append_column("rn", pa.array([], type=pa.int64()))
@@ -642,7 +626,7 @@ def global_rank(ds, ckey_col: str, num_parts: int = 64,
                 b = b.append_column("cum", pa.array([], type=pa.int64()))
             return b
         return ds.map_batches(empty_cols, batch_format="pyarrow")
-    qs = np.linspace(0, 1, num_parts + 1)[1:-1]
+    qs = np.linspace(0, 1, N_PARTS + 1)[1:-1]
     bounds = np.unique(np.quantile(sample_vals, qs).astype(np.int64))
     bounds_ref = ray.put(bounds)
 
@@ -652,7 +636,7 @@ def global_rank(ds, ckey_col: str, num_parts: int = 64,
         rng = np.searchsorted(bd, v, side="right").astype(np.int64)
         return b.append_column("__range", pa.array(rng, type=pa.int64()))
 
-    stamped = ds.map_batches(stamp, batch_format="pyarrow").materialize()
+    stamped = ds.map_batches(stamp, batch_format="pyarrow")
     aggs = {"n": ("count", None)}
     if sum_col is not None:
         aggs["vsum"] = ("sum", sum_col)
@@ -693,8 +677,7 @@ def global_rank(ds, ckey_col: str, num_parts: int = 64,
     return keyed_exchange(stamped, "__range", rank_part)
 
 
-def ntile_summary(ds, value_col: str, id_col: str, k: int = 8,
-                  num_parts: int = 64):
+def ntile_summary(ds, value_col: str, id_col: str, k: int = 8):
     """NTILE(k) over the total order (value-cents, id) — per-bucket
     rollup ``bucket, n_rows, min_cents, max_cents, sum_cents``. The
     equal-frequency binning step behind quantile features and balanced
@@ -731,7 +714,7 @@ def ntile_summary(ds, value_col: str, id_col: str, k: int = 8,
             "max_cents": pa.array([], type=pa.int64()),
             "sum_cents": pa.array([], type=pa.int64()),
         })
-    ranked = global_rank(keyed_ds, "__ck", num_parts=num_parts)
+    ranked = global_rank(keyed_ds, "__ck")
     q, r = divmod(n, k)
 
     def bucketize(b: pa.Table) -> pa.Table:
@@ -753,7 +736,7 @@ def ntile_summary(ds, value_col: str, id_col: str, k: int = 8,
                      ).sort("bucket")
 
 
-def key_gini(ds, key_col: str, num_parts: int = 16):
+def key_gini(ds, key_col: str):
     """Key-skew diagnostics for shuffle planning: per-key row counts →
     exact Gini coefficient over the count distribution (0 = perfectly
     even keys, →1 = one hot key), plus n_keys / total_rows / max_count.
@@ -784,7 +767,7 @@ def key_gini(ds, key_col: str, num_parts: int = 16):
         })
 
     ranked = global_rank(counts.map_batches(keyed, batch_format="pyarrow"),
-                         "__ck", num_parts=num_parts)
+                         "__ck")
 
     def partial(b: pa.Table) -> pa.Table:
         n = b.column("n").to_numpy(zero_copy_only=False)
@@ -832,7 +815,7 @@ def key_gini(ds, key_col: str, num_parts: int = 16):
 
 
 def abc_analysis(ds, value_col: str, id_col: str,
-                 permille=(700, 900), num_parts: int = 64):
+                 permille=(700, 900)):
     """Pareto / ABC classification: rank rows by value DESC (ties by
     id ASC), take the inclusive running total of exact integer cents,
     and cut classes at ``permille`` shares of the grand total (A =
@@ -866,7 +849,7 @@ def abc_analysis(ds, value_col: str, id_col: str,
 
     ranked = global_rank(
         ds.map_batches(keyed, batch_format="pyarrow"), "__ck",
-        num_parts=num_parts, sum_col="cents").materialize()
+        sum_col="cents").materialize()
     tot_row = ranked.aggregate(Sum("cents", alias_name="t"))
     total = int(tot_row["t"] or 0)
     if total * 1000 >= 2**63:
@@ -889,8 +872,7 @@ def abc_analysis(ds, value_col: str, id_col: str,
                              "sum_cents": ("sum", "cents")}).sort("cls")
 
 
-def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16,
-                         num_parts: int = 64):
+def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16):
     """Compaction / output-layout planning: assign rows IN ID ORDER to
     ``k`` shards of near-equal total weight (bytes, chars, rows×cost) —
     ``shard = exclusive_prefix(weight) · k // total`` — the classic
@@ -922,7 +904,7 @@ def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16,
 
     ranked = global_rank(
         ds.map_batches(keyed, batch_format="pyarrow"), "__ck",
-        num_parts=num_parts, sum_col="w").materialize()
+        sum_col="w").materialize()
     tot_row = ranked.aggregate(Sum("w", alias_name="t"))
     total = int(tot_row["t"] or 0)
     if total <= 0:

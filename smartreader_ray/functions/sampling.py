@@ -18,6 +18,7 @@ import pyarrow as pa
 
 from .dedup import _md5_key
 from .exchange import keyed_agg_table
+from .topk import head_by
 
 
 def _counts(ds, key_col: str):
@@ -38,60 +39,26 @@ def stratified_sample(ds, key_col: str, n_per_key: int, id_col: str = "doc_id"):
     """Deterministic per-key sample: the ``n_per_key`` ids with the
     smallest ``md5(str(id))`` in each key group (ties broken by id).
 
-    Shape: only (key, id, md5) columns cross the exchange — never
-    payloads — and each BLOCK pre-truncates to its own ``n_per_key``
-    smallest per key before the exchange (the global winners are each
-    among SOME block's n smallest, so the partial keeps every eventual
-    winner), bounding any key's group at n × blocks rows even when one
-    key covers most of a 100 TB corpus. Winners come back as a small
-    (key, id) table to semi-join against the corpus (broadcast the id
-    set) when full rows are needed. Equivalent SQL: ``ROW_NUMBER() OVER
-    (PARTITION BY key ORDER BY md5(CAST(id AS VARCHAR)), id) <= n``.
+    A ``topk.head_by`` on (key, id, md5): only those columns cross the
+    exchange — never payloads — and each block keeps its own
+    ``n_per_key`` smallest per key first, bounding any key's group at
+    n × blocks rows even when one key covers most of a 100 TB corpus.
+    Winners come back as a small (key, id) table to semi-join against
+    the corpus (broadcast the id set) when full rows are needed.
+    Equivalent SQL: ``ROW_NUMBER() OVER (PARTITION BY key ORDER BY
+    md5(CAST(id AS VARCHAR)), id) <= n``.
     """
 
     def keyed(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_pylist()
-        t = pa.Table.from_pydict(
-            {
-                key_col: batch.column(key_col),
-                id_col: batch.column(id_col),
-                "rank_md5": pa.array(_md5_hex(ids), type=pa.string()),
-            }
-        )
-        import pyarrow.compute as pc
+        return batch.append_column(
+            "rank_md5", pa.array(_md5_hex(ids), type=pa.string()))
 
-        # per-block combine: n smallest (md5, id) per key
-        order = pc.sort_indices(
-            t, sort_keys=[(key_col, "ascending"),
-                          ("rank_md5", "ascending"),
-                          (id_col, "ascending")]
-        )
-        t = t.take(order)
-        keys = t.column(key_col).to_pylist()
-        keep, run_key, run = [], object(), 0
-        for i, k in enumerate(keys):
-            if k != run_key:
-                run_key, run = k, 0
-            if run < n_per_key:
-                keep.append(i)
-            run += 1
-        return t.take(pa.array(keep, type=pa.int64()))
-
-    def take_n(group: pa.Table) -> pa.Table:
-        order = sorted(
-            range(group.num_rows),
-            key=lambda i: (
-                group.column("rank_md5")[i].as_py(),
-                group.column(id_col)[i].as_py(),
-            ),
-        )[:n_per_key]
-        taken = group.take(pa.array(order, type=pa.int64()))
-        return taken.select([key_col, id_col])
-
-    pruned = ds.select_columns([key_col, id_col]).map_batches(
-        keyed, batch_format="pyarrow"
-    )
-    return pruned.groupby(key_col).map_groups(take_n, batch_format="pyarrow")
+    keyed_ds = ds.select_columns([key_col, id_col]).map_batches(
+        keyed, batch_format="pyarrow")
+    return head_by(keyed_ds, key_col, [("rank_md5", "ascending"),
+                                       (id_col, "ascending")],
+                   n_per_key).select_columns([key_col, id_col])
 
 
 def mix_threshold_hex(weight: float) -> str:
@@ -412,8 +379,7 @@ def dsir_select(ds, target_lang: str = "en", n_buckets: int = 256,
             .limit(k))
 
 
-def epoch_shuffle(ds, seed: str = "ep1", id_col: str = "doc_id",
-                  num_parts: int = 64):
+def epoch_shuffle(ds, seed: str = "ep1", id_col: str = "doc_id"):
     """Deterministic global training-epoch permutation: every row gets
     an explicit 1-based ``pos`` — its rank under the keyed hash
     ``md5(f"{seed}:{id}")`` — so any engine (and any rerun) materializes
@@ -454,7 +420,7 @@ def epoch_shuffle(ds, seed: str = "ep1", id_col: str = "doc_id",
 
     ranked = global_rank(
         ds.select_columns([id_col]).map_batches(key, batch_format="pyarrow"),
-        "__ek", num_parts=num_parts)
+        "__ek")
 
     def out(b: pa.Table) -> pa.Table:
         return pa.Table.from_pydict({
@@ -466,7 +432,7 @@ def epoch_shuffle(ds, seed: str = "ep1", id_col: str = "doc_id",
 
 
 def balanced_interleave(ds, seed: str = "bi", id_col: str = "doc_id",
-                        lang_col: str = "lang", num_parts: int = 32):
+                        lang_col: str = "lang"):
     """Language-balanced deterministic training order: rows are ranked
     md5-random WITHIN each language, then interleaved round-robin
     across languages (every consecutive |langs|-row stripe holds ≤ 1
@@ -538,7 +504,7 @@ def balanced_interleave(ds, seed: str = "bi", id_col: str = "doc_id",
 
     r1 = global_rank(ds.select_columns([id_col, lang_col])
                      .map_batches(key1, batch_format="pyarrow"),
-                     "__k1", num_parts=num_parts)
+                     "__k1")
 
     def key2(b: pa.Table) -> pa.Table:
         rn = b.column("rn").to_numpy(zero_copy_only=False).astype(
@@ -552,7 +518,7 @@ def balanced_interleave(ds, seed: str = "bi", id_col: str = "doc_id",
         })
 
     r2 = global_rank(r1.map_batches(key2, batch_format="pyarrow"),
-                     "__k2", num_parts=num_parts)
+                     "__k2")
 
     lang_arr = pa.array(langs, type=pa.string())
 
@@ -608,42 +574,25 @@ def unimax_mix(ds, budget: int, max_epochs: int = 1,
     LOWEST ids (quota > n only when ``max_epochs`` > 1; the repeat
     passes are the trainer's epoch loop, not extra rows here).
 
-    Scale shape, the `per_source_cap` bounded reduce with PER-KEY caps:
-    the language-count groupby is langs-sized; the quota dict is a tiny
-    ``ray.put`` broadcast; each block pre-keeps its own quota survivors
-    per language (block winners ⊇ global winners, since the global
-    winners are each the smallest of SOME block), so the exchange
-    carries ≤ quota×blocks rows per language, never a language's whole
-    row set. Returns the selected (lang, doc_id) rows.
+    Scale shape: the language-count aggregate is langs-sized; one
+    ``topk.head_by`` keeps the largest quota's worth of lowest ids per
+    language (so the exchange carries ≤ that many × blocks rows per
+    language, never a language's whole row set), then one map keeps
+    each language's own quota (a null language keeps no row). Returns
+    the selected (lang, doc_id) rows.
     """
-    import pandas as pd
-    import ray
-
     c = _counts(ds, lang_col)
     counts = dict(zip(c[lang_col].tolist(), c["n"].tolist()))
     quota = unimax_allocation(counts, budget, max_epochs)
-    quota_ref = ray.put(quota)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        q = ray.get(quota_ref)
-        d = batch.select([lang_col, id_col]).to_pandas()
-        d = d.sort_values([lang_col, id_col], kind="mergesort")
-        rank = d.groupby(lang_col, sort=False).cumcount()
-        caps = d[lang_col].map(q).fillna(0).astype(np.int64)
-        keep = d[rank.to_numpy() < caps.to_numpy()]
-        return pa.table({
-            lang_col: pa.array(keep[lang_col], type=pa.string()),
-            id_col: pa.array(keep[id_col].to_numpy(), type=pa.int64()),
-        })
+    def within_quota(b: pa.Table) -> pa.Table:
+        caps = np.array([0 if lang is None else quota[lang]
+                         for lang in b.column(lang_col).to_pylist()],
+                        dtype=np.int64)
+        keep = b.column("rank").to_numpy(zero_copy_only=False) <= caps
+        return b.filter(pa.array(keep, type=pa.bool_())).select(
+            [lang_col, id_col])
 
-    def head_of_group(group: pa.Table) -> pa.Table:
-        q = ray.get(quota_ref)
-        import pyarrow.compute as pc
-        k = int(q.get(group.column(lang_col)[0].as_py(), 0))
-        order = pc.sort_indices(group.column(id_col))
-        return group.take(order[:k])
-
-    return (ds.select_columns([lang_col, id_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby(lang_col)
-            .map_groups(head_of_group, batch_format="pyarrow"))
+    return (head_by(ds.select_columns([lang_col, id_col]), lang_col,
+                    [(id_col, "ascending")], max(quota.values(), default=0))
+            .map_batches(within_quota, batch_format="pyarrow"))

@@ -6,12 +6,24 @@ k best per block + one tiny global reduce: each block is cut to its
 local top-k with ``pyarrow.compute.select_k_unstable`` (a partial
 selection, O(n) per block), so the final sort sees at most
 ``k × num_blocks`` rows instead of the corpus.
+
+``head_by`` is the per-key form, SQL's ``ROW_NUMBER() OVER (PARTITION
+BY key ORDER BY …) <= n``: one vectorized kernel (sort by key then
+order, numpy run arithmetic for each key's rank) prunes each block and
+then finishes each partition of one ``exchange.keyed_exchange``. Every
+"first n rows per key" operator runs on it: ``top_k_by``,
+``curation.per_source_cap``, ``sampling.stratified_sample`` and
+``unimax_mix``, ``reshape.latest_by``, ``ngrams.chi2_terms``' per-label
+top-k and ``ngrams.tfidf_top_terms``' join regime.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .exchange import keyed_exchange
 
 
 def _local_top_k(value_col: str, k: int, order: str):
@@ -38,49 +50,66 @@ def top_k(ds, value_col: str, k: int = 10, descending: bool = True):
     return reduced.sort(value_col, descending=descending).limit(k)
 
 
+def _head(b: pa.Table, keys: list[str], sort_keys: list, n: int,
+          ranked: bool) -> pa.Table:
+    """The first ``n`` rows of each key run of ``b`` in ``sort_keys``
+    order (keys first), with their 1-based ``rank`` when ``ranked``.
+    Null keys are equal to each other, so they form one run."""
+    b = b.take(pc.sort_indices(b, sort_keys=sort_keys))
+    m = b.num_rows
+    start = np.zeros(m, dtype=bool)
+    start[:1] = True
+    for k in keys:
+        col = b.column(k).combine_chunks()
+        cur, prev = col.slice(1), col.slice(0, max(m - 1, 0))
+        neq = pc.fill_null(pc.not_equal(cur, prev), True)
+        both_null = pc.and_(pc.is_null(cur), pc.is_null(prev))
+        start[1:] |= pc.and_not(neq, both_null).to_numpy(
+            zero_copy_only=False)
+    at = np.arange(m, dtype=np.int64)
+    rank = at - np.maximum.accumulate(np.where(start, at, 0)) + 1
+    keep = rank <= n
+    b = b.filter(pa.array(keep, type=pa.bool_()))
+    return b.append_column("rank", pa.array(rank[keep])) if ranked else b
+
+
+def head_by(ds, key, order: list[tuple[str, str]], n: int):
+    """``ROW_NUMBER() OVER (PARTITION BY key ORDER BY order) <= n``: the
+    first ``n`` rows of each ``key`` (a column or a list of columns) in
+    ``order``, a list of ``(column, "ascending" | "descending")`` with
+    nulls last, plus their 1-based ``rank``. Null keys form one group,
+    as in SQL. The result is the same under every block layout when
+    ``order`` is total within a key.
+
+    One kernel runs twice: each block first keeps its own ``n`` best
+    rows per key (every global winner is among its block's winners), so
+    the keyed exchange carries at most ``n`` × blocks rows per key,
+    never a hot key's whole row set; then it runs once per partition of
+    that exchange, never once per key."""
+    keys = [key] if isinstance(key, str) else list(key)
+    sort_keys = [(k, "ascending") for k in keys] + list(order)
+
+    def prune(b: pa.Table) -> pa.Table:
+        return _head(b, keys, sort_keys, n, ranked=False)
+
+    def final(group: pa.Table) -> pa.Table:
+        return _head(group, keys, sort_keys, n, ranked=True)
+
+    return keyed_exchange(ds.map_batches(prune, batch_format="pyarrow"),
+                          keys, final)
+
+
 def top_k_by(ds, key_col: str, value_col: str, k: int = 10,
              descending: bool = True, tie_col: str | None = None):
     """Per-key top ``k``: the k best rows by ``value_col`` within each
     ``key_col`` group, with deterministic ``tie_col`` tie-breaking
-    (ascending) so results are engine-reproducible.
-
-    Same two-level shape as ``top_k``: each block keeps its own k best
-    per key (every global winner is among some block's local winners),
-    so the keyed exchange carries ≤ k × blocks rows per key — never a
-    hot key's full row set. Output adds a ``rank`` column (1-based).
-    """
-    v_order = "descending" if descending else "ascending"
-    sort_keys = [(key_col, "ascending"), (value_col, v_order)]
+    (ascending) so results are engine-reproducible. A ``head_by`` on
+    the pruned columns; output adds a ``rank`` column (1-based)."""
+    order = [(value_col, "descending" if descending else "ascending")]
     if tie_col is not None:
-        sort_keys.append((tie_col, "ascending"))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        order = pc.sort_indices(batch, sort_keys=sort_keys)
-        b = batch.take(order)
-        keys = b.column(key_col).to_pylist()
-        keep, run_key, run = [], object(), 0
-        for i, kk in enumerate(keys):
-            if kk != run_key:
-                run_key, run = kk, 0
-            if run < k:
-                keep.append(i)
-            run += 1
-        return b.take(pa.array(keep, type=pa.int64()))
-
-    def final(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=sort_keys)[:k]
-        g = group.take(order)
-        return g.append_column(
-            "rank", pa.array(range(1, g.num_rows + 1), type=pa.int64())
-        )
-
+        order.append((tie_col, "ascending"))
     cols = [key_col, value_col] + ([tie_col] if tie_col else [])
-    return (
-        ds.select_columns(cols)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .map_groups(final, batch_format="pyarrow")
-    )
+    return head_by(ds.select_columns(cols), key_col, order, k)
 
 
 def skyline(ds, x_col: str, y_col: str):
@@ -105,8 +134,6 @@ def skyline(ds, x_col: str, y_col: str):
     all strictly-greater-x groups. Equal (x, y) duplicates are all kept
     (they do not dominate each other), matching SQL NOT EXISTS.
     """
-    import numpy as np
-
     def local(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return b

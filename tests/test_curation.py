@@ -55,6 +55,18 @@ def test_per_source_cap(ray_session):
     # lowest ids per source survive, deterministically
     assert kept == {("a", 1), ("a", 3), ("b", 2), ("b", 4)}
 
+    # rows without a source are one source of their own, in one block
+    # or spread over several
+    nulls = pa.table({"doc_id": pa.array([8, 6, 10], type=pa.int64()),
+                      "source": pa.array([None] * 3, type=pa.string())})
+    both = pa.concat_tables([t, nulls])
+    for ds in (ray.data.from_arrow(both),
+               ray.data.from_arrow(both).repartition(4)):
+        kept = {(r["source"], r["doc_id"])
+                for r in per_source_cap(ds, cap=2).take_all()}
+        assert kept == {("a", 1), ("a", 3), ("b", 2), ("b", 4),
+                        (None, 6), (None, 8)}
+
 
 def test_decontaminate_flags_containment(ray_session):
     import ray.data

@@ -13,7 +13,7 @@ def test_epoch_shuffle_is_seeded_permutation(ray_session):
 
     t = pa.table({"doc_id": pa.array(range(50), type=pa.int64())})
     ds = ray.data.from_arrow(t).repartition(4)
-    out = epoch_shuffle(ds, seed="s1", num_parts=8).take_all()
+    out = epoch_shuffle(ds, seed="s1").take_all()
     by_pos = sorted((r["pos"], r["doc_id"]) for r in out)
     assert [p for p, _ in by_pos] == list(range(1, 51))
     # matches a direct md5 ranking
@@ -23,9 +23,31 @@ def test_epoch_shuffle_is_seeded_permutation(ray_session):
                            .hexdigest()[:9], 16) << 27) | i)
     assert [d for _, d in by_pos] == expect
     # a different seed gives a different permutation
-    out2 = epoch_shuffle(ds, seed="s2", num_parts=8).take_all()
+    out2 = epoch_shuffle(ds, seed="s2").take_all()
     by_pos2 = sorted((r["pos"], r["doc_id"]) for r in out2)
     assert [d for _, d in by_pos2] != [d for _, d in by_pos]
+
+
+def test_epoch_shuffle_reads_its_input_once(ray_session, tmp_path):
+    """The input's lineage runs once: global_rank samples and stamps
+    from one materialized copy, so a counting map sees each row once."""
+    import ray.data
+
+    from smartreader_ray.functions.sampling import epoch_shuffle
+
+    log = str(tmp_path / "rows.log")
+
+    def count(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{b.num_rows}\n")
+        return b
+
+    t = pa.table({"doc_id": pa.array(range(50), type=pa.int64())})
+    ds = ray.data.from_arrow(t).repartition(4).map_batches(
+        count, batch_format="pyarrow")
+    assert len(epoch_shuffle(ds, seed="s1").take_all()) == 50
+    with open(log) as f:
+        assert sum(int(n) for n in f) == 50
 
 
 def test_epoch_shuffle_rejects_oversized_ids(ray_session):

@@ -763,6 +763,14 @@ def test_stratified_sample(ray_session):
         ray.data.from_items(rows[:6]), "lang", 50).take_all())
     assert len(c) == 6
 
+    # rows without a key are one group, sampled like the others
+    t = pa.Table.from_pylist(
+        rows[:20] + [{"doc_id": 100 + i, "lang": None} for i in range(5)])
+    for ds in (ray.data.from_arrow(t), ray.data.from_arrow(t).repartition(3)):
+        got = stratified_sample(ds, "lang", 3).take_all()
+        assert sorted(r["doc_id"] for r in got if r["lang"] is None) == [
+            101, 103, 104]
+
 
 def test_hash_join(ray_session):
     """Big-big inner equi-join: cross product per key, unmatched keys
@@ -1061,51 +1069,29 @@ def test_top_k_by(ray_session):
 
     t = pa.table(
         {
-            "k": ["a"] * 6 + ["b"] * 3,
-            "v": [5.0, 1.0, 9.0, 9.0, 3.0, 7.0, 2.0, 8.0, 8.0],
-            "id": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+            "k": ["a"] * 6 + ["b"] * 3 + [None] * 3,
+            "v": [5.0, 1.0, 9.0, 9.0, 3.0, 7.0, 2.0, 8.0, 8.0,
+                  4.0, 6.0, 6.0],
+            "id": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
         }
     )
     out = top_k_by(
         ray.data.from_arrow(t).repartition(4), "k", "v", k=2, tie_col="id"
     ).take_all()
     got = {(r["k"], r["rank"]): (r["v"], r["id"]) for r in out}
-    # ties break on ascending id: (9.0, id 3) before (9.0, id 4)
+    # ties break on ascending id: (9.0, id 3) before (9.0, id 4); the
+    # null key is one group
     assert got == {
         ("a", 1): (9.0, 3), ("a", 2): (9.0, 4),
         ("b", 1): (8.0, 8), ("b", 2): (8.0, 9),
+        (None, 1): (6.0, 11), (None, 2): (6.0, 12),
     }
 
     asc = top_k_by(
         ray.data.from_arrow(t), "k", "v", k=1, descending=False, tie_col="id"
     ).take_all()
-    assert {(r["k"], r["v"]) for r in asc} == {("a", 1.0), ("b", 2.0)}
-
-
-def test_duplicate_passages_hash_path_matches_text_path(ray_session):
-    import ray.data
-
-    from smartreader_ray.functions import duplicate_passages
-
-    docs = []
-    shared_a = "w1 w2 w3 w4"
-    shared_b = "z1 z2 z3 z4"
-    for i in range(6):
-        docs.append({"doc_id": i, "text": f"{shared_a} filler{i} {shared_b}"})
-    docs.append({"doc_id": 99, "text": "totally different words entirely"})
-    ds = ray.data.from_items(docs).repartition(3)
-    text_out = sorted(
-        (r["win"], r["n_docs"])
-        for r in duplicate_passages(ds, window=4, min_docs=2).take_all()
-    )
-    hash_out = sorted(
-        (r["win"], r["n_docs"])
-        for r in duplicate_passages(
-            ds, window=4, min_docs=2, use_hash=True
-        ).take_all()
-    )
-    assert text_out == hash_out
-    assert (shared_a, 6) in text_out and (shared_b, 6) in text_out
+    assert {(r["k"], r["v"]) for r in asc} == {("a", 1.0), ("b", 2.0),
+                                               (None, 4.0)}
 
 
 def test_connected_components(ray_session, size_budget, monkeypatch):
@@ -1898,6 +1884,15 @@ def test_unimax_mix_selection(ray_session):
     # small capped at its 3 docs; big gets the remaining 7, lowest ids
     assert sorted(by_lang["small"]) == [0, 1, 2]
     assert sorted(by_lang["big"]) == [100 + i for i in range(7)]
+
+    # a doc without a language takes its quota of one from the budget
+    # but is never selected
+    t = pa.Table.from_pylist(docs + [{"doc_id": 50, "lang": None}])
+    for ds in (ray.data.from_arrow(t), ray.data.from_arrow(t).repartition(3)):
+        got = sorted((r["lang"], r["doc_id"])
+                     for r in unimax_mix(ds, budget=10).take_all())
+        assert got == ([("big", 100 + i) for i in range(6)]
+                       + [("small", i) for i in range(3)])
 
 
 def test_intra_line_dedup_keeps_first(ray_session):

@@ -7,17 +7,17 @@ import pytest
 
 
 class TestGlobalRank:
-    @pytest.mark.parametrize("parts", [3, 16])
-    def test_rank_is_argsort_position(self, ray_session, parts):
+    @pytest.mark.parametrize("blocks", [3, 16])
+    def test_rank_is_argsort_position(self, ray_session, blocks):
         import ray.data
 
         from smartreader_ray.functions.reshape import global_rank
 
         rng = np.random.default_rng(5)
         v = rng.permutation(2000).astype(np.int64)
-        ds = ray.data.from_arrow(pa.table({"__ck": v})).repartition(9)
+        ds = ray.data.from_arrow(pa.table({"__ck": v})).repartition(blocks)
         got = {r["__ck"]: r["rn"]
-               for r in global_rank(ds, "__ck", num_parts=parts).take_all()}
+               for r in global_rank(ds, "__ck").take_all()}
         for key, rn in got.items():
             assert rn == key + 1  # values are a permutation of 0..n-1
         assert len(got) == 2000
@@ -48,7 +48,7 @@ class TestNtile:
         })
         got = ntile_summary(
             ray.data.from_arrow(t).repartition(7), "value", "event_id",
-            k=8, num_parts=5)
+            k=8)
         want = duckdb.sql("""
             WITH c AS (SELECT event_id,
                        CAST(FLOOR(CAST(value AS DOUBLE)*100+0.5) AS BIGINT)
@@ -126,7 +126,7 @@ class TestPrefixSumCarry:
         vals = rng.integers(1, 100, size=1500).astype(np.int64)
         t = pa.table({"__ck": ck, "cents": vals})
         got = global_rank(ray.data.from_arrow(t).repartition(8), "__ck",
-                          num_parts=6, sum_col="cents").take_all()
+                          sum_col="cents").take_all()
         by_ck = {r["__ck"]: r for r in got}
         order = np.argsort(ck)
         cum = np.cumsum(vals[order])
@@ -151,8 +151,8 @@ class TestAbcAnalysis:
         })
         got = {r["cls"]: (r["n_rows"], r["sum_cents"])
                for r in abc_analysis(
-                   ray.data.from_arrow(t).repartition(5), "price", "id",
-                   num_parts=4).take_all()}
+                   ray.data.from_arrow(t).repartition(5), "price", "id"
+               ).take_all()}
 
         cents = np.floor(t.column("price").to_numpy() * 100 + 0.5).astype(
             np.int64)
@@ -196,7 +196,7 @@ class TestBalancedShards:
         t = pa.table({"doc_id": ids, "n_chars": w})
         plan = balanced_shards_plan(
             ray.data.from_arrow(t).repartition(7), "doc_id", "n_chars",
-            k=k, num_parts=5).to_pandas()
+            k=k).to_pandas()
 
         # brute force
         pfx = np.cumsum(w) - w

@@ -51,8 +51,7 @@ class TestZorderLayout:
         ids = rng.permutation(n).astype(np.int64)
         ds = ray.data.from_arrow(
             pa.table({"x": x, "y": y, "id": ids})).repartition(7)
-        got = zorder_layout(ds, "x", "y", "id", k=k,
-                            num_parts=5).to_pandas()
+        got = zorder_layout(ds, "x", "y", "id", k=k).to_pandas()
 
         z = morton_key(x, y)
         order = np.argsort(z * (1 << 32) + ids, kind="stable")

@@ -144,7 +144,7 @@ def test_ccnet_buckets_terciles_and_invariance(ray_session):
     def run(parts):
         ds = ray.data.from_items(rows).repartition(parts)
         hd = ray.data.from_items(held).repartition(2)
-        out = ccnet_head_middle_tail(ds, hd, num_parts=4).take_all()
+        out = ccnet_head_middle_tail(ds, hd).take_all()
         return {r["doc_id"]: (r["lang"], r["bucket"], r["mbits"],
                               r["n_trans"]) for r in out}
 

@@ -57,18 +57,21 @@ def test_latest_by_picks_newest_with_id_tiebreak(ray_session):
         return datetime.datetime(2024, 1, 1, h)
 
     t = pa.table({
-        "k": ["a", "a", "a", "b", "b"],
-        "ts": pa.array([ts(1), ts(5), ts(5), ts(2), ts(1)],
+        "k": ["a", "a", "a", "b", "b", None, None],
+        "ts": pa.array([ts(1), ts(5), ts(5), ts(2), ts(1), ts(3), ts(3)],
                        type=pa.timestamp("us")),
-        "id": pa.array([1, 2, 3, 4, 5], type=pa.int64()),
-        "v": [1.0, 2.0, 3.0, 4.0, 5.0],
+        "id": pa.array([1, 2, 3, 4, 5, 6, 7], type=pa.int64()),
+        "v": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
     })
-    out = latest_by(ray.data.from_arrow(t).repartition(3),
-                    ["k"], "ts", "id", ["v"]).take_all()
-    by = {r["k"]: r for r in out}
-    # key a: two rows tie at ts(5) → larger id (3) wins
-    assert by["a"]["id"] == 3 and by["a"]["v"] == 3.0
-    assert by["b"]["id"] == 4 and by["b"]["v"] == 4.0
+    for ds in (ray.data.from_arrow(t), ray.data.from_arrow(t).repartition(3)):
+        out = latest_by(ds, ["k"], "ts", "id", ["v"]).take_all()
+        by = {r["k"]: r for r in out}
+        assert len(out) == 3
+        # key a: two rows tie at ts(5) → larger id (3) wins
+        assert by["a"]["id"] == 3 and by["a"]["v"] == 3.0
+        assert by["b"]["id"] == 4 and by["b"]["v"] == 4.0
+        # the null key is one group
+        assert by[None]["id"] == 7 and by[None]["v"] == 7.0
 
 
 def test_latest_by_partitioning_invariant(ray_session):
@@ -92,7 +95,9 @@ def test_latest_by_partitioning_invariant(ray_session):
                   ["k"], "ts", "id", ["v"]).take_all()
     b = latest_by(ray.data.from_arrow(t).repartition(11),
                   ["k"], "ts", "id", ["v"]).take_all()
-    assert a == b
+    # the output is unordered (one row per key): compare in key order
+    assert len(a) == 20
+    assert sorted(a, key=lambda r: r["k"]) == sorted(b, key=lambda r: r["k"])
 
 
 class TestIdGaps:
