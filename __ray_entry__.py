@@ -1011,7 +1011,7 @@ def _q_sitemap_gate(sf_dir: str):
     """Sitemap-discovery round trip (`sources/sitemap.py` — the crawl
     leg between robots politeness and WARC ingestion): deterministic
     per-host urlset blobs are BUILT from the documents table (7 hosts,
-    one groupby-host map_groups), validated against a sitemapindex of
+    one per-host map_groups), validated against a sitemapindex of
     their locs, RE-PARSED by the from-scratch namespace-tolerant XML
     parser, then gated by RFC 9309 robots rules (longest-prefix, Allow
     wins ties — /doc/12* allowed inside disallowed /doc/1*) and a
@@ -1021,6 +1021,7 @@ def _q_sitemap_gate(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from smartreader_ray.functions.exchange import map_groups
     from smartreader_ray.functions.robots import (parse_robots_txt,
                                                   robots_gate)
     from smartreader_ray.sources.sitemap import (make_sitemap,
@@ -1052,10 +1053,9 @@ def _q_sitemap_gate(sf_dir: str):
                                 type=pa.binary()),
         })
 
-    blobs = (docs.map_batches(stamp, batch_format="pyarrow")
-             .groupby("host")
-             .map_groups(to_blob, batch_format="pyarrow")
-             .materialize())  # 7 rows; consumed for index check + parse
+    # 7 rows; consumed for index check + parse
+    blobs = map_groups(docs.map_batches(stamp, batch_format="pyarrow"),
+                       "host", to_blob).materialize()
 
     # two-level discovery: the index must enumerate exactly the blobs
     hosts = sorted(r["host"] for r in blobs.select_columns(["host"])
@@ -2192,7 +2192,7 @@ def _q_pretrain_mix_chain(sf_dir: str):
     import ray.data
 
     from smartreader_ray.functions import line_dedup
-    from smartreader_ray.functions.exchange import keyed_agg_table
+    from smartreader_ray.functions.exchange import keyed_agg_table, map_groups
     from smartreader_ray.functions.join import hash_join
     from smartreader_ray.functions.sampling import unimax_allocation
 
@@ -2255,9 +2255,7 @@ def _q_pretrain_mix_chain(sf_dir: str):
                                   else 0], type=pa.int64()),
         })
 
-    return (tagged.groupby("lang")
-            .map_groups(pack_group, batch_format="pyarrow")
-            .sort("lang"))
+    return map_groups(tagged, "lang", pack_group).sort("lang")
 
 
 def _q_winnow_fps(sf_dir: str):
@@ -6040,7 +6038,7 @@ def _q_phash_band_pairs(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from smartreader_ray.functions.exchange import keyed_agg
+    from smartreader_ray.functions.exchange import keyed_agg, map_groups
     from smartreader_ray.stages.media import ImagePHashStage
 
     synth = _synth_class_bmps()
@@ -6086,9 +6084,9 @@ def _q_phash_band_pairs(sf_dir: str):
             "n_b": pa.array(nb_, type=pa.int64()),
         })
 
-    pairs = keyed_agg(cnt.map_batches(emit_bands, batch_format="pyarrow")
-                      .groupby(["band", "band_val"])
-                      .map_groups(bucket_pairs, batch_format="pyarrow"),
+    pairs = keyed_agg(map_groups(cnt.map_batches(emit_bands,
+                                                 batch_format="pyarrow"),
+                                 ["band", "band_val"], bucket_pairs),
                       ["phash_a", "phash_b"],
                       {"n_a": ("max", "n_a"), "n_b": ("max", "n_b")})
 

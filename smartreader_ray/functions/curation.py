@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_agg, keyed_agg_table
+from .exchange import keyed_agg, keyed_agg_table, map_groups
 from .topk import head_by
 
 # ---------------------------------------------------------------------------
@@ -268,9 +268,7 @@ def pack_sequences(ds, max_tokens: int = 1024, text_col: str = "text",
     )
     if shard_size is None:
         return counted.map_batches(pack_batch, batch_format="pyarrow")
-    return counted.groupby("shard").map_groups(
-        pack_batch, batch_format="pyarrow"
-    )
+    return map_groups(counted, "shard", pack_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +549,8 @@ def source_affixes(ds, source_col: str = "source",
                                       type=pa.string()),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(source_col)
-            .map_groups(final, batch_format="pyarrow"))
+    return map_groups(ds.map_batches(partial, batch_format="pyarrow"),
+                      source_col, final)
 
 
 def token_dropout(ds, rate_den: int = 8, doc_col: str = "doc_id",
@@ -706,8 +703,7 @@ def t_closeness(ds, quasi_cols: list[str], sensitive_col: str,
             | {"n_rows": pa.array([ng], type=pa.int64()),
                "tvd_num": pa.array([tvd_num], type=pa.int64())})
 
-    return pairs.groupby(quasi_cols).map_groups(group_tvd,
-                                                batch_format="pyarrow")
+    return map_groups(pairs, quasi_cols, group_tvd)
 
 
 def k_anonymity(ds, quasi_cols: list[str], k: int = 10):

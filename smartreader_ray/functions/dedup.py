@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import fits, keyed_agg, keyed_exchange
+from .exchange import fits, keyed_agg, keyed_exchange, map_groups
 from .join import _col_type, _empty_table
 
 _MERSENNE = (1 << 61) - 1
@@ -605,7 +605,7 @@ def verify_candidate_pairs(docs_ds, pairs, ngram: int = 3, threshold: float = 0.
     matched = docs_ds.select_columns(["doc_id", "text"]).map_batches(
         emit_matched, batch_format="pyarrow"
     )
-    return matched.groupby("pair_id").map_groups(score_pair, batch_format="pyarrow")
+    return map_groups(matched, "pair_id", score_pair)
 
 
 def verify_candidate_pairs_distributed(docs_ds, cands_ds, ngram: int = 3,
@@ -676,12 +676,8 @@ def verify_candidate_pairs_distributed(docs_ds, cands_ds, ngram: int = 3,
     corpus = docs_ds.select_columns(["doc_id", "text"]).map_batches(
         to_corpus_rows, batch_format="pyarrow"
     )
-    joined = needs.union(corpus).groupby("doc_id").map_groups(
-        attach_text, batch_format="pyarrow"
-    )
-    return joined.groupby(["doc_a", "doc_b"]).map_groups(
-        score, batch_format="pyarrow"
-    )
+    joined = map_groups([needs, corpus], "doc_id", attach_text)
+    return map_groups(joined, ["doc_a", "doc_b"], score)
 
 
 def minhash_dedup(ds, num_hashes: int = 128, bands: int = 16, ngram: int = 3,
@@ -992,13 +988,11 @@ def passage_star_edges(ds, window: int = 8, text_col: str = "text"):
             }
         )
 
-    return (
+    return map_groups(
         ds.select_columns(["doc_id", text_col])
         .map_batches(_window_emitter(window, text_col),
-                     batch_format="pyarrow")
-        .groupby("win")
-        .map_groups(star_edges, batch_format="pyarrow")
-    )
+                     batch_format="pyarrow"),
+        "win", star_edges)
 
 
 def label_propagation_components(edges, col_a: str = "doc_a",
@@ -1277,12 +1271,10 @@ def ngram_jaccard_pairs(ds, prefix_tokens: int = 8, n: int = 2,
             }
         )
 
-    return (
+    return map_groups(
         ds.select_columns(["doc_id", text_col])
-        .map_batches(to_prefix, batch_format="pyarrow")
-        .groupby("__pfx")
-        .map_groups(emit_pairs, batch_format="pyarrow")
-    )
+        .map_batches(to_prefix, batch_format="pyarrow"),
+        "__pfx", emit_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1413,14 +1405,11 @@ def longest_common_runs(ds, window: int = 8, text_col: str = "text",
             }
         )
 
-    return (
+    matches = map_groups(
         ds.select_columns(["doc_id", text_col])
-        .map_batches(emit_positions, batch_format="pyarrow")
-        .groupby("win_hash")
-        .map_groups(emit_matches, batch_format="pyarrow")
-        .groupby(["doc_a", "doc_b"])
-        .map_groups(max_run, batch_format="pyarrow")
-    )
+        .map_batches(emit_positions, batch_format="pyarrow"),
+        "win_hash", emit_matches)
+    return map_groups(matches, ["doc_a", "doc_b"], max_run)
 
 
 def ngram_novelty(ds, window: int = 8, text_col: str = "text",

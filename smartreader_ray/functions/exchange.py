@@ -8,7 +8,20 @@ grouped by ``__part`` with Ray's ``groupby().map_groups``, and
 one call. ``hash_join``/``range_join``/``asof_join``, the near-dup pair
 emitters, the exact-dedup stage, ``join_cardinality``, ``global_rank``
 and ``topk.head_by`` (every per-key "first n rows" operator) all run on
-it; nothing else stamps ``__part``.
+it; nothing else stamps ``__part``, and its ``groupby("__part")`` is the
+program's only Ray grouping.
+
+``map_groups(ds, key, fn)`` is ``ds.groupby(key).map_groups(fn,
+batch_format="pyarrow")`` on that exchange: each partition is sorted by
+key, ``key_runs`` (the run finder ``topk.head_by`` shares) cuts it into
+key runs, ``fn`` runs once per run, and the partition's outputs leave as
+one contiguous table. Null keys form one group, as in SQL ``GROUP BY``.
+Every per-key map runs on it: 19 in ``windows`` (``sessionize``,
+``cumulative_by``, ``lru_audit``, …), 7 in ``dedup`` (the candidate
+pair verifiers, ``passage_star_edges``, ``ngram_jaccard_pairs`` and
+``longest_common_runs``), 5 in ``sketch``, 3 each in ``curation``,
+``ngrams``, ``reshape`` and ``__ray_entry__``, 2 each in ``fuzzy`` and
+``similarity`` and 1 each in ``graph``, ``setops`` and ``spatial``.
 
 ``keyed_agg(ds, keys, aggs)`` is the aggregate for decomposable
 functions (count, sum, min, max; mean as sum + count). Each block is
@@ -66,6 +79,14 @@ Why not Ray's own operators (``nproc`` 1, Ray at 2 CPUs):
   finish in 150 s: it asks for 64 aggregator actors (2.56 CPUs, 33 GiB)
   and started more than 24 worker processes. Ray's ``Dataset.join``
   (inner, 200k × 5k, ``num_partitions=4``) took 2.6 s.
+- Ray's sort-based ``groupby(key)`` raises ``TypeError: '<' not
+  supported between instances of 'NoneType' and 'str'`` when a null
+  string key sits in more than one block (its range boundaries go
+  through numpy's ``searchsorted``), and it calls Python once per key
+  after the sort: an identity per-key map over sf0.01's 22,579-key
+  table of 8-token windows took 3.1-3.5 s through
+  ``groupby("win").map_groups`` and 0.29-0.43 s through ``map_groups``
+  (3 runs each).
 - A materializing ``keyed_exchange`` with a one-task path (a Ray-core
   reduce over the union's block refs) stayed hash-exact but ran
   ``customer_orders_full`` as 3 executions instead of 2, and a cold
@@ -108,7 +129,8 @@ def _mix64(x):
 def _key_hash_u64(arr: pa.ChunkedArray | pa.Array):
     """Column → uint64 hashes: integer and temporal keys are mixed
     in-register; other keys go through the repo's FNV-1a ``_hash64`` of
-    their string form."""
+    their string form, once per distinct value (a Python pass per row
+    took 0.1 s of a 60k-row block's string key)."""
     t = arr.type
     if pa.types.is_temporal(t):
         arr, t = pc.cast(arr, pa.int64()), pa.int64()
@@ -123,8 +145,18 @@ def _key_hash_u64(arr: pa.ChunkedArray | pa.Array):
         return _mix64(v.astype(np.int64).view(np.uint64))
     from .dedup import _hash64
 
-    vals = arr.to_pylist()
-    return np.asarray(_hash64([str(v) for v in vals]), dtype=np.uint64)
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    try:
+        enc = pc.dictionary_encode(arr)
+    except pa.ArrowNotImplementedError:  # nested keys: hash every row
+        return np.asarray(_hash64([str(v) for v in arr.to_pylist()]),
+                          dtype=np.uint64)
+    # a null row hashes as str(None), the entry after the dictionary's
+    h = np.asarray(_hash64([str(v) for v in enc.dictionary.to_pylist()]
+                           + ["None"]), dtype=np.uint64)
+    return h[pc.fill_null(enc.indices, len(enc.dictionary)).to_numpy(
+        zero_copy_only=False)]
 
 
 def _parts(b: pa.Table, keys: list[str]) -> pa.Array:
@@ -162,6 +194,51 @@ def keyed_exchange(ds, key, emit):
     stamped = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
     return (stamped.groupby("__part")
             .map_groups(call, batch_format="pyarrow"))
+
+
+def key_runs(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Where each key run of ``t`` (sorted by ``keys``) starts: a bool
+    per row, True where any key column differs from the row before.
+    Null keys are equal to each other, so they form one run, and so are
+    NaN keys (as in SQL and Ray's groupby)."""
+    m = t.num_rows
+    start = np.zeros(m, dtype=bool)
+    start[:1] = True
+    for k in keys:
+        col = t.column(k).combine_chunks()
+        if pa.types.is_null(col.type):
+            continue  # all null: one run
+        cur, prev = col.slice(1), col.slice(0, max(m - 1, 0))
+        neq = pc.fill_null(pc.not_equal(cur, prev), True)
+        same = pc.and_(pc.is_null(cur), pc.is_null(prev))
+        if pa.types.is_floating(col.type):
+            same = pc.or_(same, pc.fill_null(
+                pc.and_(pc.is_nan(cur), pc.is_nan(prev)), False))
+        start[1:] |= pc.and_not(neq, same).to_numpy(zero_copy_only=False)
+    return start
+
+
+def map_groups(ds, key, fn):
+    """``ds.groupby(key).map_groups(fn, batch_format="pyarrow")`` as one
+    ``keyed_exchange``: each partition is sorted by ``key`` (a column or
+    a list of columns), ``fn`` runs once per key run with that key's
+    rows as one table and returns a table, and the partition's outputs
+    leave as one contiguous table. Null keys form one group, as in SQL
+    ``GROUP BY``. ``ds`` may be a list of Datasets, as for
+    ``keyed_exchange``. Lazy."""
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def emit(part: pa.Table) -> pa.Table:
+        part = part.take(pc.sort_indices(
+            part, sort_keys=[(k, "ascending") for k in keys]))
+        at = np.flatnonzero(key_runs(part, keys)).tolist() + [part.num_rows]
+        outs = [fn(part.slice(i, j - i)) for i, j in zip(at, at[1:])]
+        # one chunk per column: thousands of per-key outputs left as
+        # chunks slow every later stage
+        return pa.concat_tables(outs, promote_options="default") \
+            .combine_chunks()
+
+    return keyed_exchange(ds, keys, emit)
 
 
 def _partial_cols(aggs: dict) -> list[tuple[str, str, str | None]]:
@@ -233,7 +310,8 @@ def _combine(keys: list[str], aggs: dict, *tables: pa.Table) -> pa.Table:
     tables = [t for t in tables if set(keys) <= set(t.column_names)]
     if not tables:
         return pa.table({})  # as Ray's aggregate of an empty input
-    t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+    t = (pa.concat_tables(tables, promote_options="default")
+         if len(tables) > 1 else tables[0])
     g = _group(t, keys, [(p, _COMBINE[fn], p) for p, fn, _ in specs])
     cols = {k: g.column(k) for k in keys}
     for name, (fn, _) in aggs.items():

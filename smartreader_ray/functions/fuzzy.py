@@ -20,7 +20,7 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-from .exchange import keyed_agg
+from .exchange import keyed_agg, map_groups
 
 _LOG = logging.getLogger(__name__)
 
@@ -102,9 +102,9 @@ def edit1_pairs(ds, col: str, bucket_cap: int = 1024):
             "b": pa.array(b_out, type=pa.string()),
         })
 
-    return keyed_agg(distinct.map_batches(variants, batch_format="pyarrow")
-                     .groupby("bucket")
-                     .map_groups(bucket_pairs, batch_format="pyarrow"),
+    return keyed_agg(map_groups(distinct.map_batches(variants,
+                                                     batch_format="pyarrow"),
+                                "bucket", bucket_pairs),
                      ["a", "b"], {}).sort(["a", "b"])
 
 
@@ -256,9 +256,9 @@ def resolve_entities(ds, id_col: str, name_col: str, max_dist: int = 2,
             "b": pa.array(b_out, type=pa.string()),
         })
 
-    pairs = keyed_agg(distinct.map_batches(block_keys, batch_format="pyarrow")
-                      .groupby("code")
-                      .map_groups(block_pairs, batch_format="pyarrow"),
+    pairs = keyed_agg(map_groups(distinct.map_batches(block_keys,
+                                                      batch_format="pyarrow"),
+                                 "code", block_pairs),
                       ["a", "b"], {})
 
     comp = connected_components(pairs, col_a="a", col_b="b")

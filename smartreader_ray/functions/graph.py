@@ -29,7 +29,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import fits, keyed_agg, keyed_agg_table
+from .exchange import fits, keyed_agg, keyed_agg_table, map_groups
 
 SCALE = 10**12
 DAMP_NUM, DAMP_DEN = 85, 100
@@ -918,8 +918,7 @@ def triangle_count(edges, wedge_cap: int = 20_000):
             "flag": pa.array(np.zeros(len(i), dtype=np.int64)),
         })
 
-    wedge_rows = oriented.groupby("s").map_groups(
-        wedges, batch_format="pyarrow")
+    wedge_rows = map_groups(oriented, "s", wedges)
     flagged_edges = und.map_batches(
         lambda b: pa.table({
             "x": pc.cast(b.column("a"), pa.int64()),

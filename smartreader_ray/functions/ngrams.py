@@ -25,7 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import fits, keyed_agg, keyed_agg_table
+from .exchange import fits, keyed_agg, keyed_agg_table, map_groups
 from .topk import head_by, top_k
 
 
@@ -203,8 +203,7 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
             "chi2": pa.array(chi2, type=pa.float64()),
         })
 
-    scored = lt.groupby("term").map_groups(score_term,
-                                           batch_format="pyarrow")
+    scored = map_groups(lt, "term", score_term)
     return (head_by(scored, "label", [("chi2", "descending"),
                                       ("term", "ascending")], top_k)
             .drop_columns(["rank"])
@@ -532,10 +531,9 @@ def posting_lists(ds, doc_col: str = "doc_id", text_col: str = "text",
         })
 
     return (
-        ds.select_columns([doc_col, text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .map_groups(merge, batch_format="pyarrow")
+        map_groups(ds.select_columns([doc_col, text_col])
+                   .map_batches(partial, batch_format="pyarrow"),
+                   "term", merge)
         .sort("term")
     )
 
@@ -907,17 +905,6 @@ def zipf_fit(ds, text_col: str = "text", source_col: str = "source",
             group, sort_keys=[("c", "descending"), ("term", "ascending")])
         c = group.take(order).column("c").to_numpy(zero_copy_only=False)
         n = len(c)
-        if n == 0:
-            return pa.Table.from_pydict({
-                "source": pa.array([], type=pa.string()),
-                "n_tokens": pa.array([], type=pa.int64()),
-                "n_terms": pa.array([], type=pa.int64()),
-                "sx": pa.array([], type=pa.int64()),
-                "sy": pa.array([], type=pa.int64()),
-                "sxx": pa.array([], type=pa.int64()),
-                "sxy": pa.array([], type=pa.int64()),
-                "slope": pa.array([], type=pa.float64()),
-            })
         if n > 1_000_000_000 or int(c.max()) > 3_000_000_000:
             raise OverflowError(
                 "zipf_fit: source vocabulary or a term count exceeds the "
@@ -949,7 +936,7 @@ def zipf_fit(ds, text_col: str = "text", source_col: str = "source",
             "slope": pa.array([slope], type=pa.float64()),
         })
 
-    return counts.groupby("source").map_groups(fit, batch_format="pyarrow")
+    return map_groups(counts, "source", fit)
 
 
 def freq_spectrum(ds, text_col: str = "text"):

@@ -12,7 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import N_PARTS, keyed_agg, keyed_agg_table, keyed_exchange
+from .exchange import (N_PARTS, keyed_agg, keyed_agg_table, keyed_exchange,
+                       map_groups)
 from .topk import head_by
 
 
@@ -71,9 +72,7 @@ def pivot_counts(ds, key_col: str, col: str, values: list[str],
         return pa.Table.from_pydict(cols)
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(key_col).map_groups(
-        widen, batch_format="pyarrow"
-    )
+    return map_groups(partials, key_col, widen)
 
 
 def range_partition_by_quantiles(ds, key_col: str, value_col: str,
@@ -231,9 +230,8 @@ def mode_by(ds, key_col: str, col: str):
         })
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .map_groups(pick, batch_format="pyarrow")
+        map_groups(ds.map_batches(partial, batch_format="pyarrow"),
+                   key_col, pick)
         .sort(key_col)
     )
 
@@ -466,12 +464,10 @@ def id_gaps(ds, id_col: str, bucket: int = 1 << 20):
                           type=pa.int64()),
         })
 
-    tagged = (
+    tagged = map_groups(
         ds.select_columns([id_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    ).materialize()
+        .map_batches(partial, batch_format="pyarrow"),
+        "__bucket", per_bucket).materialize()
 
     if tagged.count() == 0:
         return ray.data.from_arrow(pa.table({

@@ -15,6 +15,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .dedup import _md5_key
 from .exchange import keyed_agg_table
@@ -578,21 +579,25 @@ def unimax_mix(ds, budget: int, max_epochs: int = 1,
     ``topk.head_by`` keeps the largest quota's worth of lowest ids per
     language (so the exchange carries ≤ that many × blocks rows per
     language, never a language's whole row set), then one map keeps
-    each language's own quota (a null language keeps no row). Returns
-    the selected (lang, doc_id) rows.
+    each language's own quota. A row with a null language is dropped
+    before the counts, so it takes no share of the budget. Returns the
+    selected (lang, doc_id) rows.
     """
+    ds = ds.select_columns([lang_col, id_col]).map_batches(
+        lambda b: b.filter(pc.is_valid(b.column(lang_col))),
+        batch_format="pyarrow")
     c = _counts(ds, lang_col)
     counts = dict(zip(c[lang_col].tolist(), c["n"].tolist()))
     quota = unimax_allocation(counts, budget, max_epochs)
 
     def within_quota(b: pa.Table) -> pa.Table:
-        caps = np.array([0 if lang is None else quota[lang]
+        caps = np.array([quota[lang]
                          for lang in b.column(lang_col).to_pylist()],
                         dtype=np.int64)
         keep = b.column("rank").to_numpy(zero_copy_only=False) <= caps
         return b.filter(pa.array(keep, type=pa.bool_())).select(
             [lang_col, id_col])
 
-    return (head_by(ds.select_columns([lang_col, id_col]), lang_col,
-                    [(id_col, "ascending")], max(quota.values(), default=0))
+    return (head_by(ds, lang_col, [(id_col, "ascending")],
+                    max(quota.values(), default=0))
             .map_batches(within_quota, batch_format="pyarrow"))

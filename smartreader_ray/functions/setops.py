@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from .dedup import _hash64, _md5_key
-from .exchange import keyed_agg
+from .exchange import keyed_agg, map_groups
 from .join import hash_join
 
 
@@ -221,11 +221,10 @@ def table_fingerprint(ds, group_col: str, cols: list[str],
                     zero_copy_only=False)))], type=pa.int64()),
         })
 
-    return (ds.select_columns(list(dict.fromkeys([group_col, *cols])))
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby(group_col)
-            .map_groups(combine, batch_format="pyarrow")
-            .sort(group_col))
+    return map_groups(
+        ds.select_columns(list(dict.fromkeys([group_col, *cols])))
+        .map_batches(partial, batch_format="pyarrow"),
+        group_col, combine).sort(group_col)
 
 
 def union_by_name(datasets):

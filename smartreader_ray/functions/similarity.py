@@ -19,6 +19,8 @@ import heapq
 import numpy as np
 import pyarrow as pa
 
+from .exchange import map_groups
+
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -208,7 +210,7 @@ def embedding_neardup(ds, threshold: float = 0.95, use_lsh: bool | None = None,
         )
 
     signed = ds.map_batches(sign_batch, batch_format="pyarrow")
-    return signed.groupby("bucket").map_groups(bucket_pairs, batch_format="pyarrow")
+    return map_groups(signed, "bucket", bucket_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -886,8 +888,7 @@ def semantic_dedup(ds, k_clusters: int = 8, tau: float = 0.45,
             "b": pa.array(hi, type=pa.int64()),
         })
 
-    edges = assigned.groupby("cluster").map_groups(
-        cluster_pairs, batch_format="pyarrow")
+    edges = map_groups(assigned, "cluster", cluster_pairs)
     comp = connected_components(edges, col_a="a", col_b="b")
     canon = {int(r["doc_id"]): int(r["cluster_id"])
              for r in comp.iter_rows()}  # duplicate-rows-sized

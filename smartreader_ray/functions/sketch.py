@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from .dedup import _hash64
-from .exchange import keyed_agg
+from .exchange import keyed_agg, map_groups
 
 
 def _mix64(h: np.ndarray) -> np.ndarray:
@@ -146,7 +146,7 @@ def approx_distinct_by(ds, key_col: str, col: str, b: int = 12):
     partials = ds.select_columns([key_col, col]).map_batches(
         partial, batch_format="pyarrow"
     )
-    return partials.groupby(key_col).map_groups(merge, batch_format="pyarrow")
+    return map_groups(partials, key_col, merge)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def approx_quantile_by(ds, key_col: str, col: str,
     partials = ds.select_columns([key_col, col]).map_batches(
         partial, batch_format="pyarrow"
     )
-    return partials.groupby(key_col).map_groups(merge, batch_format="pyarrow")
+    return map_groups(partials, key_col, merge)
 
 
 def exact_quantile_by(ds, key_col: str, col: str, qs=(0.5,)):
@@ -310,9 +310,7 @@ def exact_quantile_by(ds, key_col: str, col: str, qs=(0.5,)):
     partials = ds.select_columns([key_col, col]).map_batches(
         hist_partial, batch_format="pyarrow"
     )
-    return partials.groupby(key_col).map_groups(
-        hist_merge, batch_format="pyarrow"
-    )
+    return map_groups(partials, key_col, hist_merge)
 
 
 def exact_distinct_by(ds, key_col: str, col: str,
@@ -354,9 +352,7 @@ def exact_distinct_by(ds, key_col: str, col: str,
     partials = ds.select_columns([key_col, col]).map_batches(
         distinct_partial, batch_format="pyarrow"
     )
-    return partials.groupby(key_col).map_groups(
-        count_unique, batch_format="pyarrow"
-    )
+    return map_groups(partials, key_col, count_unique)
 
 
 # ---------------------------------------------------------------------------
@@ -571,5 +567,4 @@ def weighted_median_by(ds, key_col: str, value_col: str, weight_col: str):
     partials = ds.select_columns(
         [key_col, value_col, weight_col]).map_batches(
         hist_partial, batch_format="pyarrow")
-    return partials.groupby(key_col).map_groups(
-        hist_merge, batch_format="pyarrow").sort(key_col)
+    return map_groups(partials, key_col, hist_merge).sort(key_col)

@@ -21,6 +21,8 @@ import logging
 import numpy as np
 import pyarrow as pa
 
+from .exchange import map_groups
+
 _LOG = logging.getLogger(__name__)
 
 _CELL_SHIFT = 1 << 20  # composite cell id = cx * 2^20 + cy
@@ -144,9 +146,7 @@ def grid_join(left, right, d: int,
         stamp_left, batch_format="pyarrow")
     tagged_r = right.select_columns([right_id, x_col, y_col]).map_batches(
         replicate_right, batch_format="pyarrow")
-    return (tagged_l.union(tagged_r)
-            .groupby("cell")
-            .map_groups(per_cell, batch_format="pyarrow"))
+    return map_groups([tagged_l, tagged_r], "cell", per_cell)
 
 
 def multiplicative_coords(ds, key_col: str, grid: int = 1024,

@@ -9,8 +9,11 @@ selection, O(n) per block), so the final sort sees at most
 
 ``head_by`` is the per-key form, SQL's ``ROW_NUMBER() OVER (PARTITION
 BY key ORDER BY …) <= n``: one vectorized kernel (sort by key then
-order, numpy run arithmetic for each key's rank) prunes each block and
-then finishes each partition of one ``exchange.keyed_exchange``. Every
+order, ``exchange.key_runs`` for where each key's run starts, numpy
+arithmetic for each row's rank) prunes each block and then finishes
+each partition of one ``exchange.keyed_exchange``. ``key_runs`` is the
+run finder ``exchange.map_groups`` cuts its partitions with too, so
+null keys form one run in both. Every
 "first n rows per key" operator runs on it: ``top_k_by``,
 ``curation.per_source_cap``, ``sampling.stratified_sample`` and
 ``unimax_mix``, ``reshape.latest_by``, ``ngrams.chi2_terms``' per-label
@@ -23,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import keyed_exchange
+from .exchange import key_runs, keyed_exchange
 
 
 def _local_top_k(value_col: str, k: int, order: str):
@@ -56,17 +59,8 @@ def _head(b: pa.Table, keys: list[str], sort_keys: list, n: int,
     order (keys first), with their 1-based ``rank`` when ``ranked``.
     Null keys are equal to each other, so they form one run."""
     b = b.take(pc.sort_indices(b, sort_keys=sort_keys))
-    m = b.num_rows
-    start = np.zeros(m, dtype=bool)
-    start[:1] = True
-    for k in keys:
-        col = b.column(k).combine_chunks()
-        cur, prev = col.slice(1), col.slice(0, max(m - 1, 0))
-        neq = pc.fill_null(pc.not_equal(cur, prev), True)
-        both_null = pc.and_(pc.is_null(cur), pc.is_null(prev))
-        start[1:] |= pc.and_not(neq, both_null).to_numpy(
-            zero_copy_only=False)
-    at = np.arange(m, dtype=np.int64)
+    at = np.arange(b.num_rows, dtype=np.int64)
+    start = key_runs(b, keys)
     rank = at - np.maximum.accumulate(np.where(start, at, 0)) + 1
     keep = rank <= n
     b = b.filter(pa.array(keep, type=pa.bool_()))

@@ -19,7 +19,7 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-from .exchange import fits, keyed_agg, keyed_agg_table
+from .exchange import fits, keyed_agg, keyed_agg_table, map_groups
 
 _LOG = logging.getLogger(__name__)
 
@@ -62,17 +62,6 @@ def sessionize(ds, gap_s: float = 1800.0, user_col: str = "user_id",
 
     def per_user(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        if n == 0:
-            return pa.Table.from_pydict(
-                {
-                    "user_id": pa.array([], group.schema.field(user_col).type),
-                    "session_id": pa.array([], type=pa.int64()),
-                    "n_events": pa.array([], type=pa.int64()),
-                    "t_start": pa.array([], group.schema.field(ts_col).type),
-                    "t_end": pa.array([], group.schema.field(ts_col).type),
-                    "total_value": pa.array([], type=pa.float64()),
-                }
-            )
         ts_type = group.schema.field(ts_col).type
         ts = group.column(ts_col).to_numpy(zero_copy_only=False)  # datetime64
         order = group.column(order_col).to_numpy(zero_copy_only=False)
@@ -111,7 +100,7 @@ def sessionize(ds, gap_s: float = 1800.0, user_col: str = "user_id",
         )
 
     pruned = ds.select_columns([user_col, ts_col, value_col, order_col])
-    return pruned.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
+    return map_groups(pruned, user_col, per_user)
 
 
 def sliding_window(ds, window_s: float = 300.0, slide_s: float = 60.0,
@@ -254,7 +243,7 @@ def late_events(ds, tolerance_s: float = 3600.0, user_col: str = "user_id",
 
     cols = list(dict.fromkeys([user_col, ts_col, order_col, id_col]))
     pruned = ds.select_columns(cols)
-    return pruned.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
+    return map_groups(pruned, user_col, per_user)
 
 
 def funnel(ds, steps=("view", "click", "purchase"),
@@ -430,7 +419,7 @@ def cumulative_by(ds, key_col: str = "user_id", ts_col: str = "ts",
     arithmetic-exact (a float running sum would depend on the engine's
     internal summation tree).
 
-    Scale shape: `groupby(key).map_groups` — rows of a key must
+    Scale shape: `exchange.map_groups` on the key — rows of a key must
     co-locate for ANY engine computing a keyed running total, so the
     keyed exchange is the floor cost; within a group the kernel is one
     numpy sort + cumsum. A pathologically hot key concentrates its rows
@@ -464,8 +453,7 @@ def cumulative_by(ds, key_col: str = "user_id", ts_col: str = "ts",
         )
 
     return (
-        ds.groupby(key_col)
-        .map_groups(per_group, batch_format="pyarrow")
+        map_groups(ds, key_col, per_group)
         .sort([key_col, ts_col])
     )
 
@@ -509,7 +497,7 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts"):
     pairs = keyed_agg(ds.map_batches(day_pairs, batch_format="pyarrow"),
                       [user_col, "day"], {"_n": ("count", None)})
     return keyed_agg(
-        pairs.groupby(user_col).map_groups(per_user, batch_format="pyarrow"),
+        map_groups(pairs, user_col, per_user),
         ["cohort_day", "offset_days"], {"n_users": ("sum", "n")},
     ).sort(["cohort_day", "offset_days"])
 
@@ -558,8 +546,7 @@ def resample_daily(ds, group_col: str = "event_type", ts_col: str = "ts"):
         })
 
     return (
-        counts.groupby(group_col)
-        .map_groups(densify, batch_format="pyarrow")
+        map_groups(counts, group_col, densify)
         .sort([group_col, "day"])
     )
 
@@ -610,9 +597,9 @@ def user_day_paths(ds, top_n: int = 20, user_col: str = "user_id",
             ["path", "n_user_days"])
 
     return (
-        keyed_agg(ds.select_columns([user_col, ts_col, id_col, step_col])
-                  .groupby(user_col)
-                  .map_groups(per_user, batch_format="pyarrow"),
+        keyed_agg(map_groups(ds.select_columns([user_col, ts_col, id_col,
+                                                step_col]),
+                             user_col, per_user),
                   "path", {"n_user_days": ("sum", "n_user_days")})
         .map_batches(local_cut, batch_format="pyarrow")
         .repartition(1)
@@ -747,10 +734,9 @@ def match_pattern(ds, pattern: str, symbol_map: dict,
         })
 
     return (
-        ds.select_columns([user_col, ts_col, id_col, step_col])
-        .map_batches(symbolize, batch_format="pyarrow")
-        .groupby(user_col)
-        .map_groups(per_key, batch_format="pyarrow")
+        map_groups(ds.select_columns([user_col, ts_col, id_col, step_col])
+                   .map_batches(symbolize, batch_format="pyarrow"),
+                   user_col, per_key)
         .sort(user_col)
     )
 
@@ -802,10 +788,8 @@ def percent_rank_by(ds, key_col: str, value_col: str,
             "pr": pa.array(np.round(pr, round_to), type=pa.float64()),
         })
 
-    rank_map, small = fits(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .map_groups(per_key, batch_format="pyarrow"))
+    rank_map, small = fits(map_groups(
+        ds.map_batches(partial, batch_format="pyarrow"), key_col, per_key))
 
     if small:
         import ray
@@ -897,9 +881,7 @@ def debounce(ds, window_s: float = 60.0, user_col: str = "user_id",
         keep[order] = ~drop_sorted
         return g.filter(pa.array(keep))
 
-    return (
-        ds.groupby(user_col).map_groups(per_user, batch_format="pyarrow")
-    )
+    return map_groups(ds, user_col, per_user)
 
 
 def markov_transitions(ds, user_col: str = "user_id",
@@ -945,8 +927,7 @@ def markov_transitions(ds, user_col: str = "user_id",
             empty.schema)
 
     pruned = ds.select_columns([user_col, type_col, ts_col, id_col])
-    partials = pruned.groupby(user_col).map_groups(
-        per_user, batch_format="pyarrow")
+    partials = map_groups(pruned, user_col, per_user)
     # |types|^2 rows — driver-side finalize is bounded by the type
     # vocabulary, not the corpus.
     mat = keyed_agg_table(partials, ["prev_type", "event_type"],
@@ -997,8 +978,6 @@ def session_attribution(ds, gap_s: float = 1800.0,
         import pandas as pd
 
         n = g.num_rows
-        if n == 0:
-            return empty
         ts = g.column(ts_col).to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)
         ids = g.column(id_col).to_numpy(zero_copy_only=False)
@@ -1033,8 +1012,7 @@ def session_attribution(ds, gap_s: float = 1800.0,
 
     pruned = ds.select_columns(
         [user_col, ts_col, type_col, value_col, id_col])
-    partials = pruned.groupby(user_col).map_groups(
-        per_user, batch_format="pyarrow")
+    partials = map_groups(pruned, user_col, per_user)
     sums = ("n_sessions", "n_converted", "converted_value_cents")
     out = keyed_agg_table(partials, "first_touch",
                           {c: ("sum", c) for c in sums})
@@ -1091,8 +1069,7 @@ def rolling_anomaly(ds, k: int = 4, factor: int = 2,
         })
 
     pruned = ds.select_columns([user_col, ts_col, value_col, id_col])
-    return pruned.groupby(user_col).map_groups(
-        per_user, batch_format="pyarrow")
+    return map_groups(pruned, user_col, per_user)
 
 
 def interval_union(ds, span_s: float = 300.0, user_col: str = "user_id",
@@ -1112,14 +1089,7 @@ def interval_union(ds, span_s: float = 300.0, user_col: str = "user_id",
     span_us = int(span_s * 1_000_000)
 
     def per_user(g: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "user_id": pa.array([], type=pa.int64()),
-            "n_islands": pa.array([], type=pa.int64()),
-            "covered_us": pa.array([], type=pa.int64()),
-        })
         n = g.num_rows
-        if n == 0:
-            return empty
         ts = np.sort(g.column(ts_col).to_numpy(
             zero_copy_only=False).astype("datetime64[us]").astype(np.int64))
         ends = ts + span_us
@@ -1138,9 +1108,8 @@ def interval_union(ds, span_s: float = 300.0, user_col: str = "user_id",
             "covered_us": pa.array([covered], type=pa.int64()),
         })
 
-    return (ds.select_columns([user_col, ts_col])
-            .groupby(user_col)
-            .map_groups(per_user, batch_format="pyarrow"))
+    return map_groups(ds.select_columns([user_col, ts_col]), user_col,
+                      per_user)
 
 
 def daily_streaks(ds, user_col: str = "user_id", ts_col: str = "ts"):
@@ -1181,10 +1150,9 @@ def daily_streaks(ds, user_col: str = "user_id", ts_col: str = "ts"):
                                        type=pa.int64()),
         })
 
-    return (ds.select_columns([user_col, ts_col])
-            .map_batches(day_pairs, batch_format="pyarrow")
-            .groupby("user_id")
-            .map_groups(per_user, batch_format="pyarrow"))
+    return map_groups(ds.select_columns([user_col, ts_col])
+                      .map_batches(day_pairs, batch_format="pyarrow"),
+                      "user_id", per_user)
 
 
 def proximity_join(ds, left_type: str = "purchase",
@@ -1257,8 +1225,7 @@ def proximity_join(ds, left_type: str = "purchase",
         })
 
     pruned = ds.select_columns([user_col, ts_col, type_col, id_col])
-    return pruned.groupby(user_col).map_groups(
-        per_user, batch_format="pyarrow")
+    return map_groups(pruned, user_col, per_user)
 
 
 def hourly_profile(ds, ts_col: str = "ts", value_col: str = "value"):
@@ -1346,9 +1313,8 @@ def time_weighted_avg(ds, user_col: str = "user_id", ts_col: str = "ts",
                                        type=pa.int64()),
         })
 
-    return (ds.select_columns([user_col, ts_col, value_col])
-            .groupby(user_col)
-            .map_groups(per_user, batch_format="pyarrow"))
+    return map_groups(ds.select_columns([user_col, ts_col, value_col]),
+                      user_col, per_user)
 
 
 def cusum_changepoints(ds, user_col: str = "user_id", ts_col: str = "ts",
@@ -1407,9 +1373,8 @@ def cusum_changepoints(ds, user_col: str = "user_id", ts_col: str = "ts",
             "first_alarm_us": pa.array([first], type=pa.int64()),
         })
 
-    return (ds.select_columns([user_col, ts_col, value_col])
-            .groupby(user_col)
-            .map_groups(per_user, batch_format="pyarrow"))
+    return map_groups(ds.select_columns([user_col, ts_col, value_col]),
+                      user_col, per_user)
 
 
 def ohlc_bars(ds, key_col: str = "event_type", ts_col: str = "ts",
@@ -1523,15 +1488,6 @@ def lru_audit(ds, capacity: int = 2, user_col: str = "user_id",
 
     def per_user(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        utype = group.schema.field(user_col).type
-        if n == 0:
-            return pa.Table.from_pydict({
-                "user_id": pa.array([], type=utype),
-                "n_events": pa.array([], type=pa.int64()),
-                "hits": pa.array([], type=pa.int64()),
-                "cold_misses": pa.array([], type=pa.int64()),
-                "capacity_misses": pa.array([], type=pa.int64()),
-            })
         ts = group.column(ts_col).to_numpy(zero_copy_only=False)
         order = group.column(order_col).to_numpy(zero_copy_only=False)
         keys = group.column(key_col).to_pylist()
@@ -1553,8 +1509,7 @@ def lru_audit(ds, capacity: int = 2, user_col: str = "user_id",
                 if len(cache) > capacity:
                     cache.popitem(last=False)
         return pa.Table.from_pydict({
-            "user_id": pa.array([group.column(user_col)[0].as_py()],
-                                type=utype),
+            "user_id": group.column(user_col).slice(0, 1),
             "n_events": pa.array([n], type=pa.int64()),
             "hits": pa.array([hits], type=pa.int64()),
             "cold_misses": pa.array([cold], type=pa.int64()),
@@ -1562,8 +1517,7 @@ def lru_audit(ds, capacity: int = 2, user_col: str = "user_id",
         })
 
     pruned = ds.select_columns([user_col, key_col, ts_col, order_col])
-    return pruned.groupby(user_col).map_groups(
-        per_user, batch_format="pyarrow")
+    return map_groups(pruned, user_col, per_user)
 
 
 def mrc_curve(ds, max_capacity: int = 4, user_col: str = "user_id",
@@ -1617,8 +1571,7 @@ def mrc_curve(ds, max_capacity: int = 4, user_col: str = "user_id",
         })
 
     pruned = ds.select_columns([user_col, key_col, ts_col, order_col])
-    merged = keyed_agg(pruned.groupby(user_col)
-                       .map_groups(per_user, batch_format="pyarrow"),
+    merged = keyed_agg(map_groups(pruned, user_col, per_user),
                        "d", {"n": ("sum", "n")})
 
     def finish(b: pa.Table) -> pa.Table:

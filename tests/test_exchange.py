@@ -117,3 +117,23 @@ def test_keyed_agg_matches_ray_and_oracle(layout, keys, empty, events_dir,
     valid = got[keys].notna().all(axis=1)
     assert valid.sum() < len(got)  # null key groups are covered
     assert _rows(got[valid], keys) == _rows(ray_df, keys)
+
+
+def test_keyed_agg_across_a_null_typed_block(ray_session):
+    """A ``from_items`` block whose key is None has Arrow type ``null``;
+    its partial combines with the ``string`` ones, as one null group."""
+    import ray.data
+
+    from smartreader_ray.functions.exchange import keyed_agg, keyed_agg_table
+
+    rows = [{"src": s, "v": i}
+            for i, s in enumerate(["a", None, "b", None, "a"])]
+    ds = ray.data.from_items(rows, override_num_blocks=len(rows))
+    aggs = {"n": ("count", None), "s": ("sum", "v")}
+    want = [("a", 2, 4), ("b", 1, 2), (None, 2, 4)]
+    assert [tuple(r.values()) for r in keyed_agg(ds, "src", aggs).take_all()] \
+        == want
+    t = keyed_agg_table(ds, "src", aggs)
+    assert t.schema.field("src").type == pa.string()
+    assert list(zip(*(t.column(c).to_pylist() for c in t.column_names))) \
+        == want

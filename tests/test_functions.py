@@ -1885,13 +1885,13 @@ def test_unimax_mix_selection(ray_session):
     assert sorted(by_lang["small"]) == [0, 1, 2]
     assert sorted(by_lang["big"]) == [100 + i for i in range(7)]
 
-    # a doc without a language takes its quota of one from the budget
-    # but is never selected
+    # a doc without a language is never selected and takes no share of
+    # the budget
     t = pa.Table.from_pylist(docs + [{"doc_id": 50, "lang": None}])
     for ds in (ray.data.from_arrow(t), ray.data.from_arrow(t).repartition(3)):
         got = sorted((r["lang"], r["doc_id"])
                      for r in unimax_mix(ds, budget=10).take_all())
-        assert got == ([("big", 100 + i) for i in range(6)]
+        assert got == ([("big", 100 + i) for i in range(7)]
                        + [("small", i) for i in range(3)])
 
 
