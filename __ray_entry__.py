@@ -205,8 +205,7 @@ def _q_char_entropy(sf_dir: str):
     from smartreader_ray.functions.textstats import char_entropy
 
     return (_docs(sf_dir).map_batches(char_entropy,
-                                      batch_format="pyarrow")
-            .sort("doc_id"))
+                                      batch_format="pyarrow"))
 
 
 def _q_bpe_token_stats(sf_dir: str):
@@ -421,10 +420,10 @@ def _q_top_orders(sf_dir: str):
 
     total = keyed_agg(ds.map_batches(revenue, batch_format="pyarrow"),
                       "l_orderkey", {"revenue": ("sum", "rev")})
-    # distributed top-k: per-block select_k, then sort only the survivors
     from smartreader_ray.functions import top_k
 
-    top = top_k(total, "revenue", k=10)
+    top = top_k(total, [("revenue", "descending"),
+                        ("l_orderkey", "ascending")], 10)
 
     def strip(batch: pa.Table) -> pa.Table:
         return batch.select(["l_orderkey"])
@@ -672,8 +671,7 @@ def _q_padding_plan(sf_dir: str):
                     * b.column("max_len").to_numpy(zero_copy_only=False)
                     - b.column("sum_len").to_numpy(zero_copy_only=False),
                     type=pa.int64()),
-            }), batch_format="pyarrow")
-            .sort("batch_id"))
+            }), batch_format="pyarrow"))
 
 
 def _q_curriculum_chain(sf_dir: str):
@@ -960,7 +958,7 @@ def _q_gopher_gate(sf_dir: str):
     from smartreader_ray.functions.textstats import gopher_rules
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return docs.map_batches(gopher_rules, batch_format="pyarrow").sort("doc_id")
+    return docs.map_batches(gopher_rules, batch_format="pyarrow")
 
 
 def _q_dsir_select(sf_dir: str):
@@ -1004,7 +1002,7 @@ def _q_crawl_budget_chain(sf_dir: str):
 
     weighted = gated.map_batches(weigh, batch_format="pyarrow")
     return largest_remainder_alloc(
-        weighted, "host", "w", total_units=1000).sort("host")
+        weighted, "host", "w", total_units=1000)
 
 
 def _q_sitemap_gate(sf_dir: str):
@@ -1091,8 +1089,7 @@ def _q_sitemap_gate(sf_dir: str):
         {h: rules for h in hosts})
     return (gated.filter(
         expr="allowed == True and lastmod >= '2024-07-01'")
-        .select_columns(["host", "url", "lastmod"])
-        .sort("url"))
+        .select_columns(["host", "url", "lastmod"]))
 
 
 def _q_bitext_mine(sf_dir: str):
@@ -1146,8 +1143,7 @@ def _q_blocklist_rates(sf_dir: str):
 
     return (keyed_agg(docs.map_batches(partial, batch_format="pyarrow"),
                       "source", {"n_docs": ("sum", "n_docs"),
-                                 "n_blocked": ("sum", "n_blocked")})
-            .sort("source"))
+                                 "n_blocked": ("sum", "n_blocked")}))
 
 
 def _q_novelty_decay(sf_dir: str):
@@ -1191,7 +1187,7 @@ def _q_novelty_decay(sf_dir: str):
         return b.append_column(
             "novel_ratio", pa.array(nn / w, type=pa.float64()))
 
-    return agg.map_batches(ratio, batch_format="pyarrow").sort("decile")
+    return agg.map_batches(ratio, batch_format="pyarrow")
 
 
 def _q_source_entropy(sf_dir: str):
@@ -1231,8 +1227,7 @@ def _q_source_entropy(sf_dir: str):
 
     return (keyed_agg(counts.map_batches(nano_nats, batch_format="pyarrow"),
                       "source", {"entropy_nanonats": ("sum", "h"),
-                                 "n_distinct_terms": ("sum", "n_terms")})
-            .sort("source"))
+                                 "n_distinct_terms": ("sum", "n_terms")}))
 
 
 def _q_source_risk_rank(sf_dir: str):
@@ -1243,8 +1238,7 @@ def _q_source_risk_rank(sf_dir: str):
     40/100 source). The bound is ONE shared IEEE expression tree on
     exact integer counts (sqrt is correctly rounded in both engines;
     z², z²/2, z²/4 written as explicit products so both sides fold the
-    same constants), stamped on the source-count-sized rollup only.
-    Output ordered worst-first by (wilson_lb DESC, source)."""
+    same constants), stamped on the source-count-sized rollup only."""
     import math
 
     import pyarrow as pa
@@ -1269,8 +1263,7 @@ def _q_source_risk_rank(sf_dir: str):
             "wilson_lb": pa.array(out, type=pa.float64()),
         })
 
-    return (rates.map_batches(stamp, batch_format="pyarrow")
-            .sort(key=["wilson_lb", "source"], descending=[True, False]))
+    return rates.map_batches(stamp, batch_format="pyarrow")
 
 
 def _q_hybrid_search(sf_dir: str):
@@ -1339,6 +1332,7 @@ def _q_term_drift(sf_dir: str):
 
     from smartreader_ray.functions.exchange import keyed_agg
     from smartreader_ray.functions.ngrams import _tokens_flat
+    from smartreader_ray.functions.topk import top_k
 
     docs = _docs(sf_dir)
     half = docs.count() // 2
@@ -1358,19 +1352,11 @@ def _q_term_drift(sf_dir: str):
                            Sum("c2", alias_name="t2"))
     t1, t2 = float(tot["t1"]), float(tot["t2"])
 
-    def local_cut(b: pa.Table) -> pa.Table:
-        tot_c = pc.add(b.column("c1"), b.column("c2"))
-        b = b.append_column("__t", tot_c)
-        if b.num_rows > 50:
-            idx = pc.select_k_unstable(
-                b, k=50, sort_keys=[("__t", "descending"),
-                                    ("term", "ascending")])
-            b = b.take(idx)
-        return b
+    def with_total(b: pa.Table) -> pa.Table:
+        return b.append_column("__t", pc.add(b.column("c1"), b.column("c2")))
 
-    top = (counts.map_batches(local_cut, batch_format="pyarrow")
-           .sort(key=["__t", "term"], descending=[True, False])
-           .limit(50))
+    top = top_k(counts.map_batches(with_total, batch_format="pyarrow"),
+                [("__t", "descending"), ("term", "ascending")], 50)
 
     def stamp(b: pa.Table) -> pa.Table:
         c1 = b.column("c1").to_numpy(zero_copy_only=False).astype(
@@ -1546,7 +1532,7 @@ def _q_benford_audit(sf_dir: str):
             "benford_p": pa.array(exp, type=pa.float64()),
         })
 
-    return agg.map_batches(stamp, batch_format="pyarrow").sort("digit")
+    return agg.map_batches(stamp, batch_format="pyarrow")
 
 
 def _q_source_overlap(sf_dir: str):
@@ -1629,8 +1615,7 @@ def _q_source_overlap(sf_dir: str):
 
     return (keyed_agg(masks.map_batches(pairs, batch_format="pyarrow"), "pk",
                       {"n_shared": ("count", None)})
-            .map_batches(name, batch_format="pyarrow")
-            .sort(["source_a", "source_b"]))
+            .map_batches(name, batch_format="pyarrow"))
 
 
 def _q_vocab_coverage(sf_dir: str):
@@ -1677,8 +1662,7 @@ def _q_vocab_coverage(sf_dir: str):
         })
 
     return (counts.repartition(1)  # vocab-sized by construction
-            .map_batches(curve, batch_format="pyarrow")
-            .sort("coverage_permille"))
+            .map_batches(curve, batch_format="pyarrow"))
 
 
 def _q_hrw_resharding(sf_dir: str):
@@ -1713,8 +1697,7 @@ def _q_hrw_resharding(sf_dir: str):
 
     return (keyed_agg(both.map_batches(partial, batch_format="pyarrow"),
                       "shard", {"n_keys": ("count", None),
-                                "n_moved": ("sum", "moved")})
-            .sort("shard"))
+                                "n_moved": ("sum", "moved")}))
 
 
 def _q_balanced_interleave(sf_dir: str):
@@ -1780,8 +1763,7 @@ def _q_dsir_gopher_chain(sf_dir: str):
     sel = dsir_select(gated, target_lang="en", n_buckets=256, k=50,
                       carry_cols=("lang",))
     return (keyed_agg(sel, "lang", {"n_docs": ("count", None),
-                                    "sum_score": ("sum", "score")})
-            .sort("lang"))
+                                    "sum_score": ("sum", "score")}))
 
 
 def _q_warc_extract(sf_dir: str):
@@ -1880,7 +1862,7 @@ def _q_incremental_neardup(sf_dir: str):
     re-keyed exact copies of wave-1 docs — every copy must be rejected
     (exact dup ⇒ identical signature ⇒ every band hits). LSH hash
     family → rows-only; admit/pollution semantics pinned in
-    tests/test_state.py. Returns wave-2 survivors sorted by doc_id."""
+    tests/test_state.py. Returns the wave-2 survivors' doc_ids."""
     import pyarrow as pa
 
     from smartreader_ray.state import NearDupIndex
@@ -1913,7 +1895,7 @@ def _q_incremental_neardup(sf_dir: str):
     survivors = idx.filter_new(
         docs.map_batches(wave2, batch_format="pyarrow")
     )
-    return survivors.select_columns(["doc_id"]).sort("doc_id")
+    return survivors.select_columns(["doc_id"])
 
 
 def _q_incremental_dedup(sf_dir: str):
@@ -2055,7 +2037,7 @@ def _q_line_dedup(sf_dir: str):
     ds = _read(
         sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(plant, batch_format="pyarrow")
-    return line_dedup(ds, min_count=2).sort("doc_id")
+    return line_dedup(ds, min_count=2)
 
 
 def _q_c4_clean_chain(sf_dir: str):
@@ -2113,7 +2095,7 @@ def _q_c4_clean_chain(sf_dir: str):
     return keyed_agg(joined, "source", {
         "n_docs": ("count", None), "n_kept": ("sum", "kept"),
         "lines_removed": ("sum", "lines_removed"),
-        "clean_chars": ("sum", "clean_chars")}).sort("source")
+        "clean_chars": ("sum", "clean_chars")})
 
 
 def _q_c4_line_gates(sf_dir: str):
@@ -2142,8 +2124,7 @@ def _q_c4_line_gates(sf_dir: str):
                          "text": pa.array(out, type=pa.string())})
 
     return (ds.map_batches(plant, batch_format="pyarrow")
-            .map_batches(c4_line_gates_batch, batch_format="pyarrow")
-            .sort("doc_id"))
+            .map_batches(c4_line_gates_batch, batch_format="pyarrow"))
 
 
 def _q_intra_dedup(sf_dir: str):
@@ -2170,8 +2151,7 @@ def _q_intra_dedup(sf_dir: str):
         })
 
     return (ds.map_batches(plant, batch_format="pyarrow")
-            .map_batches(intra_line_dedup_batch, batch_format="pyarrow")
-            .sort("doc_id"))
+            .map_batches(intra_line_dedup_batch, batch_format="pyarrow"))
 
 
 def _q_pretrain_mix_chain(sf_dir: str):
@@ -2255,7 +2235,7 @@ def _q_pretrain_mix_chain(sf_dir: str):
                                   else 0], type=pa.int64()),
         })
 
-    return map_groups(tagged, "lang", pack_group).sort("lang")
+    return map_groups(tagged, "lang", pack_group)
 
 
 def _q_winnow_fps(sf_dir: str):
@@ -2267,8 +2247,7 @@ def _q_winnow_fps(sf_dir: str):
     the oracle replays the argmin via a packed composite MIN."""
     from smartreader_ray.functions import winnow_fingerprints
 
-    return (winnow_fingerprints(_docs(sf_dir), k=4, w=4)
-            .sort(["doc_id", "pos"]))
+    return winnow_fingerprints(_docs(sf_dir), k=4, w=4)
 
 
 def _q_winnow_dedup(sf_dir: str):
@@ -2278,8 +2257,7 @@ def _q_winnow_dedup(sf_dir: str):
     stream is the winnowed density-reduced set, not the shingles."""
     from smartreader_ray.functions import winnow_dedup
 
-    return (winnow_dedup(_docs(sf_dir), k=4, w=4, min_shared=2)
-            .sort(["doc_a", "doc_b"]))
+    return winnow_dedup(_docs(sf_dir), k=4, w=4, min_shared=2)
 
 
 def _q_containment_pairs(sf_dir: str):
@@ -2290,8 +2268,7 @@ def _q_containment_pairs(sf_dir: str):
     float columns are each ONE IEEE division of exact ints."""
     from smartreader_ray.functions import containment_pairs
 
-    return (containment_pairs(_docs(sf_dir), window=8)
-            .sort(["doc_a", "doc_b"]))
+    return containment_pairs(_docs(sf_dir), window=8)
 
 
 def _q_quote_screen_chain(sf_dir: str):
@@ -2351,8 +2328,7 @@ def _q_quote_screen_chain(sf_dir: str):
     return keyed_agg(docs_src.map_batches(kept, batch_format="pyarrow"),
                      "source", {"n_docs": ("count", None),
                                 "n_kept": ("sum", "keep"),
-                                "tokens_kept": ("sum", "tok")}
-                     ).sort("source")
+                                "tokens_kept": ("sum", "tok")})
 
 
 def _q_token_dropout(sf_dir: str):
@@ -2363,7 +2339,7 @@ def _q_token_dropout(sf_dir: str):
     and rebuilds the kept string with ordered string_agg."""
     from smartreader_ray.functions import token_dropout
 
-    return token_dropout(_docs(sf_dir), rate_den=8).sort("doc_id")
+    return token_dropout(_docs(sf_dir), rate_den=8)
 
 
 def _q_freq_spectrum(sf_dir: str):
@@ -2622,8 +2598,7 @@ def _q_chi2_lid_chain(sf_dir: str):
         })
 
     return (keyed_agg(docs.map_batches(classify, batch_format="pyarrow"),
-                      ["true_lang", "pred_label"], {"n": ("count", None)})
-            .sort(["true_lang", "pred_label"]))
+                      ["true_lang", "pred_label"], {"n": ("count", None)}))
 
 
 def _q_log_odds_terms(sf_dir: str):
@@ -2672,8 +2647,7 @@ def _q_textrank_terms(sf_dir: str):
     The graph is vocab-sized (the pair set is bounded by vocab², far
     below it in practice), so the edge build rides the existing bigram
     partial + one vocab-sized exchange; five unrolled rounds replay in
-    SQL. Output: every term with (rank, outdeg), ordered (rank DESC,
-    term)."""
+    SQL. Output: every term with (rank, outdeg)."""
     import numpy as np
     import pyarrow as pa
     import ray
@@ -2714,8 +2688,7 @@ def _q_textrank_terms(sf_dir: str):
             "outdeg": b.column("outdeg"),
         })
 
-    return (ranked.map_batches(back, batch_format="pyarrow")
-            .sort(["rank", "term"], descending=[True, False]))
+    return ranked.map_batches(back, batch_format="pyarrow")
 
 
 def _q_bigram_counts(sf_dir: str):
@@ -2837,7 +2810,7 @@ def _q_unimax_mix(sf_dir: str):
             "id_sum": b.column("id_sum"),
         })
 
-    return rollup.map_batches(stamp, batch_format="pyarrow").sort("lang")
+    return rollup.map_batches(stamp, batch_format="pyarrow")
 
 
 def _q_keys_union(sf_dir: str):
@@ -3226,7 +3199,7 @@ def _q_fixture_span_parity(sf_dir: str):
             "spans_b": pa.array(exp, type=SPAN_TYPE),
         }))
 
-    return out.map_batches(diff, batch_format="pyarrow").sort("doc_id")
+    return out.map_batches(diff, batch_format="pyarrow")
 
 
 def _q_media_meta(sf_dir: str):
@@ -3650,7 +3623,7 @@ def _q_supplier_pagerank(sf_dir: str):
             }
         ),
         batch_format="pyarrow",
-    ).sort(["rank", "s_suppkey"], descending=[True, False])
+    )
 
 
 def _q_norm_curation(sf_dir: str):
@@ -3690,7 +3663,6 @@ def _q_norm_curation(sf_dir: str):
         keyed_agg(kept.map_batches(gate, batch_format="pyarrow"),
                   ["lang", "source"], {"n": ("count", "n_chars"),
                                        "sum_chars": ("sum", "n_chars")})
-        .sort(["lang", "source"])
     )
 
 
@@ -3914,7 +3886,6 @@ def _q_robots_gate(sf_dir: str):
         keyed_agg(gated.map_batches(allowed, batch_format="pyarrow"),
                   "host", {"n": ("count", None),
                            "n_allowed": ("sum", "ok")})
-        .sort("host")
     )
 
 
@@ -3947,7 +3918,7 @@ def _q_supplier_hits(sf_dir: str):
             }
         ),
         batch_format="pyarrow",
-    ).sort("s_suppkey")
+    )
 
 
 def _hits_oracle_sql(iterations: int = 4, scale: int = 10**12) -> str:
@@ -4096,7 +4067,7 @@ def _q_scd2_history(sf_dir: str):
     h2 = scd2_apply(h1, cust.map_batches(snap2,
                                          batch_format="pyarrow"),
                     "c_custkey", attrs, ts=2)
-    return h2.sort(["c_custkey", "valid_from"])
+    return h2
 
 
 def _q_fd_histogram(sf_dir: str):
@@ -4140,7 +4111,6 @@ def _q_debounce(sf_dir: str):
         keyed_agg(kept.map_batches(cents, batch_format="pyarrow"),
                   "event_type", {"n": ("count", None),
                                  "value_cents": ("sum", "value_cents")})
-        .sort("event_type")
     )
 
 
@@ -4187,7 +4157,6 @@ def _q_rendezvous_shards(sf_dir: str):
         tagged.map_batches(partial, batch_format="pyarrow")
         .repartition(1)
         .map_batches(combine, batch_format="pyarrow")
-        .sort(["shard", "lang"])
     )
 
 
@@ -4235,7 +4204,6 @@ def _q_clean_rank_chain(sf_dir: str):
         keyed_agg(kept.map_batches(cents, batch_format="pyarrow"),
                   "event_type", {"n": ("count", None),
                                  "value_cents": ("sum", "value_cents")})
-        .sort("event_type")
     )
 
 
@@ -4274,7 +4242,6 @@ def _q_dataset_split(sf_dir: str):
         tagged.map_batches(partial, batch_format="pyarrow")
         .repartition(1)
         .map_batches(combine, batch_format="pyarrow")
-        .sort(["split", "lang"])
     )
 
 
@@ -4308,7 +4275,7 @@ def _q_percent_rank(sf_dir: str):
     from smartreader_ray.functions.windows import percent_rank_by
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    return percent_rank_by(ds, "event_type", "value").sort("event_id")
+    return percent_rank_by(ds, "event_type", "value")
 
 
 def _q_pq_codes(sf_dir: str):
@@ -4331,8 +4298,7 @@ def _q_pq_codes(sf_dir: str):
     cb = np.stack([np.asarray(v, dtype=np.float64)
                    for v in head.column("embedding").to_pylist()])
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return pq_encode(ds, cb, n_subspaces=8, scale=1000).sort(
-        ["vec_id", "m"])
+    return pq_encode(ds, cb, n_subspaces=8, scale=1000)
 
 
 def _q_pq_ann(sf_dir: str):
@@ -4411,7 +4377,6 @@ def _q_impute_values(sf_dir: str):
         keyed_agg(filled.map_batches(cents, batch_format="pyarrow"),
                   "l_returnflag", {"n": ("count", None),
                                    "qty_cents": ("sum", "qty_cents")})
-        .sort("l_returnflag")
     )
 
 
@@ -4520,7 +4485,7 @@ def _q_skyline_parts(sf_dir: str):
     from smartreader_ray.functions.topk import skyline
 
     ds = _read(sf_dir, "part", ["p_partkey", "p_retailprice", "p_size"])
-    return skyline(ds, "p_retailprice", "p_size").sort("p_partkey")
+    return skyline(ds, "p_retailprice", "p_size")
 
 
 def _q_edit1_names(sf_dir: str):
@@ -4576,7 +4541,6 @@ def _q_bloom_semi_join(sf_dir: str):
         keyed_agg(kept.map_batches(cents, batch_format="pyarrow"),
                   "l_returnflag", {"n": ("count", None),
                                    "revenue_cents": ("sum", "revenue_cents")})
-        .sort("l_returnflag")
     )
 
 
@@ -4614,7 +4578,6 @@ def _q_anti_join(sf_dir: str):
         keyed_agg(never.map_batches(cents, batch_format="pyarrow"),
                   "c_mktsegment", {"n": ("count", None),
                                    "bal_cents": ("sum", "bal_cents")})
-        .sort("c_mktsegment")
     )
 
 
@@ -4635,7 +4598,7 @@ def _q_bloom_fpr(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey"])
     part = _read(sf_dir, "part", ["p_partkey"])
     return bloom_confusion(cust, part, "c_custkey", "p_partkey",
-                           bloom_bits=4096, bloom_k=2).sort("p_partkey")
+                           bloom_bits=4096, bloom_k=2)
 
 
 def _q_ewma_activity(sf_dir: str):
@@ -4648,7 +4611,7 @@ def _q_ewma_activity(sf_dir: str):
     from smartreader_ray.functions.windows import ewma_decay
 
     ev = _read(sf_dir, "events", ["event_type", "ts"])
-    return ewma_decay(ev, key_col="event_type").sort("event_type")
+    return ewma_decay(ev, key_col="event_type")
 
 
 def _q_semantic_decontam(sf_dir: str):
@@ -4661,7 +4624,7 @@ def _q_semantic_decontam(sf_dir: str):
     from smartreader_ray.functions.similarity import cross_decontam
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-    return cross_decontam(emb, eval_label=0, tau=0.35).sort("vec_id")
+    return cross_decontam(emb, eval_label=0, tau=0.35)
 
 
 def _q_decontam_clean_chain(sf_dir: str):
@@ -4698,7 +4661,6 @@ def _q_decontam_clean_chain(sf_dir: str):
         keyed_agg(clean.map_batches(vec_ids, batch_format="pyarrow"), "label",
                   {"n_clean": ("count", None),
                    "sum_vec_id": ("sum", "vec_id")})
-        .sort("label")
     )
 
 
@@ -4711,8 +4673,7 @@ def _q_k_anonymity(sf_dir: str):
     from smartreader_ray.functions.curation import k_anonymity
 
     cust = _read(sf_dir, "customer", ["c_mktsegment", "c_nationkey"])
-    return k_anonymity(cust, ["c_mktsegment", "c_nationkey"], k=8).sort(
-        ["c_mktsegment", "c_nationkey"])
+    return k_anonymity(cust, ["c_mktsegment", "c_nationkey"], k=8)
 
 
 def _q_l_diversity(sf_dir: str):
@@ -4742,8 +4703,7 @@ def _q_l_diversity(sf_dir: str):
         })
 
     return (l_diversity(cust.map_batches(band, batch_format="pyarrow"),
-                        ["c_mktsegment", "c_nationkey"], "band", l=4)
-            .sort(["c_mktsegment", "c_nationkey"]))
+                        ["c_mktsegment", "c_nationkey"], "band", l=4))
 
 
 def _q_t_closeness(sf_dir: str):
@@ -4775,8 +4735,7 @@ def _q_t_closeness(sf_dir: str):
 
     return (t_closeness(cust.map_batches(band, batch_format="pyarrow"),
                         ["c_mktsegment", "c_nationkey"], "band",
-                        t_num=9, t_den=20)
-            .sort(["c_mktsegment", "c_nationkey"]))
+                        t_num=9, t_den=20))
 
 
 def _q_join_explain(sf_dir: str):
@@ -4903,7 +4862,6 @@ def _q_cdc_reprocess_chain(sf_dir: str):
         keyed_agg(kept.map_batches(chars, batch_format="pyarrow"),
                   "lang", {"n_docs": ("count", None),
                            "sum_chars": ("sum", "n_chars")})
-        .sort("lang")
     )
 
 
@@ -5045,8 +5003,7 @@ def _q_shot_boundaries(sf_dir: str):
         assert all(e == "" for e in b.column("error").to_pylist())
         return b.select(["doc_id", "frame_idx"])
 
-    return bounds.map_batches(thin, batch_format="pyarrow").sort(
-        ["doc_id", "frame_idx"])
+    return bounds.map_batches(thin, batch_format="pyarrow")
 
 
 def _q_interval_overlap(sf_dir: str):
@@ -5095,7 +5052,6 @@ def _q_engagement_chain(sf_dir: str):
                   {"n_sessions": ("count", None),
                    "sum_events": ("sum", "n_events"),
                    "sum_duration_us": ("sum", "duration_us")})
-        .sort("bucket")
     )
 
 
@@ -5113,7 +5069,7 @@ def _q_pivot_roundtrip(sf_dir: str):
     return unpivot(
         wide, "user_id", [f"n_{t}" for t in types],
         var_col="variable", val_col="n",
-    ).sort(["user_id", "variable"])
+    )
 
 
 def _q_markov_events(sf_dir: str):
@@ -5149,7 +5105,7 @@ def _q_rolling_anomaly(sf_dir: str):
     from smartreader_ray.functions.windows import rolling_anomaly
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value", "event_id"])
-    return rolling_anomaly(ds, k=4, factor=2).sort("event_id")
+    return rolling_anomaly(ds, k=4, factor=2)
 
 
 def _q_ntile_values(sf_dir: str):
@@ -5269,8 +5225,7 @@ def _q_caption_pairs(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
-            .map_batches(caption_pairs_batch, batch_format="pyarrow")
-            .sort(["doc_id", "offset"]))
+            .map_batches(caption_pairs_batch, batch_format="pyarrow"))
 
 
 def _q_interleave_audit(sf_dir: str):
@@ -5303,8 +5258,7 @@ def _q_mm_pack(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
-            .map_batches(pack_spans_batch, batch_format="pyarrow")
-            .sort(["doc_id", "seq_idx"]))
+            .map_batches(pack_spans_batch, batch_format="pyarrow"))
 
 
 def _q_pack_overflow_audit(sf_dir: str):
@@ -5410,8 +5364,7 @@ def _q_media_url_dedup(sf_dir: str):
             "n_refs": pc.cast(b.column("n_refs"), pa.int64()),
         })
 
-    return agg.map_batches(unpack, batch_format="pyarrow").sort(
-        "asset_bucket")
+    return agg.map_batches(unpack, batch_format="pyarrow")
 
 
 def _q_interleave_gate_chain(sf_dir: str):
@@ -5449,8 +5402,7 @@ def _q_interleave_gate_chain(sf_dir: str):
                       "source", {"n_docs": ("count", None),
                                  "n_kept": ("sum", "n_kept"),
                                  "media_kept": ("sum", "media_kept"),
-                                 "alt_kept": ("sum", "alt_kept")})
-            .sort("source"))
+                                 "alt_kept": ("sum", "alt_kept")}))
 
 
 def _q_mm_minhash_dedup(sf_dir: str):
@@ -5523,8 +5475,7 @@ def _q_caption_coverage(sf_dir: str):
     return (keyed_agg(ds.map_batches(captions, batch_format="pyarrow"),
                       ["source", "caption_src"],
                       {"n_media": ("count", None),
-                       "total_distance": ("sum", "distance")})
-            .sort(["source", "caption_src"]))
+                       "total_distance": ("sum", "distance")}))
 
 
 def _q_span_normalize(sf_dir: str):
@@ -5540,8 +5491,7 @@ def _q_span_normalize(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
-            .map_batches(normalize_spans_batch, batch_format="pyarrow")
-            .sort(["doc_id", "offset"]))
+            .map_batches(normalize_spans_batch, batch_format="pyarrow"))
 
 
 def _q_modality_runs(sf_dir: str):
@@ -5555,8 +5505,7 @@ def _q_modality_runs(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
-            .map_batches(modality_runs_batch, batch_format="pyarrow")
-            .sort("doc_id"))
+            .map_batches(modality_runs_batch, batch_format="pyarrow"))
 
 
 def _synth_span_variants():
@@ -5616,8 +5565,7 @@ def _q_span_diff(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_span_variants(), batch_format="pyarrow")
-            .map_batches(span_diff_batch, batch_format="pyarrow")
-            .sort("doc_id"))
+            .map_batches(span_diff_batch, batch_format="pyarrow"))
 
 
 def _q_span_boilerplate(sf_dir: str):
@@ -5704,7 +5652,7 @@ def _q_span_boilerplate(sf_dir: str):
             "n_kept", pc.subtract(b.column("n_text_spans"),
                                   b.column("n_boiler")))
 
-    return out.map_batches(finish, batch_format="pyarrow").sort("doc_id")
+    return out.map_batches(finish, batch_format="pyarrow")
 
 
 def _q_media_context(sf_dir: str):
@@ -5719,8 +5667,7 @@ def _q_media_context(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
-            .map_batches(media_context_batch, batch_format="pyarrow")
-            .sort(["doc_id", "offset"]))
+            .map_batches(media_context_batch, batch_format="pyarrow"))
 
 
 def _q_span_truncate(sf_dir: str):
@@ -5737,8 +5684,7 @@ def _q_span_truncate(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(_synth_interleaved_spans(),
                            batch_format="pyarrow")
-            .map_batches(truncate_spans_batch, batch_format="pyarrow")
-            .sort(["doc_id", "offset"]))
+            .map_batches(truncate_spans_batch, batch_format="pyarrow"))
 
 
 def _q_clean_doc_chain(sf_dir: str):
@@ -5746,7 +5692,7 @@ def _q_clean_doc_chain(sf_dir: str):
     per-doc rollup, all inside ONE map_batches (each row is a whole
     doc, so the gate, the normalize pass, and the rollup are
     block-local — the canonical interleaved-curation step shape: no
-    exchange until the final doc-sized sort). Keep docs with
+    exchange). Keep docs with
     n_runs >= 9 AND max_text_run >= 3 (the well-interleaved half of
     the corpus), normalize their spans (drop empty text, merge
     adjacent text runs), report per doc: n_spans, n_text_chars (merged
@@ -5784,7 +5730,7 @@ def _q_clean_doc_chain(sf_dir: str):
             ["doc_id", "n_spans", "n_text_chars", "n_media"])
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(fn, batch_format="pyarrow").sort("doc_id")
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def _q_doc_render(sf_dir: str):
@@ -5794,8 +5740,7 @@ def _q_doc_render(sf_dir: str):
     ``<image>`` sentinel token, plus text-token / image counts. Both
     passes inside ONE map_batches (each input row is a whole doc, so
     the flat normalized rows never straddle a batch boundary — the
-    render kernel's documented contract); zero shuffle before the
-    final doc-sized sort."""
+    render kernel's documented contract); no shuffle."""
     import pyarrow as pa
 
     from smartreader_ray.spanio import (normalize_spans_batch,
@@ -5807,7 +5752,7 @@ def _q_doc_render(sf_dir: str):
         return render_flat_spans(normalize_spans_batch(synth(b)))
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(fn, batch_format="pyarrow").sort("doc_id")
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def _q_source_affixes(sf_dir: str):
@@ -5827,8 +5772,7 @@ def _q_source_affixes(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["source", "text"])
     return (source_affixes(
-        ds.map_batches(_plant_affix_banner, batch_format="pyarrow"))
-        .sort("source"))
+        ds.map_batches(_plant_affix_banner, batch_format="pyarrow")))
 
 
 def _plant_affix_banner(b):
@@ -5890,8 +5834,7 @@ def _q_affix_strip_chain(sf_dir: str):
                       "source", {"n_docs": ("count", None),
                                  "chars_in": ("sum", "chars_in"),
                                  "chars_removed": ("sum", "chars_removed"),
-                                 "chars_out": ("sum", "chars_out")})
-            .sort("source"))
+                                 "chars_out": ("sum", "chars_out")}))
 
 
 def _q_sentence_stats(sf_dir: str):
@@ -5922,8 +5865,7 @@ def _q_sentence_stats(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(plant, batch_format="pyarrow")
-            .map_batches(sentence_stats, batch_format="pyarrow")
-            .sort("doc_id"))
+            .map_batches(sentence_stats, batch_format="pyarrow"))
 
 
 def _q_readability(sf_dir: str):
@@ -5955,8 +5897,7 @@ def _q_readability(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return (ds.map_batches(plant, batch_format="pyarrow")
-            .map_batches(readability_stats, batch_format="pyarrow")
-            .sort("doc_id"))
+            .map_batches(readability_stats, batch_format="pyarrow"))
 
 
 def _synth_class_bmps():
@@ -6018,8 +5959,7 @@ def _q_media_phash(sf_dir: str):
     counts = keyed_agg(hashed, "phash", {"bucket_size": ("count", None)})
     return (hash_join(hashed, counts, "phash", "phash",
                       left_cols=["doc_id", "media_ref", "phash"],
-                      right_cols=["bucket_size"])
-            .sort("doc_id"))
+                      right_cols=["bucket_size"]))
 
 
 def _q_phash_band_pairs(sf_dir: str):
@@ -6104,8 +6044,7 @@ def _q_phash_band_pairs(sf_dir: str):
         })
         return t.filter(pc.less_equal(t.column("hamming"), 12))
 
-    return (pairs.map_batches(verify, batch_format="pyarrow")
-            .sort(["phash_a", "phash_b"]))
+    return pairs.map_batches(verify, batch_format="pyarrow")
 
 
 def _q_markov_debounced_chain(sf_dir: str):
@@ -6157,7 +6096,7 @@ def _q_interval_union(sf_dir: str):
     from smartreader_ray.functions.windows import interval_union
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    return interval_union(ds, span_s=300.0).sort("user_id")
+    return interval_union(ds, span_s=300.0)
 
 
 def _q_daily_streaks(sf_dir: str):
@@ -6167,7 +6106,7 @@ def _q_daily_streaks(sf_dir: str):
     from smartreader_ray.functions.windows import daily_streaks
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    return daily_streaks(ds).sort("user_id")
+    return daily_streaks(ds)
 
 
 def _q_balanced_shards(sf_dir: str):
@@ -6191,7 +6130,7 @@ def _q_click_proximity(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
     return proximity_join(ds, "purchase", "click",
-                          window_s=600.0).sort("event_id")
+                          window_s=600.0)
 
 
 def _q_hourly_profile(sf_dir: str):
@@ -6241,7 +6180,7 @@ def _q_spatial_join(sf_dir: str):
     supp = multiplicative_coords(
         _read(sf_dir, "supplier", ["s_suppkey"]), "s_suppkey")
     return grid_join(cust, supp, d=32, left_id="c_custkey",
-                     right_id="s_suppkey").sort("c_custkey")
+                     right_id="s_suppkey")
 
 
 def _q_table_fingerprint(sf_dir: str):
@@ -6284,7 +6223,7 @@ def _q_time_weighted_avg(sf_dir: str):
     from smartreader_ray.functions.windows import time_weighted_avg
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return time_weighted_avg(ds).sort("user_id")
+    return time_weighted_avg(ds)
 
 
 def _q_cusum_alarms(sf_dir: str):
@@ -6295,7 +6234,7 @@ def _q_cusum_alarms(sf_dir: str):
     from smartreader_ray.functions.windows import cusum_changepoints
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    return cusum_changepoints(ds).sort("user_id")
+    return cusum_changepoints(ds)
 
 
 def _q_weighted_median(sf_dir: str):
@@ -6420,7 +6359,7 @@ def _q_schema_union(sf_dir: str):
     new = _read(
         sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"]
     ).filter(expr="o_orderkey >= 7500")
-    return union_by_name([old, new]).sort("o_orderkey")
+    return union_by_name([old, new])
 
 
 def _q_kcenter_coreset(sf_dir: str):
@@ -6718,8 +6657,7 @@ def _q_span_dedup(sf_dir: str):
                      .map_batches(span_fingerprint_batch,
                                   batch_format="pyarrow"),
                      "span_fp", {"keep_doc_id": ("min", "doc_id"),
-                                 "n_dups": ("count", None)}
-                     ).sort("keep_doc_id")
+                                 "n_dups": ("count", None)})
 
 
 def _q_dedup_cascade_chain(sf_dir: str):
@@ -6821,8 +6759,7 @@ def _q_lid_confusion(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     return (keyed_agg(ds.map_batches(Conf(), batch_format="pyarrow"),
-                      ["lang", "pred_lang"], {"n": ("count", None)})
-            .sort(["lang", "pred_lang"]))
+                      ["lang", "pred_lang"], {"n": ("count", None)}))
 
 
 def _q_leakage_safe_split(sf_dir: str):
@@ -6859,7 +6796,7 @@ def _q_leakage_safe_split(sf_dir: str):
                        ["doc_id"], ["group_id"], how="inner")
     return split_assign(
         tagged, {"train": 0.8, "val": 0.1, "test": 0.1},
-        id_col="group_id").sort("doc_id")
+        id_col="group_id")
 
 
 def _q_embedding_audit(sf_dir: str):
@@ -6883,8 +6820,8 @@ def _q_span_pack_chain(sf_dir: str):
     sentinels, single-space join) with token/image/cost rollups — one
     row per (doc, seq): exactly what a Flamingo/MMC4-style loader
     consumes. All three stages run inside ONE block-local map_batches
-    (a doc never straddles a block); the only exchange is the final
-    sort. Fully vectorized: one cumsum for the pack rule, ONE
+    (a doc never straddles a block), with no exchange. Fully
+    vectorized: one cumsum for the pack rule, ONE
     binary_join over sequence-bounded ListArrays, reduceat rollups."""
     import numpy as np
     import pyarrow as pa
@@ -6952,8 +6889,7 @@ def _q_span_pack_chain(sf_dir: str):
         })
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return (ds.map_batches(fn, batch_format="pyarrow")
-            .sort(["doc_id", "seq_idx"]))
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def _q_chi2_drift(sf_dir: str):
@@ -7075,8 +7011,7 @@ def _q_near_dedup_best_chain(sf_dir: str):
             "n_members": b.column("n_members"),
         })
 
-    return (agg.map_batches(unpack, batch_format="pyarrow")
-            .sort("cluster_id"))
+    return agg.map_batches(unpack, batch_format="pyarrow")
 
 
 def _q_lsh_recall_chain(sf_dir: str):

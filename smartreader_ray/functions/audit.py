@@ -207,7 +207,7 @@ def psi_drift(ds, group_col: str, value_col: str, baseline: str,
     reproducible artifact).
 
     Returns (group, bin, expected_n, actual_n, psi_term) for every
-    group except the baseline, dense over all bins, sorted.
+    group except the baseline, dense over all bins.
     """
     import math
 
@@ -261,8 +261,7 @@ def psi_drift(ds, group_col: str, value_col: str, baseline: str,
 
     # groups x bins rows by construction — one block
     return (agg.repartition(1)
-            .map_batches(finalize, batch_format="pyarrow")
-            .sort(["group", "bin"]))
+            .map_batches(finalize, batch_format="pyarrow"))
 
 
 def embedding_audit(ds, dim: int = 64, vec_col: str = "embedding",
@@ -279,7 +278,7 @@ def embedding_audit(ds, dim: int = 64, vec_col: str = "embedding",
     isfinite/abs-extrema reduceat pass; only group-sized integer
     partials exchange.
 
-    Returns (group, n_vecs, n_bad_dim, n_nonfinite, n_zero) sorted.
+    Returns (group, n_vecs, n_bad_dim, n_nonfinite, n_zero).
     """
     import numpy as np
 
@@ -314,7 +313,7 @@ def embedding_audit(ds, dim: int = 64, vec_col: str = "embedding",
     return keyed_agg(ds.select_columns([group_col, vec_col])
                      .map_batches(flags, batch_format="pyarrow"),
                      "group", {"n_vecs": ("count", None),
-                               **{c: ("sum", c) for c in sums}}).sort("group")
+                               **{c: ("sum", c) for c in sums}})
 
 
 def ks_drift(ds, group_col: str, value_col: str, baseline: str):
@@ -332,8 +331,7 @@ def ks_drift(ds, group_col: str, value_col: str, baseline: str):
     bounded metric has bounded distinct values; for an unbounded one,
     quantize first).
 
-    Returns (group, n_group, n_base, ks_num, ks) sorted, baseline
-    excluded.
+    Returns (group, n_group, n_base, ks_num, ks), baseline excluded.
     """
     import numpy as np
 
@@ -385,8 +383,7 @@ def ks_drift(ds, group_col: str, value_col: str, baseline: str):
 
     # (groups x values) rows by construction — one block
     return (counts.repartition(1)
-            .map_batches(finalize, batch_format="pyarrow")
-            .sort("group"))
+            .map_batches(finalize, batch_format="pyarrow"))
 
 
 def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
@@ -410,7 +407,7 @@ def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
     Scale shape: one (half, category)-sized counting exchange,
     pre-combined per block; the finalize sees only the k-row
     contingency table. Returns (category, n_early, n_late,
-    contrib_nano) sorted by category.
+    contrib_nano).
     """
     import numpy as np
 
@@ -427,8 +424,7 @@ def chi2_drift(ds, cat_col: str, ts_col: str, split_ts):
 
     # k rows by construction — one block
     return (counts.repartition(1)
-            .map_batches(_chi2_contrib, batch_format="pyarrow")
-            .sort("category"))
+            .map_batches(_chi2_contrib, batch_format="pyarrow"))
 
 
 def _chi2_contrib(t: pa.Table) -> pa.Table:

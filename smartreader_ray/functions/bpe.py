@@ -142,12 +142,11 @@ def bpe_pair_counts(ds, text_col: str = "text", top_k: int = 20):
                          "r": pa.array(rs, type=pa.string()),
                          "n": pa.array(ns, type=pa.int64())})
 
+    from . import topk
     from .exchange import keyed_agg
 
-    return (
-        keyed_agg(word_histogram(ds, text_col)
-                  .map_batches(pairs, batch_format="pyarrow"),
-                  ["l", "r"], {"n": ("sum", "n")})
-        .sort(["n", "l", "r"], descending=[True, False, False])
-        .limit(top_k)
-    )
+    return topk.top_k(keyed_agg(word_histogram(ds, text_col)
+                                .map_batches(pairs, batch_format="pyarrow"),
+                                ["l", "r"], {"n": ("sum", "n")}),
+                      [("n", "descending"), ("l", "ascending"),
+                       ("r", "ascending")], top_k)

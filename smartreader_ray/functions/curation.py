@@ -411,7 +411,7 @@ def winsorize_stats(ds, key_col: str, value_col: str,
     sums = ("n_clipped_lo", "n_clipped_hi", "sum_cents")
     return keyed_agg(ds.map_batches(clip, batch_format="pyarrow"),
                      key_col, {"n": ("count", None),
-                               **{c: ("sum", c) for c in sums}}).sort(key_col)
+                               **{c: ("sum", c) for c in sums}})
 
 
 def span_corruption(ds, doc_col: str = "doc_id", text_col: str = "text",
@@ -479,8 +479,7 @@ def span_corruption(ds, doc_col: str = "doc_id", text_col: str = "text",
         })
 
     return (ds.select_columns([doc_col, text_col])
-            .map_batches(corrupt, batch_format="pyarrow")
-            .sort(doc_col))
+            .map_batches(corrupt, batch_format="pyarrow"))
 
 
 def source_affixes(ds, source_col: str = "source",

@@ -1497,7 +1497,7 @@ def ngram_novelty(ds, window: int = 8, text_col: str = "text",
     return keyed_agg(base.union(novel.map_batches(pad,
                                                   batch_format="pyarrow")),
                      id_col, {"n_windows": ("sum", "n_windows"),
-                              "n_novel": ("sum", "novel")}).sort(id_col)
+                              "n_novel": ("sum", "novel")})
 
 
 def template_score(ds, window: int = 4, text_col: str = "text",
@@ -1578,7 +1578,7 @@ def template_score(ds, window: int = 4, text_col: str = "text",
         return b.append_column(
             "template_score", pa.array(sc, type=pa.float64()))
 
-    return agg.map_batches(score, batch_format="pyarrow").sort(id_col)
+    return agg.map_batches(score, batch_format="pyarrow")
 
 
 def priority_dedup(ds, priority_col: str, key_tokens: int = 5,

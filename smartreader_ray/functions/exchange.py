@@ -133,7 +133,9 @@ def _key_hash_u64(arr: pa.ChunkedArray | pa.Array):
     took 0.1 s of a 60k-row block's string key)."""
     t = arr.type
     if pa.types.is_temporal(t):
-        arr, t = pc.cast(arr, pa.int64()), pa.int64()
+        # Arrow casts 32-bit temporals (date32, time32) only to int32
+        t = pa.int32() if t.bit_width == 32 else pa.int64()
+        arr = pc.cast(arr, t)
     if pa.types.is_integer(t):
         # fill nulls BEFORE to_numpy: a null in an int64 column makes
         # to_numpy return float64 (NaN), and .view on float bits would

@@ -105,7 +105,7 @@ def edit1_pairs(ds, col: str, bucket_cap: int = 1024):
     return keyed_agg(map_groups(distinct.map_batches(variants,
                                                      batch_format="pyarrow"),
                                 "bucket", bucket_pairs),
-                     ["a", "b"], {}).sort(["a", "b"])
+                     ["a", "b"], {})
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def soundex_tokens(ds, text_col: str):
 
     return keyed_agg(ds.select_columns([text_col])
                      .map_batches(encode, batch_format="pyarrow"),
-                     ["token", "soundex"], {}).sort("token")
+                     ["token", "soundex"], {})
 
 
 def resolve_entities(ds, id_col: str, name_col: str, max_dist: int = 2,
@@ -215,7 +215,7 @@ def resolve_entities(ds, id_col: str, name_col: str, max_dist: int = 2,
          only), so it broadcasts once via ``ray.put`` and every (id,
          name) row gets its canonical name in one shuffle-free pass.
 
-    Returns (id_col, name_col, canonical) sorted by ``id_col``.
+    Returns (id_col, name_col, canonical).
     """
     import ray
     import ray.data
@@ -277,5 +277,4 @@ def resolve_entities(ds, id_col: str, name_col: str, max_dist: int = 2,
         })
 
     return (ds.select_columns([id_col, name_col])
-            .map_batches(assign, batch_format="pyarrow")
-            .sort(id_col))
+            .map_batches(assign, batch_format="pyarrow"))

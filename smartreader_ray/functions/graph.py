@@ -29,6 +29,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import topk
 from .exchange import fits, keyed_agg, keyed_agg_table, map_groups
 
 SCALE = 10**12
@@ -438,13 +439,10 @@ def rank_weighted_rollup(fact, ranks, fact_key: str, group_col: str,
                 (r[keep].astype("int64") * qty[keep]).to_numpy()),
         })
 
-    return (
+    return topk.top_k(
         keyed_agg(fact.map_batches(weighted, batch_format="pyarrow"),
-                  group_col,
-                  {"weighted_demand": ("sum", "weighted_demand")})
-        .sort(["weighted_demand", group_col], descending=[True, False])
-        .limit(top_k)
-    )
+                  group_col, {"weighted_demand": ("sum", "weighted_demand")}),
+        [("weighted_demand", "descending"), (group_col, "ascending")], top_k)
 
 
 def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
@@ -610,7 +608,7 @@ def hits(edges, nodes, node_col: str = "v", iterations: int = 4,
         ),
         node_col, "av", [node_col, "hub"], ["authority"],
     )
-    return joined.sort(node_col)
+    return joined
 
 
 def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25):
@@ -638,23 +636,13 @@ def basket_pairs(ds, group_col: str, item_col: str, top_n: int = 25):
     import numpy as np
     import ray.data
 
-    def local_cut(b: pa.Table) -> pa.Table:
-        # deterministic TOTAL order (count desc, pair asc): boundary
-        # ties must not resolve arbitrarily or the result varies by
-        # partitioning — each block keeps its k best under the same
-        # order, so the global winners all survive the cut
-        idx = pc.sort_indices(b, sort_keys=[
-            ("n_groups", "descending"),
-            ("item_a", "ascending"), ("item_b", "ascending")])
-        return b.take(idx.slice(0, top_n)).select(
-            ["item_a", "item_b", "n_groups"])
-
     def finalize_counts(pairs_counts):
-        return (
-            pairs_counts.map_batches(local_cut, batch_format="pyarrow")
-            .repartition(1)
-            .map_batches(local_cut, batch_format="pyarrow")
-        )
+        # a TOTAL order (count desc, pair asc): the cut is the same
+        # under every partitioning
+        return topk.top_k(
+            pairs_counts.select_columns(["item_a", "item_b", "n_groups"]),
+            [("n_groups", "descending"), ("item_a", "ascending"),
+             ("item_b", "ascending")], top_n)
 
     rows, small = fits(ds.select_columns([group_col, item_col]))
     item_type = rows.schema().base_schema.field(item_col).type
@@ -958,7 +946,7 @@ def bfs_hops(edges, sources, max_hops: int = 4):
     """Multi-source BFS over a directed edge list ``(src, dst)``:
     minimum hop count from ANY source to every node reachable within
     ``max_hops``. Returns ``(v: int64, hops: int64)`` including the
-    sources at hop 0, sorted by ``v`` — crawl-frontier radius, link
+    sources at hop 0 — crawl-frontier radius, link
     distance, contamination blast-radius style queries.
 
     ``sources`` is a small driver-side list (seed sets are curated,
@@ -1092,7 +1080,7 @@ def bfs_hops(edges, sources, max_hops: int = 4):
         visited = visited.union(unseen).materialize()
         frontier = unseen.map_batches(lambda b: b.select(["v"]),
                                       batch_format="pyarrow")
-    return visited.sort("v")
+    return visited
 
 
 def kcore_rounds(edges, k: int = 3, rounds: int = 3,
@@ -1109,8 +1097,7 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
     convergence (edges stop shrinking) the result IS the true k-core.
 
     Output: one row per node with ≥ 1 surviving edge after R peels —
-    ``(v, deg)``, the node's degree within the peeled edge set, sorted
-    by node id.
+    ``(v, deg)``, the node's degree within the peeled edge set.
 
     Scale shape: canonical distinct edges live as ONE packed int64
     (lo << 32 | hi; loud guard: node ids must fit 31 bits — widen to a
@@ -1189,4 +1176,4 @@ def kcore_rounds(edges, k: int = 3, rounds: int = 3,
         cur = cur.map_batches(keep_alive,
                               batch_format="pyarrow").materialize()
 
-    return keyed_agg(ends(cur), "v", {"deg": ("count", None)}).sort("v")
+    return keyed_agg(ends(cur), "v", {"deg": ("count", None)})

@@ -1060,7 +1060,7 @@ def star_revenue_by_nation(lineitem, orders_tbl, customer_tbl,
     round(discount*100)); per-batch Arrow pre-aggregation means each
     block contributes at most |nations| partial rows.
 
-    Returns (n_name, revenue_cc: int64) sorted by nation name.
+    Returns (n_name, revenue_cc: int64).
     """
     import numpy as np
     import ray
@@ -1121,8 +1121,7 @@ def star_revenue_by_nation(lineitem, orders_tbl, customer_tbl,
             "revenue_cc": b.column("revenue_cc").cast(pa.int64()),
         })
 
-    return agg.map_batches(name_out, batch_format="pyarrow").sort(
-        "n_name")
+    return agg.map_batches(name_out, batch_format="pyarrow")
 
 
 def bloom_confusion(build, probe, build_key: str, probe_key: str,

@@ -120,7 +120,7 @@ def zorder_layout(ds, x_col: str, y_col: str, id_col: str,
          "y_max": ("max", "y"), "z_min": ("min", "zkey"),
          "z_max": ("max", "zkey")})
 
-    return zones.sort("shard")
+    return zones
 
 
 def zone_prune_fraction(zones_table: pa.Table, x_lo: int, x_hi: int,

@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .exchange import fits, keyed_agg, keyed_agg_table, map_groups
-from .topk import head_by, top_k
+from . import topk
 
 
 def _tokens_flat(batch: pa.Table, text_col: str):
@@ -105,21 +105,8 @@ def term_doc_freq(ds, text_col: str = "text", top_n: int = 100):
     )
     totals = keyed_agg(partial, "term",
                        {"df": ("sum", "df"), "cf": ("sum", "cf")})
-
-    def local(b: pa.Table) -> pa.Table:
-        if b.num_rows > top_n:
-            idx = pc.select_k_unstable(
-                b, k=top_n,
-                sort_keys=[("df", "descending"), ("term", "ascending")],
-            )
-            b = b.take(idx)
-        return b
-
-    return (
-        totals.map_batches(local, batch_format="pyarrow")
-        .sort(["df", "term"], descending=[True, False])
-        .limit(top_n)
-    )
+    return topk.top_k(totals, [("df", "descending"), ("term", "ascending")],
+                      top_n)
 
 
 def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
@@ -145,7 +132,7 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
     derives per-term totals WITHIN the group (all labels of a term
     co-locate), so no second join; a final per-label ``topk.head_by``
     over the vocab-sized score table. Output: ``top_k`` rows per label —
-    (label, term, df_in, df_out, chi2) — ordered (label, χ² desc, term).
+    (label, term, df_in, df_out, chi2).
     """
     import ray
 
@@ -204,11 +191,9 @@ def chi2_terms(ds, text_col: str = "text", label_col: str = "lang",
         })
 
     scored = map_groups(lt, "term", score_term)
-    return (head_by(scored, "label", [("chi2", "descending"),
-                                      ("term", "ascending")], top_k)
-            .drop_columns(["rank"])
-            .sort(["label", "chi2", "term"],
-                  descending=[False, True, False]))
+    return (topk.head_by(scored, "label", [("chi2", "descending"),
+                                           ("term", "ascending")], top_k)
+            .drop_columns(["rank"]))
 
 
 def _bigrams(batch: pa.Table, text_col: str) -> pa.Table:
@@ -236,21 +221,8 @@ def bigram_counts(ds, text_col: str = "text", top_n: int = 100):
         lambda b: _bigrams(b, text_col), batch_format="pyarrow"
     )
     totals = keyed_agg(partial, "bigram", {"cnt": ("count", None)})
-
-    def local(b: pa.Table) -> pa.Table:
-        if b.num_rows > top_n:
-            idx = pc.select_k_unstable(
-                b, k=top_n,
-                sort_keys=[("cnt", "descending"), ("bigram", "ascending")],
-            )
-            b = b.take(idx)
-        return b
-
-    return (
-        totals.map_batches(local, batch_format="pyarrow")
-        .sort(["cnt", "bigram"], descending=[True, False])
-        .limit(top_n)
-    )
+    return topk.top_k(totals, [("cnt", "descending"),
+                               ("bigram", "ascending")], top_n)
 
 
 def _doc_term_tf(batch: pa.Table, doc_col: str, text_col: str) -> pd.DataFrame:
@@ -370,9 +342,10 @@ def _tfidf_join_path(ds, df_tbl, n_docs: int, doc_col: str, text_col: str,
                      type=pa.float64()),
         )
 
-    return head_by(joined.map_batches(score, batch_format="pyarrow"),
-                   doc_col, [("score", "descending"), ("term", "ascending")],
-                   k).select_columns([doc_col, "term", "tf", "df", "score"])
+    return topk.head_by(
+        joined.map_batches(score, batch_format="pyarrow"), doc_col,
+        [("score", "descending"), ("term", "ascending")],
+        k).select_columns([doc_col, "term", "tf", "df", "score"])
 
 
 def _cooc_pairs(batch: pa.Table, text_col: str, window: int) -> pa.Table:
@@ -415,9 +388,9 @@ def cooccurrence_window(ds, text_col: str = "text", window: int = 3,
         ds.map_batches(lambda b: _cooc_pairs(b, text_col, window),
                        batch_format="pyarrow"),
         ["a", "b"], {"pair_count": ("count", None)})
-    top = pairs.sort(
-        ["pair_count", "a", "b"], descending=[True, False, False]
-    ).limit(top_k_pairs)
+    top = topk.top_k(pairs, [("pair_count", "descending"),
+                             ("a", "ascending"), ("b", "ascending")],
+                     top_k_pairs)
 
     marg = keyed_agg_table(ds.map_batches(
         lambda b: pa.table({"tok": _tokens_flat(b, text_col)[0]}),
@@ -478,7 +451,7 @@ def phrase_count(ds, w1: str, w2: str, text_col: str = "text",
 
     return keyed_agg(ds.map_batches(partial, batch_format="pyarrow"),
                      group_col, {"n_docs": ("sum", "hit"),
-                                 "n_occ": ("sum", "occ")}).sort(group_col)
+                                 "n_occ": ("sum", "occ")})
 
 
 def posting_lists(ds, doc_col: str = "doc_id", text_col: str = "text",
@@ -534,7 +507,6 @@ def posting_lists(ds, doc_col: str = "doc_id", text_col: str = "text",
         map_groups(ds.select_columns([doc_col, text_col])
                    .map_batches(partial, batch_format="pyarrow"),
                    "term", merge)
-        .sort("term")
     )
 
 
@@ -602,7 +574,7 @@ def boolean_search(ds, must, must_not=(), doc_col: str = "doc_id",
     ids. Per block: one Arrow tokenize, one vectorized equality mask
     per query term (k+m kernel passes, no Python over tokens).
 
-    Returns matching ``doc_col`` rows sorted ascending.
+    Returns the matching ``doc_col`` rows.
     """
     must = list(must)
     must_not = list(must_not)
@@ -627,8 +599,7 @@ def boolean_search(ds, must, must_not=(), doc_col: str = "doc_id",
         return b.filter(pa.array(keep)).select([doc_col])
 
     return (ds.select_columns([doc_col, text_col])
-            .map_batches(filt, batch_format="pyarrow")
-            .sort(doc_col))
+            .map_batches(filt, batch_format="pyarrow"))
 
 
 def bm25_search(ds, terms, k: int = 20, doc_col: str = "doc_id",
@@ -648,8 +619,8 @@ def bm25_search(ds, terms, k: int = 20, doc_col: str = "doc_id",
       with the term sum written as an EXPLICIT left-assoc chain (never
       a SUM aggregate — float reduction order must be fixed), every
       elementwise op correctly rounded identically by numpy and SQL;
-    - docs matching no term never leave their block; partial top-k
-      reduce, final sort over ≤ k·blocks rows by (score DESC, id).
+    - docs matching no term never leave their block; ``topk.top_k`` by
+      (score DESC, id) merges ≤ k·blocks rows.
     """
     import math
 
@@ -719,18 +690,8 @@ def bm25_search(ds, terms, k: int = 20, doc_col: str = "doc_id",
         })
         return out.filter(keep)
 
-    def local_cut(b: pa.Table) -> pa.Table:
-        if b.num_rows > k:
-            idx = pc.select_k_unstable(
-                b, k=k, sort_keys=[("score", "descending"),
-                                   (doc_col, "ascending")])
-            b = b.take(idx)
-        return b
-
-    return (per_doc.map_batches(score, batch_format="pyarrow")
-            .map_batches(local_cut, batch_format="pyarrow")
-            .sort(key=["score", doc_col], descending=[True, False])
-            .limit(k))
+    return topk.top_k(per_doc.map_batches(score, batch_format="pyarrow"),
+                      [("score", "descending"), (doc_col, "ascending")], k)
 
 
 def simpson_concentration(ds, text_col: str = "text",
@@ -788,7 +749,7 @@ def simpson_concentration(ds, text_col: str = "text",
         return b
 
     return rolled.map_batches(
-        check_totals, batch_format="pyarrow").sort("source")
+        check_totals, batch_format="pyarrow")
 
 
 def source_cosine(ds, text_col: str = "text", source_col: str = "source",
@@ -866,8 +827,7 @@ def source_cosine(ds, text_col: str = "text", source_col: str = "source",
     # vocab-sized by construction: repartition(1) so the matmul sees
     # every (source, term) row in one block
     return (counts.repartition(1)
-            .map_batches(pairwise, batch_format="pyarrow")
-            .sort(["source_a", "source_b"]))
+            .map_batches(pairwise, batch_format="pyarrow"))
 
 
 def zipf_fit(ds, text_col: str = "text", source_col: str = "source",
@@ -966,7 +926,7 @@ def freq_spectrum(ds, text_col: str = "text"):
             "mass": pa.array(r * n, type=pa.int64()),
         })
 
-    return spec.map_batches(finish, batch_format="pyarrow").sort("r")
+    return spec.map_batches(finish, batch_format="pyarrow")
 
 
 def vocab_growth(ds, doc_col: str = "doc_id", text_col: str = "text",
@@ -1199,7 +1159,7 @@ def search_eval(ds, queries, k: int = 10, doc_col: str = "doc_id",
         "dcg_q27720": pa.array(out["dcg_q27720"], type=pa.int64()),
         "idcg_q27720": pa.array(out["idcg_q27720"], type=pa.int64()),
         "ndcg": pa.array(out["ndcg"], type=pa.float64()),
-    })).sort("query")
+    }))
 
 
 def log_odds_terms(ds, text_col: str = "text", label_col: str = "lang",
@@ -1218,15 +1178,14 @@ def log_odds_terms(ds, text_col: str = "text", label_col: str = "lang",
     fixed-order libm ln/sqrt on exact int64 counts — the SQL oracle
     replays it bit for bit. Output: the ``top_k`` most target-leaning
     (z desc) and ``top_k`` most rest-leaning (z asc) terms, each term
-    once, columns ``(term, cf_target, cf_rest, z)``, ordered (z desc,
-    term).
+    once, columns ``(term, cf_target, cf_rest, z)``.
 
     Scale shape: ONE vocab-sized exchange — each token row carries its
     side split map-side (cf_target, cf_rest), and one ``keyed_agg``
     sums both columns; totals n1/n2/V are three numbers
     derived from the same materialized count table; scoring is one
-    vectorized ``map_batches``; the two rank ends ride select_k
-    partials + a tiny global sort.
+    vectorized ``map_batches``; the two rank ends are two
+    ``topk.top_k`` runs.
     """
     from ray.data.aggregate import Sum
 
@@ -1276,24 +1235,14 @@ def log_odds_terms(ds, text_col: str = "text", label_col: str = "lang",
 
     scored = counts.map_batches(score, batch_format="pyarrow")
 
-    def ends(order):
-        def local(b: pa.Table) -> pa.Table:
-            if b.num_rows > top_k:
-                idx = pc.select_k_unstable(
-                    b, k=top_k,
-                    sort_keys=[("z", order), ("term", "ascending")])
-                b = b.take(idx)
-            return b
-        return (scored.map_batches(local, batch_format="pyarrow")
-                .sort(["z", "term"],
-                      descending=[order == "descending", False])
-                .limit(top_k))
+    def end(order):
+        return topk.top_k(scored, [("z", order), ("term", "ascending")],
+                          top_k)
 
     # with V <= 2*top_k the two ends overlap and together cover the
     # whole vocabulary: emit every term once instead of their union
-    out = (scored if v <= 2 * top_k
-           else ends("descending").union(ends("ascending")))
-    return out.sort(["z", "term"], descending=[True, False])
+    return (scored if v <= 2 * top_k
+            else end("descending").union(end("ascending")))
 
 
 def good_turing(ds, text_col: str = "text", source_col: str = "source"):
@@ -1355,8 +1304,7 @@ def good_turing(ds, text_col: str = "text", source_col: str = "source"):
             "chao1": pa.array(chao1, type=pa.float64()),
         })
 
-    return (tot.map_batches(finalize, batch_format="pyarrow")
-            .sort("source"))
+    return tot.map_batches(finalize, batch_format="pyarrow")
 
 
 def term_burstiness(ds, text_col: str = "text", top_k: int = 20):
@@ -1411,16 +1359,5 @@ def term_burstiness(ds, text_col: str = "text", top_k: int = 20):
             "vmr": pa.array(vmr, type=pa.float64()),
         })
 
-    scored = totals.map_batches(score, batch_format="pyarrow")
-
-    def local(b: pa.Table) -> pa.Table:
-        if b.num_rows > top_k:
-            idx = pc.select_k_unstable(
-                b, k=top_k,
-                sort_keys=[("vmr", "descending"), ("term", "ascending")])
-            b = b.take(idx)
-        return b
-
-    return (scored.map_batches(local, batch_format="pyarrow")
-            .sort(["vmr", "term"], descending=[True, False])
-            .limit(top_k))
+    return topk.top_k(totals.map_batches(score, batch_format="pyarrow"),
+                      [("vmr", "descending"), ("term", "ascending")], top_k)

@@ -128,7 +128,7 @@ def fixed_width_histogram(ds, value_col: str, lo: float, hi: float,
     — one float divide + floor per value, bit-identical in SQL, so the
     result is hash-exact (unlike a quantile-based histogram, whose edges
     are data-dependent floats). Nulls are dropped. Returns one row per
-    OBSERVED bin: ``(bin, bin_lo, n)``, ordered by bin.
+    OBSERVED bin: ``(bin, bin_lo, n)``.
 
     Scale shape: one ``keyed_agg`` count per bin; the exchange is
     bounded by nbins × blocks regardless of corpus size.
@@ -160,7 +160,7 @@ def fixed_width_histogram(ds, value_col: str, lo: float, hi: float,
             }
         ),
         batch_format="pyarrow",
-    ).sort("bin")
+    )
 
 
 def json_field_agg(ds, json_col: str, key: str, group_col: str):
@@ -194,7 +194,7 @@ def json_field_agg(ds, json_col: str, key: str, group_col: str):
         ds.map_batches(values, batch_format="pyarrow"), group_col,
         {"n": ("count", None), "sum_v": ("sum", "v"),
          "min_v": ("min", "v"), "max_v": ("max", "v")},
-    ).sort(group_col)
+    )
 
 
 def mode_by(ds, key_col: str, col: str):
@@ -232,7 +232,6 @@ def mode_by(ds, key_col: str, col: str):
     return (
         map_groups(ds.map_batches(partial, batch_format="pyarrow"),
                    key_col, pick)
-        .sort(key_col)
     )
 
 
@@ -270,7 +269,7 @@ def rollup_agg(ds, key_cols: list[str], value_cols: list[str],
     return keyed_agg(
         ds.map_batches(levels, batch_format="pyarrow"), key_cols,
         {**{c: ("sum", c) for c in sum_cols}, "n": ("count", None)},
-    ).sort(key_cols)
+    )
 
 
 def profile_table(ds, columns: list[str]):
@@ -322,7 +321,6 @@ def profile_table(ds, columns: list[str]):
                   {"n": ("sum", "n"), "n_null": ("sum", "n_null"),
                    "min_v": ("min", "min_v"), "max_v": ("max", "max_v"),
                    "sum_cents": ("sum", "sum_cents")})
-        .sort("column_name")
     )
 
 
@@ -367,7 +365,7 @@ def sort_bounds(ds, value_col: str, id_col: str,
             "bound": pc.cast(b.column("value"), pa.float64()),
         }),
         batch_format="pyarrow",
-    ).sort("q")
+    )
 
 
 def latest_by(ds, key_cols: list[str], ts_col: str, id_col: str,
@@ -423,7 +421,7 @@ def unpivot(ds, key_col: str, value_cols: list[str],
 def id_gaps(ds, id_col: str, bucket: int = 1 << 20):
     """Missing-run detection over an expected-dense integer id column:
     emit every maximal run of absent ids strictly between the observed
-    min and max — ``(gap_start, gap_end, n_missing)`` sorted by start.
+    min and max — ``(gap_start, gap_end, n_missing)``.
     The data-completeness audit (dropped event ranges, lost shards)
     that SQL spells as the lead()-over-ids islands query.
 
@@ -504,7 +502,7 @@ def id_gaps(ds, id_col: str, bucket: int = 1 << 20):
         "b": pa.array(xe, type=pa.int64()),
         "kind": pa.array([1] * len(xs), type=pa.int8()),
     })))
-    return interior.union(cross).sort("gap_start")
+    return interior.union(cross)
 
 
 def fd_histogram(ds, value_col: str, max_driver_values: int = 5_000_000):
@@ -728,8 +726,7 @@ def ntile_summary(ds, value_col: str, id_col: str, k: int = 8):
                      "bucket", {"n_rows": ("count", None),
                                 "min_cents": ("min", "cents"),
                                 "max_cents": ("max", "cents"),
-                                "sum_cents": ("sum", "cents")}
-                     ).sort("bucket")
+                                "sum_cents": ("sum", "cents")})
 
 
 def key_gini(ds, key_col: str):
@@ -865,7 +862,7 @@ def abc_analysis(ds, value_col: str, id_col: str,
 
     return keyed_agg(ranked.map_batches(classify, batch_format="pyarrow"),
                      "cls", {"n_rows": ("count", None),
-                             "sum_cents": ("sum", "cents")}).sort("cls")
+                             "sum_cents": ("sum", "cents")})
 
 
 def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16):
@@ -930,7 +927,7 @@ def balanced_shards_plan(ds, id_col: str, weight_col: str, k: int = 16):
                      "shard", {"n_rows": ("count", None),
                                "sum_weight": ("sum", "w"),
                                "min_id": ("min", "id"),
-                               "max_id": ("max", "id")}).sort("shard")
+                               "max_id": ("max", "id")})
 
 
 def cube_counts(ds, a_col: str, b_col: str, value_col: str,
@@ -962,8 +959,7 @@ def cube_counts(ds, a_col: str, b_col: str, value_col: str,
     return keyed_agg(ds.select_columns([a_col, b_col, value_col])
                      .map_batches(cells, batch_format="pyarrow"),
                      [a_col, b_col], {"n": ("count", None),
-                                      "value_cents": ("sum", "value_cents")}
-                     ).sort([a_col, b_col])
+                                      "value_cents": ("sum", "value_cents")})
 
 
 def largest_remainder_alloc(ds, key_col: str, weight_col: str,
@@ -1014,7 +1010,8 @@ def largest_remainder_alloc(ds, key_col: str, weight_col: str,
         rem = total_units * w % total_w
         leftover = total_units - int(base.sum())
         # rank by (remainder DESC, key ASC) — total order
-        order = np.lexsort((np.arange(len(w)), -rem))
+        key_rank = pc.rank(keys.combine_chunks(), tiebreaker="first")
+        order = np.lexsort((key_rank.to_numpy(), -rem))
         extra = np.zeros(len(w), dtype=np.int64)
         extra[order[:leftover]] = 1
         return pa.table({
@@ -1024,6 +1021,4 @@ def largest_remainder_alloc(ds, key_col: str, weight_col: str,
         })
 
     # key-sized by construction: repartition(1) so ranking sees every key
-    return (agg.sort(key_col).repartition(1)
-            .map_batches(allocate, batch_format="pyarrow")
-            .sort(key_col))
+    return agg.repartition(1).map_batches(allocate, batch_format="pyarrow")

@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 from .dedup import _md5_key
 from .exchange import keyed_agg_table
-from .topk import head_by
+from .topk import head_by, top_k
 
 
 def _counts(ds, key_col: str):
@@ -233,10 +233,10 @@ def priority_sample(ds, weight_col: str, id_col: str = "doc_id",
 
     Heavier rows win proportionally more often (w/u dominates), the
     textbook weighted-reservoir semantics for corpus subsampling.
-    Ray shape: per-block top-k pre-cut (priority is block-local
-    computable) → global sort over only ``k × n_blocks`` survivors →
-    limit. Weights must be ints in [0, 2^20) so the scaled product
-    stays int64-exact (loud guard).
+    Ray shape: a per-block priority map, then ``topk.top_k`` (per-block
+    cut, one merge over ``k × n_blocks`` survivors). Weights must be
+    ints in [0, 2^20) so the scaled product stays int64-exact (loud
+    guard).
     """
     import hashlib
 
@@ -244,7 +244,7 @@ def priority_sample(ds, weight_col: str, id_col: str = "doc_id",
         raise ValueError("k must be >= 1")
     md5 = hashlib.md5
 
-    def cut(b: pa.Table) -> pa.Table:
+    def priority(b: pa.Table) -> pa.Table:
         w = b.column(weight_col).to_numpy(zero_copy_only=False).astype(
             np.int64)
         if w.size and (w.min() < 0 or w.max() >= (1 << 20)):
@@ -256,19 +256,15 @@ def priority_sample(ds, weight_col: str, id_col: str = "doc_id",
             (int(md5(str(v).encode()).hexdigest()[:10], 16) for v in ids),
             dtype=np.int64, count=len(ids))
         q = (w << np.int64(40)) // (h + 1)
-        idn = b.column(id_col).to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        order = np.lexsort((idn, -q))[:k]
         return pa.Table.from_pydict({
-            id_col: pa.array(idn[order], type=pa.int64()),
-            "weight": pa.array(w[order], type=pa.int64()),
-            "priority": pa.array(q[order], type=pa.int64()),
+            id_col: pc.cast(b.column(id_col), pa.int64()),
+            "weight": pa.array(w, type=pa.int64()),
+            "priority": pa.array(q, type=pa.int64()),
         })
 
-    return (ds.select_columns([id_col, weight_col])
-            .map_batches(cut, batch_format="pyarrow")
-            .sort(key=["priority", id_col], descending=[True, False])
-            .limit(k))
+    return top_k(ds.select_columns([id_col, weight_col])
+                 .map_batches(priority, batch_format="pyarrow"),
+                 [("priority", "descending"), (id_col, "ascending")], k)
 
 
 def dsir_select(ds, target_lang: str = "en", n_buckets: int = 256,
@@ -296,9 +292,8 @@ def dsir_select(ds, target_lang: str = "en", n_buckets: int = 256,
     c_raw, c_target) histogram of ``n_buckets`` rows PER BLOCK (partial
     combine) into a groupby-sum whose result is bucket-count-sized; the
     weight table is built on the driver (B rows) and broadcast via
-    closure capture. Pass 2 is a stateless scoring map + the partial
-    top-k reduce from ``functions/topk.py`` — only (doc_id, score) rows
-    reach the final sort, ≤ k per block.
+    closure capture. Pass 2 is a stateless scoring map + ``topk.top_k``
+    — at most k rows per block reach its one-block merge.
     """
     import math
 
@@ -363,21 +358,11 @@ def dsir_select(ds, target_lang: str = "en", n_buckets: int = 256,
             cols[c] = b.column(c)
         return pa.Table.from_pydict(cols)
 
-    def local_cut(b: pa.Table) -> pa.Table:
-        if b.num_rows > k:
-            idx = pc.select_k_unstable(
-                b, k=k, sort_keys=[("score", "descending"),
-                                   (id_col, "ascending")])
-            b = b.take(idx)
-        return b
-
     keep = [id_col, text_col, lang_col]
     keep += [c for c in carry_cols if c not in keep]
-    return (ds.select_columns(keep)
-            .map_batches(score, batch_format="pyarrow")
-            .map_batches(local_cut, batch_format="pyarrow")
-            .sort(key=["score", id_col], descending=[True, False])
-            .limit(k))
+    return top_k(ds.select_columns(keep)
+                 .map_batches(score, batch_format="pyarrow"),
+                 [("score", "descending"), (id_col, "ascending")], k)
 
 
 def epoch_shuffle(ds, seed: str = "ep1", id_col: str = "doc_id"):

@@ -150,7 +150,6 @@ def table_diff(left, right, key_col: str = "doc_id",
 
     return (
         agg.map_batches(classify, batch_format="pyarrow")
-        .sort(key_col)
     )
 
 
@@ -224,7 +223,7 @@ def table_fingerprint(ds, group_col: str, cols: list[str],
     return map_groups(
         ds.select_columns(list(dict.fromkeys([group_col, *cols])))
         .map_batches(partial, batch_format="pyarrow"),
-        group_col, combine).sort(group_col)
+        group_col, combine)
 
 
 def union_by_name(datasets):

@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from .exchange import map_groups
+from .topk import top_k
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -466,7 +467,7 @@ def kmeans_fit(ds, k: int = 8, iters: int = 5, id_col: str = "vec_id",
     """Distributed spherical k-means (Lloyd's) over the FULL corpus.
 
     Initialization is deterministic — the k vectors with the smallest
-    ids (a sort pushed down to ``limit`` over the id-sorted dataset).
+    ids (a ``topk.top_k`` on the id).
     Each iteration broadcasts the (k×d) centroid matrix via ``ray.put``
     and reduces the corpus to per-(cluster, block) partial sums — the
     only data the driver ever sees is k × num_blocks small rows, never
@@ -481,7 +482,7 @@ def kmeans_fit(ds, k: int = 8, iters: int = 5, id_col: str = "vec_id",
     """
     import ray
 
-    seed_rows = ds.sort(id_col).limit(k).take_all()
+    seed_rows = top_k(ds, [(id_col, "ascending")], k).take_all()
     dim = len(seed_rows[0][emb_col])
     C = _normalize(np.array(
         [r[emb_col] for r in seed_rows], dtype=np.float64
@@ -820,7 +821,7 @@ def semantic_dedup(ds, k_clusters: int = 8, tau: float = 0.45,
     matmul emits pairs. A cluster beyond ``cluster_cap`` raises loudly
     (the fix is more clusters, not silent truncation).
 
-    Returns (vec_id, cluster, canonical) sorted by id.
+    Returns (vec_id, cluster, canonical).
     """
     import ray
     import ray.data
@@ -904,8 +905,7 @@ def semantic_dedup(ds, k_clusters: int = 8, tau: float = 0.45,
                                   type=pa.int64()),
         })
 
-    return assigned.map_batches(out, batch_format="pyarrow").sort(
-        id_col)
+    return assigned.map_batches(out, batch_format="pyarrow")
 
 
 def bitext_mine(ds, src_label: int = 0, tgt_label: int = 1,
@@ -991,7 +991,7 @@ def bitext_mine(ds, src_label: int = 0, tgt_label: int = 1,
         })
 
     return side(src_label).map_batches(
-        mine, batch_format="pyarrow").sort("src_id")
+        mine, batch_format="pyarrow")
 
 
 class _HardNegPartial:

@@ -20,6 +20,7 @@ import pyarrow as pa
 
 from .dedup import _hash64
 from .exchange import keyed_agg, map_groups
+from .topk import top_k
 
 
 def _mix64(h: np.ndarray) -> np.ndarray:
@@ -428,14 +429,8 @@ def frequent_terms(ds, text_col: str = "text", capacity: int = 256,
     ).take_all()
     total_dec = int(sum(r["dec"] for r in sent))
 
-    def local(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.not_equal(b.column("term"), ""))
-        if b.num_rows > k:
-            idx = pc.select_k_unstable(
-                b, k=k, sort_keys=[("est", "descending"), ("term", "ascending")]
-            )
-            b = b.take(idx)
-        return b
+    def terms(b: pa.Table) -> pa.Table:
+        return b.filter(pc.not_equal(b.column("term"), ""))
 
     def with_err(b: pa.Table) -> pa.Table:
         b = b.select(["term", "est"])
@@ -443,12 +438,9 @@ def frequent_terms(ds, text_col: str = "text", capacity: int = 256,
             "err", pa.array(np.full(b.num_rows, total_dec, dtype=np.int64))
         )
 
-    return (
-        merged.map_batches(local, batch_format="pyarrow")
-        .sort(["est", "term"], descending=[True, False])
-        .limit(k)
-        .map_batches(with_err, batch_format="pyarrow")
-    )
+    return top_k(merged.map_batches(terms, batch_format="pyarrow"),
+                 [("est", "descending"), ("term", "ascending")],
+                 k).map_batches(with_err, batch_format="pyarrow")
 
 
 def count_min_term_counts(ds, probes: "list[str]",
@@ -567,4 +559,4 @@ def weighted_median_by(ds, key_col: str, value_col: str, weight_col: str):
     partials = ds.select_columns(
         [key_col, value_col, weight_col]).map_batches(
         hist_partial, batch_format="pyarrow")
-    return map_groups(partials, key_col, hist_merge).sort(key_col)
+    return map_groups(partials, key_col, hist_merge)

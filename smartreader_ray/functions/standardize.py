@@ -390,7 +390,7 @@ def mad_outliers(ds, key_col: str, value_col: str, k: float = 3.0):
         })
 
     return counted.map_batches(
-        finalize, batch_format="pyarrow").sort(key_col)
+        finalize, batch_format="pyarrow")
 
 
 def impute_median(ds, key_col: str, value_col: str):
@@ -459,7 +459,7 @@ def quantile_normalize_by(ds, group_col: str, value_col: str,
     Ray shape: ONE (group, value) count exchange (distinct-values x
     blocks rows); the cumulative walk + searchsorted mapping runs on
     the histogram-sized aggregate in a single block. Returns the
-    mapping table (group, value, n, normalized) sorted — joinable back
+    mapping table (group, value, n, normalized) — joinable back
     to rows with a broadcast when per-row output is needed.
     """
     def cells(b: pa.Table) -> pa.Table:
@@ -510,5 +510,4 @@ def quantile_normalize_by(ds, group_col: str, value_col: str,
         })
 
     return (hist.repartition(1)
-            .map_batches(normalize, batch_format="pyarrow")
-            .sort([group_col, value_col]))
+            .map_batches(normalize, batch_format="pyarrow"))

@@ -1,19 +1,22 @@
-"""Distributed top-k without a full sort.
+"""Global and per-key top-N on one kernel, without a Ray sort.
 
-``ds.sort(col).limit(k)`` is an all-to-all exchange of EVERY row; at
-100 TB that is the single most expensive plan node. Top-k only needs the
-k best per block + one tiny global reduce: each block is cut to its
-local top-k with ``pyarrow.compute.select_k_unstable`` (a partial
-selection, O(n) per block), so the final sort sees at most
-``k × num_blocks`` rows instead of the corpus.
+``ds.sort(col).limit(k)`` is an all-to-all exchange of EVERY row: a
+boundary-sample pass, then a range exchange. A top-N only needs the n
+best rows of each block and one tiny reduce. ``_head`` is that
+kernel: it sorts a table by key then order (nulls last, NaN above every
+number), finds each key's run with ``exchange.key_runs`` and keeps each
+run's first n rows with numpy arithmetic. Both operators run it twice.
+
+``top_k`` is SQL's ``ORDER BY … LIMIT n``: ``_head`` with no key per
+block (one run), ``repartition(1)``, then ``_head`` once more, whose
+output is one block in order. The merge block holds at most n ×
+blocks rows.
 
 ``head_by`` is the per-key form, SQL's ``ROW_NUMBER() OVER (PARTITION
-BY key ORDER BY …) <= n``: one vectorized kernel (sort by key then
-order, ``exchange.key_runs`` for where each key's run starts, numpy
-arithmetic for each row's rank) prunes each block and then finishes
-each partition of one ``exchange.keyed_exchange``. ``key_runs`` is the
-run finder ``exchange.map_groups`` cuts its partitions with too, so
-null keys form one run in both. Every
+BY key ORDER BY …) <= n``: the per-block pass prunes each block, then
+the kernel finishes each partition of one ``exchange.keyed_exchange``.
+``key_runs`` is the run finder ``exchange.map_groups`` cuts its
+partitions with too, so null keys form one run in both. Every
 "first n rows per key" operator runs on it: ``top_k_by``,
 ``curation.per_source_cap``, ``sampling.stratified_sample`` and
 ``unimax_mix``, ``reshape.latest_by``, ``ngrams.chi2_terms``' per-label
@@ -29,42 +32,52 @@ import pyarrow.compute as pc
 from .exchange import key_runs, keyed_exchange
 
 
-def _local_top_k(value_col: str, k: int, order: str):
-    def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows > k:
-            indices = pc.select_k_unstable(
-                batch, k=k, sort_keys=[(value_col, order)]
-            )
-            batch = batch.take(indices)
-        return batch
-
-    return fn
-
-
-def top_k(ds, value_col: str, k: int = 10, descending: bool = True):
-    """Top ``k`` rows of ``ds`` by ``value_col`` (lazy Dataset result).
-
-    Per-block partial select-k → global sort over the ≤ k·blocks
-    survivors → limit. Ties at the boundary resolve arbitrarily (same as
-    SQL ``ORDER BY … LIMIT k`` with non-deterministic tie order).
-    """
-    order = "descending" if descending else "ascending"
-    reduced = ds.map_batches(_local_top_k(value_col, k, order), batch_format="pyarrow")
-    return reduced.sort(value_col, descending=descending).limit(k)
+def _sort_indices(b: pa.Table, sort_keys: list) -> pa.Array:
+    """``pc.sort_indices`` in SQL's order: nulls last, and NaN above
+    every number, so first in a descending float column (Arrow puts NaN
+    last in both directions)."""
+    cols, keys = {}, []
+    for c, d in sort_keys:
+        col = b.column(c)
+        if d == "descending" and pa.types.is_floating(col.type):
+            cols[f"__nan{len(keys)}"] = pc.is_nan(col)
+            keys.append((f"__nan{len(keys)}", "descending"))
+        cols[c] = col
+        keys.append((c, d))
+    return pc.sort_indices(pa.table(cols), sort_keys=keys)
 
 
-def _head(b: pa.Table, keys: list[str], sort_keys: list, n: int,
-          ranked: bool) -> pa.Table:
-    """The first ``n`` rows of each key run of ``b`` in ``sort_keys``
-    order (keys first), with their 1-based ``rank`` when ``ranked``.
-    Null keys are equal to each other, so they form one run."""
-    b = b.take(pc.sort_indices(b, sort_keys=sort_keys))
+def _head(b: pa.Table, keys: list[str], order: list, n: int,
+          ranked: bool = False) -> pa.Table:
+    """The first ``n`` rows of each key run of ``b`` in ``order`` (keys
+    first, ascending), with their 1-based ``rank`` when ``ranked``. Null
+    keys are equal to each other, so they form one run; no keys, one
+    run."""
+    idx = _sort_indices(b, [(k, "ascending") for k in keys] + order)
+    if not keys and not ranked:
+        return b.take(idx.slice(0, n))
     at = np.arange(b.num_rows, dtype=np.int64)
-    start = key_runs(b, keys)
+    start = key_runs(b.select(keys).take(idx), keys)
     rank = at - np.maximum.accumulate(np.where(start, at, 0)) + 1
     keep = rank <= n
-    b = b.filter(pa.array(keep, type=pa.bool_()))
+    b = b.take(idx.filter(pa.array(keep, type=pa.bool_())))
     return b.append_column("rank", pa.array(rank[keep])) if ranked else b
+
+
+def top_k(ds, order: list[tuple[str, str]], n: int):
+    """``ORDER BY order LIMIT n``: the first ``n`` rows of ``ds`` in
+    ``order``, a list of ``(column, "ascending" | "descending")`` with
+    nulls last, as one block in that order (lazy Dataset). Ties break
+    by the trailing order columns; the result is the same under every
+    block layout when ``order`` is total."""
+    order = list(order)
+
+    def cut(b: pa.Table) -> pa.Table:
+        return _head(b, [], order, n)
+
+    return (ds.map_batches(cut, batch_format="pyarrow")
+            .repartition(1)
+            .map_batches(cut, batch_format="pyarrow"))
 
 
 def head_by(ds, key, order: list[tuple[str, str]], n: int):
@@ -81,13 +94,13 @@ def head_by(ds, key, order: list[tuple[str, str]], n: int):
     never a hot key's whole row set; then it runs once per partition of
     that exchange, never once per key."""
     keys = [key] if isinstance(key, str) else list(key)
-    sort_keys = [(k, "ascending") for k in keys] + list(order)
+    order = list(order)
 
     def prune(b: pa.Table) -> pa.Table:
-        return _head(b, keys, sort_keys, n, ranked=False)
+        return _head(b, keys, order, n)
 
     def final(group: pa.Table) -> pa.Table:
-        return _head(group, keys, sort_keys, n, ranked=True)
+        return _head(group, keys, order, n, ranked=True)
 
     return keyed_exchange(ds.map_batches(prune, batch_format="pyarrow"),
                           keys, final)

@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from .exchange import fits, keyed_agg, keyed_agg_table, map_groups
+from .topk import top_k
 
 _LOG = logging.getLogger(__name__)
 
@@ -403,7 +404,7 @@ def funnel(ds, steps=("view", "click", "purchase"),
         out = hash_join(out, named, user_col, "ju",
                         list(cols), [f"t_{step}"], how="left")
         cols.append(f"t_{step}")
-    return out.sort(user_col)
+    return out
 
 
 def cumulative_by(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -411,7 +412,7 @@ def cumulative_by(ds, key_col: str = "user_id", ts_col: str = "ts",
     """Per-key running aggregates ordered by time — the SQL
     ``SUM(...) OVER (PARTITION BY key ORDER BY ts)`` family. Emits one
     row per input row: ``(key, ts, amount_cents, running_cents,
-    running_n)``, globally ordered by (key, ts).
+    running_n)``.
 
     Exactness: the float value is converted to integer cents with
     ``floor(v·100 + 0.5)`` — the SAME IEEE ops the oracle runs — and
@@ -454,7 +455,6 @@ def cumulative_by(ds, key_col: str = "user_id", ts_col: str = "ts",
 
     return (
         map_groups(ds, key_col, per_group)
-        .sort([key_col, ts_col])
     )
 
 
@@ -499,7 +499,7 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts"):
     return keyed_agg(
         map_groups(pairs, user_col, per_user),
         ["cohort_day", "offset_days"], {"n_users": ("sum", "n")},
-    ).sort(["cohort_day", "offset_days"])
+    )
 
 
 def resample_daily(ds, group_col: str = "event_type", ts_col: str = "ts"):
@@ -547,7 +547,6 @@ def resample_daily(ds, group_col: str = "event_type", ts_col: str = "ts"):
 
     return (
         map_groups(counts, group_col, densify)
-        .sort([group_col, "day"])
     )
 
 
@@ -566,9 +565,8 @@ def user_day_paths(ds, top_n: int = 20, user_col: str = "user_id",
     group the day-paths are built by ONE pandas sort + C-level
     ``groupby(day).agg(join)`` — no per-event Python. Path partials
     pre-combine per block before the path-keyed count groupby
-    (path-cardinality-sized), then the `basket_pairs`-style
-    deterministic two-level top-N cut. Ordering within a day is
-    (ts, id) — total because event ids are unique.
+    (path-cardinality-sized), then ``topk.top_k``. Ordering within a
+    day is (ts, id) — total because event ids are unique.
     """
     import pyarrow.compute as pc
 
@@ -590,21 +588,12 @@ def user_day_paths(ds, top_n: int = 20, user_col: str = "user_id",
                                     type=pa.int64()),
         })
 
-    def local_cut(b: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(b, sort_keys=[
-            ("n_user_days", "descending"), ("path", "ascending")])
-        return b.take(idx.slice(0, top_n)).select(
-            ["path", "n_user_days"])
-
-    return (
+    return top_k(
         keyed_agg(map_groups(ds.select_columns([user_col, ts_col, id_col,
                                                 step_col]),
                              user_col, per_user),
-                  "path", {"n_user_days": ("sum", "n_user_days")})
-        .map_batches(local_cut, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(local_cut, batch_format="pyarrow")
-    )
+                  "path", {"n_user_days": ("sum", "n_user_days")}),
+        [("n_user_days", "descending"), ("path", "ascending")], top_n)
 
 
 def interval_window_overlap(ds, user_col: str = "user_id",
@@ -660,8 +649,7 @@ def interval_window_overlap(ds, user_col: str = "user_id",
         return pa.table({"window_us": flat * w_us})
 
     return keyed_agg(intervals.map_batches(expand, batch_format="pyarrow"),
-                     "window_us", {"n_intervals": ("count", None)}
-                     ).sort("window_us")
+                     "window_us", {"n_intervals": ("count", None)})
 
 
 def match_pattern(ds, pattern: str, symbol_map: dict,
@@ -737,7 +725,6 @@ def match_pattern(ds, pattern: str, symbol_map: dict,
         map_groups(ds.select_columns([user_col, ts_col, id_col, step_col])
                    .map_batches(symbolize, batch_format="pyarrow"),
                    user_col, per_key)
-        .sort(user_col)
     )
 
 
@@ -1255,8 +1242,7 @@ def hourly_profile(ds, ts_col: str = "ts", value_col: str = "value"):
                      .map_batches(buckets, batch_format="pyarrow"),
                      ["dow", "hour"],
                      {"n": ("count", None),
-                      "value_cents": ("sum", "value_cents")}
-                     ).sort(["dow", "hour"])
+                      "value_cents": ("sum", "value_cents")})
 
 
 def time_weighted_avg(ds, user_col: str = "user_id", ts_col: str = "ts",
@@ -1402,7 +1388,7 @@ def ohlc_bars(ds, key_col: str = "event_type", ts_col: str = "ts",
     blocks rows, never events.
 
     Returns (key, window_us, open_cents, high_cents, low_cents,
-    close_cents, n) sorted.
+    close_cents, n).
     """
     width_us = int(width_s) * 1_000_000
     bias = 1 << 20
@@ -1455,8 +1441,7 @@ def ohlc_bars(ds, key_col: str = "event_type", ts_col: str = "ts",
             "n": b.column("n").cast(pa.int64()),
         })
 
-    return agg.map_batches(decode, batch_format="pyarrow").sort(
-        [key_col, "window_us"])
+    return agg.map_batches(decode, batch_format="pyarrow")
 
 
 def lru_audit(ds, capacity: int = 2, user_col: str = "user_id",

@@ -227,11 +227,11 @@ def test_top_k(ray_session):
     ds = ray.data.from_items(
         [{"id": i, "v": v} for i, v in vals]
     ).repartition(13)
-    got = top_k(ds, "v", k=10).take_all()
+    got = top_k(ds, [("v", "descending")], 10).take_all()
     want = sorted(vals, key=lambda t: -t[1])[:10]
     assert [r["id"] for r in got] == [i for i, _ in want]
     # ascending too
-    got_asc = top_k(ds, "v", k=5, descending=False).take_all()
+    got_asc = top_k(ds, [("v", "ascending")], 5).take_all()
     want_asc = sorted(vals, key=lambda t: t[1])[:5]
     assert [r["id"] for r in got_asc] == [i for i, _ in want_asc]
 
@@ -1622,7 +1622,7 @@ def test_cumulative_by_running_sums(ray_session):
             cumulative_by(ray.data.from_arrow(t).repartition(3))
             .iter_batches(batch_format="pyarrow", batch_size=None)
         )
-    )
+    ).sort_by([("user_id", "ascending"), ("ts", "ascending")])
     # user 1 by ts: 2.0 (200), 0.1 (10), 10.0 (1000); user 2: 0.05, 1.25
     assert out.column("user_id").to_pylist() == [1, 1, 1, 2, 2]
     assert out.column("amount_cents").to_pylist() == [200, 10, 1000, 5,

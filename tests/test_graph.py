@@ -396,5 +396,5 @@ def test_kcore_rounds_runs_one_execution_per_round(ray_session,
     out = kcore_rounds(ds, k=2, rounds=3).take_all()
     assert {r["v"] for r in out} == {0, 1, 2, 3}
     # the distinct edges' partials; per round the degree partials and
-    # the filtered edges; the last degrees' partials and the sort
-    assert len(runs) == 1 + 2 * 3 + 2
+    # the filtered edges; the last degrees' partials
+    assert len(runs) == 1 + 2 * 3 + 1

@@ -1,7 +1,8 @@
 """``exchange.map_groups`` gives Ray's ``groupby().map_groups`` on
 non-null keys at every block layout, forms one group of a null key
 wherever its rows sit, and is the program's only per-key map: no
-module but ``exchange.py`` calls Ray's ``groupby(...).map_groups``."""
+module but ``exchange.py`` calls Ray's ``groupby(...).map_groups``.
+The program's Ray sorts are held to a kept list the same way."""
 
 from __future__ import annotations
 
@@ -166,6 +167,57 @@ def test_sessionize_null_user_across_blocks(ray_session):
                    for (u, s), v in named.items()}
 
 
+def test_cumulative_by_null_user_across_blocks(ray_session):
+    """A null ``user_id`` in each of three blocks: ``cumulative_by``
+    returns every row, with the null user's running sums as one key."""
+    import ray.data
+
+    from smartreader_ray.functions.windows import cumulative_by
+
+    t0 = dt.datetime(2024, 1, 1)
+
+    def block(users, minutes):
+        return pa.table({
+            "user_id": pa.array(users, type=pa.string()),
+            "ts": pa.array([t0 + dt.timedelta(minutes=m) for m in minutes],
+                           type=pa.timestamp("us")),
+            "value": pa.array([1.25] * len(users)),
+        })
+
+    blocks = [block(["u1", None], [0, 1]), block([None, "u1"], [2, 3]),
+              block(["u2", None], [4, 5])]
+    out = cumulative_by(ray.data.from_arrow(blocks)).take_all()
+    assert len(out) == 6
+    assert sorted((r["running_n"], r["running_cents"]) for r in out
+                  if r["user_id"] is None) == [(1, 125), (2, 250), (3, 375)]
+
+
+def test_map_groups_and_head_by_on_a_date32_key(ray_session):
+    """A ``date32`` key hashes through ``int32`` (Arrow has no
+    ``date32 → int64`` cast), so the keyed exchange takes it."""
+    import ray.data
+
+    from smartreader_ray.functions.exchange import map_groups
+    from smartreader_ray.functions.topk import head_by
+
+    day = [dt.date(2024, 1, 1) + dt.timedelta(days=i % 3) for i in range(9)]
+    ds = ray.data.from_arrow([
+        pa.table({"day": pa.array(day[i:i + 3], type=pa.date32()),
+                  "id": pa.array(range(i, i + 3), type=pa.int64())})
+        for i in (0, 3, 6)])
+
+    got = map_groups(ds, "day", lambda g: pa.table({
+        "day": g.column("day").slice(0, 1),
+        "n": pa.array([g.num_rows], type=pa.int64())})).take_all()
+    assert sorted((r["day"], r["n"]) for r in got) == [
+        (dt.date(2024, 1, 1 + i), 3) for i in range(3)]
+
+    top = head_by(ds, "day", [("id", "descending")], 1).take_all()
+    assert sorted((r["day"], r["id"]) for r in top) == [
+        (dt.date(2024, 1, 1), 6), (dt.date(2024, 1, 2), 7),
+        (dt.date(2024, 1, 3), 8)]
+
+
 def test_map_groups_empty(ray_session):
     import ray.data
 
@@ -196,12 +248,53 @@ def test_map_groups_partition_is_one_chunk(ray_session):
         assert max(c.num_chunks for c in block.columns) <= len(parts)
 
 
+#: Ray ``Dataset.sort`` calls whose order later code in the same
+#: operator reads, as "path:function" → that reader. A sort whose order
+#: only leaves its operator is deleted (the gate's value hash sorts rows
+#: itself), and every top-N runs on ``topk.top_k``, so none is left.
+KEPT_SORTS: dict[str, str] = {}
+
+
+def _program_files():
+    return [ROOT / "__ray_entry__.py",
+            *sorted((ROOT / "smartreader_ray").rglob("*.py"))]
+
+
+def test_ray_sorts_are_the_kept_list():
+    """Census of Ray sorts: a ``.sort(`` call in program code, not on
+    ``np``, with a positional argument or a keyword other than
+    ``list.sort``'s ``key=lambda`` and ``reverse=`` (so ``ds.sort("x")``,
+    ``ds.sort(key="x")`` and ``descending=`` all count; 155 before the
+    output-only sorts went). ``select_k_unstable`` and hand-written
+    ``local_cut`` top-N copies appear nowhere outside ``topk.py``."""
+    sites = []
+    for path in _program_files():
+        src = path.read_text()
+        if path.name != "topk.py":
+            for word in ("select_k_unstable", "local_cut"):
+                assert word not in src, f"{word} in {path.name}"
+        stack = [(ast.parse(src), "<module>")]
+        while stack:  # each call under its innermost function
+            node, fn = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                fn = node.name
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", "") == "sort"
+                    and (node.args or any(
+                        k.arg != "reverse"
+                        and not isinstance(k.value, ast.Lambda)
+                        for k in node.keywords))
+                    and getattr(node.func.value, "id", "") != "np"):
+                sites.append(f"{path.relative_to(ROOT)}:{fn}")
+            stack.extend((c, fn) for c in ast.iter_child_nodes(node))
+    assert sorted(set(sites)) == sorted(KEPT_SORTS)
+
+
 def test_no_ray_grouping_outside_exchange():
     """Every per-key map runs on ``exchange.map_groups``: Ray's
     ``groupby(...).map_groups`` is called in ``exchange.py`` alone."""
     sites = []
-    for path in [ROOT / "__ray_entry__.py",
-                 *(ROOT / "smartreader_ray").rglob("*.py")]:
+    for path in _program_files():
         if path.name == "exchange.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):

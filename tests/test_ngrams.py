@@ -430,8 +430,10 @@ def test_log_odds_terms_small_vocab_emits_each_term_once(ray_session):
                          target_label="en", top_k=5).take_all()
     terms = [r["term"] for r in out]
     assert sorted(terms) == ["alpha", "beta", "delta", "epsilon", "gamma"]
-    zs = [(r["z"], r["term"]) for r in out]
-    assert zs == sorted(zs, key=lambda x: (-x[0], x[1]))
+    zs = sorted(((r["z"], r["term"]) for r in out),
+                key=lambda x: (-x[0], x[1]))
+    assert [t for _, t in zs] == ["alpha", "beta", "gamma", "delta",
+                                  "epsilon"]
 
 
 def test_log_odds_terms_oracle_matches_engine_on_small_vocab(ray_session,

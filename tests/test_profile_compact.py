@@ -119,8 +119,8 @@ class TestIdGaps:
         t = pa.table({"id": pa.array(ids, type=pa.int64())})
         out = id_gaps(ray.data.from_arrow(t).repartition(4), "id",
                       bucket=bucket).take_all()
-        got = [(r["gap_start"], r["gap_end"], r["n_missing"])
-               for r in out]
+        got = sorted((r["gap_start"], r["gap_end"], r["n_missing"])
+                     for r in out)
         con = duckdb.connect()
         con.register("t", t)
         exp = con.sql("""

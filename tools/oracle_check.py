@@ -14,7 +14,14 @@ timing needs (``nproc``, Ray's ``num_cpus``, the checkout's git sha,
 versions) and each query's status, rows, hash and wall time, so the
 per-query times of two checkouts can be compared.
 
+With ``--block-bytes N`` it sets Ray Data's
+``DataContext.target_min_block_size`` to N bytes before any query runs,
+so the gate can be run at a block layout other than the default (every
+line must then equal the default run's); the host facts record the
+value in effect.
+
 Usage: python tools/oracle_check.py [sf_dir] [query ...] [--times PATH]
+       [--block-bytes N]
 """
 
 from __future__ import annotations
@@ -96,6 +103,7 @@ def host_facts(sf_dir: str) -> dict:
     import duckdb
     import pyarrow
     import ray
+    from ray.data import DataContext
 
     from perfbench.run import host_nproc
 
@@ -104,6 +112,8 @@ def host_facts(sf_dir: str) -> dict:
         "git_sha": git_sha(),
         "nproc": host_nproc(),
         "ray_num_cpus": int(ray.cluster_resources().get("CPU", 0)),
+        "target_min_block_size":
+            DataContext.get_current().target_min_block_size,
         "python": platform.python_version(),
         "ray": ray.__version__,
         "pyarrow": pyarrow.__version__,
@@ -113,22 +123,28 @@ def host_facts(sf_dir: str) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(
-        usage="%(prog)s [sf_dir] [query ...] [--times PATH]",
+        usage="%(prog)s [sf_dir] [query ...] [--times PATH] "
+              "[--block-bytes N]",
         description=__doc__.split("\n\n")[0])
     ap.add_argument("--times", metavar="PATH",
                     help="write host facts and per-query times as JSON")
+    ap.add_argument("--block-bytes", metavar="N", type=int,
+                    help="set DataContext.target_min_block_size to N")
     args, sys.argv[1:] = ap.parse_known_args()  # the rest is positional
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import duckdb
     import ray
+    from ray.data import DataContext
 
     from perfbench.run import host_nproc
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=max(2, host_nproc()),
                  include_dashboard=False)
+    if args.block_bytes is not None:
+        DataContext.get_current().target_min_block_size = args.block_bytes
 
     import __ray_entry__ as entrymod
 
