@@ -74,7 +74,7 @@ class Node:
 
 
 class TextNode(Node):
-    __slots__ = ("data",)
+    __slots__ = ("data", "_sum")
 
     node_type = TEXT_NODE
     node_name = "#text"
@@ -82,6 +82,7 @@ class TextNode(Node):
     def __init__(self, data: str):
         super().__init__()
         self.data = data
+        self._sum = None  # collapsed-text summary (nodeutil), never stale
 
     @property
     def text_content(self) -> str:
@@ -111,7 +112,7 @@ class CommentNode(Node):
 
 class ParentNode(Node):
     __slots__ = ("_first", "_last", "_n_children", "_tc_rev", "_tc_val",
-                 "_it_rev", "_it_val", "_ld_rev", "_ld_val")
+                 "_it_rev", "_it_val", "_ld_rev", "_ld_val", "_sum_rev", "_sum_val")
 
     def __init__(self):
         super().__init__()
@@ -124,6 +125,8 @@ class ParentNode(Node):
         self._ld_rev = -1  # link-density cache (nodeutil)
         self._ld_val = 0.0
         self._it_val = ""
+        self._sum_rev = -1  # collapsed-text summary cache (nodeutil)
+        self._sum_val = None
 
     # -- linked-list plumbing ---------------------------------------------
     def _detach(self, node: Node) -> None:
@@ -323,25 +326,20 @@ class ParentNode(Node):
                     stack.append(c)
                 c = c._prev
 
-    def descendants(self) -> Iterator[Node]:
-        stack = list(reversed(self.childNodes))
-        while stack:
-            n = stack.pop()
-            yield n
-            if isinstance(n, ParentNode):
-                c = n._last
-                while c is not None:
-                    stack.append(c)
-                    c = c._prev
-
-    def _collect_elements(self, want) -> list["Element"]:
-        """Iterative pre-order collect; ``want`` is None (all) or a
-        set/frozenset of uppercase tags. Avoids generator overhead on the
-        hottest traversal in the engine."""
-        out: list[Element] = []
+    def collect_by_tag(self, *groups) -> list[list["Element"]]:
+        """One pre-order walk over the descendant elements, sorted into
+        one list per group, each in document order. A group is a
+        collection of uppercase tags, or None for every element; a tag
+        may sit in several groups. The engine's one subtree walk: each
+        phase walks once and takes its tag passes from the lists."""
+        outs: list[list[Element]] = [[] for _ in groups]
+        every = tuple(out.append for out, tags in zip(outs, groups) if tags is None)
+        route: dict = {}
+        for out, tags in zip(outs, groups):
+            for tag in tags or ():
+                route[tag] = route.get(tag, every) + (out.append,)
         stack: list[Element] = []
         push = stack.append
-        emit = out.append
         c = self._last
         while c is not None:
             if type(c) is Element:
@@ -349,23 +347,36 @@ class ParentNode(Node):
             c = c._prev
         while stack:
             n = stack.pop()
-            if want is None or n.tag in want:
+            for emit in route.get(n.tag, every):
                 emit(n)
             c = n._last
             while c is not None:
                 if type(c) is Element:
                     push(c)
                 c = c._prev
-        return out
+        return outs
 
     def get_elements_by_tag_name(self, tag: str) -> list["Element"]:
         """Snapshot list in document order; ``*`` matches all elements."""
-        if tag == "*":
-            return self._collect_elements(None)
-        return self._collect_elements((tag.upper(),))
+        return self.collect_by_tag(None if tag == "*" else (tag.upper(),))[0]
 
     def get_all_nodes_with_tag(self, tags) -> list["Element"]:
-        return self._collect_elements({t.upper() for t in tags})
+        return self.collect_by_tag({t.upper() for t in tags})[0]
+
+    def inside(self, nodes: list["Element"]) -> list["Element"]:
+        """The ``nodes`` still in this node's subtree (itself excluded),
+        in the given order: a list a walk took before a mutation, less
+        what the mutation took out. It matches a new walk as long as the
+        mutation inserted no node of the list's tags and moved none out
+        of document order."""
+        out = []
+        for n in nodes:
+            p = n.parent
+            while p is not None and p is not self:
+                p = p.parent
+            if p is not None:
+                out.append(n)
+        return out
 
 
 class Element(ParentNode):
@@ -406,10 +417,20 @@ class Element(ParentNode):
 
     # -- attributes -------------------------------------------------------
     def get_attribute(self, name: str) -> Optional[str]:
-        return self.attrs.get(name.lower())
+        """The value of ``name.lower()``. An HTML element's keys are all
+        lowercase, so the name is looked up as given first and lowered
+        only on a miss; a foreign (svg/math) element keeps camelCase keys
+        that only the lowered name may find."""
+        value = self.attrs.get(name)
+        if (value is None or self._ns is not None) and not name.islower():
+            return self.attrs.get(name.lower())
+        return value
 
     def has_attribute(self, name: str) -> bool:
-        return name.lower() in self.attrs
+        """Whether ``name.lower()`` is set; looked up like ``get_attribute``."""
+        if name in self.attrs and (self._ns is None or name.islower()):
+            return True
+        return not name.islower() and name.lower() in self.attrs
 
     def set_attribute(self, name: str, value: str) -> None:
         # NOTE: attribute mutations deliberately do NOT bump the

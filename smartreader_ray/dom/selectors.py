@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .node import Element, ParentNode
@@ -109,8 +110,11 @@ class _Compound:
         return True
 
 
-def _compile(selector: str) -> list[_Compound]:
-    return [_Compound(s.strip()) for s in selector.split(",") if s.strip()]
+@functools.lru_cache(maxsize=256)
+def _compile(selector: str) -> tuple[_Compound, ...]:
+    """Parsed once per selector string: the engine matches a handful of
+    literal selectors against many elements."""
+    return tuple(_Compound(s.strip()) for s in selector.split(",") if s.strip())
 
 
 def query_selector_all(root: ParentNode, selector: str) -> list[Element]:

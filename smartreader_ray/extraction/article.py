@@ -6,13 +6,15 @@ Semantics follow the reference's ``Article.cs`` (ConvertToPlaintext
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
+import numpy as np
+
 from ..dom import Element
+from ..dom.node import TEXT_NODE
 from . import regexes
 
 #: chars/minute by language (TimeToReadCalculator.cs:10-29)
@@ -56,16 +58,35 @@ def chars_per_minute(language: Optional[str]) -> int:
 
 
 def _convert_to_text(el: Element, out: list[str]) -> None:
-    """Article.cs:317-344 — newline before P/BR, after P."""
-    if el.node_type == 1 and el.node_name in ("P", "BR"):
-        out.append("\n")
-    for child in el.childNodes:
-        if isinstance(child, Element):
-            _convert_to_text(child, out)
-        elif child.node_type == 3:
-            out.append(child.data)
-    if el.node_type == 1 and el.node_name == "P":
-        out.append("\n")
+    """Article.cs:317-344 — newline before P/BR, after P. One pre-order
+    walk over the linked children with an explicit stack: a string on
+    the stack (a text node's data, or the newline that closes a P) is
+    output when popped."""
+    emit = out.append
+    stack: list = []
+    push = stack.append
+    node: Optional[Element] = el
+    while True:
+        if node is not None:
+            tag = node.tag
+            if tag == "P":
+                emit("\n")
+                push("\n")
+            elif tag == "BR":
+                emit("\n")
+            c = node._last
+            while c is not None:
+                if type(c) is Element:
+                    push(c)
+                elif c.node_type == TEXT_NODE:
+                    push(c.data)
+                c = c._prev
+        if not stack:
+            return
+        node = stack.pop()
+        if type(node) is str:
+            emit(node)
+            node = None
 
 
 #: every Unicode Z-category codepoint (Zs + Zl + Zp) — the set the
@@ -74,20 +95,45 @@ _Z_SPACE = (
     "\x20\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
     "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
-_Z = f"[{_Z_SPACE}]"
 
-#: the Z-spaces the reference's char loop drops: one after a newline or
-#: another Z-space (taken with the rest of its run), and one before a
-#: newline. The pattern starts with the Z class, so the regex engine
-#: scans for it in C and text with nothing to drop costs one scan.
-_DROPPED_SPACES = re.compile(rf"{_Z}(?:(?<=[\r\n{_Z_SPACE}]{_Z}){_Z}*|(?=[\r\n]))")
+
+def _code_points(text: str) -> np.ndarray:
+    """``text`` as one uint32 per code point (a lone surrogate included)."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+#: code points per kernel pass: a long page's text goes in slices, so the
+#: arrays stay a few hundred KB whatever the page size
+_CHUNK = 1 << 16
+
+#: per code point below U+3002 (higher ones clip to the last entry):
+#: 1 for a Z-space, 2 for CR or LF, 0 otherwise
+_SPACE_KIND = np.zeros(0x3002, dtype=np.uint8)
+_SPACE_KIND[[ord(c) for c in _Z_SPACE]] = 1
+_SPACE_KIND[[ord("\r"), ord("\n")]] = 2
 
 
 def squash_spaces(text: str) -> str:
     """Article.cs:268-312 drop rule — a Z-category space is dropped iff
     the next char is a newline, the previous char was a newline, or the
-    previous char was a space."""
-    return _DROPPED_SPACES.sub("", text)
+    previous char was a space. Vectorized over the code points of each
+    slice, read with one char of context on either side; a slice with
+    nothing to drop is kept as is."""
+    pieces = []
+    for start in range(0, len(text), _CHUNK):
+        lo = max(start - 1, 0)
+        cp = _code_points(text[lo:start + _CHUNK + 1])
+        kind = _SPACE_KIND.take(cp, mode="clip")
+        drop = np.zeros(len(kind), dtype=bool)
+        drop[1:] = kind[:-1] != 0
+        drop[:-1] |= kind[1:] == 2
+        drop &= kind == 1
+        own = slice(start - lo, start - lo + min(_CHUNK, len(text) - start))
+        if drop[own].any():
+            pieces.append(cp[own][~drop[own]].tobytes().decode("utf-32-le", "surrogatepass"))
+        else:
+            pieces.append(text[start:start + _CHUNK])
+    return "".join(pieces)
 
 
 def convert_to_plaintext(el: Element) -> str:
@@ -112,25 +158,23 @@ def normalize_newlines(text: str) -> str:
     return "\n\n".join(parts)
 
 
-#: every BMP punctuation (P*) codepoint. Astral chars are never deleted,
-#: punctuation or not, so each still counts 2 UTF-16 units.
-_BMP_PUNCT = "".join(
-    c for c in map(chr, range(0x10000)) if unicodedata.category(c)[0] == "P"
-)
-_BMP_PUNCT_RE = re.compile(f"[{re.escape(_BMP_PUNCT)}]")
+#: letters per code point (TimeToReadCalculator.cs:42): 0 for ' ' and
+#: BMP punctuation (P*), 1 for any other BMP char, and 2 in the last
+#: entry, where every astral char clips to: two UTF-16 units, never
+#: deleted by the reference, punctuation or not
+_LETTER_UNITS = np.ones(0x10001, dtype=np.uint8)
+_LETTER_UNITS[[c for c in range(0x10000)
+               if unicodedata.category(chr(c))[0] == "P"] + [ord(" ")]] = 0
+_LETTER_UNITS[0x10000] = 2
 
 
 def count_letters(text: str) -> int:
-    """TimeToReadCalculator.cs:42 — chars that are not ' ' nor punctuation.
-
-    Counted in UTF-16 code units (.NET ``char`` semantics): astral-plane
-    characters contribute 2 (surrogates are category Cs — neither space
-    nor punctuation). The UTF-16 length is a sum over chars and every
-    char the reference deletes is one BMP unit, so the count is the
-    UTF-16 length less the spaces and the BMP punctuation: the chars are
-    counted where they stand, not deleted from a copy."""
-    units = len(text.encode("utf-16-le", "surrogatepass")) // 2
-    return units - text.count(" ") - len(_BMP_PUNCT_RE.findall(text))
+    """TimeToReadCalculator.cs:42 — chars that are not ' ' nor punctuation,
+    counted in UTF-16 code units (.NET ``char`` semantics; a lone
+    surrogate is one unit, category Cs): one table sum over the code
+    points, nothing deleted from a copy."""
+    return sum(int(_LETTER_UNITS.take(_code_points(text[i:i + _CHUNK]), mode="clip").sum())
+               for i in range(0, len(text), _CHUNK))
 
 
 def time_to_read_seconds(element_text: str, plain_text: str, language: Optional[str]) -> int:

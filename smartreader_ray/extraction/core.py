@@ -26,7 +26,6 @@ from ..dom import (
     inner_html,
     parse_html,
     query_selector,
-    query_selector_all,
 )
 from ..dom.node import TEXT_NODE
 from . import regexes
@@ -50,12 +49,14 @@ from .nodeutil import (
     get_element_ancestors,
     get_inner_text,
     get_link_density,
+    link_density as link_density_of,
     get_next_node,
     get_node_ancestors,
     get_row_and_column_count,
     has_ancestor_tag,
     has_child_block_element,
     has_single_tag_inside_element,
+    inner_text_length,
     is_element_without_content,
     is_phrasing_content,
     is_probably_visible,
@@ -63,7 +64,6 @@ from .nodeutil import (
     next_element,
     remove_and_get_next,
     remove_nodes,
-    remove_scripts,
     replace_node_tags,
     safe_set_attribute,
     set_node_tag,
@@ -82,9 +82,36 @@ UNLIKELY_ROLES = frozenset({
     "menu", "menubar", "complementary", "navigation", "alert", "alertdialog", "dialog",
 })
 ALTER_TO_DIV_EXCEPTIONS = frozenset({"ARTICLE", "DIV", "P", "SECTION", "OL", "UL"})
-DATA_TABLE_DESCENDANTS = ("col", "colgroup", "tfoot", "thead", "th")
+DATA_TABLE_DESCENDANTS = ("COL", "COLGROUP", "TFOOT", "THEAD", "TH")
 TEXTISH_TAGS = ("SPAN", "LI", "TD", "BLOCKQUOTE", "DL", "DIV", "IMG", "OL", "P", "PRE", "TABLE", "UL")
-HEADING_TAGS = ("h1", "h2", "h3", "h4", "h5", "h6")
+HEADING_TAGS = ("H1", "H2", "H3", "H4", "H5", "H6")
+
+#: the tag lists of the document prep passes, taken by one walk: noscript
+#: images, JSON-LD, scripts, styles, br runs, fonts
+_DOC_PASSES = (
+    ("IMG",), ("NOSCRIPT",), ("SCRIPT",), ("SCRIPT", "NOSCRIPT"), ("STYLE",),
+    ("BR",), ("FONT",),
+)
+
+#: the tag lists of the article prep passes (SmartReader.cs:753-834),
+#: taken by one walk in ``_prep_article``
+_ARTICLE_PASSES = (
+    ("TABLE",), ("IMG", "PICTURE", "FIGURE"), ("FORM",), ("FIELDSET",),
+    ("OBJECT", "EMBED", "FOOTER", "LINK", "ASIDE"),
+    ("IFRAME", "INPUT", "TEXTAREA", "SELECT", "BUTTON"), ("H1", "H2"), ("UL",),
+    ("DIV",), ("H1",), ("P",), ("BR",),
+)
+
+#: what ``_clean_conditionally``'s test reads below a node, from one walk
+_CONDITIONAL_TAGS = (
+    ("UL", "OL"), ("TABLE",), ("P",), ("IMG",), ("LI",), ("INPUT",),
+    ("OBJECT", "EMBED", "IFRAME"), HEADING_TAGS, TEXTISH_TAGS, ("A",),
+)
+
+_MEDIA_TAGS = ("IMG", "PICTURE", "FIGURE", "VIDEO", "AUDIO", "SOURCE")
+
+#: the single chars ``regexes.COMMAS`` matches, counted with ``str.count``
+_COMMAS = tuple(regexes.COMMAS.pattern.split("|"))
 
 
 class ExtractionBudgetExceeded(RuntimeError):
@@ -231,10 +258,7 @@ class Extractor:
         for op in cfg.custom_operations_start:
             op(doc.document_element)
 
-        unwrap_noscript_images(doc)
-        jsonld = {} if cfg.disable_jsonld else get_jsonld(doc)
-        remove_scripts(doc.document_element)
-        self._prep_document(doc)
+        jsonld = self._prep_document(doc, not cfg.disable_jsonld)
 
         metadata = get_article_metadata(doc, uri, self.language, jsonld)
         self.article_title = metadata.title or ""
@@ -252,7 +276,7 @@ class Extractor:
             self._log("<h2>Grabbed:</h2>" + inner_html(article_content))  # :2335-2336
 
         self._check_budget()
-        self._post_process_content(article_content, uri, doc)
+        self._post_process_content(article_content, uri)
         if self._log_info:
             self._log("<h2>Post Process result:</h2>" + inner_html(article_content))  # :2347-2348
 
@@ -283,8 +307,8 @@ class Extractor:
 
     def _is_probably_readerable(self, doc: Document) -> bool:
         root = doc.document_element
-        nodes = get_all_nodes_with_tag(root, ["p", "pre", "article"])
-        br_nodes = query_selector_all(root, "div > br")
+        nodes, brs = root.collect_by_tag(("P", "PRE", "ARTICLE"), ("BR",))
+        br_nodes = [br for br in brs if element_matches(br, "div > br")]
         if br_nodes:
             seen = set()
             extra = []
@@ -318,14 +342,29 @@ class Extractor:
     # ------------------------------------------------------------------
     # document prep (SmartReader.cs:654-731)
     # ------------------------------------------------------------------
-    def _prep_document(self, doc: Document) -> None:
-        remove_nodes(doc.get_elements_by_tag_name("style"))
-        if doc.body is not None:
-            self._replace_brs(doc, doc.body)
-        replace_node_tags(doc.get_elements_by_tag_name("font"), "SPAN")
+    def _prep_document(self, doc: Document, read_jsonld: bool) -> dict[str, str]:
+        """Noscript images, JSON-LD (when ``read_jsonld``, else ``{}``),
+        scripts, styles, br runs, fonts, in that order, from one walk.
+        Each later pass keeps the nodes still in the tree: no pass
+        inserts a node of a later pass's tags, or moves one out of
+        document order, except an unwrapped noscript image's wrappers,
+        so the walk is taken again after that."""
+        imgs, noscripts, scripts, script_like, styles, brs, fonts = doc.collect_by_tag(
+            *_DOC_PASSES)
+        if unwrap_noscript_images(doc, imgs, noscripts):
+            _, _, scripts, script_like, styles, brs, fonts = doc.collect_by_tag(*_DOC_PASSES)
+        root = doc.document_element
+        jsonld = get_jsonld(doc, root.inside(scripts)) if read_jsonld else {}
+        remove_nodes(root.inside(script_like))
+        remove_nodes(doc.inside(styles))
+        body = doc.body
+        if body is not None:
+            self._replace_brs(body.inside(brs))
+        replace_node_tags(doc.inside(fonts), "SPAN")
+        return jsonld
 
-    def _replace_brs(self, doc: Document, elem: Element) -> None:
-        for br in elem.get_elements_by_tag_name("br"):
+    def _replace_brs(self, brs: list[Element]) -> None:
+        for br in brs:
             if br.parent is None:
                 continue
             nxt = br.next_sibling
@@ -495,9 +534,7 @@ class Extractor:
         # so start-hook effects persist; re-run them here to match.
         for op in self.config.custom_operations_start:
             op(doc.document_element)
-        unwrap_noscript_images(doc)
-        remove_scripts(doc.document_element)
-        self._prep_document(doc)
+        self._prep_document(doc, False)
         return doc
 
     def _grab_article_once(self, doc: Document) -> Optional[Element]:
@@ -586,8 +623,11 @@ class Extractor:
                     if child.node_type == TEXT_NODE:
                         raw_text = child.data
                         # quirk (SmartReader.cs:1133): compares the decoded
-                        # text to the literal entity string
-                        if not raw_text or raw_text.lower() == "&nbsp;":
+                        # text to the literal entity string (a text that
+                        # lowercases to those 6 ASCII chars has 6 chars)
+                        if not raw_text or (
+                            len(raw_text) == 6 and raw_text.lower() == "&nbsp;"
+                        ):
                             node = remove_and_get_next(node)
                             continue
 
@@ -637,16 +677,19 @@ class Extractor:
         for element_to_score in elements_to_score:
             if element_to_score.parent is None:
                 continue
-            inner_text = get_inner_text(element_to_score)
-            if len(inner_text) < cfg.paragraph_threshold:
+            inner_length = inner_text_length(element_to_score)
+            if inner_length < cfg.paragraph_threshold:
                 continue
             ancestors = get_node_ancestors(element_to_score, cfg.ancestors_depth)
             if len(ancestors) == 0:
                 continue
 
             content_score = 1.0
-            content_score += len(regexes.COMMAS.split(inner_text))
-            content_score += min(len(inner_text) // 100, 3)
+            # len(COMMAS.split(inner text)): commas are not whitespace, so
+            # the raw text has the inner text's
+            text = element_to_score.text_content
+            content_score += 1 + sum(map(text.count, _COMMAS))
+            content_score += min(inner_length // 100, 3)
 
             for level, ancestor in enumerate(ancestors):
                 if (
@@ -796,15 +839,14 @@ class Extractor:
                     append = True
                 elif sibling.node_name == "P":
                     link_density = get_link_density(sibling)
-                    node_content = get_inner_text(sibling)
-                    node_length = len(node_content)
+                    node_length = inner_text_length(sibling)
                     if node_length > 80 and link_density < 0.25:
                         append = True
                     elif (
                         node_length < 80
                         and node_length > 0
                         and link_density == 0
-                        and regexes.SENTENCE_DOT.search(node_content)
+                        and regexes.SENTENCE_DOT.search(get_inner_text(sibling))
                     ):
                         append = True
 
@@ -836,7 +878,7 @@ class Extractor:
 
         parse_successful = True
 
-        text_length = len(get_inner_text(article_content, True))
+        text_length = inner_text_length(article_content)
         if text_length < self.config.char_threshold:
             parse_successful = False
 
@@ -882,13 +924,21 @@ class Extractor:
     def _prep_article(self, article_content: Element) -> None:
         cfg = self.config
         clean_styles(article_content)
+        # one walk for every tag pass below. Each pass takes the nodes of
+        # its tags still in the article: the passes before it only remove
+        # nodes, or move them in document order (h1 → h2 keeps the
+        # children in place), and the one node a pass adds, a lazy
+        # figure's img, is no later pass's tag
+        inside = article_content.inside
+        (tables, medias, forms, fieldsets, embeds, inputs, headers, lists,
+         divs, h1s, paragraphs, brs) = article_content.collect_by_tag(*_ARTICLE_PASSES)
 
-        self._mark_data_tables(article_content)
-        self._fix_lazy_images(article_content)
+        self._mark_data_tables(tables)
+        self._fix_lazy_images(medias)
 
-        self._clean_conditionally(article_content, "form")
-        self._clean_conditionally(article_content, "fieldset")
-        self._clean(article_content, ("object", "embed", "footer", "link", "aside"))
+        self._clean_conditionally(article_content, forms, "form")
+        self._clean_conditionally(article_content, fieldsets, "fieldset")
+        self._clean(inside(embeds), ("object", "embed", "footer", "link", "aside"))
 
         share_element_threshold = cfg.char_threshold
         for top_candidate in article_content.children:
@@ -900,14 +950,14 @@ class Extractor:
                 ),
             )
 
-        self._clean(article_content, ("iframe", "input", "textarea", "select", "button"))
-        self._clean_headers(article_content)
+        self._clean(inside(inputs), ("iframe", "input", "textarea", "select", "button"))
+        self._clean_headers(inside(headers))
 
-        self._clean_conditionally(article_content, "table")
-        self._clean_conditionally(article_content, "ul")
-        self._clean_conditionally(article_content, "div")
+        self._clean_conditionally(article_content, tables, "table")
+        self._clean_conditionally(article_content, lists, "ul")
+        self._clean_conditionally(article_content, divs, "div")
 
-        replace_node_tags(article_content.get_elements_by_tag_name("h1"), "h2")
+        replace_node_tags(inside(h1s), "h2")
 
         def _empty_paragraph(paragraph: Element) -> bool:
             # the text test first: a paragraph with text needs no media walk
@@ -915,16 +965,16 @@ class Extractor:
                 paragraph, ["img", "embed", "object", "iframe"]
             )
 
-        remove_nodes(article_content.get_elements_by_tag_name("p"), _empty_paragraph)
+        remove_nodes(inside(paragraphs), _empty_paragraph)
 
-        for br in article_content.get_elements_by_tag_name("br"):
+        for br in inside(brs):
             if br.parent is None:
                 continue
             nxt = next_element(br.next_sibling, regexes.WHITESPACE)
             if nxt is not None and nxt.tag == "P":
                 br.parent.remove_child(br)
 
-        for table_el in article_content.get_elements_by_tag_name("table"):
+        for table_el in inside(tables):
             if table_el.parent is None:
                 continue
             tbody = (
@@ -946,12 +996,11 @@ class Extractor:
                     cell.parent.remove_child(cell)
                     table_el.parent.replace_child(cell, table_el)
 
-    def _clean(self, e: Element, tags: tuple[str, ...]) -> None:
+    def _clean(self, nodes: list[Element], tags: tuple[str, ...]) -> None:
         """SmartReader.cs:1631-1663, once per tag in ``tags``, in order, over
-        one walk of ``e``. A node inside a subtree an earlier tag removed
-        is removed from that detached subtree or kept in it, which no
-        later step reads."""
-        nodes = e.get_all_nodes_with_tag(tags)
+        ``nodes`` (the article's nodes of those tags). A node inside a
+        subtree an earlier tag removed is removed from that detached
+        subtree or kept in it, which no later step reads."""
         for tag in tags:
             upper = tag.upper()
             remove_nodes(
@@ -971,9 +1020,9 @@ class Extractor:
         dt = el.get_attribute("datatable")
         return bool(dt) and "true" in dt
 
-    def _mark_data_tables(self, root: Element) -> None:
+    def _mark_data_tables(self, tables: list[Element]) -> None:
         """SmartReader.cs:1737-1808"""
-        for table in root.get_elements_by_tag_name("table"):
+        for table in tables:
             if table.get_attribute("role") == "presentation":
                 table.set_attribute("datatable", "false")
                 continue
@@ -983,19 +1032,18 @@ class Extractor:
             if table.get_attribute("summary"):
                 table.set_attribute("datatable", "true")
                 continue
-            captions = table.get_elements_by_tag_name("caption")
+            captions, data_cells, inner_tables, trs = table.collect_by_tag(
+                ("CAPTION",), DATA_TABLE_DESCENDANTS, ("TABLE",), ("TR",))
             if captions and captions[0].num_child_nodes > 0:
                 table.set_attribute("datatable", "true")
                 continue
-            if any(
-                table.get_elements_by_tag_name(t) for t in DATA_TABLE_DESCENDANTS
-            ):
+            if data_cells:
                 table.set_attribute("datatable", "true")
                 continue
-            if table.get_elements_by_tag_name("table"):
+            if inner_tables:
                 table.set_attribute("datatable", "false")
                 continue
-            rows, columns = get_row_and_column_count(table)
+            rows, columns = get_row_and_column_count(trs)
             if columns == 1 or rows == 1:
                 table.set_attribute("datatable", "false")
                 continue
@@ -1005,9 +1053,9 @@ class Extractor:
             if rows * columns > 10:
                 table.set_attribute("datatable", "true")
 
-    def _fix_lazy_images(self, root: Element) -> None:
+    def _fix_lazy_images(self, medias: list[Element]) -> None:
         """SmartReader.cs:1813-1906"""
-        for elem in get_all_nodes_with_tag(root, ["img", "picture", "figure"]):
+        for elem in medias:
             src = elem.get_attribute("src")
             if src is not None:
                 m = regexes.B64_DATA_URL.match(src)
@@ -1055,31 +1103,31 @@ class Extractor:
                         img.set_attribute(copy_to, value)
                         elem.append_child(img)
 
-    def _get_text_density(self, e: Element, tags) -> float:
-        """SmartReader.cs:1911-1927"""
-        text_length = len(get_inner_text(e, True))
+    def _get_text_density(self, e: Element, children: list[Element]) -> float:
+        """SmartReader.cs:1911-1927 (``children``: ``e``'s nodes of the tags)"""
+        text_length = inner_text_length(e)
         if text_length == 0:
             return 0.0
-        children_length = sum(
-            len(get_inner_text(child, True))
-            for child in get_all_nodes_with_tag(e, tags)
-        )
+        children_length = sum(inner_text_length(child) for child in children)
         return children_length / text_length
 
-    def _clean_conditionally(self, e: Element, tag: str) -> None:
-        """SmartReader.cs:1933-2151"""
+    def _clean_conditionally(self, e: Element, nodes: list[Element], tag: str) -> None:
+        """SmartReader.cs:1933-2151 over ``e.inside(nodes)``: ``nodes`` are
+        a walk's ``tag`` nodes of ``e``."""
         if not self._flag(FLAG_CLEAN_CONDITIONALLY):
             return
 
         def _filter(node: Element) -> bool:
             if self._trace:
                 self._log(f"Cleaning Conditionally {node.tag}")  # SmartReader.cs:1985-1986
+            (lists, tables, ps, imgs, lis, inputs, embeds, headings, textish,
+             links) = node.collect_by_tag(*_CONDITIONAL_TAGS)
             is_list = tag in ("ul", "ol")
             if not is_list:
                 list_length = 0
-                for lst in get_all_nodes_with_tag(node, ["ul", "ol"]):
-                    list_length += len(get_inner_text(lst))
-                total = len(get_inner_text(node))
+                for lst in lists:
+                    list_length += inner_text_length(lst)
+                total = inner_text_length(node)
                 if total > 0:
                     # quirk: integer division in the reference
                     # (SmartReader.cs:1957) — ratio is 1 only when lists
@@ -1092,10 +1140,7 @@ class Extractor:
                 return False
             if has_ancestor_tag(node, "code"):
                 return False
-            if any(
-                self._is_data_table(tbl)
-                for tbl in node.get_elements_by_tag_name("table")
-            ):
+            if any(self._is_data_table(tbl) for tbl in tables):
                 return False
 
             weight = self._get_class_weight(node)
@@ -1105,26 +1150,12 @@ class Extractor:
                 return True
 
             if get_char_count(node, ",") < 10:
-                p = 0.0
-                img = 0.0
-                li = -100.0
-                input_count = 0.0
-                embeds: list[Element] = []
+                p = float(len(ps))
+                img = float(len(imgs))
+                li = len(lis) - 100.0
+                input_count = float(len(inputs))
 
-                for descendant in node.iter_elements():
-                    t = descendant.tag
-                    if t == "P":
-                        p += 1
-                    elif t == "IMG":
-                        img += 1
-                    elif t == "LI":
-                        li += 1
-                    elif t == "INPUT":
-                        input_count += 1
-                    elif t in ("OBJECT", "EMBED", "IFRAME"):
-                        embeds.append(descendant)
-
-                heading_density = self._get_text_density(node, HEADING_TAGS)
+                heading_density = self._get_text_density(node, headings)
 
                 if any(self._links_video(embed) for embed in embeds):
                     return False
@@ -1136,9 +1167,9 @@ class Extractor:
                 ):
                     return True
 
-                link_density = get_link_density(node)
-                content_length = len(get_inner_text(node))
-                text_density = self._get_text_density(node, TEXTISH_TAGS)
+                link_density = link_density_of(node, links)
+                content_length = inner_text_length(node)
+                text_density = self._get_text_density(node, textish)
                 is_figure_child = has_ancestor_tag(node, "figure")
 
                 have_to_remove = (
@@ -1170,16 +1201,15 @@ class Extractor:
                     for child in node.children:
                         if len(child.children) > 1:
                             return have_to_remove
-                    li_count = len(node.get_elements_by_tag_name("li"))
-                    if img == li_count:
+                    if img == len(lis):
                         return False
 
                 return have_to_remove
             return False
 
-        remove_nodes(e.get_elements_by_tag_name(tag), _filter)
+        remove_nodes(e.inside(nodes), _filter)
 
-    def _clean_headers(self, e: Element) -> None:
+    def _clean_headers(self, headers: list[Element]) -> None:
         """SmartReader.cs:2156-2169"""
 
         def _low_weight(node: Element) -> bool:
@@ -1191,18 +1221,21 @@ class Extractor:
                 return True
             return False
 
-        remove_nodes(get_all_nodes_with_tag(e, ["h1", "h2"]), _low_weight)
+        remove_nodes(headers, _low_weight)
 
     # ------------------------------------------------------------------
     # post-processing (Readability.cs:50-219, SmartReader.cs:628-645)
     # ------------------------------------------------------------------
-    def _post_process_content(
-        self, article_content: Element, uri: PageUri, doc: Document
-    ) -> None:
-        self._fix_relative_uris(article_content, uri, doc)
+    def _post_process_content(self, article_content: Element, uri: PageUri) -> None:
+        # one walk for the passes below: the link pass moves media only in
+        # document order, and the attribute scrubs may also scrub a node
+        # the link or nesting pass took out, which no later step reads;
+        # the one kind of node those passes add, a javascript link's
+        # span, has no attributes
+        links, medias, elements = article_content.collect_by_tag(("A",), _MEDIA_TAGS, None)
+        self._fix_relative_uris(links, article_content.inside(medias), uri)
         self._simplify_nested_elements(article_content)
-        # the two attribute scrubs change no structure: one walk serves both
-        elements = [article_content, *article_content.get_elements_by_tag_name("*")]
+        elements = [article_content, *elements]
         if not self.config.keep_classes:
             self._clean_classes(elements, list(self.config.classes_to_preserve))
         if not self.config.debug:
@@ -1216,10 +1249,10 @@ class Extractor:
                 el.remove_attribute(attribute)
 
     def _fix_relative_uris(
-        self, article_content: Element, uri: PageUri, doc: Document
+        self, links: list[Element], medias: list[Element], uri: PageUri
     ) -> None:
         """Readability.cs:83-154"""
-        for link in article_content.get_elements_by_tag_name("a"):
+        for link in links:
             href = link.get_attribute("href")
             if href and href.strip():
                 if href.lower().startswith("javascript:"):
@@ -1237,9 +1270,6 @@ class Extractor:
                 else:
                     link.set_attribute("href", uri.to_absolute_uri(href))
 
-        medias = get_all_nodes_with_tag(
-            article_content, ["img", "picture", "figure", "video", "audio", "source"]
-        )
         for media in medias:
             src = media.get_attribute("src")
             if src is not None:

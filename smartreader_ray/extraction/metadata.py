@@ -16,7 +16,7 @@ import re
 from datetime import datetime, timedelta, timezone
 from typing import Optional
 
-from ..dom import Document, query_selector
+from ..dom import Document, Element, element_matches
 from . import regexes
 from .nodeutil import get_all_nodes_with_tag, get_inner_text
 from .urialg import PageUri
@@ -154,10 +154,12 @@ def _req_prop(obj, name):
     return val
 
 
-def get_jsonld(doc: Document) -> dict[str, str]:
+def get_jsonld(doc: Document, scripts: list[Element]) -> dict[str, str]:
+    """The JSON-LD metadata of ``doc``, whose ``script`` elements are
+    ``scripts``."""
     meta: dict[str, str] = {}
 
-    for script in doc.document_element.get_elements_by_tag_name("script"):
+    for script in scripts:
         if meta:
             continue
         if script.get_attribute("type") != "application/ld+json":
@@ -376,13 +378,19 @@ def _is_url(url: Optional[str]) -> bool:
     return url is not None
 
 
+def _first_match(elements: list[Element], selector: str) -> Optional[Element]:
+    return next((e for e in elements if element_matches(e, selector)), None)
+
+
 def get_article_metadata(
     doc: Document, uri: PageUri, language: Optional[str], jsonld: dict[str, str]
 ) -> Metadata:
     metadata = Metadata()
     values = dict(jsonld)
+    metas, html_el, links, times = doc.collect_by_tag(
+        ("META",), ("HTML",), ("LINK",), ("TIME",))
 
-    for element in doc.get_elements_by_tag_name("meta"):
+    for element in metas:
         element_name = element.get_attribute("name")
         element_property = element.get_attribute("property")
         item_prop = element.get_attribute("itemprop")
@@ -445,19 +453,18 @@ def get_article_metadata(
         metadata.title = get_article_title(doc)
 
     # language heuristics (Readability.cs:671-681)
-    html_el = doc.get_elements_by_tag_name("html")
     lang_candidates = [language]
     if html_el:
         lang_candidates.append(html_el[0].get_attribute("lang"))
         lang_candidates.append(html_el[0].get_attribute("xml:lang"))
-    cl = query_selector(doc, 'meta[http-equiv="Content-Language"]')
+    cl = _first_match(metas, 'meta[http-equiv="Content-Language"]')
     lang_candidates.append(cl.get_attribute("content") if cl is not None else None)
-    ml = query_selector(doc, 'meta[name="lang"]')
+    ml = _first_match(metas, 'meta[name="lang"]')
     lang_candidates.append(ml.get_attribute("value") if ml is not None else None)
     metadata.language = _first_non_empty(lang_candidates) or ""
 
     # alternative language links (Readability.cs:684-703)
-    for link in doc.get_elements_by_tag_name("link"):
+    for link in links:
         if link.get_attribute("rel") == "alternate":
             href = link.get_attribute("href")
             href_value = uri.to_absolute_uri(href) if href is not None else None
@@ -501,7 +508,7 @@ def get_article_metadata(
                 break
 
     if metadata.publication_date is None:
-        for time_el in doc.get_elements_by_tag_name("time"):
+        for time_el in times:
             if time_el.get_attribute("pubdate"):
                 d = try_parse_date(time_el.get_attribute("datetime"))
                 if d is not None:

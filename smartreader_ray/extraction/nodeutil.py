@@ -232,9 +232,86 @@ def get_inner_text(node, normalize_spaces: bool = True) -> str:
     return collapse_whitespace(text) if normalize_spaces else text
 
 
+#: A text's collapse summary ``(n, lead, trail, starts, ends)``: ``n`` is
+#: ``len(collapse_whitespace(text))``, ``lead``/``trail`` count the
+#: whitespace (``str.isspace``) chars that ``strip`` takes off either end
+#: of that (``n`` both when it is all whitespace), and ``starts``/``ends``
+#: tell whether the text starts/ends with an HTML5 space, where a run
+#: that crosses two joined texts collapses to one space. Stripping and
+#: collapsing commute (no HTML5 space run crosses the first or last
+#: non-whitespace char), so the inner text of ``text`` is ``n - lead -
+#: trail`` chars long, or 0 when ``lead == n``.
+_EMPTY_SUMMARY = (0, 0, 0, False, False)
+_HTML5_SPACES = " \t\n\f\r"
+
+
+def _text_summary(data: str) -> tuple:
+    collapsed = collapse_whitespace(data)
+    n = len(collapsed)
+    if n == 0:
+        return _EMPTY_SUMMARY
+    return (n, n - len(collapsed.lstrip()), n - len(collapsed.rstrip()),
+            data[0] in _HTML5_SPACES, data[-1] in _HTML5_SPACES)
+
+
+def _join_summaries(a: tuple, b: tuple) -> tuple:
+    """The summary of the concatenation of two texts."""
+    if a[0] == 0:
+        return b
+    if b[0] == 0:
+        return a
+    na, lead_a, trail_a, starts, ends_a = a
+    nb, lead_b, trail_b, starts_b, ends = b
+    merged = 1 if ends_a and starts_b else 0
+    return (na + nb - merged,
+            na + lead_b - merged if lead_a == na else lead_a,
+            nb + trail_a - merged if trail_b == nb else trail_b,
+            starts, ends)
+
+
+def _subtree_summary(root: ParentNode) -> tuple:
+    """The summary of ``root.text_content``, built bottom-up: a text
+    node's is computed once (its data never changes), an element's from
+    its children's at most once per DOM revision. So no text is collapsed
+    again for an ancestor, and a query after a mutation costs one pass
+    over the elements whose summaries went stale."""
+    rev = _dom_node._REV
+    if root._sum_rev == rev:
+        return root._sum_val
+    stale = [root]  # parents before their children
+    for node in stale:
+        c = node._first
+        while c is not None:
+            if type(c) is Element and c._sum_rev != rev:
+                stale.append(c)
+            c = c._next
+    for node in reversed(stale):
+        acc = _EMPTY_SUMMARY
+        c = node._first
+        while c is not None:
+            if type(c) is Element:
+                acc = _join_summaries(acc, c._sum_val)
+            elif c.node_type == TEXT_NODE:
+                summary = c._sum
+                if summary is None:
+                    summary = c._sum = _text_summary(c.data)
+                acc = _join_summaries(acc, summary)
+            c = c._next
+        node._sum_rev = rev
+        node._sum_val = acc
+    return root._sum_val
+
+
+def inner_text_length(node: ParentNode) -> int:
+    """``len(get_inner_text(node))``, without building the string."""
+    n, lead, trail, _, _ = _subtree_summary(node)
+    return 0 if lead == n else n - lead - trail
+
+
 def get_char_count(el: Element, ch: str = ",") -> int:
-    """NodeUtility.cs:420-435"""
-    return get_inner_text(el).count(ch)
+    """NodeUtility.cs:420-435. ``ch`` is not whitespace, which collapsing
+    and stripping touch alone, so the count is the raw text's."""
+    return el.text_content.count(ch)
 
 
 def get_link_density(el: Element) -> float:
@@ -246,19 +323,23 @@ def get_link_density(el: Element) -> float:
     mutations."""
     if el._ld_rev == _dom_node._REV:
         return el._ld_val
-    text_length = len(get_inner_text(el))
-    if text_length == 0:
-        val = 0.0
-    else:
-        link_length = 0.0
-        for link in el.get_elements_by_tag_name("a"):
-            href = link.get_attribute("href")
-            coefficient = 0.3 if href and regexes.HASH_URL.match(href) else 1.0
-            link_length += len(get_inner_text(link)) * coefficient
-        val = link_length / text_length
+    val = link_density(el, el.get_elements_by_tag_name("a"))
     el._ld_rev = _dom_node._REV
     el._ld_val = val
     return val
+
+
+def link_density(el: Element, links: list[Element]) -> float:
+    """``get_link_density`` of ``el`` given its ``<a>`` descendants."""
+    text_length = inner_text_length(el)
+    if text_length == 0:
+        return 0.0
+    link_length = 0.0
+    for link in links:
+        href = link.get_attribute("href")
+        coefficient = 0.3 if href and regexes.HASH_URL.match(href) else 1.0
+        link_length += inner_text_length(link) * coefficient
+    return link_length / text_length
 
 
 # -- style scrub (NodeUtility.cs:442-466) -----------------------------------
@@ -369,11 +450,11 @@ def has_ancestor_tag(node: Element, tag_name: str, max_depth: int = 3, filter_fn
     return False
 
 
-def get_row_and_column_count(table: Element) -> tuple[int, int]:
-    """SmartReader.cs:1698-1728"""
+def get_row_and_column_count(trs: list[Element]) -> tuple[int, int]:
+    """SmartReader.cs:1698-1728 over a table's ``tr`` descendants"""
     rows = 0
     columns = 0
-    for tr in table.get_elements_by_tag_name("tr"):
+    for tr in trs:
         rowspan = _try_parse_int(tr.get_attribute("rowspan"))
         rows += rowspan if rowspan else 1
         cols_in_row = 0
@@ -394,10 +475,13 @@ def _try_parse_int(s: str | None) -> int:
 
 
 # -- noscript image unwrap (NodeUtility.cs:225-304) -------------------------
-def unwrap_noscript_images(doc) -> None:
+def unwrap_noscript_images(doc, imgs: list[Element], noscripts: list[Element]) -> bool:
+    """Over ``doc``'s ``img`` and ``noscript`` elements (one walk's lists);
+    True when a noscript's image went into the tree (with its wrappers)."""
     from ..dom import set_inner_html
 
-    for img in doc.get_elements_by_tag_name("img"):
+    unwrapped = False
+    for img in imgs:
         keep = False
         for name, value in img.attrs.items():
             if name in ("src", "srcset", "data-src", "data-srcset"):
@@ -409,7 +493,7 @@ def unwrap_noscript_images(doc) -> None:
         if not keep and img.parent is not None:
             img.parent.remove_child(img)
 
-    for noscript in doc.get_elements_by_tag_name("noscript"):
+    for noscript in doc.inside(noscripts):
         if noscript.parent is None:
             continue
         from ..dom.serialize import inner_html
@@ -443,11 +527,8 @@ def unwrap_noscript_images(doc) -> None:
             first_child = tmp.first_element_child
             if first_child is not None and noscript.parent is not None:
                 noscript.parent.replace_child(first_child, prev)
-
-
-def remove_scripts(el) -> None:
-    """NodeUtility.cs:310-313"""
-    remove_nodes(el.get_all_nodes_with_tag(["script", "noscript"]))
+                unwrapped = True
+    return unwrapped
 
 
 def get_all_nodes_with_tag(el, tags) -> list[Element]:

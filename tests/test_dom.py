@@ -98,6 +98,22 @@ def test_svg_case_preserved():
     assert "<feGaussianBlur" in html
 
 
+def test_attribute_lookup_lowercases_the_name():
+    """``get_attribute``/``has_attribute`` answer for ``name.lower()``:
+    an svg element's camelCase key is out of reach of its own spelling,
+    an HTML element's key of any spelling of it."""
+    body = parse_html('<body><svg viewBox="0 0 1 1"></svg>'
+                      '<div data-X="1" class="c"></div></body>').body
+    svg, div = body.children
+    for el in (svg, div):
+        for name in ("viewBox", "viewbox", "VIEWBOX", "data-x", "data-X",
+                     "CLASS", "class", "-", "id"):
+            assert el.get_attribute(name) == el.attrs.get(name.lower())
+            assert el.has_attribute(name) == (name.lower() in el.attrs)
+    assert svg.attrs == {"viewBox": "0 0 1 1"} and svg.get_attribute("viewBox") is None
+    assert div.get_attribute("DATA-x") == "1" and div.has_attribute("Class")
+
+
 def test_entity_decoding_and_pre():
     doc = parse_html("<body><pre>\nkeep  it</pre><p>&euro;&#65;</p></body>")
     pre = doc.body.get_elements_by_tag_name("pre")[0]

@@ -127,6 +127,25 @@ MICRO_PAGES = {
     "f4-title-colon": _page(
         "<p>title colon</p>",
         title="Site: The Very Real Interesting Title Here"),
+    # a subtree removed between two tag passes of one prep walk: the form
+    # goes in the form pass, before the table, ul and div passes reach the
+    # nodes inside it; the aside goes in _clean, before _clean_headers
+    "mut-form-holds-table-ul-div": _page(
+        '<p>intro text</p><form class="widget"><table><tr><td>cell one</td>'
+        '<td>cell two</td></tr></table><ul><li><p>first item</p></li>'
+        '<li>second item</li></ul><div class="promo">inner div text</div>'
+        '</form><p>outro text</p>'),
+    # a noscript image unwrapped over a font-wrapped image brings a new
+    # font into the document before the font pass; as a span it is
+    # phrasing content, so the div's text stays one paragraph
+    "mut-noscript-font-image": _page(
+        '<div>intro words <font><img src="/img/low.jpg"></font>'
+        '<noscript><font><img src="/img/high.jpg"></font></noscript>'
+        ' outro words</div>'),
+    "mut-aside-holds-headers": _page(
+        '<p>intro text</p><aside><h2 class="widget">Aside heading one</h2>'
+        '<p>aside text</p><h1 class="widget">Aside heading two</h1></aside>'
+        '<h2>Kept heading</h2><p>outro text</p>'),
 }
 
 
@@ -186,6 +205,34 @@ def test_extraction_golden_through_pipeline(ray_session):
                                     batch_size=16, size_threshold=threshold)
     _assert_golden(_digests(out.iter_batches(batch_format="pyarrow",
                                              batch_size=None)))
+
+
+#: subtree element walks (calls of the two DOM walk primitives) that
+#: extracting ``golden_inputs()`` takes, 37 documents: 11.4 per document,
+#: where each phase of the chain walks its subtree once and takes its
+#: tag passes from the lists (39.3 when each pass walked on its own). A
+#: new walk at any call site moves a count.
+WALKS = {"collect_by_tag": 385, "iter_elements": 37}
+
+
+def test_walk_census(monkeypatch):
+    from collections import Counter
+
+    from smartreader_ray.dom.node import ParentNode
+
+    counts = Counter()
+    for name in WALKS:
+        walk = getattr(ParentNode, name)
+
+        def counted(self, *args, _walk=walk, _name=name):
+            counts[_name] += 1
+            return _walk(self, *args)
+
+        monkeypatch.setattr(ParentNode, name, counted)
+    inputs = golden_inputs()
+    list(ExtractBatch()(inputs))
+    assert dict(counts) == WALKS, (
+        f"{sum(counts.values()) / inputs.num_rows:.1f} walks per document: {dict(counts)}")
 
 
 if __name__ == "__main__":

@@ -127,8 +127,12 @@ def _jsonld_doc(payload):
     )
 
 
+def _doc_jsonld(doc):
+    return get_jsonld(doc, doc.get_elements_by_tag_name("script"))
+
+
 def test_jsonld_author_object():
-    meta = get_jsonld(
+    meta = _doc_jsonld(
         _jsonld_doc(
             '{"@context":"https://schema.org","@type":"Article","name":"N",'
             '"author":{"name":"John Doe"}}'
@@ -139,7 +143,7 @@ def test_jsonld_author_object():
 
 
 def test_jsonld_author_array():
-    meta = get_jsonld(
+    meta = _doc_jsonld(
         _jsonld_doc(
             '{"@context":"https://schema.org","@type":"Article",'
             '"author":[{"name":"A"},{"name":"B"}]}'
@@ -149,14 +153,14 @@ def test_jsonld_author_array():
 
 
 def test_jsonld_wrong_type_rejected():
-    meta = get_jsonld(
+    meta = _doc_jsonld(
         _jsonld_doc('{"@context":"https://schema.org","@type":"WebSite","name":"N"}')
     )
     assert meta == {}
 
 
 def test_jsonld_non_schema_context_rejected():
-    meta = get_jsonld(
+    meta = _doc_jsonld(
         _jsonld_doc('{"@context":"https://example.org","@type":"Article","name":"N"}')
     )
     assert meta == {}
@@ -166,13 +170,13 @@ def test_jsonld_graph():
     # quirk parity (Readability.cs:377-402): after @graph promotion the
     # @context check runs on the INNER object — a graph child without its
     # own @context is rejected
-    meta = get_jsonld(
+    meta = _doc_jsonld(
         _jsonld_doc(
             '{"@context":"https://schema.org","@graph":[{"@type":"Article","name":"G"}]}'
         )
     )
     assert meta == {}
-    meta = get_jsonld(
+    meta = _doc_jsonld(
         _jsonld_doc(
             '{"@context":"https://schema.org","@graph":'
             '[{"@context":"https://schema.org","@type":"Article","name":"G"}]}'
@@ -304,7 +308,7 @@ def test_grouped_clean_matches_per_tag_clean():
     grouped, per_tag = _nested_clean_doc(), _nested_clean_doc()
     extractor = Extractor()
     for run in _CLEAN_RUNS:
-        extractor._clean(grouped, run)
+        extractor._clean(grouped.get_all_nodes_with_tag(run), run)
         for tag in run:
             _clean_per_tag(per_tag, tag)
     assert inner_html(grouped) == inner_html(per_tag)

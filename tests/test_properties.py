@@ -104,6 +104,23 @@ def test_count_letters_matches_naive(text):
     assert count_letters(text) == _naive_count_letters(text)
 
 
+@given(texts, st.integers(min_value=1, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_text_kernels_across_slices(text, chunk):
+    """The code-point kernels read long text in slices of ``_CHUNK``
+    code points; with a tiny slice every boundary case (a dropped space
+    or a newline on either side of one) shows on short texts."""
+    from smartreader_ray.extraction import article
+
+    saved = article._CHUNK
+    article._CHUNK = chunk
+    try:
+        assert article.squash_spaces(text) == _naive_space_squash(text)
+        assert article.count_letters(text) == _naive_count_letters(text)
+    finally:
+        article._CHUNK = saved
+
+
 @st.composite
 def whitespace_docs(draw):
     """Random nested P/BR/DIV/SPAN/PRE markup around whitespace-heavy text."""
@@ -224,6 +241,134 @@ def test_text_cache_survives_mutation(doc):
         # and re-inserting restores the original text
         body.insert_before(first, body.first_child)
         assert body.text_content == removed_text + after or body.text_content == before
+
+
+@st.composite
+def mutable_docs(draw):
+    """Random nested markup with whitespace-heavy text and links (some
+    with fragment hrefs), plus a list of mutations: ``(op, i, j)`` with
+    op 0 = remove element i, 1 = move element i under element j (at the
+    front or the back), indices taken modulo the live elements."""
+    parts = ["<html><body>"]
+    stack = []
+    for _ in range(draw(st.integers(0, 30))):
+        action = draw(st.integers(0, 3))
+        if action == 0 and len(stack) < 5:
+            t = draw(st.sampled_from(["div", "p", "span", "a", "ul", "li", "table", "h2"]))
+            if t == "a":
+                href = draw(st.sampled_from(["#x", "/page", ""]))
+                parts.append(f'<a href="{href}">')
+            else:
+                parts.append(f"<{t}>")
+            stack.append(t)
+        elif action == 1 and stack:
+            parts.append(f"</{stack.pop()}>")
+        elif action == 2:
+            parts.append(draw(st.sampled_from([",", ", ", "\xa0", "<br>"])))
+        else:
+            parts.append(draw(st.lists(_tokens, max_size=8).map("".join)))
+    while stack:
+        parts.append(f"</{stack.pop()}>")
+    parts.append("</body></html>")
+    ops = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99),
+                                  st.integers(0, 99)), max_size=8))
+    return "".join(parts), ops
+
+
+def _naive_text(node) -> str:
+    if node.node_type == 3:
+        return node.data
+    if node.node_type not in (1, 9):
+        return ""
+    return "".join(_naive_text(c) for c in node.childNodes)
+
+
+def _naive_elements(node) -> list:
+    out = []
+    for c in node.childNodes:
+        if c.node_type == 1:
+            out.append(c)
+            out.extend(_naive_elements(c))
+    return out
+
+
+def _naive_inner(node) -> str:
+    from smartreader_ray.dom import collapse_whitespace
+
+    return collapse_whitespace(_naive_text(node).strip())
+
+
+def _naive_link_density(el) -> float:
+    text_length = len(_naive_inner(el))
+    if text_length == 0:
+        return 0.0
+    link_length = 0.0
+    for a in _naive_elements(el):
+        if a.tag == "A":
+            href = a.get_attribute("href")
+            coefficient = 0.3 if href and re.match(r"^#.+", href) else 1.0
+            link_length += len(_naive_inner(a)) * coefficient
+    return link_length / text_length
+
+
+_WALK_GROUPS = (("P",), ("A", "LI"), ("DIV", "UL", "TABLE"), None)
+
+
+@given(mutable_docs())
+@settings(max_examples=300, deadline=None)
+def test_text_caches_and_tag_walk_track_mutations(case):
+    """``get_inner_text``, ``inner_text_length``, ``get_link_density`` and
+    ``get_char_count`` (cached per node and DOM revision, lengths built
+    bottom-up from per-text-node summaries) equal their naive
+    definitions after every removal and move; one ``collect_by_tag``
+    walk taken up front, kept to the nodes ``inside`` the body, is a new
+    per-tag walk of the body (in order while only removals happened)."""
+    from smartreader_ray.dom import parse_html
+    from smartreader_ray.extraction.nodeutil import (
+        get_char_count,
+        get_inner_text,
+        get_link_density,
+        inner_text_length,
+    )
+
+    html, ops = case
+    body = parse_html(html).body
+    if body is None:
+        return
+    walk = body.collect_by_tag(*_WALK_GROUPS)
+    moved = False
+    for step in range(len(ops) + 1):
+        live = [body, *_naive_elements(body)]
+        for el in live:
+            inner = _naive_inner(el)
+            assert get_inner_text(el) == inner
+            assert inner_text_length(el) == len(inner)
+            assert get_char_count(el, ",") == inner.count(",")
+            assert get_link_density(el) == _naive_link_density(el)
+        for tags, nodes in zip(_WALK_GROUPS, walk):
+            fresh = [e for e in live[1:] if tags is None or e.tag in tags]
+            kept = body.inside(nodes)
+            if moved:
+                assert set(kept) == set(fresh)
+            else:
+                assert kept == fresh
+        if step == len(ops):
+            break
+        op, i, j = ops[step]
+        el = live[1:][i % (len(live) - 1)] if len(live) > 1 else None
+        if el is None:
+            break
+        if op == 0:
+            el.parent.remove_child(el)
+        else:
+            target = live[j % len(live)]
+            if target is el or target in _naive_elements(el):
+                continue  # no cycles
+            if op == 1:
+                target.insert_before(el, target.first_child)
+            else:
+                target.append_child(el)
+            moved = True
 
 
 # ---------------------------------------------------------------------------
